@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check api-check api-update bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke ci
+.PHONY: build test race vet fmt-check api-check api-update bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke one-impl-check ci
 
 build:
 	$(GO) build ./...
@@ -106,13 +106,27 @@ fanout-smoke:
 	$(GO) test -run 'TestPublishZeroAlloc' ./internal/signal/
 
 # Power-governor smoke: the sim-vs-serve limited-power differential (exact
-# response and per-cause drop agreement at N=1), the recovery claim
-# (governor strictly reduces DeferredPower drops vs the status quo), and the
-# budget-safety property under the race detector with concurrent lanes.
+# response, per-cause drop and DVFS-event agreement at N=1), the recovery
+# claim (governor strictly reduces DeferredPower drops vs the status quo),
+# and under the race detector the budget-safety property with concurrent
+# lanes plus the scheduling board's random-operation ledger property.
 power-smoke:
 	$(GO) test -run 'TestSimServeLimitedPowerDifferential|TestGovernorRecoversDeferredPowerDrops' \
 		./internal/bench/
 	$(GO) test -race -run 'TestGovernorPowerCapProperty' ./internal/serve/
+	$(GO) test -race -run 'TestBoard' ./internal/sched/
+
+# One implementation per scheduling rule: Algorithm 2's steps, the DVFS
+# retime rule and the busy-view convention are applied by sched.Board alone.
+# Any other non-test caller (sched.go defines them, and SavePower itself
+# uses the retime rule) is a second copy of a Board rule in the making.
+one-impl-check:
+	@bad=$$(grep -rnE '(^|[^.[:alnum:]_]|sched\.)(SavePower|Redistribute|BusyViewAt)\(|\.RetimedRemainingNanos\(' \
+		--include='*.go' --exclude='*_test.go' . \
+		| grep -vE '^\./internal/sched/(board|sched)\.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "scheduling-board rule applied outside sched.Board:"; echo "$$bad"; exit 1; \
+	fi
 
 # Scenario smoke: the chaos-matrix shape/non-vacuity check and the
 # three-way sim/serve/venue differential — one scenario byte stream must
@@ -155,6 +169,6 @@ fuzz-smoke:
 # smoke (chaos-matrix shape plus the three-way sim/serve/venue scenario
 # differential and the degraded-mode trader regressions), the frontier
 # smoke (zoo training/pricing, degrade-ladder invariants and the
-# model-switch allocation gate), and a short fuzz pass over the wire
-# decoders.
-ci: fmt-check vet build api-check race bench-smoke bench-tickpath sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke
+# model-switch allocation gate), a short fuzz pass over the wire decoders,
+# and the one-implementation check on the scheduling-board rules.
+ci: fmt-check vet build api-check one-impl-check race bench-smoke bench-tickpath sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke

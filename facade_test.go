@@ -8,10 +8,11 @@ import (
 	"lighttrader/internal/core"
 )
 
-// TestNewMatchesDeprecatedConstructor pins the migration contract: the
-// functional-options constructor builds the same system as the deprecated
-// positional one, byte-identical under the deterministic back-test.
-func TestNewMatchesDeprecatedConstructor(t *testing.T) {
+// TestNewMatchesCoreConstructor pins what the functional options resolve to:
+// New builds the same system as core.Configure + core.NewSystem with the
+// positional arguments spelled out, byte-identical under the deterministic
+// back-test.
+func TestNewMatchesCoreConstructor(t *testing.T) {
 	trace := smallTrace(t)
 	via, err := New(NewVanillaCNN(),
 		WithAccelerators(2),
@@ -21,16 +22,20 @@ func TestNewMatchesDeprecatedConstructor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := NewLightTrader(NewVanillaCNN(), 2, Limited, SchedulerOptions{
+	cfg, err := core.Configure(NewVanillaCNN(), 2, Limited, SchedulerOptions{
 		WorkloadScheduling: true, DVFSScheduling: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	direct, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := Backtest(trace, 20*time.Millisecond, via)
-	b := Backtest(trace, 20*time.Millisecond, old)
+	b := Backtest(trace, 20*time.Millisecond, direct)
 	if a != b {
-		t.Fatalf("option-built system diverged from deprecated constructor:\n%+v\n%+v", a, b)
+		t.Fatalf("option-built system diverged from core.NewSystem:\n%+v\n%+v", a, b)
 	}
 }
 

@@ -43,11 +43,14 @@ func TestSimServeLimitedPowerDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := sim.NewTracer()
+	// Capacity above the trace's event count: the DVFS comparison below needs
+	// every event, not the ring's newest window.
+	tr := sim.NewTracerCapacity(1 << 16)
 	m := sim.RunWithOptions(qs, sys, sim.WithProbe(tr))
 	attr := tr.Attribution()
 
 	srvCfg := powerDifferentialConfig()
+	srvTr := sim.NewTracerCapacity(1 << 16)
 	srv, err := serve.New(powerMulti(1), serve.Config{
 		Lanes:            1,
 		Inline:           true,
@@ -56,6 +59,7 @@ func TestSimServeLimitedPowerDifferential(t *testing.T) {
 		Sched:            &srvCfg.Sched,
 		TAvailNanos:      tc.TAvailNanos,
 		PrePipelineNanos: srvCfg.PrePipelineNanos,
+		Probe:            srvTr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +90,22 @@ func TestSimServeLimitedPowerDifferential(t *testing.T) {
 	}
 	if st.DeferredPower != attr.DeferredPower {
 		t.Errorf("deferred-power: serve %d, sim %d", st.DeferredPower, attr.DeferredPower)
+	}
+
+	// Both engines drive one sched.Board, so the DVFS actions themselves —
+	// instant, reason, accelerator, operating points, retime — must match
+	// event for event, not only the totals they lead to.
+	simEv, srvEv := tr.DVFSEvents(), srvTr.DVFSEvents()
+	if len(simEv) != len(srvEv) {
+		t.Errorf("DVFS events: serve %d, sim %d", len(srvEv), len(simEv))
+	}
+	for i := 0; i < len(simEv) && i < len(srvEv); i++ {
+		if simEv[i] != srvEv[i] {
+			t.Fatalf("DVFS event %d: serve %+v, sim %+v", i, srvEv[i], simEv[i])
+		}
+	}
+	if tr.DVFSTransitions(sim.DVFSRedistribute) == 0 || tr.DVFSTransitions(sim.DVFSPark) == 0 {
+		t.Error("vacuous differential: no redistribute or park event occurred")
 	}
 
 	// Non-vacuity: the trace must actually exercise service and both

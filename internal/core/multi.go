@@ -24,6 +24,8 @@ type MultiPipeline struct {
 	pipes   map[int32]*Pipeline
 	symbols map[string]int32 // symbol → securityID, for duplicate detection
 	order   []int32          // deterministic dispatch order
+	// pktBuf backs OnPacket's decode: the packet is consumed within the call.
+	pktBuf sbe.PacketBuffer
 }
 
 // NewMultiPipeline returns an empty multi-instrument pipeline.
@@ -98,7 +100,7 @@ func (mp *MultiPipeline) Len() int { return len(mp.order) }
 // OnPacket parses one datagram and dispatches it to every subscription,
 // concatenating the generated order requests.
 func (mp *MultiPipeline) OnPacket(buf []byte) ([]exchange.Request, error) {
-	pkt, err := sbe.DecodePacket(buf)
+	pkt, err := sbe.DecodePacketInto(buf, &mp.pktBuf)
 	if err != nil {
 		return nil, fmt.Errorf("core: packet parse: %w", err)
 	}

@@ -57,6 +57,8 @@ type Pipeline struct {
 	// ordersBuf backs the slice OnDecodedPacket returns, reused across
 	// packets so steady-state order generation does not allocate.
 	ordersBuf []exchange.Request
+	// pktBuf backs OnPacket's decode: the packet is consumed within the call.
+	pktBuf sbe.PacketBuffer
 
 	// lat, when set, records each OnDecodedPacket call's wall duration:
 	// the book-update → feature → decision stages of the tick path.
@@ -176,7 +178,7 @@ func (p *Pipeline) Snapshot(timeNanos int64) lob.Snapshot {
 // OnPacket processes one market-data datagram end to end, returning any
 // order requests the trading engine generated.
 func (p *Pipeline) OnPacket(buf []byte) ([]exchange.Request, error) {
-	pkt, err := sbe.DecodePacket(buf)
+	pkt, err := sbe.DecodePacketInto(buf, &p.pktBuf)
 	if err != nil {
 		return nil, fmt.Errorf("core: packet parse: %w", err)
 	}

@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 
-	"lighttrader/internal/cgra"
 	"lighttrader/internal/sched"
 	"lighttrader/internal/sim"
 )
@@ -41,33 +40,22 @@ const DefaultPrePipelineNanos = 350
 // trading-engine decision plus order encoding and egress.
 const DefaultPostPipelineNanos = 310
 
-// accel is the runtime state of one AI accelerator.
-type accel struct {
-	state  cgra.DVFSState
-	busy   bool
-	doneAt int64
-	batch  []sim.Query
-	// retimes counts DVFS changes applied to the in-flight batch; the
-	// scheduler caps it to avoid switch-stall thrash (§III-D: "frequent
-	// changing in DVFS policy within a short time interval increases the
-	// risk of a power failure as well as the overall latency").
-	retimes int
-}
-
 // System is the simulated LightTrader appliance implementing
-// sim.SystemModel.
+// sim.SystemModel: the scheduling board (accelerator array and power
+// ledger) driven by simulator event time, plus the shared offload FIFO, the
+// in-flight batches' queries and the energy integral.
 type System struct {
-	cfg    SystemConfig
-	name   string
-	queue  []sim.Query
-	accels []accel
+	cfg   SystemConfig
+	name  string
+	queue []sim.Query
+	board *sched.Board
+	// batches[i] holds the queries in flight on accelerator i (nil when
+	// idle), kept for their Completion records.
+	batches [][]sim.Query
 
 	// policy is the scheduling strategy, rebuilt from cfg.Scheduler on
 	// every Reset so stateful policies start each run fresh.
 	policy sched.Scheduler
-	// viewScratch backs the busy-accelerator views handed to the policy
-	// and to Algorithm 2; reused across calls, never retained.
-	viewScratch []sched.BusyAccel
 
 	pending []sim.Completion
 	lastNow int64
@@ -75,7 +63,6 @@ type System struct {
 	energyJ      float64
 	lastEnergyAt int64
 	energyStart  bool
-	maxPowerW    float64
 
 	// probe observes scheduler-internal events; nil outside instrumented
 	// runs. Probes never influence decisions (determinism invariant).
@@ -116,6 +103,8 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		tag = "DS"
 	}
 	s := &System{cfg: cfg}
+	s.board = sched.NewBoard(&s.cfg.Sched, nil, cfg.NumAccels, cfg.PrePipelineNanos,
+		cfg.Sched.DVFSScheduling, s.emitDVFS)
 	s.Reset()
 	if name := s.policy.Name(); name != "ppw" {
 		// Non-default policies show up in the system tag (and therefore in
@@ -138,32 +127,18 @@ func (s *System) Reset() {
 	}
 	s.policy = factory(&s.cfg.Sched)
 	s.queue = s.queue[:0]
-	s.accels = make([]accel, s.cfg.NumAccels)
-	start := s.startState()
-	for i := range s.accels {
-		s.accels[i].state = start
-	}
+	s.board.Reset()
+	s.batches = make([][]sim.Query, s.cfg.NumAccels)
 	s.pending = nil
 	s.lastNow = 0
 	s.energyJ = 0
 	s.lastEnergyAt = 0
 	s.energyStart = false
-	s.maxPowerW = 0
 }
 
 // MaxObservedPowerWatts returns the highest instantaneous accelerator draw
 // seen since Reset — the quantity the card's power budget constrains.
-func (s *System) MaxObservedPowerWatts() float64 { return s.maxPowerW }
-
-// startState is the operating point accelerators boot into: the static
-// Table III point without DVFS scheduling, the lowest state with it (DS
-// parks idle accelerators at the power floor).
-func (s *System) startState() cgra.DVFSState {
-	if s.cfg.Sched.DVFSScheduling {
-		return s.cfg.Sched.Spec.DVFSTable()[0]
-	}
-	return s.cfg.Sched.StaticDVFS
-}
+func (s *System) MaxObservedPowerWatts() float64 { return s.board.MaxDraw() }
 
 // EnergyJoules implements sim.EnergyReporter.
 func (s *System) EnergyJoules() float64 { return s.energyJ }
@@ -189,17 +164,11 @@ func (s *System) sample(now int64) {
 	if s.probe == nil {
 		return
 	}
-	busy := 0
-	for i := range s.accels {
-		if s.accels[i].busy {
-			busy++
-		}
-	}
 	s.probe.OnSample(sim.Sample{
 		TimeNanos:  now,
 		QueueDepth: len(s.queue),
-		BusyAccels: busy,
-		PowerWatts: s.totalDrawWatts(),
+		BusyAccels: s.board.BusyCount(),
+		PowerWatts: s.board.Draw(),
 	})
 }
 
@@ -211,14 +180,10 @@ func (s *System) accrueEnergy(now int64) {
 		return
 	}
 	dt := float64(now-s.lastEnergyAt) / 1e9
-	watts := s.totalDrawWatts()
-	if watts > s.maxPowerW {
-		s.maxPowerW = watts
-	}
 	if dt <= 0 {
 		return
 	}
-	s.energyJ += watts * dt
+	s.energyJ += s.board.Draw() * dt
 	s.lastEnergyAt = now
 }
 
@@ -243,13 +208,10 @@ func (s *System) NextEventTime() int64 {
 	if len(s.pending) > 0 {
 		return s.lastNow
 	}
-	next := int64(sim.NoEvent)
-	for i := range s.accels {
-		if s.accels[i].busy && s.accels[i].doneAt < next {
-			next = s.accels[i].doneAt
-		}
+	if _, done, ok := s.board.EarliestDone(); ok {
+		return done
 	}
-	return next
+	return sim.NoEvent
 }
 
 // Advance implements sim.SystemModel.
@@ -258,162 +220,42 @@ func (s *System) Advance(now int64) []sim.Completion {
 	s.lastNow = now
 	out := s.pending
 	s.pending = nil
-	for i := range s.accels {
-		a := &s.accels[i]
-		if a.busy && a.doneAt <= now {
-			for _, q := range a.batch {
-				out = append(out, sim.Completion{Query: q, DoneNanos: a.doneAt, Batch: len(a.batch)})
+	for i, batch := range s.batches {
+		if a := s.board.Slot(i); a.Busy && a.DoneNanos <= now {
+			for _, q := range batch {
+				out = append(out, sim.Completion{Query: q, DoneNanos: a.DoneNanos, Batch: len(batch)})
 			}
-			a.busy = false
-			a.batch = nil
-			if s.cfg.Sched.DVFSScheduling {
-				// Park the idle accelerator at the power floor.
-				floor := s.cfg.Sched.Spec.DVFSTable()[0]
-				if a.state != floor {
-					s.emitDVFS(sim.DVFSEvent{
-						TimeNanos: now, Accel: i, Reason: sim.DVFSPark,
-						FromGHz: a.state.FreqGHz, ToGHz: floor.FreqGHz,
-					})
-				}
-				a.state = floor
-			}
+			s.batches[i] = nil
+			s.board.Retire(i, now)
 		}
 	}
 	s.schedule(now)
 	return out
 }
 
-// drawOf returns accelerator i's present power draw. It is the single
-// source of the busy/idle draw rule so probe sampling, energy accrual and
-// budget accounting cannot drift apart.
-func (s *System) drawOf(i int) float64 {
-	a := &s.accels[i]
-	if a.busy {
-		return s.cfg.Sched.BusyPower(a.state)
-	}
-	return s.cfg.Sched.Spec.IdlePower(a.state)
-}
-
-// totalDrawWatts is the instantaneous draw across all accelerators.
-func (s *System) totalDrawWatts() float64 {
-	var watts float64
-	for i := range s.accels {
-		watts += s.drawOf(i)
-	}
-	return watts
-}
-
-// powerAvailExcluding returns the unallocated budget if accelerator skip's
-// draw is excluded (it is about to change state).
-func (s *System) powerAvailExcluding(skip int) float64 {
-	var used float64
-	for i := range s.accels {
-		if i != skip {
-			used += s.drawOf(i)
-		}
-	}
-	return s.cfg.Sched.PowerBudgetWatts - used
-}
-
-// idleCount returns the number of accelerators able to take work.
-func (s *System) idleCount() int {
-	n := 0
-	for i := range s.accels {
-		if !s.accels[i].busy {
-			n++
-		}
-	}
-	return n
-}
-
-// busyViews builds the per-accelerator busy view handed to the scheduling
-// policy and to Algorithm 2. The returned slice aliases viewScratch and is
-// only valid until the next call.
-func (s *System) busyViews(now int64) []sched.BusyAccel {
-	views := s.viewScratch[:0]
-	for i := range s.accels {
-		a := &s.accels[i]
-		if !a.busy {
-			continue
-		}
-		minDeadline := a.batch[0].DeadlineNanos
-		for _, q := range a.batch[1:] {
-			if q.DeadlineNanos < minDeadline {
-				minDeadline = q.DeadlineNanos
-			}
-		}
-		views = append(views, sched.BusyViewAt(i, a.state, len(a.batch), minDeadline, a.doneAt, now))
-	}
-	s.viewScratch = views
-	return views
-}
-
-// applyDVFS retimes a busy accelerator to a new state at now: the remaining
-// work stalls for the switch delay and then proceeds scaled by the
-// frequency ratio. (The small fixed-time C2C/post share of the remaining
-// work is scaled along with it; it is ≪1% of t_total.)
-func (s *System) applyDVFS(i int, d cgra.DVFSState, now int64, reason sim.DVFSReason) {
-	a := &s.accels[i]
-	if a.state == d {
-		return
-	}
-	var retimed int64
-	if a.busy {
-		remaining := a.doneAt - now
-		if remaining < 0 {
-			remaining = 0
-		}
-		newDone := now + s.cfg.Sched.RetimedRemainingNanos(remaining, a.state, d)
-		retimed = newDone - a.doneAt
-		a.doneAt = newDone
-		a.retimes++
-	}
-	s.emitDVFS(sim.DVFSEvent{
-		TimeNanos: now, Accel: i, Reason: reason,
-		FromGHz: a.state.FreqGHz, ToGHz: d.FreqGHz, RetimedNanos: retimed,
-	})
-	a.state = d
-}
-
-// schedule runs the configured scheduling policy: the strategy decides
-// what each idle accelerator issues (Algorithm 1 under the default
-// PPWScheduler, with Algorithm 2's power-saving step as a retry path when
-// an issue fails on power), then Algorithm 2 redistributes residual budget.
-// DVFS actions are rate-limited ("the HFT system carefully uses DVFS",
-// §III-D): each in-flight batch is retimed at most once, and only when
-// enough work remains to amortise the switch stall.
+// schedule runs the configured scheduling policy over the shared FIFO: the
+// strategy decides what each idle accelerator issues (Algorithm 1 under the
+// default PPWScheduler, with the board's power-saving step as a retry path
+// — at most once per accelerator per call — when an issue fails), then the
+// board redistributes residual budget once, after every accelerator has had
+// its turn.
 func (s *System) schedule(now int64) {
-	cfg := &s.cfg.Sched
-	for i := range s.accels {
-		a := &s.accels[i]
-		if a.busy {
+	for i := range s.batches {
+		if s.board.Slot(i).Busy {
 			continue
 		}
 		savedPower := false
 		for len(s.queue) > 0 {
 			oldest := s.queue[0]
 			avail := oldest.Remaining(now) - s.cfg.PrePipelineNanos
-			dec := s.policy.Decide(sched.SchedContext{
-				NowNanos:        now,
-				Queued:          len(s.queue),
-				AvailNanos:      avail,
-				PowerAvailWatts: s.powerAvailExcluding(i),
-				Current:         a.state,
-				AccelID:         i,
-				IdleAccels:      s.idleCount(),
-				Busy:            s.busyViews(now),
-			})
-			issue, verdict := dec.Issue, dec.Verdict
-			ok := verdict == sched.VerdictIssued
-			if !ok && cfg.DVFSScheduling && !savedPower {
+			dec := s.policy.Decide(s.board.Context(i, now, len(s.queue), avail,
+				s.cfg.NumAccels-s.board.BusyCount()))
+			ok := dec.Verdict == sched.VerdictIssued
+			if !ok && s.cfg.Sched.DVFSScheduling && !savedPower {
 				// Saving step: scale busy accelerators down within their
-				// deadline slack to make room, then retry once. A power
-				// emergency may retime a batch a second time.
+				// deadline slack to make room, then retry once.
 				savedPower = true
-				if changes := sched.SavePower(cfg, s.busyViews(now)); len(changes) > 0 {
-					for _, ch := range changes {
-						s.applyDVFS(ch.ID, ch.DVFS, now, sim.DVFSSave)
-					}
+				if s.board.Save(now) {
 					continue
 				}
 			}
@@ -422,76 +264,34 @@ func (s *System) schedule(now int64) {
 				// attributed to the scheduler's decision reason.
 				s.emitQuery(sim.QueryEvent{
 					TimeNanos: now, Kind: sim.QueryDefer, Query: oldest,
-					Accel: -1, Cause: verdict.DeferCause(),
+					Accel: -1, Cause: dec.Verdict.DeferCause(),
 				})
 				s.pending = append(s.pending, sim.Completion{Query: oldest, Dropped: true})
 				s.queue = s.queue[1:]
 				continue
 			}
-			batch := make([]sim.Query, issue.Batch)
-			copy(batch, s.queue[:issue.Batch])
-			s.queue = s.queue[issue.Batch:]
-			if a.state != issue.DVFS {
-				s.emitDVFS(sim.DVFSEvent{
-					TimeNanos: now, Accel: i, Reason: sim.DVFSAtIssue,
-					FromGHz: a.state.FreqGHz, ToGHz: issue.DVFS.FreqGHz,
-				})
+			batch := make([]sim.Query, dec.Issue.Batch)
+			copy(batch, s.queue[:dec.Issue.Batch])
+			s.queue = s.queue[dec.Issue.Batch:]
+			minDeadline := batch[0].DeadlineNanos
+			for _, q := range batch[1:] {
+				if q.DeadlineNanos < minDeadline {
+					minDeadline = q.DeadlineNanos
+				}
 			}
-			a.busy = true
-			a.batch = batch
-			a.state = issue.DVFS
-			a.retimes = 0
-			a.doneAt = now + s.cfg.PrePipelineNanos + issue.TotalNanos
+			s.batches[i] = batch
+			done := s.board.Commit(i, now, dec.Issue, 0, minDeadline)
 			if s.probe != nil {
 				for _, q := range batch {
 					s.emitQuery(sim.QueryEvent{
 						TimeNanos: now, Kind: sim.QueryIssue, Query: q,
-						Accel: i, Batch: issue.Batch, DoneNanos: a.doneAt,
+						Accel: i, Batch: dec.Issue.Batch, DoneNanos: done,
 					})
 				}
 			}
 			break
 		}
 	}
-	if cfg.DVFSScheduling {
-		// Redistribute the residual budget across busy accelerators,
-		// reserving enough headroom for the idle accelerators to pick up
-		// queued work at the floor state.
-		views := s.retimableViews(now)
-		if len(views) > 0 {
-			used := s.totalDrawWatts()
-			idle := 0
-			for i := range s.accels {
-				if !s.accels[i].busy {
-					idle++
-				}
-			}
-			pending := len(s.queue)
-			if idle > pending {
-				idle = pending
-			}
-			floor := cfg.Spec.DVFSTable()[0]
-			reserve := float64(idle) * (cfg.BusyPower(floor) - cfg.Spec.IdlePower(floor))
-			avail := s.cfg.Sched.PowerBudgetWatts - used - reserve
-			for _, ch := range sched.Redistribute(cfg, views, avail) {
-				s.applyDVFS(ch.ID, ch.DVFS, now, sim.DVFSRedistribute)
-			}
-		}
-	}
+	s.board.Redistribute(now, len(s.queue))
 	s.sample(now)
-}
-
-// retimableViews returns the busy accelerators still eligible for a DVFS
-// change: not yet retimed this batch and with enough remaining work to
-// amortise the switch stall.
-func (s *System) retimableViews(now int64) []sched.BusyAccel {
-	views := s.busyViews(now)
-	amortise := 4 * s.cfg.Sched.Spec.DVFSSwitchNanos
-	filtered := views[:0]
-	for _, v := range views {
-		if s.accels[v.ID].retimes == 0 && v.RemainingNanos > amortise {
-			filtered = append(filtered, v)
-		}
-	}
-	return filtered
 }

@@ -1,0 +1,318 @@
+package sched
+
+import (
+	"lighttrader/internal/cgra"
+	"lighttrader/internal/sim"
+)
+
+// Slot is the Board's record of one modelled accelerator: its operating
+// point and instantaneous draw and — while a batch is in flight — the batch
+// size, the projected completion, the earliest deadline in the batch, the
+// model tier it was admitted against and how often it has been retimed.
+type Slot struct {
+	State cgra.DVFSState
+	Busy  bool
+	// Draw is the present draw: the admitting tier's busy power at State
+	// while a batch is in flight, the Spec-level idle power otherwise.
+	Draw  float64
+	Batch int
+	// DoneNanos is the modelled completion of the in-flight batch: commit
+	// instant + pre-pipeline + t_total, moved by every DVFS change. It keeps
+	// the last batch's completion after Retire.
+	DoneNanos int64
+	// MinDeadlineNanos is the earliest deadline inside the in-flight batch —
+	// the slack bound a Save scale-down must not violate.
+	MinDeadlineNanos int64
+	// Retimes counts DVFS changes applied to the in-flight batch. Redistribute
+	// only touches a batch with none, to avoid switch-stall thrash (§III-D:
+	// "frequent changing in DVFS policy within a short time interval increases
+	// the risk of a power failure as well as the overall latency").
+	Retimes int
+	// Tier is the model tier of the in-flight batch: 0 the primary model,
+	// t > 0 the t-th degrade-ladder rung — the cost model its draw and any
+	// retime are accounted with.
+	Tier int
+	// Switches counts at-issue operating-point changes, Saves scale-downs by
+	// the saving step, Redistributes scale-ups from residual budget, Parks
+	// returns to the floor state at retire.
+	Switches, Saves, Redistributes, Parks int64
+}
+
+// Board is the accelerator array and power ledger of the paper's proactive
+// scheduler (§III-D): the one implementation of the state both execution
+// engines act on. It owns every rule that reads or moves an operating point
+// or a watt — boot state, busy/idle draw, unallocated budget, Algorithm 2's
+// busy views and retime eligibility, the DVFS retime itself, issue commit,
+// retire-and-park, and residual-budget redistribution with the idle-pickup
+// reserve — and emits every DVFS event. Queue discipline, the save-retry
+// rate limit, when Redistribute runs, the degrade-ladder walk, clocks and
+// locking belong to the engine. A Board is not goroutine-safe: the simulator
+// is single-threaded and the serving governor holds its mutex.
+type Board struct {
+	cfg *Config
+	// tierCfgs are the degrade ladder's cost models (tier t > 0 is
+	// tierCfgs[t-1]). Every tier shares cfg's Spec-level idle model and power
+	// budget, so cross-tier draw sums stay meaningful.
+	tierCfgs []*Config
+	pre      int64
+	// dvfs gates Algorithm 2 (save, redistribute, park); without it the Board
+	// is a transactional power meter under Algorithm 1 admission.
+	dvfs  bool
+	floor cgra.DVFSState
+	emit  func(sim.DVFSEvent)
+
+	slots []Slot
+	// scratch backs the busy views handed to policies and to Algorithm 2;
+	// reused across calls, never retained.
+	scratch []BusyAccel
+	// draw is Σ Slot.Draw in slot order (summed afresh after every change so
+	// both engines see one float value); maxDraw its high-water mark.
+	draw, maxDraw float64
+}
+
+// NewBoard builds the ledger for n accelerators running cfg's kernel.
+// prePipelineNanos is charged between a commit instant and the accelerator
+// start; dvfs enables Algorithm 2; emit receives every DVFS event.
+func NewBoard(cfg *Config, tierCfgs []*Config, n int, prePipelineNanos int64, dvfs bool, emit func(sim.DVFSEvent)) *Board {
+	b := &Board{
+		cfg: cfg, tierCfgs: tierCfgs, pre: prePipelineNanos, dvfs: dvfs,
+		floor: cfg.Spec.DVFSTable()[0], emit: emit, slots: make([]Slot, n),
+	}
+	b.Reset()
+	return b
+}
+
+// Reset returns every accelerator to the idle boot operating point: the
+// static Table III point without DVFS scheduling, the floor state with it
+// (DS parks idle accelerators at the power floor).
+func (b *Board) Reset() {
+	start := b.cfg.StaticDVFS
+	if b.cfg.DVFSScheduling {
+		start = b.floor
+	}
+	for i := range b.slots {
+		b.slots[i] = Slot{State: start, Draw: b.cfg.Spec.IdlePower(start)}
+	}
+	b.maxDraw = 0
+	b.note()
+}
+
+// Len returns the accelerator count.
+func (b *Board) Len() int { return len(b.slots) }
+
+// Slot returns a copy of one accelerator's record.
+func (b *Board) Slot(i int) Slot { return b.slots[i] }
+
+// BusyCount returns the number of accelerators with a batch in flight.
+func (b *Board) BusyCount() int {
+	n := 0
+	for i := range b.slots {
+		if b.slots[i].Busy {
+			n++
+		}
+	}
+	return n
+}
+
+// Draw returns the instantaneous draw across all accelerators.
+func (b *Board) Draw() float64 { return b.draw }
+
+// MaxDraw returns the highest draw committed since Reset — the quantity the
+// power budget constrains, observed after every single change.
+func (b *Board) MaxDraw() float64 { return b.maxDraw }
+
+// note re-sums the ledger after a change.
+func (b *Board) note() {
+	var watts float64
+	for i := range b.slots {
+		watts += b.slots[i].Draw
+	}
+	b.draw = watts
+	if watts > b.maxDraw {
+		b.maxDraw = watts
+	}
+}
+
+// cfgFor resolves a model tier to its cost model: 0 (and out-of-range) is
+// the primary config, t > 0 the t-th ladder rung.
+func (b *Board) cfgFor(tier int) *Config {
+	if tier > 0 && tier <= len(b.tierCfgs) {
+		return b.tierCfgs[tier-1]
+	}
+	return b.cfg
+}
+
+// Context assembles the scheduling context for slot's decision at now: the
+// unallocated budget with the slot's own draw excluded (it is about to
+// change state) and the busy views of the other accelerators. queued,
+// availNanos and idleAccels are the engine's (they follow its queue
+// discipline). Busy aliases the Board's scratch until the next call.
+func (b *Board) Context(slot int, now int64, queued int, availNanos int64, idleAccels int) SchedContext {
+	var used float64
+	for i := range b.slots {
+		if i != slot {
+			used += b.slots[i].Draw
+		}
+	}
+	return SchedContext{
+		NowNanos:        now,
+		Queued:          queued,
+		AvailNanos:      availNanos,
+		PowerAvailWatts: b.cfg.PowerBudgetWatts - used,
+		Current:         b.slots[slot].State,
+		AccelID:         slot,
+		IdleAccels:      idleAccels,
+		Busy:            b.views(now, false),
+	}
+}
+
+// views assembles Algorithm 2's busy views at now. With retimable set it
+// keeps only batches Redistribute may scale up: not yet retimed, with enough
+// remaining work to amortise the switch stall ("the HFT system carefully
+// uses DVFS", §III-D), and running the primary model.
+func (b *Board) views(now int64, retimable bool) []BusyAccel {
+	views := b.scratch[:0]
+	amortise := 4 * b.cfg.Spec.DVFSSwitchNanos
+	for i := range b.slots {
+		s := &b.slots[i]
+		if !s.Busy || s.DoneNanos <= now {
+			// A completed batch awaiting retire offers no savings and must not
+			// be retimed (a scale-down's switch stall could push it past its
+			// deadline after the fact). Only an online engine can observe one:
+			// the simulator retires every due batch before it schedules.
+			continue
+		}
+		v := BusyViewAt(i, s.State, s.Batch, s.MinDeadlineNanos, s.DoneNanos, now)
+		// Redistribute ranks scale-ups by the primary config's marginal PPW
+		// tables, which misprice a batch running a cheaper tier — degraded
+		// batches are excluded from upgrades (SavePower still sees them: its
+		// deadline feasibility is frequency-ratio-based, hence tier-free, and
+		// apply reprices the draw with the tier's own cost model).
+		if retimable && (s.Retimes != 0 || s.Tier != 0 || v.RemainingNanos <= amortise) {
+			continue
+		}
+		views = append(views, v)
+	}
+	b.scratch = views
+	return views
+}
+
+// Commit records an issued batch on slot: the slot turns busy at the
+// issue's operating point, draws the admitting tier's busy power, and
+// completes at now + pre-pipeline + t_total. minDeadline is the earliest
+// deadline inside the batch. Returns the projected completion.
+func (b *Board) Commit(slot int, now int64, issue Issue, tier int, minDeadline int64) int64 {
+	s := &b.slots[slot]
+	if s.State != issue.DVFS {
+		s.Switches++
+		b.emit(sim.DVFSEvent{
+			TimeNanos: now, Accel: slot, Reason: sim.DVFSAtIssue,
+			FromGHz: s.State.FreqGHz, ToGHz: issue.DVFS.FreqGHz,
+		})
+	}
+	s.State = issue.DVFS
+	s.Busy = true
+	s.Batch = issue.Batch
+	s.Tier = tier
+	s.Draw = b.cfgFor(tier).BusyPower(issue.DVFS)
+	s.DoneNanos = now + b.pre + issue.TotalNanos
+	s.MinDeadlineNanos = minDeadline
+	s.Retimes = 0
+	b.note()
+	return s.DoneNanos
+}
+
+// Save is Algorithm 2's power-saving step: scale every busy accelerator down
+// to the slowest state its in-flight deadline allows, freeing budget for an
+// issue that failed on power. A power emergency may retime a batch that was
+// already retimed. Reports whether anything changed (a retry can succeed).
+func (b *Board) Save(now int64) bool {
+	changes := SavePower(b.cfg, b.views(now, false))
+	for _, ch := range changes {
+		b.apply(ch, now, sim.DVFSSave)
+	}
+	return len(changes) > 0
+}
+
+// Redistribute is Algorithm 2's second step: spend the residual budget
+// scaling retimable busy accelerators up by marginal PPW, reserving enough
+// headroom for the idle accelerators to pick up the pending queries at the
+// floor state. A no-op without DVFS scheduling.
+func (b *Board) Redistribute(now int64, pending int) {
+	if !b.dvfs {
+		return
+	}
+	views := b.views(now, true)
+	if len(views) == 0 {
+		return
+	}
+	idle := len(b.slots) - b.BusyCount()
+	if idle > pending {
+		idle = pending
+	}
+	if idle < 0 {
+		idle = 0 // an online engine's pending count can transiently undershoot
+	}
+	reserve := float64(idle) * (b.cfg.BusyPower(b.floor) - b.cfg.Spec.IdlePower(b.floor))
+	for _, ch := range Redistribute(b.cfg, views, b.cfg.PowerBudgetWatts-b.draw-reserve) {
+		b.apply(ch, now, sim.DVFSRedistribute)
+	}
+}
+
+// apply moves a busy accelerator to a new operating point at now: the
+// remaining work stalls for the switch delay and then proceeds scaled by the
+// frequency ratio, priced and retimed with the in-flight batch's own tier.
+// (The small fixed-time C2C/post share of the remaining work is scaled along
+// with it; it is ≪1% of t_total.) Changes come from views, so the slot is
+// busy, unfinished, and not already at the target.
+func (b *Board) apply(ch Change, now int64, reason sim.DVFSReason) {
+	s := &b.slots[ch.ID]
+	cfg := b.cfgFor(s.Tier)
+	done := now + cfg.RetimedRemainingNanos(s.DoneNanos-now, s.State, ch.DVFS)
+	b.emit(sim.DVFSEvent{
+		TimeNanos: now, Accel: ch.ID, Reason: reason,
+		FromGHz: s.State.FreqGHz, ToGHz: ch.DVFS.FreqGHz, RetimedNanos: done - s.DoneNanos,
+	})
+	if reason == sim.DVFSSave {
+		s.Saves++
+	} else {
+		s.Redistributes++
+	}
+	s.State = ch.DVFS
+	s.Draw = cfg.BusyPower(ch.DVFS)
+	s.DoneNanos = done
+	s.Retimes++
+	b.note()
+}
+
+// Retire releases slot's batch at time at and, under DVFS scheduling, parks
+// the idle accelerator at the power floor.
+func (b *Board) Retire(slot int, at int64) {
+	s := &b.slots[slot]
+	s.Busy = false
+	s.Batch = 0
+	s.Tier = 0 // idle power is Spec-level, shared by every tier
+	if b.dvfs && s.State != b.floor {
+		s.Parks++
+		b.emit(sim.DVFSEvent{
+			TimeNanos: at, Accel: slot, Reason: sim.DVFSPark,
+			FromGHz: s.State.FreqGHz, ToGHz: b.floor.FreqGHz,
+		})
+		s.State = b.floor
+	}
+	s.Draw = b.cfg.Spec.IdlePower(s.State)
+	b.note()
+}
+
+// EarliestDone returns the busy accelerator that completes first (lowest
+// slot on ties): the simulator's next event and the modelled-clock
+// governor's next lazy retire. ok is false when nothing is in flight.
+func (b *Board) EarliestDone() (slot int, done int64, ok bool) {
+	slot = -1
+	for i := range b.slots {
+		if s := &b.slots[i]; s.Busy && (slot < 0 || s.DoneNanos < done) {
+			slot, done = i, s.DoneNanos
+		}
+	}
+	return slot, done, slot >= 0
+}

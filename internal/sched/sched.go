@@ -3,8 +3,10 @@
 // (Algorithm 1: jointly choosing batch size and DVFS state for each issued
 // batch under deadline and power constraints) and DVFS scheduling
 // (Algorithm 2: redistributing the residual power budget across busy
-// accelerators by marginal PPW). The functions are pure decision logic;
-// package core owns the runtime state they act on.
+// accelerators by marginal PPW). The functions in this file are pure decision
+// logic; Board (board.go) is the runtime state they act on — the accelerator
+// array and power ledger both execution engines (internal/core on simulator
+// event time, internal/serve behind a mutex) drive.
 package sched
 
 import (

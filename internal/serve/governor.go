@@ -3,50 +3,23 @@ package serve
 import (
 	"sync"
 
-	"lighttrader/internal/cgra"
 	"lighttrader/internal/sched"
-	"lighttrader/internal/sim"
 )
 
-// laneDVFS is the governor's record of one lane's modelled accelerator: its
-// operating point, instantaneous draw, and — while a batch is in flight —
-// the projected completion, the earliest deadline in the batch, and how
-// often the batch has been retimed (capped, mirroring core.System's
-// DVFS-thrash guard).
-type laneDVFS struct {
-	state cgra.DVFSState
-	busy  bool
-	draw  float64
-	batch int
-	// doneNanos is the modelled completion of the in-flight batch: admission
-	// now + pre-pipeline + t_total, retimed on every DVFS change.
-	doneNanos int64
-	// minDeadline is the earliest deadline inside the in-flight batch — the
-	// slack bound a SavePower scale-down must not violate.
-	minDeadline int64
-	retimes     int
-	// tier is the model tier the in-flight batch was admitted against: 0 is
-	// the primary model, t > 0 the t-th degrade-ladder rung — the cost
-	// model its draw and any retime must be accounted with.
-	tier int
-
-	switches, saves, redistributes, parks int64
-}
-
 // governor is the online owner of the paper's Algorithm 2 over the serving
-// lanes: the single lock below makes admission transactional (decide and
-// commit under one critical section, so two lanes can never jointly
-// overshoot the budget), runs the power-saving step as a retry when a
-// decision fails on power, and redistributes residual budget after every
-// issue and retire — the serving-runtime mirror of core.System.schedule.
-// Without a scheduling config the governor is inert; with one but without
-// DVFS scheduling (or when disabled) it degrades to a transactional power
-// meter: Algorithm 1 admission against the shared budget, no DVFS actions.
+// lanes: the scheduling board (one slot per lane) behind a single lock that
+// makes admission transactional (decide and commit under one critical
+// section, so two lanes can never jointly overshoot the budget), runs the
+// power-saving step as a retry when a decision fails on power, and
+// redistributes residual budget after every issue and retire. Without a
+// scheduling config there is no board and the governor is inert; with one
+// but without DVFS scheduling (or when disabled) the board degrades to a
+// transactional power meter: Algorithm 1 admission against the shared
+// budget, no DVFS actions.
 type governor struct {
-	cfg *sched.Config
 	srv *Server
-	// dvfs gates Algorithm 2 (save/redistribute/park); admission accounting
-	// runs whenever cfg is non-nil.
+	// dvfs gates the save-retry (the board gates redistribute and park on the
+	// same value); admission accounting runs whenever a board exists.
 	dvfs bool
 	// modelled switches retirement to modelled time: a lane's power is held
 	// until its batch's modelled completion instant passes (observed lazily
@@ -55,18 +28,10 @@ type governor struct {
 	// Without it (live serving) a lane retires when its dispatch finishes,
 	// which on real hardware IS the modelled completion.
 	modelled bool
-	pre      int64
 
-	// tierCfgs are the degrade ladder's cost models, cost-descending (tier
-	// t > 0 is tierCfgs[t-1]); nil without Config.Tiers. Every tier shares
-	// the primary cfg's Spec-level idle model and power budget, so cross-
-	// tier draw sums stay meaningful.
-	tierCfgs []*sched.Config
-
-	mu      sync.Mutex
-	lanes   []laneDVFS
-	scratch []sched.BusyAccel
-	maxDraw float64
+	mu sync.Mutex
+	// board is nil without a scheduling config.
+	board *sched.Board
 	// retries counts power-infeasible decisions that triggered the saving
 	// step; rescues counts the retries that issued after it freed budget.
 	retries, rescues int64
@@ -82,8 +47,7 @@ type admitResult struct {
 	issue   sched.Issue
 	verdict sched.Verdict
 	// saved reports that the power-saving retry ran (the lane rate-limits it
-	// to once per decision instant, mirroring the simulator's once-per-
-	// schedule-call flag).
+	// to once per decision instant).
 	saved bool
 	// done is the committed batch's projected completion at issue time,
 	// before any later retiming (the DoneNanos the issue events carry).
@@ -94,29 +58,20 @@ type admitResult struct {
 }
 
 func newGovernor(srv *Server, cfg *sched.Config, lanes int) *governor {
-	g := &governor{
-		cfg: cfg, srv: srv,
-		modelled: srv.cfg.ModelledClock,
-		pre:      srv.cfg.PrePipelineNanos,
+	g := &governor{srv: srv, modelled: srv.cfg.ModelledClock}
+	if cfg == nil {
+		return g
 	}
-	g.lanes = make([]laneDVFS, lanes)
-	if cfg != nil {
-		g.dvfs = cfg.DVFSScheduling && !srv.cfg.DisablePowerGovernor
-		if n := len(srv.cfg.Tiers); n > 0 {
-			g.tierCfgs = make([]*sched.Config, n)
-			for i, t := range srv.cfg.Tiers {
-				g.tierCfgs[i] = t.Sched
-			}
-			g.tierIssues = make([]int64, n+1)
+	g.dvfs = cfg.DVFSScheduling && !srv.cfg.DisablePowerGovernor
+	var tierCfgs []*sched.Config
+	if n := len(srv.cfg.Tiers); n > 0 {
+		tierCfgs = make([]*sched.Config, n)
+		for i, t := range srv.cfg.Tiers {
+			tierCfgs[i] = t.Sched
 		}
-		start := startState(cfg)
-		idle := cfg.Spec.IdlePower(start)
-		for i := range g.lanes {
-			g.lanes[i].state = start
-			g.lanes[i].draw = idle
-		}
-		g.maxDraw = idle * float64(lanes)
+		g.tierIssues = make([]int64, n+1)
 	}
+	g.board = sched.NewBoard(cfg, tierCfgs, lanes, srv.cfg.PrePipelineNanos, g.dvfs, srv.probe.dvfs)
 	return g
 }
 
@@ -140,19 +95,18 @@ func (g *governor) admit(laneID int, now int64, queued int, availNanos int64,
 	// their power (and park, and redistribute) before this decision reads
 	// the budget — the simulator's advance-before-schedule ordering.
 	g.retireDue(now)
-	dec := pol.Decide(g.ctxFor(laneID, now, queued, availNanos))
+	b := g.board
+	// IdleAccels is 1: each lane decides only for itself, off its own queue.
+	dec := pol.Decide(b.Context(laneID, now, queued, availNanos, 1))
 	res := admitResult{issue: dec.Issue, verdict: dec.Verdict}
 	if dec.Verdict == sched.VerdictPowerInfeasible && g.dvfs && allowSave {
 		// Algorithm 2's power-saving step: scale the other busy lanes down to
 		// the slowest states their in-flight deadlines allow, then retry the
-		// issue once — the serving mirror of core.System's retry path.
+		// issue once.
 		res.saved = true
 		g.retries++
-		if changes := sched.SavePower(g.cfg, g.busyViews(now, false)); len(changes) > 0 {
-			for _, ch := range changes {
-				g.applyDVFS(ch.ID, ch.DVFS, now, sim.DVFSSave)
-			}
-			dec = pol.Decide(g.ctxFor(laneID, now, queued, availNanos))
+		if b.Save(now) {
+			dec = pol.Decide(b.Context(laneID, now, queued, availNanos, 1))
 			res.issue, res.verdict = dec.Issue, dec.Verdict
 			if dec.Verdict == sched.VerdictIssued {
 				g.rescues++
@@ -167,59 +121,30 @@ func (g *governor) admit(laneID int, now int64, queued int, availNanos int64,
 		// the cost-descending ladder against the same live power view and
 		// issue on the first tier that fits — an answer at reduced accuracy
 		// instead of a drop.
-		alt, ok := sched.Degrade(tiers, g.ctxFor(laneID, now, queued, availNanos))
+		alt, ok := sched.Degrade(tiers, b.Context(laneID, now, queued, availNanos, 1))
 		if !ok {
 			return res
 		}
 		res.issue, res.verdict, res.tier = alt.Issue, alt.Verdict, alt.Tier
 		g.degrades++
 	}
-	rec := &g.lanes[laneID]
-	if rec.state != res.issue.DVFS {
-		rec.switches++
-		g.srv.probe.dvfs(sim.DVFSEvent{
-			TimeNanos: now, Accel: laneID, Reason: sim.DVFSAtIssue,
-			FromGHz: rec.state.FreqGHz, ToGHz: res.issue.DVFS.FreqGHz,
-		})
-	}
-	rec.state = res.issue.DVFS
-	rec.busy = true
-	rec.batch = res.issue.Batch
-	rec.tier = res.tier
-	rec.draw = g.cfgFor(res.tier).BusyPower(res.issue.DVFS)
-	rec.doneNanos = now + g.pre + res.issue.TotalNanos
-	rec.minDeadline = minDeadlineFor(res.issue.Batch)
-	rec.retimes = 0
-	g.noteDraw()
-	res.done = rec.doneNanos
+	res.done = b.Commit(laneID, now, res.issue, res.tier, minDeadlineFor(res.issue.Batch))
 	if g.tierIssues != nil {
 		g.tierIssues[res.tier]++
 	}
-	if g.dvfs {
-		g.redistribute(now, int(g.srv.queued.Load())-res.issue.Batch)
-	}
+	b.Redistribute(now, int(g.srv.queued.Load())-res.issue.Batch)
 	return res
-}
-
-// cfgFor resolves a model tier to its cost model: 0 (and out-of-range) is
-// the primary config, t > 0 the t-th ladder rung.
-func (g *governor) cfgFor(tier int) *sched.Config {
-	if tier > 0 && tier <= len(g.tierCfgs) {
-		return g.tierCfgs[tier-1]
-	}
-	return g.cfg
 }
 
 // retire marks laneID's batch complete at its (possibly retimed) modelled
 // completion time, parks the lane at the floor state under DVFS scheduling,
-// and spends the freed budget upgrading still-busy lanes — the completion-
-// boundary redistribution core.System.Advance performs. Returns the
+// and spends the freed budget upgrading still-busy lanes. Returns the
 // modelled completion time. Wall-clock mode only; modelled runs retire
 // lazily through retireDue/flush.
 func (g *governor) retire(laneID int) int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	done := g.lanes[laneID].doneNanos
+	done := g.board.Slot(laneID).DoneNanos
 	g.retireLocked(laneID, done)
 	return done
 }
@@ -232,18 +157,11 @@ func (g *governor) retireDue(now int64) {
 		return
 	}
 	for {
-		due := -1
-		for i := range g.lanes {
-			rec := &g.lanes[i]
-			if rec.busy && rec.doneNanos <= now &&
-				(due < 0 || rec.doneNanos < g.lanes[due].doneNanos) {
-				due = i
-			}
-		}
-		if due < 0 {
+		lane, done, ok := g.board.EarliestDone()
+		if !ok || done > now {
 			return
 		}
-		g.retireLocked(due, g.lanes[due].doneNanos)
+		g.retireLocked(lane, done)
 	}
 }
 
@@ -251,7 +169,7 @@ func (g *governor) retireDue(now int64) {
 // end-of-replay drain, so final parks and counters match a simulator run
 // that advances past its last event.
 func (g *governor) flush() {
-	if g.cfg == nil {
+	if g.board == nil {
 		return
 	}
 	g.mu.Lock()
@@ -259,30 +177,12 @@ func (g *governor) flush() {
 	g.retireDue(1<<63 - 1)
 }
 
-// retireLocked releases laneID's power at time done, parks it at the floor
-// under DVFS scheduling, and spends the freed budget upgrading still-busy
-// lanes. Callers hold g.mu.
+// retireLocked releases laneID's power at time done and redistributes at
+// once (the simulator waits for the end of its scheduling pass; a lane has
+// no pass to wait for). Callers hold g.mu.
 func (g *governor) retireLocked(laneID int, done int64) {
-	rec := &g.lanes[laneID]
-	rec.busy = false
-	rec.batch = 0
-	rec.tier = 0 // idle power is Spec-level, shared by every tier
-	if g.dvfs {
-		floor := g.cfg.Spec.DVFSTable()[0]
-		if rec.state != floor {
-			rec.parks++
-			g.srv.probe.dvfs(sim.DVFSEvent{
-				TimeNanos: done, Accel: laneID, Reason: sim.DVFSPark,
-				FromGHz: rec.state.FreqGHz, ToGHz: floor.FreqGHz,
-			})
-		}
-		rec.state = floor
-	}
-	rec.draw = g.cfg.Spec.IdlePower(rec.state)
-	g.noteDraw()
-	if g.dvfs {
-		g.redistribute(done, int(g.srv.queued.Load()))
-	}
+	g.board.Retire(laneID, done)
+	g.board.Redistribute(done, int(g.srv.queued.Load()))
 }
 
 // projectedDone returns laneID's modelled completion as retimed so far: the
@@ -291,161 +191,17 @@ func (g *governor) retireLocked(laneID int, done int64) {
 func (g *governor) projectedDone(laneID int) int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.lanes[laneID].doneNanos
-}
-
-// ctxFor assembles the scheduling context for laneID's decision: the
-// unallocated budget with the lane's own draw excluded, and the busy views
-// of the other lanes (Algorithm 2's input, also visible to policies).
-func (g *governor) ctxFor(laneID int, now int64, queued int, availNanos int64) sched.SchedContext {
-	return sched.SchedContext{
-		NowNanos:        now,
-		Queued:          queued,
-		AvailNanos:      availNanos,
-		PowerAvailWatts: g.availExcluding(laneID),
-		Current:         g.lanes[laneID].state,
-		AccelID:         laneID,
-		IdleAccels:      1, // each lane decides only for itself
-		Busy:            g.busyViews(now, false),
-	}
-}
-
-// availExcluding returns the unallocated budget with laneID's own draw
-// excluded (it is about to change state). Callers hold g.mu.
-func (g *governor) availExcluding(laneID int) float64 {
-	var used float64
-	for i := range g.lanes {
-		if i != laneID {
-			used += g.lanes[i].draw
-		}
-	}
-	return g.cfg.PowerBudgetWatts - used
-}
-
-// busyViews assembles the busy-lane views at now. With retimable set it
-// keeps only lanes still eligible for a DVFS change: not yet retimed this
-// batch and with enough remaining work to amortise the switch stall —
-// core.System's rate limit. The slice aliases g.scratch. Callers hold g.mu.
-func (g *governor) busyViews(now int64, retimable bool) []sched.BusyAccel {
-	views := g.scratch[:0]
-	amortise := 4 * g.cfg.Spec.DVFSSwitchNanos
-	for i := range g.lanes {
-		rec := &g.lanes[i]
-		if !rec.busy || rec.doneNanos <= now {
-			// A logically-completed batch awaiting retire offers no savings
-			// and must not be retimed (a scale-down's switch stall could push
-			// it past its deadline after the fact). The simulator retires all
-			// due batches before scheduling, so this also preserves parity.
-			continue
-		}
-		v := sched.BusyViewAt(i, rec.state, rec.batch, rec.minDeadline, rec.doneNanos, now)
-		// Redistribute ranks scale-ups by the primary config's marginal PPW
-		// tables, which misprice a batch running a cheaper tier — degraded
-		// lanes are excluded from upgrades (SavePower still sees them: its
-		// deadline feasibility is frequency-ratio-based, hence tier-free,
-		// and the commit reprices the draw with the tier's own cost model).
-		if retimable && (rec.retimes != 0 || rec.tier != 0 || v.RemainingNanos <= amortise) {
-			continue
-		}
-		views = append(views, v)
-	}
-	g.scratch = views
-	return views
-}
-
-// redistribute spends the residual budget upgrading busy lanes by marginal
-// PPW, reserving headroom for idle lanes to pick up pending work at the
-// floor state (core.System.schedule's reserve rule). Callers hold g.mu.
-func (g *governor) redistribute(now int64, pending int) {
-	views := g.busyViews(now, true)
-	if len(views) == 0 {
-		return
-	}
-	var used float64
-	idle := 0
-	for i := range g.lanes {
-		used += g.lanes[i].draw
-		if !g.lanes[i].busy {
-			idle++
-		}
-	}
-	if pending < 0 {
-		pending = 0
-	}
-	if idle > pending {
-		idle = pending
-	}
-	floor := g.cfg.Spec.DVFSTable()[0]
-	reserve := float64(idle) * (g.cfg.BusyPower(floor) - g.cfg.Spec.IdlePower(floor))
-	avail := g.cfg.PowerBudgetWatts - used - reserve
-	for _, ch := range sched.Redistribute(g.cfg, views, avail) {
-		g.applyDVFS(ch.ID, ch.DVFS, now, sim.DVFSRedistribute)
-	}
-}
-
-// applyDVFS retimes a lane to a new operating point at now: remaining work
-// stalls for the switch delay and proceeds scaled by the frequency ratio
-// (the shared sched retime rule). Callers hold g.mu.
-func (g *governor) applyDVFS(laneID int, d cgra.DVFSState, now int64, reason sim.DVFSReason) {
-	rec := &g.lanes[laneID]
-	if rec.state == d {
-		return
-	}
-	var retimed int64
-	if rec.busy {
-		// Retime and reprice with the in-flight batch's own tier config: a
-		// degraded batch's remaining work and draw follow the cheaper model.
-		cfg := g.cfgFor(rec.tier)
-		remaining := rec.doneNanos - now
-		if remaining < 0 {
-			remaining = 0
-		}
-		newDone := now + cfg.RetimedRemainingNanos(remaining, rec.state, d)
-		retimed = newDone - rec.doneNanos
-		rec.doneNanos = newDone
-		rec.retimes++
-		rec.draw = cfg.BusyPower(d)
-		switch reason {
-		case sim.DVFSSave:
-			rec.saves++
-		case sim.DVFSRedistribute:
-			rec.redistributes++
-		}
-	}
-	g.srv.probe.dvfs(sim.DVFSEvent{
-		TimeNanos: now, Accel: laneID, Reason: reason,
-		FromGHz: rec.state.FreqGHz, ToGHz: d.FreqGHz, RetimedNanos: retimed,
-	})
-	rec.state = d
-	g.noteDraw()
-}
-
-// noteDraw tracks the highest instantaneous draw committed so far — the
-// quantity the power budget constrains. Callers hold g.mu.
-func (g *governor) noteDraw() {
-	var watts float64
-	for i := range g.lanes {
-		watts += g.lanes[i].draw
-	}
-	if watts > g.maxDraw {
-		g.maxDraw = watts
-	}
+	return g.board.Slot(laneID).DoneNanos
 }
 
 // load returns the busy-lane count and total instantaneous draw.
 func (g *governor) load() (busy int, watts float64) {
-	if g.cfg == nil {
+	if g.board == nil {
 		return 0, 0
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for i := range g.lanes {
-		watts += g.lanes[i].draw
-		if g.lanes[i].busy {
-			busy++
-		}
-	}
-	return busy, watts
+	return g.board.BusyCount(), g.board.Draw()
 }
 
 // govCounters is a consistent snapshot of the governor's aggregates.
@@ -461,16 +217,17 @@ func (g *governor) counters() govCounters {
 	defer g.mu.Unlock()
 	c := govCounters{
 		retries: g.retries, rescues: g.rescues,
-		degrades: g.degrades, maxDraw: g.maxDraw,
+		degrades: g.degrades, maxDraw: g.board.MaxDraw(),
 	}
 	if g.tierIssues != nil {
 		c.tierIssues = append([]int64(nil), g.tierIssues...)
 	}
-	for i := range g.lanes {
-		c.saves += g.lanes[i].saves
-		c.redistributes += g.lanes[i].redistributes
-		c.parks += g.lanes[i].parks
-		c.switches += g.lanes[i].switches
+	for i := 0; i < g.board.Len(); i++ {
+		rec := g.board.Slot(i)
+		c.saves += rec.Saves
+		c.redistributes += rec.Redistributes
+		c.parks += rec.Parks
+		c.switches += rec.Switches
 	}
 	return c
 }
@@ -496,18 +253,18 @@ type LaneDVFSStats struct {
 // LaneDVFS returns every lane's DVFS/power state and governor counters.
 // Nil without a scheduling config.
 func (s *Server) LaneDVFS() []LaneDVFSStats {
-	if s.gov.cfg == nil {
+	if s.gov.board == nil {
 		return nil
 	}
 	s.gov.mu.Lock()
 	defer s.gov.mu.Unlock()
-	out := make([]LaneDVFSStats, len(s.gov.lanes))
-	for i := range s.gov.lanes {
-		rec := &s.gov.lanes[i]
+	out := make([]LaneDVFSStats, s.gov.board.Len())
+	for i := range out {
+		rec := s.gov.board.Slot(i)
 		out[i] = LaneDVFSStats{
-			Lane: i, FreqGHz: rec.state.FreqGHz, DrawWatts: rec.draw, Busy: rec.busy,
-			Switches: rec.switches, Saves: rec.saves,
-			Redistributes: rec.redistributes, Parks: rec.parks,
+			Lane: i, FreqGHz: rec.State.FreqGHz, DrawWatts: rec.Draw, Busy: rec.Busy,
+			Switches: rec.Switches, Saves: rec.Saves,
+			Redistributes: rec.Redistributes, Parks: rec.Parks,
 		}
 	}
 	return out

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"lighttrader/internal/cgra"
 	"lighttrader/internal/core"
 	"lighttrader/internal/latency"
 	"lighttrader/internal/sbe"
@@ -105,15 +104,6 @@ func (l *lane) minDeadlineFor(n int) int64 {
 		}
 	}
 	return min
-}
-
-// startState mirrors core.System: the floor state under DVFS scheduling
-// (idle lanes park low), the static Table III point otherwise.
-func startState(cfg *sched.Config) cgra.DVFSState {
-	if cfg.DVFSScheduling {
-		return cfg.Spec.DVFSTable()[0]
-	}
-	return cfg.StaticDVFS
 }
 
 // enqueue appends a query and wakes the worker. A full queue either blocks

@@ -161,10 +161,11 @@ type Server struct {
 	probe *lockedProbe
 	stats *stats
 
-	// inlineMu serialises inline-mode submissions end to end; tee is only
-	// read and written under it (and is always nil on concurrent servers).
+	// inlineMu serialises inline-mode submissions end to end; tee and pktBuf
+	// are only touched under it (tee is always nil on concurrent servers).
 	inlineMu sync.Mutex
 	tee      OrderSink
+	pktBuf   sbe.PacketBuffer
 
 	runMu   sync.Mutex
 	running bool
@@ -336,6 +337,20 @@ func (s *Server) Run(ctx context.Context) error {
 
 // Submit parses one datagram and enqueues it with the given arrival time.
 func (s *Server) Submit(arrivalNanos int64, buf []byte) error {
+	if s.Inline() && !s.cfg.ModelledClock {
+		// The lane queue drains before submit returns, so nothing outlives
+		// the call and the packet can alias the server's reusable buffer.
+		// (Worker lanes and modelled-clock holds keep queries queued past
+		// the call; they need the owned storage below.)
+		s.inlineMu.Lock()
+		defer s.inlineMu.Unlock()
+		pkt, err := sbe.DecodePacketInto(buf, &s.pktBuf)
+		if err != nil {
+			return fmt.Errorf("serve: packet parse: %w", err)
+		}
+		s.submit(arrivalNanos, pkt)
+		return nil
+	}
 	pkt, err := sbe.DecodePacket(buf)
 	if err != nil {
 		return fmt.Errorf("serve: packet parse: %w", err)
@@ -453,16 +468,21 @@ func (s *Server) clockNow(pkt sbe.Packet) int64 {
 // with SecurityID 0 are wildcards (every subscription applies them), so
 // such packets go to every lane.
 func (s *Server) route(pkt sbe.Packet) []*lane {
-	seen := make(map[*lane]bool, 2)
 	var out []*lane
 	add := func(sec int32) bool {
 		if sec == 0 {
 			return true // wildcard: all lanes
 		}
-		if l, ok := s.bySec[sec]; ok && !seen[l] {
-			seen[l] = true
-			out = append(out, l)
+		l, ok := s.bySec[sec]
+		if !ok {
+			return false
 		}
+		for _, have := range out { // at most one entry per lane: a short scan
+			if have == l {
+				return false
+			}
+		}
+		out = append(out, l)
 		return false
 	}
 	for _, msg := range pkt.Messages {
@@ -571,7 +591,7 @@ func (s *Server) OnExecReport(rep exchange.ExecReport) {
 // signal gateway attached, the signal-distribution counters are too.
 func (s *Server) Stats() Stats {
 	st := s.stats.snapshot()
-	if s.gov.cfg != nil {
+	if s.gov.board != nil {
 		gc := s.gov.counters()
 		st.PowerSaveRetries = int(gc.retries)
 		st.PowerSaveRescues = int(gc.rescues)

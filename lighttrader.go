@@ -151,21 +151,6 @@ type System = sim.SystemModel
 // Metrics summarises one back-test run.
 type Metrics = sim.Metrics
 
-// NewLightTrader assembles a simulated LightTrader appliance: model
-// compiled for the CGRA accelerator, n accelerators, the given power
-// condition, and scheduler options.
-//
-// Deprecated: use New with functional options — New(m,
-// WithAccelerators(n), WithPowerBudget(power), WithWorkloadScheduling(),
-// ...). This wrapper remains for source compatibility.
-func NewLightTrader(m *Model, n int, power PowerCondition, opts SchedulerOptions) (System, error) {
-	cfg, err := core.Configure(m, n, power, opts)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSystem(cfg)
-}
-
 // NewGPUBaseline models the GPU-based comparison system (CPU + NIC + V100).
 func NewGPUBaseline(m *Model) System { return baseline.NewGPU(m) }
 

@@ -13,9 +13,8 @@ func smallTrace(t testing.TB) []Tick {
 
 func TestPublicBacktestLightTrader(t *testing.T) {
 	trace := smallTrace(t)
-	sys, err := NewLightTrader(NewVanillaCNN(), 2, Sufficient, SchedulerOptions{
-		WorkloadScheduling: true, DVFSScheduling: true,
-	})
+	sys, err := New(NewVanillaCNN(), WithAccelerators(2), WithPowerBudget(Sufficient),
+		WithWorkloadScheduling(), WithDVFSScheduling())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +30,7 @@ func TestPublicBacktestLightTrader(t *testing.T) {
 func TestPublicBaselinesOrdering(t *testing.T) {
 	trace := smallTrace(t)
 	model := NewVanillaCNN()
-	lt, err := NewLightTrader(model, 1, Sufficient, SchedulerOptions{})
+	lt, err := New(model, WithAccelerators(1), WithPowerBudget(Sufficient))
 	if err != nil {
 		t.Fatal(err)
 	}

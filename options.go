@@ -4,8 +4,7 @@ package lighttrader
 // documented entry points; configuration flows through functional options so
 // one vocabulary (WithAccelerators, WithPowerBudget, WithWorkloadScheduling,
 // WithProbe, ...) covers both the back-test simulator and the live serving
-// runtime. The positional NewLightTrader constructor remains as a thin
-// deprecated wrapper.
+// runtime.
 
 import (
 	"context"
