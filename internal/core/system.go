@@ -236,9 +236,9 @@ func (s *System) Advance(now int64) []sim.Completion {
 // schedule runs the configured scheduling policy over the shared FIFO: the
 // strategy decides what each idle accelerator issues (Algorithm 1 under the
 // default PPWScheduler, with the board's power-saving step as a retry path
-// — at most once per accelerator per call — when an issue fails), then the
-// board redistributes residual budget once, after every accelerator has had
-// its turn.
+// — at most once per accelerator per call — when an issue fails on power),
+// then the board redistributes residual budget once, after every
+// accelerator has had its turn.
 func (s *System) schedule(now int64) {
 	for i := range s.batches {
 		if s.board.Slot(i).Busy {
@@ -250,16 +250,17 @@ func (s *System) schedule(now int64) {
 			avail := oldest.Remaining(now) - s.cfg.PrePipelineNanos
 			dec := s.policy.Decide(s.board.Context(i, now, len(s.queue), avail,
 				s.cfg.NumAccels-s.board.BusyCount()))
-			ok := dec.Verdict == sched.VerdictIssued
-			if !ok && s.cfg.Sched.DVFSScheduling && !savedPower {
+			if dec.Verdict == sched.VerdictPowerInfeasible && s.cfg.Sched.DVFSScheduling && !savedPower {
 				// Saving step: scale busy accelerators down within their
-				// deadline slack to make room, then retry once.
+				// deadline slack to make room, then retry once. Only a power
+				// failure qualifies: freed watts cannot rescue a query no
+				// operating point is fast enough for.
 				savedPower = true
 				if s.board.Save(now) {
 					continue
 				}
 			}
-			if !ok {
+			if dec.Verdict != sched.VerdictIssued {
 				// Defer the oldest tensor to the conventional pipeline,
 				// attributed to the scheduler's decision reason.
 				s.emitQuery(sim.QueryEvent{

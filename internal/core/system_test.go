@@ -276,3 +276,34 @@ func TestDVFSSchedulingSavesEnergy(t *testing.T) {
 		t.Fatalf("DS energy %.1f J not well below static %.1f J", ds.EnergyJoules, static.EnergyJoules)
 	}
 }
+
+// TestDeadlineInfeasibleDeferDoesNotSavePower is the regression for the
+// simulator's saving step firing on every failed verdict: freeing power
+// cannot rescue a query no operating point is fast enough for, and the
+// pointless scale-down slows an in-flight batch that the retime cap then
+// bars Redistribute from speeding back up. Two accelerators under the
+// limited budget: one is busy above the floor with ample slack when a query
+// with a hopeless deadline arrives. It must be deferred on deadline without a
+// single DVFSSave event (the run contains no power-infeasible verdict, so any
+// save is the bug).
+func TestDeadlineInfeasibleDeferDoesNotSavePower(t *testing.T) {
+	sys := mustSystem(t, nn.NewDeepLOB(), 2, Limited,
+		Options{WorkloadScheduling: true, DVFSScheduling: true})
+	queries := []sim.Query{
+		{ID: 0, ArrivalNanos: 0, DeadlineNanos: 5_000_000},
+		{ID: 1, ArrivalNanos: 1_000, DeadlineNanos: 11_000}, // 10 µs: no state is that fast
+	}
+	tr := sim.NewTracer()
+	m := sim.RunWithOptions(queries, sys, sim.WithProbe(tr))
+	attr := tr.Attribution()
+	if m.Responded != 1 || attr.DeferredDeadline != 1 || attr.DeferredPower != 0 {
+		t.Fatalf("responded %d, deferred-deadline %d, deferred-power %d; want 1, 1, 0",
+			m.Responded, attr.DeferredDeadline, attr.DeferredPower)
+	}
+	if tr.DVFSTransitions(sim.DVFSAtIssue)+tr.DVFSTransitions(sim.DVFSRedistribute) == 0 {
+		t.Fatal("vacuous: the busy accelerator never left the floor, a save had nothing to scale down")
+	}
+	if n := tr.DVFSTransitions(sim.DVFSSave); n != 0 {
+		t.Fatalf("deadline-infeasible defer triggered %d DVFSSave events: %+v", n, tr.DVFSEvents())
+	}
+}
