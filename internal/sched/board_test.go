@@ -60,8 +60,6 @@ func (h *boardHarness) step(name string, op func()) {
 	for _, e := range h.events {
 		pre, post := h.before[e.Accel], h.b.Slot(e.Accel)
 		switch e.Reason {
-		case sim.DVFSAtIssue:
-			h.redist[e.Accel] = 0
 		case sim.DVFSSave:
 			if post.DoneNanos > post.MinDeadlineNanos {
 				h.t.Fatalf("%s @%d: Save pushed slot %d to %d, past its min deadline %d",

@@ -49,9 +49,6 @@ type admitResult struct {
 	// saved reports that the power-saving retry ran (the lane rate-limits it
 	// to once per decision instant).
 	saved bool
-	// done is the committed batch's projected completion at issue time,
-	// before any later retiming (the DoneNanos the issue events carry).
-	done int64
 	// tier is the model tier the batch was admitted against (0 = primary;
 	// non-zero only with VerdictDegradedModel).
 	tier int
@@ -128,7 +125,7 @@ func (g *governor) admit(laneID int, now int64, queued int, availNanos int64,
 		res.issue, res.verdict, res.tier = alt.Issue, alt.Verdict, alt.Tier
 		g.degrades++
 	}
-	res.done = b.Commit(laneID, now, res.issue, res.tier, minDeadlineFor(res.issue.Batch))
+	b.Commit(laneID, now, res.issue, res.tier, minDeadlineFor(res.issue.Batch))
 	if g.tierIssues != nil {
 		g.tierIssues[res.tier]++
 	}

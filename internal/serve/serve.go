@@ -337,25 +337,25 @@ func (s *Server) Run(ctx context.Context) error {
 
 // Submit parses one datagram and enqueues it with the given arrival time.
 func (s *Server) Submit(arrivalNanos int64, buf []byte) error {
+	if s.Inline() {
+		s.inlineMu.Lock()
+		defer s.inlineMu.Unlock()
+	}
+	var pkt sbe.Packet
+	var err error
 	if s.Inline() && !s.cfg.ModelledClock {
 		// The lane queue drains before submit returns, so nothing outlives
 		// the call and the packet can alias the server's reusable buffer.
-		// (Worker lanes and modelled-clock holds keep queries queued past
-		// the call; they need the owned storage below.)
-		s.inlineMu.Lock()
-		defer s.inlineMu.Unlock()
-		pkt, err := sbe.DecodePacketInto(buf, &s.pktBuf)
-		if err != nil {
-			return fmt.Errorf("serve: packet parse: %w", err)
-		}
-		s.submit(arrivalNanos, pkt)
-		return nil
+		// Worker lanes and modelled-clock holds keep queries queued past the
+		// call; they need owned storage.
+		pkt, err = sbe.DecodePacketInto(buf, &s.pktBuf)
+	} else {
+		pkt, err = sbe.DecodePacket(buf)
 	}
-	pkt, err := sbe.DecodePacket(buf)
 	if err != nil {
 		return fmt.Errorf("serve: packet parse: %w", err)
 	}
-	s.SubmitPacket(arrivalNanos, pkt)
+	s.submit(arrivalNanos, pkt)
 	return nil
 }
 

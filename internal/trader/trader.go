@@ -135,6 +135,9 @@ func (t *Trader) OnDatagram(buf []byte) error {
 		return nil
 	}
 	t.stats.OrdersRouted += len(reqs)
+	// reqs aliases the feed handler's buffer, which the other feed leg's
+	// goroutine reuses as soon as the lock drops: send from a copy.
+	reqs = append([]exchange.Request(nil), reqs...)
 	t.mu.Unlock()
 	for _, req := range reqs {
 		if err := t.client.Send(req); err != nil {
