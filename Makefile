@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check api-check api-update bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke one-impl-check ci
+.PHONY: build test race vet fmt-check api-check api-update bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke one-impl-check perf-check ci
 
 build:
 	$(GO) build ./...
@@ -43,13 +43,13 @@ bench: bench-sched
 # traffic regimes, with the Q-table trained first), archived as JSON so
 # policy regressions show up in the diff. See EXPERIMENTS.md.
 bench-sched:
-	$(GO) run ./cmd/ltbench -schedjson BENCH_sched.json
+	$(GO) run ./cmd/ltbench -exp sched-matrix -json BENCH_sched.json
 
 # The limited-power recovery sweep: the calibrated tight-horizon workload
 # through the simulator and the serving runtime with the Algorithm-2 power
 # governor on and off, archived as JSON. See EXPERIMENTS.md.
 bench-power:
-	$(GO) run ./cmd/ltbench -powerjson BENCH_power.json
+	$(GO) run ./cmd/ltbench -exp power-sweep -json BENCH_power.json
 
 # The scenario × configuration chaos matrix: every registered market
 # scenario (quiet, opening burst, flash crash, halt/resume, thin book,
@@ -57,7 +57,7 @@ bench-power:
 # instrumented simulator on three capacity rungs, with per-cause miss
 # attribution, archived as JSON. See EXPERIMENTS.md.
 bench-scenario:
-	$(GO) run ./cmd/ltbench -scenariojson BENCH_scenario.json -parallel 0
+	$(GO) run ./cmd/ltbench -exp scenario-matrix -json BENCH_scenario.json -parallel 0
 
 # The inference-compute frontier: the model zoo trained on teacher-labelled
 # synthetic LOB windows and priced on the CGRA latency tables (accuracy ×
@@ -65,14 +65,14 @@ bench-scenario:
 # burst scenarios with degrade-to-cheaper-model switching on and off,
 # archived as JSON. See EXPERIMENTS.md.
 bench-frontier:
-	$(GO) run ./cmd/ltbench -frontierjson BENCH_frontier.json
+	$(GO) run ./cmd/ltbench -exp frontier -json BENCH_frontier.json
 
 # The signal fan-out experiment: propagation percentiles and conflation
 # drops at 1k/10k/100k subscribers, the 1→8 shard sweep (modelled
 # throughput), and the faultnet chaos scenario, archived as JSON. See
 # EXPERIMENTS.md.
 bench-fanout:
-	$(GO) run ./cmd/ltbench -fanoutjson BENCH_fanout.json
+	$(GO) run ./cmd/ltbench -exp fanout -json BENCH_fanout.json
 
 # Every benchmark in the repo (including the sim-engine harness).
 bench-all:
@@ -128,6 +128,12 @@ one-impl-check:
 		echo "scheduling-board rule applied outside sched.Board:"; echo "$$bad"; exit 1; \
 	fi
 
+# perf/ is a nested module, so the root's build, vet and test never compile
+# it: without this a change could delete an API the benchmark is built on
+# (trader.NewMulti, serve.Submit, ...) with a green gate.
+perf-check:
+	cd perf && $(GO) vet . && $(GO) test .
+
 # Scenario smoke: the chaos-matrix shape/non-vacuity check and the
 # three-way sim/serve/venue differential — one scenario byte stream must
 # produce identical per-cause miss attribution through the offline
@@ -170,5 +176,6 @@ fuzz-smoke:
 # differential and the degraded-mode trader regressions), the frontier
 # smoke (zoo training/pricing, degrade-ladder invariants and the
 # model-switch allocation gate), a short fuzz pass over the wire decoders,
-# and the one-implementation check on the scheduling-board rules.
-ci: fmt-check vet build api-check one-impl-check race bench-smoke bench-tickpath sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke
+# the one-implementation check on the scheduling-board rules, and the
+# vet-and-test pass over the nested perf/ benchmark module.
+ci: fmt-check vet build api-check one-impl-check perf-check race bench-smoke bench-tickpath sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke

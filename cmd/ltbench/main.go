@@ -9,11 +9,7 @@
 //	ltbench -tavail 20ms         # per-query available time
 //	ltbench -trace out.jsonl     # instrumented run: event log + miss attribution
 //	ltbench -scheduler fcfs      # scheduling strategy for the -trace run
-//	ltbench -schedjson out.json  # archive the sched-matrix rows as JSON
-//	ltbench -fanoutjson out.json # archive the signal fan-out rows as JSON
-//	ltbench -powerjson out.json  # archive the limited-power recovery sweep as JSON
-//	ltbench -scenariojson out.json # archive the scenario chaos matrix as JSON
-//	ltbench -frontierjson out.json # archive the inference-compute frontier as JSON
+//	ltbench -exp NAME -json out.json  # archive sched-matrix, fanout, power-sweep, scenario-matrix or frontier
 //	ltbench -workers 4           # GEMM worker-pool width (0 = GOMAXPROCS)
 //	ltbench -blocksize 256       # GEMM k-panel cache block size
 //	ltbench -cpuprofile cpu.out  # write a CPU profile (go tool pprof)
@@ -39,18 +35,14 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, tableI, tableII, tableIII, fig8, fig9, fig11, fig12, fig13, ablations, or one ablation-* name")
+	exp := flag.String("exp", "all", "experiment to run: all, tableI, tableII, tableIII, fig8, fig9, fig11, fig12, fig13, ablations, one ablation-* name, or (with -json) an archived experiment")
 	ticks := flag.Int("ticks", 40000, "trace length in ticks")
 	tavail := flag.Duration("tavail", 20*time.Millisecond, "available time per query (t_avail)")
 	seed := flag.Int64("seed", 1, "trace seed")
 	parallel := flag.Int("parallel", 1, "experiment worker count (0 = GOMAXPROCS)")
 	trace := flag.String("trace", "", "write an instrumented-run event log (JSONL) to this path")
 	scheduler := flag.String("scheduler", "", "scheduling strategy for the -trace run: "+strings.Join(sched.SchedulerNames(), ", ")+" (default ppw)")
-	schedjson := flag.String("schedjson", "", "run the sched-matrix experiment and write its rows as JSON to this path")
-	fanoutjson := flag.String("fanoutjson", "", "run the signal fan-out experiment and write its rows as JSON to this path")
-	powerjson := flag.String("powerjson", "", "run the limited-power recovery sweep and write its rows as JSON to this path")
-	scenariojson := flag.String("scenariojson", "", "run the scenario chaos matrix and write its rows as JSON to this path")
-	frontierjson := flag.String("frontierjson", "", "run the inference-compute frontier experiment and write its rows as JSON to this path")
+	jsonPath := flag.String("json", "", "run the archived experiment named by -exp ("+strings.Join(archiveNames(), ", ")+") and write its report as JSON to this path")
 	workers := flag.Int("workers", 0, "GEMM worker-pool width for large multiplies (0 = GOMAXPROCS)")
 	blocksize := flag.Int("blocksize", tensor.BlockSize(), "GEMM k-panel cache block size (min 8)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -81,54 +73,13 @@ func main() {
 		}
 	}
 
-	if *schedjson != "" {
-		if err := writeSchedJSON(tc, *schedjson); err != nil {
-			fmt.Fprintf(os.Stderr, "schedjson: %v\n", err)
+	if *jsonPath != "" {
+		// Archive run: one experiment, one file, nothing else regenerated.
+		if err := writeArchive(*exp, tc, *parallel, *jsonPath); err != nil {
+			fmt.Fprintf(os.Stderr, "json: %v\n", err)
 			os.Exit(1)
 		}
-		if *trace == "" && *fanoutjson == "" && *powerjson == "" && *scenariojson == "" && *frontierjson == "" && strings.EqualFold(*exp, "all") {
-			return // archive run: don't also regenerate the whole suite
-		}
-	}
-
-	if *fanoutjson != "" {
-		if err := writeFanoutJSON(*fanoutjson); err != nil {
-			fmt.Fprintf(os.Stderr, "fanoutjson: %v\n", err)
-			os.Exit(1)
-		}
-		if *trace == "" && *powerjson == "" && *scenariojson == "" && *frontierjson == "" && strings.EqualFold(*exp, "all") {
-			return // archive run: don't also regenerate the whole suite
-		}
-	}
-
-	if *powerjson != "" {
-		if err := writePowerJSON(*powerjson); err != nil {
-			fmt.Fprintf(os.Stderr, "powerjson: %v\n", err)
-			os.Exit(1)
-		}
-		if *trace == "" && *scenariojson == "" && *frontierjson == "" && strings.EqualFold(*exp, "all") {
-			return // archive run: don't also regenerate the whole suite
-		}
-	}
-
-	if *scenariojson != "" {
-		if err := writeScenarioJSON(*scenariojson, *parallel); err != nil {
-			fmt.Fprintf(os.Stderr, "scenariojson: %v\n", err)
-			os.Exit(1)
-		}
-		if *trace == "" && *frontierjson == "" && strings.EqualFold(*exp, "all") {
-			return // archive run: don't also regenerate the whole suite
-		}
-	}
-
-	if *frontierjson != "" {
-		if err := writeFrontierJSON(*frontierjson); err != nil {
-			fmt.Fprintf(os.Stderr, "frontierjson: %v\n", err)
-			os.Exit(1)
-		}
-		if *trace == "" && strings.EqualFold(*exp, "all") {
-			return // archive run: don't also regenerate the whole suite
-		}
+		return
 	}
 
 	selected := selectExperiments(bench.Experiments(tc), *exp)
@@ -217,100 +168,75 @@ func writeTrace(tc bench.TrafficConfig, path, scheduler string) error {
 	return nil
 }
 
-// writeFanoutJSON runs the signal fan-out experiment and archives its rows.
-func writeFanoutJSON(path string) error {
-	start := time.Now()
-	cfg := bench.FanoutConfig{}
-	rows := bench.RunFanout(cfg)
-	data, err := bench.FanoutJSON(cfg, rows)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Print(bench.RenderFanout(rows))
-	fmt.Printf("fan-out rows written to %s\n", path)
-	fmt.Printf("[fanout completed in %v]\n\n", time.Since(start).Round(time.Millisecond))
-	return nil
+// archives maps each archivable experiment to one run of it, returned both
+// as the marshalled report (the BENCH_*.json payload) and the rendered table.
+// Only sched-matrix replays the -ticks/-tavail/-seed traffic; the others are
+// independent of those knobs: power-sweep replays bench.PowerTraffic (the
+// tight-horizon, high-rate regime where power infeasibility actually fires),
+// scenario-matrix its own registry of seeded byte streams at the scenario
+// horizon budget, and frontier trains the zoo at its own archived scale.
+var archives = []struct {
+	name string
+	run  func(tc bench.TrafficConfig, parallel int) (data []byte, table string, err error)
+}{
+	{"sched-matrix", func(tc bench.TrafficConfig, _ int) ([]byte, string, error) {
+		rows := bench.SchedMatrix(tc)
+		data, err := bench.SchedMatrixJSON(tc, rows)
+		return data, bench.RenderSchedMatrix(rows), err
+	}},
+	{"fanout", func(bench.TrafficConfig, int) ([]byte, string, error) {
+		cfg := bench.FanoutConfig{}
+		rows := bench.RunFanout(cfg)
+		data, err := bench.FanoutJSON(cfg, rows)
+		return data, bench.RenderFanout(rows), err
+	}},
+	{"power-sweep", func(bench.TrafficConfig, int) ([]byte, string, error) {
+		tc := bench.PowerTraffic()
+		rows := bench.PowerSweep(tc)
+		data, err := bench.PowerSweepJSON(tc, rows)
+		return data, bench.RenderPowerSweep(rows), err
+	}},
+	{"scenario-matrix", func(_ bench.TrafficConfig, parallel int) ([]byte, string, error) {
+		rows := bench.ScenarioMatrixWorkers(bench.ScenarioTAvailNanos, parallel)
+		data, err := bench.ScenarioMatrixJSON(bench.ScenarioTAvailNanos, rows)
+		return data, bench.RenderScenarioMatrix(rows), err
+	}},
+	{"frontier", func(bench.TrafficConfig, int) ([]byte, string, error) {
+		rep := bench.FrontierSweep(bench.DefaultFrontierConfig())
+		data, err := bench.FrontierJSON(rep)
+		return data, bench.RenderFrontier(rep), err
+	}},
 }
 
-// writeSchedJSON runs the scheduling-policy matrix and archives its rows.
-func writeSchedJSON(tc bench.TrafficConfig, path string) error {
-	start := time.Now()
-	rows := bench.SchedMatrix(tc)
-	data, err := bench.SchedMatrixJSON(tc, rows)
-	if err != nil {
-		return err
+func archiveNames() []string {
+	names := make([]string, len(archives))
+	for i, a := range archives {
+		names[i] = a.name
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Print(bench.RenderSchedMatrix(rows))
-	fmt.Printf("sched matrix written to %s\n", path)
-	fmt.Printf("[sched-matrix completed in %v]\n\n", time.Since(start).Round(time.Millisecond))
-	return nil
+	return names
 }
 
-// writePowerJSON runs the limited-power recovery sweep and archives its
-// rows. The sweep replays its own calibrated traffic (bench.PowerTraffic):
-// the tight-horizon, high-rate regime where power infeasibility actually
-// fires, independent of the -ticks/-tavail figure knobs.
-func writePowerJSON(path string) error {
-	start := time.Now()
-	tc := bench.PowerTraffic()
-	rows := bench.PowerSweep(tc)
-	data, err := bench.PowerSweepJSON(tc, rows)
-	if err != nil {
-		return err
+// writeArchive runs the named archivable experiment once, writes its report
+// to path and prints its table.
+func writeArchive(name string, tc bench.TrafficConfig, parallel int, path string) error {
+	for _, a := range archives {
+		if !strings.EqualFold(a.name, name) {
+			continue
+		}
+		start := time.Now()
+		data, table, err := a.run(tc, parallel)
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Print(table)
+		fmt.Printf("%s report written to %s\n", a.name, path)
+		fmt.Printf("[%s completed in %v]\n\n", a.name, time.Since(start).Round(time.Millisecond))
+		return nil
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Print(bench.RenderPowerSweep(rows))
-	fmt.Printf("power sweep written to %s\n", path)
-	fmt.Printf("[power-sweep completed in %v]\n\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// writeScenarioJSON runs the scenario × configuration chaos matrix and
-// archives its rows. The matrix replays its own registry of seeded byte
-// streams at the scenario horizon budget, independent of -ticks/-tavail.
-func writeScenarioJSON(path string, parallel int) error {
-	start := time.Now()
-	rows := bench.ScenarioMatrixWorkers(bench.ScenarioTAvailNanos, parallel)
-	data, err := bench.ScenarioMatrixJSON(bench.ScenarioTAvailNanos, rows)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Print(bench.RenderScenarioMatrix(rows))
-	fmt.Printf("scenario matrix written to %s\n", path)
-	fmt.Printf("[scenario-matrix completed in %v]\n\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// writeFrontierJSON runs the inference-compute frontier experiment and
-// archives its report: zoo variants trained on teacher-labelled synthetic
-// LOB windows and priced on the CGRA latency tables, plus the burst-
-// scenario recovery sweep with the degrade ladder on and off. Trains the
-// zoo at its own archived scale, independent of -ticks/-tavail.
-func writeFrontierJSON(path string) error {
-	start := time.Now()
-	rep := bench.FrontierSweep(bench.DefaultFrontierConfig())
-	data, err := bench.FrontierJSON(rep)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Print(bench.RenderFrontier(rep))
-	fmt.Printf("frontier report written to %s\n", path)
-	fmt.Printf("[frontier completed in %v]\n\n", time.Since(start).Round(time.Millisecond))
-	return nil
+	return fmt.Errorf("-exp %q has no JSON archive; choose one of %s", name, strings.Join(archiveNames(), ", "))
 }
 
 func indent(s string) string {

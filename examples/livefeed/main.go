@@ -33,6 +33,7 @@ import (
 	"lighttrader/internal/exchange"
 	"lighttrader/internal/faultnet"
 	"lighttrader/internal/orderentry"
+	"lighttrader/internal/serve"
 	"lighttrader/internal/trader"
 	"lighttrader/internal/venue"
 )
@@ -118,7 +119,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	tr := trader.New(trader.Config{
+	// One subscription, Lanes: 0 — the whole loop runs inline on the feed
+	// goroutine, the degenerate lane count of the multi-symbol runtime.
+	mp := lighttrader.NewMultiPipeline()
+	if err := mp.Attach(pipeline); err != nil {
+		log.Fatal(err)
+	}
+	tr, err := trader.NewMulti(trader.Config{
 		Dial:               dial,
 		UUID:               0xF00D,
 		KeepAliveMillis:    250,
@@ -131,8 +138,12 @@ func main() {
 			}
 		},
 		Logf: log.Printf,
-	}, pipeline, 8)
+	}, mp, 8, serve.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
+	go func() { _ = tr.Run(ctx) }() // starts the lanes; none at Lanes: 0
 	go func() { _ = tr.Client().Run(ctx) }()
 	go func() { _ = tr.ServeFeed(ctx, faultA) }()
 	go func() { _ = tr.ServeFeed(ctx, faultB) }()
@@ -160,7 +171,7 @@ func main() {
 	as := tr.ArbiterStats()
 	cs := tr.Client().Stats()
 	fmt.Printf("\nsession done: %d datagrams (%d bad), %d inferences, position %d\n",
-		fs.Datagrams, fs.BadDatagrams, tr.Inferences(), pipeline.Trader().Position())
+		fs.Datagrams, fs.BadDatagrams, tr.Serve().Inferences(securityID), pipeline.Trader().Position())
 	fmt.Printf("  arbiter: %d delivered, %d duplicates suppressed, %d gaps, %d snapshot recoveries\n",
 		as.Delivered, as.Duplicates, as.Gaps, as.Recoveries)
 	fmt.Printf("  orders: %d routed, %d suppressed while degraded\n", fs.OrdersRouted, fs.Suppressed)

@@ -15,7 +15,10 @@
 // stream are identical to the serial core.MultiPipeline for any N. A
 // Config with Lanes == 0 runs the same admission and dispatch path inline
 // on the caller's goroutine: the serial path is the degenerate single-lane
-// configuration of the runtime, not a separate code path.
+// configuration of the runtime, not a separate code path. Packets enter one
+// way (Submit / SubmitPacket) and orders leave one way (the OnOrders sink)
+// at every lane count; inline, a packet's orders have reached the sink by
+// the time its submit call returns.
 package serve
 
 import (
@@ -161,10 +164,9 @@ type Server struct {
 	probe *lockedProbe
 	stats *stats
 
-	// inlineMu serialises inline-mode submissions end to end; tee and pktBuf
-	// are only touched under it (tee is always nil on concurrent servers).
+	// inlineMu serialises inline-mode submissions end to end; pktBuf is only
+	// touched under it.
 	inlineMu sync.Mutex
-	tee      OrderSink
 	pktBuf   sbe.PacketBuffer
 
 	runMu   sync.Mutex
@@ -343,14 +345,12 @@ func (s *Server) Submit(arrivalNanos int64, buf []byte) error {
 	}
 	var pkt sbe.Packet
 	var err error
-	if s.Inline() && !s.cfg.ModelledClock {
-		// The lane queue drains before submit returns, so nothing outlives
-		// the call and the packet can alias the server's reusable buffer.
-		// Worker lanes and modelled-clock holds keep queries queued past the
-		// call; they need owned storage.
-		pkt, err = sbe.DecodePacketInto(buf, &s.pktBuf)
-	} else {
+	if s.retains() {
+		// Decode straight into owned storage (and concurrent submitters
+		// could not share pktBuf anyway).
 		pkt, err = sbe.DecodePacket(buf)
+	} else {
+		pkt, err = sbe.DecodePacketInto(buf, &s.pktBuf)
 	}
 	if err != nil {
 		return fmt.Errorf("serve: packet parse: %w", err)
@@ -362,14 +362,25 @@ func (s *Server) Submit(arrivalNanos int64, buf []byte) error {
 // SubmitPacket enqueues a decoded packet for every lane owning an
 // instrument the packet touches. The deadline is arrival + TAvailNanos
 // (or unbounded when TAvailNanos is 0). In inline mode the packet is
-// dispatched synchronously before SubmitPacket returns.
+// dispatched, and its orders delivered to the sink, before SubmitPacket
+// returns. pkt is borrowed for the call: the caller may reuse its decode
+// storage as soon as SubmitPacket returns, and the runtime deep-copies it
+// only when a queue will keep it longer.
 func (s *Server) SubmitPacket(arrivalNanos int64, pkt sbe.Packet) {
 	if s.Inline() {
 		s.inlineMu.Lock()
 		defer s.inlineMu.Unlock()
 	}
+	if s.retains() {
+		pkt = sbe.ClonePacket(pkt)
+	}
 	s.submit(arrivalNanos, pkt)
 }
+
+// retains reports whether a submitted packet outlives its submit call.
+// Inline, the lane queue drains before submit returns; worker lanes and
+// modelled-clock holds keep queries queued past it and need owned storage.
+func (s *Server) retains() bool { return !s.Inline() || s.cfg.ModelledClock }
 
 // submit routes and enqueues one packet. Inline callers hold inlineMu.
 func (s *Server) submit(arrivalNanos int64, pkt sbe.Packet) {
@@ -402,39 +413,12 @@ func (s *Server) submit(arrivalNanos int64, pkt sbe.Packet) {
 	}
 }
 
-// OnDecodedPacket makes an inline Server a core.PacketHandler: the packet
-// is dispatched synchronously and the orders it generated are returned,
-// exactly like the serial MultiPipeline (any configured OnOrders sink
-// still sees them too). The arrival time is taken from Clock (or the
-// packet's first transact time under the logical clock). Calling it on a
-// concurrent (Lanes > 0) Server returns an error: orders flow through the
-// sink there.
-func (s *Server) OnDecodedPacket(pkt sbe.Packet) ([]exchange.Request, error) {
-	if !s.Inline() {
-		return nil, errors.New("serve: OnDecodedPacket requires inline mode")
-	}
-	now := s.clockNow(pkt)
-	s.inlineMu.Lock()
-	defer s.inlineMu.Unlock()
-	var orders []exchange.Request
-	s.tee = func(sec int32, reqs []exchange.Request) {
-		orders = append(orders, reqs...)
-	}
-	defer func() { s.tee = nil }()
-	s.submit(now, pkt)
-	return orders, nil
-}
-
-// deliver hands generated orders to the tee (inline mode) and the
-// configured sink, counting them either way.
+// deliver counts generated orders and hands them to the configured sink.
 func (s *Server) deliver(securityID int32, reqs []exchange.Request) {
 	if len(reqs) == 0 {
 		return
 	}
 	s.stats.orders.Add(int64(len(reqs)))
-	if s.tee != nil {
-		s.tee(securityID, reqs)
-	}
 	if s.cfg.OnOrders != nil {
 		s.cfg.OnOrders(securityID, reqs)
 	}
@@ -447,12 +431,7 @@ func (s *Server) deliver(securityID int32, reqs []exchange.Request) {
 // source should use it so trace replays stay deterministic: a wall-clock
 // fallback would ratchet the logical clock far ahead of trace time and can
 // make every later deadline infeasible.
-func (s *Server) ArrivalNanos(pkt sbe.Packet) int64 { return s.clockNow(pkt) }
-
-// clockNow returns the submission timestamp for OnDecodedPacket: the
-// configured clock, or the packet's first transact time (falling back to 0)
-// under the logical clock.
-func (s *Server) clockNow(pkt sbe.Packet) int64 {
+func (s *Server) ArrivalNanos(pkt sbe.Packet) int64 {
 	if s.cfg.Clock != nil {
 		return s.cfg.Clock()
 	}
@@ -536,54 +515,42 @@ func (s *Server) Drain() {
 	}
 }
 
-// Snapshot returns the current book of one instrument, synchronised with
-// the owning lane's dispatch (safe to call concurrently with serving).
-func (s *Server) Snapshot(securityID int32, timeNanos int64) (lob.Snapshot, bool) {
+// withPipe runs f on one instrument's pipeline under the owning lane's
+// procMu, so f is synchronised with that lane's dispatch. It reports false
+// (f not run) for an instrument the Server does not serve.
+func (s *Server) withPipe(securityID int32, f func(*core.Pipeline)) bool {
 	l, ok := s.bySec[securityID]
 	if !ok {
-		return lob.Snapshot{}, false
+		return false
 	}
 	l.procMu.Lock()
 	defer l.procMu.Unlock()
 	for _, p := range l.pipes {
 		if p.SecurityID() == securityID {
-			return p.Snapshot(timeNanos), true
+			f(p)
+			return true
 		}
 	}
-	return lob.Snapshot{}, false
+	return false
+}
+
+// Snapshot returns the current book of one instrument, synchronised with
+// the owning lane's dispatch (safe to call concurrently with serving).
+func (s *Server) Snapshot(securityID int32, timeNanos int64) (snap lob.Snapshot, ok bool) {
+	ok = s.withPipe(securityID, func(p *core.Pipeline) { snap = p.Snapshot(timeNanos) })
+	return snap, ok
 }
 
 // Inferences returns one instrument's forward-pass count (synchronised).
-func (s *Server) Inferences(securityID int32) int {
-	l, ok := s.bySec[securityID]
-	if !ok {
-		return 0
-	}
-	l.procMu.Lock()
-	defer l.procMu.Unlock()
-	for _, p := range l.pipes {
-		if p.SecurityID() == securityID {
-			return p.Inferences()
-		}
-	}
-	return 0
+func (s *Server) Inferences(securityID int32) (n int) {
+	s.withPipe(securityID, func(p *core.Pipeline) { n = p.Inferences() })
+	return n
 }
 
 // OnExecReport routes an execution report to the owning instrument,
 // synchronised with the owning lane's dispatch.
 func (s *Server) OnExecReport(rep exchange.ExecReport) {
-	l, ok := s.bySec[rep.SecurityID]
-	if !ok {
-		return
-	}
-	l.procMu.Lock()
-	defer l.procMu.Unlock()
-	for _, p := range l.pipes {
-		if p.SecurityID() == rep.SecurityID {
-			p.OnExecReport(rep)
-			return
-		}
-	}
+	s.withPipe(rep.SecurityID, func(p *core.Pipeline) { p.OnExecReport(rep) })
 }
 
 // Stats returns a consistent copy of the runtime counters. With a

@@ -193,19 +193,22 @@ func TestServeParityAcrossLanes(t *testing.T) {
 	}
 }
 
-// TestServeInlineIsPacketHandler checks the degenerate configuration: an
-// inline Server fronted as a core.PacketHandler returns the same synchronous
-// per-packet orders as the serial MultiPipeline.
-func TestServeInlineIsPacketHandler(t *testing.T) {
+// TestServeInlineDeliversBeforeSubmitReturns checks the degenerate
+// configuration: when an inline SubmitPacket returns, that packet's orders
+// have already reached the sink, and per packet they equal what the serial
+// MultiPipeline returns synchronously.
+func TestServeInlineDeliversBeforeSubmitReturns(t *testing.T) {
 	syms := []string{"ESU6", "NQU6"}
 	packets := buildMarket(t, syms, nn.Window+30)
 
 	serial := buildMulti(t, syms)
-	srv, err := New(buildMulti(t, syms), Config{Lanes: 0})
+	var got []exchange.Request
+	srv, err := New(buildMulti(t, syms), Config{Lanes: 0,
+		OnOrders: func(_ int32, reqs []exchange.Request) { got = append(got, reqs...) }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var handler core.PacketHandler = srv // compile-time interface check
+	total := 0
 	for _, buf := range packets {
 		pkt, err := sbe.DecodePacket(buf)
 		if err != nil {
@@ -215,26 +218,83 @@ func TestServeInlineIsPacketHandler(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := handler.OnDecodedPacket(pkt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
+		got = got[:0]
+		srv.SubmitPacket(srv.ArrivalNanos(pkt), pkt)
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("inline orders diverged:\nserial %+v\nserve  %+v", want, got)
 		}
+		total += len(want)
 	}
-	if st := srv.Stats(); st.Served != st.Submitted || st.Submitted != len(packets) {
-		t.Fatalf("inline stats inconsistent: %+v", st)
+	if total == 0 {
+		t.Fatal("serial baseline generated no orders; the comparison is vacuous")
 	}
+	if st := srv.Stats(); st.Served != st.Submitted || st.Submitted != len(packets) || st.Orders != total {
+		t.Fatalf("inline stats inconsistent (%d orders expected): %+v", total, st)
+	}
+}
 
-	// A concurrent server refuses the synchronous entry point.
-	conc, err := New(buildMulti(t, syms), Config{Lanes: 2})
+// TestSubmitPacketBorrowsPacket pins the packet-lifetime contract: the
+// caller may overwrite the packet's decode storage the moment SubmitPacket
+// returns (as the feed arbiter does), so a runtime that queues packets past
+// the call must own a copy — and one that does not must not pay for it.
+func TestSubmitPacketBorrowsPacket(t *testing.T) {
+	syms := []string{"ESU6", "NQU6", "YMU6"}
+	packets := buildMarket(t, syms, nn.Window+40)
+	wantOrders, _, _ := serialRun(t, syms, packets)
+
+	log := NewOrderLog()
+	srv, err := New(buildMulti(t, syms), Config{Lanes: 2, Backpressure: true, OnOrders: log.Sink()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, _ := sbe.DecodePacket(packets[0])
-	if _, err := conc.OnDecodedPacket(pkt); err == nil {
-		t.Fatal("concurrent server accepted OnDecodedPacket")
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = srv.Run(ctx) }()
+	var pb sbe.PacketBuffer
+	for i, buf := range packets {
+		pkt, err := sbe.DecodePacketInto(buf, &pb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.SubmitPacket(int64(i), pkt)
+		// Scribble over the storage pkt aliases while the lanes still hold it.
+		if _, err := sbe.DecodePacketInto(packets[(i+len(packets)/2)%len(packets)], &pb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Drain()
+	cancel()
+	<-done
+	for i := range syms {
+		sec := int32(i + 1)
+		if len(wantOrders[sec]) == 0 {
+			t.Fatalf("security %d: serial baseline generated no orders", sec)
+		}
+		if !reflect.DeepEqual(log.Orders(sec), wantOrders[sec]) {
+			t.Fatalf("security %d order stream diverged from serial after the caller reused its buffer", sec)
+		}
+	}
+
+	// A packet for an instrument nobody serves routes nowhere, so the clone
+	// is the only allocation a submit could make: paid exactly when the
+	// configuration retains packets, never inline.
+	foreign, err := sbe.DecodePacket(buildMarket(t, []string{"A", "B", "C", "ZZZ"}, 1)[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloneAllocs := testing.AllocsPerRun(50, func() { _ = sbe.ClonePacket(foreign) })
+	if cloneAllocs == 0 {
+		t.Fatal("ClonePacket allocates nothing; the borrow check is vacuous")
+	}
+	inline, err := New(buildMulti(t, syms), Config{Lanes: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() { inline.SubmitPacket(1, foreign) }); n != 0 {
+		t.Fatalf("inline SubmitPacket allocates %.0f times per call; it must borrow, not clone", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { srv.SubmitPacket(1, foreign) }); n != cloneAllocs {
+		t.Fatalf("queueing SubmitPacket allocates %.0f times per call, one clone is %.0f", n, cloneAllocs)
 	}
 }
 

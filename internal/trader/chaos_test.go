@@ -15,6 +15,7 @@ import (
 	"lighttrader/internal/nn"
 	"lighttrader/internal/offload"
 	"lighttrader/internal/orderentry"
+	"lighttrader/internal/serve"
 	"lighttrader/internal/testutil"
 	"lighttrader/internal/trader"
 	"lighttrader/internal/trading"
@@ -46,6 +47,20 @@ func newChaosPipeline(t *testing.T) *core.Pipeline {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// newSingleTrader builds the live loop over one instrument's pipeline.
+func newSingleTrader(t *testing.T, cfg trader.Config, p *core.Pipeline, scfg serve.Config) *trader.MultiTrader {
+	t.Helper()
+	mp := core.NewMultiPipeline()
+	if err := mp.Attach(p); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trader.NewMulti(cfg, mp, 8, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // waitFor polls cond until it holds or the deadline lapses (shared
@@ -110,13 +125,13 @@ func TestChaosLossyDualFeedBookConverges(t *testing.T) {
 	srvDone := make(chan struct{})
 	go func() { defer close(srvDone); _ = srv.Run(ctx) }()
 
-	tr := trader.New(trader.Config{
+	tr := newSingleTrader(t, trader.Config{
 		OrderAddr:          srv.OrderAddr().String(),
 		UUID:               0xCAFE01,
 		KeepAliveMillis:    200,
 		BackoffSeed:        1,
 		CancelOnDisconnect: true,
-	}, newChaosPipeline(t), 8)
+	}, newChaosPipeline(t), serve.Config{})
 
 	clientCtx, clientCancel := context.WithCancel(ctx)
 	clientDone := make(chan struct{})
@@ -151,7 +166,8 @@ func TestChaosLossyDualFeedBookConverges(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		vs, ok := srv.Snapshot()
 		if ok {
-			venueSnap, local = vs, tr.Book()
+			venueSnap = vs
+			local, _ = tr.Book(chaosSecID)
 			if booksMatch(venueSnap, local) {
 				converged = true
 				break
@@ -188,7 +204,7 @@ func TestChaosLossyDualFeedBookConverges(t *testing.T) {
 	}
 	t.Logf("feed: %+v", tr.FeedStats())
 	t.Logf("arbiter: %+v", stats)
-	t.Logf("inferences: %d", tr.Inferences())
+	t.Logf("inferences: %d", tr.Serve().Inferences(chaosSecID))
 
 	cancel()
 	<-srvDone

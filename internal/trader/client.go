@@ -3,10 +3,12 @@
 // deliver. The Client drives the FIXP-style Negotiate/Establish handshake,
 // exchanges keep-alive heartbeats, monitors venue liveness, reconnects with
 // capped exponential backoff plus jitter, and applies a client-enforced
-// cancel-on-disconnect policy when a session is re-established. The Trader
-// type pairs a Client with the arbitrated A/B market-data path
-// (core.FeedHandler) and gates new order flow while the feed is recovering
-// — the graceful-degradation half of the paper's standalone appliance.
+// cancel-on-disconnect policy when a session is re-established. MultiTrader
+// is the one live loop: it pairs a Client with the arbitrated A/B
+// market-data path (core.FeedHandler) and the serving runtime at any lane
+// count (Lanes: 0 runs it inline on the feed goroutine), and gates new order
+// flow while the feed is recovering or the session is down — the
+// graceful-degradation half of the paper's standalone appliance.
 package trader
 
 import (
@@ -92,6 +94,7 @@ type Client struct {
 	ready   bool
 	readyCh chan struct{}
 	resting map[uint64]exchange.Request
+	sendBuf []byte // order encode scratch, reused under mu (conn.Write does not retain it)
 	stats   Stats
 }
 
@@ -167,8 +170,8 @@ func (c *Client) sendLocked(req exchange.Request) error {
 	if !c.ready || c.conn == nil {
 		return ErrNotReady
 	}
-	buf := orderentry.AppendRequest(nil, req)
-	if len(buf) == 0 {
+	c.sendBuf = orderentry.AppendRequest(c.sendBuf[:0], req)
+	if len(c.sendBuf) == 0 {
 		return fmt.Errorf("trader: unencodable request kind %d", req.Kind)
 	}
 	// Track pessimistically, BEFORE the write: if the connection dies
@@ -189,7 +192,7 @@ func (c *Client) sendLocked(req exchange.Request) error {
 		replaced.ClOrdID = req.NewClOrdID
 		c.resting[req.NewClOrdID] = replaced
 	}
-	if _, err := c.conn.Write(buf); err != nil {
+	if _, err := c.conn.Write(c.sendBuf); err != nil {
 		return fmt.Errorf("trader: order write: %w", err)
 	}
 	c.sess.NoteSent(time.Now().UnixNano())

@@ -58,9 +58,9 @@ func TestMultiTraderLiveLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Lanes < 1 must refuse: the inline path belongs to trader.New.
-	if _, err := trader.NewMulti(trader.Config{}, mp, 8, serve.Config{Lanes: 0}); err == nil {
-		t.Fatal("NewMulti accepted an inline configuration")
+	// Lanes: 0 is the inline loop; only a negative count is refused.
+	if _, err := trader.NewMulti(trader.Config{}, mp, 8, serve.Config{Lanes: -1}); err == nil {
+		t.Fatal("NewMulti accepted a negative lane count")
 	}
 
 	clientCtx, clientCancel := context.WithCancel(ctx)

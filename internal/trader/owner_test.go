@@ -1,6 +1,8 @@
 package trader
 
 import (
+	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -15,11 +17,9 @@ func TestOwnerMapRetirement(t *testing.T) {
 	mt := &MultiTrader{owner: make(map[uint64]liveOrder)}
 	const sec = int32(7)
 
-	mt.trackOrders(sec, []exchange.Request{
-		{Kind: exchange.ReqNew, ClOrdID: 1, Qty: 10},
-		{Kind: exchange.ReqNew, ClOrdID: 2, Qty: 5},
-		{Kind: exchange.ReqNew, ClOrdID: 3, Qty: 5},
-	})
+	mt.trackOrder(sec, exchange.Request{Kind: exchange.ReqNew, ClOrdID: 1, Qty: 10})
+	mt.trackOrder(sec, exchange.Request{Kind: exchange.ReqNew, ClOrdID: 2, Qty: 5})
+	mt.trackOrder(sec, exchange.Request{Kind: exchange.ReqNew, ClOrdID: 3, Qty: 5})
 	if len(mt.owner) != 3 {
 		t.Fatalf("tracked %d orders, want 3", len(mt.owner))
 	}
@@ -60,8 +60,8 @@ func TestOwnerMapRetirement(t *testing.T) {
 	}
 
 	// A replace retires the id it replaced once the venue confirms it.
-	mt.trackOrders(sec, []exchange.Request{{Kind: exchange.ReqNew, ClOrdID: 4, Qty: 5}})
-	mt.trackOrders(sec, []exchange.Request{{Kind: exchange.ReqReplace, ClOrdID: 4, NewClOrdID: 5, Qty: 8}})
+	mt.trackOrder(sec, exchange.Request{Kind: exchange.ReqNew, ClOrdID: 4, Qty: 5})
+	mt.trackOrder(sec, exchange.Request{Kind: exchange.ReqReplace, ClOrdID: 4, NewClOrdID: 5, Qty: 8})
 	if len(mt.owner) != 2 {
 		t.Fatalf("replace tracking holds %d entries, want 2", len(mt.owner))
 	}
@@ -85,7 +85,7 @@ func TestOwnerMapRetirement(t *testing.T) {
 // a lane to drain — and the lane can only drain by finishing routeOrders.
 func TestRouteOrdersAvoidsFeedLock(t *testing.T) {
 	mt := &MultiTrader{owner: make(map[uint64]liveOrder), client: NewClient(Config{})}
-	mt.degraded.Store(true) // session down: the gate suppresses
+	// No session was ever established: the gate suppresses.
 
 	mt.feedMu.Lock()
 	defer mt.feedMu.Unlock()
@@ -101,5 +101,52 @@ func TestRouteOrdersAvoidsFeedLock(t *testing.T) {
 	}
 	if got := mt.FeedStats().Suppressed; got != 1 {
 		t.Fatalf("Suppressed = %d, want 1", got)
+	}
+}
+
+// tornConn accepts okWrites writes, then fails every later one — a session
+// that drops between the gate's Ready check and a batch's k-th write.
+type tornConn struct {
+	net.Conn // nil: only Write is ever called
+	okWrites int
+}
+
+func (c *tornConn) Write(b []byte) (int, error) {
+	if c.okWrites == 0 {
+		return 0, errors.New("connection reset")
+	}
+	c.okWrites--
+	return len(b), nil
+}
+
+// TestRouteOrdersStopsTrackingAtFailedSend pins the mid-batch failure rule:
+// orders after the one whose write failed are never written, so no ack can
+// ever retire them — they must not enter the owner map (a leak for the life
+// of the process) nor count as routed. The failed order itself stays
+// tracked: a torn write may have reached the venue.
+func TestRouteOrdersStopsTrackingAtFailedSend(t *testing.T) {
+	client := NewClient(Config{})
+	client.conn = &tornConn{okWrites: 1}
+	client.sess = orderentry.NewClientSession(1)
+	client.ready = true
+	mt := &MultiTrader{owner: make(map[uint64]liveOrder), client: client}
+
+	mt.routeOrders(7, []exchange.Request{
+		{Kind: exchange.ReqNew, ClOrdID: 1, Qty: 1, Type: exchange.Limit},
+		{Kind: exchange.ReqNew, ClOrdID: 2, Qty: 1, Type: exchange.Limit}, // write fails here
+		{Kind: exchange.ReqNew, ClOrdID: 3, Qty: 1, Type: exchange.Limit},
+		{Kind: exchange.ReqNew, ClOrdID: 4, Qty: 1, Type: exchange.Limit},
+	})
+
+	for id, want := range map[uint64]bool{1: true, 2: true, 3: false, 4: false} {
+		if _, tracked := mt.owner[id]; tracked != want {
+			t.Errorf("order %d tracked = %v, want %v", id, tracked, want)
+		}
+	}
+	if fs := mt.FeedStats(); fs.OrdersRouted != 2 || fs.Suppressed != 2 {
+		t.Errorf("routed %d, suppressed %d; want 2 and 2", fs.OrdersRouted, fs.Suppressed)
+	}
+	if sent := client.Stats().OrdersSent; sent != 1 {
+		t.Errorf("client wrote %d orders, want 1", sent)
 	}
 }

@@ -25,166 +25,15 @@ type FeedStats struct {
 	OrdersRouted int // orders handed to the client
 }
 
-// Trader is the full live tick-to-trade loop: arbitrated A/B market data in
-// through core.FeedHandler, the serving runtime in the middle, and a
-// resilient order-entry Client out. While the feed is recovering from a gap
-// or the session is re-establishing, freshly generated orders are
-// suppressed — the appliance degrades to flat rather than trading on a book
-// it cannot trust.
-//
-// A Trader runs the serving runtime in its inline, single-lane
-// configuration: the live serial path is the degenerate case of the same
-// admission and dispatch code the multi-lane MultiTrader runs concurrently.
-type Trader struct {
-	client *Client
-
-	securityID int32
-	srv        *serve.Server
-
-	mu    sync.Mutex
-	feed  *core.FeedHandler
-	stats FeedStats
-}
-
-// New assembles a Trader over one instrument's pipeline. The client's OnAck
-// is chained so execution acks flow back into the pipeline's trading engine;
-// any OnAck already present in cfg still runs.
-func New(cfg Config, pipeline *core.Pipeline, reorderWindow int) *Trader {
-	mp := core.NewMultiPipeline()
-	if err := mp.Attach(pipeline); err != nil {
-		panic(err) // fresh multi; a single attach cannot collide
-	}
-	srv, err := serve.New(mp, serve.Config{Lanes: 0})
-	if err != nil {
-		panic(err) // one subscription, inline mode; cannot fail
-	}
-	t := &Trader{srv: srv, securityID: pipeline.SecurityID()}
-	t.feed = core.NewFeedHandlerFor(srv, reorderWindow)
-	userAck := cfg.OnAck
-	cfg.OnAck = func(ack orderentry.ExecAck) {
-		t.onAck(ack)
-		if userAck != nil {
-			userAck(ack)
-		}
-	}
-	t.client = NewClient(cfg)
-	return t
-}
-
-// Client exposes the order-entry session owner (Run it alongside the feed).
-func (t *Trader) Client() *Client { return t.client }
-
-// FeedStats returns feed-side counters.
-func (t *Trader) FeedStats() FeedStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
-}
-
-// ArbiterStats returns the A/B arbitration counters.
-func (t *Trader) ArbiterStats() mdclient.Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.feed.Stats()
-}
-
-// Recovering reports whether the feed has declared a gap and awaits a
-// snapshot.
-func (t *Trader) Recovering() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.feed.Recovering()
-}
-
-// Book returns the pipeline's local book mirror.
-func (t *Trader) Book() lob.Snapshot {
-	snap, _ := t.srv.Snapshot(t.securityID, time.Now().UnixNano())
-	return snap
-}
-
-// Inferences returns the pipeline's forward-pass count.
-func (t *Trader) Inferences() int {
-	return t.srv.Inferences(t.securityID)
-}
-
-// onAck serialises execution reports into the pipeline. Binary acks do not
-// carry the side; the trading engine recalls it from its own records.
-func (t *Trader) onAck(ack orderentry.ExecAck) {
-	t.srv.OnExecReport(exchange.ExecReport{
-		Exec: ack.Exec, SecurityID: t.securityID,
-		ClOrdID: ack.ClOrdID, Price: ack.Price, Qty: ack.Qty,
-	})
-}
-
-// OnDatagram ingests one datagram from either feed, routing any generated
-// orders to the client unless the loop is degraded (feed recovering or
-// session not established).
-func (t *Trader) OnDatagram(buf []byte) error {
-	t.mu.Lock()
-	t.stats.Datagrams++
-	reqs, err := t.feed.OnDatagram(buf)
-	if err != nil {
-		t.stats.BadDatagrams++
-		t.mu.Unlock()
-		return err
-	}
-	degraded := t.feed.Recovering() || !t.client.Ready()
-	if degraded {
-		t.stats.Suppressed += len(reqs)
-		t.mu.Unlock()
-		return nil
-	}
-	t.stats.OrdersRouted += len(reqs)
-	// reqs aliases the feed handler's buffer, which the other feed leg's
-	// goroutine reuses as soon as the lock drops: send from a copy.
-	reqs = append([]exchange.Request(nil), reqs...)
-	t.mu.Unlock()
-	for _, req := range reqs {
-		if err := t.client.Send(req); err != nil {
-			// The session dropped between the gate and the write; the
-			// client will re-establish and cancel-on-disconnect applies.
-			return nil
-		}
-	}
-	return nil
-}
-
-// ServeFeed reads datagrams from conn into the trader until ctx ends.
-// Corrupt datagrams are counted and discarded — a lossy feed must degrade
-// the loop, never kill it. Run one ServeFeed goroutine per redundant feed
-// socket.
-func (t *Trader) ServeFeed(ctx context.Context, conn net.PacketConn) error {
-	return serveFeed(ctx, conn, t.OnDatagram)
-}
-
-// serveFeed is the shared datagram pump for both trader flavours.
-func serveFeed(ctx context.Context, conn net.PacketConn, ingest func([]byte) error) error {
-	buf := make([]byte, 64<<10)
-	for {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		_ = conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-		n, _, err := conn.ReadFrom(buf)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return err
-		}
-		_ = ingest(buf[:n]) // bad datagrams already counted
-	}
-}
-
-// MultiTrader is the multi-symbol live loop: arbitrated feed in, the
-// concurrent serving runtime (N lanes of online Algorithm-1 dispatch) in the
-// middle, one order-entry client out. Orders surface asynchronously on lane
-// goroutines and pass the same degradation gate as the serial Trader before
-// reaching the wire.
+// MultiTrader is the live tick-to-trade loop: arbitrated A/B market data in
+// through core.FeedHandler, the serving runtime (N lanes of online
+// Algorithm-1 dispatch) in the middle, and a resilient order-entry Client
+// out. Orders surface through the runtime's sink — on lane goroutines, or on
+// the feed goroutine at Lanes: 0, the degenerate inline configuration of the
+// same loop — and pass the degradation gate before reaching the wire: while
+// the feed is recovering from a gap or the session is re-establishing,
+// freshly generated orders are suppressed, so the appliance degrades to flat
+// rather than trading on a book it cannot trust.
 type MultiTrader struct {
 	client *Client
 	srv    *serve.Server
@@ -204,9 +53,10 @@ type MultiTrader struct {
 	suppressed   atomic.Int64
 	ordersRouted atomic.Int64
 
-	// degraded caches the feed/session health for the lane-side order gate:
-	// lanes must not touch the FeedHandler (single-goroutine) directly.
-	degraded atomic.Bool
+	// feedDegraded caches feed.Recovering() for the order gate: lanes must
+	// not touch the FeedHandler (single-goroutine) directly. The session half
+	// of the gate is read from the client when an order batch is routed.
+	feedDegraded atomic.Bool
 
 	// owner maps in-flight client order ids to their instrument so acks
 	// (which do not carry a security id on the wire) can be routed back.
@@ -225,14 +75,12 @@ type liveOrder struct {
 
 // NewMulti assembles a MultiTrader over a subscription set. scfg configures
 // the runtime (lane count, admission, probe); any OnOrders sink in it is
-// chained after the degradation gate, and Lanes must be ≥ 1 (use New for
-// the inline single-symbol loop). Start the lanes with Run.
+// chained after the degradation gate. Lanes: 0 runs the whole loop inline on
+// the feed goroutine. The client's OnAck is chained so execution acks flow
+// back into the owning pipeline's trading engine; any OnAck already present
+// in cfg still runs. Start the lanes with Run.
 func NewMulti(cfg Config, mp *core.MultiPipeline, reorderWindow int, scfg serve.Config) (*MultiTrader, error) {
-	if scfg.Lanes < 1 {
-		return nil, errors.New("trader: MultiTrader needs at least one lane")
-	}
 	t := &MultiTrader{owner: make(map[uint64]liveOrder)}
-	t.degraded.Store(true) // gated until the session is up and the feed clean
 	userSink := scfg.OnOrders
 	scfg.OnOrders = func(sec int32, reqs []exchange.Request) {
 		t.routeOrders(sec, reqs)
@@ -245,7 +93,7 @@ func NewMulti(cfg Config, mp *core.MultiPipeline, reorderWindow int, scfg serve.
 		return nil, err
 	}
 	t.srv = srv
-	t.feed = core.NewFeedHandlerFor(asyncSubmit{t}, reorderWindow)
+	t.feed = core.NewFeedHandlerFor(sinkSubmit{t}, reorderWindow)
 	userAck := cfg.OnAck
 	cfg.OnAck = func(ack orderentry.ExecAck) {
 		t.onAck(ack)
@@ -257,27 +105,32 @@ func NewMulti(cfg Config, mp *core.MultiPipeline, reorderWindow int, scfg serve.
 	return t, nil
 }
 
-// asyncSubmit adapts the concurrent runtime to core.PacketHandler: packets
-// are enqueued for the lanes and no orders return synchronously.
-type asyncSubmit struct{ t *MultiTrader }
+// sinkSubmit adapts the runtime to core.PacketHandler: packets are submitted
+// to the lanes and orders leave through the gated sink, never the return.
+type sinkSubmit struct{ t *MultiTrader }
 
-func (a asyncSubmit) OnDecodedPacket(pkt sbe.Packet) ([]exchange.Request, error) {
-	// The lanes retain the packet past this call, but the arbiter reuses its
-	// decode buffer as soon as we return — clone into owned storage.
-	a.t.srv.SubmitPacket(a.t.arrivalNanos(pkt), sbe.ClonePacket(pkt))
+func (a sinkSubmit) OnDecodedPacket(pkt sbe.Packet) ([]exchange.Request, error) {
+	// The gate this packet's orders meet must be the feed state it was
+	// delivered under: a healing snapshot clears recovery before it delivers
+	// and drains the parked backlog in the same datagram, and inline the
+	// sink fires before OnDatagram gets to refresh the gate.
+	a.t.refreshGate()
+	a.t.srv.SubmitPacket(a.t.srv.ArrivalNanos(pkt), pkt)
 	return nil, nil
 }
 
-// arrivalNanos stamps a submission with the runtime's own arrival clock
-// (the configured clock, or the packet's transact time under the logical
-// clock — never wall time, which would break replay determinism and
-// ratchet deadlines infeasible).
-func (t *MultiTrader) arrivalNanos(pkt sbe.Packet) int64 {
-	return t.srv.ArrivalNanos(pkt)
+// refreshGate republishes the feed half of the order gate. It runs under
+// feedMu, at every delivery and after every datagram (a gap declaration
+// delivers nothing). It stores only on change: lanes read the flag per order
+// batch, and an unconditional store would bounce its cache line per datagram.
+func (t *MultiTrader) refreshGate() {
+	if r := t.feed.Recovering(); r != t.feedDegraded.Load() {
+		t.feedDegraded.Store(r)
+	}
 }
 
-// Run starts the lane workers and blocks until ctx is cancelled (run it
-// alongside Client.Run and the ServeFeed pumps).
+// Run starts the lane workers (none at Lanes: 0) and blocks until ctx is
+// cancelled (run it alongside Client.Run and the ServeFeed pumps).
 func (t *MultiTrader) Run(ctx context.Context) error { return t.srv.Run(ctx) }
 
 // Client exposes the order-entry session owner.
@@ -315,13 +168,13 @@ func (t *MultiTrader) Book(securityID int32) (lob.Snapshot, bool) {
 	return t.srv.Snapshot(securityID, time.Now().UnixNano())
 }
 
-// OnDatagram ingests one datagram from either feed. Orders generated by the
-// lanes surface through the gated sink, not the return path.
+// OnDatagram ingests one datagram from either feed. Generated orders
+// surface through the gated sink, not the return path.
 func (t *MultiTrader) OnDatagram(buf []byte) error {
 	t.datagrams.Add(1)
 	t.feedMu.Lock()
 	_, err := t.feed.OnDatagram(buf)
-	t.degraded.Store(t.feed.Recovering() || !t.client.Ready())
+	t.refreshGate()
 	t.feedMu.Unlock()
 	if err != nil {
 		t.badDatagrams.Add(1)
@@ -330,42 +183,70 @@ func (t *MultiTrader) OnDatagram(buf []byte) error {
 }
 
 // ServeFeed reads datagrams from conn into the trader until ctx ends.
+// Corrupt datagrams are counted and discarded — a lossy feed must degrade
+// the loop, never kill it. Run one ServeFeed goroutine per redundant feed
+// socket.
 func (t *MultiTrader) ServeFeed(ctx context.Context, conn net.PacketConn) error {
-	return serveFeed(ctx, conn, t.OnDatagram)
+	buf := make([]byte, 64<<10)
+	for {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+		n, _, err := conn.ReadFrom(buf)
+		if err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				continue
+			}
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			return err
+		}
+		_ = t.OnDatagram(buf[:n]) // bad datagrams already counted
+	}
 }
 
-// routeOrders is the lane-side order gate: suppressed while degraded,
-// otherwise recorded for ack routing and sent. It runs on lane goroutines
-// and must never take feedMu (see the field comment).
+// routeOrders is the order gate: suppressed while degraded, otherwise each
+// order is recorded for ack routing and sent. It runs on whichever goroutine
+// dispatches (a lane, or the feed goroutine inline) and must never take
+// feedMu (see the field comment).
 func (t *MultiTrader) routeOrders(sec int32, reqs []exchange.Request) {
-	if t.degraded.Load() || !t.client.Ready() {
+	if t.feedDegraded.Load() || !t.client.Ready() {
 		t.suppressed.Add(int64(len(reqs)))
 		return
 	}
-	t.ordersRouted.Add(int64(len(reqs)))
-	t.trackOrders(sec, reqs)
-	for _, req := range reqs {
+	for i, req := range reqs {
+		// Track before the write, as Client.sendLocked does: a torn write
+		// may still have reached the venue, and its ack needs an owner.
+		t.trackOrder(sec, req)
 		if err := t.client.Send(req); err != nil {
-			return // session dropped; cancel-on-disconnect applies
+			// The session dropped between the gate and the write; the client
+			// re-establishes and cancel-on-disconnect applies. The rest of
+			// the batch is never written, so no ack could ever retire it
+			// from the owner map: it stays untracked and counts as gated.
+			t.ordersRouted.Add(int64(i + 1))
+			t.suppressed.Add(int64(len(reqs) - i - 1))
+			return
 		}
 	}
+	t.ordersRouted.Add(int64(len(reqs)))
 }
 
-// trackOrders records outbound requests in the owner map for ack routing.
-func (t *MultiTrader) trackOrders(sec int32, reqs []exchange.Request) {
+// trackOrder records one outbound request in the owner map for ack routing.
+func (t *MultiTrader) trackOrder(sec int32, req exchange.Request) {
 	t.ownerMu.Lock()
 	defer t.ownerMu.Unlock()
-	for _, req := range reqs {
-		switch req.Kind {
-		case exchange.ReqNew:
-			t.owner[req.ClOrdID] = liveOrder{sec: sec, remaining: req.Qty}
-		case exchange.ReqReplace:
-			t.owner[req.NewClOrdID] = liveOrder{sec: sec, remaining: req.Qty,
-				replaces: req.ClOrdID}
-		default: // cancels target an id the map already tracks
-			if _, ok := t.owner[req.ClOrdID]; !ok {
-				t.owner[req.ClOrdID] = liveOrder{sec: sec}
-			}
+	switch req.Kind {
+	case exchange.ReqNew:
+		t.owner[req.ClOrdID] = liveOrder{sec: sec, remaining: req.Qty}
+	case exchange.ReqReplace:
+		t.owner[req.NewClOrdID] = liveOrder{sec: sec, remaining: req.Qty,
+			replaces: req.ClOrdID}
+	default: // cancels target an id the map already tracks
+		if _, ok := t.owner[req.ClOrdID]; !ok {
+			t.owner[req.ClOrdID] = liveOrder{sec: sec}
 		}
 	}
 }

@@ -279,8 +279,8 @@ func WithMaxQueue(n int) Option { return func(c *config) { c.maxQueue = n } }
 func WithBackpressure() Option { return func(c *config) { c.backpressure = true } }
 
 // WithInline runs the serving runtime inline on the caller's goroutine —
-// the degenerate serial configuration (orders return synchronously through
-// Server.OnDecodedPacket).
+// the degenerate serial configuration: a packet's orders have reached the
+// order sink before its Submit call returns.
 func WithInline() Option { return func(c *config) { c.inline = true } }
 
 // WithModelledClock runs serving admission and completion on modelled
