@@ -85,10 +85,11 @@ bench-smoke:
 
 # One iteration of each tick-path benchmark plus the zero-allocation
 # regression tests over the hot path (decode-into, book ops, snapshot,
-# histogram record, end-to-end tick): allocation creep fails CI here.
+# histogram record, end-to-end tick, model Predict): allocation creep fails
+# CI here.
 bench-tickpath:
 	$(GO) test -run='ZeroAlloc' -bench=. -benchtime=1x \
-		./internal/sbe/ ./internal/lob/ ./internal/latency/ ./internal/core/
+		./internal/sbe/ ./internal/lob/ ./internal/latency/ ./internal/core/ ./internal/nn/
 
 # Policy-matrix smoke: the full scheduler registry × three workloads over a
 # small trace via bench.RunMatrix, checked byte-identical across worker

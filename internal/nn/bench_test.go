@@ -25,6 +25,43 @@ func BenchmarkConv2DForward(b *testing.B) {
 	}
 }
 
+// BenchmarkConv2DZoo times the convolution geometries the zoo models are
+// built from: the first layer of every SizedCNN (full input width,
+// multiplied in place — what wire-cnn spends its time in), the ladder's
+// same-padded temporal conv and VanillaCNN's second stage (k×1 over a W = 1
+// activation: full width, but a patch too short for the in-place path, so
+// im2col), and DeepLOB's level fold (in place, strided) and (price,qty)
+// fold (im2col).
+func BenchmarkConv2DZoo(b *testing.B) {
+	cases := []struct {
+		name string
+		conv *Conv2D
+		in   []int
+	}{
+		{"full-4x40·1→8", NewConv2D(1, 8, 4, 40, 1, 1, 0, 0, ActReLU), []int{1, 100, 40}},
+		{"temporal-3x1-pad1·8→8@48", NewConv2D(8, 8, 3, 1, 1, 1, 1, 0, ActReLU), []int{8, 48, 1}},
+		{"stage2-4x1·64→64@48", NewConv2D(64, 64, 4, 1, 1, 1, 0, 0, ActReLU), []int{64, 48, 1}},
+		{"fold-1x10-s10·16→16", NewConv2D(16, 16, 1, 10, 1, 10, 0, 0, ActLeakyReLU), []int{16, 100, 10}},
+		{"fold-1x2-s2·1→16", NewConv2D(1, 16, 1, 2, 1, 2, 0, 0, ActLeakyReLU), []int{1, 100, 40}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range cases {
+		tc.conv.Init(rng)
+		x := tensor.New(tc.in...)
+		x.FillRandn(rng, 1)
+		b.Run(tc.name, func(b *testing.B) {
+			var p tensor.Pool
+			tc.conv.ForwardCtx(&p, x) // warm the arena
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Reset()
+				tc.conv.ForwardCtx(&p, x)
+			}
+		})
+	}
+}
+
 // BenchmarkLSTMStep measures one LSTM time step (T=1) at DeepLOB size.
 func BenchmarkLSTMStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -84,10 +121,12 @@ func BenchmarkModelInfer(b *testing.B) {
 }
 
 // BenchmarkModelPredict measures the end-to-end Predict path (pooled
-// scratch via sync.Pool), the call the trading pipeline makes per tick.
+// scratch via sync.Pool), the call the trading pipeline makes per tick, for
+// the paper models and for SizedCNN(8,0), the model perf's wire-cnn
+// workload runs.
 func BenchmarkModelPredict(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	for _, m := range BenchmarkModels() {
+	for _, m := range append(BenchmarkModels(), NewSizedCNN("SizedCNN-8-0", 8, 0)) {
 		m.Init(7)
 		x := tensor.New(m.InputShape...)
 		x.FillRandn(rng, 1)

@@ -43,13 +43,24 @@ func (c *Conv2D) Name() string {
 	return fmt.Sprintf("conv(%d→%d,%dx%d,s%dx%d,%s)", c.InC, c.OutC, c.KH, c.KW, c.SH, c.SW, c.Act)
 }
 
+// outDim is the number of positions a k-long window takes at stride s over
+// n inputs zero-padded by pad on both sides, 0 when the window does not fit.
+// The fit is its own test: Go's / truncates toward zero, so for a window up
+// to s−1 longer than the padded input (n+2·pad−k)/s + 1 reads 1, not ≤ 0.
+func outDim(n, k, s, pad int) int {
+	if n+2*pad < k {
+		return 0
+	}
+	return (n+2*pad-k)/s + 1
+}
+
 // OutShape implements Layer.
 func (c *Conv2D) OutShape(in []int) ([]int, error) {
 	if len(in) != 3 || in[0] != c.InC {
 		return nil, fmt.Errorf("nn: %s expects [%d,H,W], got %v", c.Name(), c.InC, in)
 	}
-	oh := (in[1]+2*c.PadH-c.KH)/c.SH + 1
-	ow := (in[2]+2*c.PadW-c.KW)/c.SW + 1
+	oh := outDim(in[1], c.KH, c.SH, c.PadH)
+	ow := outDim(in[2], c.KW, c.SW, c.PadW)
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("nn: %s output collapses for input %v", c.Name(), in)
 	}
@@ -59,22 +70,61 @@ func (c *Conv2D) OutShape(in []int) ([]int, error) {
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor { return c.ForwardCtx(nil, x) }
 
-// ForwardCtx implements Layer. The convolution is computed as im2col +
-// GEMM: the input is unfolded into a [InC·KH·KW, oh·ow] patch matrix, then
-// one [OutC,K]×[K,N] multiply on the blocked GEMM backend produces all
-// output channels, with the bias add and activation fused over each output
-// row. 1×1/stride-1/unpadded convolutions skip the unfold and multiply
-// against the input data directly.
+// ForwardCtx implements Layer. The multiply has three lowerings, chosen
+// from the layer's geometry and size alone; all three accumulate each
+// output as one float32 chain from +0 over (ic,ky,kx) ascending, so they
+// agree bit for bit. The bias add and activation are a separate pass over
+// each output row.
+//   - 1×1/stride-1/unpadded: the input already is the [InC, H·W] patch
+//     matrix; one GEMM against it.
+//   - full input width (KW == W, no width padding, so ow == 1) with a
+//     patch of at least minInPlaceRun floats per channel: every patch is a
+//     contiguous run of the input; multiplied in place.
+//   - otherwise im2col: unfold into a [InC·KH·KW, oh·ow] patch matrix,
+//     then one [OutC,K]×[K,N] multiply on the blocked GEMM backend.
 func (c *Conv2D) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(0) != c.InC {
 		panic(fmt.Sprintf("nn: %s expects [%d,H,W], got %v", c.Name(), c.InC, x.Shape()))
 	}
 	h, w := x.Dim(1), x.Dim(2)
-	oh := (h+2*c.PadH-c.KH)/c.SH + 1
-	ow := (w+2*c.PadW-c.KW)/c.SW + 1
+	oh := outDim(h, c.KH, c.SH, c.PadH)
+	ow := outDim(w, c.KW, c.SW, c.PadW)
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: %s output collapses for input %v", c.Name(), x.Shape()))
 	}
+	var out *tensor.Tensor
+	if c.inPlace(w, oh) {
+		out = newTensor(p, c.OutC, oh, ow)
+		c.mulInPlace(x, out)
+	} else {
+		out = c.mulGEMM(p, x, oh, ow)
+	}
+	c.biasAct(out)
+	return out
+}
+
+// minInPlaceRun is the shortest per-channel patch (KH·W floats) the
+// in-place lowering takes. MulAddNT is entered once per input channel with
+// that as its k, and on a k×1 kernel over a single-column activation (3–5
+// floats) the tiles cost more to enter than to run: ahead of im2col + GEMM
+// on narrow layers, level with or behind it at 48–64 channels (EXPERIMENTS
+// "Inference lowering"), so those layers stay where they were.
+const minInPlaceRun = 8
+
+// inPlace reports whether the in-place lowering applies: the kernel spans
+// the whole input width, each channel's patch is a run worth a kernel call,
+// and the multiply is small enough that the GEMM backend would run it
+// serially too. Larger ones keep im2col + GEMM, which fans out across the
+// worker pool.
+func (c *Conv2D) inPlace(w, oh int) bool {
+	return c.KW == w && c.PadW == 0 && c.KH*w >= minInPlaceRun &&
+		int64(c.OutC)*int64(oh)*int64(c.InC*c.KH*c.KW) < tensor.ParallelThreshold()
+}
+
+// mulGEMM returns the convolution before bias and activation as one
+// W[OutC,K]×cols[K,N] multiply on the GEMM backend, cols being the input
+// itself for a 1×1 kernel and the im2col unfold otherwise.
+func (c *Conv2D) mulGEMM(p *tensor.Pool, x *tensor.Tensor, oh, ow int) *tensor.Tensor {
 	k := c.InC * c.KH * c.KW
 	n := oh * ow
 	var cols *tensor.Tensor
@@ -87,6 +137,49 @@ func (c *Conv2D) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	wv := viewTensor(p, c.w.Data(), c.OutC, k)
 	ov := viewTensor(p, out.Data(), c.OutC, n)
 	tensor.MatMulInto(ov, wv, cols)
+	return out
+}
+
+// mulInPlace accumulates a full-width convolution (see inPlace) into the
+// zeroed out without unfolding: with KW == W the patch of output row oy in
+// channel ic is the KH·W contiguous floats from input row oy·SH−PadH, so
+// the patch matrix is the input plane read as overlapping rows at stride
+// SH·W. Interior rows go through one MulAddNT per input channel; a row
+// whose patch hangs over the top or bottom edge multiplies only the taps
+// inside the plane (the rest would add w·0, which never changes a chain
+// that starts at +0). MulAddNT continues each output's chain from out, so
+// walking the channels in order keeps the single (ic,ky,kx)-ascending sum.
+func (c *Conv2D) mulInPlace(x, out *tensor.Tensor) {
+	h, w, oh := x.Dim(1), x.Dim(2), out.Dim(1)
+	k := c.InC * c.KH * w
+	// Rows [lo,hi] read no padding; none do when hi < lo.
+	lo, hi := (c.PadH+c.SH-1)/c.SH, -1
+	if d := h + c.PadH - c.KH; d >= 0 {
+		hi = d / c.SH
+	}
+	xf, wf, of := x.Data(), c.w.Data(), out.Data()
+	for ic := 0; ic < c.InC; ic++ {
+		plane := xf[ic*h*w : (ic+1)*h*w]
+		wc := wf[ic*c.KH*w:]
+		for oy := 0; oy < oh; oy++ {
+			if oy == lo && lo <= hi {
+				tensor.MulAddNT(c.OutC, hi-lo+1, c.KH*w, wc, k, plane[(lo*c.SH-c.PadH)*w:], c.SH*w, of[lo:], oh)
+				oy = hi
+				continue
+			}
+			iy := oy*c.SH - c.PadH
+			ky0, ky1 := max(0, -iy), min(c.KH, h-iy)
+			if ky0 < ky1 {
+				tensor.MulAddNT(c.OutC, 1, (ky1-ky0)*w, wc[ky0*w:], k, plane[(iy+ky0)*w:], 0, of[oy:], oh)
+			}
+		}
+	}
+}
+
+// biasAct adds the per-channel bias and applies the activation over each
+// output row.
+func (c *Conv2D) biasAct(out *tensor.Tensor) {
+	n := out.Dim(1) * out.Dim(2)
 	of := out.Data()
 	for oc := 0; oc < c.OutC; oc++ {
 		row := of[oc*n : (oc+1)*n]
@@ -97,7 +190,6 @@ func (c *Conv2D) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 		}
 		applyAct(c.Act, row)
 	}
-	return out
 }
 
 // im2col unfolds x into the [InC·KH·KW, oh·ow] patch matrix. Row
@@ -200,8 +292,8 @@ func (p *MaxPool2D) OutShape(in []int) ([]int, error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("nn: maxpool expects rank 3, got %v", in)
 	}
-	oh := (in[1]-p.KH)/p.SH + 1
-	ow := (in[2]-p.KW)/p.SW + 1
+	oh := outDim(in[1], p.KH, p.SH, 0)
+	ow := outDim(in[2], p.KW, p.SW, 0)
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("nn: maxpool output collapses for input %v", in)
 	}
@@ -217,8 +309,8 @@ func (p *MaxPool2D) ForwardCtx(pool *tensor.Pool, x *tensor.Tensor) *tensor.Tens
 		panic(fmt.Sprintf("nn: maxpool expects rank 3, got %v", x.Shape()))
 	}
 	ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	oh := (h-p.KH)/p.SH + 1
-	ow := (w-p.KW)/p.SW + 1
+	oh := outDim(h, p.KH, p.SH, 0)
+	ow := outDim(w, p.KW, p.SW, 0)
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: maxpool output collapses for input %v", x.Shape()))
 	}

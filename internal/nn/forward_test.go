@@ -103,6 +103,178 @@ func TestConv2DBF16MatchesReference(t *testing.T) {
 	}
 }
 
+// convVia runs c with the multiply lowering forced: the in-place one, or
+// im2col + GEMM (production code for every other geometry, and the
+// reference the in-place path must reproduce bit for bit).
+func convVia(c *Conv2D, p *tensor.Pool, x *tensor.Tensor, inPlace bool) *tensor.Tensor {
+	shape, err := c.OutShape(x.Shape())
+	if err != nil {
+		panic(err)
+	}
+	var out *tensor.Tensor
+	if inPlace {
+		out = newTensor(p, shape...)
+		c.mulInPlace(x, out)
+	} else {
+		out = c.mulGEMM(p, x, shape[1], shape[2])
+	}
+	c.biasAct(out)
+	return out
+}
+
+func wantSameBits(t *testing.T, tag string, got, want *tensor.Tensor) {
+	t.Helper()
+	if !shapeEq(got.Shape(), want.Shape()) {
+		t.Fatalf("%s: shape %v vs %v", tag, got.Shape(), want.Shape())
+	}
+	for i, w := range want.Data() {
+		if g := got.Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+			t.Fatalf("%s: elem %d = %v (%#08x), want %v (%#08x)", tag, i, g, math.Float32bits(g), w, math.Float32bits(w))
+		}
+	}
+}
+
+// fullWidthCase draws the i-th full-width geometry (KW == W, no width
+// padding) of a sweep: every activation in turn, non-zero bias, H from the
+// smallest value the kernel fits, so rows clipped at the top, the bottom and
+// both at once (H < KH) all occur, as do odd OutC and odd oh for the tile
+// remainders and InC > 1 for the chain continuing across channels.
+func fullWidthCase(rng *rand.Rand, i int) (*Conv2D, *tensor.Tensor) {
+	acts := []Activation{ActNone, ActReLU, ActLeakyReLU, ActTanh, ActSigmoid}
+	inC, outC := 1+rng.Intn(6), 1+rng.Intn(9)
+	kh, sh, ph := 1+rng.Intn(5), 1+rng.Intn(3), rng.Intn(4)
+	w := 1 + rng.Intn(40)
+	h := max(1, kh-2*ph) + rng.Intn(3)*rng.Intn(8)
+	c := NewConv2D(inC, outC, kh, w, sh, 1+rng.Intn(3), ph, 0, acts[i%len(acts)])
+	c.Init(rng)
+	for j := range c.b {
+		c.b[j] = float32(rng.NormFloat64())
+	}
+	x := tensor.New(inC, h, w)
+	x.FillRandn(rng, 1)
+	return c, x
+}
+
+// TestConv2DDirectMatchesIm2colBitExact is the contract of the in-place
+// lowering: on every full-width geometry it produces the bits im2col + GEMM
+// does — heap and pool, and through ForwardCtx whichever of the two it
+// selects — and stays within the fp32 tolerance of the naive loop.
+func TestConv2DDirectMatchesIm2colBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var exactFit, shortInput, multiChannel, oddRows, oddOutC, selected int
+	for i := 0; i < 600; i++ {
+		c, x := fullWidthCase(rng, i)
+		h, w := x.Dim(1), x.Dim(2)
+		want := convVia(c, nil, x, false)
+		if want.Dim(2) != 1 {
+			t.Fatalf("%s on %v: ow = %d, want 1", c.Name(), x.Shape(), want.Dim(2))
+		}
+		got := convVia(c, nil, x, true)
+		wantSameBits(t, c.Name()+"/heap", got, want)
+		wantClose(t, c.Name()+"/reference", got, referenceConv(c, x), fwdAtol, fwdRtol)
+		var p tensor.Pool
+		for round := 0; round < 2; round++ {
+			p.Reset()
+			wantSameBits(t, c.Name()+"/pool", convVia(c, &p, x, true), want)
+			wantSameBits(t, c.Name()+"/forward", c.ForwardCtx(&p, x), want)
+		}
+		exactFit += b2i(h+2*c.PadH == c.KH)
+		shortInput += b2i(h < c.KH)
+		multiChannel += b2i(c.InC > 1)
+		oddRows += b2i(want.Dim(1)%2 == 1)
+		oddOutC += b2i(c.OutC%2 == 1)
+		selected += b2i(c.inPlace(w, want.Dim(1)))
+	}
+	for name, n := range map[string]int{
+		"H+2·PadH == KH": exactFit, "H < KH": shortInput, "InC > 1": multiChannel,
+		"odd oh": oddRows, "odd OutC": oddOutC, "selected by ForwardCtx": selected,
+	} {
+		if n < 20 {
+			t.Errorf("sweep met only %d cases with %s", n, name)
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestConv2DDirectBF16 repeats the sweep at the accelerator's storage
+// precision: BF16-rounded weights, bias and input.
+func TestConv2DDirectBF16(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 120; i++ {
+		c, x := fullWidthCase(rng, i)
+		c.w.RoundBF16()
+		tensor.RoundSliceBF16(c.b)
+		x.RoundBF16()
+		got := convVia(c, nil, x, true)
+		wantSameBits(t, c.Name()+"/bf16", got, convVia(c, nil, x, false))
+		wantClose(t, c.Name()+"/bf16-reference", got.RoundBF16(), referenceConv(c, x).RoundBF16(), bf16Atol, bf16Rtol)
+	}
+}
+
+// TestOutShapeRejectsWindowLargerThanInput: with stride ≥ 2 the truncating
+// division used to report one output position for a window up to stride−1
+// longer than the padded input; the forward pass then read the next
+// channel's rows (or past the tensor). Both layers must refuse the shape,
+// in OutShape and in the ForwardCtx guard, along H and along W.
+func TestOutShapeRejectsWindowLargerThanInput(t *testing.T) {
+	cases := []struct {
+		n, k, s, pad int
+		want         int // output length, 0 = refused
+	}{
+		{1, 2, 2, 0, 0}, // the zoo case: maxpool(2×1) over one row
+		{3, 4, 2, 0, 0},
+		{2, 4, 3, 0, 0},
+		{3, 5, 3, 0, 0},
+		{1, 4, 2, 1, 0}, // padded input still one short
+		{1, 5, 3, 1, 0},
+		{2, 2, 2, 0, 1}, // exact fit
+		{2, 4, 2, 1, 1}, // exact fit with padding
+		{1, 3, 3, 1, 1},
+		{5, 2, 2, 0, 2},
+		{4, 3, 1, 0, 2},
+	}
+	for _, tc := range cases {
+		checkOutShape(t, NewConv2D(2, 2, tc.k, 3, tc.s, 1, tc.pad, 0, ActNone), []int{2, tc.n, 3}, []int{2, tc.want, 1})
+		checkOutShape(t, NewConv2D(2, 2, 3, tc.k, 1, tc.s, 0, tc.pad, ActNone), []int{2, 3, tc.n}, []int{2, 1, tc.want})
+		if tc.pad == 0 { // pooling does not pad
+			checkOutShape(t, NewMaxPool2D(tc.k, 1, tc.s, 1), []int{2, tc.n, 3}, []int{2, tc.want, 3})
+			checkOutShape(t, NewMaxPool2D(1, tc.k, 1, tc.s), []int{2, 3, tc.n}, []int{2, 3, tc.want})
+		}
+	}
+}
+
+// checkOutShape holds l to want on input shape in, through OutShape and
+// through Forward; a zero in want means both must refuse the input.
+func checkOutShape(t *testing.T, l Layer, in, want []int) {
+	t.Helper()
+	got, err := l.OutShape(in)
+	if prod(want) == 0 {
+		if err == nil {
+			t.Errorf("%s: OutShape(%v) = %v, want an error", l.Name(), in, got)
+		}
+		refused := func() (r bool) {
+			defer func() { r = recover() != nil }()
+			l.Forward(tensor.New(in...))
+			return
+		}()
+		if !refused {
+			t.Errorf("%s: Forward on %v did not refuse the input", l.Name(), in)
+		}
+		return
+	}
+	if err != nil || !shapeEq(got, want) {
+		t.Errorf("%s: OutShape(%v) = %v, %v; want %v", l.Name(), in, got, err, want)
+	} else if out := l.Forward(tensor.New(in...)); !shapeEq(out.Shape(), want) {
+		t.Errorf("%s: Forward on %v gave %v, want %v", l.Name(), in, out.Shape(), want)
+	}
+}
+
 func TestMaxPool2DMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 100; i++ {
@@ -254,6 +426,33 @@ func TestPredictStillClassifies(t *testing.T) {
 		dir2, conf2, _ := m.Predict(x)
 		if dir2 != dir || conf2 != conf {
 			t.Fatalf("%s: predict not deterministic", m.Name())
+		}
+	}
+}
+
+// raceDetector is set by race_test.go when the race detector is compiled in.
+var raceDetector bool
+
+// TestPredictZeroAlloc gates the per-tick inference call: once its pooled
+// arena is warm, Predict allocates nothing — for the model perf's wire-cnn
+// workload runs, the complexity ladder and the three paper models.
+func TestPredictZeroAlloc(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	rng := rand.New(rand.NewSource(32))
+	models := append([]*Model{NewSizedCNN("SizedCNN-8-0", 8, 0)}, ComplexityLadder()...)
+	for _, m := range append(models, BenchmarkModels()...) {
+		x := tensor.New(m.InputShape...)
+		x.FillRandn(rng, 1)
+		predict := func() {
+			if _, _, err := m.Predict(x); err != nil {
+				t.Fatalf("%s: %v", m.Name(), err)
+			}
+		}
+		predict() // warm the arena
+		if n := testing.AllocsPerRun(10, predict); n != 0 {
+			t.Errorf("%s: Predict allocates %v per call, want 0", m.Name(), n)
 		}
 	}
 }

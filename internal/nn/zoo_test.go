@@ -82,6 +82,9 @@ func TestZooSpecValidation(t *testing.T) {
 		{Name: "neg-width", Arch: ZooCNN, Width: -1},
 		{Name: "odd-embed", Arch: ZooTransformer, Width: 10},
 		{Name: "bad-arch", Arch: ZooArch(9)},
+		// Stage 2's conv leaves one row; maxpool(2×1) does not fit it.
+		{Name: "pool-over-one-row-11", Arch: ZooCNN, Width: 4, ConvPoolStages: 2, Lookback: 11},
+		{Name: "pool-over-one-row-12", Arch: ZooCNN, Width: 4, ConvPoolStages: 2, Lookback: 12},
 	}
 	for _, s := range bad {
 		if _, err := BuildZoo(s); err == nil {

@@ -72,6 +72,9 @@ func SetParallelThreshold(ops int64) {
 	gemmParallelMin.Store(ops)
 }
 
+// ParallelThreshold returns the m·n·k product from which a GEMM fans out.
+func ParallelThreshold() int64 { return gemmParallelMin.Load() }
+
 // axpy computes y += a·x over equal-length slices, 8-way unrolled.
 func axpy(a float32, x, y []float32) {
 	i := 0
@@ -338,4 +341,54 @@ func Gemm(alpha float32, a *Tensor, transA bool, b *Tensor, transB bool, beta fl
 // alias a or b).
 func MatMulInto(dst, a, b *Tensor) {
 	Gemm(1, a, false, b, false, 0, dst)
+}
+
+// mac2x2 is MulAddNT's register tile: it continues the four chains sIJ of
+// rows a0, a1 against rows b0, b1 (all of b0's length) in ascending p. It is
+// a function of its own so that the accumulators and row pointers are all
+// the register allocator has to keep across the loop.
+func mac2x2(a0, a1, b0, b1 []float32, s00, s01, s10, s11 float32) (_, _, _, _ float32) {
+	a0, a1, b1 = a0[:len(b0)], a1[:len(b0)], b1[:len(b0)]
+	for p, v0 := range b0 {
+		v1 := b1[p]
+		w := a0[p]
+		s00 += w * v0
+		s01 += w * v1
+		w = a1[p]
+		s10 += w * v0
+		s11 += w * v1
+	}
+	return s00, s01, s10, s11
+}
+
+// MulAddNT computes c[i·ldc+j] += Σ_p a[i·lda+p]·b[j·ldb+p] for i < m,
+// j < n, p < k over raw row-major slices with explicit leading dimensions,
+// so rows of b may overlap (ldb < k): the full-width convolution reads its
+// patches straight out of the input that way.
+//
+// Each output continues its single float32 accumulation chain from the
+// value already in c, in ascending p. That makes the result bit-identical
+// to the no-transpose Gemm path over a materialised bᵀ (same products,
+// same order, one chain), and lets a caller split k across several calls —
+// one per input channel, say — without re-associating the sum. It is not
+// the Gemm NT path, whose four-chain dots round differently, and it is
+// always serial: SetWorkers and SetBlockSize do not apply.
+//
+// The kernel is register-tiled 2 rows of a × 2 rows of b, four accumulators
+// fed by four loads per p; an odd last row or column is paired with itself,
+// which computes (and stores) the same chain twice.
+func MulAddNT(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	if k <= 0 {
+		return
+	}
+	for i := 0; i < m; i += 2 {
+		i1 := min(i+1, m-1)
+		a0, a1 := a[i*lda:i*lda+k], a[i1*lda:i1*lda+k]
+		c0, c1 := c[i*ldc:i*ldc+n], c[i1*ldc:i1*ldc+n]
+		for j := 0; j < n; j += 2 {
+			j1 := min(j+1, n-1)
+			c0[j], c0[j1], c1[j], c1[j1] = mac2x2(a0, a1, b[j*ldb:j*ldb+k], b[j1*ldb:j1*ldb+k],
+				c0[j], c0[j1], c1[j], c1[j1])
+		}
+	}
 }
