@@ -43,7 +43,7 @@ bench: bench-sched
 # traffic regimes, with the Q-table trained first), archived as JSON so
 # policy regressions show up in the diff. See EXPERIMENTS.md.
 bench-sched:
-	$(GO) run ./cmd/ltbench -exp sched-matrix -json BENCH_sched.json
+	$(GO) run ./cmd/ltbench -exp sched-matrix -json BENCH_sched.json -parallel 0
 
 # The limited-power recovery sweep: the calibrated tight-horizon workload
 # through the simulator and the serving runtime with the Algorithm-2 power
@@ -78,18 +78,19 @@ bench-fanout:
 bench-all:
 	$(GO) test -run=^$$ -bench=. -benchmem ./...
 
-# One iteration of each kernel benchmark: a CI-speed check that the
-# benchmark code itself still compiles and runs.
+# One iteration of each kernel benchmark and of the scheduling-decision
+# benchmarks: a CI-speed check that the benchmark code itself still compiles
+# and runs.
 bench-smoke:
-	$(GO) test -run=^$$ -bench=. -benchtime=1x ./internal/tensor/ ./internal/nn/
+	$(GO) test -run=^$$ -bench=. -benchtime=1x ./internal/tensor/ ./internal/nn/ ./internal/sched/
 
 # One iteration of each tick-path benchmark plus the zero-allocation
 # regression tests over the hot path (decode-into, book ops, snapshot,
-# histogram record, end-to-end tick, model Predict): allocation creep fails
-# CI here.
+# histogram record, end-to-end tick, model Predict, a policy's Decide and a
+# scheduling-board round): allocation creep fails CI here.
 bench-tickpath:
 	$(GO) test -run='ZeroAlloc' -bench=. -benchtime=1x \
-		./internal/sbe/ ./internal/lob/ ./internal/latency/ ./internal/core/ ./internal/nn/
+		./internal/sbe/ ./internal/lob/ ./internal/latency/ ./internal/core/ ./internal/nn/ ./internal/sched/
 
 # Policy-matrix smoke: the full scheduler registry × three workloads over a
 # small trace via bench.RunMatrix, checked byte-identical across worker
@@ -117,16 +118,31 @@ power-smoke:
 	$(GO) test -race -run 'TestGovernorPowerCapProperty' ./internal/serve/
 	$(GO) test -race -run 'TestBoard' ./internal/sched/
 
-# One implementation per scheduling rule: Algorithm 2's steps, the DVFS
-# retime rule and the busy-view convention are applied by sched.Board alone.
-# Any other non-test caller (sched.go defines them, and SavePower itself
-# uses the retime rule) is a second copy of a Board rule in the making.
+# One implementation per scheduling rule. (1) Algorithm 2's steps, the DVFS
+# retime rule and the busy-view convention are applied by sched.Board alone,
+# on its sched.Table (sched.go defines the rule and the view). (2) Nothing on
+# a decision path evaluates the cost model: inside internal/sched only
+# table.go may call the definitions or rebuild the DVFS grid — the four lines
+# let through are the definitions themselves (TotalNanos, PPW), Validate and
+# StaticDVFSFor — and the simulator's engine and the serving runtime never
+# do. A hit is a second enumeration or a per-decision model evaluation
+# growing back: read the numbers from the Table instead.
 one-impl-check:
-	@bad=$$(grep -rnE '(^|[^.[:alnum:]_]|sched\.)(SavePower|Redistribute|BusyViewAt)\(|\.RetimedRemainingNanos\(' \
+	@bad=$$(grep -rnE '(^|[^.[:alnum:]_]|sched\.)BusyViewAt\(|\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
-		| grep -vE '^\./internal/sched/(board|sched)\.go:'); \
+		| grep -vE '^\./internal/sched/(board|table|sched)\.go:'); \
 	if [ -n "$$bad" ]; then \
 		echo "scheduling-board rule applied outside sched.Board:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE '\.(TotalNanos|BusyPower|PPW|InferenceNanos)\(|DVFSTable\(\)' \
+		--include='*.go' --exclude='*_test.go' internal/sched internal/core/system.go internal/serve \
+		| grep -vE '^internal/sched/table\.go:' \
+		| grep -vF -e 'tInfer := c.Kernel.InferenceNanos(c.Spec, d, batch)' \
+			-e 'return ppw(c.TotalNanos(d, batch), c.BusyPower(d), batch)' \
+			-e 'table := c.Spec.DVFSTable()' \
+			-e 'return spec.DVFSTable()[0], false'); \
+	if [ -n "$$bad" ]; then \
+		echo "cost model evaluated outside sched.Table:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile
@@ -177,6 +193,7 @@ fuzz-smoke:
 # differential and the degraded-mode trader regressions), the frontier
 # smoke (zoo training/pricing, degrade-ladder invariants and the
 # model-switch allocation gate), a short fuzz pass over the wire decoders,
-# the one-implementation check on the scheduling-board rules, and the
-# vet-and-test pass over the nested perf/ benchmark module.
+# the one-implementation check on the scheduling-board rules and the
+# profiled table, and the vet-and-test pass over the nested perf/ benchmark
+# module.
 ci: fmt-check vet build api-check one-impl-check perf-check race bench-smoke bench-tickpath sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke

@@ -179,8 +179,8 @@ var archives = []struct {
 	name string
 	run  func(tc bench.TrafficConfig, parallel int) (data []byte, table string, err error)
 }{
-	{"sched-matrix", func(tc bench.TrafficConfig, _ int) ([]byte, string, error) {
-		rows := bench.SchedMatrix(tc)
+	{"sched-matrix", func(tc bench.TrafficConfig, parallel int) ([]byte, string, error) {
+		rows := bench.SchedMatrixWorkers(tc, parallel)
 		data, err := bench.SchedMatrixJSON(tc, rows)
 		return data, bench.RenderSchedMatrix(rows), err
 	}},

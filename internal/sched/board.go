@@ -50,11 +50,13 @@ type Slot struct {
 // is single-threaded and the serving governor holds its mutex.
 type Board struct {
 	cfg *Config
-	// tierCfgs are the degrade ladder's cost models (tier t > 0 is
-	// tierCfgs[t-1]). Every tier shares cfg's Spec-level idle model and power
-	// budget, so cross-tier draw sums stay meaningful.
-	tierCfgs []*Config
-	pre      int64
+	// table is cfg's profiled Table — every watt the ledger prices and both
+	// steps of Algorithm 2 read it. tiers are the degrade ladder's (tier
+	// t > 0 is tiers[t-1]); every tier shares cfg's Spec-level idle model and
+	// power budget, so cross-tier draw sums stay meaningful.
+	table *Table
+	tiers []*Table
+	pre   int64
 	// dvfs gates Algorithm 2 (save, redistribute, park); without it the Board
 	// is a transactional power meter under Algorithm 1 admission.
 	dvfs  bool
@@ -62,9 +64,10 @@ type Board struct {
 	emit  func(sim.DVFSEvent)
 
 	slots []Slot
-	// scratch backs the busy views handed to policies and to Algorithm 2;
-	// reused across calls, never retained.
+	// scratch backs the busy views handed to policies and to Algorithm 2,
+	// changes what Algorithm 2 answers; reused across calls, never retained.
 	scratch []BusyAccel
+	changes []Change
 	// draw is Σ Slot.Draw in slot order (summed afresh after every change so
 	// both engines see one float value); maxDraw its high-water mark.
 	draw, maxDraw float64
@@ -75,8 +78,12 @@ type Board struct {
 // start; dvfs enables Algorithm 2; emit receives every DVFS event.
 func NewBoard(cfg *Config, tierCfgs []*Config, n int, prePipelineNanos int64, dvfs bool, emit func(sim.DVFSEvent)) *Board {
 	b := &Board{
-		cfg: cfg, tierCfgs: tierCfgs, pre: prePipelineNanos, dvfs: dvfs,
-		floor: cfg.Spec.DVFSTable()[0], emit: emit, slots: make([]Slot, n),
+		cfg: cfg, table: NewTable(cfg), pre: prePipelineNanos, dvfs: dvfs,
+		emit: emit, slots: make([]Slot, n),
+	}
+	b.floor = b.table.states[0]
+	for _, tc := range tierCfgs {
+		b.tiers = append(b.tiers, NewTable(tc))
 	}
 	b.Reset()
 	return b
@@ -133,13 +140,13 @@ func (b *Board) note() {
 	}
 }
 
-// cfgFor resolves a model tier to its cost model: 0 (and out-of-range) is
-// the primary config, t > 0 the t-th ladder rung.
-func (b *Board) cfgFor(tier int) *Config {
-	if tier > 0 && tier <= len(b.tierCfgs) {
-		return b.tierCfgs[tier-1]
+// tableFor resolves a model tier to its cost model: 0 (and out-of-range) is
+// the primary table, t > 0 the t-th ladder rung.
+func (b *Board) tableFor(tier int) *Table {
+	if tier > 0 && tier <= len(b.tiers) {
+		return b.tiers[tier-1]
 	}
-	return b.cfg
+	return b.table
 }
 
 // Context assembles the scheduling context for slot's decision at now: the
@@ -183,9 +190,9 @@ func (b *Board) views(now int64, retimable bool) []BusyAccel {
 			continue
 		}
 		v := BusyViewAt(i, s.State, s.Batch, s.MinDeadlineNanos, s.DoneNanos, now)
-		// Redistribute ranks scale-ups by the primary config's marginal PPW
-		// tables, which misprice a batch running a cheaper tier — degraded
-		// batches are excluded from upgrades (SavePower still sees them: its
+		// Redistribute ranks scale-ups by the primary Table's marginal PPW,
+		// which misprices a batch running a cheaper tier — degraded
+		// batches are excluded from upgrades (the saving step still sees them: its
 		// deadline feasibility is frequency-ratio-based, hence tier-free, and
 		// apply reprices the draw with the tier's own cost model).
 		if retimable && (s.Retimes != 0 || s.Tier != 0 || v.RemainingNanos <= amortise) {
@@ -214,7 +221,7 @@ func (b *Board) Commit(slot int, now int64, issue Issue, tier int, minDeadline i
 	s.Busy = true
 	s.Batch = issue.Batch
 	s.Tier = tier
-	s.Draw = b.cfgFor(tier).BusyPower(issue.DVFS)
+	s.Draw = b.tableFor(tier).busyPower(issue.DVFS)
 	s.DoneNanos = now + b.pre + issue.TotalNanos
 	s.MinDeadlineNanos = minDeadline
 	s.Retimes = 0
@@ -227,11 +234,11 @@ func (b *Board) Commit(slot int, now int64, issue Issue, tier int, minDeadline i
 // issue that failed on power. A power emergency may retime a batch that was
 // already retimed. Reports whether anything changed (a retry can succeed).
 func (b *Board) Save(now int64) bool {
-	changes := SavePower(b.cfg, b.views(now, false))
-	for _, ch := range changes {
+	b.changes = b.table.savePower(b.changes[:0], b.views(now, false))
+	for _, ch := range b.changes {
 		b.apply(ch, now, sim.DVFSSave)
 	}
-	return len(changes) > 0
+	return len(b.changes) > 0
 }
 
 // Redistribute is Algorithm 2's second step: spend the residual budget
@@ -253,8 +260,9 @@ func (b *Board) Redistribute(now int64, pending int) {
 	if idle < 0 {
 		idle = 0 // an online engine's pending count can transiently undershoot
 	}
-	reserve := float64(idle) * (b.cfg.BusyPower(b.floor) - b.cfg.Spec.IdlePower(b.floor))
-	for _, ch := range Redistribute(b.cfg, views, b.cfg.PowerBudgetWatts-b.draw-reserve) {
+	reserve := float64(idle) * (b.table.busy[0] - b.cfg.Spec.IdlePower(b.floor))
+	b.changes = b.table.redistribute(b.changes[:0], views, b.cfg.PowerBudgetWatts-b.draw-reserve)
+	for _, ch := range b.changes {
 		b.apply(ch, now, sim.DVFSRedistribute)
 	}
 }
@@ -267,8 +275,8 @@ func (b *Board) Redistribute(now int64, pending int) {
 // busy, unfinished, and not already at the target.
 func (b *Board) apply(ch Change, now int64, reason sim.DVFSReason) {
 	s := &b.slots[ch.ID]
-	cfg := b.cfgFor(s.Tier)
-	done := now + cfg.RetimedRemainingNanos(s.DoneNanos-now, s.State, ch.DVFS)
+	t := b.tableFor(s.Tier)
+	done := now + t.cfg.RetimedRemainingNanos(s.DoneNanos-now, s.State, ch.DVFS)
 	b.emit(sim.DVFSEvent{
 		TimeNanos: now, Accel: ch.ID, Reason: reason,
 		FromGHz: s.State.FreqGHz, ToGHz: ch.DVFS.FreqGHz, RetimedNanos: done - s.DoneNanos,
@@ -279,7 +287,7 @@ func (b *Board) apply(ch Change, now int64, reason sim.DVFSReason) {
 		s.Redistributes++
 	}
 	s.State = ch.DVFS
-	s.Draw = cfg.BusyPower(ch.DVFS)
+	s.Draw = t.busyPower(ch.DVFS)
 	s.DoneNanos = done
 	s.Retimes++
 	b.note()

@@ -20,6 +20,7 @@ type boardHarness struct {
 	events []sim.DVFSEvent // events the operation emitted
 	redist map[int]int     // Redistribute retimes of each slot's in-flight batch
 	rng    *rand.Rand
+	floor  int64 // the primary model's latency floor: the scale time advances on
 }
 
 const boardPre = 350
@@ -33,6 +34,7 @@ func newBoardHarness(t *testing.T, seed int64, n int, budget float64) *boardHarn
 		tc.PowerBudgetWatts = budget
 	}
 	h.b = NewBoard(h.cfg, h.tiers, n, boardPre, true, func(e sim.DVFSEvent) { h.events = append(h.events, e) })
+	h.floor = NewTable(h.cfg).MinTotalNanos()
 	return h
 }
 
@@ -99,7 +101,8 @@ func (h *boardHarness) issue(slot, tier int) bool {
 	}
 	queued := 1 + h.rng.Intn(16)
 	// From hopeless to lavish: both infeasibility verdicts must occur.
-	avail := cfg.MinTotalNanos()/2 + h.rng.Int63n(6*cfg.MinTotalNanos())
+	floor := NewTable(cfg).MinTotalNanos()
+	avail := floor/2 + h.rng.Int63n(6*floor)
 	decide := func() (Issue, Verdict) {
 		ctx := h.b.Context(slot, h.now, queued, avail, 1)
 		return PickIssueExplained(cfg, queued, avail, ctx.PowerAvailWatts, ctx.Current)
@@ -166,7 +169,7 @@ func TestBoardRandomOperationInvariants(t *testing.T) {
 					h.step("retire", func() { h.b.Retire(s, done) })
 				}
 			default:
-				h.now += h.rng.Int63n(h.cfg.MinTotalNanos())
+				h.now += h.rng.Int63n(h.floor)
 			}
 		}
 		for i := 0; i < h.b.Len(); i++ {

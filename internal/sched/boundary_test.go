@@ -12,16 +12,12 @@ import (
 func TestRedistributeConsumesExactBudget(t *testing.T) {
 	cfg := testConfig(t, true, true)
 	table := cfg.Spec.DVFSTable()
-	cur := table[3]
-	next, ok := nextState(table, cur)
-	if !ok {
-		t.Fatal("no state above table[3]")
-	}
+	cur, next := table[3], table[4]
 	busy := []BusyAccel{{ID: 0, DVFS: cur, Batch: 4, SlackNanos: 1 << 40, RemainingNanos: 1 << 30}}
 	inc := cfg.BusyPower(next) - cfg.BusyPower(cur)
 
 	// Budget exactly equal to the one-step cost: the step must be taken.
-	changes := Redistribute(cfg, busy, inc)
+	changes := NewTable(cfg).redistribute(nil, busy, inc)
 	if len(changes) != 1 || changes[0].DVFS != next {
 		t.Fatalf("exact-budget upgrade rejected: changes = %+v, want one step to %.1f GHz",
 			changes, next.FreqGHz)
@@ -29,7 +25,7 @@ func TestRedistributeConsumesExactBudget(t *testing.T) {
 
 	// Budget epsilon short of the cost: the step must be rejected — PowerEps
 	// absorbs float noise, not a real shortfall.
-	if changes := Redistribute(cfg, busy, inc-1e-6); len(changes) != 0 {
+	if changes := NewTable(cfg).redistribute(nil, busy, inc-1e-6); len(changes) != 0 {
 		t.Fatalf("under-budget upgrade accepted: changes = %+v", changes)
 	}
 }
@@ -46,7 +42,7 @@ func TestRedistributeNeverOvershootsBudget(t *testing.T) {
 	for _, avail := range []float64{0, 0.1, 0.5, 1, 2, 5, 20} {
 		state := map[int]cgra.DVFSState{0: table[0], 1: table[1]}
 		var spent float64
-		for _, ch := range Redistribute(cfg, busy, avail) {
+		for _, ch := range NewTable(cfg).redistribute(nil, busy, avail) {
 			spent += cfg.BusyPower(ch.DVFS) - cfg.BusyPower(state[ch.ID])
 			state[ch.ID] = ch.DVFS
 		}
@@ -69,7 +65,7 @@ func TestSavePowerExactSlackBoundary(t *testing.T) {
 	// Slack exactly equal to the stretch cost of the floor state: the saving
 	// step must scale all the way down to the floor.
 	busy := []BusyAccel{{ID: 0, DVFS: cur, Batch: 1, SlackNanos: extra, RemainingNanos: remaining}}
-	changes := SavePower(cfg, busy)
+	changes := NewTable(cfg).savePower(nil, busy)
 	if len(changes) != 1 || changes[0].DVFS != floor {
 		t.Fatalf("exact-slack scale-down rejected: changes = %+v, want floor %.1f GHz",
 			changes, floor.FreqGHz)
@@ -78,7 +74,7 @@ func TestSavePowerExactSlackBoundary(t *testing.T) {
 	// One nanosecond less and the floor state no longer fits; whatever state
 	// is chosen instead (if any) must cost no more than the slack.
 	busy[0].SlackNanos = extra - 1
-	for _, ch := range SavePower(cfg, busy) {
+	for _, ch := range NewTable(cfg).savePower(nil, busy) {
 		if ch.DVFS == floor {
 			t.Fatalf("floor state accepted with insufficient slack")
 		}

@@ -2,14 +2,15 @@ package sched
 
 // Model-tier degradation (the inference-compute-frontier seam). A degrade
 // ladder is a cost-descending list of cheaper compiled models, each with its
-// own Config (latency tables, activity factor, static DVFS point) sharing
-// the primary Config's accelerator Spec and power budget. When the primary
-// model is deadline- or power-infeasible for the oldest query, the engine
-// re-runs admission down the ladder and issues on the first tier that fits
-// instead of dropping — trading prediction accuracy for a response.
+// own Config (kernel, activity factor, static DVFS point — hence its own
+// profiled Table) sharing the primary Config's accelerator Spec and power
+// budget. When the primary model is deadline- or power-infeasible for the
+// oldest query, the engine re-runs admission down the ladder and issues on
+// the first tier that fits instead of dropping — trading prediction accuracy
+// for a response.
 
-// ModelTier couples one cheaper model's scheduling tables with the policy
-// instance that answers admission questions against them.
+// ModelTier couples one cheaper model's cost model with the policy instance
+// that answers admission questions against its Table.
 type ModelTier struct {
 	// Cfg is the tier's compiled cost model. It must share the primary
 	// Config's Spec and PowerBudgetWatts: the ladder changes what runs,

@@ -1,72 +1,13 @@
 package sched
 
 // Baseline scheduling policies: the naive strategies the paper's proactive
-// scheduler claims to beat. All of them reuse Algorithm 1's candidate
-// enumeration (the same deadline and power feasibility tests, the same
-// WS/DS feature switches, the same switch-stall overlap model) and differ
-// only in which feasible candidate they pick — so the comparison in
-// internal/bench isolates the ranking objective, not the safety checks,
-// and every policy upholds the hard invariants by construction.
-
-import "lighttrader/internal/cgra"
-
-// decideScored enumerates the feasible (dvfs, batch) candidate space for
-// ctx — identical feasibility and verdict attribution to
-// PickIssueExplained — restricted to batch sizes ≤ maxBatch, and returns
-// the highest-scoring feasible candidate. Ties keep the first candidate in
-// table order (ascending DVFS state, then ascending batch), which makes
-// every policy built on it deterministic.
-func decideScored(cfg *Config, ctx SchedContext, maxBatch int,
-	score func(d cgra.DVFSState, bs int, tTotal int64) float64) Decision {
-	if ctx.Queued <= 0 {
-		return Decision{Verdict: VerdictNoQueue}
-	}
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	var best Issue
-	bestScore := 0.0
-	found := false
-	deadlineOK := false
-	// The PMIC/PLL transition overlaps the C2C input DMA (see PickIssue).
-	overlap := cfg.Link.TransferNanos(cfg.Kernel.InputBytes)
-	for _, d := range cfg.dvfsOptions() {
-		var sw int64
-		if d != ctx.Current {
-			sw = cfg.Spec.DVFSSwitchNanos - overlap
-			if sw < 0 {
-				sw = 0
-			}
-		}
-		for _, bs := range cfg.batchOptions() {
-			if bs > ctx.Queued || bs > maxBatch {
-				continue
-			}
-			tTotal := cfg.TotalNanos(d, bs) + sw
-			if tTotal >= ctx.AvailNanos {
-				continue
-			}
-			deadlineOK = true
-			if cfg.BusyPower(d) >= ctx.PowerAvailWatts {
-				continue
-			}
-			s := score(d, bs, tTotal)
-			if !found || s > bestScore {
-				found = true
-				bestScore = s
-				best = Issue{Batch: bs, DVFS: d, SwitchNanos: sw, TotalNanos: tTotal}
-			}
-		}
-	}
-	switch {
-	case found:
-		return Decision{Issue: best, Verdict: VerdictIssued}
-	case deadlineOK:
-		return Decision{Verdict: VerdictPowerInfeasible}
-	default:
-		return Decision{Verdict: VerdictDeadlineInfeasible}
-	}
-}
+// scheduler claims to beat. All of them pick through Algorithm 1's one
+// candidate enumeration, Table.pick (the same deadline and power
+// feasibility tests, the same WS/DS feature switches, the same switch-stall
+// overlap model), and differ only in the score they hand it — so the
+// comparison in internal/bench isolates the ranking objective, not the
+// safety checks, and every policy upholds the hard invariants by
+// construction.
 
 // FCFSScheduler serves queries strictly in arrival order, one per issue:
 // no batching, no objective — the oldest query runs as soon as an
@@ -74,40 +15,38 @@ func decideScored(cfg *Config, ctx SchedContext, maxBatch int,
 // that is feasible (no switch stall), otherwise at the slowest feasible
 // state. It is the queueing-theory null hypothesis the paper's workload
 // scheduling is measured against.
-type FCFSScheduler struct{ cfg *Config }
+type FCFSScheduler struct{ t *Table }
 
 // NewFCFSScheduler builds the FCFS baseline over cfg.
-func NewFCFSScheduler(cfg *Config) *FCFSScheduler { return &FCFSScheduler{cfg: cfg} }
+func NewFCFSScheduler(cfg *Config) *FCFSScheduler { return &FCFSScheduler{t: NewTable(cfg)} }
 
 // Name implements Scheduler.
 func (s *FCFSScheduler) Name() string { return "fcfs" }
 
 // Decide implements Scheduler.
 func (s *FCFSScheduler) Decide(ctx SchedContext) Decision {
-	return decideScored(s.cfg, ctx, 1, func(d cgra.DVFSState, bs int, tTotal int64) float64 {
-		if d == ctx.Current {
-			return 1 // stay put: no switch stall
+	return s.t.decide(ctx, 1, func(si, _ int, _ int64) float64 {
+		if d := s.t.states[si]; d != ctx.Current {
+			return -d.FreqGHz // the slowest feasible state
 		}
-		return -d.FreqGHz // else the slowest feasible state
+		return 1 // stay put: no switch stall
 	})
 }
 
 // GreedyScheduler always issues the largest feasible batch, breaking ties
 // by the fastest completion. It maximises instantaneous throughput with no
 // regard for power efficiency — the "just batch everything" strawman.
-type GreedyScheduler struct{ cfg *Config }
+type GreedyScheduler struct{ t *Table }
 
 // NewGreedyScheduler builds the greedy max-batch baseline over cfg.
-func NewGreedyScheduler(cfg *Config) *GreedyScheduler { return &GreedyScheduler{cfg: cfg} }
+func NewGreedyScheduler(cfg *Config) *GreedyScheduler { return &GreedyScheduler{t: NewTable(cfg)} }
 
 // Name implements Scheduler.
 func (s *GreedyScheduler) Name() string { return "greedy" }
 
 // Decide implements Scheduler.
 func (s *GreedyScheduler) Decide(ctx SchedContext) Decision {
-	return decideScored(s.cfg, ctx, ctx.Queued, func(d cgra.DVFSState, bs int, tTotal int64) float64 {
-		return float64(bs)*1e12 - float64(tTotal)
-	})
+	return s.t.decide(ctx, ctx.Queued, s.t.byBatch)
 }
 
 // RoundRobinScheduler assigns the backlog to lanes round-robin: instead of
@@ -115,11 +54,11 @@ func (s *GreedyScheduler) Decide(ctx SchedContext) Decision {
 // batch, each decision takes only its fair share ⌈queued/idle⌉ of the
 // queue, spreading work evenly across the idle accelerators. Within its
 // share it behaves greedily (largest feasible batch, fastest completion).
-type RoundRobinScheduler struct{ cfg *Config }
+type RoundRobinScheduler struct{ t *Table }
 
 // NewRoundRobinScheduler builds the round-robin fair-share baseline.
 func NewRoundRobinScheduler(cfg *Config) *RoundRobinScheduler {
-	return &RoundRobinScheduler{cfg: cfg}
+	return &RoundRobinScheduler{t: NewTable(cfg)}
 }
 
 // Name implements Scheduler.
@@ -132,9 +71,7 @@ func (s *RoundRobinScheduler) Decide(ctx SchedContext) Decision {
 		idle = 1
 	}
 	share := (ctx.Queued + idle - 1) / idle
-	return decideScored(s.cfg, ctx, share, func(d cgra.DVFSState, bs int, tTotal int64) float64 {
-		return float64(bs)*1e12 - float64(tTotal)
-	})
+	return s.t.decide(ctx, share, s.t.byBatch)
 }
 
 // SJFScheduler is shortest-job-first over the modelled batch cost: among
@@ -143,17 +80,15 @@ func (s *RoundRobinScheduler) Decide(ctx SchedContext) Decision {
 // model) is smallest. It minimises per-decision service time — which under
 // load collapses to single-query issues at the fastest state, burning the
 // power budget the PPW objective would save.
-type SJFScheduler struct{ cfg *Config }
+type SJFScheduler struct{ t *Table }
 
 // NewSJFScheduler builds the SJF baseline over cfg.
-func NewSJFScheduler(cfg *Config) *SJFScheduler { return &SJFScheduler{cfg: cfg} }
+func NewSJFScheduler(cfg *Config) *SJFScheduler { return &SJFScheduler{t: NewTable(cfg)} }
 
 // Name implements Scheduler.
 func (s *SJFScheduler) Name() string { return "sjf" }
 
 // Decide implements Scheduler.
 func (s *SJFScheduler) Decide(ctx SchedContext) Decision {
-	return decideScored(s.cfg, ctx, ctx.Queued, func(d cgra.DVFSState, bs int, tTotal int64) float64 {
-		return -float64(tTotal)
-	})
+	return s.t.decide(ctx, ctx.Queued, byLatency)
 }

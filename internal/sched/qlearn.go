@@ -16,11 +16,7 @@ package sched
 // randomness comes from the seeded exploration source, so training is
 // exactly reproducible.
 
-import (
-	"math/rand"
-
-	"lighttrader/internal/cgra"
-)
+import "math/rand"
 
 // QConfig parameterises the tabular learner.
 type QConfig struct {
@@ -53,12 +49,10 @@ func DefaultQConfig() QConfig {
 // frozen (non-training) instance is read-only in Decide and therefore safe
 // to share across serving lanes.
 type QScheduler struct {
-	cfg  *Config
+	t    *Table
 	qcfg QConfig
 
-	dvfs    []cgra.DVFSState
-	batches []int
-	actions int // len(dvfs)*len(batches) issue actions + 1 defer action
+	actions int // one issue action per selectable (state, batch) of t + 1 defer action
 
 	q      []float64 // state-major: q[state*actions+action]
 	visits []int
@@ -66,16 +60,16 @@ type QScheduler struct {
 	training bool
 	rng      *rand.Rand
 
-	// last is the pending (state, action, reward) transition awaiting its
-	// successor state for the Q update.
-	last struct {
-		state, action int
-		reward        float64
-		valid         bool
-	}
+	// last is the pending transition awaiting its successor state for the Q
+	// update.
+	last transition
+}
 
-	minTotal int64
-	topBusy  float64
+// transition is one (state, action, reward) step of the learner.
+type transition struct {
+	state, action int
+	reward        float64
+	valid         bool
 }
 
 // NewQScheduler builds a Q-table policy bound to cfg. The action space is
@@ -83,25 +77,14 @@ type QScheduler struct {
 // applies to that Config.
 func NewQScheduler(cfg *Config, qcfg QConfig) *QScheduler {
 	s := &QScheduler{
-		cfg:     cfg,
-		qcfg:    qcfg,
-		dvfs:    cfg.dvfsOptions(),
-		batches: cfg.batchOptions(),
-		rng:     rand.New(rand.NewSource(qcfg.Seed)),
+		t:    NewTable(cfg),
+		qcfg: qcfg,
+		rng:  rand.New(rand.NewSource(qcfg.Seed)),
 	}
-	s.actions = len(s.dvfs)*len(s.batches) + 1
+	s.actions = (len(s.t.states)-s.t.first)*len(s.t.batches) + 1
 	states := qcfg.QueueBuckets * qcfg.SlackBuckets * qcfg.PowerBuckets
 	s.q = make([]float64, states*s.actions)
 	s.visits = make([]int, states)
-	s.minTotal = cfg.MinTotalNanos()
-	if s.minTotal < 1 {
-		s.minTotal = 1
-	}
-	top := s.dvfs[len(s.dvfs)-1]
-	s.topBusy = cfg.BusyPower(top)
-	if s.topBusy <= 0 {
-		s.topBusy = 1
-	}
 	return s
 }
 
@@ -141,17 +124,22 @@ func bucketLog2(v, n int) int {
 	return b
 }
 
-// stateOf discretises a context.
+// stateOf discretises a context: slack in units of the table's latency
+// floor, power headroom in units of the top selectable state's busy draw.
 func (s *QScheduler) stateOf(ctx SchedContext) int {
 	qb := bucketLog2(ctx.Queued, s.qcfg.QueueBuckets)
 	slack := 0
 	if ctx.AvailNanos > 0 {
-		slack = int(ctx.AvailNanos / s.minTotal)
+		slack = int(ctx.AvailNanos / max(s.t.MinTotalNanos(), 1))
 	}
 	sb := bucketLog2(slack, s.qcfg.SlackBuckets)
 	pw := 0
 	if ctx.PowerAvailWatts > 0 {
-		pw = int(ctx.PowerAvailWatts / s.topBusy)
+		top := s.t.busy[len(s.t.busy)-1]
+		if top <= 0 {
+			top = 1
+		}
+		pw = int(ctx.PowerAvailWatts / top)
 	}
 	if pw > s.qcfg.PowerBuckets-1 {
 		pw = s.qcfg.PowerBuckets - 1
@@ -159,66 +147,29 @@ func (s *QScheduler) stateOf(ctx SchedContext) int {
 	return (qb*s.qcfg.SlackBuckets+sb)*s.qcfg.PowerBuckets + pw
 }
 
-// candidate is one feasible action at decision time.
-type qCandidate struct {
-	action int
-	issue  Issue
+// action is the Q-table column of issue candidate (si, bi).
+func (s *QScheduler) action(si, bi int) int { return (si-s.t.first)*len(s.t.batches) + bi }
+
+// greedy is the highest-valued action of the masked set at (state, ctx):
+// Table.pick with the Q-table as the score.
+func (s *QScheduler) greedy(state int, ctx SchedContext) (si, bi int, v Verdict) {
+	return s.t.pick(ctx, ctx.Queued, func(si, bi int, _ int64) float64 {
+		return s.q[state*s.actions+s.action(si, bi)]
+	})
 }
 
-// feasible enumerates the masked action set for ctx, in table order.
-func (s *QScheduler) feasible(ctx SchedContext) (cands []qCandidate, deadlineOK bool) {
-	overlap := s.cfg.Link.TransferNanos(s.cfg.Kernel.InputBytes)
-	for di, d := range s.dvfs {
-		var sw int64
-		if d != ctx.Current {
-			sw = s.cfg.Spec.DVFSSwitchNanos - overlap
-			if sw < 0 {
-				sw = 0
-			}
-		}
-		for bi, bs := range s.batches {
-			if bs > ctx.Queued {
-				continue
-			}
-			tTotal := s.cfg.TotalNanos(d, bs) + sw
-			if tTotal >= ctx.AvailNanos {
-				continue
-			}
-			deadlineOK = true
-			if s.cfg.BusyPower(d) >= ctx.PowerAvailWatts {
-				continue
-			}
-			cands = append(cands, qCandidate{
-				action: di*len(s.batches) + bi,
-				issue:  Issue{Batch: bs, DVFS: d, SwitchNanos: sw, TotalNanos: tTotal},
-			})
-		}
-	}
-	return cands, deadlineOK
-}
-
-// maxQ returns the highest Q value over the given actions at state.
-func (s *QScheduler) maxQ(state int, cands []qCandidate) float64 {
-	if len(cands) == 0 {
-		return s.q[state*s.actions+s.deferAction()]
-	}
-	best := s.q[state*s.actions+cands[0].action]
-	for _, c := range cands[1:] {
-		if v := s.q[state*s.actions+c.action]; v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// update applies the pending transition's Q update, bootstrapping from the
-// successor state's masked action set.
-func (s *QScheduler) update(nextState int, nextCands []qCandidate) {
+// learn applies the pending transition's Q update, bootstrapping from the
+// best masked action at the successor (state, ctx).
+func (s *QScheduler) learn(state int, ctx SchedContext) {
 	if !s.last.valid {
 		return
 	}
+	next := s.deferAction()
+	if si, bi, v := s.greedy(state, ctx); v == VerdictIssued {
+		next = s.action(si, bi)
+	}
 	idx := s.last.state*s.actions + s.last.action
-	target := s.last.reward + s.qcfg.Gamma*s.maxQ(nextState, nextCands)
+	target := s.last.reward + s.qcfg.Gamma*s.q[state*s.actions+next]
 	s.q[idx] += s.qcfg.Alpha * (target - s.q[idx])
 	s.last.valid = false
 }
@@ -234,6 +185,21 @@ func (s *QScheduler) EndEpisode() {
 	s.last.valid = false
 }
 
+// explore draws one of ctx's feasible candidates uniformly: one walk of the
+// action mask counts them, a second scores only the drawn one.
+func (s *QScheduler) explore(ctx SchedContext) (si, bi int) {
+	n := 0
+	s.t.pick(ctx, ctx.Queued, func(int, int, int64) float64 { n++; return 0 })
+	k := s.rng.Intn(n)
+	si, bi, _ = s.t.pick(ctx, ctx.Queued, func(int, int, int64) float64 {
+		if k--; k == -1 {
+			return 1
+		}
+		return 0
+	})
+	return si, bi
+}
+
 // Decide implements Scheduler: mask infeasible actions, act greedily on the
 // table (ε-greedy while training), and learn from the reward stream.
 func (s *QScheduler) Decide(ctx SchedContext) Decision {
@@ -241,41 +207,23 @@ func (s *QScheduler) Decide(ctx SchedContext) Decision {
 		return Decision{Verdict: VerdictNoQueue}
 	}
 	state := s.stateOf(ctx)
-	cands, deadlineOK := s.feasible(ctx)
 	if s.training {
-		s.update(state, cands)
+		s.learn(state, ctx)
 		s.visits[state]++
 	}
-	if len(cands) == 0 {
-		v := VerdictDeadlineInfeasible
-		if deadlineOK {
-			v = VerdictPowerInfeasible
-		}
+	si, bi, v := s.greedy(state, ctx)
+	if v != VerdictIssued {
 		if s.training {
-			s.last.state = state
-			s.last.action = s.deferAction()
-			s.last.reward = -s.qcfg.MissPenalty
-			s.last.valid = true
+			s.last = transition{state, s.deferAction(), -s.qcfg.MissPenalty, true}
 		}
 		return Decision{Verdict: v}
 	}
-	pick := cands[0]
 	if s.training && s.rng.Float64() < s.qcfg.Epsilon {
-		pick = cands[s.rng.Intn(len(cands))]
-	} else {
-		bestQ := s.q[state*s.actions+pick.action]
-		for _, c := range cands[1:] {
-			if v := s.q[state*s.actions+c.action]; v > bestQ {
-				bestQ = v
-				pick = c
-			}
-		}
+		si, bi = s.explore(ctx)
 	}
+	issue := s.t.issue(si, bi, ctx.Current)
 	if s.training {
-		s.last.state = state
-		s.last.action = pick.action
-		s.last.reward = float64(pick.issue.Batch)
-		s.last.valid = true
+		s.last = transition{state, s.action(si, bi), float64(issue.Batch), true}
 	}
-	return Decision{Issue: pick.issue, Verdict: VerdictIssued}
+	return Decision{Issue: issue, Verdict: VerdictIssued}
 }

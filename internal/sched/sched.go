@@ -3,10 +3,11 @@
 // (Algorithm 1: jointly choosing batch size and DVFS state for each issued
 // batch under deadline and power constraints) and DVFS scheduling
 // (Algorithm 2: redistributing the residual power budget across busy
-// accelerators by marginal PPW). The functions in this file are pure decision
-// logic; Board (board.go) is the runtime state they act on — the accelerator
-// array and power ledger both execution engines (internal/core on simulator
-// event time, internal/serve behind a mutex) drive.
+// accelerators by marginal PPW). This file defines the cost model; Table
+// (table.go) profiles it once and is where both algorithms run; Board
+// (board.go) is the runtime state they act on — the accelerator array and
+// power ledger both execution engines (internal/core on simulator event
+// time, internal/serve behind a mutex) drive.
 package sched
 
 import (
@@ -75,25 +76,6 @@ type Config struct {
 // DefaultBatchOptions is the batch ladder explored by Algorithm 1.
 func DefaultBatchOptions() []int { return []int{1, 2, 4, 8, 16} }
 
-// batchOptions returns the ladder honouring the WS switch.
-func (c *Config) batchOptions() []int {
-	if !c.WorkloadScheduling {
-		return []int{1}
-	}
-	if len(c.BatchOptions) == 0 {
-		return DefaultBatchOptions()
-	}
-	return c.BatchOptions
-}
-
-// dvfsOptions returns the state table honouring the DS switch.
-func (c *Config) dvfsOptions() []cgra.DVFSState {
-	if !c.DVFSScheduling {
-		return []cgra.DVFSState{c.StaticDVFS}
-	}
-	return c.Spec.DVFSTable()
-}
-
 // TotalNanos is t_total of Algorithm 1: C2C input transfer + inference +
 // result return + post-processing, for a batch at a DVFS state.
 func (c *Config) TotalNanos(d cgra.DVFSState, batch int) int64 {
@@ -101,25 +83,6 @@ func (c *Config) TotalNanos(d cgra.DVFSState, batch int) int64 {
 		c.Link.TransferNanos(c.Kernel.OutputBytes*int64(batch))
 	tInfer := c.Kernel.InferenceNanos(c.Spec, d, batch)
 	return tTrans + tInfer + c.PostProcessNanos
-}
-
-// MinTotalNanos is the fastest achievable batch-1 t_total across the
-// DVFS states Algorithm 1 may use — the floor of the latency table. An
-// online dispatcher uses it as the hold budget: once a queued query's
-// remaining time falls to this floor (plus a worst-case switch stall),
-// waiting for more arrivals to form a larger batch is no longer safe.
-func (c *Config) MinTotalNanos() int64 {
-	min := int64(-1)
-	for _, d := range c.dvfsOptions() {
-		t := c.TotalNanos(d, 1)
-		if min < 0 || t < min {
-			min = t
-		}
-	}
-	if min < 0 {
-		return 0
-	}
-	return min
 }
 
 // BusyPower is the accelerator draw while executing this kernel at d.
@@ -130,12 +93,16 @@ func (c *Config) BusyPower(d cgra.DVFSState) float64 {
 // PPW is the paper's performance-per-watt metric:
 // batch_size / (latency · consumed power), in 1/(s·W).
 func (c *Config) PPW(d cgra.DVFSState, batch int) float64 {
-	lat := float64(c.TotalNanos(d, batch)) / 1e9
-	p := c.BusyPower(d)
-	if lat <= 0 || p <= 0 {
+	return ppw(c.TotalNanos(d, batch), c.BusyPower(d), batch)
+}
+
+// ppw is the PPW of a batch with the given t_total and busy draw.
+func ppw(totalNanos int64, watts float64, batch int) float64 {
+	lat := float64(totalNanos) / 1e9
+	if lat <= 0 || watts <= 0 {
 		return 0
 	}
-	return float64(batch) / (lat * p)
+	return float64(batch) / (lat * watts)
 }
 
 // Issue is Algorithm 1's decision for one idle accelerator.
@@ -190,85 +157,19 @@ func (v Verdict) String() string {
 	}
 }
 
-// PickIssue implements Algorithm 1. queued is the number of unscheduled
-// input tensors in the offload engine, availNanos the remaining available
-// time of the oldest queued tensor, powerAvail the unallocated power
-// budget, and current the accelerator's present DVFS state (a different
-// target state stalls for the switch delay).
-//
-// The boolean result is false when candidate_queue ends empty: no
-// (dvfs, batch) pair meets both the deadline and the power constraint, and
-// the caller must defer the oldest tensor to the conventional pipeline.
-func PickIssue(cfg *Config, queued int, availNanos int64, powerAvail float64, current cgra.DVFSState) (Issue, bool) {
-	issue, v := PickIssueExplained(cfg, queued, availNanos, powerAvail, current)
-	return issue, v == VerdictIssued
-}
-
-// PickIssueExplained is PickIssue with the decision reason: on failure it
-// distinguishes deadline-infeasible (no candidate fast enough) from
-// power-infeasible (a deadline-feasible candidate existed but the budget
-// blocked it), so defers can be attributed per cause.
+// PickIssueExplained is Algorithm 1 as a free function, for a caller with no
+// policy at hand: it profiles cfg into a Table and decides once, so each
+// call pays a table build. queued is the number of unscheduled input tensors
+// in the offload engine, availNanos the remaining available time of the
+// oldest queued tensor, powerAvail the unallocated power budget, and current
+// the accelerator's present DVFS state (a different target state stalls for
+// the switch delay). A verdict other than VerdictIssued says why
+// candidate_queue ended empty (see Table.pick).
 func PickIssueExplained(cfg *Config, queued int, availNanos int64, powerAvail float64, current cgra.DVFSState) (Issue, Verdict) {
-	if queued <= 0 {
-		return Issue{}, VerdictNoQueue
-	}
-	var best Issue
-	bestScore := 0.0
-	found := false
-	deadlineOK := false
-	// The PMIC/PLL transition overlaps the C2C input DMA: the supply ramps
-	// while the feature map streams in, so only the excess stalls the start.
-	overlap := cfg.Link.TransferNanos(cfg.Kernel.InputBytes)
-	for _, d := range cfg.dvfsOptions() {
-		var sw int64
-		if d != current {
-			sw = cfg.Spec.DVFSSwitchNanos - overlap
-			if sw < 0 {
-				sw = 0
-			}
-		}
-		for _, bs := range cfg.batchOptions() {
-			if bs > queued {
-				continue
-			}
-			tTotal := cfg.TotalNanos(d, bs) + sw
-			if tTotal >= availNanos {
-				continue
-			}
-			deadlineOK = true
-			if cfg.BusyPower(d) >= powerAvail {
-				continue
-			}
-			score := cfg.issueScore(d, bs, tTotal)
-			if !found || score > bestScore {
-				found = true
-				bestScore = score
-				best = Issue{Batch: bs, DVFS: d, SwitchNanos: sw, TotalNanos: tTotal}
-			}
-		}
-	}
-	switch {
-	case found:
-		return best, VerdictIssued
-	case deadlineOK:
-		return Issue{}, VerdictPowerInfeasible
-	default:
-		return Issue{}, VerdictDeadlineInfeasible
-	}
-}
-
-// issueScore ranks a feasible candidate under the configured policy;
-// higher is better.
-func (c *Config) issueScore(d cgra.DVFSState, bs int, tTotal int64) float64 {
-	switch c.IssuePolicy {
-	case PolicyLatency:
-		return -float64(tTotal)
-	case PolicyThroughput:
-		// Batch dominates; faster completion breaks ties.
-		return float64(bs)*1e12 - float64(tTotal)
-	default:
-		return c.PPW(d, bs)
-	}
+	dec := NewPPWScheduler(cfg).Decide(SchedContext{
+		Queued: queued, AvailNanos: availNanos, PowerAvailWatts: powerAvail, Current: current,
+	})
+	return dec.Issue, dec.Verdict
 }
 
 // PowerEps is the watt-scale float tolerance the power-budget comparisons
@@ -328,105 +229,6 @@ type Change struct {
 // new completion time. from must differ from to (a no-op switch has no stall).
 func (c *Config) RetimedRemainingNanos(remaining int64, from, to cgra.DVFSState) int64 {
 	return c.Spec.DVFSSwitchNanos + int64(float64(remaining)*from.FreqGHz/to.FreqGHz)
-}
-
-// SavePower is the first step of DVFS scheduling: scale each busy
-// accelerator down to the slowest state that still meets its in-flight
-// deadline, freeing budget before a new issue. Lowering the state stretches
-// the remaining time by the frequency ratio and stalls for the switch
-// delay, both of which must fit in the accelerator's slack.
-func SavePower(cfg *Config, busy []BusyAccel) []Change {
-	var changes []Change
-	table := cfg.Spec.DVFSTable()
-	for _, a := range busy {
-		best := a.DVFS
-		for _, d := range table {
-			if d.FreqGHz >= best.FreqGHz {
-				break // table ascends; only states below current save power
-			}
-			extra := cfg.RetimedRemainingNanos(a.RemainingNanos, a.DVFS, d) - a.RemainingNanos
-			// A scale-down may consume the slack exactly: the stretched batch
-			// then completes at its deadline, which still counts as on time.
-			if extra <= a.SlackNanos {
-				best = d
-				break // lowest feasible state
-			}
-		}
-		if best != a.DVFS {
-			changes = append(changes, Change{ID: a.ID, DVFS: best})
-		}
-	}
-	return changes
-}
-
-// Redistribute implements Algorithm 2: while unallocated power remains,
-// raise the DVFS state of the busy accelerator whose upgrade yields the
-// highest marginal PPW change (ppw_inc), fully consuming the constrained
-// power to minimise the miss rate under bursty traffic.
-func Redistribute(cfg *Config, busy []BusyAccel, powerAvail float64) []Change {
-	table := cfg.Spec.DVFSTable()
-	state := make(map[int]cgra.DVFSState, len(busy))
-	batch := make(map[int]int, len(busy))
-	for _, a := range busy {
-		state[a.ID] = a.DVFS
-		batch[a.ID] = a.Batch
-	}
-	var changes []Change
-	for {
-		bestID := -1
-		var bestState cgra.DVFSState
-		bestInc := 0.0
-		first := true
-		for _, a := range busy {
-			cur := state[a.ID]
-			next, ok := nextState(table, cur)
-			if !ok {
-				continue
-			}
-			powerInc := cfg.BusyPower(next) - cfg.BusyPower(cur)
-			// An upgrade may consume the remaining budget exactly (to within
-			// float tolerance): "fully consuming the constrained power" is the
-			// algorithm's contract, so only a strict overshoot is rejected.
-			if powerInc > powerAvail+PowerEps {
-				continue
-			}
-			ppwInc := cfg.PPW(next, batch[a.ID]) - cfg.PPW(cur, batch[a.ID])
-			if first || ppwInc > bestInc {
-				first = false
-				bestInc = ppwInc
-				bestID = a.ID
-				bestState = next
-			}
-		}
-		if bestID < 0 {
-			return changes
-		}
-		powerAvail -= cfg.BusyPower(bestState) - cfg.BusyPower(state[bestID])
-		state[bestID] = bestState
-		// Coalesce successive upgrades of the same accelerator.
-		replaced := false
-		for i := range changes {
-			if changes[i].ID == bestID {
-				changes[i].DVFS = bestState
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			changes = append(changes, Change{ID: bestID, DVFS: bestState})
-		}
-	}
-}
-
-// nextState returns the table entry one step above cur.
-func nextState(table []cgra.DVFSState, cur cgra.DVFSState) (cgra.DVFSState, bool) {
-	for i, d := range table {
-		if d.FreqGHz > cur.FreqGHz+1e-9 {
-			_ = i
-			return d, true
-		}
-	}
-	return cgra.DVFSState{}, false
 }
 
 // staticGuardBand is the safety margin the static configuration applies on

@@ -10,7 +10,7 @@ import (
 	"lighttrader/internal/nn"
 )
 
-func testConfig(t *testing.T, ws, ds bool) *Config {
+func testConfig(t testing.TB, ws, ds bool) *Config {
 	t.Helper()
 	spec := cgra.DefaultSpec()
 	k, err := compile.Compile(nn.NewVanillaCNN(), spec)
@@ -27,8 +27,8 @@ func testConfig(t *testing.T, ws, ds bool) *Config {
 
 func TestPickIssueBaselineBatchOne(t *testing.T) {
 	cfg := testConfig(t, false, false)
-	issue, ok := PickIssue(cfg, 10, 10_000_000, 55, cfg.StaticDVFS)
-	if !ok {
+	issue, v := PickIssueExplained(cfg, 10, 10_000_000, 55, cfg.StaticDVFS)
+	if v != VerdictIssued {
 		t.Fatal("no candidate under generous constraints")
 	}
 	if issue.Batch != 1 {
@@ -44,8 +44,8 @@ func TestPickIssueBaselineBatchOne(t *testing.T) {
 
 func TestPickIssueWSBatchesUnderBacklog(t *testing.T) {
 	cfg := testConfig(t, true, false)
-	issue, ok := PickIssue(cfg, 16, 10_000_000, 55, cfg.StaticDVFS)
-	if !ok {
+	issue, v := PickIssueExplained(cfg, 16, 10_000_000, 55, cfg.StaticDVFS)
+	if v != VerdictIssued {
 		t.Fatal("no candidate")
 	}
 	// PPW strictly improves with batch for a batch-insensitive kernel, so
@@ -54,8 +54,8 @@ func TestPickIssueWSBatchesUnderBacklog(t *testing.T) {
 		t.Fatalf("WS batch = %d, want large batch under backlog", issue.Batch)
 	}
 	// Never more than the queue holds.
-	issue, ok = PickIssue(cfg, 3, 10_000_000, 55, cfg.StaticDVFS)
-	if !ok || issue.Batch > 3 {
+	issue, v = PickIssueExplained(cfg, 3, 10_000_000, 55, cfg.StaticDVFS)
+	if v != VerdictIssued || issue.Batch > 3 {
 		t.Fatalf("batch %d exceeds queue 3", issue.Batch)
 	}
 }
@@ -63,14 +63,14 @@ func TestPickIssueWSBatchesUnderBacklog(t *testing.T) {
 func TestPickIssueDeadlineInfeasible(t *testing.T) {
 	cfg := testConfig(t, true, true)
 	// 1 µs available time cannot fit a ≈117 µs inference at any state.
-	if _, ok := PickIssue(cfg, 4, 1_000, 55, cfg.StaticDVFS); ok {
+	if _, v := PickIssueExplained(cfg, 4, 1_000, 55, cfg.StaticDVFS); v != VerdictDeadlineInfeasible {
 		t.Fatal("infeasible deadline produced a candidate")
 	}
 }
 
 func TestPickIssuePowerInfeasible(t *testing.T) {
 	cfg := testConfig(t, true, true)
-	if _, ok := PickIssue(cfg, 4, 10_000_000, 0.1, cfg.StaticDVFS); ok {
+	if _, v := PickIssueExplained(cfg, 4, 10_000_000, 0.1, cfg.StaticDVFS); v != VerdictPowerInfeasible {
 		t.Fatal("infeasible power produced a candidate")
 	}
 }
@@ -105,15 +105,18 @@ func TestPickIssueExplainedVerdicts(t *testing.T) {
 	}
 }
 
+// The free function decides from a table built for the call; on the grid
+// PickIssue used to be compared on, it answers exactly like the
+// model-evaluating loop it replaced (oracle_test.go).
 func TestPickIssueMatchesExplained(t *testing.T) {
 	cfg := testConfig(t, true, true)
 	for _, avail := range []int64{1_000, 200_000, 10_000_000} {
 		for _, power := range []float64{0.1, 3, 55} {
-			issue, ok := PickIssue(cfg, 8, avail, power, cfg.StaticDVFS)
-			issue2, v := PickIssueExplained(cfg, 8, avail, power, cfg.StaticDVFS)
-			if ok != (v == VerdictIssued) || issue != issue2 {
-				t.Fatalf("avail=%d power=%v: PickIssue (%+v,%v) != Explained (%+v,%v)",
-					avail, power, issue, ok, issue2, v)
+			issue, v := PickIssueExplained(cfg, 8, avail, power, cfg.StaticDVFS)
+			want, wantV := oraclePickIssueExplained(cfg, 8, avail, power, cfg.StaticDVFS)
+			if v != wantV || issue != want {
+				t.Fatalf("avail=%d power=%v: PickIssueExplained (%+v,%v) != oracle (%+v,%v)",
+					avail, power, issue, v, want, wantV)
 			}
 		}
 	}
@@ -127,8 +130,8 @@ func TestPickIssueTightDeadlinePrefersFastState(t *testing.T) {
 	// delay from the low current state).
 	atTop := cfg.TotalNanos(cgra.DVFSState{FreqGHz: 2.2, Volt: 1.16}, 1)
 	deadline := atTop + cfg.Spec.DVFSSwitchNanos + atTop/12
-	issue, ok := PickIssue(cfg, 1, deadline, 55, low)
-	if !ok {
+	issue, v := PickIssueExplained(cfg, 1, deadline, 55, low)
+	if v != VerdictIssued {
 		t.Fatalf("no candidate for deadline %d", deadline)
 	}
 	if issue.DVFS.FreqGHz < 2.0 {
@@ -143,8 +146,8 @@ func TestPickIssueLoosDeadlinePrefersEfficientState(t *testing.T) {
 	cfg := testConfig(t, false, true)
 	// With an effectively unbounded deadline, PPW = 1/(lat·P) favours a
 	// low-voltage state because power falls faster than latency rises.
-	issue, ok := PickIssue(cfg, 1, 1_000_000_000, 55, cfg.Spec.DVFSTable()[0])
-	if !ok {
+	issue, v := PickIssueExplained(cfg, 1, 1_000_000_000, 55, cfg.Spec.DVFSTable()[0])
+	if v != VerdictIssued {
 		t.Fatal("no candidate")
 	}
 	if issue.DVFS.FreqGHz > 1.5 {
@@ -165,14 +168,14 @@ func TestSavePowerRespectsSlack(t *testing.T) {
 	cfg := testConfig(t, false, true)
 	top := cgra.DVFSState{FreqGHz: 2.2, Volt: 1.16}
 	// Huge slack: scale down.
-	changes := SavePower(cfg, []BusyAccel{{
+	changes := NewTable(cfg).savePower(nil, []BusyAccel{{
 		ID: 0, DVFS: top, Batch: 1, SlackNanos: 100_000_000, RemainingNanos: 100_000,
 	}})
 	if len(changes) != 1 || changes[0].DVFS.FreqGHz >= top.FreqGHz {
 		t.Fatalf("no downscale with huge slack: %+v", changes)
 	}
 	// No slack: must not scale down.
-	changes = SavePower(cfg, []BusyAccel{{
+	changes = NewTable(cfg).savePower(nil, []BusyAccel{{
 		ID: 0, DVFS: top, Batch: 1, SlackNanos: 1_000, RemainingNanos: 100_000,
 	}})
 	if len(changes) != 0 {
@@ -188,7 +191,7 @@ func TestRedistributeConsumesBudget(t *testing.T) {
 		{ID: 1, DVFS: low, Batch: 1, SlackNanos: 1 << 40, RemainingNanos: 100_000},
 	}
 	// Generous residual budget: both accelerators should end at the top.
-	changes := Redistribute(cfg, busy, 50)
+	changes := NewTable(cfg).redistribute(nil, busy, 50)
 	if len(changes) != 2 {
 		t.Fatalf("changes = %+v", changes)
 	}
@@ -198,11 +201,11 @@ func TestRedistributeConsumesBudget(t *testing.T) {
 		}
 	}
 	// No residual budget: no change.
-	if changes := Redistribute(cfg, busy, 0.01); len(changes) != 0 {
+	if changes := NewTable(cfg).redistribute(nil, busy, 0.01); len(changes) != 0 {
 		t.Fatalf("redistributed with no budget: %+v", changes)
 	}
 	// A small budget upgrades at most partially.
-	changes = Redistribute(cfg, busy, 1.0)
+	changes = NewTable(cfg).redistribute(nil, busy, 1.0)
 	var totalInc float64
 	for _, ch := range changes {
 		totalInc += cfg.BusyPower(ch.DVFS) - cfg.BusyPower(low)
@@ -266,8 +269,8 @@ func TestQuickPickIssueFeasibility(t *testing.T) {
 		avail := int64(availMicros) * 1000
 		power := float64(powerCenti) / 100 // 0..655 W
 		current := table[int(stateIdx)%len(table)]
-		issue, ok := PickIssue(cfg, q, avail, power, current)
-		if !ok {
+		issue, v := PickIssueExplained(cfg, q, avail, power, current)
+		if v != VerdictIssued {
 			return true
 		}
 		if issue.Batch < 1 || issue.Batch > q {
@@ -301,7 +304,7 @@ func TestQuickRedistributeBudget(t *testing.T) {
 			before += cfg.BusyPower(d)
 		}
 		budget := float64(budgetCenti) / 100
-		changes := Redistribute(cfg, busy, budget)
+		changes := NewTable(cfg).redistribute(nil, busy, budget)
 		after := before
 		for _, ch := range changes {
 			after += cfg.BusyPower(ch.DVFS) - cfg.BusyPower(busy[ch.ID].DVFS)
@@ -326,7 +329,7 @@ func TestQuickSavePowerOnlyDown(t *testing.T) {
 		d := table[int(stateIdx)%len(table)]
 		a := BusyAccel{ID: 0, DVFS: d, Batch: 1,
 			SlackNanos: int64(slackMicros) * 1000, RemainingNanos: int64(remMicros) * 1000}
-		for _, ch := range SavePower(cfg, []BusyAccel{a}) {
+		for _, ch := range NewTable(cfg).savePower(nil, []BusyAccel{a}) {
 			if ch.DVFS.FreqGHz >= d.FreqGHz {
 				return false
 			}
@@ -347,7 +350,7 @@ func TestQuickSavePowerOnlyDown(t *testing.T) {
 
 func TestMinTotalNanosIsTableFloor(t *testing.T) {
 	cfg := testConfig(t, true, true)
-	min := cfg.MinTotalNanos()
+	min := NewTable(cfg).MinTotalNanos()
 	if min <= 0 {
 		t.Fatalf("MinTotalNanos = %d, want > 0", min)
 	}
@@ -360,7 +363,7 @@ func TestMinTotalNanosIsTableFloor(t *testing.T) {
 	// With DS off only the static state is reachable, so the floor is its
 	// batch-1 latency exactly.
 	static := testConfig(t, true, false)
-	if got, want := static.MinTotalNanos(), static.TotalNanos(static.StaticDVFS, 1); got != want {
+	if got, want := NewTable(static).MinTotalNanos(), static.TotalNanos(static.StaticDVFS, 1); got != want {
 		t.Fatalf("static floor = %d, want %d", got, want)
 	}
 }

@@ -54,8 +54,8 @@ type SchedContext struct {
 
 // Decision is a Scheduler's answer for one idle accelerator: what to issue
 // (batch size, target DVFS state, projected timing) and the explained
-// verdict. The verdict preserves the PickIssueExplained taxonomy so
-// sim.Probe miss attribution works identically for every policy: engines
+// verdict. Every policy picks through Table.pick, so the verdict taxonomy —
+// and sim.Probe miss attribution — is identical across policies: engines
 // issue on VerdictIssued, defer the oldest tensor on the infeasible
 // verdicts, and do nothing on VerdictNoQueue.
 type Decision struct {
@@ -92,20 +92,18 @@ type Factory func(cfg *Config) Scheduler
 // PPWScheduler is the paper's proactive scheduler behind the strategy
 // interface: Algorithm 1's joint (batch, DVFS) selection under deadline
 // and power constraints, ranked by the configured issue objective (PPW by
-// default). It is the default policy of both engines and reproduces the
-// pre-interface behaviour decision-for-decision.
-type PPWScheduler struct{ cfg *Config }
+// default). It is the default policy of both engines.
+type PPWScheduler struct{ t *Table }
 
-// NewPPWScheduler binds Algorithm 1 to cfg.
-func NewPPWScheduler(cfg *Config) *PPWScheduler { return &PPWScheduler{cfg: cfg} }
+// NewPPWScheduler binds Algorithm 1 to cfg's profiled table.
+func NewPPWScheduler(cfg *Config) *PPWScheduler { return &PPWScheduler{t: NewTable(cfg)} }
 
 // Name implements Scheduler.
 func (s *PPWScheduler) Name() string { return "ppw" }
 
-// Decide implements Scheduler by delegating to PickIssueExplained.
+// Decide implements Scheduler.
 func (s *PPWScheduler) Decide(ctx SchedContext) Decision {
-	issue, v := PickIssueExplained(s.cfg, ctx.Queued, ctx.AvailNanos, ctx.PowerAvailWatts, ctx.Current)
-	return Decision{Issue: issue, Verdict: v}
+	return s.t.decide(ctx, ctx.Queued, s.t.objective)
 }
 
 // DeferCause maps a verdict onto the sim probe's miss-attribution taxonomy.

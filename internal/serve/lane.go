@@ -304,7 +304,7 @@ func (l *lane) take(wait bool) (batch []query, issue sched.Issue, tier int, now 
 
 // process runs one issued batch through the lane's pipelines and accounts
 // the completions. The modelled completion time is now + pre-pipeline +
-// t_total from the latency tables (the issuing tier's tables for a degraded
+// t_total from the policy's sched.Table (the issuing tier's for a degraded
 // batch), retimed by any governor DVFS changes the batch received in
 // flight; under a wall clock, completion is re-checked against the deadline
 // so real-time overruns surface as late responses. A non-zero tier switches

@@ -48,8 +48,8 @@ type OrderSink func(securityID int32, reqs []exchange.Request)
 // TierConfig is one rung of the model-degrade ladder: a cheaper compiled
 // model's scheduling tables plus (optionally) its functional software model.
 type TierConfig struct {
-	// Sched is the tier's compiled cost model (latency tables, activity
-	// factor, static point). It must share the primary Config.Sched's
+	// Sched is the tier's compiled cost model (what its sched.Table is
+	// profiled from: kernel, activity factor, static point). It must share the primary Config.Sched's
 	// power budget: the ladder changes what runs, never the hardware
 	// envelope. Required.
 	Sched *sched.Config
@@ -87,7 +87,7 @@ type Config struct {
 	Backpressure bool
 	// Sched, when non-nil, enables online Algorithm-1 admission: each lane
 	// dispatch picks the PPW-best feasible (dvfs, batch) candidate from the
-	// latency tables and drops queries no candidate can serve in time.
+	// policy's sched.Table and drops queries no candidate can serve in time.
 	// When nil every query is served (batch = whole backlog, no deadlines).
 	Sched *sched.Config
 	// Scheduler selects the admission strategy each lane runs when Sched is
@@ -115,7 +115,7 @@ type Config struct {
 	Clock func() int64
 	// ModelledClock replays a recorded trace on simulator time: each lane's
 	// decision instant is max(oldest arrival, modelled free time of its
-	// accelerator per the latency tables), only queries arrived by that
+	// accelerator per the sched.Table's t_total), only queries arrived by that
 	// instant join a batch, and decisions beyond the newest submitted
 	// arrival are held until the logical clock catches up (Drain flushes
 	// them). It reproduces the back-test simulator's admission timing — the
@@ -129,7 +129,7 @@ type Config struct {
 	// matches the simulator.
 	PrePipelineNanos int64
 	// DisablePowerGovernor turns off the online Algorithm-2 power governor
-	// (SavePower retry on power-infeasible admission, residual-budget
+	// (power-saving retry on power-infeasible admission, residual-budget
 	// redistribution, retire-time parking), leaving plain Algorithm-1
 	// admission against the shared budget — the pre-governor baseline the
 	// limited-power experiments compare against. Admission power accounting
@@ -599,7 +599,7 @@ func (s *Server) Latency() latency.Summary {
 }
 
 // ModelledBusyNanos returns each lane's accumulated modelled service time
-// (Σ t_total of issued batches, per the sched latency tables). The maximum
+// (Σ t_total of issued batches, as read from the sched.Table). The maximum
 // entry is the modelled makespan of the replay; the modelled serving
 // throughput is queries served / makespan. Zero without a scheduling config.
 func (s *Server) ModelledBusyNanos() []int64 {

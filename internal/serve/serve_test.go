@@ -336,7 +336,7 @@ func TestServeAdmissionDropsDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if syscfg.Sched.MinTotalNanos() <= 1 {
+	if syscfg.Sched.TotalNanos(syscfg.Sched.StaticDVFS, 1) <= 1 {
 		t.Fatal("latency floor too low for the test premise")
 	}
 	probe := &countProbe{}
@@ -566,7 +566,7 @@ func TestServeDropWakesBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if syscfg.Sched.MinTotalNanos() <= 1 {
+	if syscfg.Sched.TotalNanos(syscfg.Sched.StaticDVFS, 1) <= 1 {
 		t.Fatal("latency floor too low for the test premise")
 	}
 	srv, err := New(buildMulti(t, syms), Config{
