@@ -126,7 +126,11 @@ power-smoke:
 # let through are the definitions themselves (TotalNanos, PPW), Validate and
 # StaticDVFSFor — and the simulator's engine and the serving runtime never
 # do. A hit is a second enumeration or a per-decision model evaluation
-# growing back: read the numbers from the Table instead.
+# growing back: read the numbers from the Table instead. (3) A Conv2D's kept
+# output (the sliding-window memo, nn/conv.go) is a function of its weights:
+# any non-test function of internal/nn that names Conv2D and writes a .w or .b
+# — Init and Update today; a LoadWeights or a quantiser tomorrow — must call
+# dropMemo() too.
 one-impl-check:
 	@bad=$$(grep -rnE '(^|[^.[:alnum:]_]|sched\.)BusyViewAt\(|\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -143,6 +147,15 @@ one-impl-check:
 			-e 'return spec.DVFSTable()[0], false'); \
 	if [ -n "$$bad" ]; then \
 		echo "cost model evaluated outside sched.Table:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(for f in $$(ls internal/nn/*.go | grep -v _test.go); do awk -v file=$$f ' \
+		function report() { if (wrote && !dropped) print file ": " fn } \
+		/^func / { report(); fn = $$0; conv = /Conv2D/; wrote = 0; dropped = 0 } \
+		conv && /\.(w\.(FillRandn|RoundBF16)\(|b\[[^]]*\] *[-+*\/]?=[^=]|[wb] *=[^=])|(copy|clear)\([[:alnum:]_]+\.(w\.Data\(\)|b)[,)]|sgdStep\([^,]*, *[[:alnum:]_]+\.(w\.Data\(\)|b),|Axpy\(.*, *[[:alnum:]_]+\.(w\.Data\(\)|b)\)/ { wrote = 1 } \
+		/dropMemo\(\)/ { dropped = 1 } \
+		END { report() }' $$f; done); \
+	if [ -n "$$bad" ]; then \
+		echo "Conv2D weights written without dropping the sliding-window memo:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile

@@ -25,13 +25,50 @@ func BenchmarkConv2DForward(b *testing.B) {
 	}
 }
 
+// slidingInputs returns n BF16-rounded inputs of shape [C,H,W], each the one
+// before moved up a row with a new last row — the traffic a tick makes. The
+// row stream has period n, so input 0 follows input n−1 the same way and a
+// loop over them never breaks the stream. With one channel the inputs are
+// overlapping views of the stream, as cache-warm as a feature map the offload
+// engine has just written.
+func slidingInputs(rng *rand.Rand, shape []int, n int) []*tensor.Tensor {
+	c, h, w := shape[0], shape[1], shape[2]
+	period := tensor.New(c, n, w)
+	period.FillRandn(rng, 1)
+	period.RoundBF16()
+	stream := make([]float32, c*(n+h-1)*w)
+	for ic := 0; ic < c; ic++ {
+		for r := 0; r < n+h-1; r++ {
+			copy(stream[(ic*(n+h-1)+r)*w:][:w], period.Data()[(ic*n+r%n)*w:][:w])
+		}
+	}
+	ins := make([]*tensor.Tensor, n)
+	for i := range ins {
+		if c == 1 {
+			ins[i] = tensor.FromSlice(stream[i*w:(i+h)*w], 1, h, w)
+			continue
+		}
+		ins[i] = tensor.New(c, h, w)
+		for ic := 0; ic < c; ic++ {
+			copy(ins[i].Data()[ic*h*w:(ic+1)*h*w], stream[(ic*(n+h-1)+i)*w:])
+		}
+	}
+	return ins
+}
+
+// streamLen is how many sliding inputs the /stream benchmarks cycle through.
+const streamLen = 128
+
 // BenchmarkConv2DZoo times the convolution geometries the zoo models are
 // built from: the first layer of every SizedCNN (full input width,
 // multiplied in place — what wire-cnn spends its time in), the ladder's
 // same-padded temporal conv and VanillaCNN's second stage (k×1 over a W = 1
 // activation: full width, but a patch too short for the in-place path, so
 // im2col), and DeepLOB's level fold (in place, strided) and (price,qty)
-// fold (im2col).
+// fold (im2col). Each case runs twice: on one unchanging input, which no
+// layer can reuse anything of (the full pass, plus the memo's copies where
+// the layer keeps one), and as <case>/stream on an input that moves up one
+// row per call, the traffic the live loop has.
 func BenchmarkConv2DZoo(b *testing.B) {
 	cases := []struct {
 		name string
@@ -59,6 +96,37 @@ func BenchmarkConv2DZoo(b *testing.B) {
 				tc.conv.ForwardCtx(&p, x)
 			}
 		})
+		xs := slidingInputs(rng, tc.in, streamLen)
+		b.Run(tc.name+"/stream", func(b *testing.B) {
+			var p tensor.Pool
+			for _, x := range xs[streamLen-2:] { // arm the memo, warm the arena on a hit
+				p.Reset()
+				tc.conv.ForwardCtx(&p, x)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Reset()
+				tc.conv.ForwardCtx(&p, xs[i%streamLen])
+			}
+		})
+	}
+}
+
+// BenchmarkMaxPool2DColumn times the pool behind a full-width convolution:
+// SizedCNN(8,0)'s [8,97,1] → [8,48,1], a single column per channel.
+func BenchmarkMaxPool2DColumn(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	mp := NewMaxPool2D(2, 1, 0, 0)
+	x := tensor.New(8, 97, 1)
+	x.FillRandn(rng, 1)
+	var p tensor.Pool
+	mp.ForwardCtx(&p, x)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Reset()
+		mp.ForwardCtx(&p, x)
 	}
 }
 
@@ -123,7 +191,8 @@ func BenchmarkModelInfer(b *testing.B) {
 // BenchmarkModelPredict measures the end-to-end Predict path (pooled
 // scratch via sync.Pool), the call the trading pipeline makes per tick, for
 // the paper models and for SizedCNN(8,0), the model perf's wire-cnn
-// workload runs.
+// workload runs: on one unchanging input, and as <model>/stream on the
+// feature map of one instrument, which moves up one row per tick.
 func BenchmarkModelPredict(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, m := range append(BenchmarkModels(), NewSizedCNN("SizedCNN-8-0", 8, 0)) {
@@ -138,6 +207,21 @@ func BenchmarkModelPredict(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := m.Predict(x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		xs := slidingInputs(rng, m.InputShape, streamLen)
+		b.Run(m.Name()+"/stream", func(b *testing.B) {
+			for _, x := range xs[streamLen-2:] { // arm the memos, warm the arena on a hit
+				if _, _, err := m.Predict(x); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := m.Predict(xs[i%streamLen]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,8 +1,11 @@
 package nn
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
+	"unsafe"
 
 	"lighttrader/internal/tensor"
 )
@@ -22,6 +25,22 @@ type Conv2D struct {
 	// Accumulated gradients (allocated lazily on first Backward).
 	gw *tensor.Tensor
 	gb []float32
+
+	// memo is the sliding-window memo (see slide); nil on a layer that
+	// strides or pads in H, whose output rows are not a shift of last call's.
+	memo *convMemo
+}
+
+// convMemo is a private copy of a Conv2D's last input and last output (after
+// bias and activation, before any rounding the caller applies to the tensor
+// it was handed), with the lock that makes the layer follow one caller at a
+// time. in is nil until the first eligible forward pass and after a drop.
+type convMemo struct {
+	mu           sync.Mutex
+	h, w         int       // spatial shape of in
+	in           []float32 // [InC,h,w]
+	out          []float32 // [OutC,oh,ow]
+	hits, misses uint64    // calls answered by slide / by the full pass
 }
 
 // NewConv2D constructs a convolution; stride values of 0 default to 1.
@@ -32,10 +51,14 @@ func NewConv2D(inC, outC, kh, kw, sh, sw, padH, padW int, act Activation) *Conv2
 	if sw == 0 {
 		sw = 1
 	}
-	return &Conv2D{
+	c := &Conv2D{
 		InC: inC, OutC: outC, KH: kh, KW: kw, SH: sh, SW: sw, PadH: padH, PadW: padW, Act: act,
 		w: tensor.New(outC, inC, kh, kw), b: make([]float32, outC),
 	}
+	if sh == 1 && padH == 0 {
+		c.memo = new(convMemo)
+	}
+	return c
 }
 
 // Name implements Layer.
@@ -82,6 +105,12 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor { return c.ForwardCtx(
 //     contiguous run of the input; multiplied in place.
 //   - otherwise im2col: unfold into a [InC·KH·KW, oh·ow] patch matrix,
 //     then one [OutC,K]×[K,N] multiply on the blocked GEMM backend.
+//
+// Geometry also decides whether the layer keeps a sliding-window memo: at
+// stride 1 and no padding in H (and H > KH, so there is a row to reuse) an
+// input that is the last one moved up by one row — what a tick does to the
+// offload engine's feature map — has last call's output moved up by one row
+// as all but its last output row, and slide computes only that row.
 func (c *Conv2D) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(0) != c.InC {
 		panic(fmt.Sprintf("nn: %s expects [%d,H,W], got %v", c.Name(), c.InC, x.Shape()))
@@ -92,8 +121,30 @@ func (c *Conv2D) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: %s output collapses for input %v", c.Name(), x.Shape()))
 	}
+	inPlace := c.inPlace(w, oh)
+	m := c.memo
+	// A second goroutine inside the layer (a model shared by two lanes) runs
+	// the full pass beside the memo rather than waiting for it.
+	if m == nil || c.SH != 1 || c.PadH != 0 || h <= c.KH || !m.mu.TryLock() {
+		return c.forward(p, x, oh, ow, inPlace)
+	}
+	defer m.mu.Unlock()
+	out := c.slide(p, m, x, oh, ow, inPlace)
+	if out == nil {
+		out = c.forward(p, x, oh, ow, inPlace)
+		m.misses++
+	} else {
+		m.hits++
+	}
+	m.keep(x, out)
+	return out
+}
+
+// forward is the whole convolution of x: the multiply on the given lowering,
+// then bias and activation.
+func (c *Conv2D) forward(p *tensor.Pool, x *tensor.Tensor, oh, ow int, inPlace bool) *tensor.Tensor {
 	var out *tensor.Tensor
-	if c.inPlace(w, oh) {
+	if inPlace {
 		out = newTensor(p, c.OutC, oh, ow)
 		c.mulInPlace(x, out)
 	} else {
@@ -101,6 +152,82 @@ func (c *Conv2D) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	}
 	c.biasAct(out)
 	return out
+}
+
+// slide answers x from the memo when rows [0,H−1) of every channel of x are
+// the kept input's rows [1,H): output rows [0,oh−1) are then the kept
+// output's rows [1,oh), and the last row is forward — the same lowering the
+// full pass would take, the same biasAct — over the last KH input rows, so
+// each of its elements is the chain the full pass would have run. It returns
+// nil when x is anything else: a first call, another shape, a resync, a
+// stream other than the one the last call followed.
+//
+// The rows are compared as bytes, not as floats: equal bits multiply to equal
+// products, whereas == would take −0 for +0 and refuse a NaN row that did not
+// change. One memequal per channel costs a hundredth of the rows it saves.
+func (c *Conv2D) slide(p *tensor.Pool, m *convMemo, x *tensor.Tensor, oh, ow int, inPlace bool) *tensor.Tensor {
+	h, w := x.Dim(1), x.Dim(2)
+	if m.in == nil || m.h != h || m.w != w || len(m.out) != c.OutC*oh*ow {
+		return nil
+	}
+	xf := x.Data()
+	for ic := 0; ic < c.InC; ic++ {
+		if !sameBits(xf[ic*h*w:(ic+1)*h*w-w], m.in[ic*h*w+w:(ic+1)*h*w]) {
+			return nil
+		}
+	}
+	var tail *tensor.Tensor
+	if c.InC == 1 {
+		tail = viewTensor(p, xf[(h-c.KH)*w:], 1, c.KH, w)
+	} else {
+		tail = newTensor(p, c.InC, c.KH, w)
+		for ic := 0; ic < c.InC; ic++ {
+			copy(tail.Data()[ic*c.KH*w:(ic+1)*c.KH*w], xf[((ic+1)*h-c.KH)*w:(ic+1)*h*w])
+		}
+	}
+	last := c.forward(p, tail, 1, ow, inPlace).Data()
+	out := newTensor(p, c.OutC, oh, ow)
+	of, n := out.Data(), oh*ow
+	for oc := 0; oc < c.OutC; oc++ {
+		copy(of[oc*n:(oc+1)*n-ow], m.out[oc*n+ow:(oc+1)*n])
+		copy(of[(oc+1)*n-ow:(oc+1)*n], last[oc*ow:(oc+1)*ow])
+	}
+	return out
+}
+
+// keep records x and its output for the next call's slide. It copies both:
+// x is the caller's to reuse and out the caller's to round in place.
+func (m *convMemo) keep(x, out *tensor.Tensor) {
+	if len(m.in) != x.Size() || len(m.out) != out.Size() {
+		m.in, m.out = make([]float32, x.Size()), make([]float32, out.Size())
+	}
+	m.h, m.w = x.Dim(1), x.Dim(2)
+	copy(m.in, x.Data())
+	copy(m.out, out.Data())
+}
+
+// dropMemo forgets the kept input and output. Everything that writes c.w or
+// c.b calls it: the kept output is a function of the weights it was computed
+// with (`make one-impl-check` holds new writers to this).
+func (c *Conv2D) dropMemo() {
+	if m := c.memo; m != nil {
+		m.mu.Lock()
+		m.in, m.out = nil, nil
+		m.mu.Unlock()
+	}
+}
+
+// sameBits reports whether a and b hold the same float32 bit patterns.
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 {
+		return true
+	}
+	return bytes.Equal(
+		unsafe.Slice((*byte)(unsafe.Pointer(&a[0])), 4*len(a)),
+		unsafe.Slice((*byte)(unsafe.Pointer(&b[0])), 4*len(b)))
 }
 
 // minInPlaceRun is the shortest per-channel patch (KH·W floats) the
@@ -265,6 +392,7 @@ func (c *Conv2D) Init(rng *rand.Rand) {
 	for i := range c.b {
 		c.b[i] = 0
 	}
+	c.dropMemo()
 }
 
 // MaxPool2D is a max pooling layer over [C,H,W].
@@ -303,7 +431,9 @@ func (p *MaxPool2D) OutShape(in []int) ([]int, error) {
 // Forward implements Layer.
 func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor { return p.ForwardCtx(nil, x) }
 
-// ForwardCtx implements Layer, scanning each window by direct row slices.
+// ForwardCtx implements Layer, scanning each window by direct row slices, or
+// straight down the column when the activation is one wide (what a full-width
+// convolution leaves): the same comparisons in the same order either way.
 func (p *MaxPool2D) ForwardCtx(pool *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 {
 		panic(fmt.Sprintf("nn: maxpool expects rank 3, got %v", x.Shape()))
@@ -316,6 +446,22 @@ func (p *MaxPool2D) ForwardCtx(pool *tensor.Pool, x *tensor.Tensor) *tensor.Tens
 	}
 	out := newTensor(pool, ch, oh, ow)
 	xf, of := x.Data(), out.Data()
+	if w == 1 && p.KW == 1 {
+		for c := 0; c < ch; c++ {
+			col, ocol := xf[c*h:(c+1)*h], of[c*oh:(c+1)*oh]
+			for oy := range ocol {
+				win := col[oy*p.SH : oy*p.SH+p.KH]
+				best := win[0]
+				for _, v := range win[1:] {
+					if v > best {
+						best = v
+					}
+				}
+				ocol[oy] = best
+			}
+		}
+		return out
+	}
 	for c := 0; c < ch; c++ {
 		plane := xf[c*h*w : (c+1)*h*w]
 		for oy := 0; oy < oh; oy++ {

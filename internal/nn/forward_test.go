@@ -435,7 +435,9 @@ var raceDetector bool
 
 // TestPredictZeroAlloc gates the per-tick inference call: once its pooled
 // arena is warm, Predict allocates nothing — for the model perf's wire-cnn
-// workload runs, the complexity ladder and the three paper models.
+// workload runs, the complexity ladder and the three paper models, on an
+// input that stays put (every layer's full pass) and on one that moves up a
+// row per call (the convolutions' memos answering).
 func TestPredictZeroAlloc(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -453,6 +455,17 @@ func TestPredictZeroAlloc(t *testing.T) {
 		predict() // warm the arena
 		if n := testing.AllocsPerRun(10, predict); n != 0 {
 			t.Errorf("%s: Predict allocates %v per call, want 0", m.Name(), n)
+		}
+		xs, tick := slidingInputs(rng, m.InputShape, 12), 0
+		x = xs[0]
+		predict()
+		next := func() {
+			tick++
+			x = xs[tick%len(xs)]
+			predict()
+		}
+		if n := testing.AllocsPerRun(10, next); n != 0 {
+			t.Errorf("%s: Predict on a sliding input allocates %v per call, want 0", m.Name(), n)
 		}
 	}
 }

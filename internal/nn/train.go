@@ -173,6 +173,7 @@ func (c *Conv2D) Update(lr float32) {
 	}
 	sgdStep(lr, c.w.Data(), c.gw.Data())
 	sgdStep(lr, c.b, c.gb)
+	c.dropMemo()
 }
 
 // Backward implements Backprop for MaxPool2D: the gradient routes to each
