@@ -1,9 +1,17 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check api-check api-update bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke one-impl-check perf-check ci
+.PHONY: build cross-build test race vet fmt-check api-check api-update bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke one-impl-check perf-check ci
 
 build:
 	$(GO) build ./...
+
+# internal/tensor has an amd64 assembly kernel beside its portable one; this
+# builds the tree, and vets the two packages that reach the kernel, for an
+# architecture that gets only the portable one, so that path cannot rot
+# unbuilt. Offline; nothing is run.
+cross-build:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/
 
 test:
 	$(GO) test ./...
@@ -126,11 +134,13 @@ power-smoke:
 # let through are the definitions themselves (TotalNanos, PPW), Validate and
 # StaticDVFSFor — and the simulator's engine and the serving runtime never
 # do. A hit is a second enumeration or a per-decision model evaluation
-# growing back: read the numbers from the Table instead. (3) A Conv2D's kept
-# output (the sliding-window memo, nn/conv.go) is a function of its weights:
-# any non-test function of internal/nn that names Conv2D and writes a .w or .b
-# — Init and Update today; a LoadWeights or a quantiser tomorrow — must call
-# dropMemo() too.
+# growing back: read the numbers from the Table instead. (3) Some layer state
+# is a function of the weights, and whatever writes the weights — Init and
+# Update today; a LoadWeights or a quantiser tomorrow — must refresh it: a
+# non-test function of internal/nn that names Conv2D and writes a .w or .b
+# must call dropMemo() (the sliding-window memo's kept output, nn/conv.go),
+# and one that names Dense or LSTM and writes a .w, .wx or .wh must call
+# repack() (the transposed copy the panel kernel reads, nn/layer.go).
 one-impl-check:
 	@bad=$$(grep -rnE '(^|[^.[:alnum:]_]|sched\.)BusyViewAt\(|\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -148,14 +158,18 @@ one-impl-check:
 	if [ -n "$$bad" ]; then \
 		echo "cost model evaluated outside sched.Table:"; echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(for f in $$(ls internal/nn/*.go | grep -v _test.go); do awk -v file=$$f ' \
-		function report() { if (wrote && !dropped) print file ": " fn } \
-		/^func / { report(); fn = $$0; conv = /Conv2D/; wrote = 0; dropped = 0 } \
-		conv && /\.(w\.(FillRandn|RoundBF16)\(|b\[[^]]*\] *[-+*\/]?=[^=]|[wb] *=[^=])|(copy|clear)\([[:alnum:]_]+\.(w\.Data\(\)|b)[,)]|sgdStep\([^,]*, *[[:alnum:]_]+\.(w\.Data\(\)|b),|Axpy\(.*, *[[:alnum:]_]+\.(w\.Data\(\)|b)\)/ { wrote = 1 } \
-		/dropMemo\(\)/ { dropped = 1 } \
-		END { report() }' $$f; done); \
+	@bad=$$(for rule in 'Conv2D w|b dropMemo' 'Dense|LSTM w|wx|wh repack'; do set -- $$rule; \
+		for f in $$(ls internal/nn/*.go | grep -v _test.go); do awk -v file=$$f -v typ="$$1" -v fld="$$2" -v must="$$3" ' \
+		BEGIN { ref = "[[:alnum:]_]+\\.(" fld ")(\\.Data\\(\\))?"; \
+			write = "\\.(" fld ")(\\.(FillRandn|RoundBF16)\\(|(\\.Data\\(\\))?\\[[^]]*\\] *[-+*\\/]?=[^=]| *=[^=])" \
+				"|(copy|clear)\\(" ref "[,)]|sgdStep\\([^,]*, *" ref ",|Axpy\\(.*, *" ref "\\)" } \
+		function report() { if (wrote && !called) print file ": " fn " — wants " must "()" } \
+		/^func / { report(); fn = $$0; named = ($$0 ~ typ); wrote = 0; called = 0 } \
+		named && $$0 ~ write { wrote = 1 } \
+		index($$0, must "()") { called = 1 } \
+		END { report() }' $$f; done; done); \
 	if [ -n "$$bad" ]; then \
-		echo "Conv2D weights written without dropping the sliding-window memo:"; echo "$$bad"; exit 1; \
+		echo "weights written without refreshing what is derived from them:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile
@@ -195,7 +209,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzDecodePacketParity$$ -fuzztime=10s ./internal/sbe/
 	$(GO) test -run=^$$ -fuzz=^FuzzDecodeFrame$$ -fuzztime=10s ./internal/signal/
 
-# The full CI gate: formatting, static analysis, build, the API snapshot,
+# The full CI gate: formatting, static analysis, build (also cross-built for
+# arm64, which has no assembly kernel), the API snapshot,
 # the test suite under the race detector (which covers the concurrent
 # serving runtime in internal/serve and the signal gateway), single-
 # iteration benchmark smoke runs (kernels and the zero-alloc tick path),
@@ -209,4 +224,4 @@ fuzz-smoke:
 # the one-implementation check on the scheduling-board rules and the
 # profiled table, and the vet-and-test pass over the nested perf/ benchmark
 # module.
-ci: fmt-check vet build api-check one-impl-check perf-check race bench-smoke bench-tickpath sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke
+ci: fmt-check vet build cross-build api-check one-impl-check perf-check race bench-smoke bench-tickpath sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke

@@ -143,13 +143,12 @@ func (PositionalEncoding) Init(*rand.Rand) {}
 type TransformerBlock struct {
 	Dim, Heads, FF int
 
-	ln1, ln2       *LayerNorm
-	wq, wk, wv, wo *tensor.Tensor // [Dim, Dim]
-	ff1            *Dense
-	ff2            *Dense
-	attnScale      float32
-	headDim        int
-	bq, bk, bv, bo []float32
+	ln1, ln2   *LayerNorm
+	q, k, v, o *Dense // the Dim→Dim projections, applied row by row
+	ff1        *Dense
+	ff2        *Dense
+	attnScale  float32
+	headDim    int
 }
 
 // NewTransformerBlock constructs a block; dim must be divisible by heads.
@@ -160,10 +159,8 @@ func NewTransformerBlock(dim, heads, ff int) *TransformerBlock {
 	return &TransformerBlock{
 		Dim: dim, Heads: heads, FF: ff,
 		ln1: NewLayerNorm(dim), ln2: NewLayerNorm(dim),
-		wq: tensor.New(dim, dim), wk: tensor.New(dim, dim),
-		wv: tensor.New(dim, dim), wo: tensor.New(dim, dim),
-		bq: make([]float32, dim), bk: make([]float32, dim),
-		bv: make([]float32, dim), bo: make([]float32, dim),
+		q: NewDense(dim, dim, ActNone), k: NewDense(dim, dim, ActNone),
+		v: NewDense(dim, dim, ActNone), o: NewDense(dim, dim, ActNone),
 		ff1:       NewDense(dim, ff, ActReLU),
 		ff2:       NewDense(ff, dim, ActNone),
 		attnScale: float32(1 / math.Sqrt(float64(dim/heads))),
@@ -184,12 +181,10 @@ func (b *TransformerBlock) OutShape(in []int) ([]int, error) {
 	return in, nil
 }
 
-// project computes x·Wᵀ + b for a [T,D] input and [D,D] weight as one
-// batched GEMM over all T rows.
-func (b *TransformerBlock) project(p *tensor.Pool, x, w *tensor.Tensor, bias []float32) *tensor.Tensor {
-	out := newTensor(p, x.Dim(0), b.Dim)
-	tensor.Gemm(1, x, false, w, true, 0, out)
-	tensor.AddBias(out, bias)
+// rows applies d to every row of the [T,d.In] input x.
+func rows(p *tensor.Pool, d *Dense, x *tensor.Tensor) *tensor.Tensor {
+	out := newTensor(p, x.Dim(0), d.Out)
+	d.forward(x.Data(), out)
 	return out
 }
 
@@ -197,8 +192,7 @@ func (b *TransformerBlock) project(p *tensor.Pool, x, w *tensor.Tensor, bias []f
 func (b *TransformerBlock) Forward(x *tensor.Tensor) *tensor.Tensor { return b.ForwardCtx(nil, x) }
 
 // ForwardCtx implements Layer. The Q/K/V/O projections and the two
-// feed-forward layers each run as a single batched GEMM over all T rows
-// instead of per-row dot loops.
+// feed-forward layers are Dense layers applied to each of the T rows.
 func (b *TransformerBlock) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != b.Dim {
 		panic(fmt.Sprintf("nn: %s expects [T,%d], got %v", b.Name(), b.Dim, x.Shape()))
@@ -206,9 +200,9 @@ func (b *TransformerBlock) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.
 	T := x.Dim(0)
 	// Self-attention sublayer.
 	n := b.ln1.ForwardCtx(p, x)
-	q := b.project(p, n, b.wq, b.bq)
-	k := b.project(p, n, b.wk, b.bk)
-	v := b.project(p, n, b.wv, b.bv)
+	q := rows(p, b.q, n)
+	k := rows(p, b.k, n)
+	v := rows(p, b.v, n)
 	attnOut := newTensor(p, T, b.Dim)
 	scores := newSlice(p, T)
 	for h := 0; h < b.Heads; h++ {
@@ -248,18 +242,10 @@ func (b *TransformerBlock) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.
 			}
 		}
 	}
-	proj := b.project(p, attnOut, b.wo, b.bo)
+	proj := rows(p, b.o, attnOut)
 	tensor.AddInPlace(proj, x) // residual
-	// Feed-forward sublayer, batched over all T rows.
-	n2 := b.ln2.ForwardCtx(p, proj)
-	hid := newTensor(p, T, b.FF)
-	tensor.Gemm(1, n2, false, b.ff1.w, true, 0, hid)
-	tensor.AddBias(hid, b.ff1.b)
-	applyAct(b.ff1.Act, hid.Data())
-	ffOut := newTensor(p, T, b.Dim)
-	tensor.Gemm(1, hid, false, b.ff2.w, true, 0, ffOut)
-	tensor.AddBias(ffOut, b.ff2.b)
-	applyAct(b.ff2.Act, ffOut.Data())
+	// Feed-forward sublayer.
+	ffOut := rows(p, b.ff2, rows(p, b.ff1, b.ln2.ForwardCtx(p, proj)))
 	tensor.AddInPlace(ffOut, proj)
 	return ffOut
 }
@@ -286,9 +272,8 @@ func (b *TransformerBlock) Params() int64 {
 
 // Init implements Layer.
 func (b *TransformerBlock) Init(rng *rand.Rand) {
-	std := sqrt64(1 / float64(b.Dim))
-	for _, w := range []*tensor.Tensor{b.wq, b.wk, b.wv, b.wo} {
-		w.FillRandn(rng, std)
+	for _, d := range []*Dense{b.q, b.k, b.v, b.o} {
+		d.Init(rng)
 	}
 	b.ff1.Init(rng)
 	b.ff2.Init(rng)

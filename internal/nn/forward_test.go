@@ -10,8 +10,8 @@ import (
 
 // Float-tolerance policy (see DESIGN.md): optimized kernels that preserve
 // the naive accumulation order must match bit-for-bit; kernels that
-// reorder float32 accumulation (transposed-GEMM dots, bias-after-GEMM
-// convolution) must satisfy |a-b| ≤ atol + rtol·max(|a|,|b|).
+// reorder float32 accumulation (the four-chain Dot, a bias added after the
+// multiply rather than seeding it) must satisfy |a-b| ≤ atol + rtol·max(|a|,|b|).
 const (
 	fwdAtol = 1e-4
 	fwdRtol = 1e-4
@@ -324,6 +324,7 @@ func TestLSTMBF16MatchesReference(t *testing.T) {
 		l.Init(rng)
 		l.wx.RoundBF16()
 		l.wh.RoundBF16()
+		l.repack()
 		tensor.RoundSliceBF16(l.b)
 		x := tensor.New(1+rng.Intn(16), in)
 		x.FillRandn(rng, 1)
@@ -342,7 +343,7 @@ func TestTransformerMatchesReference(t *testing.T) {
 		ff := 1 + rng.Intn(32)
 		b := NewTransformerBlock(dim, heads, ff)
 		b.Init(rng)
-		for _, bias := range [][]float32{b.bq, b.bk, b.bv, b.bo} {
+		for _, bias := range [][]float32{b.q.b, b.k.b, b.v.b, b.o.b} {
 			for j := range bias {
 				bias[j] = float32(rng.NormFloat64() * 0.1)
 			}

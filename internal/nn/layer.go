@@ -210,6 +210,13 @@ type Dense struct {
 	w *tensor.Tensor // [Out, In]
 	b []float32
 
+	// wt holds rows [0, Out&^3) of w a second time, transposed into the
+	// layout tensor.MulAddPanel reads: [In, Out&^3], the outputs of one input
+	// side by side. It is packed where w is written — Init, Update, repack —
+	// and only read by the forward pass, which therefore writes nothing the
+	// goroutines sharing a model could race on.
+	wt []float32
+
 	// Accumulated gradients (allocated lazily on first Backward).
 	gw *tensor.Tensor
 	gb []float32
@@ -217,7 +224,29 @@ type Dense struct {
 
 // NewDense constructs a Dense layer.
 func NewDense(in, out int, act Activation) *Dense {
-	return &Dense{In: in, Out: out, Act: act, w: tensor.New(out, in), b: make([]float32, out)}
+	return &Dense{
+		In: in, Out: out, Act: act,
+		w: tensor.New(out, in), b: make([]float32, out),
+		wt: make([]float32, in*(out&^3)),
+	}
+}
+
+// packColumns writes the first n rows of the row-major [·,k] matrix w as
+// columns of the panel dst, whose rows are ld apart, from panel row p0 on:
+// dst[(p0+p)·ld+j] = w[j·k+p].
+func packColumns(dst []float32, ld, p0 int, w []float32, n, k int) {
+	for j := 0; j < n; j++ {
+		for p, v := range w[j*k : (j+1)*k] {
+			dst[(p0+p)*ld+j] = v
+		}
+	}
+}
+
+// repack rebuilds wt from w. Whatever writes w calls it before the next
+// forward pass (`make one-impl-check` holds non-test code to that).
+func (d *Dense) repack() {
+	n := d.Out &^ 3
+	packColumns(d.wt, n, 0, d.w.Data(), n, d.In)
 }
 
 // Name implements Layer.
@@ -234,18 +263,34 @@ func (d *Dense) OutShape(in []int) ([]int, error) {
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor { return d.ForwardCtx(nil, x) }
 
-// ForwardCtx implements Layer: one x·Wᵀ GEMM with fused bias/activation.
+// ForwardCtx implements Layer: zeroed output → x·Wᵀ → bias → activation.
 func (d *Dense) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	if x.Size() != d.In {
 		panic(fmt.Sprintf("nn: %s got input of size %d", d.Name(), x.Size()))
 	}
 	out := newTensor(p, d.Out)
-	xv := viewTensor(p, x.Data(), 1, d.In)
-	ov := viewTensor(p, out.Data(), 1, d.Out)
-	tensor.Gemm(1, xv, false, d.w, true, 0, ov)
-	tensor.AddBias(out, d.b)
-	applyAct(d.Act, out.Data())
+	d.forward(x.Data(), out)
 	return out
+}
+
+// forward applies the layer to each row of In values in x, filling the
+// zeroed out, an [Out] vector or a [T,Out] matrix. Per row the first Out&^3
+// outputs are one panel multiply, each a single chain in ascending input
+// order; the last Out%4 are tensor.Dot over their own rows of w (four
+// interleaved chains) — bit for bit what Gemm's transposed-b path gave every
+// output when this was x·wᵀ through it.
+func (d *Dense) forward(x []float32, out *tensor.Tensor) {
+	of, wf := out.Data(), d.w.Data()
+	n := d.Out &^ 3
+	for t := 0; t*d.Out < len(of); t++ {
+		xr, y := x[t*d.In:(t+1)*d.In], of[t*d.Out:(t+1)*d.Out]
+		tensor.MulAddPanel(xr, d.wt, n, y[:n])
+		for j := n; j < d.Out; j++ {
+			y[j] += tensor.Dot(xr, wf[j*d.In:(j+1)*d.In])
+		}
+	}
+	tensor.AddBias(out, d.b)
+	applyAct(d.Act, of)
 }
 
 // FLOPs implements Layer.
@@ -267,6 +312,7 @@ func (d *Dense) Init(rng *rand.Rand) {
 	for i := range d.b {
 		d.b[i] = 0
 	}
+	d.repack()
 }
 
 // actCost is the per-element FLOP estimate for an activation.

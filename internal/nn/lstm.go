@@ -24,11 +24,12 @@ type LSTM struct {
 	gwh *tensor.Tensor
 	gb  []float32
 
-	// wcomb packs wx and wh row-interleaved as [4H, D+H] so each time step
-	// is a single [x_t,h]·wcombᵀ GEMM. The buffer is cached; the contents
-	// are repacked on every forward (callers may mutate wx/wh freely, e.g.
-	// gradient checks or SGD updates), a cost amortised over T time steps.
-	wcomb *tensor.Tensor
+	// wt holds [wx | wh] a second time, transposed into the layout
+	// tensor.MulAddPanel reads — [D+H, 4H]: row p < D is column p of wx, row
+	// D+p column p of wh — so each time step is one [x_t,h]·wt panel
+	// multiply. Like Dense.wt it is packed where the weights are written
+	// (Init, Update, repack) and only read by the forward pass.
+	wt []float32
 }
 
 // NewLSTM constructs an LSTM layer.
@@ -38,6 +39,7 @@ func NewLSTM(in, hidden int, returnLast bool) *LSTM {
 		wx: tensor.New(4*hidden, in),
 		wh: tensor.New(4*hidden, hidden),
 		b:  make([]float32, 4*hidden),
+		wt: make([]float32, (in+hidden)*4*hidden),
 	}
 }
 
@@ -58,34 +60,25 @@ func (l *LSTM) OutShape(in []int) ([]int, error) {
 // Forward implements Layer.
 func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor { return l.ForwardCtx(nil, x) }
 
-// packWeights (re)builds the combined [4H, D+H] gate-weight matrix.
-func (l *LSTM) packWeights() {
+// repack rebuilds wt from wx and wh. Whatever writes either calls it before
+// the next forward pass (`make one-impl-check` holds non-test code to that).
+func (l *LSTM) repack() {
 	D, H := l.In, l.Hidden
-	if l.wcomb == nil {
-		l.wcomb = tensor.New(4*H, D+H)
-	}
-	wf, wxf, whf := l.wcomb.Data(), l.wx.Data(), l.wh.Data()
-	for g := 0; g < 4*H; g++ {
-		row := wf[g*(D+H) : (g+1)*(D+H)]
-		copy(row[:D], wxf[g*D:(g+1)*D])
-		copy(row[D:], whf[g*H:(g+1)*H])
-	}
+	packColumns(l.wt, 4*H, 0, l.wx.Data(), 4*H, D)
+	packColumns(l.wt, 4*H, D, l.wh.Data(), 4*H, H)
 }
 
-// ForwardCtx implements Layer. Each time step concatenates [x_t, h_{t-1}]
-// and computes all 4H gate pre-activations as one vector×matrixᵀ GEMM over
-// the packed weights, then applies the fused gate nonlinearities.
+// ForwardCtx implements Layer. Each time step concatenates [x_t, h_{t-1}],
+// computes all 4H gate pre-activations as one panel multiply over the packed
+// weights plus the bias, then applies the fused gate nonlinearities.
 func (l *LSTM) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != l.In {
 		panic(fmt.Sprintf("nn: %s expects [T,%d], got %v", l.Name(), l.In, x.Shape()))
 	}
-	l.packWeights()
 	T, D, H := x.Dim(0), l.In, l.Hidden
 	xh := newSlice(p, D+H)
 	c := newSlice(p, H)
 	gates := newSlice(p, 4*H)
-	xhv := viewTensor(p, xh, 1, D+H)
-	gv := viewTensor(p, gates, 1, 4*H)
 	h := xh[D:] // the hidden state lives inside the concat buffer
 	var seq *tensor.Tensor
 	if !l.ReturnLast {
@@ -95,8 +88,11 @@ func (l *LSTM) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	gi, gf_, gg, go_ := gates[:H], gates[H:2*H], gates[2*H:3*H], gates[3*H:4*H]
 	for t := 0; t < T; t++ {
 		copy(xh[:D], xf[t*D:(t+1)*D])
-		copy(gates, l.b)
-		tensor.Gemm(1, xhv, false, l.wcomb, true, 1, gv)
+		clear(gates)
+		tensor.MulAddPanel(xh, l.wt, 4*H, gates)
+		for j, bv := range l.b {
+			gates[j] += bv
+		}
 		for j := 0; j < H; j++ {
 			i := sigmoid32(gi[j])
 			f := sigmoid32(gf_[j])
@@ -147,4 +143,5 @@ func (l *LSTM) Init(rng *rand.Rand) {
 	for j := 0; j < l.Hidden; j++ {
 		l.b[l.Hidden+j] = 1
 	}
+	l.repack()
 }

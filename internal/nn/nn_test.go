@@ -345,6 +345,7 @@ func TestSeqFromCHW(t *testing.T) {
 func TestDenseKnownValues(t *testing.T) {
 	d := NewDense(2, 2, ActNone)
 	copy(d.w.Data(), []float32{1, 2, 3, 4})
+	d.repack()
 	d.b[0], d.b[1] = 10, 20
 	out := d.Forward(tensor.FromSlice([]float32{1, 1}, 2))
 	if out.Data()[0] != 13 || out.Data()[1] != 27 {

@@ -173,9 +173,9 @@ func referenceTransformer(b *TransformerBlock, x *tensor.Tensor) *tensor.Tensor 
 	}
 	T := x.Dim(0)
 	n := b.ln1.Forward(x)
-	q := referenceProject(b, n, b.wq, b.bq)
-	k := referenceProject(b, n, b.wk, b.bk)
-	v := referenceProject(b, n, b.wv, b.bv)
+	q := referenceProject(b, n, b.q.w, b.q.b)
+	k := referenceProject(b, n, b.k.w, b.k.b)
+	v := referenceProject(b, n, b.v.w, b.v.b)
 	attnOut := tensor.New(T, b.Dim)
 	scores := make([]float32, T)
 	for h := 0; h < b.Heads; h++ {
@@ -215,7 +215,7 @@ func referenceTransformer(b *TransformerBlock, x *tensor.Tensor) *tensor.Tensor 
 			}
 		}
 	}
-	proj := referenceProject(b, attnOut, b.wo, b.bo)
+	proj := referenceProject(b, attnOut, b.o.w, b.o.b)
 	tensor.AddInPlace(proj, x)
 	n2 := b.ln2.Forward(proj)
 	ffOut := tensor.New(T, b.Dim)

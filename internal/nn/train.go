@@ -115,6 +115,7 @@ func (d *Dense) Update(lr float32) {
 	}
 	sgdStep(lr, d.w.Data(), d.gw.Data())
 	sgdStep(lr, d.b, d.gb)
+	d.repack()
 }
 
 // sgdStep applies w += (-lr)·g with the unrolled AXPY kernel and clears g.

@@ -144,6 +144,7 @@ func (l *LSTM) Update(lr float32) {
 	sgdStep(lr, l.wx.Data(), l.gwx.Data())
 	sgdStep(lr, l.wh.Data(), l.gwh.Data())
 	sgdStep(lr, l.b, l.gb)
+	l.repack()
 }
 
 // Backward implements Backprop for SeqFromCHW: a pure layout inverse.

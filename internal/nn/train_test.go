@@ -75,10 +75,13 @@ func TestDenseGradientCheck(t *testing.T) {
 	for i := range d.w.Data() {
 		orig := d.w.Data()[i]
 		d.w.Data()[i] = orig + eps
+		d.repack()
 		lp := loss()
 		d.w.Data()[i] = orig - eps
+		d.repack()
 		lm := loss()
 		d.w.Data()[i] = orig
+		d.repack()
 		numeric := (lp - lm) / (2 * eps)
 		if math.Abs(numeric-float64(analytic[i])) > 1e-2*(1+math.Abs(numeric)) {
 			t.Fatalf("w[%d]: analytic %v vs numeric %v", i, analytic[i], numeric)
@@ -248,10 +251,13 @@ func TestLSTMGradientCheck(t *testing.T) {
 		for _, i := range idxs {
 			orig := w[i]
 			w[i] = orig + eps
+			l.repack()
 			lp := loss()
 			w[i] = orig - eps
+			l.repack()
 			lm := loss()
 			w[i] = orig
+			l.repack()
 			numeric := (lp - lm) / (2 * eps)
 			if math.Abs(numeric-float64(analytic[i])) > 2e-2*(1+math.Abs(numeric)) {
 				t.Fatalf("%s[%d]: analytic %v vs numeric %v", name, i, analytic[i], numeric)
@@ -303,10 +309,13 @@ func TestLSTMSequenceGradientCheck(t *testing.T) {
 	for _, i := range []int{0, 3, 7, 11, 15} {
 		orig := l.wx.Data()[i]
 		l.wx.Data()[i] = orig + eps
+		l.repack()
 		lp := loss()
 		l.wx.Data()[i] = orig - eps
+		l.repack()
 		lm := loss()
 		l.wx.Data()[i] = orig
+		l.repack()
 		numeric := (lp - lm) / (2 * eps)
 		if math.Abs(numeric-float64(analytic[i])) > 2e-2*(1+math.Abs(numeric)) {
 			t.Fatalf("wx[%d]: analytic %v vs numeric %v", i, analytic[i], numeric)

@@ -7,13 +7,16 @@ import (
 	"sync/atomic"
 )
 
-// High-throughput GEMM backend. The serial kernel is cache-blocked over k
-// (panels of B stay resident in L2 across the rows of A) with unrolled
-// AXPY/dot inner loops; large multiplies additionally fan out across a
-// persistent goroutine worker pool, partitioned by output rows so results
-// are bit-identical to the serial kernel for any worker count. Steady-state
-// calls allocate nothing: worker bookkeeping is recycled through a
-// sync.Pool and task channels carry plain structs.
+// High-throughput GEMM backend for op(A)·B with B row-major as stored. The
+// serial kernel is cache-blocked over k (panels of B stay resident in L2
+// across the rows of A) with an unrolled AXPY inner loop; large multiplies
+// additionally fan out across a persistent goroutine worker pool,
+// partitioned by output rows so results are bit-identical to the serial
+// kernel for any worker count. Steady-state calls allocate nothing: worker
+// bookkeeping is recycled through a sync.Pool and task channels carry plain
+// structs. Products against a transposed B are not here: a layer that needs
+// x·Wᵀ keeps Wᵀ packed and calls MulAddPanel (panel.go), a convolution over
+// overlapping rows calls MulAddNT.
 //
 // Backend knobs (SetWorkers, SetBlockSize, SetParallelThreshold) apply
 // process-wide; cmd/ltbench exposes them as -workers and -blocksize.
@@ -132,23 +135,7 @@ func Dot(x, y []float32) float32 {
 	return dot(x, y)
 }
 
-// dot4 computes the inner product of x against four rows at once, sharing
-// the loads of x across four accumulator chains.
-func dot4(x, r0, r1, r2, r3 []float32) (s0, s1, s2, s3 float32) {
-	r0 = r0[:len(x)]
-	r1 = r1[:len(x)]
-	r2 = r2[:len(x)]
-	r3 = r3[:len(x)]
-	for i, v := range x {
-		s0 += v * r0[i]
-		s1 += v * r1[i]
-		s2 += v * r2[i]
-		s3 += v * r3[i]
-	}
-	return
-}
-
-// gemmArgs is a fully resolved C += alpha·op(A)·op(B) over raw row-major
+// gemmArgs is a fully resolved C += alpha·op(A)·B over raw row-major
 // slices (beta is applied by the dispatcher before the kernel runs).
 type gemmArgs struct {
 	m, n, k int
@@ -158,7 +145,6 @@ type gemmArgs struct {
 	ta      bool
 	b       []float32
 	ldb     int
-	tb      bool
 	c       []float32
 	ldc     int
 	kc      int
@@ -170,7 +156,7 @@ type gemmArgs struct {
 // bit-identical to serial ones.
 func (g *gemmArgs) exec(i0, i1 int) {
 	switch {
-	case !g.ta && !g.tb:
+	case !g.ta:
 		for kk := 0; kk < g.k; kk += g.kc {
 			kend := min(kk+g.kc, g.k)
 			for i := i0; i < i1; i++ {
@@ -185,27 +171,7 @@ func (g *gemmArgs) exec(i0, i1 int) {
 				}
 			}
 		}
-	case !g.ta && g.tb:
-		for i := i0; i < i1; i++ {
-			arow := g.a[i*g.lda : i*g.lda+g.k]
-			crow := g.c[i*g.ldc : i*g.ldc+g.n]
-			j := 0
-			for ; j+4 <= g.n; j += 4 {
-				s0, s1, s2, s3 := dot4(arow,
-					g.b[j*g.ldb:j*g.ldb+g.k],
-					g.b[(j+1)*g.ldb:(j+1)*g.ldb+g.k],
-					g.b[(j+2)*g.ldb:(j+2)*g.ldb+g.k],
-					g.b[(j+3)*g.ldb:(j+3)*g.ldb+g.k])
-				crow[j] += g.alpha * s0
-				crow[j+1] += g.alpha * s1
-				crow[j+2] += g.alpha * s2
-				crow[j+3] += g.alpha * s3
-			}
-			for ; j < g.n; j++ {
-				crow[j] += g.alpha * dot(arow, g.b[j*g.ldb:j*g.ldb+g.k])
-			}
-		}
-	case g.ta && !g.tb:
+	default:
 		for p := 0; p < g.k; p++ {
 			acol := g.a[p*g.lda : p*g.lda+g.m]
 			brow := g.b[p*g.ldb : p*g.ldb+g.n]
@@ -215,17 +181,6 @@ func (g *gemmArgs) exec(i0, i1 int) {
 					continue
 				}
 				axpy(g.alpha*av, brow, g.c[i*g.ldc:i*g.ldc+g.n])
-			}
-		}
-	default: // ta && tb
-		for i := i0; i < i1; i++ {
-			crow := g.c[i*g.ldc : i*g.ldc+g.n]
-			for j := 0; j < g.n; j++ {
-				var s float32
-				for p := 0; p < g.k; p++ {
-					s += g.a[p*g.lda+i] * g.b[j*g.ldb+p]
-				}
-				crow[j] += g.alpha * s
 			}
 		}
 	}
@@ -306,13 +261,12 @@ func gemmDispatch(g gemmArgs, beta float32) {
 	runPool.Put(r)
 }
 
-// Gemm computes c = alpha·op(a)·op(b) + beta·c for rank-2 tensors, where
-// op is the identity or the transpose. Shapes: op(a) is [m,k], op(b) is
-// [k,n], c is [m,n]. For the no-transpose case the result is bit-identical
-// to the naive reference MatMul (same per-element accumulation order);
-// transposed operands use multi-accumulator dot kernels whose float32
-// rounding may differ from a sequential sum in the last bits.
-func Gemm(alpha float32, a *Tensor, transA bool, b *Tensor, transB bool, beta float32, c *Tensor) {
+// Gemm computes c = alpha·op(a)·b + beta·c for rank-2 tensors, where op is
+// the identity or the transpose. Shapes: op(a) is [m,k], b is [k,n], c is
+// [m,n]. Either way each output is one chain in ascending k over alpha·a's
+// elements (zeros skipped) — with alpha = 1 and beta = 0, bit-identical to
+// the naive reference MatMul.
+func Gemm(alpha float32, a *Tensor, transA bool, b *Tensor, beta float32, c *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 || c.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: gemm wants rank-2 operands, got %v × %v → %v", a.shape, b.shape, c.shape))
 	}
@@ -321,16 +275,13 @@ func Gemm(alpha float32, a *Tensor, transA bool, b *Tensor, transB bool, beta fl
 		m, ka = ka, m
 	}
 	kb, n := b.shape[0], b.shape[1]
-	if transB {
-		kb, n = n, kb
-	}
 	if ka != kb || c.shape[0] != m || c.shape[1] != n {
-		panic(fmt.Sprintf("tensor: gemm shape mismatch op(%v) × op(%v) → %v", a.shape, b.shape, c.shape))
+		panic(fmt.Sprintf("tensor: gemm shape mismatch op(%v) × %v → %v", a.shape, b.shape, c.shape))
 	}
 	g := gemmArgs{
 		m: m, n: n, k: ka, alpha: alpha,
 		a: a.data, lda: a.shape[1], ta: transA,
-		b: b.data, ldb: b.shape[1], tb: transB,
+		b: b.data, ldb: b.shape[1],
 		c: c.data, ldc: n,
 	}
 	gemmDispatch(g, beta)
@@ -340,7 +291,7 @@ func Gemm(alpha float32, a *Tensor, transA bool, b *Tensor, transB bool, beta fl
 // reusing dst's storage (dst must already have shape [m,n] and must not
 // alias a or b).
 func MatMulInto(dst, a, b *Tensor) {
-	Gemm(1, a, false, b, false, 0, dst)
+	Gemm(1, a, false, b, 0, dst)
 }
 
 // mac2x2 is MulAddNT's register tile: it continues the four chains sIJ of
@@ -370,8 +321,7 @@ func mac2x2(a0, a1, b0, b1 []float32, s00, s01, s10, s11 float32) (_, _, _, _ fl
 // value already in c, in ascending p. That makes the result bit-identical
 // to the no-transpose Gemm path over a materialised bᵀ (same products,
 // same order, one chain), and lets a caller split k across several calls —
-// one per input channel, say — without re-associating the sum. It is not
-// the Gemm NT path, whose four-chain dots round differently, and it is
+// one per input channel, say — without re-associating the sum. It is
 // always serial: SetWorkers and SetBlockSize do not apply.
 //
 // The kernel is register-tiled 2 rows of a × 2 rows of b, four accumulators
