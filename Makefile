@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build cross-build test race vet fmt-check api-check api-update bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke one-impl-check perf-check ci
+.PHONY: build cross-build test race vet fmt-check api-check api-update reach-check bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke one-impl-check perf-check ci
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,13 @@ api-check:
 
 api-update:
 	$(GO) test -run '^TestAPISnapshot$$' . -update-api
+
+# Reachability gate: every exported identifier under internal/ must be
+# referenced by a non-test file of this module or of perf/, or be listed with
+# a reason in testdata/reach_allow.txt — a list that may only shrink
+# (reach_test.go holds the scan and the ratchet).
+reach-check:
+	$(GO) test -run '^TestReachCheck$$' .
 
 # Kernel/inference micro-benchmarks (GEMM, conv, LSTM, model inference) and
 # the tick-to-trade hot-path benchmarks (wire decode, book ops, end-to-end
@@ -92,13 +99,15 @@ bench-all:
 bench-smoke:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./internal/tensor/ ./internal/nn/ ./internal/sched/
 
-# One iteration of each tick-path benchmark plus the zero-allocation
-# regression tests over the hot path (decode-into, book ops, snapshot,
-# histogram record, end-to-end tick, model Predict, a policy's Decide and a
-# scheduling-board round): allocation creep fails CI here.
+# One iteration of each tick-path benchmark plus the allocation regression
+# tests over the hot path (decode-into, book ops, snapshot, histogram record,
+# model Predict, a policy's Decide and a scheduling-board round at zero, and
+# the live loop itself — MultiTrader.OnDatagram inline, order out and ack
+# back — at its pinned count): allocation creep fails CI here.
 bench-tickpath:
 	$(GO) test -run='ZeroAlloc' -bench=. -benchtime=1x \
 		./internal/sbe/ ./internal/lob/ ./internal/latency/ ./internal/core/ ./internal/nn/ ./internal/sched/
+	$(GO) test -run='^TestLiveLoopAllocsPerTick$$' ./internal/trader/
 
 # Policy-matrix smoke: the full scheduler registry × three workloads over a
 # small trace via bench.RunMatrix, checked byte-identical across worker
@@ -200,13 +209,15 @@ frontier-smoke:
 
 # Short fuzz runs over the wire-facing decoders — the surfaces an exchange
 # (or an attacker on the path) feeds directly. `go test -fuzz` takes exactly
-# one matching target per invocation, hence one line per fuzzer.
+# one matching target per invocation, hence one line per fuzzer. The sbe
+# parser gets the double share: FuzzDecodePacketParity holds it to the
+# reference decoder in oracle_test.go (fuzzing that oracle alone proves
+# nothing about the parser, so FuzzDecodeMessage only runs its seeds).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzDecodeSessionFrame$$ -fuzztime=10s ./internal/orderentry/
 	$(GO) test -run=^$$ -fuzz=^FuzzDecodeFrame$$ -fuzztime=10s ./internal/orderentry/
 	$(GO) test -run=^$$ -fuzz=^FuzzDecodePacket$$ -fuzztime=10s ./internal/sbe/
-	$(GO) test -run=^$$ -fuzz=^FuzzDecodeMessage$$ -fuzztime=10s ./internal/sbe/
-	$(GO) test -run=^$$ -fuzz=^FuzzDecodePacketParity$$ -fuzztime=10s ./internal/sbe/
+	$(GO) test -run=^$$ -fuzz=^FuzzDecodePacketParity$$ -fuzztime=20s ./internal/sbe/
 	$(GO) test -run=^$$ -fuzz=^FuzzDecodeFrame$$ -fuzztime=10s ./internal/signal/
 
 # The full CI gate: formatting, static analysis, build (also cross-built for
@@ -222,6 +233,6 @@ fuzz-smoke:
 # smoke (zoo training/pricing, degrade-ladder invariants and the
 # model-switch allocation gate), a short fuzz pass over the wire decoders,
 # the one-implementation check on the scheduling-board rules and the
-# profiled table, and the vet-and-test pass over the nested perf/ benchmark
-# module.
-ci: fmt-check vet build cross-build api-check one-impl-check perf-check race bench-smoke bench-tickpath sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke
+# profiled table, the reachability gate on internal/'s exported names, and
+# the vet-and-test pass over the nested perf/ benchmark module.
+ci: fmt-check vet build cross-build api-check reach-check one-impl-check perf-check race bench-smoke bench-tickpath sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke

@@ -88,11 +88,3 @@ func int8MatMul(a, b *tensor.Tensor) *tensor.Tensor {
 	}
 	return out
 }
-
-// GoldenConv2D runs a convolution on the golden matmul: the host-side
-// im2col patch matrix (cols, [K,N]) times the flattened weights
-// (w, [OutC,K]) at the given precision. It mirrors how the compiler maps
-// Conv2D onto a KindMatmul hyperblock behind the FMT.
-func GoldenConv2D(prec Precision, w, cols *tensor.Tensor) *tensor.Tensor {
-	return GoldenMatMul(prec, w, cols)
-}

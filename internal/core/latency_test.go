@@ -45,34 +45,3 @@ func TestPipelineLatencyHook(t *testing.T) {
 		t.Fatal("detached histogram still recording")
 	}
 }
-
-// TestFeedHandlerLatencyHook checks the wire-to-order histogram counts every
-// datagram, including ones the arbiter parks or dedupes.
-func TestFeedHandlerLatencyHook(t *testing.T) {
-	cfg := feed.DefaultGeneratorConfig()
-	gen, err := feed.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ticks := gen.Generate(20)
-	p, err := NewPipeline(cfg.Symbol, cfg.SecurityID, nn.NewSizedCNN("tiny", 8, 0),
-		offload.Calibrate(snapsOf(ticks)), trading.DefaultConfig(cfg.SecurityID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fh := NewFeedHandler(p, 0)
-	var hist latency.Histogram
-	fh.SetLatency(&hist)
-	datagrams := 0
-	for _, tk := range ticks {
-		for i := 0; i < 2; i++ { // redundant A/B delivery: every datagram times
-			if _, err := fh.OnDatagram(tk.Packet); err != nil {
-				t.Fatal(err)
-			}
-			datagrams++
-		}
-	}
-	if hist.Count() != uint64(datagrams) {
-		t.Fatalf("recorded %d samples, want %d", hist.Count(), datagrams)
-	}
-}

@@ -3,29 +3,22 @@ package core
 import (
 	"fmt"
 
-	"lighttrader/internal/exchange"
 	"lighttrader/internal/nn"
 	"lighttrader/internal/offload"
-	"lighttrader/internal/sbe"
 	"lighttrader/internal/trading"
 )
 
-// MultiPipeline runs one functional pipeline per subscribed instrument over
-// a shared market-data channel, the multi-symbol deployment of §II-C
-// ("even if only a single symbol is subscribed" implies the general case).
-// Each datagram is parsed once and dispatched; every pipeline filters to
-// its own security and maintains an independent book, model and risk state.
-//
-// MultiPipeline itself is the strictly serial dispatch path; the concurrent
-// serving runtime (internal/serve) shards the same subscription set across
-// worker lanes and reduces to this behaviour in its single-lane
-// configuration.
+// MultiPipeline is the subscription set of a multi-symbol deployment (§II-C:
+// "even if only a single symbol is subscribed" implies the general case): one
+// functional pipeline per instrument over a shared market-data channel, each
+// filtering to its own security and keeping an independent book, model and
+// risk state. It dispatches nothing itself — the serving runtime
+// (internal/serve) parses each datagram once and shards the set across its
+// lanes, inline on the caller's goroutine at Lanes: 0.
 type MultiPipeline struct {
 	pipes   map[int32]*Pipeline
 	symbols map[string]int32 // symbol → securityID, for duplicate detection
-	order   []int32          // deterministic dispatch order
-	// pktBuf backs OnPacket's decode: the packet is consumed within the call.
-	pktBuf sbe.PacketBuffer
+	order   []int32          // subscription order
 }
 
 // NewMultiPipeline returns an empty multi-instrument pipeline.
@@ -87,43 +80,5 @@ func (mp *MultiPipeline) Symbols() []string {
 	return out
 }
 
-// SecurityIDs returns the subscribed security IDs in subscription order.
-func (mp *MultiPipeline) SecurityIDs() []int32 {
-	out := make([]int32, len(mp.order))
-	copy(out, mp.order)
-	return out
-}
-
 // Len returns the number of subscriptions.
 func (mp *MultiPipeline) Len() int { return len(mp.order) }
-
-// OnPacket parses one datagram and dispatches it to every subscription,
-// concatenating the generated order requests.
-func (mp *MultiPipeline) OnPacket(buf []byte) ([]exchange.Request, error) {
-	pkt, err := sbe.DecodePacketInto(buf, &mp.pktBuf)
-	if err != nil {
-		return nil, fmt.Errorf("core: packet parse: %w", err)
-	}
-	return mp.OnDecodedPacket(pkt)
-}
-
-// OnDecodedPacket dispatches an already-decoded packet to every
-// subscription in subscription order (the arbitrated-feed path).
-func (mp *MultiPipeline) OnDecodedPacket(pkt sbe.Packet) ([]exchange.Request, error) {
-	var orders []exchange.Request
-	for _, id := range mp.order {
-		reqs, err := mp.pipes[id].OnDecodedPacket(pkt)
-		if err != nil {
-			return orders, err
-		}
-		orders = append(orders, reqs...)
-	}
-	return orders, nil
-}
-
-// OnExecReport routes an execution report to the owning instrument.
-func (mp *MultiPipeline) OnExecReport(rep exchange.ExecReport) {
-	if p, ok := mp.pipes[rep.SecurityID]; ok {
-		p.OnExecReport(rep)
-	}
-}

@@ -6,8 +6,10 @@ import (
 	"lighttrader/internal/exchange"
 	"lighttrader/internal/feed"
 	"lighttrader/internal/lob"
+	"lighttrader/internal/mdclient"
 	"lighttrader/internal/nn"
 	"lighttrader/internal/offload"
+	"lighttrader/internal/sbe"
 	"lighttrader/internal/trading"
 )
 
@@ -155,8 +157,9 @@ func TestFunctionalBacktest(t *testing.T) {
 }
 
 // TestFeedHandlerArbitration replays a duplicated, locally reordered feed
-// through the arbitrated pipeline and checks the book matches a clean
-// replay exactly.
+// through an arbiter-fronted pipeline (the live loop's feed handling:
+// mdclient.Arbiter delivering into OnDecodedPacket) and checks the book
+// matches a clean replay exactly.
 func TestFeedHandlerArbitration(t *testing.T) {
 	cfg := feed.DefaultGeneratorConfig()
 	gen, err := feed.NewGenerator(cfg)
@@ -181,15 +184,19 @@ func TestFeedHandlerArbitration(t *testing.T) {
 	}
 
 	arbitrated := build()
-	h := NewFeedHandler(arbitrated, 8)
+	h := mdclient.New(func(pkt sbe.Packet) {
+		if _, err := arbitrated.OnDecodedPacket(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}, 8)
 	// Feed A then B for every packet, with adjacent pairs swapped on B.
 	for i := 0; i < len(ticks); i++ {
-		if _, err := h.OnDatagram(ticks[i].Packet); err != nil {
+		if err := h.OnDatagram(ticks[i].Packet); err != nil {
 			t.Fatal(err)
 		}
 		j := i ^ 1 // swap adjacent pairs
 		if j < len(ticks) {
-			if _, err := h.OnDatagram(ticks[j].Packet); err != nil {
+			if err := h.OnDatagram(ticks[j].Packet); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -239,9 +246,6 @@ func TestMultiPipelineTwoInstruments(t *testing.T) {
 	if got := mp.Symbols(); len(got) != 2 || got[0] != "ESU6" || got[1] != "NQU6" {
 		t.Fatalf("Symbols() = %v", got)
 	}
-	if got := mp.SecurityIDs(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("SecurityIDs() = %v", got)
-	}
 	if mp.Len() != 2 || len(mp.Pipelines()) != 2 {
 		t.Fatalf("Len() = %d, Pipelines() = %d", mp.Len(), len(mp.Pipelines()))
 	}
@@ -257,8 +261,10 @@ func TestMultiPipelineTwoInstruments(t *testing.T) {
 			Side: lob.Side(i % 2), Price: int64(200000 + i%5 - 2 + 10*(i%2)), Qty: 7})
 	}
 	for _, pkt := range packets {
-		if _, err := mp.OnPacket(pkt); err != nil {
-			t.Fatal(err)
+		for _, p := range mp.Pipelines() {
+			if _, err := p.OnPacket(pkt); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
@@ -289,11 +295,5 @@ func TestMultiPipelineTwoInstruments(t *testing.T) {
 		if s2.Asks[l].Price != e2.Asks[l].Price || s2.Asks[l].Qty != e2.Asks[l].Qty {
 			t.Fatalf("NQ ask level %d: %+v vs %+v", l, s2.Asks[l], e2.Asks[l])
 		}
-	}
-	// Exec routing: a fill on instrument 2 must not touch instrument 1.
-	mp.OnExecReport(exchange.ExecReport{Exec: exchange.ExecFilled, SecurityID: 2,
-		ClOrdID: 999, Side: lob.Bid, Price: 200000, Qty: 1})
-	if p1.Trader().Position() != 0 || p2.Trader().Position() != 1 {
-		t.Fatalf("positions: ES %d NQ %d", p1.Trader().Position(), p2.Trader().Position())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"lighttrader/internal/exchange"
 	"lighttrader/internal/feed"
 	"lighttrader/internal/lob"
+	"lighttrader/internal/mdclient"
 	"lighttrader/internal/nn"
 	"lighttrader/internal/offload"
 	"lighttrader/internal/sbe"
@@ -37,11 +38,26 @@ func tickTrace(b *testing.B) []feed.Tick {
 	return benchTicks
 }
 
+// tickPath is the arbitrated single-instrument tick path the benchmarks time:
+// datagram → mdclient.Arbiter → Pipeline.OnDecodedPacket. An in-order trace
+// delivers exactly one packet per datagram, so reqs holds that tick's orders.
+type tickPath struct {
+	arb  *mdclient.Arbiter
+	reqs []exchange.Request
+	err  error
+}
+
+func newTickPath(p *Pipeline) *tickPath {
+	tp := &tickPath{}
+	tp.arb = mdclient.New(func(pkt sbe.Packet) { tp.reqs, tp.err = p.OnDecodedPacket(pkt) }, 0)
+	return tp
+}
+
 // benchPipeline assembles the conventional pipeline with the accelerator
 // answer stubbed to a constant aggressive signal, so the measured path is
 // exactly the software tick-to-trade stages: decode → arbitration → book
 // update → snapshot → feature extraction → trading decision → order out.
-func benchPipeline(b *testing.B, stubPredict bool) (*Pipeline, *FeedHandler) {
+func benchPipeline(b *testing.B, stubPredict bool) (*Pipeline, *tickPath) {
 	b.Helper()
 	tcfg := trading.DefaultConfig(1)
 	tcfg.MinConfidence = 0.2
@@ -55,21 +71,24 @@ func benchPipeline(b *testing.B, stubPredict bool) (*Pipeline, *FeedHandler) {
 			return nn.Up, 0.9, nil
 		})
 	}
-	return p, NewFeedHandler(p, 0)
+	return p, newTickPath(p)
 }
 
-// runTick replays one trace tick through the feed handler with a fresh
+// runTick replays one trace tick through the arbitrated path with a fresh
 // sequence number, acknowledging every generated order with a cancel so the
 // trading engine's exposure returns to zero and the order flow never stops.
-func runTick(b *testing.B, p *Pipeline, fh *FeedHandler, ticks []feed.Tick, i int, seq *uint32) {
+func runTick(b *testing.B, p *Pipeline, tp *tickPath, ticks []feed.Tick, i int, seq *uint32) {
 	buf := ticks[i%len(ticks)].Packet
 	*seq++
 	binary.LittleEndian.PutUint32(buf[0:], *seq)
-	reqs, err := fh.OnDatagram(buf)
-	if err != nil {
+	tp.reqs = nil
+	if err := tp.arb.OnDatagram(buf); err != nil {
 		b.Fatal(err)
 	}
-	for _, req := range reqs {
+	if tp.err != nil {
+		b.Fatal(tp.err)
+	}
+	for _, req := range tp.reqs {
 		p.OnExecReport(exchange.ExecReport{
 			Exec: exchange.ExecCanceled, ClOrdID: req.ClOrdID,
 			SecurityID: req.SecurityID, Side: req.Side,
@@ -85,17 +104,17 @@ func runTick(b *testing.B, p *Pipeline, fh *FeedHandler, ticks []feed.Tick, i in
 // the software-inference variant).
 func BenchmarkTickToTrade(b *testing.B) {
 	ticks := tickTrace(b)
-	p, fh := benchPipeline(b, true)
+	p, tp := benchPipeline(b, true)
 	var seq uint32
 	// Warm through one full trace cycle: fills the feature window and lets
 	// every reusable buffer reach steady-state capacity.
 	for i := 0; i < len(ticks); i++ {
-		runTick(b, p, fh, ticks, i, &seq)
+		runTick(b, p, tp, ticks, i, &seq)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runTick(b, p, fh, ticks, i, &seq)
+		runTick(b, p, tp, ticks, i, &seq)
 	}
 }
 
@@ -104,15 +123,15 @@ func BenchmarkTickToTrade(b *testing.B) {
 // pipeline compares with software inference on the same core.
 func BenchmarkTickToTradeInfer(b *testing.B) {
 	ticks := tickTrace(b)
-	p, fh := benchPipeline(b, false)
+	p, tp := benchPipeline(b, false)
 	var seq uint32
 	for i := 0; i < 256; i++ {
-		runTick(b, p, fh, ticks, i, &seq)
+		runTick(b, p, tp, ticks, i, &seq)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runTick(b, p, fh, ticks, i, &seq)
+		runTick(b, p, tp, ticks, i, &seq)
 	}
 }
 
@@ -145,10 +164,10 @@ func BenchmarkStageBookUpdate(b *testing.B) {
 // with the accelerator answer stubbed.
 func BenchmarkStageSnapshotFeature(b *testing.B) {
 	ticks := tickTrace(b)
-	p, fh := benchPipeline(b, true)
+	p, tp := benchPipeline(b, true)
 	var seq uint32
 	for i := 0; i < len(ticks); i++ {
-		runTick(b, p, fh, ticks, i, &seq)
+		runTick(b, p, tp, ticks, i, &seq)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

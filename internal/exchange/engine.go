@@ -191,10 +191,13 @@ func (e *Engine) Submit(req Request) []ExecReport {
 		return []ExecReport{{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
 			Reason: fmt.Sprintf("unknown request kind %d", req.Kind), TimeNanos: now}}
 	}
+	// One fill per maker matched, all the taker's. ExecFilled is terminal —
+	// consumers retire the id on it — so only the fill that ends the order
+	// carries it: the last one, unless a remainder rests.
 	for i, f := range fills {
-		exec := ExecFilled
-		if _, resting := b.Order(f.TakerID); resting && i == len(fills)-1 {
-			exec = ExecPartialFill
+		exec := ExecPartialFill
+		if _, resting := b.Order(f.TakerID); i == len(fills)-1 && !resting {
+			exec = ExecFilled
 		}
 		reports = append(reports, ExecReport{Exec: exec, ClOrdID: f.TakerID,
 			SecurityID: req.SecurityID, Side: f.TakerSide, Price: f.Price, Qty: f.Qty, TimeNanos: now})

@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"reflect"
 	"testing"
 
 	"lighttrader/internal/lob"
@@ -96,6 +97,25 @@ func TestPartialFillReport(t *testing.T) {
 	}
 	if !sawPartial {
 		t.Fatalf("want a partial-fill report, got %+v", reps)
+	}
+}
+
+// TestMultiMakerFillReports pins "ExecFilled is terminal": a taker matched
+// against several makers gets one fill per maker, and only the fill that
+// completes it is ExecFilled — consumers retire the id on that report, so an
+// earlier one would strand the rest of the quantity.
+func TestMultiMakerFillReports(t *testing.T) {
+	h := newHarness(t)
+	for id := uint64(1); id <= 3; id++ {
+		h.submit(Request{Kind: ReqNew, SecurityID: 7, ClOrdID: id, Side: lob.Ask, Price: 100, Qty: 1})
+	}
+	var got []ExecType
+	for _, r := range h.submit(Request{Kind: ReqNew, SecurityID: 7, ClOrdID: 9, Side: lob.Bid, Price: 100, Qty: 3}) {
+		got = append(got, r.Exec)
+	}
+	want := []ExecType{ExecAccepted, ExecPartialFill, ExecPartialFill, ExecFilled}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reports = %v, want %v", got, want)
 	}
 }
 

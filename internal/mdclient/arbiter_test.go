@@ -10,19 +10,16 @@ import (
 
 // mkPacket builds an incremental packet with the given sequence number.
 func mkPacket(seq uint32) []byte {
-	enc := sbe.NewPacketEncoder(seq, uint64(seq)*1000)
-	enc.AddIncremental(&sbe.IncrementalRefresh{
+	return sbe.AppendPacket(nil, seq, uint64(seq)*1000, []sbe.Message{{Incremental: &sbe.IncrementalRefresh{
 		TransactTime: uint64(seq) * 1000,
 		Entries:      []sbe.BookEntry{{Price: int64(seq), Qty: 1, Level: 1}},
-	})
-	return enc.Bytes()
+	}}})
 }
 
 // mkSnapshot builds a snapshot packet asserting lastSeq.
 func mkSnapshot(seq, lastSeq uint32) []byte {
-	enc := sbe.NewPacketEncoder(seq, uint64(seq)*1000)
-	enc.AddSnapshot(&sbe.SnapshotFullRefresh{LastMsgSeqNum: lastSeq})
-	return enc.Bytes()
+	return sbe.AppendPacket(nil, seq, uint64(seq)*1000,
+		[]sbe.Message{{Snapshot: &sbe.SnapshotFullRefresh{LastMsgSeqNum: lastSeq}}})
 }
 
 type collector struct {

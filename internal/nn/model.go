@@ -208,22 +208,6 @@ func (m *Model) Params() int64 {
 	return total
 }
 
-// LayerFLOPs returns the per-layer FLOP breakdown, used by the compiler to
-// build hyperblocks.
-func (m *Model) LayerFLOPs() []int64 {
-	out := make([]int64, len(m.Layers))
-	shape := m.InputShape
-	for i, l := range m.Layers {
-		out[i] = l.FLOPs(shape)
-		next, err := l.OutShape(shape)
-		if err != nil {
-			break
-		}
-		shape = next
-	}
-	return out
-}
-
 // HasNonLinear reports whether any layer needs the extended PEs
 // (exponential-class functions): LSTMs, attention, softmax, tanh/sigmoid.
 func (m *Model) HasNonLinear() bool {

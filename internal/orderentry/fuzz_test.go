@@ -62,19 +62,3 @@ func FuzzDecodeSessionFrame(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseFIX exercises the FIX tag-value parser.
-func FuzzParseFIX(f *testing.F) {
-	s := NewFIXSession("A", "B")
-	f.Add(s.NewOrderSingle(1, "ES", true, 100, 1, "t"))
-	f.Add([]byte("8=FIX.4.4\x019=0\x0110=000\x01"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := ParseFIX(data)
-		if err != nil {
-			return
-		}
-		if msg == nil {
-			t.Fatal("nil message with nil error")
-		}
-	})
-}

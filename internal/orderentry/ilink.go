@@ -1,3 +1,8 @@
+// Package orderentry implements the order-entry protocol of the paper's
+// trading pipeline (§III-A) as a CME iLink 3 style binary format, plus the
+// FIXP-derived session layer it rides on. Requests are encoded by appending
+// fixed-layout frames to a caller-owned buffer, mirroring the paper's
+// template-in-SRAM design: only the variable fields are written per order.
 package orderentry
 
 import (

@@ -9,79 +9,6 @@ import (
 	"lighttrader/internal/lob"
 )
 
-func TestFIXNewOrderRoundTrip(t *testing.T) {
-	s := NewFIXSession("LIGHT", "CME")
-	raw := s.NewOrderSingle(42, "ESU6", true, 450025, 3, "20260705-12:00:00")
-	msg, err := ParseFIX(raw)
-	if err != nil {
-		t.Fatalf("ParseFIX: %v\nraw: %q", err, raw)
-	}
-	if msg.MsgType() != MsgNewOrderSingle {
-		t.Fatalf("msg type = %q", msg.MsgType())
-	}
-	checks := map[int]string{11: "42", 38: "3", 44: "450025", 54: "1", 55: "ESU6", 49: "LIGHT", 56: "CME", 34: "1"}
-	for tag, want := range checks {
-		if got, ok := msg.Get(tag); !ok || got != want {
-			t.Fatalf("tag %d = %q, %v; want %q", tag, got, ok, want)
-		}
-	}
-}
-
-func TestFIXSequenceIncrements(t *testing.T) {
-	s := NewFIXSession("A", "B")
-	_ = s.NewOrderSingle(1, "ES", true, 1, 1, "t")
-	raw := s.OrderCancelRequest(2, 1, "ES", "t")
-	msg, err := ParseFIX(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq, _ := msg.Get(34); seq != "2" {
-		t.Fatalf("seq = %s, want 2", seq)
-	}
-	if orig, _ := msg.Get(41); orig != "1" {
-		t.Fatalf("orig = %s, want 1", orig)
-	}
-}
-
-func TestFIXCancelReplaceAndExecReport(t *testing.T) {
-	s := NewFIXSession("A", "B")
-	msg, err := ParseFIX(s.OrderCancelReplace(3, 2, "ES", 100, 5, "t"))
-	if err != nil || msg.MsgType() != MsgOrderCancelReplace {
-		t.Fatalf("replace: %v %q", err, msg.MsgType())
-	}
-	msg, err = ParseFIX(s.ExecutionReport(3, 'F', "ES", 100, 5, "t"))
-	if err != nil || msg.MsgType() != MsgExecutionReport {
-		t.Fatalf("exec report: %v %q", err, msg.MsgType())
-	}
-	if et, _ := msg.Get(150); et != "F" {
-		t.Fatalf("exec type = %q", et)
-	}
-}
-
-func TestFIXChecksumRejected(t *testing.T) {
-	s := NewFIXSession("A", "B")
-	raw := s.NewOrderSingle(1, "ES", true, 1, 1, "t")
-	raw[20] ^= 0x01 // flip a bit inside the body
-	if _, err := ParseFIX(raw); err == nil {
-		t.Fatal("corrupted message accepted")
-	}
-}
-
-func TestFIXMalformed(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("garbage"),
-		[]byte("8=FIX.4.4\x01"),
-		[]byte("x=1\x01"),
-		[]byte("8=FIX.4.4\x019=5\x0135=D\x0110=000\x01"), // wrong body length
-	}
-	for i, c := range cases {
-		if _, err := ParseFIX(c); err == nil {
-			t.Fatalf("case %d accepted: %q", i, c)
-		}
-	}
-}
-
 func TestILinkNewOrderRoundTrip(t *testing.T) {
 	req := exchange.Request{
 		Kind: exchange.ReqNew, SecurityID: 7, ClOrdID: 99,
@@ -196,14 +123,6 @@ func TestQuickILinkRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkFIXEncode(b *testing.B) {
-	s := NewFIXSession("LIGHT", "CME")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = s.NewOrderSingle(uint64(i), "ESU6", true, 450025, 3, "20260705-12:00:00")
 	}
 }
 

@@ -3,14 +3,15 @@ package sbe
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
-// This file is the allocation-free twin of the decoders in sbe.go and
-// packet.go: DecodePacketInto parses a datagram into caller-owned backing
-// storage (a PacketBuffer) so the steady-state wire path performs zero heap
-// allocations per packet. The legacy DecodePacket/DecodeMessage entry
-// points are retained unchanged; the differential fuzz target and parity
-// tests pin the two paths byte-identical (same packets, same errors).
+// This file is the package's one parser: DecodePacketInto parses a datagram
+// into caller-owned backing storage (a PacketBuffer) so the steady-state wire
+// path performs zero heap allocations per packet, and DecodePacket is the
+// same parser over a fresh buffer. The allocating decoder it replaced lives
+// on in oracle_test.go, where the differential fuzz target and parity tests
+// hold this one to the same packets and the same errors.
 
 // msgKind tags one decoded message's payload union inside a PacketBuffer.
 type msgKind uint8
@@ -60,10 +61,8 @@ func (pb *PacketBuffer) reset() {
 }
 
 // DecodePacketInto parses a complete market-data datagram into pb's
-// storage, returning a Packet that aliases pb. It accepts and rejects
-// exactly the same inputs as DecodePacket, with identical errors; the only
-// difference is buffer ownership. On error pb's contents are unspecified
-// (but remain reusable).
+// storage, returning a Packet that aliases pb. On error pb's contents are
+// unspecified (but remain reusable).
 func DecodePacketInto(buf []byte, pb *PacketBuffer) (Packet, error) {
 	pb.reset()
 	if len(buf) < PacketHeaderLen {
@@ -144,8 +143,8 @@ func ClonePacket(pkt Packet) Packet {
 	return out
 }
 
-// decodeMessageInto decodes one SBE message into pb, mirroring
-// DecodeMessage check for check so the two paths fail identically.
+// decodeMessageInto decodes one SBE message from buf into pb, returning the
+// number of bytes consumed.
 func decodeMessageInto(buf []byte, pb *PacketBuffer) (int, error) {
 	if len(buf) < messageHeaderLen {
 		return 0, ErrShortBuffer
@@ -163,11 +162,14 @@ func decodeMessageInto(buf []byte, pb *PacketBuffer) (int, error) {
 	n := messageHeaderLen + blockLen
 	switch template {
 	case TemplateIncrementalRefreshBook:
+		// The declared block must cover at least this schema version's
+		// fixed fields; a forged smaller block would let the fixed-offset
+		// reads below run past the body.
 		if blockLen < incrementalBlockLen {
 			return 0, fmt.Errorf("sbe: incremental block length %d too small", blockLen)
 		}
 		lo := len(pb.bookEntries)
-		g, err := decodeBookGroupInto(buf[n:], pb)
+		g, err := decodeBookEntries(buf[n:], pb)
 		if err != nil {
 			return 0, err
 		}
@@ -197,7 +199,7 @@ func decodeMessageInto(buf []byte, pb *PacketBuffer) (int, error) {
 			return 0, fmt.Errorf("sbe: snapshot block length %d too small", blockLen)
 		}
 		lo := len(pb.snapEntries)
-		g, err := decodeSnapshotGroupInto(buf[n:], pb)
+		g, err := decodeSnapshotEntries(buf[n:], pb)
 		if err != nil {
 			return 0, err
 		}
@@ -218,8 +220,8 @@ func decodeMessageInto(buf []byte, pb *PacketBuffer) (int, error) {
 	}
 }
 
-// decodeBookGroupInto appends the group's entries to pb.bookEntries.
-func decodeBookGroupInto(buf []byte, pb *PacketBuffer) (int, error) {
+// decodeBookEntries appends the group's entries to pb.bookEntries.
+func decodeBookEntries(buf []byte, pb *PacketBuffer) (int, error) {
 	if len(buf) < groupHeaderLen {
 		return 0, ErrShortBuffer
 	}
@@ -232,6 +234,7 @@ func decodeBookGroupInto(buf []byte, pb *PacketBuffer) (int, error) {
 	if len(buf) < need {
 		return 0, ErrBadGroupCount
 	}
+	pb.bookEntries = slices.Grow(pb.bookEntries, count)
 	off := groupHeaderLen
 	for i := 0; i < count; i++ {
 		e := buf[off:]
@@ -249,8 +252,8 @@ func decodeBookGroupInto(buf []byte, pb *PacketBuffer) (int, error) {
 	return need, nil
 }
 
-// decodeSnapshotGroupInto appends the group's entries to pb.snapEntries.
-func decodeSnapshotGroupInto(buf []byte, pb *PacketBuffer) (int, error) {
+// decodeSnapshotEntries appends the group's entries to pb.snapEntries.
+func decodeSnapshotEntries(buf []byte, pb *PacketBuffer) (int, error) {
 	if len(buf) < groupHeaderLen {
 		return 0, ErrShortBuffer
 	}
@@ -263,6 +266,7 @@ func decodeSnapshotGroupInto(buf []byte, pb *PacketBuffer) (int, error) {
 	if len(buf) < need {
 		return 0, ErrBadGroupCount
 	}
+	pb.snapEntries = slices.Grow(pb.snapEntries, count)
 	off := groupHeaderLen
 	for i := 0; i < count; i++ {
 		e := buf[off:]

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// entriesEqual compares entry slices treating nil and empty as equal (the
-// into-decoder sub-slices its arena, the legacy decoder makes fresh slices).
+// bookEntriesEqual compares entry slices treating nil and empty as equal (the
+// parser sub-slices its arena, the oracle makes fresh slices).
 func bookEntriesEqual(a, b []BookEntry) bool {
 	if len(a) != len(b) {
 		return false
@@ -84,26 +84,21 @@ func errorsMatch(a, b error) bool {
 // corpusPackets builds a varied set of valid datagrams.
 func corpusPackets() [][]byte {
 	rng := rand.New(rand.NewSource(42))
-	var out [][]byte
-
-	// Empty packet: header only.
-	enc := NewPacketEncoder(1, 11)
-	out = append(out, enc.Bytes())
-
-	// Single-message packets of each kind, including zero-entry groups.
-	enc = NewPacketEncoder(2, 22)
-	enc.AddIncremental(&IncrementalRefresh{TransactTime: 5})
-	out = append(out, enc.Bytes())
-	enc = NewPacketEncoder(3, 33)
-	enc.AddTrade(&TradeSummary{TransactTime: 6, Price: 101, Qty: 2, SecurityID: 7, AggressorBid: true})
-	out = append(out, enc.Bytes())
-	enc = NewPacketEncoder(4, 44)
-	enc.AddSnapshot(&SnapshotFullRefresh{TransactTime: 7, LastMsgSeqNum: 3, SecurityID: 7, RptSeq: 9, TotNumReports: 1})
-	out = append(out, enc.Bytes())
+	out := [][]byte{
+		// Empty packet: header only.
+		AppendPacket(nil, 1, 11, nil),
+		// Single-message packets of each kind, including zero-entry groups.
+		AppendPacket(nil, 2, 22, []Message{{Incremental: &IncrementalRefresh{TransactTime: 5}}}),
+		AppendPacket(nil, 3, 33, []Message{{Trade: &TradeSummary{
+			TransactTime: 6, Price: 101, Qty: 2, SecurityID: 7, AggressorBid: true}}}),
+		AppendPacket(nil, 4, 44, []Message{{Snapshot: &SnapshotFullRefresh{
+			TransactTime: 7, LastMsgSeqNum: 3, SecurityID: 7, RptSeq: 9, TotNumReports: 1}}}),
+	}
 
 	// Random multi-message packets.
 	for p := 0; p < 64; p++ {
-		enc := NewPacketEncoder(uint32(p+10), uint64(rng.Int63()))
+		sendingTime := uint64(rng.Int63())
+		var msgs []Message
 		for m := 0; m < 1+rng.Intn(4); m++ {
 			switch rng.Intn(3) {
 			case 0:
@@ -116,13 +111,13 @@ func corpusPackets() [][]byte {
 						Action: MDUpdateAction(rng.Intn(3)), Entry: EntryType(rng.Intn(3)),
 					})
 				}
-				enc.AddIncremental(inc)
+				msgs = append(msgs, Message{Incremental: inc})
 			case 1:
-				enc.AddTrade(&TradeSummary{
+				msgs = append(msgs, Message{Trade: &TradeSummary{
 					TransactTime: uint64(rng.Int63()), Price: rng.Int63n(1 << 40),
 					Qty: rng.Int31n(1000), SecurityID: rng.Int31n(8),
 					AggressorBid: rng.Intn(2) == 0,
-				})
+				}})
 			default:
 				snap := &SnapshotFullRefresh{
 					TransactTime: uint64(rng.Int63()), LastMsgSeqNum: rng.Uint32(),
@@ -134,10 +129,10 @@ func corpusPackets() [][]byte {
 						Level: uint8(1 + rng.Intn(10)), Entry: EntryType(rng.Intn(2)),
 					})
 				}
-				enc.AddSnapshot(snap)
+				msgs = append(msgs, Message{Snapshot: snap})
 			}
 		}
-		out = append(out, enc.Bytes())
+		out = append(out, AppendPacket(nil, uint32(p+10), sendingTime, msgs))
 	}
 	return out
 }
@@ -172,18 +167,18 @@ func corruptions(valid []byte) [][]byte {
 	return out
 }
 
-// TestDecodeIntoParity pins DecodePacketInto byte-identical to the legacy
-// DecodePacket over a varied valid corpus, with a single reused buffer.
+// TestDecodeIntoParity pins DecodePacketInto byte-identical to the reference
+// decoder over a varied valid corpus, with a single reused buffer.
 func TestDecodeIntoParity(t *testing.T) {
 	var pb PacketBuffer
 	for i, buf := range corpusPackets() {
-		want, wantErr := DecodePacket(buf)
+		want, wantErr := decodePacketOracle(buf)
 		got, gotErr := DecodePacketInto(buf, &pb)
 		if !errorsMatch(wantErr, gotErr) {
-			t.Fatalf("packet %d: error mismatch: legacy %v, into %v", i, wantErr, gotErr)
+			t.Fatalf("packet %d: error mismatch: oracle %v, into %v", i, wantErr, gotErr)
 		}
 		if wantErr == nil && !packetsEquivalent(want, got) {
-			t.Fatalf("packet %d: decode mismatch:\nlegacy %+v\ninto   %+v", i, want, got)
+			t.Fatalf("packet %d: decode mismatch:\noracle %+v\ninto   %+v", i, want, got)
 		}
 	}
 }
@@ -194,10 +189,10 @@ func TestDecodeIntoErrorParity(t *testing.T) {
 	var pb PacketBuffer
 	for i, valid := range corpusPackets() {
 		for j, bad := range corruptions(valid) {
-			_, wantErr := DecodePacket(bad)
+			_, wantErr := decodePacketOracle(bad)
 			_, gotErr := DecodePacketInto(bad, &pb)
 			if !errorsMatch(wantErr, gotErr) {
-				t.Fatalf("packet %d corruption %d: legacy err %v, into err %v", i, j, wantErr, gotErr)
+				t.Fatalf("packet %d corruption %d: oracle err %v, into err %v", i, j, wantErr, gotErr)
 			}
 		}
 	}
@@ -211,7 +206,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 	big, small := corpus[len(corpus)-1], corpus[0]
 	for round := 0; round < 3; round++ {
 		for _, buf := range [][]byte{big, small, {1, 2, 3}, big[:len(big)-1], small, big} {
-			want, wantErr := DecodePacket(buf)
+			want, wantErr := decodePacketOracle(buf)
 			got, gotErr := DecodePacketInto(buf, &pb)
 			if !errorsMatch(wantErr, gotErr) {
 				t.Fatalf("round %d: error mismatch on %d bytes: %v vs %v", round, len(buf), wantErr, gotErr)
@@ -245,8 +240,9 @@ func TestDecodeIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAppendPacketMatchesEncoder pins AppendPacket byte-identical to the
-// incremental PacketEncoder over the decoded corpus, and zero-alloc when
+// TestAppendPacketMatchesEncoder pins the packet framing to its definition
+// — header, then each message encoder's output behind a size prefix that
+// counts itself — over the decoded corpus, and AppendPacket zero-alloc when
 // the destination is reused.
 func TestAppendPacketMatchesEncoder(t *testing.T) {
 	var pb PacketBuffer
@@ -256,9 +252,24 @@ func TestAppendPacketMatchesEncoder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := binary.LittleEndian.AppendUint32(nil, pkt.SeqNum)
+		want = binary.LittleEndian.AppendUint64(want, pkt.SendingTime)
+		for _, m := range pkt.Messages {
+			var body []byte
+			switch {
+			case m.Incremental != nil:
+				body = AppendIncremental(nil, m.Incremental)
+			case m.Trade != nil:
+				body = AppendTrade(nil, m.Trade)
+			case m.Snapshot != nil:
+				body = AppendSnapshot(nil, m.Snapshot)
+			}
+			want = binary.LittleEndian.AppendUint16(want, uint16(msgSizeLen+len(body)))
+			want = append(want, body...)
+		}
 		dst = AppendPacket(dst[:0], pkt.SeqNum, pkt.SendingTime, pkt.Messages)
-		if string(dst) != string(buf) {
-			t.Fatalf("packet %d: AppendPacket output differs from original encoding", i)
+		if string(dst) != string(want) || string(dst) != string(buf) {
+			t.Fatalf("packet %d: AppendPacket output differs from the framed message encodings", i)
 		}
 	}
 	// Warmed destination: re-encoding the last packet must not allocate.
@@ -274,7 +285,7 @@ func TestAppendPacketMatchesEncoder(t *testing.T) {
 }
 
 // FuzzDecodePacketParity is the differential fuzz target: on arbitrary
-// bytes the legacy allocating decoder and the decode-into path must produce
+// bytes the reference decoder and the production parser must produce
 // identical packets and identical errors, including across buffer reuse.
 func FuzzDecodePacketParity(f *testing.F) {
 	for _, buf := range corpusPackets()[:8] {
@@ -285,20 +296,20 @@ func FuzzDecodePacketParity(f *testing.F) {
 	f.Add(make([]byte, PacketHeaderLen+msgSizeLen))
 	var pb PacketBuffer // deliberately reused across inputs
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want, wantErr := DecodePacket(data)
+		want, wantErr := decodePacketOracle(data)
 		got, gotErr := DecodePacketInto(data, &pb)
 		if !errorsMatch(wantErr, gotErr) {
-			t.Fatalf("error mismatch: legacy %v, into %v", wantErr, gotErr)
+			t.Fatalf("error mismatch: oracle %v, into %v", wantErr, gotErr)
 		}
 		if wantErr != nil {
 			return
 		}
 		if !packetsEquivalent(want, got) {
-			t.Fatalf("decode mismatch:\nlegacy %+v\ninto   %+v", want, got)
+			t.Fatalf("decode mismatch:\noracle %+v\ninto   %+v", want, got)
 		}
 		// Round-trip through AppendPacket must re-decode equivalently.
 		re := AppendPacket(nil, got.SeqNum, got.SendingTime, got.Messages)
-		pkt2, err := DecodePacket(re)
+		pkt2, err := decodePacketOracle(re)
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
@@ -345,7 +356,6 @@ func BenchmarkAppendPacket(b *testing.B) {
 // benchPacket is a representative feed datagram: one incremental refresh
 // with four level updates plus a trade.
 func benchPacket() []byte {
-	enc := NewPacketEncoder(7, 1_000_000)
 	inc := &IncrementalRefresh{TransactTime: 1_000_000}
 	for i := 0; i < 4; i++ {
 		inc.Entries = append(inc.Entries, BookEntry{
@@ -354,7 +364,8 @@ func benchPacket() []byte {
 			Action: ActionChange, Entry: EntryType(i % 2),
 		})
 	}
-	enc.AddIncremental(inc)
-	enc.AddTrade(&TradeSummary{TransactTime: 1_000_000, Price: 450001, Qty: 2, SecurityID: 1})
-	return enc.Bytes()
+	return AppendPacket(nil, 7, 1_000_000, []Message{
+		{Incremental: inc},
+		{Trade: &TradeSummary{TransactTime: 1_000_000, Price: 450001, Qty: 2, SecurityID: 1}},
+	})
 }

@@ -5,11 +5,11 @@ import "testing"
 // FuzzDecodePacket exercises the packet parser with arbitrary bytes: it
 // must never panic and must reject anything that does not re-encode.
 func FuzzDecodePacket(f *testing.F) {
-	enc := NewPacketEncoder(7, 99)
-	enc.AddIncremental(&IncrementalRefresh{TransactTime: 1,
-		Entries: []BookEntry{{Price: 10, Qty: 1, Level: 1}}})
-	enc.AddTrade(&TradeSummary{Price: 10, Qty: 1})
-	f.Add(enc.Bytes())
+	f.Add(AppendPacket(nil, 7, 99, []Message{
+		{Incremental: &IncrementalRefresh{TransactTime: 1,
+			Entries: []BookEntry{{Price: 10, Qty: 1, Level: 1}}}},
+		{Trade: &TradeSummary{Price: 10, Qty: 1}},
+	}))
 	f.Add([]byte{})
 	f.Add(make([]byte, PacketHeaderLen))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -18,42 +18,13 @@ func FuzzDecodePacket(f *testing.F) {
 			return
 		}
 		// Whatever decoded must re-encode and decode to the same messages.
-		re := NewPacketEncoder(pkt.SeqNum, pkt.SendingTime)
-		for _, m := range pkt.Messages {
-			switch {
-			case m.Incremental != nil:
-				re.AddIncremental(m.Incremental)
-			case m.Trade != nil:
-				re.AddTrade(m.Trade)
-			case m.Snapshot != nil:
-				re.AddSnapshot(m.Snapshot)
-			}
-		}
-		pkt2, err := DecodePacket(re.Bytes())
+		re := AppendPacket(nil, pkt.SeqNum, pkt.SendingTime, pkt.Messages)
+		pkt2, err := DecodePacket(re)
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
 		if len(pkt2.Messages) != len(pkt.Messages) {
 			t.Fatalf("message count changed: %d vs %d", len(pkt2.Messages), len(pkt.Messages))
-		}
-	})
-}
-
-// FuzzDecodeMessage exercises the single-message decoder.
-func FuzzDecodeMessage(f *testing.F) {
-	f.Add(AppendTrade(nil, &TradeSummary{Price: 1, Qty: 2}))
-	f.Add(AppendIncremental(nil, &IncrementalRefresh{}))
-	f.Add(AppendSnapshot(nil, &SnapshotFullRefresh{}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, n, err := DecodeMessage(data)
-		if err != nil {
-			return
-		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("consumed %d of %d", n, len(data))
-		}
-		if msg.Incremental == nil && msg.Trade == nil && msg.Snapshot == nil {
-			t.Fatal("decoded message with no payload")
 		}
 	})
 }

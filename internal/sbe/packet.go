@@ -1,9 +1,6 @@
 package sbe
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Packet framing follows the MDP 3.0 binary packet header: each UDP datagram
 // starts with a channel sequence number and sending time, followed by one or
@@ -24,99 +21,25 @@ type Packet struct {
 	Messages    []Message
 }
 
-// PacketEncoder incrementally builds a packet payload. The zero value is not
-// usable; call NewPacketEncoder.
-type PacketEncoder struct {
-	buf []byte
-}
-
-// NewPacketEncoder starts a packet with the given header fields. The
-// buffer is sized from the messages actually encoded: each Add grows it by
-// that message's exact wire size (amortised once the packet outgrows its
-// first allocation) instead of a fixed up-front guess.
-func NewPacketEncoder(seqNum uint32, sendingTime uint64) *PacketEncoder {
-	buf := make([]byte, 0, PacketHeaderLen)
-	buf = binary.LittleEndian.AppendUint32(buf, seqNum)
-	buf = binary.LittleEndian.AppendUint64(buf, sendingTime)
-	return &PacketEncoder{buf: buf}
-}
-
-// encodedIncrementalLen is the exact wire size of an incremental refresh.
-func encodedIncrementalLen(m *IncrementalRefresh) int {
-	return messageHeaderLen + incrementalBlockLen + groupHeaderLen + bookEntryLen*len(m.Entries)
-}
-
-// encodedTradeLen is the exact wire size of a trade summary.
-const encodedTradeLen = messageHeaderLen + tradeBlockLen
-
-// encodedSnapshotLen is the exact wire size of a snapshot full refresh.
-func encodedSnapshotLen(m *SnapshotFullRefresh) int {
-	return messageHeaderLen + snapshotBlockLen + groupHeaderLen + snapshotEntryLen*len(m.Entries)
-}
-
 // encodedMessageLen is the exact wire size of a decoded message, excluding
 // the per-message size prefix. Empty messages (no payload set) are zero.
 func encodedMessageLen(m *Message) int {
 	switch {
 	case m.Incremental != nil:
-		return encodedIncrementalLen(m.Incremental)
+		return messageHeaderLen + incrementalBlockLen + groupHeaderLen + bookEntryLen*len(m.Incremental.Entries)
 	case m.Trade != nil:
-		return encodedTradeLen
+		return messageHeaderLen + tradeBlockLen
 	case m.Snapshot != nil:
-		return encodedSnapshotLen(m.Snapshot)
+		return messageHeaderLen + snapshotBlockLen + groupHeaderLen + snapshotEntryLen*len(m.Snapshot.Entries)
 	}
 	return 0
-}
-
-// grow ensures capacity for n more bytes. The first allocation is exact
-// (sized from the message being encoded); later growth doubles so a long
-// packet stays amortised-linear.
-func (p *PacketEncoder) grow(n int) {
-	if cap(p.buf)-len(p.buf) >= n {
-		return
-	}
-	newCap := len(p.buf) + n
-	if newCap < 2*cap(p.buf) {
-		newCap = 2 * cap(p.buf)
-	}
-	buf := make([]byte, len(p.buf), newCap)
-	copy(buf, p.buf)
-	p.buf = buf
-}
-
-// AddIncremental appends an incremental refresh message.
-func (p *PacketEncoder) AddIncremental(m *IncrementalRefresh) {
-	p.grow(msgSizeLen + encodedIncrementalLen(m))
-	p.addFramed(func(dst []byte) []byte { return AppendIncremental(dst, m) })
-}
-
-// AddTrade appends a trade summary message.
-func (p *PacketEncoder) AddTrade(m *TradeSummary) {
-	p.grow(msgSizeLen + encodedTradeLen)
-	p.addFramed(func(dst []byte) []byte { return AppendTrade(dst, m) })
-}
-
-// AddSnapshot appends a snapshot message.
-func (p *PacketEncoder) AddSnapshot(m *SnapshotFullRefresh) {
-	p.grow(msgSizeLen + encodedSnapshotLen(m))
-	p.addFramed(func(dst []byte) []byte { return AppendSnapshot(dst, m) })
-}
-
-func (p *PacketEncoder) addFramed(encode func([]byte) []byte) {
-	sizeAt := len(p.buf)
-	p.buf = append(p.buf, 0, 0) // reserve size
-	start := len(p.buf)
-	p.buf = encode(p.buf)
-	// The MDP message size field includes the size field itself.
-	binary.LittleEndian.PutUint16(p.buf[sizeAt:], uint16(len(p.buf)-start+msgSizeLen))
 }
 
 // AppendPacket appends one complete encoded datagram — header plus every
 // non-empty message in msgs, size-framed — to dst and returns the extended
 // slice. The destination grows by the packet's exact wire size at most
 // once, so replay and publish loops that reuse dst (venue publishers, the
-// feed generator) reach steady-state zero allocations. The result is
-// byte-identical to a PacketEncoder fed the same messages.
+// feed generator) reach steady-state zero allocations.
 func AppendPacket(dst []byte, seqNum uint32, sendingTime uint64, msgs []Message) []byte {
 	total := PacketHeaderLen
 	for i := range msgs {
@@ -150,36 +73,10 @@ func AppendPacket(dst []byte, seqNum uint32, sendingTime uint64, msgs []Message)
 	return dst
 }
 
-// Bytes returns the encoded datagram payload.
-func (p *PacketEncoder) Bytes() []byte { return p.buf }
-
-// DecodePacket parses a complete market-data datagram.
+// DecodePacket parses a complete market-data datagram into storage of its
+// own, for callers that keep the packet: DecodePacketInto with a fresh
+// PacketBuffer.
 func DecodePacket(buf []byte) (Packet, error) {
-	if len(buf) < PacketHeaderLen {
-		return Packet{}, ErrShortBuffer
-	}
-	pkt := Packet{
-		SeqNum:      binary.LittleEndian.Uint32(buf[0:]),
-		SendingTime: binary.LittleEndian.Uint64(buf[4:]),
-	}
-	off := PacketHeaderLen
-	for off < len(buf) {
-		if len(buf)-off < msgSizeLen {
-			return Packet{}, ErrShortBuffer
-		}
-		size := int(binary.LittleEndian.Uint16(buf[off:]))
-		if size < msgSizeLen || off+size > len(buf) {
-			return Packet{}, fmt.Errorf("sbe: bad message size %d at offset %d", size, off)
-		}
-		msg, n, err := DecodeMessage(buf[off+msgSizeLen : off+size])
-		if err != nil {
-			return Packet{}, err
-		}
-		if n != size-msgSizeLen {
-			return Packet{}, fmt.Errorf("sbe: message consumed %d of %d framed bytes", n, size-msgSizeLen)
-		}
-		pkt.Messages = append(pkt.Messages, msg)
-		off += size
-	}
-	return pkt, nil
+	var pb PacketBuffer
+	return DecodePacketInto(buf, &pb)
 }

@@ -197,128 +197,3 @@ func appendMessageHeader(dst []byte, blockLen uint16, template uint16) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, SchemaVersion)
 	return dst
 }
-
-// DecodeMessage decodes one SBE message from buf, returning the message and
-// the number of bytes consumed.
-func DecodeMessage(buf []byte) (Message, int, error) {
-	if len(buf) < messageHeaderLen {
-		return Message{}, 0, ErrShortBuffer
-	}
-	blockLen := int(binary.LittleEndian.Uint16(buf[0:]))
-	template := binary.LittleEndian.Uint16(buf[2:])
-	schema := binary.LittleEndian.Uint16(buf[4:])
-	if schema != SchemaID {
-		return Message{}, 0, fmt.Errorf("%w: %d", ErrBadSchema, schema)
-	}
-	body := buf[messageHeaderLen:]
-	if len(body) < blockLen {
-		return Message{}, 0, ErrShortBuffer
-	}
-	n := messageHeaderLen + blockLen
-	switch template {
-	case TemplateIncrementalRefreshBook:
-		// The declared block must cover at least this schema version's
-		// fixed fields; a forged smaller block would let the fixed-offset
-		// reads below run past the body.
-		if blockLen < incrementalBlockLen {
-			return Message{}, 0, fmt.Errorf("sbe: incremental block length %d too small", blockLen)
-		}
-		m := &IncrementalRefresh{TransactTime: binary.LittleEndian.Uint64(body[0:])}
-		entries, g, err := decodeBookGroup(buf[n:])
-		if err != nil {
-			return Message{}, 0, err
-		}
-		m.Entries = entries
-		return Message{Incremental: m}, n + g, nil
-	case TemplateTradeSummary:
-		if blockLen < tradeBlockLen {
-			return Message{}, 0, fmt.Errorf("sbe: trade block length %d too small", blockLen)
-		}
-		m := &TradeSummary{
-			TransactTime: binary.LittleEndian.Uint64(body[0:]),
-			Price:        int64(binary.LittleEndian.Uint64(body[8:])),
-			Qty:          int32(binary.LittleEndian.Uint32(body[16:])),
-			SecurityID:   int32(binary.LittleEndian.Uint32(body[20:])),
-			AggressorBid: body[24] == 1,
-		}
-		return Message{Trade: m}, n, nil
-	case TemplateSnapshotFullRefresh:
-		if blockLen < snapshotBlockLen {
-			return Message{}, 0, fmt.Errorf("sbe: snapshot block length %d too small", blockLen)
-		}
-		m := &SnapshotFullRefresh{
-			TransactTime:  binary.LittleEndian.Uint64(body[0:]),
-			LastMsgSeqNum: binary.LittleEndian.Uint32(body[8:]),
-			SecurityID:    int32(binary.LittleEndian.Uint32(body[12:])),
-			RptSeq:        binary.LittleEndian.Uint32(body[16:]),
-			TotNumReports: binary.LittleEndian.Uint32(body[20:]),
-		}
-		entries, g, err := decodeSnapshotGroup(buf[n:])
-		if err != nil {
-			return Message{}, 0, err
-		}
-		m.Entries = entries
-		return Message{Snapshot: m}, n + g, nil
-	default:
-		return Message{}, 0, fmt.Errorf("%w: %d", ErrUnknownTemplate, template)
-	}
-}
-
-func decodeBookGroup(buf []byte) ([]BookEntry, int, error) {
-	if len(buf) < groupHeaderLen {
-		return nil, 0, ErrShortBuffer
-	}
-	elemLen := int(binary.LittleEndian.Uint16(buf[0:]))
-	count := int(binary.LittleEndian.Uint16(buf[2:]))
-	if elemLen < bookEntryLen {
-		return nil, 0, fmt.Errorf("sbe: book group element length %d too small", elemLen)
-	}
-	need := groupHeaderLen + elemLen*count
-	if len(buf) < need {
-		return nil, 0, ErrBadGroupCount
-	}
-	entries := make([]BookEntry, count)
-	off := groupHeaderLen
-	for i := 0; i < count; i++ {
-		e := buf[off:]
-		entries[i] = BookEntry{
-			Price:      int64(binary.LittleEndian.Uint64(e[0:])),
-			Qty:        int32(binary.LittleEndian.Uint32(e[8:])),
-			SecurityID: int32(binary.LittleEndian.Uint32(e[12:])),
-			RptSeq:     binary.LittleEndian.Uint32(e[16:]),
-			Level:      e[20],
-			Action:     MDUpdateAction(e[21]),
-			Entry:      EntryType(e[22]),
-		}
-		off += elemLen
-	}
-	return entries, need, nil
-}
-
-func decodeSnapshotGroup(buf []byte) ([]SnapshotEntry, int, error) {
-	if len(buf) < groupHeaderLen {
-		return nil, 0, ErrShortBuffer
-	}
-	elemLen := int(binary.LittleEndian.Uint16(buf[0:]))
-	count := int(binary.LittleEndian.Uint16(buf[2:]))
-	if elemLen < snapshotEntryLen {
-		return nil, 0, fmt.Errorf("sbe: snapshot group element length %d too small", elemLen)
-	}
-	need := groupHeaderLen + elemLen*count
-	if len(buf) < need {
-		return nil, 0, ErrBadGroupCount
-	}
-	entries := make([]SnapshotEntry, count)
-	off := groupHeaderLen
-	for i := 0; i < count; i++ {
-		e := buf[off:]
-		entries[i] = SnapshotEntry{
-			Price: int64(binary.LittleEndian.Uint64(e[0:])),
-			Qty:   int32(binary.LittleEndian.Uint32(e[8:])),
-			Level: e[12],
-			Entry: EntryType(e[13]),
-		}
-		off += elemLen
-	}
-	return entries, need, nil
-}

@@ -1,11 +1,25 @@
 package sbe
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// decodeOne runs the parser over one bare message, framed as the only
+// message of a packet (the parser itself rejects a message that does not
+// consume exactly its frame).
+func decodeOne(msg []byte) (Message, error) {
+	buf := make([]byte, PacketHeaderLen, PacketHeaderLen+msgSizeLen+len(msg))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(msgSizeLen+len(msg)))
+	pkt, err := DecodePacket(append(buf, msg...))
+	if err != nil {
+		return Message{}, err
+	}
+	return pkt.Messages[0], nil
+}
 
 func TestIncrementalRoundTrip(t *testing.T) {
 	in := &IncrementalRefresh{
@@ -16,12 +30,9 @@ func TestIncrementalRoundTrip(t *testing.T) {
 		},
 	}
 	buf := AppendIncremental(nil, in)
-	msg, n, err := DecodeMessage(buf)
+	msg, err := decodeOne(buf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", n, len(buf))
 	}
 	if msg.Incremental == nil {
 		t.Fatal("wrong message kind")
@@ -34,12 +45,12 @@ func TestIncrementalRoundTrip(t *testing.T) {
 func TestTradeRoundTrip(t *testing.T) {
 	in := &TradeSummary{TransactTime: 99, Price: -450025, Qty: 42, SecurityID: 7, AggressorBid: true}
 	buf := AppendTrade(nil, in)
-	msg, n, err := DecodeMessage(buf)
+	msg, err := decodeOne(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(buf) || msg.Trade == nil || !reflect.DeepEqual(msg.Trade, in) {
-		t.Fatalf("round trip mismatch: %+v (n=%d)", msg.Trade, n)
+	if msg.Trade == nil || !reflect.DeepEqual(msg.Trade, in) {
+		t.Fatalf("round trip mismatch: %+v", msg.Trade)
 	}
 }
 
@@ -52,19 +63,19 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		},
 	}
 	buf := AppendSnapshot(nil, in)
-	msg, n, err := DecodeMessage(buf)
+	msg, err := decodeOne(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(buf) || msg.Snapshot == nil || !reflect.DeepEqual(msg.Snapshot, in) {
-		t.Fatalf("round trip mismatch: %+v (n=%d)", msg.Snapshot, n)
+	if msg.Snapshot == nil || !reflect.DeepEqual(msg.Snapshot, in) {
+		t.Fatalf("round trip mismatch: %+v", msg.Snapshot)
 	}
 }
 
 func TestEmptyGroup(t *testing.T) {
 	in := &IncrementalRefresh{TransactTime: 1}
 	buf := AppendIncremental(nil, in)
-	msg, _, err := DecodeMessage(buf)
+	msg, err := decodeOne(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,42 +85,42 @@ func TestEmptyGroup(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := DecodeMessage(nil); err != ErrShortBuffer {
+	if _, err := decodeOne(nil); err != ErrShortBuffer {
 		t.Fatalf("nil buffer: %v", err)
 	}
 	buf := AppendTrade(nil, &TradeSummary{})
 	// Corrupt schema id.
 	bad := append([]byte(nil), buf...)
 	bad[4] = 0xff
-	if _, _, err := DecodeMessage(bad); err == nil {
+	if _, err := decodeOne(bad); err == nil {
 		t.Fatal("bad schema accepted")
 	}
 	// Corrupt template id.
 	bad = append([]byte(nil), buf...)
 	bad[2] = 0xee
-	if _, _, err := DecodeMessage(bad); err == nil {
+	if _, err := decodeOne(bad); err == nil {
 		t.Fatal("bad template accepted")
 	}
 	// Truncated body.
-	if _, _, err := DecodeMessage(buf[:10]); err != ErrShortBuffer {
+	if _, err := decodeOne(buf[:10]); err != ErrShortBuffer {
 		t.Fatalf("truncated body: %v", err)
 	}
 	// Truncated group.
 	inc := AppendIncremental(nil, &IncrementalRefresh{Entries: []BookEntry{{}, {}}})
-	if _, _, err := DecodeMessage(inc[:len(inc)-5]); err == nil {
+	if _, err := decodeOne(inc[:len(inc)-5]); err == nil {
 		t.Fatal("truncated group accepted")
 	}
 }
 
 func TestPacketRoundTrip(t *testing.T) {
-	enc := NewPacketEncoder(77, 123456)
-	enc.AddIncremental(&IncrementalRefresh{
-		TransactTime: 1,
-		Entries:      []BookEntry{{Price: 10, Qty: 1, Level: 1, Action: ActionNew, Entry: EntryBid}},
-	})
-	enc.AddTrade(&TradeSummary{TransactTime: 2, Price: 10, Qty: 1})
-	enc.AddSnapshot(&SnapshotFullRefresh{TransactTime: 3})
-	pkt, err := DecodePacket(enc.Bytes())
+	pkt, err := DecodePacket(AppendPacket(nil, 77, 123456, []Message{
+		{Incremental: &IncrementalRefresh{
+			TransactTime: 1,
+			Entries:      []BookEntry{{Price: 10, Qty: 1, Level: 1, Action: ActionNew, Entry: EntryBid}},
+		}},
+		{Trade: &TradeSummary{TransactTime: 2, Price: 10, Qty: 1}},
+		{Snapshot: &SnapshotFullRefresh{TransactTime: 3}},
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +139,7 @@ func TestPacketErrors(t *testing.T) {
 	if _, err := DecodePacket([]byte{1, 2}); err != ErrShortBuffer {
 		t.Fatalf("short packet: %v", err)
 	}
-	enc := NewPacketEncoder(1, 2)
-	enc.AddTrade(&TradeSummary{})
-	buf := enc.Bytes()
+	buf := AppendPacket(nil, 1, 2, []Message{{Trade: &TradeSummary{}}})
 	// Truncate mid-message.
 	if _, err := DecodePacket(buf[:len(buf)-3]); err == nil {
 		t.Fatal("truncated packet accepted")
@@ -161,7 +170,7 @@ func TestQuickIncrementalRoundTrip(t *testing.T) {
 			}
 		}
 		in := &IncrementalRefresh{TransactTime: tt, Entries: entries}
-		msg, _, err := DecodeMessage(AppendIncremental(nil, in))
+		msg, err := decodeOne(AppendIncremental(nil, in))
 		if err != nil || msg.Incremental == nil {
 			return false
 		}
@@ -180,10 +189,10 @@ func BenchmarkDecodeIncremental(b *testing.B) {
 	for i := range entries {
 		entries[i] = BookEntry{Price: int64(100 + i), Qty: 5, Level: uint8(i + 1)}
 	}
-	buf := AppendIncremental(nil, &IncrementalRefresh{TransactTime: 1, Entries: entries})
+	buf := AppendPacket(nil, 1, 1, []Message{{Incremental: &IncrementalRefresh{TransactTime: 1, Entries: entries}}})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeMessage(buf); err != nil {
+		if _, err := DecodePacket(buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,7 +208,7 @@ func TestForgedBlockLengthRejected(t *testing.T) {
 	} {
 		buf := build()
 		buf[0], buf[1] = 2, 0 // forge blockLength = 2
-		if _, _, err := DecodeMessage(buf); err == nil {
+		if _, err := decodeOne(buf); err == nil {
 			t.Fatal("forged block length accepted")
 		}
 	}

@@ -17,6 +17,43 @@ import (
 	"lighttrader/internal/nn"
 )
 
+// DegradingScheduler wraps a base policy with a degrade ladder: the base
+// decides first against the primary model; only when it reports the oldest
+// query deadline- or power-infeasible does the ladder get a say, and the
+// first tier whose own admission succeeds issues with
+// VerdictDegradedModel/Decision.Tier set. A full-model-feasible query is
+// therefore never degraded, and VerdictNoQueue passes straight through.
+//
+// It is the ladder rule composed in its plainest form, for the property
+// tests below. No engine runs one: the serving runtime applies Degradable and
+// Degrade itself (serve.Config.Tiers — its governor interleaves Algorithm 2's
+// power-saving retry between the base decision and the ladder), and the
+// offline simulator is not tier-aware.
+type DegradingScheduler struct {
+	base  Scheduler
+	tiers []ModelTier
+}
+
+// NewDegradingScheduler wraps base with the ladder.
+func NewDegradingScheduler(base Scheduler, tiers []ModelTier) *DegradingScheduler {
+	return &DegradingScheduler{base: base, tiers: tiers}
+}
+
+// Name implements Scheduler.
+func (d *DegradingScheduler) Name() string { return d.base.Name() + "+degrade" }
+
+// Decide implements Scheduler.
+func (d *DegradingScheduler) Decide(ctx SchedContext) Decision {
+	dec := d.base.Decide(ctx)
+	if !Degradable(dec.Verdict) {
+		return dec
+	}
+	if alt, ok := Degrade(d.tiers, ctx); ok {
+		return alt
+	}
+	return dec
+}
+
 // degradeTierConfigs compiles two cost-descending cheaper models onto the
 // same accelerator spec and power budget as testConfig's primary.
 func degradeTierConfigs(t *testing.T, ws, ds bool) []*Config {

@@ -30,7 +30,7 @@ func benchMulti(b *testing.B, syms []string) *core.MultiPipeline {
 }
 
 // BenchmarkServingThroughput replays the same 8-instrument feed through the
-// serial MultiPipeline and the runtime at increasing lane counts. One
+// serial reference and the runtime at increasing lane counts. One
 // iteration processes the full trace, so ns/op is the wall-clock cost of the
 // replay and the serial/lanes=N ratio is the serving speedup.
 func BenchmarkServingThroughput(b *testing.B) {
@@ -48,10 +48,10 @@ func BenchmarkServingThroughput(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			mp := benchMulti(b, syms)
+			pipes := benchMulti(b, syms).Pipelines()
 			b.StartTimer()
 			for _, buf := range packets {
-				if _, err := mp.OnPacket(buf); err != nil {
+				if _, err := serialDispatch(pipes, buf); err != nil {
 					b.Fatal(err)
 				}
 			}

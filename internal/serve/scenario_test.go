@@ -9,7 +9,7 @@ import (
 // TestServeScenarioStreamAcrossLanes drives the correlated multi-symbol
 // shock scenario — three instruments gapping together — through real
 // concurrent worker lanes and requires quiesce-state parity with the serial
-// MultiPipeline on the identical byte stream. Run under `go test -race`
+// reference on the identical byte stream. Run under `go test -race`
 // (make ci does) this is the scenario-driven race gate for the serving
 // runtime: every packet of a registry scenario crosses the lane handoff,
 // the per-lane books, and the order sink concurrently.

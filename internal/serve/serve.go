@@ -12,10 +12,11 @@
 // Determinism: each pipeline is owned by exactly one lane and each lane
 // drains its queue in FIFO order, so every instrument sees its packets in
 // arrival order regardless of lane count — the per-symbol book and order
-// stream are identical to the serial core.MultiPipeline for any N. A
-// Config with Lanes == 0 runs the same admission and dispatch path inline
-// on the caller's goroutine: the serial path is the degenerate single-lane
-// configuration of the runtime, not a separate code path. Packets enter one
+// stream are identical for any N to a serial dispatch over the subscription
+// set (the reference the parity tests keep). A Config with Lanes == 0 runs
+// the same admission and dispatch path inline on the caller's goroutine:
+// the serial path is the degenerate single-lane configuration of the
+// runtime, not a separate code path. Packets enter one
 // way (Submit / SubmitPacket) and orders leave one way (the OnOrders sink)
 // at every lane count; inline, a packet's orders have reached the sink by
 // the time its submit call returns.
@@ -346,8 +347,8 @@ func (s *Server) Submit(arrivalNanos int64, buf []byte) error {
 	var pkt sbe.Packet
 	var err error
 	if s.retains() {
-		// Decode straight into owned storage (and concurrent submitters
-		// could not share pktBuf anyway).
+		// Decode into storage the queued packet owns (and concurrent
+		// submitters could not share pktBuf anyway).
 		pkt, err = sbe.DecodePacket(buf)
 	} else {
 		pkt, err = sbe.DecodePacketInto(buf, &s.pktBuf)

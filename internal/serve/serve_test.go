@@ -61,14 +61,33 @@ func buildMulti(t *testing.T, syms []string) *core.MultiPipeline {
 	return mp
 }
 
-// serialRun replays the packets through the serial MultiPipeline and returns
+// serialDispatch is the reference the lane-parity tests hold the runtime to:
+// one packet handed to every subscription in subscription order on the
+// caller's goroutine, the generated orders concatenated.
+func serialDispatch(pipes []*core.Pipeline, buf []byte) ([]exchange.Request, error) {
+	pkt, err := sbe.DecodePacket(buf)
+	if err != nil {
+		return nil, err
+	}
+	var orders []exchange.Request
+	for _, p := range pipes {
+		reqs, err := p.OnDecodedPacket(pkt)
+		if err != nil {
+			return orders, err
+		}
+		orders = append(orders, reqs...)
+	}
+	return orders, nil
+}
+
+// serialRun replays the packets through the serial reference and returns
 // per-security order streams and quiesce-time books.
 func serialRun(t *testing.T, syms []string, packets [][]byte) (map[int32][]exchange.Request, map[int32]lob.Snapshot, map[int32]int) {
 	t.Helper()
 	mp := buildMulti(t, syms)
 	orders := make(map[int32][]exchange.Request)
 	for _, buf := range packets {
-		reqs, err := mp.OnPacket(buf)
+		reqs, err := serialDispatch(mp.Pipelines(), buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +137,7 @@ func runServer(t *testing.T, syms []string, packets [][]byte, cfg Config) (*Serv
 // TestServeParityAcrossLanes is the determinism-at-quiesce contract: K
 // instruments over one shared feed produce identical per-symbol books,
 // inference counts and order streams whether run through the serial
-// MultiPipeline or the runtime at any lane count, with and without online
+// reference or the runtime at any lane count, with and without online
 // Algorithm-1 admission.
 func TestServeParityAcrossLanes(t *testing.T) {
 	syms := []string{"ESU6", "NQU6", "YMU6", "RTYU6"}
@@ -193,15 +212,35 @@ func TestServeParityAcrossLanes(t *testing.T) {
 	}
 }
 
+// TestServeExecReportRoutesBySecurity checks exec routing: a fill on one
+// instrument reaches that instrument's trading engine and no other, and a
+// report for an instrument nobody serves is dropped.
+func TestServeExecReportRoutesBySecurity(t *testing.T) {
+	mp := buildMulti(t, []string{"ESU6", "NQU6"})
+	srv, err := New(mp, Config{Lanes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.OnExecReport(exchange.ExecReport{Exec: exchange.ExecFilled, SecurityID: 2,
+		ClOrdID: 999, Side: lob.Bid, Price: 200000, Qty: 1})
+	srv.OnExecReport(exchange.ExecReport{Exec: exchange.ExecFilled, SecurityID: 3,
+		ClOrdID: 999, Side: lob.Bid, Price: 200000, Qty: 1})
+	p1, _ := mp.Pipeline(1)
+	p2, _ := mp.Pipeline(2)
+	if p1.Trader().Position() != 0 || p2.Trader().Position() != 1 {
+		t.Fatalf("positions: ES %d NQ %d, want 0 and 1", p1.Trader().Position(), p2.Trader().Position())
+	}
+}
+
 // TestServeInlineDeliversBeforeSubmitReturns checks the degenerate
 // configuration: when an inline SubmitPacket returns, that packet's orders
 // have already reached the sink, and per packet they equal what the serial
-// MultiPipeline returns synchronously.
+// reference returns synchronously.
 func TestServeInlineDeliversBeforeSubmitReturns(t *testing.T) {
 	syms := []string{"ESU6", "NQU6"}
 	packets := buildMarket(t, syms, nn.Window+30)
 
-	serial := buildMulti(t, syms)
+	serial := buildMulti(t, syms).Pipelines()
 	var got []exchange.Request
 	srv, err := New(buildMulti(t, syms), Config{Lanes: 0,
 		OnOrders: func(_ int32, reqs []exchange.Request) { got = append(got, reqs...) }})
@@ -214,7 +253,7 @@ func TestServeInlineDeliversBeforeSubmitReturns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := serial.OnDecodedPacket(pkt)
+		want, err := serialDispatch(serial, buf)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,8 +8,10 @@ import (
 	"lighttrader/internal/exchange"
 	"lighttrader/internal/feed"
 	"lighttrader/internal/lob"
+	"lighttrader/internal/mdclient"
 	"lighttrader/internal/nn"
 	"lighttrader/internal/offload"
+	"lighttrader/internal/sbe"
 	"lighttrader/internal/tensor"
 	"lighttrader/internal/trading"
 )
@@ -17,7 +19,7 @@ import (
 // benchTickSetup mirrors core's BenchmarkTickToTrade assembly (stubbed
 // predictor, calibrated normaliser) so the two numbers are directly
 // comparable: the only delta here is the attached gateway publisher.
-func benchTickSetup(b *testing.B) (*core.Pipeline, *core.FeedHandler, []feed.Tick) {
+func benchTickSetup(b *testing.B) (*core.Pipeline, *tickPath, []feed.Tick) {
 	b.Helper()
 	g, err := feed.NewGenerator(feed.DefaultGeneratorConfig())
 	if err != nil {
@@ -35,7 +37,17 @@ func benchTickSetup(b *testing.B) (*core.Pipeline, *core.FeedHandler, []feed.Tic
 	p.SetPredictor(func(*tensor.Tensor) (nn.Direction, float32, error) {
 		return nn.Up, 0.9, nil
 	})
-	return p, core.NewFeedHandler(p, 0), ticks
+	tp := &tickPath{}
+	tp.arb = mdclient.New(func(pkt sbe.Packet) { tp.reqs, tp.err = p.OnDecodedPacket(pkt) }, 0)
+	return p, tp, ticks
+}
+
+// tickPath is core's bench harness of the same name: datagram → arbiter →
+// Pipeline.OnDecodedPacket, one delivered packet (and its orders) per tick.
+type tickPath struct {
+	arb  *mdclient.Arbiter
+	reqs []exchange.Request
+	err  error
 }
 
 func calibrate(ticks []feed.Tick) offload.Normalizer {
@@ -48,15 +60,18 @@ func calibrate(ticks []feed.Tick) offload.Normalizer {
 
 // runBenchTick replays one tick, cancelling any generated order so
 // exposure returns to zero (identical to core's runTick).
-func runBenchTick(b *testing.B, p *core.Pipeline, fh *core.FeedHandler, ticks []feed.Tick, i int, seq *uint32) {
+func runBenchTick(b *testing.B, p *core.Pipeline, tp *tickPath, ticks []feed.Tick, i int, seq *uint32) {
 	buf := ticks[i%len(ticks)].Packet
 	*seq++
 	binary.LittleEndian.PutUint32(buf[0:], *seq)
-	reqs, err := fh.OnDatagram(buf)
-	if err != nil {
+	tp.reqs = nil
+	if err := tp.arb.OnDatagram(buf); err != nil {
 		b.Fatal(err)
 	}
-	for _, req := range reqs {
+	if tp.err != nil {
+		b.Fatal(tp.err)
+	}
+	for _, req := range tp.reqs {
 		p.OnExecReport(exchange.ExecReport{
 			Exec: exchange.ExecCanceled, ClOrdID: req.ClOrdID,
 			SecurityID: req.SecurityID, Side: req.Side,
@@ -70,7 +85,7 @@ func runBenchTick(b *testing.B, p *core.Pipeline, fh *core.FeedHandler, ticks []
 // gate that the lane-side publish hook costs a few nanoseconds and no
 // allocations on the hot path when nobody is watching.
 func BenchmarkTickToTradeWithGateway(b *testing.B) {
-	p, fh, ticks := benchTickSetup(b)
+	p, tp, ticks := benchTickSetup(b)
 	g, err := NewGateway(Config{Shards: 8})
 	if err != nil {
 		b.Fatal(err)
@@ -84,12 +99,12 @@ func BenchmarkTickToTradeWithGateway(b *testing.B) {
 
 	var seq uint32
 	for i := 0; i < len(ticks); i++ {
-		runBenchTick(b, p, fh, ticks, i, &seq)
+		runBenchTick(b, p, tp, ticks, i, &seq)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runBenchTick(b, p, fh, ticks, i, &seq)
+		runBenchTick(b, p, tp, ticks, i, &seq)
 	}
 }
 

@@ -60,7 +60,6 @@ type Tracer struct {
 	issued    int
 	completed int
 	degrades  int
-	tierHits  map[int]int
 	attr      MissAttribution
 	dvfsCount map[DVFSReason]int
 
@@ -192,12 +191,8 @@ func (t *Tracer) OnQueryEvent(e QueryEvent) {
 		}
 	case QueryDegrade:
 		// A degraded batch is answered, not missed: count it outside the
-		// miss attribution, per ladder rung.
+		// miss attribution.
 		t.degrades++
-		if t.tierHits == nil {
-			t.tierHits = make(map[int]int)
-		}
-		t.tierHits[e.Tier]++
 	}
 }
 
@@ -222,9 +217,6 @@ func (t *Tracer) Completed() int { return t.completed }
 // Degrades returns the number of degraded-batch events: admissions rescued
 // by a cheaper model tier instead of deferring.
 func (t *Tracer) Degrades() int { return t.degrades }
-
-// DegradeTier returns how many degraded batches landed on ladder rung tier.
-func (t *Tracer) DegradeTier(tier int) int { return t.tierHits[tier] }
 
 // Attribution returns the per-cause miss classification.
 func (t *Tracer) Attribution() MissAttribution { return t.attr }

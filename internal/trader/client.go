@@ -5,7 +5,7 @@
 // capped exponential backoff plus jitter, and applies a client-enforced
 // cancel-on-disconnect policy when a session is re-established. MultiTrader
 // is the one live loop: it pairs a Client with the arbitrated A/B
-// market-data path (core.FeedHandler) and the serving runtime at any lane
+// market-data path (mdclient.Arbiter) and the serving runtime at any lane
 // count (Lanes: 0 runs it inline on the feed goroutine), and gates new order
 // flow while the feed is recovering or the session is down — the
 // graceful-degradation half of the paper's standalone appliance.
@@ -58,8 +58,8 @@ type Config struct {
 	// resting as soon as a session is re-established, flattening unknown
 	// exposure before new flow resumes.
 	CancelOnDisconnect bool
-	// OnAck receives every decoded execution ack (called without internal
-	// locks held).
+	// OnAck receives every decoded execution ack for an order this client
+	// sent and has not yet seen finish (called without internal locks held).
 	OnAck func(orderentry.ExecAck)
 	// Logf, when non-nil, receives connection lifecycle events.
 	Logf func(format string, args ...any)
@@ -93,9 +93,22 @@ type Client struct {
 	sess    *orderentry.ClientSession
 	ready   bool
 	readyCh chan struct{}
-	resting map[uint64]exchange.Request
+	// orders is the one live-order ledger: every id sent and not yet seen
+	// finish. It says which acks are ours, which instrument a reconnect
+	// sweep's cancel names, and it holds only the live population — an id
+	// retires on its terminal ack, when fills consume its quantity, or when
+	// the venue confirms the order that replaced it.
+	orders  map[uint64]liveOrder
 	sendBuf []byte // order encode scratch, reused under mu (conn.Write does not retain it)
 	stats   Stats
+}
+
+// liveOrder is the ledger record of one in-flight order.
+type liveOrder struct {
+	sec       int32
+	remaining int64  // outstanding qty; the id retires when fills consume it
+	replaces  uint64 // prior id this order replaced, retired on ExecReplaced
+	rests     bool   // may rest at the venue: cancel-on-disconnect sweeps it
 }
 
 // NewClient builds a client; call Run to connect and serve.
@@ -113,7 +126,7 @@ func NewClient(cfg Config) *Client {
 		cfg:     cfg,
 		backoff: session.NewBackoff(cfg.BackoffMin, cfg.BackoffMax, cfg.BackoffSeed),
 		readyCh: make(chan struct{}),
-		resting: make(map[uint64]exchange.Request),
+		orders:  make(map[uint64]liveOrder),
 	}
 	c.dial = cfg.Dial
 	if c.dial == nil {
@@ -158,8 +171,7 @@ func (c *Client) WaitReady(ctx context.Context) error {
 }
 
 // Send encodes and writes one order-entry request on the established
-// session. New limit orders are tracked for the cancel-on-disconnect
-// policy.
+// session, entering new and replacing orders in the ledger.
 func (c *Client) Send(req exchange.Request) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -179,18 +191,16 @@ func (c *Client) sendLocked(req exchange.Request) error {
 	// safe assumption is always the one that leaves the order tracked. A
 	// new order is tracked immediately (if it did land, the reconnect
 	// sweep cancels it; if it did not, that cancel is rejected harmlessly
-	// and the reject prunes the map). A cancel or the replaced-away side
-	// of a replace is NOT untracked here — only the venue's terminal ack
-	// proves the resting order is gone (handleAck prunes on it).
+	// and the reject prunes the ledger). A cancel or the replaced-away side
+	// of a replace is NOT untracked here — only the venue's ack proves the
+	// resting order is gone (settle prunes on it).
 	switch req.Kind {
 	case exchange.ReqNew:
-		if req.Type == exchange.Limit {
-			c.resting[req.ClOrdID] = req
-		}
+		c.orders[req.ClOrdID] = liveOrder{sec: req.SecurityID, remaining: req.Qty,
+			rests: req.Type == exchange.Limit}
 	case exchange.ReqReplace:
-		replaced := req
-		replaced.ClOrdID = req.NewClOrdID
-		c.resting[req.NewClOrdID] = replaced
+		c.orders[req.NewClOrdID] = liveOrder{sec: req.SecurityID, remaining: req.Qty,
+			replaces: req.ClOrdID, rests: true}
 	}
 	if _, err := c.conn.Write(c.sendBuf); err != nil {
 		return fmt.Errorf("trader: order write: %w", err)
@@ -387,10 +397,12 @@ func (c *Client) onEstablished(conn net.Conn, sess *orderentry.ClientSession) {
 	close(c.readyCh)
 	var cancels []exchange.Request
 	if reconnect && c.cfg.CancelOnDisconnect {
-		for _, req := range c.resting {
-			cancels = append(cancels, exchange.Request{
-				Kind: exchange.ReqCancel, SecurityID: req.SecurityID, ClOrdID: req.ClOrdID,
-			})
+		for id, ord := range c.orders {
+			if ord.rests {
+				cancels = append(cancels, exchange.Request{
+					Kind: exchange.ReqCancel, SecurityID: ord.sec, ClOrdID: id,
+				})
+			}
 		}
 	}
 	for _, cancel := range cancels {
@@ -404,24 +416,42 @@ func (c *Client) onEstablished(conn net.Conn, sess *orderentry.ClientSession) {
 		c.cfg.UUID, reconnect, len(cancels))
 }
 
-// handleAck updates the resting-order book view and forwards the ack.
+// handleAck settles an ack against the ledger and forwards it when the
+// ledger knew the id: an ack for anything else (a stranger's order, an id
+// already finished) has no owner to route to.
 func (c *Client) handleAck(ack orderentry.ExecAck) {
 	c.mu.Lock()
 	c.stats.AcksReceived++
-	switch ack.Exec {
-	case exchange.ExecFilled, exchange.ExecCanceled, exchange.ExecRejected:
-		delete(c.resting, ack.ClOrdID)
-	}
-	cb := c.cfg.OnAck
+	known := c.settle(ack)
 	c.mu.Unlock()
-	if cb != nil {
-		cb(ack)
+	if known && c.cfg.OnAck != nil {
+		c.cfg.OnAck(ack)
 	}
 }
 
-// RestingOrders returns the client's view of its live resting orders.
-func (c *Client) RestingOrders() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.resting)
+// settle applies one ack to the ledger, reporting whether it knew the id.
+// Terminal acks (cancel, reject, the fill that completes an order) retire
+// the id, partial fills run down its remaining quantity and retire it at
+// zero, and a replace ack retires the id it replaced — the venue never acks
+// that one again. Callers hold mu.
+func (c *Client) settle(ack orderentry.ExecAck) bool {
+	ord, ok := c.orders[ack.ClOrdID]
+	if !ok {
+		return false
+	}
+	switch ack.Exec {
+	case exchange.ExecCanceled, exchange.ExecRejected, exchange.ExecFilled:
+		delete(c.orders, ack.ClOrdID)
+	case exchange.ExecPartialFill:
+		if ord.remaining -= ack.Qty; ord.remaining <= 0 {
+			delete(c.orders, ack.ClOrdID)
+		} else {
+			c.orders[ack.ClOrdID] = ord
+		}
+	case exchange.ExecReplaced:
+		if ord.replaces != 0 {
+			delete(c.orders, ord.replaces)
+		}
+	}
+	return true
 }

@@ -26,7 +26,7 @@ type FeedStats struct {
 }
 
 // MultiTrader is the live tick-to-trade loop: arbitrated A/B market data in
-// through core.FeedHandler, the serving runtime (N lanes of online
+// through its mdclient.Arbiter, the serving runtime (N lanes of online
 // Algorithm-1 dispatch) in the middle, and a resilient order-entry Client
 // out. Orders surface through the runtime's sink — on lane goroutines, or on
 // the feed goroutine at Lanes: 0, the degenerate inline configuration of the
@@ -38,14 +38,14 @@ type MultiTrader struct {
 	client *Client
 	srv    *serve.Server
 
-	// feedMu serialises the single-goroutine FeedHandler. It is held across
-	// feed.OnDatagram — which, under a Backpressure config, can park inside
+	// feedMu serialises the single-goroutine arbiter. It is held across
+	// arb.OnDatagram — which, under a Backpressure config, can park inside
 	// serve.SubmitPacket until a lane drains — so nothing a lane goroutine
 	// runs (routeOrders, onAck) may ever take it: that ABBA cycle would
 	// deadlock the whole loop the first time a queue fills mid-delivery.
-	// Lane-shared state lives in atomics and ownerMu instead.
+	// Lane-shared state lives in atomics and the client's ledger instead.
 	feedMu sync.Mutex
-	feed   *core.FeedHandler
+	arb    *mdclient.Arbiter
 
 	// Feed counters (atomics: bumped from the feed pump and lane goroutines).
 	datagrams    atomic.Int64
@@ -53,24 +53,10 @@ type MultiTrader struct {
 	suppressed   atomic.Int64
 	ordersRouted atomic.Int64
 
-	// feedDegraded caches feed.Recovering() for the order gate: lanes must
-	// not touch the FeedHandler (single-goroutine) directly. The session half
+	// feedDegraded caches arb.Recovering() for the order gate: lanes must
+	// not touch the arbiter (single-goroutine) directly. The session half
 	// of the gate is read from the client when an order batch is routed.
 	feedDegraded atomic.Bool
-
-	// owner maps in-flight client order ids to their instrument so acks
-	// (which do not carry a security id on the wire) can be routed back.
-	// Entries retire on terminal acks and on cumulative fills, so the map
-	// tracks only the live order population in a long-running session.
-	ownerMu sync.Mutex
-	owner   map[uint64]liveOrder
-}
-
-// liveOrder is the ack-routing record of one in-flight client order.
-type liveOrder struct {
-	sec       int32
-	remaining int64  // outstanding qty; the id retires when fills consume it
-	replaces  uint64 // prior id this order replaced, retired on ExecReplaced
 }
 
 // NewMulti assembles a MultiTrader over a subscription set. scfg configures
@@ -78,12 +64,13 @@ type liveOrder struct {
 // chained after the degradation gate. Lanes: 0 runs the whole loop inline on
 // the feed goroutine. The client's OnAck is chained so execution acks flow
 // back into the owning pipeline's trading engine; any OnAck already present
-// in cfg still runs. Start the lanes with Run.
+// in cfg still runs. reorderWindow is the arbiter's, in packets (≤ 0 selects
+// its default). Start the lanes with Run.
 func NewMulti(cfg Config, mp *core.MultiPipeline, reorderWindow int, scfg serve.Config) (*MultiTrader, error) {
-	t := &MultiTrader{owner: make(map[uint64]liveOrder)}
+	t := &MultiTrader{}
 	userSink := scfg.OnOrders
 	scfg.OnOrders = func(sec int32, reqs []exchange.Request) {
-		t.routeOrders(sec, reqs)
+		t.routeOrders(reqs)
 		if userSink != nil {
 			userSink(sec, reqs)
 		}
@@ -93,7 +80,7 @@ func NewMulti(cfg Config, mp *core.MultiPipeline, reorderWindow int, scfg serve.
 		return nil, err
 	}
 	t.srv = srv
-	t.feed = core.NewFeedHandlerFor(sinkSubmit{t}, reorderWindow)
+	t.arb = mdclient.New(t.deliver, reorderWindow)
 	userAck := cfg.OnAck
 	cfg.OnAck = func(ack orderentry.ExecAck) {
 		t.onAck(ack)
@@ -105,18 +92,16 @@ func NewMulti(cfg Config, mp *core.MultiPipeline, reorderWindow int, scfg serve.
 	return t, nil
 }
 
-// sinkSubmit adapts the runtime to core.PacketHandler: packets are submitted
-// to the lanes and orders leave through the gated sink, never the return.
-type sinkSubmit struct{ t *MultiTrader }
-
-func (a sinkSubmit) OnDecodedPacket(pkt sbe.Packet) ([]exchange.Request, error) {
+// deliver is the arbiter's consumer: every in-order packet goes to the lanes,
+// and its orders leave through the gated sink. It runs under feedMu, inside
+// OnDatagram.
+func (t *MultiTrader) deliver(pkt sbe.Packet) {
 	// The gate this packet's orders meet must be the feed state it was
 	// delivered under: a healing snapshot clears recovery before it delivers
 	// and drains the parked backlog in the same datagram, and inline the
 	// sink fires before OnDatagram gets to refresh the gate.
-	a.t.refreshGate()
-	a.t.srv.SubmitPacket(a.t.srv.ArrivalNanos(pkt), pkt)
-	return nil, nil
+	t.refreshGate()
+	t.srv.SubmitPacket(t.srv.ArrivalNanos(pkt), pkt)
 }
 
 // refreshGate republishes the feed half of the order gate. It runs under
@@ -124,7 +109,7 @@ func (a sinkSubmit) OnDecodedPacket(pkt sbe.Packet) ([]exchange.Request, error) 
 // delivers nothing). It stores only on change: lanes read the flag per order
 // batch, and an unconditional store would bounce its cache line per datagram.
 func (t *MultiTrader) refreshGate() {
-	if r := t.feed.Recovering(); r != t.feedDegraded.Load() {
+	if r := t.arb.Recovering(); r != t.feedDegraded.Load() {
 		t.feedDegraded.Store(r)
 	}
 }
@@ -153,14 +138,14 @@ func (t *MultiTrader) FeedStats() FeedStats {
 func (t *MultiTrader) ArbiterStats() mdclient.Stats {
 	t.feedMu.Lock()
 	defer t.feedMu.Unlock()
-	return t.feed.Stats()
+	return t.arb.Stats()
 }
 
 // Recovering reports whether the feed has declared a gap.
 func (t *MultiTrader) Recovering() bool {
 	t.feedMu.Lock()
 	defer t.feedMu.Unlock()
-	return t.feed.Recovering()
+	return t.arb.Recovering()
 }
 
 // Book returns one instrument's local book mirror.
@@ -173,7 +158,7 @@ func (t *MultiTrader) Book(securityID int32) (lob.Snapshot, bool) {
 func (t *MultiTrader) OnDatagram(buf []byte) error {
 	t.datagrams.Add(1)
 	t.feedMu.Lock()
-	_, err := t.feed.OnDatagram(buf)
+	err := t.arb.OnDatagram(buf)
 	t.refreshGate()
 	t.feedMu.Unlock()
 	if err != nil {
@@ -209,23 +194,21 @@ func (t *MultiTrader) ServeFeed(ctx context.Context, conn net.PacketConn) error 
 }
 
 // routeOrders is the order gate: suppressed while degraded, otherwise each
-// order is recorded for ack routing and sent. It runs on whichever goroutine
-// dispatches (a lane, or the feed goroutine inline) and must never take
-// feedMu (see the field comment).
-func (t *MultiTrader) routeOrders(sec int32, reqs []exchange.Request) {
+// order is sent (the client's ledger records it for ack settlement). It runs
+// on whichever goroutine dispatches (a lane, or the feed goroutine inline)
+// and must never take feedMu (see the field comment).
+func (t *MultiTrader) routeOrders(reqs []exchange.Request) {
 	if t.feedDegraded.Load() || !t.client.Ready() {
 		t.suppressed.Add(int64(len(reqs)))
 		return
 	}
 	for i, req := range reqs {
-		// Track before the write, as Client.sendLocked does: a torn write
-		// may still have reached the venue, and its ack needs an owner.
-		t.trackOrder(sec, req)
 		if err := t.client.Send(req); err != nil {
 			// The session dropped between the gate and the write; the client
-			// re-establishes and cancel-on-disconnect applies. The rest of
-			// the batch is never written, so no ack could ever retire it
-			// from the owner map: it stays untracked and counts as gated.
+			// re-establishes and cancel-on-disconnect applies. The failed
+			// order may have reached the venue, so it stays in the ledger and
+			// counts as routed; the rest of the batch is never written, never
+			// enters the ledger, and counts as gated.
 			t.ordersRouted.Add(int64(i + 1))
 			t.suppressed.Add(int64(len(reqs) - i - 1))
 			return
@@ -234,61 +217,12 @@ func (t *MultiTrader) routeOrders(sec int32, reqs []exchange.Request) {
 	t.ordersRouted.Add(int64(len(reqs)))
 }
 
-// trackOrder records one outbound request in the owner map for ack routing.
-func (t *MultiTrader) trackOrder(sec int32, req exchange.Request) {
-	t.ownerMu.Lock()
-	defer t.ownerMu.Unlock()
-	switch req.Kind {
-	case exchange.ReqNew:
-		t.owner[req.ClOrdID] = liveOrder{sec: sec, remaining: req.Qty}
-	case exchange.ReqReplace:
-		t.owner[req.NewClOrdID] = liveOrder{sec: sec, remaining: req.Qty,
-			replaces: req.ClOrdID}
-	default: // cancels target an id the map already tracks
-		if _, ok := t.owner[req.ClOrdID]; !ok {
-			t.owner[req.ClOrdID] = liveOrder{sec: sec}
-		}
-	}
-}
-
-// resolveAck maps an ack to its owning instrument and retires finished ids:
-// terminal acks (cancel, reject, full fill) drop the entry, partial fills
-// run down the remaining qty and drop it at zero, and a replace ack retires
-// the id it replaced. Unbounded growth here would leak a long-lived session.
-func (t *MultiTrader) resolveAck(ack orderentry.ExecAck) (sec int32, ok bool) {
-	t.ownerMu.Lock()
-	defer t.ownerMu.Unlock()
-	ord, ok := t.owner[ack.ClOrdID]
-	if !ok {
-		return 0, false
-	}
-	switch ack.Exec {
-	case exchange.ExecCanceled, exchange.ExecRejected, exchange.ExecFilled:
-		delete(t.owner, ack.ClOrdID)
-	case exchange.ExecPartialFill:
-		ord.remaining -= ack.Qty
-		if ord.remaining <= 0 {
-			delete(t.owner, ack.ClOrdID)
-		} else {
-			t.owner[ack.ClOrdID] = ord
-		}
-	case exchange.ExecReplaced:
-		if ord.replaces != 0 {
-			delete(t.owner, ord.replaces)
-		}
-	}
-	return ord.sec, true
-}
-
-// onAck routes an execution ack to the owning instrument's pipeline. It runs
-// on the client's session goroutine and must never take feedMu.
+// onAck hands an execution ack the client's ledger knew to the pipeline of
+// the instrument the ack names. It runs on the client's session goroutine and
+// must never take feedMu.
 func (t *MultiTrader) onAck(ack orderentry.ExecAck) {
-	sec, ok := t.resolveAck(ack)
-	if !ok {
-		return
-	}
 	t.srv.OnExecReport(exchange.ExecReport{
-		Exec: ack.Exec, SecurityID: sec,
+		Exec: ack.Exec, SecurityID: ack.SecurityID,
 		ClOrdID: ack.ClOrdID, Price: ack.Price, Qty: ack.Qty,
 	})
 }
