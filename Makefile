@@ -102,12 +102,14 @@ bench-smoke:
 # One iteration of each tick-path benchmark plus the allocation regression
 # tests over the hot path (decode-into, book ops, snapshot, histogram record,
 # model Predict, a policy's Decide and a scheduling-board round at zero, and
-# the live loop itself — MultiTrader.OnDatagram inline, order out and ack
-# back — at its pinned count): allocation creep fails CI here.
+# the live loop itself — MultiTrader.OnDatagram inline and through a worker
+# lane, order out and ack back — at its pinned counts), with the lane
+# dispatch benchmark (ns, writes and allocs per order at batch 1, 4 and 16):
+# allocation creep fails CI here.
 bench-tickpath:
 	$(GO) test -run='ZeroAlloc' -bench=. -benchtime=1x \
 		./internal/sbe/ ./internal/lob/ ./internal/latency/ ./internal/core/ ./internal/nn/ ./internal/sched/
-	$(GO) test -run='^TestLiveLoopAllocsPerTick$$' ./internal/trader/
+	$(GO) test -run='^TestLiveLoopAllocsPerTick$$' -bench='^BenchmarkLaneDispatch$$' -benchtime=1x ./internal/trader/
 
 # Policy-matrix smoke: the full scheduler registry × three workloads over a
 # small trace via bench.RunMatrix, checked byte-identical across worker
@@ -149,7 +151,13 @@ power-smoke:
 # non-test function of internal/nn that names Conv2D and writes a .w or .b
 # must call dropMemo() (the sliding-window memo's kept output, nn/conv.go),
 # and one that names Dense or LSTM and writes a .w, .wx or .wh must call
-# repack() (the transposed copy the panel kernel reads, nn/layer.go).
+# repack() (the transposed copy the panel kernel reads, nn/layer.go). (4) The
+# live loop keeps a packet one way and writes an order one way: a queue copies
+# into storage its lane owns (sbe.PacketBuffer.CopyPacket), so neither
+# internal/serve nor internal/trader calls sbe.ClonePacket, and the Client's
+# only conn.Write calls are the one coalesced order write in sendLocked and
+# the session's own frames (negotiate, establish, heartbeat) — a hit is a
+# per-packet allocation or a per-order write growing back.
 one-impl-check:
 	@bad=$$(grep -rnE '(^|[^.[:alnum:]_]|sched\.)BusyViewAt\(|\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -179,6 +187,15 @@ one-impl-check:
 		END { report() }' $$f; done; done); \
 	if [ -n "$$bad" ]; then \
 		echo "weights written without refreshing what is derived from them:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnF 'sbe.ClonePacket(' --include='*.go' --exclude='*_test.go' internal/serve internal/trader; \
+		grep -nHF 'conn.Write(' internal/trader/client.go \
+		| grep -vF -e 'if _, err := c.conn.Write(c.sendBuf); err != nil {' \
+			-e 'if _, err := conn.Write(neg); err != nil {' \
+			-e 'if _, err := conn.Write(est); err != nil {' \
+			-e 'if _, err := conn.Write(hb); err != nil {'); \
+	if [ -n "$$bad" ]; then \
+		echo "a second packet-retention path or order write:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile

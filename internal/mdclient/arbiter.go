@@ -29,7 +29,7 @@ type Stats struct {
 //
 // The arbiter owns all decode storage: the Packet passed to deliver is
 // valid only until deliver returns. Consumers that retain packets past the
-// callback (queueing runtimes) must deep-copy them with sbe.ClonePacket.
+// callback (queueing runtimes) must copy them (sbe.PacketBuffer.CopyPacket).
 // In exchange the steady-state in-order path performs zero heap
 // allocations per datagram.
 type Arbiter struct {

@@ -174,9 +174,6 @@ func (e *Engine) popFront() InputTensor {
 	return in
 }
 
-// Ready returns the number of pending input tensors.
-func (e *Engine) Ready() int { return e.pendLen }
-
 // Pop removes and returns the oldest pending tensor without allocating;
 // ok is false when none is ready. This is the hot-path form of PopBatch.
 func (e *Engine) Pop() (in InputTensor, ok bool) {

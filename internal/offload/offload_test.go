@@ -10,6 +10,9 @@ import (
 	"lighttrader/internal/tensor"
 )
 
+// Ready returns the number of pending input tensors (only these tests ask).
+func (e *Engine) Ready() int { return e.pendLen }
+
 func snapshots(t *testing.T, n int) []lob.Snapshot {
 	t.Helper()
 	g, err := feed.NewGenerator(feed.DefaultGeneratorConfig())

@@ -6,12 +6,13 @@ import (
 	"slices"
 )
 
-// This file is the package's one parser: DecodePacketInto parses a datagram
-// into caller-owned backing storage (a PacketBuffer) so the steady-state wire
-// path performs zero heap allocations per packet, and DecodePacket is the
-// same parser over a fresh buffer. The allocating decoder it replaced lives
-// on in oracle_test.go, where the differential fuzz target and parity tests
-// hold this one to the same packets and the same errors.
+// This file is the package's one parser and one copy: DecodePacketInto parses
+// a datagram into caller-owned backing storage (a PacketBuffer) so the
+// steady-state wire path performs zero heap allocations per packet, CopyPacket
+// keeps a decoded packet in another such buffer, and DecodePacket and
+// ClonePacket are the same two over a fresh buffer. The allocating decoder
+// the parser replaced lives on in oracle_test.go, where the differential fuzz
+// target and parity tests hold this one to the same packets and errors.
 
 // msgKind tags one decoded message's payload union inside a PacketBuffer.
 type msgKind uint8
@@ -90,8 +91,14 @@ func DecodePacketInto(buf []byte, pb *PacketBuffer) (Packet, error) {
 		}
 		off += size
 	}
-	// Materialise the Message pointers only now: the typed slices are at
-	// their final length, so the pointers and entry sub-slices are stable.
+	pkt.Messages = pb.materialise()
+	return pkt, nil
+}
+
+// materialise builds the Message list from refs. It runs only once the typed
+// slices are at their final length, so the pointers and entry sub-slices it
+// hands out are stable. A packet with no messages gets nil.
+func (pb *PacketBuffer) materialise() []Message {
 	for _, r := range pb.refs {
 		switch r.kind {
 		case kindIncremental:
@@ -106,41 +113,44 @@ func DecodePacketInto(buf []byte, pb *PacketBuffer) (Packet, error) {
 			pb.msgs = append(pb.msgs, Message{Snapshot: m})
 		}
 	}
-	if len(pb.msgs) > 0 {
-		pkt.Messages = pb.msgs
+	if len(pb.msgs) == 0 {
+		return nil
 	}
-	return pkt, nil
+	return pb.msgs
 }
 
-// ClonePacket deep-copies a packet into freshly allocated storage. Use it
-// when retaining a packet beyond its producer's validity window — e.g. a
-// queueing runtime holding on to packets an arbiter delivered out of its
-// reusable buffer.
-func ClonePacket(pkt Packet) Packet {
-	if len(pkt.Messages) == 0 {
-		return pkt
-	}
-	out := Packet{
-		SeqNum:      pkt.SeqNum,
-		SendingTime: pkt.SendingTime,
-		Messages:    make([]Message, len(pkt.Messages)),
-	}
-	for i, m := range pkt.Messages {
+// CopyPacket deep-copies pkt (which must not alias pb) into pb's storage and
+// returns the copy, which aliases pb as a packet decoded into it would: valid
+// until pb's next use, allocation-free once pb has seen the stream's largest
+// packet. It is how a queueing runtime keeps a packet past its producer's window.
+func (pb *PacketBuffer) CopyPacket(pkt Packet) Packet {
+	pb.reset()
+	for _, m := range pkt.Messages {
 		switch {
 		case m.Incremental != nil:
-			inc := *m.Incremental
-			inc.Entries = append([]BookEntry(nil), inc.Entries...)
-			out.Messages[i].Incremental = &inc
+			lo := len(pb.bookEntries)
+			pb.bookEntries = append(pb.bookEntries, m.Incremental.Entries...)
+			pb.incs = append(pb.incs, *m.Incremental)
+			pb.refs = append(pb.refs, msgRef{kind: kindIncremental, idx: len(pb.incs) - 1, lo: lo, hi: len(pb.bookEntries)})
 		case m.Trade != nil:
-			tr := *m.Trade
-			out.Messages[i].Trade = &tr
+			pb.trades = append(pb.trades, *m.Trade)
+			pb.refs = append(pb.refs, msgRef{kind: kindTrade, idx: len(pb.trades) - 1})
 		case m.Snapshot != nil:
-			sn := *m.Snapshot
-			sn.Entries = append([]SnapshotEntry(nil), sn.Entries...)
-			out.Messages[i].Snapshot = &sn
+			lo := len(pb.snapEntries)
+			pb.snapEntries = append(pb.snapEntries, m.Snapshot.Entries...)
+			pb.snaps = append(pb.snaps, *m.Snapshot)
+			pb.refs = append(pb.refs, msgRef{kind: kindSnapshot, idx: len(pb.snaps) - 1, lo: lo, hi: len(pb.snapEntries)})
 		}
 	}
-	return out
+	pkt.Messages = pb.materialise()
+	return pkt
+}
+
+// ClonePacket deep-copies a packet into storage of its own: CopyPacket with
+// a fresh PacketBuffer.
+func ClonePacket(pkt Packet) Packet {
+	var pb PacketBuffer
+	return pb.CopyPacket(pkt)
 }
 
 // decodeMessageInto decodes one SBE message from buf into pb, returning the

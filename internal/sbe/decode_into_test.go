@@ -240,6 +240,46 @@ func TestDecodeIntoZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestCopyPacket holds the one copy primitive to its contract over the
+// corpus: the copy carries the packet's data (as AppendPacket would put it
+// back on the wire), owns every byte of it — rewriting the source's storage
+// leaves it alone — and a buffer that has seen the stream copies without
+// allocating. ClonePacket is the same copy into a buffer of its own.
+func TestCopyPacket(t *testing.T) {
+	corpus := corpusPackets()
+	var src, dst PacketBuffer
+	for i, buf := range corpus {
+		pkt, err := DecodePacketInto(buf, &src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, clone := dst.CopyPacket(pkt), ClonePacket(pkt)
+		// Scribble over everything pkt aliases.
+		if _, err := DecodePacketInto(corpus[(i+len(corpus)/2)%len(corpus)], &src); err != nil {
+			t.Fatal(err)
+		}
+		want, err := decodePacketOracle(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !packetsEquivalent(want, cp) || !packetsEquivalent(want, clone) {
+			t.Fatalf("packet %d: copy differs from the packet once its source was reused:\nwant  %+v\ncopy  %+v\nclone %+v", i, want, cp, clone)
+		}
+		if got := AppendPacket(nil, cp.SeqNum, cp.SendingTime, cp.Messages); string(got) != string(buf) {
+			t.Fatalf("packet %d: copy re-encodes to different bytes", i)
+		}
+	}
+	for i, buf := range corpus {
+		pkt, err := DecodePacketInto(buf, &src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { dst.CopyPacket(pkt) }); n != 0 {
+			t.Fatalf("packet %d: %v allocs per copy into a warm buffer, want 0", i, n)
+		}
+	}
+}
+
 // TestAppendPacketMatchesEncoder pins the packet framing to its definition
 // — header, then each message encoder's output behind a size prefix that
 // counts itself — over the decoded corpus, and AppendPacket zero-alloc when

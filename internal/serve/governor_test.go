@@ -23,62 +23,87 @@ func bareServer(t *testing.T, cfg Config) (*Server, *lane) {
 	srv.gov = newGovernor(srv, cfg.Sched, 1)
 	l := newLane(0, srv)
 	srv.lanes = []*lane{l}
-	// A fixed-capacity backing array keeps every slot inspectable: the
-	// retention checks below read vacated slots through it.
-	l.queue = make([]query, 0, 64)
 	return srv, l
 }
 
-// mkQuery returns a query whose packet is distinguishable from the zero value.
+// mkQuery returns a query whose packet carries its id, so a copy can be told
+// from any other query's.
 func mkQuery(id, arrival, deadline int64) query {
 	return query{
 		id:       id,
-		pkt:      sbe.Packet{SeqNum: uint32(id + 1), Messages: make([]sbe.Message, 1)},
+		pkt:      sbe.Packet{SeqNum: uint32(id), Messages: []sbe.Message{{Trade: &sbe.TradeSummary{Price: id}}}},
 		arrival:  arrival,
 		deadline: deadline,
 	}
 }
 
-func slotReleased(q query) bool {
-	return q.pkt.Messages == nil && q.id == 0 && q.arrival == 0 && q.deadline == 0
+// intact reports whether q still reads as mkQuery built it.
+func intact(q query) bool {
+	return q.pkt.SeqNum == uint32(q.id) && len(q.pkt.Messages) == 1 &&
+		q.pkt.Messages[0].Trade != nil && q.pkt.Messages[0].Trade.Price == q.id
 }
 
-// TestQueueSlotsReleasedOnVacate is the retention regression for the lane
-// queue: evicted, issued and dropped queries must not stay reachable through
-// the backing array after their slots are resliced away — a long-lived lane
-// would otherwise pin every packet buffer it ever queued.
+// TestQueueSlotsReleasedOnVacate pins who owns a queued packet's storage. A
+// lane that keeps packets past the submit call (worker lanes here) copies
+// each into a buffer of its own, and an evicted, issued or dropped query
+// gives that buffer back for the next enqueue — so the lane allocates as
+// many as were ever live at once, never one per packet and never MaxQueue up
+// front — while a batch still in flight keeps its packets whatever is
+// enqueued behind it.
 func TestQueueSlotsReleasedOnVacate(t *testing.T) {
 	t.Run("evict", func(t *testing.T) {
-		_, l := bareServer(t, Config{MaxQueue: 2})
-		backing := l.queue[:cap(l.queue)]
-		l.enqueue(mkQuery(1, 1, 1<<40))
-		l.enqueue(mkQuery(2, 2, 1<<40))
-		l.enqueue(mkQuery(3, 3, 1<<40)) // full queue: evicts query 1
-		if !slotReleased(backing[0]) {
-			t.Errorf("evicted query still reachable through backing slot 0: %+v", backing[0])
+		_, l := bareServer(t, Config{Lanes: 1, MaxQueue: 2})
+		submitted := mkQuery(1, 1, 1<<40)
+		l.enqueue(submitted)
+		if l.queue[0].buf == nil || l.queue[0].pkt.Messages[0].Trade == submitted.pkt.Messages[0].Trade {
+			t.Fatal("queued packet still aliases the submitter's storage")
 		}
-		if len(l.queue) != 2 || l.queue[0].id != 2 {
-			t.Fatalf("queue after evict = %d entries, head id %d; want 2 entries, head 2",
-				len(l.queue), l.queue[0].id)
+		l.enqueue(mkQuery(2, 2, 1<<40))
+		evicted := l.queue[0].buf
+		l.enqueue(mkQuery(3, 3, 1<<40)) // full queue: evicts query 1
+		if len(l.queue) != 2 || l.queue[0].id != 2 || l.queue[1].id != 3 {
+			t.Fatalf("queue after evict = %+v; want queries 2 and 3", l.queue)
+		}
+		if l.queue[1].buf != evicted || len(l.free) != 0 {
+			t.Errorf("the evicted query's buffer was not the one reused (%d free)", len(l.free))
+		}
+		if !intact(l.queue[0]) || !intact(l.queue[1]) {
+			t.Errorf("queued packets damaged by the reuse: %+v", l.queue)
 		}
 	})
 
 	t.Run("issue", func(t *testing.T) {
-		_, l := bareServer(t, Config{})
-		backing := l.queue[:cap(l.queue)]
+		_, l := bareServer(t, Config{Lanes: 1})
 		l.enqueue(mkQuery(1, 1, 1<<40))
 		l.enqueue(mkQuery(2, 2, 1<<40))
-		batch, _, _, _, ok := l.take(false)
+		batch, issue, tier, now, ok := l.take(false)
 		if !ok || len(batch) != 2 {
 			t.Fatalf("take = %d queries, ok=%v; want 2, true", len(batch), ok)
 		}
-		for i := 0; i < 2; i++ {
-			if !slotReleased(backing[i]) {
-				t.Errorf("issued query still reachable through backing slot %d: %+v", i, backing[i])
+		if len(l.free) != 0 {
+			t.Fatalf("%d buffers freed at issue: the batch still reads them", len(l.free))
+		}
+		l.enqueue(mkQuery(3, 3, 1<<40)) // behind a batch in flight: storage of its own
+		if !intact(batch[0]) || !intact(batch[1]) {
+			t.Fatalf("in-flight batch lost its packets to a later enqueue: %+v", batch)
+		}
+		owned := map[*sbe.PacketBuffer]bool{batch[0].buf: true, batch[1].buf: true, l.queue[0].buf: true}
+		l.process(batch, issue, tier, now)
+		if len(l.free) != 2 {
+			t.Fatalf("%d buffers back after the dispatch, want 2", len(l.free))
+		}
+		l.enqueue(mkQuery(4, 4, 1<<40))
+		l.enqueue(mkQuery(5, 5, 1<<40))
+		for _, q := range l.queue {
+			if !owned[q.buf] {
+				t.Errorf("query %d got a new buffer; the lane holds three and two were free", q.id)
+			}
+			if !intact(q) {
+				t.Errorf("query %d damaged: %+v", q.id, q.pkt)
 			}
 		}
-		if batch[0].pkt.Messages == nil {
-			t.Error("issued batch lost its packets: clearQueue must only zero the queue slots")
+		if len(l.free) != 0 {
+			t.Errorf("%d buffers still free after two enqueues", len(l.free))
 		}
 	})
 
@@ -88,19 +113,27 @@ func TestQueueSlotsReleasedOnVacate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, l := bareServer(t, Config{Sched: &syscfg.Sched})
-		backing := l.queue[:cap(l.queue)]
+		srv, l := bareServer(t, Config{Lanes: 1, Sched: &syscfg.Sched})
 		// Deadline before arrival: admission is deadline-infeasible, so the
 		// query is dropped on the first take.
 		l.enqueue(mkQuery(1, 100, 50))
+		dropped := l.queue[0].buf
 		if _, _, _, _, ok := l.take(false); ok {
 			t.Fatal("expired query issued; want a deadline-infeasible drop")
 		}
-		if !slotReleased(backing[0]) {
-			t.Errorf("dropped query still reachable through backing slot 0: %+v", backing[0])
+		if len(l.free) != 1 || l.free[0] != dropped {
+			t.Errorf("dropped query's buffer not returned: %d free", len(l.free))
 		}
 		if got := srv.Stats().DeferredDeadline; got != 1 {
 			t.Fatalf("DeferredDeadline = %d, want 1", got)
+		}
+	})
+
+	t.Run("inline borrows", func(t *testing.T) {
+		_, l := bareServer(t, Config{Lanes: 0})
+		l.enqueue(mkQuery(1, 1, 1<<40))
+		if l.queue[0].buf != nil {
+			t.Fatal("an inline lane copied a packet it dispatches before submit returns")
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lighttrader/internal/core"
+	"lighttrader/internal/exchange"
 	"lighttrader/internal/latency"
 	"lighttrader/internal/sbe"
 	"lighttrader/internal/sched"
@@ -13,8 +14,11 @@ import (
 
 // query is one decoded packet queued on a lane with its deadline.
 type query struct {
-	id       int64
-	pkt      sbe.Packet
+	id  int64
+	pkt sbe.Packet
+	// buf is the lane-owned storage behind pkt when the queue outlives the
+	// submit call (Server.retains); nil when pkt is still the submitter's.
+	buf      *sbe.PacketBuffer
 	arrival  int64
 	deadline int64
 }
@@ -44,9 +48,14 @@ type lane struct {
 	// admission path doesn't allocate a closure per decision.
 	deadlineFn func(int) int64
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	queue       []query
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []query
+	// free holds the packet storage of queries that have left the lane
+	// (processed, evicted or dropped) for the next enqueue to copy into; one
+	// is allocated only when free is empty, so the lane owns as many as its
+	// queue plus one in-flight batch ever held at once, never MaxQueue up front.
+	free        []*sbe.PacketBuffer
 	lastArrival int64
 	// busyNanos accumulates the modelled service time of this lane (Σ issued
 	// t_total plus any governor retimes) — the per-accelerator makespan
@@ -67,6 +76,10 @@ type lane struct {
 	closed   bool
 
 	procMu sync.Mutex
+	// batch is the dispatch take hands to process and orders[i] what pipes[i]
+	// generated over it; both are reused (a lane has one dispatcher at a time).
+	batch  []query
+	orders [][]exchange.Request
 	// lat records the wall-clock dispatch latency of every query this lane
 	// served (guarded by procMu; merged across lanes by Server.Latency).
 	lat latency.Histogram
@@ -126,14 +139,24 @@ func (l *lane) enqueue(q query) {
 	}
 	if len(l.queue) >= l.srv.cfg.MaxQueue {
 		old := l.queue[0]
-		l.queue[0] = query{} // release the evicted packet's buffers
-		l.queue = l.queue[1:]
+		l.pop(1)
+		l.recycle(old)
 		l.srv.queued.Add(-1)
 		l.srv.stats.evicted.Add(1)
 		l.srv.probe.query(sim.QueryEvent{
 			TimeNanos: q.arrival, Kind: sim.QueryEvict,
 			Query: simQuery(old), Accel: -1,
 		})
+	}
+	if l.srv.retains() {
+		// The submitter reuses pkt's storage once submit returns: keep a copy
+		// in storage this lane owns and gets back after the dispatch.
+		if n := len(l.free); n > 0 {
+			q.buf, l.free = l.free[n-1], l.free[:n-1]
+		} else {
+			q.buf = new(sbe.PacketBuffer)
+		}
+		q.pkt = q.buf.CopyPacket(q.pkt)
 	}
 	l.queue = append(l.queue, q)
 	if q.arrival > l.lastArrival {
@@ -185,12 +208,32 @@ func (l *lane) now() int64 {
 	return l.lastArrival
 }
 
-// clearQueue zeroes vacated queue slots so dropped, evicted and issued
-// queries' packet buffers don't stay reachable through the backing array.
-func clearQueue(qs []query) {
-	for i := range qs {
-		qs[i] = query{}
+// pop removes the n oldest queries. An emptied queue restarts at the front of
+// its backing array, so a lane that keeps up enqueues without allocating.
+// Called under l.mu.
+func (l *lane) pop(n int) {
+	if n == len(l.queue) {
+		l.queue = l.queue[:0]
+	} else {
+		l.queue = l.queue[n:]
 	}
+}
+
+// recycle takes back the packet storage of a query that has left the lane.
+// Called under l.mu.
+func (l *lane) recycle(q query) {
+	if q.buf != nil {
+		l.free = append(l.free, q.buf)
+	}
+}
+
+// issue moves the n oldest queries into the lane's batch. Called under l.mu.
+func (l *lane) issue(n int) []query {
+	l.batch = append(l.batch[:0], l.queue[:n]...)
+	l.pop(n)
+	l.srv.queued.Add(-int64(n))
+	l.inflight = true
+	return l.batch
 }
 
 // take blocks (when wait is true) until it can hand the caller a batch to
@@ -244,13 +287,7 @@ func (l *lane) take(wait bool) (batch []query, issue sched.Issue, tier int, now 
 			}
 			if cfg == nil {
 				// No admission: serve the arrived backlog as one batch.
-				batch = append(batch, l.queue[:arrived]...)
-				clearQueue(l.queue[:arrived])
-				l.queue = l.queue[arrived:]
-				l.srv.queued.Add(-int64(len(batch)))
-				issue = sched.Issue{Batch: len(batch), TotalNanos: 0}
-				l.inflight = true
-				return batch, issue, 0, now, true
+				return l.issue(arrived), sched.Issue{Batch: arrived}, 0, now, true
 			}
 			oldest := l.queue[0]
 			avail := oldest.deadline - now - l.srv.cfg.PrePipelineNanos
@@ -268,20 +305,15 @@ func (l *lane) take(wait bool) (batch []query, issue sched.Issue, tier int, now 
 						Accel: l.id, Batch: issue.Batch, Tier: res.tier,
 					})
 				}
-				batch = append(batch, l.queue[:issue.Batch]...)
-				clearQueue(l.queue[:issue.Batch])
-				l.queue = l.queue[issue.Batch:]
-				l.srv.queued.Add(-int64(len(batch)))
-				l.inflight = true
-				return batch, issue, res.tier, now, true
+				return l.issue(issue.Batch), issue, res.tier, now, true
 			}
 			// No feasible candidate for the oldest query: drop it, attribute
 			// the cause, and retry with the next. The drop frees queue space,
 			// so wake backpressured submitters and Drain waiters sharing the
 			// cond — if the whole backlog drains this way the worker parks in
 			// Wait below and nothing else would ever wake them.
-			l.queue[0] = query{} // release the dropped packet's buffers
-			l.queue = l.queue[1:]
+			l.pop(1)
+			l.recycle(oldest)
 			l.srv.queued.Add(-1)
 			l.cond.Broadcast()
 			switch verdict {
@@ -329,14 +361,20 @@ func (l *lane) process(batch []query, issue sched.Issue, tier int, now int64) {
 		l.curTier = tier
 	}
 	for _, q := range batch {
-		for _, p := range l.pipes {
+		for i, p := range l.pipes {
 			reqs, err := p.OnDecodedPacket(q.pkt)
 			if err != nil {
 				l.srv.stats.errors.Add(1)
 				continue
 			}
-			l.srv.deliver(p.SecurityID(), reqs)
+			l.orders[i] = append(l.orders[i], reqs...)
 		}
+	}
+	// The dispatch is the unit of egress: each instrument's orders leave in
+	// one sink call, in the order its packets generated them.
+	for i, p := range l.pipes {
+		l.srv.deliver(p.SecurityID(), l.orders[i])
+		l.orders[i] = l.orders[i][:0]
 	}
 	elapsed := time.Since(start).Nanoseconds()
 	// Attribute each query its share of the batch wall time: recording the
@@ -387,6 +425,9 @@ func (l *lane) process(batch []query, issue sched.Issue, tier int, now int64) {
 	l.busyNanos += modelledDone - now - l.srv.cfg.PrePipelineNanos
 	l.freeNanos = modelledDone
 	l.inflight = false
+	for _, q := range batch {
+		l.recycle(q)
+	}
 	l.mu.Unlock()
 	l.cond.Broadcast()
 }

@@ -41,9 +41,11 @@ import (
 )
 
 // OrderSink receives the order requests one instrument generated from one
-// packet. Sinks are called from lane goroutines (or the caller's goroutine
-// in inline mode) and must be safe for concurrent use; calls for the same
-// instrument are always delivered in packet order.
+// dispatch — every packet of the batch a lane issued together, in packet
+// order; inline, and whenever a lane keeps up, that is one packet. reqs is
+// lane-owned scratch, valid for the call only. Sinks are called from lane
+// goroutines (or the caller's goroutine in inline mode) and must be safe for
+// concurrent use; calls for the same instrument arrive in dispatch order.
 type OrderSink func(securityID int32, reqs []exchange.Request)
 
 // TierConfig is one rung of the model-degrade ladder: a cheaper compiled
@@ -141,8 +143,8 @@ type Config struct {
 	// Events from concurrent lanes are serialised but may interleave
 	// across lanes out of timestamp order.
 	Probe sim.Probe
-	// OnOrders receives generated orders. nil discards them (Stats still
-	// counts them).
+	// OnOrders receives generated orders, one call per instrument per
+	// dispatch (see OrderSink). nil discards them (Stats still counts them).
 	OnOrders OrderSink
 	// Signals, when non-nil, attaches the signal-distribution gateway: New
 	// registers one signal.Publisher per subscription and installs its
@@ -254,6 +256,7 @@ func New(mp *core.MultiPipeline, cfg Config) (*Server, error) {
 	for i, p := range pipes {
 		l := s.lanes[i%n]
 		l.pipes = append(l.pipes, p)
+		l.orders = append(l.orders, nil)
 		s.bySec[p.SecurityID()] = l
 	}
 	if len(cfg.Tiers) > 0 {
@@ -346,12 +349,11 @@ func (s *Server) Submit(arrivalNanos int64, buf []byte) error {
 	}
 	var pkt sbe.Packet
 	var err error
-	if s.retains() {
-		// Decode into storage the queued packet owns (and concurrent
-		// submitters could not share pktBuf anyway).
-		pkt, err = sbe.DecodePacket(buf)
-	} else {
+	if s.Inline() {
 		pkt, err = sbe.DecodePacketInto(buf, &s.pktBuf)
+	} else {
+		// Worker-lane submitters may be concurrent and cannot share pktBuf.
+		pkt, err = sbe.DecodePacket(buf)
 	}
 	if err != nil {
 		return fmt.Errorf("serve: packet parse: %w", err)
@@ -365,22 +367,20 @@ func (s *Server) Submit(arrivalNanos int64, buf []byte) error {
 // (or unbounded when TAvailNanos is 0). In inline mode the packet is
 // dispatched, and its orders delivered to the sink, before SubmitPacket
 // returns. pkt is borrowed for the call: the caller may reuse its decode
-// storage as soon as SubmitPacket returns, and the runtime deep-copies it
-// only when a queue will keep it longer.
+// storage as soon as SubmitPacket returns. A queue that keeps the packet
+// longer (retains) copies it into storage its lane owns and takes back after
+// the dispatch, so a warm lane queues packets without allocating.
 func (s *Server) SubmitPacket(arrivalNanos int64, pkt sbe.Packet) {
 	if s.Inline() {
 		s.inlineMu.Lock()
 		defer s.inlineMu.Unlock()
-	}
-	if s.retains() {
-		pkt = sbe.ClonePacket(pkt)
 	}
 	s.submit(arrivalNanos, pkt)
 }
 
 // retains reports whether a submitted packet outlives its submit call.
 // Inline, the lane queue drains before submit returns; worker lanes and
-// modelled-clock holds keep queries queued past it and need owned storage.
+// modelled-clock holds keep queries queued past it, in lane-owned storage.
 func (s *Server) retains() bool { return !s.Inline() || s.cfg.ModelledClock }
 
 // submit routes and enqueues one packet. Inline callers hold inlineMu.
@@ -389,7 +389,9 @@ func (s *Server) submit(arrivalNanos int64, pkt sbe.Packet) {
 	if s.cfg.TAvailNanos > 0 {
 		deadline = arrivalNanos + s.cfg.TAvailNanos
 	}
-	for _, l := range s.route(pkt) {
+	// Route into this call's frame: worker-mode submitters may be concurrent.
+	var scratch [8]*lane
+	for _, l := range s.route(pkt, scratch[:0]) {
 		q := query{
 			id:       s.nextID.Add(1) - 1,
 			pkt:      pkt,
@@ -444,11 +446,10 @@ func (s *Server) ArrivalNanos(pkt sbe.Packet) int64 {
 	return 0
 }
 
-// route returns the lanes owning instruments this packet touches. Entries
-// with SecurityID 0 are wildcards (every subscription applies them), so
-// such packets go to every lane.
-func (s *Server) route(pkt sbe.Packet) []*lane {
-	var out []*lane
+// route returns the lanes owning instruments this packet touches, appended
+// to out (empty, caller-owned). Entries with SecurityID 0 are wildcards (every
+// subscription applies them), so such packets go to every lane.
+func (s *Server) route(pkt sbe.Packet, out []*lane) []*lane {
 	add := func(sec int32) bool {
 		if sec == 0 {
 			return true // wildcard: all lanes

@@ -280,7 +280,7 @@ func TestChaosOrderEntryResetReconnects(t *testing.T) {
 	clOrdID := uint64(9000)
 	for i := 0; i < 200; i++ {
 		clOrdID++
-		if err := client.Send(exchange.Request{
+		if _, err := client.Send(exchange.Request{
 			Kind: exchange.ReqNew, SecurityID: chaosSecID, ClOrdID: clOrdID,
 			Side: lob.Bid, Price: 449995, Qty: 1, Type: exchange.Limit,
 		}); err != nil {
@@ -290,8 +290,13 @@ func TestChaosOrderEntryResetReconnects(t *testing.T) {
 	}
 
 	waitFor(t, 5*time.Second, "re-established session", func() bool {
-		return client.Stats().Reconnects >= 1 && client.Ready()
+		return client.Stats().Reconnects >= 1
 	})
+	readyCtx, readyCancel = context.WithTimeout(ctx, 5*time.Second)
+	if err := client.WaitReady(readyCtx); err != nil {
+		t.Fatalf("re-established session dropped again: %v", err)
+	}
+	readyCancel()
 	stats := client.Stats()
 	if stats.Sessions < 2 {
 		t.Fatalf("stats %+v", stats)
@@ -317,7 +322,7 @@ func TestChaosOrderEntryResetReconnects(t *testing.T) {
 
 	// The new session still trades: a fresh order must be acked.
 	before := client.Stats().AcksReceived
-	if err := client.Send(exchange.Request{
+	if _, err := client.Send(exchange.Request{
 		Kind: exchange.ReqNew, SecurityID: chaosSecID, ClOrdID: 99999,
 		Side: lob.Bid, Price: 449990, Qty: 1,
 	}); err != nil {

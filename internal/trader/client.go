@@ -27,7 +27,7 @@ import (
 // Client errors.
 var (
 	// ErrNotReady is returned by Send while no established session exists
-	// (connecting, re-establishing, or torn down).
+	// (connecting, re-establishing, or torn down): nothing was written.
 	ErrNotReady = errors.New("trader: session not established")
 	// ErrKeepAliveExpired ends a session whose venue went silent for three
 	// keep-alive intervals; Run reconnects after it.
@@ -79,7 +79,8 @@ type Stats struct {
 }
 
 // readTick bounds how long the session loop blocks in a read before
-// checking heartbeat and keep-alive deadlines.
+// checking heartbeat and keep-alive deadlines. It is re-armed only once it has
+// expired: a session busy with acks checks them after every read anyway.
 const readTick = 50 * time.Millisecond
 
 // Client owns one order-entry session end to end.
@@ -145,13 +146,6 @@ func (c *Client) Stats() Stats {
 	return c.stats
 }
 
-// Ready reports whether an established session is available for Send.
-func (c *Client) Ready() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ready
-}
-
 // WaitReady blocks until a session is established or ctx ends.
 func (c *Client) WaitReady(ctx context.Context) error {
 	for {
@@ -170,44 +164,53 @@ func (c *Client) WaitReady(ctx context.Context) error {
 	}
 }
 
-// Send encodes and writes one order-entry request on the established
-// session, entering new and replacing orders in the ledger.
-func (c *Client) Send(req exchange.Request) error {
+// Send writes the orders of one dispatch to the established session as one
+// run of frames: one readiness check, one ledger pass, one encode, one
+// conn.Write under one lock. n is how many of reqs entered the ledger — all
+// or none, because the write is all there is to fail. ErrNotReady (or a
+// request that does not encode) comes before anything is written or tracked:
+// n is 0 and the caller counts reqs as suppressed. A failed conn.Write may
+// have delivered any of its frames, so every order stays tracked: n is
+// len(reqs), they count as routed, and the reconnect sweep cancels the ones
+// that rest (a cancel for one that never landed is rejected harmlessly).
+func (c *Client) Send(reqs ...exchange.Request) (n int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.sendLocked(req)
+	return c.sendLocked(reqs)
 }
 
-func (c *Client) sendLocked(req exchange.Request) error {
+func (c *Client) sendLocked(reqs []exchange.Request) (int, error) {
 	if !c.ready || c.conn == nil {
-		return ErrNotReady
+		return 0, ErrNotReady
 	}
-	c.sendBuf = orderentry.AppendRequest(c.sendBuf[:0], req)
-	if len(c.sendBuf) == 0 {
-		return fmt.Errorf("trader: unencodable request kind %d", req.Kind)
+	c.sendBuf = c.sendBuf[:0]
+	for i := range reqs {
+		before := len(c.sendBuf)
+		if c.sendBuf = orderentry.AppendRequest(c.sendBuf, reqs[i]); len(c.sendBuf) == before {
+			return 0, fmt.Errorf("trader: unencodable request kind %d", reqs[i].Kind)
+		}
 	}
 	// Track pessimistically, BEFORE the write: if the connection dies
-	// mid-send the request may or may not have reached the venue, and the
-	// safe assumption is always the one that leaves the order tracked. A
-	// new order is tracked immediately (if it did land, the reconnect
-	// sweep cancels it; if it did not, that cancel is rejected harmlessly
-	// and the reject prunes the ledger). A cancel or the replaced-away side
-	// of a replace is NOT untracked here — only the venue's ack proves the
-	// resting order is gone (settle prunes on it).
-	switch req.Kind {
-	case exchange.ReqNew:
-		c.orders[req.ClOrdID] = liveOrder{sec: req.SecurityID, remaining: req.Qty,
-			rests: req.Type == exchange.Limit}
-	case exchange.ReqReplace:
-		c.orders[req.NewClOrdID] = liveOrder{sec: req.SecurityID, remaining: req.Qty,
-			replaces: req.ClOrdID, rests: true}
+	// mid-send a request may or may not have reached the venue, and the safe
+	// assumption is always the one that leaves the order tracked. A cancel or
+	// the replaced-away side of a replace is NOT untracked here — only the
+	// venue's ack proves the resting order is gone (settle prunes on it).
+	for i := range reqs {
+		switch req := &reqs[i]; req.Kind {
+		case exchange.ReqNew:
+			c.orders[req.ClOrdID] = liveOrder{sec: req.SecurityID, remaining: req.Qty,
+				rests: req.Type == exchange.Limit}
+		case exchange.ReqReplace:
+			c.orders[req.NewClOrdID] = liveOrder{sec: req.SecurityID, remaining: req.Qty,
+				replaces: req.ClOrdID, rests: true}
+		}
 	}
 	if _, err := c.conn.Write(c.sendBuf); err != nil {
-		return fmt.Errorf("trader: order write: %w", err)
+		return len(reqs), fmt.Errorf("trader: order write: %w", err)
 	}
 	c.sess.NoteSent(time.Now().UnixNano())
-	c.stats.OrdersSent++
-	return nil
+	c.stats.OrdersSent += len(reqs)
+	return len(reqs), nil
 }
 
 // Run dials, establishes, and serves the session until ctx ends,
@@ -283,11 +286,11 @@ func (c *Client) runSession(ctx context.Context, conn net.Conn) error {
 	live := session.NewLiveness(keepAlive, time.Now())
 	handshakeDeadline := time.Now().Add(3 * keepAlive)
 
+	_ = conn.SetReadDeadline(time.Now().Add(readTick))
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(readTick))
 		n, rerr := conn.Read(tmp)
 		if n > 0 {
 			buf = append(buf, tmp[:n]...)
@@ -304,6 +307,7 @@ func (c *Client) runSession(ctx context.Context, conn net.Conn) error {
 				// Drained whatever arrived with the error; surface it.
 				return fmt.Errorf("trader: session read: %w", rerr)
 			}
+			_ = conn.SetReadDeadline(time.Now().Add(readTick))
 		}
 		now := time.Now()
 		if sess.State() != orderentry.StateEstablished {
@@ -405,11 +409,10 @@ func (c *Client) onEstablished(conn net.Conn, sess *orderentry.ClientSession) {
 			}
 		}
 	}
-	for _, cancel := range cancels {
-		if err := c.sendLocked(cancel); err != nil {
-			break
+	if len(cancels) > 0 {
+		if _, err := c.sendLocked(cancels); err == nil {
+			c.stats.CancelsOnReconnect += len(cancels)
 		}
-		c.stats.CancelsOnReconnect++
 	}
 	c.mu.Unlock()
 	c.logf("trader: session established (uuid %#x, reconnect=%v, cancels=%d)",

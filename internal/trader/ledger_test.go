@@ -23,10 +23,11 @@ import (
 )
 
 // tornConn accepts okWrites writes, then fails every later one — a session
-// that drops between the gate's Ready check and a batch's k-th write.
+// that drops under a send — and counts the writes it took.
 type tornConn struct {
 	net.Conn // nil: only Write is ever called
 	okWrites int
+	writes   int
 }
 
 func (c *tornConn) Write(b []byte) (int, error) {
@@ -34,6 +35,7 @@ func (c *tornConn) Write(b []byte) (int, error) {
 		return 0, errors.New("connection reset")
 	}
 	c.okWrites--
+	c.writes++
 	return len(b), nil
 }
 
@@ -50,7 +52,7 @@ func establishedClient(cfg Config, okWrites int, acks *[]orderentry.ExecAck) *Cl
 
 func mustSend(t *testing.T, c *Client, req exchange.Request) {
 	t.Helper()
-	if err := c.Send(req); err != nil {
+	if _, err := c.Send(req); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -186,33 +188,64 @@ func TestRouteOrdersAvoidsFeedLock(t *testing.T) {
 	}
 }
 
-// TestRouteOrdersStopsTrackingAtFailedSend pins the mid-batch failure rule:
-// orders after the one whose write failed are never written, so no ack can
-// ever retire them — they must not enter the ledger (a leak for the life of
-// the process) nor count as routed. The failed order itself stays tracked: a
-// torn write may have reached the venue.
+// TestRouteOrdersStopsTrackingAtFailedSend pins the failure rule of the
+// coalesced send: a dispatch's orders go out in one write, so they share one
+// fate. A session that is not there refuses them before anything is written:
+// none may enter the ledger (no ack could ever retire them — a leak for the
+// life of the process) and all count as suppressed. A write that fails may
+// have delivered any prefix of its frames: every order stays tracked and
+// counts as routed, and the reconnect sweep — one write too — cancels them
+// all, so the venue's answers empty the ledger and nothing leaks past it.
 func TestRouteOrdersStopsTrackingAtFailedSend(t *testing.T) {
-	client := establishedClient(Config{}, 1, nil)
-	mt := &MultiTrader{client: client}
+	batch := []exchange.Request{
+		{Kind: exchange.ReqNew, SecurityID: 7, ClOrdID: 1, Qty: 1, Type: exchange.Limit},
+		{Kind: exchange.ReqNew, SecurityID: 7, ClOrdID: 2, Qty: 1, Type: exchange.Limit},
+		{Kind: exchange.ReqNew, SecurityID: 7, ClOrdID: 3, Qty: 1, Type: exchange.Limit},
+		{Kind: exchange.ReqNew, SecurityID: 7, ClOrdID: 4, Qty: 1, Type: exchange.Limit},
+	}
 
-	mt.routeOrders([]exchange.Request{
-		{Kind: exchange.ReqNew, ClOrdID: 1, Qty: 1, Type: exchange.Limit},
-		{Kind: exchange.ReqNew, ClOrdID: 2, Qty: 1, Type: exchange.Limit}, // write fails here
-		{Kind: exchange.ReqNew, ClOrdID: 3, Qty: 1, Type: exchange.Limit},
-		{Kind: exchange.ReqNew, ClOrdID: 4, Qty: 1, Type: exchange.Limit},
+	t.Run("session down", func(t *testing.T) {
+		client := establishedClient(Config{}, 1<<30, nil)
+		client.teardown() // dropped after the last dispatch; the feed half of the gate is open
+		mt := &MultiTrader{client: client}
+		mt.routeOrders(batch)
+		if len(client.orders) != 0 {
+			t.Errorf("refused orders entered the ledger: %+v", client.orders)
+		}
+		if fs := mt.FeedStats(); fs.OrdersRouted != 0 || fs.Suppressed != len(batch) {
+			t.Errorf("routed %d, suppressed %d; want 0 and %d", fs.OrdersRouted, fs.Suppressed, len(batch))
+		}
 	})
 
-	for id, want := range map[uint64]bool{1: true, 2: true, 3: false, 4: false} {
-		if _, tracked := client.orders[id]; tracked != want {
-			t.Errorf("order %d tracked = %v, want %v", id, tracked, want)
+	t.Run("write fails", func(t *testing.T) {
+		client := establishedClient(Config{CancelOnDisconnect: true}, 0, nil)
+		mt := &MultiTrader{client: client}
+		mt.routeOrders(batch)
+		if len(client.orders) != len(batch) {
+			t.Errorf("%d of %d orders tracked after a failed write; any may have landed", len(client.orders), len(batch))
 		}
-	}
-	if fs := mt.FeedStats(); fs.OrdersRouted != 2 || fs.Suppressed != 2 {
-		t.Errorf("routed %d, suppressed %d; want 2 and 2", fs.OrdersRouted, fs.Suppressed)
-	}
-	if sent := client.Stats().OrdersSent; sent != 1 {
-		t.Errorf("client wrote %d orders, want 1", sent)
-	}
+		if fs := mt.FeedStats(); fs.OrdersRouted != len(batch) || fs.Suppressed != 0 {
+			t.Errorf("routed %d, suppressed %d; want %d and 0", fs.OrdersRouted, fs.Suppressed, len(batch))
+		}
+		if sent := client.Stats().OrdersSent; sent != 0 {
+			t.Errorf("client counts %d orders sent on a write that failed", sent)
+		}
+
+		// The session comes back: one write cancels all four, the venue
+		// rejects the cancels of orders that never landed, the ledger is empty.
+		client.teardown()
+		conn := &tornConn{okWrites: 1 << 30}
+		client.onEstablished(conn, orderentry.NewClientSession(1))
+		if got := client.Stats().CancelsOnReconnect; got != len(batch) || conn.writes != 1 {
+			t.Fatalf("reconnect sweep sent %d cancels in %d writes, want %d in 1", got, conn.writes, len(batch))
+		}
+		for _, req := range batch {
+			client.handleAck(orderentry.ExecAck{ClOrdID: req.ClOrdID, SecurityID: req.SecurityID, Exec: exchange.ExecRejected})
+		}
+		if len(client.orders) != 0 {
+			t.Errorf("ledger holds %d orders after the sweep was answered: %+v", len(client.orders), client.orders)
+		}
+	})
 }
 
 // TestMultiMakerFillSettlesWholeOrder runs one order end to end against a

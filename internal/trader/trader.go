@@ -167,21 +167,28 @@ func (t *MultiTrader) OnDatagram(buf []byte) error {
 	return err
 }
 
+// feedReadTick bounds how long an idle ServeFeed read blocks before it looks
+// at ctx again: the pump's cancellation latency.
+const feedReadTick = 100 * time.Millisecond
+
 // ServeFeed reads datagrams from conn into the trader until ctx ends.
 // Corrupt datagrams are counted and discarded — a lossy feed must degrade
 // the loop, never kill it. Run one ServeFeed goroutine per redundant feed
-// socket.
+// socket. The read deadline is re-armed only once it has expired: a busy
+// socket pays one spurious timeout per feedReadTick, not a timer reset per
+// datagram, and an idle one still sees ctx within feedReadTick.
 func (t *MultiTrader) ServeFeed(ctx context.Context, conn net.PacketConn) error {
 	buf := make([]byte, 64<<10)
+	_ = conn.SetReadDeadline(time.Now().Add(feedReadTick))
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 		n, _, err := conn.ReadFrom(buf)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
+				_ = conn.SetReadDeadline(time.Now().Add(feedReadTick))
 				continue
 			}
 			if ctx.Err() != nil {
@@ -193,28 +200,26 @@ func (t *MultiTrader) ServeFeed(ctx context.Context, conn net.PacketConn) error 
 	}
 }
 
-// routeOrders is the order gate: suppressed while degraded, otherwise each
-// order is sent (the client's ledger records it for ack settlement). It runs
-// on whichever goroutine dispatches (a lane, or the feed goroutine inline)
-// and must never take feedMu (see the field comment).
+// routeOrders is the order gate for the orders of one dispatch: suppressed
+// while the feed is degraded or the session is down, otherwise written as
+// one send (the client's ledger records them for ack settlement). Whatever
+// entered the ledger counts as routed and the rest as suppressed — Send's
+// failure rule decides which, under the same lock as the readiness check. It
+// runs on whichever goroutine dispatches (a lane, or the feed goroutine
+// inline) and must never take feedMu (see the field comment).
 func (t *MultiTrader) routeOrders(reqs []exchange.Request) {
-	if t.feedDegraded.Load() || !t.client.Ready() {
-		t.suppressed.Add(int64(len(reqs)))
-		return
+	routed := 0
+	if !t.feedDegraded.Load() {
+		// A session that dropped re-establishes on its own and
+		// cancel-on-disconnect applies; the error has nothing to add here.
+		routed, _ = t.client.Send(reqs...)
 	}
-	for i, req := range reqs {
-		if err := t.client.Send(req); err != nil {
-			// The session dropped between the gate and the write; the client
-			// re-establishes and cancel-on-disconnect applies. The failed
-			// order may have reached the venue, so it stays in the ledger and
-			// counts as routed; the rest of the batch is never written, never
-			// enters the ledger, and counts as gated.
-			t.ordersRouted.Add(int64(i + 1))
-			t.suppressed.Add(int64(len(reqs) - i - 1))
-			return
-		}
+	if routed > 0 { // one counter per dispatch: lanes share these cache lines
+		t.ordersRouted.Add(int64(routed))
 	}
-	t.ordersRouted.Add(int64(len(reqs)))
+	if routed < len(reqs) {
+		t.suppressed.Add(int64(len(reqs) - routed))
+	}
 }
 
 // onAck hands an execution ack the client's ledger knew to the pipeline of

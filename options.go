@@ -120,7 +120,7 @@ type Server = serve.Server
 // ServeStats is the runtime's miss-attribution counter set.
 type ServeStats = serve.Stats
 
-// OrderSink receives the orders one instrument generated from one packet.
+// OrderSink receives the orders one instrument generated from one dispatch.
 type OrderSink = serve.OrderSink
 
 // OrderLog is a thread-safe OrderSink recording per-instrument streams.
