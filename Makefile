@@ -157,7 +157,11 @@ power-smoke:
 # internal/serve nor internal/trader calls sbe.ClonePacket, and the Client's
 # only conn.Write calls are the one coalesced order write in sendLocked and
 # the session's own frames (negotiate, establish, heartbeat) — a hit is a
-# per-packet allocation or a per-order write growing back.
+# per-packet allocation or a per-order write growing back. (5) internal/tensor
+# has one multiply loop and no concurrency: outside panel.go (the portable
+# panel kernel) only the Axpy wrapper calls axpy, and no non-test file of the
+# package has a go statement, a sync.WaitGroup or a channel — a hit is a
+# second GEMM or a worker pool growing back.
 one-impl-check:
 	@bad=$$(grep -rnE '(^|[^.[:alnum:]_]|sched\.)BusyViewAt\(|\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -196,6 +200,14 @@ one-impl-check:
 			-e 'if _, err := conn.Write(hb); err != nil {'); \
 	if [ -n "$$bad" ]; then \
 		echo "a second packet-retention path or order write:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE '(^|[^[:alnum:]_])axpy\(' --include='*.go' --exclude='*_test.go' internal/tensor \
+			| grep -vE '^internal/tensor/panel\.go:|^internal/tensor/gemm\.go:[0-9]+:[[:space:]]+axpy\(a, x, y\)$$'; \
+		awk '{ code = $$0; sub(/\/\/.*/, "", code) } \
+			code ~ /(^|[[:space:]{;])go[[:space:]]+[[:alnum:]_(]|sync\.WaitGroup|(^|[^[:alnum:]_])chan([^[:alnum:]_]|$$)|<-/ \
+			{ print FILENAME ":" FNR ": " $$0 }' $$(ls internal/tensor/*.go | grep -v _test.go)); \
+	if [ -n "$$bad" ]; then \
+		echo "a second multiply loop or goroutine fan-out in internal/tensor:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile

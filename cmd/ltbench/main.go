@@ -10,15 +10,11 @@
 //	ltbench -trace out.jsonl     # instrumented run: event log + miss attribution
 //	ltbench -scheduler fcfs      # scheduling strategy for the -trace run
 //	ltbench -exp NAME -json out.json  # archive sched-matrix, fanout, power-sweep, scenario-matrix or frontier
-//	ltbench -workers 4           # GEMM worker-pool width (0 = GOMAXPROCS)
-//	ltbench -blocksize 256       # GEMM k-panel cache block size
 //	ltbench -cpuprofile cpu.out  # write a CPU profile (go tool pprof)
 //	ltbench -memprofile mem.out  # write a heap profile at exit
 //
 // Output is identical for any -parallel value: experiments are independent
-// and each one runs serially, so only the wall time changes. The -workers
-// and -blocksize knobs tune the tensor compute backend (see DESIGN.md,
-// "Compute backend"); they change wall time only, never results.
+// and each one runs serially, so only the wall time changes.
 package main
 
 import (
@@ -31,7 +27,6 @@ import (
 	"lighttrader/internal/bench"
 	"lighttrader/internal/prof"
 	"lighttrader/internal/sched"
-	"lighttrader/internal/tensor"
 )
 
 func main() {
@@ -43,8 +38,6 @@ func main() {
 	trace := flag.String("trace", "", "write an instrumented-run event log (JSONL) to this path")
 	scheduler := flag.String("scheduler", "", "scheduling strategy for the -trace run: "+strings.Join(sched.SchedulerNames(), ", ")+" (default ppw)")
 	jsonPath := flag.String("json", "", "run the archived experiment named by -exp ("+strings.Join(archiveNames(), ", ")+") and write its report as JSON to this path")
-	workers := flag.Int("workers", 0, "GEMM worker-pool width for large multiplies (0 = GOMAXPROCS)")
-	blocksize := flag.Int("blocksize", tensor.BlockSize(), "GEMM k-panel cache block size (min 8)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
@@ -55,9 +48,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-
-	tensor.SetWorkers(*workers)
-	tensor.SetBlockSize(*blocksize)
 
 	tc := bench.DefaultTraffic()
 	tc.Ticks = *ticks

@@ -128,18 +128,13 @@ feed:
 	return out
 }
 
-// TraceRun executes the canonical instrumented configuration — DeepLOB on
-// two accelerators under the limited power envelope with WS+DS, the setting
-// where every miss cause (eviction, deadline- and power-infeasible defers,
-// late completions, DVFS retiming) is exercised — with a Tracer attached,
-// and returns the run metrics alongside the tracer for attribution and
-// event export (ltbench -trace).
-func TraceRun(tc TrafficConfig) (sim.Metrics, *sim.Tracer) {
-	return TraceRunWith(tc, nil)
-}
-
-// TraceRunWith is TraceRun under an alternative scheduling strategy (nil
-// keeps the default proactive PPW scheduler) — the ltbench -scheduler knob.
+// TraceRunWith executes the canonical instrumented configuration — DeepLOB
+// on two accelerators under the limited power envelope with WS+DS, the
+// setting where every miss cause (eviction, deadline- and power-infeasible
+// defers, late completions, DVFS retiming) is exercised — with a Tracer
+// attached, and returns the run metrics alongside the tracer for attribution
+// and event export (ltbench -trace). factory is the scheduling strategy (the
+// ltbench -scheduler knob); nil keeps the default proactive PPW scheduler.
 func TraceRunWith(tc TrafficConfig, factory sched.Factory) (sim.Metrics, *sim.Tracer) {
 	cfg, err := core.Configure(nn.NewDeepLOB(), 2, core.Limited,
 		core.Options{WorkloadScheduling: true, DVFSScheduling: true, Scheduler: factory})

@@ -196,7 +196,7 @@ func TestTraceRunAttributionSumsToMisses(t *testing.T) {
 	// two-accelerator system even on the -short trace.
 	tc := shortTraffic(t)
 	tc.TAvailNanos = 500_000
-	m, tr := TraceRun(tc)
+	m, tr := TraceRunWith(tc, nil)
 	if m.Dropped+m.Late == 0 {
 		t.Fatal("bursty trace produced no misses; attribution unexercised")
 	}

@@ -69,6 +69,37 @@ func TestDeepLOBNeedsEPE(t *testing.T) {
 	}
 }
 
+// TestEPEBlocksFollowLayers: the datapath split of paper §III — only
+// exponential-class work (attention, softmax, layer norm, tanh/sigmoid
+// activations; LSTM gates in TestDeepLOBNeedsEPE) is mapped onto the
+// extended PEs.
+func TestEPEBlocksFollowLayers(t *testing.T) {
+	conv := func(name string, act nn.Activation) *nn.Model {
+		return &nn.Model{ModelName: name, InputShape: []int{1, 4, 4},
+			Layers: []nn.Layer{nn.NewConv2D(1, 2, 2, 2, 1, 1, 0, 0, act)}}
+	}
+	for _, tc := range []struct {
+		m    *nn.Model
+		want bool
+	}{
+		{nn.NewTransLOB(), true},
+		{conv("conv-tanh", nn.ActTanh), true},
+		{conv("conv-relu", nn.ActReLU), false},
+	} {
+		k, err := Compile(tc.m, spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		epe := false
+		for _, b := range k.Blocks {
+			epe = epe || b.NeedsEPE
+		}
+		if epe != tc.want {
+			t.Errorf("%s: EPE blocks %v, want %v", tc.m.Name(), epe, tc.want)
+		}
+	}
+}
+
 func TestBatchInsensitivity(t *testing.T) {
 	// §III-C: nested loops are mapped with minimal batch-level parallelism
 	// to acquire batch-insensitive inference performance. Latency at batch 4

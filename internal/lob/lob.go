@@ -229,16 +229,6 @@ func (b *Book) Mid() (float64, bool) {
 	return float64(bb.Price+ba.Price) / 2, true
 }
 
-// Spread returns best ask minus best bid and false when either side is empty.
-func (b *Book) Spread() (int64, bool) {
-	bb, okB := b.BestBid()
-	ba, okA := b.BestAsk()
-	if !okB || !okA {
-		return 0, false
-	}
-	return ba.Price - bb.Price, true
-}
-
 // Depth returns the number of populated price levels on side s.
 func (b *Book) Depth(s Side) int {
 	if s == Bid {

@@ -30,9 +30,6 @@ func TestAddAndBest(t *testing.T) {
 	if !ok || ba.Price != 102 || ba.Qty != 2 {
 		t.Fatalf("best ask = %+v, %v; want 102x2", ba, ok)
 	}
-	if sp, ok := b.Spread(); !ok || sp != 1 {
-		t.Fatalf("spread = %d, %v; want 1", sp, ok)
-	}
 	if mid, ok := b.Mid(); !ok || mid != 101.5 {
 		t.Fatalf("mid = %v, %v; want 101.5", mid, ok)
 	}

@@ -7,7 +7,7 @@ import (
 	"lighttrader/internal/tensor"
 )
 
-// BenchmarkConv2DForward measures the im2col+GEMM convolution on a
+// BenchmarkConv2DForward measures the im2col + MatMulInto convolution on a
 // DeepLOB-sized layer ([16,100,20] input, 16→16 channels, 4×1 kernel).
 func BenchmarkConv2DForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

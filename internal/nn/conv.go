@@ -94,17 +94,17 @@ func (c *Conv2D) OutShape(in []int) ([]int, error) {
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor { return c.ForwardCtx(nil, x) }
 
 // ForwardCtx implements Layer. The multiply has three lowerings, chosen
-// from the layer's geometry and size alone; all three accumulate each
-// output as one float32 chain from +0 over (ic,ky,kx) ascending, so they
-// agree bit for bit. The bias add and activation are a separate pass over
-// each output row.
+// from the layer's geometry alone; all three accumulate each output as one
+// float32 chain from +0 over (ic,ky,kx) ascending, so they agree bit for
+// bit. The bias add and activation are a separate pass over each output
+// row.
 //   - 1×1/stride-1/unpadded: the input already is the [InC, H·W] patch
-//     matrix; one GEMM against it.
+//     matrix; one MatMulInto against it.
 //   - full input width (KW == W, no width padding, so ow == 1) with a
 //     patch of at least minInPlaceRun floats per channel: every patch is a
 //     contiguous run of the input; multiplied in place.
 //   - otherwise im2col: unfold into a [InC·KH·KW, oh·ow] patch matrix,
-//     then one [OutC,K]×[K,N] multiply on the blocked GEMM backend.
+//     then one [OutC,K]×[K,N] MatMulInto.
 //
 // Geometry also decides whether the layer keeps a sliding-window memo: at
 // stride 1 and no padding in H (and H > KH, so there is a row to reuse) an
@@ -121,7 +121,7 @@ func (c *Conv2D) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: %s output collapses for input %v", c.Name(), x.Shape()))
 	}
-	inPlace := c.inPlace(w, oh)
+	inPlace := c.inPlace(w)
 	m := c.memo
 	// A second goroutine inside the layer (a model shared by two lanes) runs
 	// the full pass beside the memo rather than waiting for it.
@@ -239,18 +239,15 @@ func sameBits(a, b []float32) bool {
 const minInPlaceRun = 8
 
 // inPlace reports whether the in-place lowering applies: the kernel spans
-// the whole input width, each channel's patch is a run worth a kernel call,
-// and the multiply is small enough that the GEMM backend would run it
-// serially too. Larger ones keep im2col + GEMM, which fans out across the
-// worker pool.
-func (c *Conv2D) inPlace(w, oh int) bool {
-	return c.KW == w && c.PadW == 0 && c.KH*w >= minInPlaceRun &&
-		int64(c.OutC)*int64(oh)*int64(c.InC*c.KH*c.KW) < tensor.ParallelThreshold()
+// the whole input width and each channel's patch is a run worth a kernel
+// call.
+func (c *Conv2D) inPlace(w int) bool {
+	return c.KW == w && c.PadW == 0 && c.KH*w >= minInPlaceRun
 }
 
 // mulGEMM returns the convolution before bias and activation as one
-// W[OutC,K]×cols[K,N] multiply on the GEMM backend, cols being the input
-// itself for a 1×1 kernel and the im2col unfold otherwise.
+// W[OutC,K]×cols[K,N] MatMulInto, cols being the input itself for a 1×1
+// kernel and the im2col unfold otherwise.
 func (c *Conv2D) mulGEMM(p *tensor.Pool, x *tensor.Tensor, oh, ow int) *tensor.Tensor {
 	k := c.InC * c.KH * c.KW
 	n := oh * ow

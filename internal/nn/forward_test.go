@@ -183,7 +183,7 @@ func TestConv2DDirectMatchesIm2colBitExact(t *testing.T) {
 		multiChannel += b2i(c.InC > 1)
 		oddRows += b2i(want.Dim(1)%2 == 1)
 		oddOutC += b2i(c.OutC%2 == 1)
-		selected += b2i(c.inPlace(w, want.Dim(1)))
+		selected += b2i(c.inPlace(w))
 	}
 	for name, n := range map[string]int{
 		"H+2·PadH == KH": exactFit, "H < KH": shortInput, "InC > 1": multiChannel,

@@ -70,10 +70,6 @@ func (a Activation) apply(x float32) float32 {
 	}
 }
 
-// nonLinear reports whether the activation requires the accelerator's
-// extended PEs (exponential/rational evaluation).
-func (a Activation) nonLinear() bool { return a == ActTanh || a == ActSigmoid }
-
 func tanh32(x float32) float32 {
 	// Clamp to avoid overflow in exp; tanh saturates well before ±20.
 	if x > 20 {

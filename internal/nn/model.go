@@ -207,23 +207,3 @@ func (m *Model) Params() int64 {
 	}
 	return total
 }
-
-// HasNonLinear reports whether any layer needs the extended PEs
-// (exponential-class functions): LSTMs, attention, softmax, tanh/sigmoid.
-func (m *Model) HasNonLinear() bool {
-	for _, l := range m.Layers {
-		switch v := l.(type) {
-		case *LSTM, *TransformerBlock, SoftmaxLayer, SoftmaxHeads, *LayerNorm:
-			return true
-		case *Dense:
-			if v.Act.nonLinear() {
-				return true
-			}
-		case *Conv2D:
-			if v.Act.nonLinear() {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -129,21 +129,6 @@ func TestParamsPositive(t *testing.T) {
 	}
 }
 
-func TestHasNonLinear(t *testing.T) {
-	if !NewDeepLOB().HasNonLinear() {
-		t.Fatal("DeepLOB must need EPEs (LSTM)")
-	}
-	if !NewTransLOB().HasNonLinear() {
-		t.Fatal("TransLOB must need EPEs (attention)")
-	}
-	// A pure ReLU conv stack without softmax must not.
-	m := &Model{ModelName: "relu-only", InputShape: []int{1, 4, 4},
-		Layers: []Layer{NewConv2D(1, 2, 2, 2, 1, 1, 0, 0, ActReLU)}}
-	if m.HasNonLinear() {
-		t.Fatal("ReLU-only model flagged as non-linear")
-	}
-}
-
 func TestBF16ForwardClose(t *testing.T) {
 	m := NewVanillaCNN()
 	x := randInput(11)

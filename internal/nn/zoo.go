@@ -8,7 +8,7 @@ import (
 // Parameterised model zoo (inference-compute frontier). Instead of three
 // fixed benchmark architectures, a ZooSpec generates a whole family of
 // CNN/LSTM/transformer variants over width, depth, lookback and output-head
-// axes on the same GEMM backend — the accuracy-vs-compute frontier the
+// axes on the same tensor kernels — the accuracy-vs-compute frontier the
 // scheduler's degrade ladder walks. The three paper models and the M1…M5
 // ladder are presets of this one construction path (see models.go), pinned
 // byte-identical by pin_test.go.

@@ -8,7 +8,7 @@ import (
 )
 
 // referenceMatMul is the pre-optimization naive triple loop, retained as
-// the golden reference for the blocked/parallel backend.
+// the golden reference for MatMul and MatMulInto.
 func referenceMatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
 	out := New(m, n)
@@ -29,26 +29,24 @@ func referenceMatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// referenceGemm is a scalar-order c = alpha·op(a)·b + beta·c.
-func referenceGemm(alpha float32, a *Tensor, ta bool, b *Tensor, beta float32, c *Tensor) {
-	m, n := c.Dim(0), c.Dim(1)
-	k := a.Dim(1)
-	if ta {
-		k = a.Dim(0)
-	}
-	at := func(i, p int) float32 {
-		if ta {
-			return a.At2(p, i)
-		}
-		return a.At2(i, p)
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var s float32
-			for p := 0; p < k; p++ {
-				s += at(i, p) * b.At2(p, j)
+// blockedMatMul is the kernel MatMulInto ran before it was a loop over
+// MulAddPanel — the serial path of the old GEMM backend at alpha = 1,
+// beta = 0: c cleared, k split into blocks of kc rows, and within a block
+// each row of c accumulating axpy(a[i,p], b[p,:]) in ascending p, zero
+// a-elements skipped. Kept as the oracle MatMulInto is held to bit for bit.
+func blockedMatMul(a, b, c []float32, m, n, k, kc int) {
+	clear(c[:m*n])
+	for kk := 0; kk < k; kk += kc {
+		kend := min(kk+kc, k)
+		for i := 0; i < m; i++ {
+			crow := c[i*n : (i+1)*n]
+			for p, av := range a[i*k+kk : i*k+kend] {
+				if av == 0 {
+					continue
+				}
+				bp := (kk + p) * n
+				axpy(av, b[bp:bp+n], crow)
 			}
-			c.Set2(i, j, alpha*s+beta*c.At2(i, j))
 		}
 	}
 }
@@ -59,18 +57,7 @@ func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	return t
 }
 
-// closeEnough checks |a-b| ≤ atol + rtol·max(|a|,|b|), the documented
-// float-tolerance policy for reordered float32 accumulation.
-func closeEnough(a, b, atol, rtol float32) bool {
-	d := float64(a - b)
-	if d < 0 {
-		d = -d
-	}
-	m := math.Max(math.Abs(float64(a)), math.Abs(float64(b)))
-	return d <= float64(atol)+float64(rtol)*m
-}
-
-// TestMatMulMatchesReference: the no-transpose path preserves the naive
+// TestMatMulMatchesReference: MatMul runs each output as the naive
 // per-element accumulation order, so it must be bit-identical.
 func TestMatMulMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -105,61 +92,76 @@ func TestMatMulBF16MatchesReference(t *testing.T) {
 	}
 }
 
-// TestGemmMatchesReference sweeps random shapes, both orientations of a and
-// alpha/beta over the full GEMM surface.
-func TestGemmMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	alphas := []float32{1, 0.5, -1.25, 0}
-	betas := []float32{0, 1, 0.5, -2}
-	for i := 0; i < 600; i++ {
-		m, k, n := 1+rng.Intn(30), 1+rng.Intn(30), 1+rng.Intn(30)
-		ta := rng.Intn(2) == 1
-		alpha := alphas[rng.Intn(len(alphas))]
-		beta := betas[rng.Intn(len(betas))]
-		a := randTensor(rng, m, k)
-		if ta {
-			a = randTensor(rng, k, m)
-		}
-		b := randTensor(rng, k, n)
-		c := randTensor(rng, m, n)
-		want := c.Clone()
-		Gemm(alpha, a, ta, b, beta, c)
-		referenceGemm(alpha, a, ta, b, beta, want)
-		for j, v := range want.Data() {
-			if !closeEnough(c.Data()[j], v, 1e-4, 1e-4) {
-				t.Fatalf("case %d (m%d k%d n%d ta%v α%v β%v): elem %d = %v, want %v",
-					i, m, k, n, ta, alpha, beta, j, c.Data()[j], v)
+// TestMatMulIntoMatchesBlockedKernel: MatMulInto gives the old blocked
+// kernel's bits on every panel kernel this host runs — k across the old
+// 128-row block edge, n across the panel's 64/32/8 strip edges, a with
+// zeros and −0 (the terms the old kernel skipped) and denormals in both
+// operands, and a stale non-zero dst that must be cleared, not added to.
+func TestMatMulIntoMatchesBlockedKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	denormals := func(s []float32, share float64) {
+		for i := range s {
+			if rng.Float64() < share {
+				bits := uint32(1 + rng.Intn(1<<23-1)) // exponent field 0: subnormal
+				if rng.Intn(2) == 1 {
+					bits |= 1 << 31
+				}
+				s[i] = math.Float32frombits(bits)
 			}
+		}
+	}
+	for _, k := range []int{1, 127, 128, 129, 300} {
+		for n := 1; n <= 130; n++ {
+			m := 1 + rng.Intn(5)
+			a, b := New(m, k), New(k, n)
+			salted(rng, a.Data(), 0.3, 0)
+			salted(rng, b.Data(), 0.02, 0)
+			denormals(a.Data(), 0.01)
+			denormals(b.Data(), 0.01)
+			want := make([]float32, m*n)
+			blockedMatMul(a.Data(), b.Data(), want, m, n, k, 128)
+			eachPanelKernel(func(name string) {
+				dst := New(m, n)
+				salted(rng, dst.Data(), 0, 0) // stale contents
+				MatMulInto(dst, a, b)
+				for j, v := range dst.Data() {
+					if math.Float32bits(v) != math.Float32bits(want[j]) {
+						t.Fatalf("%s kernel, m=%d k=%d n=%d: [%d,%d] = %v (%#08x), the blocked kernel gives %v (%#08x)",
+							name, m, k, n, j/n, j%n, v, math.Float32bits(v), want[j], math.Float32bits(want[j]))
+					}
+				}
+			})
 		}
 	}
 }
 
-// TestGemmParallelMatchesSerial forces the worker-pool path and checks it
-// is bit-identical to the serial kernel for several worker counts and
-// block sizes.
-func TestGemmParallelMatchesSerial(t *testing.T) {
-	defer SetWorkers(0)
-	defer SetBlockSize(128)
-	defer SetParallelThreshold(4 << 20)
-
-	rng := rand.New(rand.NewSource(14))
-	a, b := randTensor(rng, 67, 129), randTensor(rng, 129, 93)
-	SetWorkers(1)
-	want := MatMul(a, b)
-
-	SetParallelThreshold(1) // force the pool for any size
-	for _, workers := range []int{2, 3, 8, 64} {
-		for _, bs := range []int{8, 32, 512} {
-			SetWorkers(workers)
-			SetBlockSize(bs)
-			got := MatMul(a, b)
-			for j, v := range want.Data() {
-				if got.Data()[j] != v {
-					t.Fatalf("workers=%d block=%d: elem %d = %v, want %v (parallel must be bit-identical)",
-						workers, bs, j, got.Data()[j], v)
+// TestMatMulIntoNonFinite states the one place MatMulInto and the blocked
+// kernel differ: no term is skipped any more, so a zero in a meeting ±Inf
+// or NaN in b puts 0·Inf = NaN into that output's chain — the rule
+// MulAddPanel and Dense already follow — where the old kernel skipped the
+// term and returned the finite sum. Other outputs are untouched.
+func TestMatMulIntoNonFinite(t *testing.T) {
+	for _, bad := range []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())} {
+		eachPanelKernel(func(name string) {
+			a := FromSlice([]float32{2, 0, 1}, 1, 3)
+			b := New(3, 9)
+			for i := range b.Data() {
+				b.Data()[i] = 1
+			}
+			b.Set2(1, 4, bad) // meets a[0,1] == 0
+			dst := New(1, 9)
+			MatMulInto(dst, a, b)
+			old := make([]float32, 9)
+			blockedMatMul(a.Data(), b.Data(), old, 1, 9, 3, 128)
+			for j, v := range dst.Data() {
+				switch {
+				case j == 4 && (v == v || old[j] != 3):
+					t.Errorf("%s kernel, b[1,4] = %v: output 4 = %v, blocked kernel %v; want NaN and 3", name, bad, v, old[j])
+				case j != 4 && v != 3:
+					t.Errorf("%s kernel, b[1,4] = %v: output %d = %v, want 3", name, bad, j, v)
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -168,7 +170,7 @@ func TestGemmParallelMatchesSerial(t *testing.T) {
 // bit for bit — over overlapping b rows (ldb < k, down to 0), padded a and c
 // rows, a non-zero starting c, and odd m and n for the self-paired last
 // row and column. Elements of c between the rows must not be touched, and
-// the chain must match the no-transpose Gemm over the materialised bᵀ.
+// the chain must match MatMulInto over the materialised bᵀ.
 func TestMulAddNTMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for it := 0; it < 400; it++ {
@@ -235,19 +237,21 @@ func TestMatMulIntoReusesStorage(t *testing.T) {
 	}
 }
 
-func TestGemmShapeMismatchPanics(t *testing.T) {
-	for _, tc := range []func(){
-		func() { Gemm(1, New(2, 3), false, New(4, 5), 0, New(2, 5)) },
-		func() { Gemm(1, New(2, 3), false, New(3, 5), 0, New(2, 4)) },
-		func() { Gemm(1, New(2, 3), true, New(3, 5), 0, New(2, 5)) },
+func TestMatMulIntoShapeMismatchPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"inner dims":   func() { MatMulInto(New(2, 5), New(2, 3), New(4, 5)) },
+		"dst columns":  func() { MatMulInto(New(2, 4), New(2, 3), New(3, 5)) },
+		"dst rows":     func() { MatMulInto(New(3, 5), New(2, 3), New(3, 5)) },
+		"dst rank":     func() { MatMulInto(New(10), New(2, 3), New(3, 5)) },
+		"operand rank": func() { MatMulInto(New(2, 5), New(2, 3, 1), New(3, 5)) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatal("shape mismatch accepted")
+					t.Errorf("%s: shape mismatch accepted", name)
 				}
 			}()
-			tc()
+			f()
 		}()
 	}
 }
@@ -407,38 +411,7 @@ func TestFromSliceRejectsNonPositiveDims(t *testing.T) {
 	}
 }
 
-// FuzzGemmAgainstReference fuzzes shapes, the orientation of a and scalars
-// against the scalar reference within the documented tolerance.
-func FuzzGemmAgainstReference(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(5), uint8(6), false, float32(1), float32(0))
-	f.Add(int64(2), uint8(16), uint8(3), uint8(9), true, float32(0.5), float32(1))
-	f.Add(int64(3), uint8(7), uint8(7), uint8(7), false, float32(-1), float32(0.25))
-	f.Add(int64(4), uint8(1), uint8(31), uint8(2), true, float32(2), float32(-1))
-	f.Fuzz(func(t *testing.T, seed int64, m8, k8, n8 uint8, ta bool, alpha, beta float32) {
-		m, k, n := int(m8%32)+1, int(k8%32)+1, int(n8%32)+1
-		if math.IsNaN(float64(alpha)) || math.IsNaN(float64(beta)) ||
-			math.Abs(float64(alpha)) > 100 || math.Abs(float64(beta)) > 100 {
-			return
-		}
-		rng := rand.New(rand.NewSource(seed))
-		a := randTensor(rng, m, k)
-		if ta {
-			a = randTensor(rng, k, m)
-		}
-		b := randTensor(rng, k, n)
-		c := randTensor(rng, m, n)
-		want := c.Clone()
-		Gemm(alpha, a, ta, b, beta, c)
-		referenceGemm(alpha, a, ta, b, beta, want)
-		for j, v := range want.Data() {
-			if !closeEnough(c.Data()[j], v, 1e-3, 1e-3) {
-				t.Fatalf("elem %d = %v, want %v (m%d k%d n%d ta%v)", j, c.Data()[j], v, m, k, n, ta)
-			}
-		}
-	})
-}
-
-// BenchmarkMatMul tracks the GEMM kernel across sizes (BENCH_kernels.json).
+// BenchmarkMatMul tracks MatMulInto across sizes (BENCH_kernels.json).
 func BenchmarkMatMul(b *testing.B) {
 	for _, size := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("%dx%dx%d", size, size, size), func(b *testing.B) {

@@ -85,9 +85,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 // Position returns the current filled net position (positive = long).
 func (e *Engine) Position() int64 { return e.position }
 
-// Cash returns the signed proceeds of all fills in price·lot units.
-func (e *Engine) Cash() int64 { return e.cash }
-
 // MarkToMarket returns net PnL with the open position valued at mid, in
 // price·lot units (ticks × lots).
 func (e *Engine) MarkToMarket(mid float64) float64 {

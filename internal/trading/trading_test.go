@@ -167,11 +167,11 @@ func TestPnLRoundTrip(t *testing.T) {
 	if e.Position() != 0 {
 		t.Fatalf("position %d", e.Position())
 	}
-	if e.Cash() != -2 {
-		t.Fatalf("cash %d, want -2", e.Cash())
-	}
-	if got := e.MarkToMarket(101); got != -2 {
-		t.Fatalf("flat mark-to-market %v, want -2", got)
+	// Flat, the mark is the cash balance whatever the mid.
+	for _, mid := range []float64{0, 101} {
+		if got := e.MarkToMarket(mid); got != -2 {
+			t.Fatalf("flat mark-to-market at %v = %v, want -2", mid, got)
+		}
 	}
 }
 
