@@ -149,19 +149,21 @@ power-smoke:
 # is a function of the weights, and whatever writes the weights — Init and
 # Update today; a LoadWeights or a quantiser tomorrow — must refresh it: a
 # non-test function of internal/nn that names Conv2D and writes a .w or .b
-# must call dropMemo() (the sliding-window memo's kept output, nn/conv.go),
-# and one that names Dense or LSTM and writes a .w, .wx or .wh must call
-# repack() (the transposed copy the panel kernel reads, nn/layer.go). (4) The
+# must call repack() (the transposed copy the in-place lowering reads and the
+# sliding-window memo's kept output, nn/conv.go), and one that names Dense or
+# LSTM and writes a .w, .wx or .wh must call repack() (the transposed copy
+# the panel kernel reads, nn/layer.go). (4) The
 # live loop keeps a packet one way and writes an order one way: a queue copies
 # into storage its lane owns (sbe.PacketBuffer.CopyPacket), so neither
 # internal/serve nor internal/trader calls sbe.ClonePacket, and the Client's
 # only conn.Write calls are the one coalesced order write in sendLocked and
 # the session's own frames (negotiate, establish, heartbeat) — a hit is a
 # per-packet allocation or a per-order write growing back. (5) internal/tensor
-# has one multiply loop and no concurrency: outside panel.go (the portable
+# has one multiply kernel, one multiply loop and no concurrency: no non-test
+# file but panel.go declares a func MulAdd…, outside panel.go (the portable
 # panel kernel) only the Axpy wrapper calls axpy, and no non-test file of the
 # package has a go statement, a sync.WaitGroup or a channel — a hit is a
-# second GEMM or a worker pool growing back.
+# second kernel, a second GEMM or a worker pool growing back.
 one-impl-check:
 	@bad=$$(grep -rnE '(^|[^.[:alnum:]_]|sched\.)BusyViewAt\(|\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -179,7 +181,7 @@ one-impl-check:
 	if [ -n "$$bad" ]; then \
 		echo "cost model evaluated outside sched.Table:"; echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(for rule in 'Conv2D w|b dropMemo' 'Dense|LSTM w|wx|wh repack'; do set -- $$rule; \
+	@bad=$$(for rule in 'Conv2D w|b repack' 'Dense|LSTM w|wx|wh repack'; do set -- $$rule; \
 		for f in $$(ls internal/nn/*.go | grep -v _test.go); do awk -v file=$$f -v typ="$$1" -v fld="$$2" -v must="$$3" ' \
 		BEGIN { ref = "[[:alnum:]_]+\\.(" fld ")(\\.Data\\(\\))?"; \
 			write = "\\.(" fld ")(\\.(FillRandn|RoundBF16)\\(|(\\.Data\\(\\))?\\[[^]]*\\] *[-+*\\/]?=[^=]| *=[^=])" \
@@ -201,13 +203,15 @@ one-impl-check:
 	if [ -n "$$bad" ]; then \
 		echo "a second packet-retention path or order write:"; echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -rnE '(^|[^[:alnum:]_])axpy\(' --include='*.go' --exclude='*_test.go' internal/tensor \
+	@bad=$$(grep -rnE '^func (\([^)]*\) *)?MulAdd' --include='*.go' --exclude='*_test.go' internal/tensor \
+			| grep -vE '^internal/tensor/panel\.go:'; \
+		grep -rnE '(^|[^[:alnum:]_])axpy\(' --include='*.go' --exclude='*_test.go' internal/tensor \
 			| grep -vE '^internal/tensor/panel\.go:|^internal/tensor/gemm\.go:[0-9]+:[[:space:]]+axpy\(a, x, y\)$$'; \
 		awk '{ code = $$0; sub(/\/\/.*/, "", code) } \
 			code ~ /(^|[[:space:]{;])go[[:space:]]+[[:alnum:]_(]|sync\.WaitGroup|(^|[^[:alnum:]_])chan([^[:alnum:]_]|$$)|<-/ \
 			{ print FILENAME ":" FNR ": " $$0 }' $$(ls internal/tensor/*.go | grep -v _test.go)); \
 	if [ -n "$$bad" ]; then \
-		echo "a second multiply loop or goroutine fan-out in internal/tensor:"; echo "$$bad"; exit 1; \
+		echo "a second multiply kernel or loop, or a goroutine fan-out, in internal/tensor:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile

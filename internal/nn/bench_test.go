@@ -60,15 +60,15 @@ func slidingInputs(rng *rand.Rand, shape []int, n int) []*tensor.Tensor {
 const streamLen = 128
 
 // BenchmarkConv2DZoo times the convolution geometries the zoo models are
-// built from: the first layer of every SizedCNN (full input width,
-// multiplied in place — what wire-cnn spends its time in), the ladder's
-// same-padded temporal conv and VanillaCNN's second stage (k×1 over a W = 1
-// activation: full width, but a patch too short for the in-place path, so
-// im2col), and DeepLOB's level fold (in place, strided) and (price,qty)
-// fold (im2col). Each case runs twice: on one unchanging input, which no
-// layer can reuse anything of (the full pass, plus the memo's copies where
-// the layer keeps one), and as <case>/stream on an input that moves up one
-// row per call, the traffic the live loop has.
+// built from: the full-width first layers, multiplied in place — every
+// SizedCNN's (what wire-cnn spends its time in), VanillaCNN's and TransLOB's
+// 1×40 embedding — the ladder's same-padded temporal conv and VanillaCNN's
+// second stage (k×1 over a W = 1 activation: full width, but a patch too
+// short for the in-place path, so im2col), and DeepLOB's level fold (in
+// place, strided) and (price,qty) fold (im2col). Each case runs twice: on one
+// unchanging input, which no layer can reuse anything of (the full pass, plus
+// the memo's copies where the layer keeps one), and as <case>/stream on an
+// input that moves up one row per call, the traffic the live loop has.
 func BenchmarkConv2DZoo(b *testing.B) {
 	cases := []struct {
 		name string
@@ -76,6 +76,8 @@ func BenchmarkConv2DZoo(b *testing.B) {
 		in   []int
 	}{
 		{"full-4x40·1→8", NewConv2D(1, 8, 4, 40, 1, 1, 0, 0, ActReLU), []int{1, 100, 40}},
+		{"full-4x40·1→64", NewConv2D(1, 64, 4, 40, 1, 1, 0, 0, ActReLU), []int{1, 100, 40}},
+		{"embed-1x40·1→32", NewConv2D(1, 32, 1, 40, 1, 1, 0, 0, ActReLU), []int{1, 100, 40}},
 		{"temporal-3x1-pad1·8→8@48", NewConv2D(8, 8, 3, 1, 1, 1, 1, 0, ActReLU), []int{8, 48, 1}},
 		{"stage2-4x1·64→64@48", NewConv2D(64, 64, 4, 1, 1, 1, 0, 0, ActReLU), []int{64, 48, 1}},
 		{"fold-1x10-s10·16→16", NewConv2D(16, 16, 1, 10, 1, 10, 0, 0, ActLeakyReLU), []int{16, 100, 10}},
@@ -114,20 +116,40 @@ func BenchmarkConv2DZoo(b *testing.B) {
 }
 
 // BenchmarkMaxPool2DColumn times the pool behind a full-width convolution:
-// SizedCNN(8,0)'s [8,97,1] → [8,48,1], a single column per channel.
+// SizedCNN(8,0)'s [8,97,1] → [8,48,1], a single column per channel — on one
+// unchanging input (every stride-1 window scanned and kept), and as /stream
+// on one that moves up a row per call (one new window per channel).
 func BenchmarkMaxPool2DColumn(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	mp := NewMaxPool2D(2, 1, 0, 0)
-	x := tensor.New(8, 97, 1)
+	in := []int{8, 97, 1}
+	x := tensor.New(in...)
 	x.FillRandn(rng, 1)
-	var p tensor.Pool
-	mp.ForwardCtx(&p, x)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Reset()
+	b.Run("same", func(b *testing.B) {
+		mp := NewMaxPool2D(2, 1, 0, 0)
+		var p tensor.Pool
 		mp.ForwardCtx(&p, x)
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Reset()
+			mp.ForwardCtx(&p, x)
+		}
+	})
+	xs := slidingInputs(rng, in, streamLen)
+	b.Run("stream", func(b *testing.B) {
+		mp := NewMaxPool2D(2, 1, 0, 0)
+		var p tensor.Pool
+		for _, x := range xs[streamLen-2:] { // arm the memo, warm the arena on a hit
+			p.Reset()
+			mp.ForwardCtx(&p, x)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Reset()
+			mp.ForwardCtx(&p, xs[i%streamLen])
+		}
+	})
 }
 
 // BenchmarkLSTMStep measures one LSTM time step (T=1) at DeepLOB size.

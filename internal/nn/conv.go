@@ -1,11 +1,8 @@
 package nn
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"sync"
-	"unsafe"
 
 	"lighttrader/internal/tensor"
 )
@@ -22,25 +19,20 @@ type Conv2D struct {
 	w *tensor.Tensor // [OutC, InC, KH, KW]
 	b []float32
 
+	// wt holds w a second time, transposed into the panel the in-place
+	// lowering multiplies against: [InC·KH·KW, OutC], the outputs of one tap
+	// side by side; nil on a layer whose geometry never takes that lowering.
+	// Like Dense's it is packed where w is written (repack) and only read by
+	// the forward pass.
+	wt []float32
+
 	// Accumulated gradients (allocated lazily on first Backward).
 	gw *tensor.Tensor
 	gb []float32
 
-	// memo is the sliding-window memo (see slide); nil on a layer that
+	// memo is the sliding-window memo (see ForwardCtx); nil on a layer that
 	// strides or pads in H, whose output rows are not a shift of last call's.
-	memo *convMemo
-}
-
-// convMemo is a private copy of a Conv2D's last input and last output (after
-// bias and activation, before any rounding the caller applies to the tensor
-// it was handed), with the lock that makes the layer follow one caller at a
-// time. in is nil until the first eligible forward pass and after a drop.
-type convMemo struct {
-	mu           sync.Mutex
-	h, w         int       // spatial shape of in
-	in           []float32 // [InC,h,w]
-	out          []float32 // [OutC,oh,ow]
-	hits, misses uint64    // calls answered by slide / by the full pass
+	memo *slideMemo
 }
 
 // NewConv2D constructs a convolution; stride values of 0 default to 1.
@@ -55,10 +47,26 @@ func NewConv2D(inC, outC, kh, kw, sh, sw, padH, padW int, act Activation) *Conv2
 		InC: inC, OutC: outC, KH: kh, KW: kw, SH: sh, SW: sw, PadH: padH, PadW: padW, Act: act,
 		w: tensor.New(outC, inC, kh, kw), b: make([]float32, outC),
 	}
-	if sh == 1 && padH == 0 {
-		c.memo = new(convMemo)
+	if c.inPlace(kw) {
+		c.wt = make([]float32, inC*kh*kw*outC)
 	}
+	if sh == 1 && padH == 0 {
+		c.memo = new(slideMemo)
+	}
+	c.repack()
 	return c
+}
+
+// repack rebuilds wt from w and drops the memo's kept output, the two things
+// derived from the weights. Whatever writes c.w or c.b calls it before the
+// next forward pass (`make one-impl-check` holds non-test code to that).
+func (c *Conv2D) repack() {
+	if c.wt != nil {
+		packColumns(c.wt, c.OutC, 0, c.w.Data(), c.OutC, c.InC*c.KH*c.KW)
+	}
+	if c.memo != nil {
+		c.memo.drop()
+	}
 }
 
 // Name implements Layer.
@@ -102,7 +110,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor { return c.ForwardCtx(
 //     matrix; one MatMulInto against it.
 //   - full input width (KW == W, no width padding, so ow == 1) with a
 //     patch of at least minInPlaceRun floats per channel: every patch is a
-//     contiguous run of the input; multiplied in place.
+//     contiguous run of the input; multiplied in place against wt.
 //   - otherwise im2col: unfold into a [InC·KH·KW, oh·ow] patch matrix,
 //     then one [OutC,K]×[K,N] MatMulInto.
 //
@@ -110,7 +118,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor { return c.ForwardCtx(
 // stride 1 and no padding in H (and H > KH, so there is a row to reuse) an
 // input that is the last one moved up by one row — what a tick does to the
 // offload engine's feature map — has last call's output moved up by one row
-// as all but its last output row, and slide computes only that row.
+// as all but its last output row, so only that row is computed: by forward —
+// the same lowering the full pass would take, the same biasAct — over the
+// last KH input rows, each of its elements the very chain the full pass would
+// have run. Anything else (a first call, another shape, a resync, a stream
+// other than the one the last call followed) runs the full pass and is kept.
 func (c *Conv2D) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(0) != c.InC {
 		panic(fmt.Sprintf("nn: %s expects [%d,H,W], got %v", c.Name(), c.InC, x.Shape()))
@@ -129,53 +141,12 @@ func (c *Conv2D) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 		return c.forward(p, x, oh, ow, inPlace)
 	}
 	defer m.mu.Unlock()
-	out := c.slide(p, m, x, oh, ow, inPlace)
-	if out == nil {
-		out = c.forward(p, x, oh, ow, inPlace)
-		m.misses++
-	} else {
-		m.hits++
-	}
-	m.keep(x, out)
-	return out
-}
-
-// forward is the whole convolution of x: the multiply on the given lowering,
-// then bias and activation.
-func (c *Conv2D) forward(p *tensor.Pool, x *tensor.Tensor, oh, ow int, inPlace bool) *tensor.Tensor {
-	var out *tensor.Tensor
-	if inPlace {
-		out = newTensor(p, c.OutC, oh, ow)
-		c.mulInPlace(x, out)
-	} else {
-		out = c.mulGEMM(p, x, oh, ow)
-	}
-	c.biasAct(out)
-	return out
-}
-
-// slide answers x from the memo when rows [0,H−1) of every channel of x are
-// the kept input's rows [1,H): output rows [0,oh−1) are then the kept
-// output's rows [1,oh), and the last row is forward — the same lowering the
-// full pass would take, the same biasAct — over the last KH input rows, so
-// each of its elements is the chain the full pass would have run. It returns
-// nil when x is anything else: a first call, another shape, a resync, a
-// stream other than the one the last call followed.
-//
-// The rows are compared as bytes, not as floats: equal bits multiply to equal
-// products, whereas == would take −0 for +0 and refuse a NaN row that did not
-// change. One memequal per channel costs a hundredth of the rows it saves.
-func (c *Conv2D) slide(p *tensor.Pool, m *convMemo, x *tensor.Tensor, oh, ow int, inPlace bool) *tensor.Tensor {
-	h, w := x.Dim(1), x.Dim(2)
-	if m.in == nil || m.h != h || m.w != w || len(m.out) != c.OutC*oh*ow {
-		return nil
+	if !m.shifted(x) {
+		out := c.forward(p, x, oh, ow, inPlace)
+		m.keep(x, out.Data(), c.OutC, oh, ow)
+		return out
 	}
 	xf := x.Data()
-	for ic := 0; ic < c.InC; ic++ {
-		if !sameBits(xf[ic*h*w:(ic+1)*h*w-w], m.in[ic*h*w+w:(ic+1)*h*w]) {
-			return nil
-		}
-	}
 	var tail *tensor.Tensor
 	if c.InC == 1 {
 		tail = viewTensor(p, xf[(h-c.KH)*w:], 1, c.KH, w)
@@ -185,57 +156,35 @@ func (c *Conv2D) slide(p *tensor.Pool, m *convMemo, x *tensor.Tensor, oh, ow int
 			copy(tail.Data()[ic*c.KH*w:(ic+1)*c.KH*w], xf[((ic+1)*h-c.KH)*w:(ic+1)*h*w])
 		}
 	}
-	last := c.forward(p, tail, 1, ow, inPlace).Data()
+	m.slide(x, c.forward(p, tail, 1, ow, inPlace).Data())
 	out := newTensor(p, c.OutC, oh, ow)
-	of, n := out.Data(), oh*ow
 	for oc := 0; oc < c.OutC; oc++ {
-		copy(of[oc*n:(oc+1)*n-ow], m.out[oc*n+ow:(oc+1)*n])
-		copy(of[(oc+1)*n-ow:(oc+1)*n], last[oc*ow:(oc+1)*ow])
+		copy(out.Data()[oc*oh*ow:], m.out.channel(oc))
 	}
 	return out
 }
 
-// keep records x and its output for the next call's slide. It copies both:
-// x is the caller's to reuse and out the caller's to round in place.
-func (m *convMemo) keep(x, out *tensor.Tensor) {
-	if len(m.in) != x.Size() || len(m.out) != out.Size() {
-		m.in, m.out = make([]float32, x.Size()), make([]float32, out.Size())
+// forward is the whole convolution of x: the multiply on the given lowering,
+// then bias and activation.
+func (c *Conv2D) forward(p *tensor.Pool, x *tensor.Tensor, oh, ow int, inPlace bool) *tensor.Tensor {
+	var out *tensor.Tensor
+	if inPlace {
+		out = newTensor(p, c.OutC, oh, ow)
+		c.mulInPlace(p, x, out)
+	} else {
+		out = c.mulGEMM(p, x, oh, ow)
 	}
-	m.h, m.w = x.Dim(1), x.Dim(2)
-	copy(m.in, x.Data())
-	copy(m.out, out.Data())
-}
-
-// dropMemo forgets the kept input and output. Everything that writes c.w or
-// c.b calls it: the kept output is a function of the weights it was computed
-// with (`make one-impl-check` holds new writers to this).
-func (c *Conv2D) dropMemo() {
-	if m := c.memo; m != nil {
-		m.mu.Lock()
-		m.in, m.out = nil, nil
-		m.mu.Unlock()
-	}
-}
-
-// sameBits reports whether a and b hold the same float32 bit patterns.
-func sameBits(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 {
-		return true
-	}
-	return bytes.Equal(
-		unsafe.Slice((*byte)(unsafe.Pointer(&a[0])), 4*len(a)),
-		unsafe.Slice((*byte)(unsafe.Pointer(&b[0])), 4*len(b)))
+	c.biasAct(out)
+	return out
 }
 
 // minInPlaceRun is the shortest per-channel patch (KH·W floats) the
-// in-place lowering takes. MulAddNT is entered once per input channel with
-// that as its k, and on a k×1 kernel over a single-column activation (3–5
-// floats) the tiles cost more to enter than to run: ahead of im2col + GEMM
-// on narrow layers, level with or behind it at 48–64 channels (EXPERIMENTS
-// "Inference lowering"), so those layers stay where they were.
+// in-place lowering takes. It enters the panel kernel once per output row
+// and input channel with that as its k, so a k×1 kernel over a
+// single-column activation (3–5 floats) would pay a kernel entry per 3–5
+// rows of wt — InC·oh entries where im2col + MatMulInto makes OutC, each
+// over all InC·KH taps (EXPERIMENTS "Inference lowering"): those layers stay
+// on im2col.
 const minInPlaceRun = 8
 
 // inPlace reports whether the in-place lowering applies: the kernel spans
@@ -264,37 +213,35 @@ func (c *Conv2D) mulGEMM(p *tensor.Pool, x *tensor.Tensor, oh, ow int) *tensor.T
 	return out
 }
 
-// mulInPlace accumulates a full-width convolution (see inPlace) into the
-// zeroed out without unfolding: with KW == W the patch of output row oy in
-// channel ic is the KH·W contiguous floats from input row oy·SH−PadH, so
-// the patch matrix is the input plane read as overlapping rows at stride
-// SH·W. Interior rows go through one MulAddNT per input channel; a row
-// whose patch hangs over the top or bottom edge multiplies only the taps
-// inside the plane (the rest would add w·0, which never changes a chain
-// that starts at +0). MulAddNT continues each output's chain from out, so
-// walking the channels in order keeps the single (ic,ky,kx)-ascending sum.
-func (c *Conv2D) mulInPlace(x, out *tensor.Tensor) {
+// mulInPlace writes a full-width convolution (see inPlace) into the zeroed
+// out without unfolding: with KW == W the patch of output row oy in channel
+// ic is the KH·W contiguous floats from input row oy·SH−PadH, and rows
+// [ic·KH·W, (ic+1)·KH·W) of wt are that channel's taps, so each output row is
+// one MulAddPanel per input channel, in order, each continuing the OutC
+// chains the last left — the single (ic,ky,kx)-ascending sum im2col +
+// MatMulInto runs per output. A row whose patch hangs over the top or bottom
+// edge multiplies only the taps inside the plane (the rest would add w·0,
+// which never changes a chain that starts at +0). The panel leaves a row's
+// OutC outputs side by side; they are scattered into column oy of the
+// [OutC, oh] out, which for a single row is the same layout.
+func (c *Conv2D) mulInPlace(p *tensor.Pool, x, out *tensor.Tensor) {
 	h, w, oh := x.Dim(1), x.Dim(2), out.Dim(1)
-	k := c.InC * c.KH * w
-	// Rows [lo,hi] read no padding; none do when hi < lo.
-	lo, hi := (c.PadH+c.SH-1)/c.SH, -1
-	if d := h + c.PadH - c.KH; d >= 0 {
-		hi = d / c.SH
+	xf, of := x.Data(), out.Data()
+	row := of
+	if oh > 1 {
+		row = newSlice(p, c.OutC)
 	}
-	xf, wf, of := x.Data(), c.w.Data(), out.Data()
-	for ic := 0; ic < c.InC; ic++ {
-		plane := xf[ic*h*w : (ic+1)*h*w]
-		wc := wf[ic*c.KH*w:]
-		for oy := 0; oy < oh; oy++ {
-			if oy == lo && lo <= hi {
-				tensor.MulAddNT(c.OutC, hi-lo+1, c.KH*w, wc, k, plane[(lo*c.SH-c.PadH)*w:], c.SH*w, of[lo:], oh)
-				oy = hi
-				continue
-			}
-			iy := oy*c.SH - c.PadH
-			ky0, ky1 := max(0, -iy), min(c.KH, h-iy)
-			if ky0 < ky1 {
-				tensor.MulAddNT(c.OutC, 1, (ky1-ky0)*w, wc[ky0*w:], k, plane[(iy+ky0)*w:], 0, of[oy:], oh)
+	for oy := 0; oy < oh; oy++ {
+		iy := oy*c.SH - c.PadH
+		ky0, ky1 := max(0, -iy), min(c.KH, h-iy)
+		clear(row)
+		for ic := 0; ic < c.InC && ky0 < ky1; ic++ {
+			plane := xf[ic*h*w : (ic+1)*h*w]
+			tensor.MulAddPanel(plane[(iy+ky0)*w:(iy+ky1)*w], c.wt[(ic*c.KH+ky0)*w*c.OutC:], c.OutC, row)
+		}
+		if oh > 1 {
+			for oc, v := range row {
+				of[oc*oh+oy] = v
 			}
 		}
 	}
@@ -389,13 +336,17 @@ func (c *Conv2D) Init(rng *rand.Rand) {
 	for i := range c.b {
 		c.b[i] = 0
 	}
-	c.dropMemo()
+	c.repack()
 }
 
 // MaxPool2D is a max pooling layer over [C,H,W].
 type MaxPool2D struct {
 	KH, KW int
 	SH, SW int
+
+	// memo is the sliding-window memo of a pool over a single column (see
+	// ForwardCtx); nil unless KW == 1.
+	memo *slideMemo
 }
 
 // NewMaxPool2D constructs a pooling layer; stride 0 defaults to the kernel.
@@ -406,7 +357,11 @@ func NewMaxPool2D(kh, kw, sh, sw int) *MaxPool2D {
 	if sw == 0 {
 		sw = kw
 	}
-	return &MaxPool2D{KH: kh, KW: kw, SH: sh, SW: sw}
+	p := &MaxPool2D{KH: kh, KW: kw, SH: sh, SW: sw}
+	if kw == 1 {
+		p.memo = new(slideMemo)
+	}
+	return p
 }
 
 // Name implements Layer.
@@ -431,6 +386,14 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor { return p.ForwardC
 // ForwardCtx implements Layer, scanning each window by direct row slices, or
 // straight down the column when the activation is one wide (what a full-width
 // convolution leaves): the same comparisons in the same order either way.
+//
+// A single-column pool also keeps a sliding-window memo when H > KH: the max
+// of every stride-1 window, of which the output is every SH-th. An input that
+// is the last one moved up a row has last call's windows moved up by one as
+// all but its last, so only that window is scanned per channel — with the
+// comparisons a full pass would make — and the output is gathered from the
+// kept windows. Anything else is a miss: every stride-1 window is scanned and
+// kept.
 func (p *MaxPool2D) ForwardCtx(pool *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 {
 		panic(fmt.Sprintf("nn: maxpool expects rank 3, got %v", x.Shape()))
@@ -444,17 +407,38 @@ func (p *MaxPool2D) ForwardCtx(pool *tensor.Pool, x *tensor.Tensor) *tensor.Tens
 	out := newTensor(pool, ch, oh, ow)
 	xf, of := x.Data(), out.Data()
 	if w == 1 && p.KW == 1 {
-		for c := 0; c < ch; c++ {
-			col, ocol := xf[c*h:(c+1)*h], of[c*oh:(c+1)*oh]
-			for oy := range ocol {
-				win := col[oy*p.SH : oy*p.SH+p.KH]
-				best := win[0]
-				for _, v := range win[1:] {
-					if v > best {
-						best = v
-					}
+		m := p.memo
+		if m == nil || h <= p.KH || !m.mu.TryLock() {
+			for c := 0; c < ch; c++ {
+				col, ocol := xf[c*h:(c+1)*h], of[c*oh:(c+1)*oh]
+				for oy := range ocol {
+					ocol[oy] = colMax(col[oy*p.SH : oy*p.SH+p.KH])
 				}
-				ocol[oy] = best
+			}
+			return out
+		}
+		defer m.mu.Unlock()
+		if m.shifted(x) {
+			next := newSlice(pool, ch)
+			for c := range next {
+				next[c] = colMax(xf[(c+1)*h-p.KH : (c+1)*h])
+			}
+			m.slide(x, next)
+		} else {
+			n := h - p.KH + 1
+			wins := newSlice(pool, ch*n)
+			for c := 0; c < ch; c++ {
+				col := xf[c*h : (c+1)*h]
+				for i := 0; i < n; i++ {
+					wins[c*n+i] = colMax(col[i : i+p.KH])
+				}
+			}
+			m.keep(x, wins, ch, n, 1)
+		}
+		for c := 0; c < ch; c++ {
+			wins, ocol := m.out.channel(c), of[c*oh:(c+1)*oh]
+			for oy := range ocol {
+				ocol[oy] = wins[oy*p.SH]
 			}
 		}
 		return out
@@ -478,6 +462,18 @@ func (p *MaxPool2D) ForwardCtx(pool *tensor.Pool, x *tensor.Tensor) *tensor.Tens
 		}
 	}
 	return out
+}
+
+// colMax is the max of one window down a column: its first element, then
+// every later one that compares greater.
+func colMax(win []float32) float32 {
+	best := win[0]
+	for _, v := range win[1:] {
+		if v > best {
+			best = v
+		}
+	}
+	return best
 }
 
 // FLOPs implements Layer.

@@ -1,14 +1,20 @@
 package nn
 
 // MemoCounts reports how many forward passes l's sliding-window memo answered
-// from the kept output (hits) and how many ran in full under it (misses). ok
-// is false when l is not a convolution that keeps a memo.
+// from what it kept (hits) and how many ran in full under it (misses). ok is
+// false when l is not a convolution or pool that keeps a memo.
 func MemoCounts(l Layer) (hits, misses uint64, ok bool) {
-	c, isConv := l.(*Conv2D)
-	if !isConv || c.memo == nil {
+	var m *slideMemo
+	switch l := l.(type) {
+	case *Conv2D:
+		m = l.memo
+	case *MaxPool2D:
+		m = l.memo
+	}
+	if m == nil {
 		return 0, 0, false
 	}
-	c.memo.mu.Lock()
-	defer c.memo.mu.Unlock()
-	return c.memo.hits, c.memo.misses, true
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.hits, m.misses, true
 }

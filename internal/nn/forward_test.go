@@ -91,6 +91,7 @@ func TestConv2DBF16MatchesReference(t *testing.T) {
 		c.Init(rng)
 		c.w.RoundBF16()
 		tensor.RoundSliceBF16(c.b)
+		c.repack()
 		x := tensor.New(inC, kh+rng.Intn(12), kw+rng.Intn(12))
 		x.FillRandn(rng, 1)
 		x.RoundBF16()
@@ -113,8 +114,12 @@ func convVia(c *Conv2D, p *tensor.Pool, x *tensor.Tensor, inPlace bool) *tensor.
 	}
 	var out *tensor.Tensor
 	if inPlace {
+		if c.wt == nil { // a patch too short for ForwardCtx to pick it: pack wt anyway
+			c.wt = make([]float32, len(c.w.Data()))
+			c.repack()
+		}
 		out = newTensor(p, shape...)
-		c.mulInPlace(x, out)
+		c.mulInPlace(p, x, out)
 	} else {
 		out = c.mulGEMM(p, x, shape[1], shape[2])
 	}
@@ -210,6 +215,7 @@ func TestConv2DDirectBF16(t *testing.T) {
 		c, x := fullWidthCase(rng, i)
 		c.w.RoundBF16()
 		tensor.RoundSliceBF16(c.b)
+		c.repack()
 		x.RoundBF16()
 		got := convVia(c, nil, x, true)
 		wantSameBits(t, c.Name()+"/bf16", got, convVia(c, nil, x, false))

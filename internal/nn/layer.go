@@ -107,9 +107,9 @@ type Layer interface {
 	// Forward computes the layer's output. Implementations must not mutate
 	// x or keep a reference to it or to the tensor they return — both are the
 	// caller's to reuse and overwrite. A layer may keep a private copy of
-	// either (Conv2D does, to answer the next call's shared rows), provided
-	// its output stays the function of x and its weights that a layer which
-	// kept nothing would compute, bit for bit.
+	// either (Conv2D and MaxPool2D do, to answer the next call's shared
+	// rows), provided its output stays the function of x and its weights that
+	// a layer which kept nothing would compute, bit for bit.
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	// ForwardCtx computes the layer's output drawing all scratch and output
 	// storage from p; results are valid only until p.Reset(). A nil pool

@@ -123,12 +123,14 @@ var inferPools = sync.Pool{New: func() any { return new(tensor.Pool) }}
 // horizon, the tick-to-trade one).
 //
 // A model instance follows one stream at a time: its unpadded stride-1
-// convolutions remember their last input and recompute only the rows a new
-// one does not share with it (see Conv2D.ForwardCtx), so the feature maps of
-// one instrument, each the last moved up a row, cost a fraction of a full
-// pass. The answer never depends on what was remembered. Predict is still
-// safe for concurrent use, and a model shared across instruments is still
-// correct — it just finds nothing to reuse and runs every pass in full.
+// convolutions and its max-pools over a single column remember their last
+// input and compute only the one output row (for a pool, the one window per
+// channel) a new input moved up a row does not share with it (see
+// Conv2D.ForwardCtx and MaxPool2D.ForwardCtx), so the feature maps of one
+// instrument, each the last moved up a row, cost a fraction of a full pass.
+// The answer never depends on what was remembered. Predict is still safe for
+// concurrent use, and a model shared across instruments is still correct —
+// it just finds nothing to reuse and runs every pass in full.
 func (m *Model) Predict(x *tensor.Tensor) (Direction, float32, error) {
 	if m.Heads() > 1 {
 		return m.PredictHead(0, x)

@@ -153,6 +153,7 @@ func TestConv2DKnownValues(t *testing.T) {
 	for i := range c.w.Data() {
 		c.w.Data()[i] = 1
 	}
+	c.repack()
 	x := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 3, 3)
 	out := c.Forward(x)
 	want := []float32{12, 16, 24, 28} // 2x2 sums
@@ -168,6 +169,7 @@ func TestConv2DPadding(t *testing.T) {
 	for i := range c.w.Data() {
 		c.w.Data()[i] = 1
 	}
+	c.repack()
 	x := tensor.FromSlice([]float32{1, 1, 1, 1}, 1, 2, 2)
 	out := c.Forward(x)
 	if !shapeEq(out.Shape(), []int{1, 2, 2}) {

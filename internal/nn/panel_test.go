@@ -156,12 +156,17 @@ func freshLSTM(l *LSTM) *LSTM {
 // TestPackedWeightsFollowEveryWriter: the packed copy is rebuilt by whatever
 // writes the weights. Init, and Backward + Update, between two forward
 // passes must leave the layer answering like a fresh one with its weights; a
-// writer that forgets repack() answers from the weights it had before.
+// writer that forgets repack() answers from the weights it had before. The
+// convolution is full-width, so its forward multiplies against wt.
 func TestPackedWeightsFollowEveryWriter(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	d := NewDense(24, 16, ActTanh)
 	l := NewLSTM(10, 8, false)
-	dx, lx := sparseInput(rng, d.In), sparseInput(rng, 6, l.In)
+	c := NewConv2D(2, 5, 3, 6, 1, 1, 0, 0, ActTanh)
+	dx, lx, cx := sparseInput(rng, d.In), sparseInput(rng, 6, l.In), sparseInput(rng, c.InC, 9, c.KW)
+	if !c.inPlace(c.KW) {
+		t.Fatalf("%s does not take the in-place lowering", c.Name())
+	}
 	train := func(layer Layer, x *tensor.Tensor) {
 		out := layer.Forward(x)
 		grad := out.Clone()
@@ -173,16 +178,17 @@ func TestPackedWeightsFollowEveryWriter(t *testing.T) {
 		name  string
 		write func()
 	}{
-		{"Init", func() { d.Init(rng); l.Init(rng) }},
-		{"Update", func() { train(d, dx); train(l, lx) }},
-		{"Init again", func() { d.Init(rng); l.Init(rng) }},
+		{"Init", func() { d.Init(rng); l.Init(rng); c.Init(rng) }},
+		{"Update", func() { train(d, dx); train(l, lx); train(c, cx) }},
+		{"Init again", func() { d.Init(rng); l.Init(rng); c.Init(rng) }},
 	} {
-		dBefore, lBefore := d.Forward(dx), l.Forward(lx)
+		dBefore, lBefore, cBefore := d.Forward(dx), l.Forward(lx), c.Forward(cx)
 		step.write()
-		dNow, lNow := d.Forward(dx), l.Forward(lx)
+		dNow, lNow, cNow := d.Forward(dx), l.Forward(lx), c.Forward(cx)
 		wantSameBits(t, step.name+"/dense", dNow, freshDense(d).Forward(dx))
 		wantSameBits(t, step.name+"/lstm", lNow, freshLSTM(l).Forward(lx))
-		if sameBits(dBefore.Data(), dNow.Data()) || sameBits(lBefore.Data(), lNow.Data()) {
+		wantSameBits(t, step.name+"/conv", cNow, cloneConv(c).Forward(cx))
+		if sameBits(dBefore.Data(), dNow.Data()) || sameBits(lBefore.Data(), lNow.Data()) || sameBits(cBefore.Data(), cNow.Data()) {
 			t.Fatalf("%s left an output where it was: the step wrote no weight", step.name)
 		}
 	}

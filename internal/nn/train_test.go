@@ -123,10 +123,13 @@ func TestConvGradientCheck(t *testing.T) {
 	for _, i := range []int{0, 3, 5, 7} {
 		orig := c.w.Data()[i]
 		c.w.Data()[i] = orig + eps
+		c.repack()
 		lp := loss()
 		c.w.Data()[i] = orig - eps
+		c.repack()
 		lm := loss()
 		c.w.Data()[i] = orig
+		c.repack()
 		numeric := (lp - lm) / (2 * eps)
 		if math.Abs(numeric-float64(analytic[i])) > 1e-2*(1+math.Abs(numeric)) {
 			t.Fatalf("w[%d]: analytic %v vs numeric %v", i, analytic[i], numeric)

@@ -42,23 +42,3 @@ func RoundSliceBF16(s []float32) {
 		s[i] = RoundBF16(v)
 	}
 }
-
-// QuantizeINT8 quantises f to a signed 8-bit integer with the given scale
-// (value ≈ q·scale), saturating at the int8 range. It models the INT8 path
-// the accelerator offers for latency-prioritised execution.
-func QuantizeINT8(f float32, scale float32) int8 {
-	if scale == 0 {
-		return 0
-	}
-	q := math.Round(float64(f / scale))
-	if q > 127 {
-		return 127
-	}
-	if q < -128 {
-		return -128
-	}
-	return int8(q)
-}
-
-// DequantizeINT8 expands a quantised value back to float32.
-func DequantizeINT8(q int8, scale float32) float32 { return float32(q) * scale }

@@ -2,11 +2,11 @@ package tensor
 
 import "fmt"
 
-// The multiplies behind every layer. MatMulInto runs the panel kernel
-// (panel.go) once per output row; a layer that computes x·Wᵀ keeps Wᵀ packed
-// and calls MulAddPanel itself; a convolution over overlapping rows calls
-// MulAddNT. All of them are serial, and each output is one float32 chain in
-// ascending k.
+// The multiplies behind every layer are one kernel, MulAddPanel (panel.go):
+// MatMulInto runs it once per output row, and a layer that computes x·Wᵀ —
+// a dense layer, an LSTM step, a full-width convolution's row — keeps Wᵀ
+// packed and calls it itself. All of them are serial, and each output is one
+// float32 chain in ascending k.
 
 // Axpy computes y += a·x in place. The slices must have equal length.
 func Axpy(a float32, x, y []float32) {
@@ -62,53 +62,5 @@ func MatMulInto(dst, a, b *Tensor) {
 	clear(dst.data)
 	for i := 0; i < m; i++ {
 		MulAddPanel(a.data[i*k:(i+1)*k], b.data, n, dst.data[i*n:(i+1)*n])
-	}
-}
-
-// mac2x2 is MulAddNT's register tile: it continues the four chains sIJ of
-// rows a0, a1 against rows b0, b1 (all of b0's length) in ascending p. It is
-// a function of its own so that the accumulators and row pointers are all
-// the register allocator has to keep across the loop.
-func mac2x2(a0, a1, b0, b1 []float32, s00, s01, s10, s11 float32) (_, _, _, _ float32) {
-	a0, a1, b1 = a0[:len(b0)], a1[:len(b0)], b1[:len(b0)]
-	for p, v0 := range b0 {
-		v1 := b1[p]
-		w := a0[p]
-		s00 += w * v0
-		s01 += w * v1
-		w = a1[p]
-		s10 += w * v0
-		s11 += w * v1
-	}
-	return s00, s01, s10, s11
-}
-
-// MulAddNT computes c[i·ldc+j] += Σ_p a[i·lda+p]·b[j·ldb+p] for i < m,
-// j < n, p < k over raw row-major slices with explicit leading dimensions,
-// so rows of b may overlap (ldb < k): the full-width convolution reads its
-// patches straight out of the input that way.
-//
-// Each output continues its single float32 accumulation chain from the
-// value already in c, in ascending p. That makes the result bit-identical
-// to MatMulInto over a materialised bᵀ (same products, same order, one
-// chain), and lets a caller split k across several calls — one per input
-// channel, say — without re-associating the sum.
-//
-// The kernel is register-tiled 2 rows of a × 2 rows of b, four accumulators
-// fed by four loads per p; an odd last row or column is paired with itself,
-// which computes (and stores) the same chain twice.
-func MulAddNT(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
-	if k <= 0 {
-		return
-	}
-	for i := 0; i < m; i += 2 {
-		i1 := min(i+1, m-1)
-		a0, a1 := a[i*lda:i*lda+k], a[i1*lda:i1*lda+k]
-		c0, c1 := c[i*ldc:i*ldc+n], c[i1*ldc:i1*ldc+n]
-		for j := 0; j < n; j += 2 {
-			j1 := min(j+1, n-1)
-			c0[j], c0[j1], c1[j], c1[j1] = mac2x2(a0, a1, b[j*ldb:j*ldb+k], b[j1*ldb:j1*ldb+k],
-				c0[j], c0[j1], c1[j], c1[j1])
-		}
 	}
 }

@@ -165,64 +165,6 @@ func TestMatMulIntoNonFinite(t *testing.T) {
 	}
 }
 
-// TestMulAddNTMatchesNaive: the strided kernel continues each output's one
-// chain from c in ascending p, so a naive loop doing exactly that must agree
-// bit for bit — over overlapping b rows (ldb < k, down to 0), padded a and c
-// rows, a non-zero starting c, and odd m and n for the self-paired last
-// row and column. Elements of c between the rows must not be touched, and
-// the chain must match MatMulInto over the materialised bᵀ.
-func TestMulAddNTMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for it := 0; it < 400; it++ {
-		m, n, k := 1+rng.Intn(9), 1+rng.Intn(9), 1+rng.Intn(40)
-		lda, ldb, ldc := k+rng.Intn(4), rng.Intn(k+4), n+rng.Intn(3)
-		a := randTensor(rng, m*lda).Data()
-		b := randTensor(rng, (n-1)*ldb+k).Data()
-		c := randTensor(rng, m*ldc).Data()
-		if it%4 == 0 {
-			clear(c)
-		}
-		want := append([]float32(nil), c...)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				s := want[i*ldc+j]
-				for p := 0; p < k; p++ {
-					s += a[i*lda+p] * b[j*ldb+p]
-				}
-				want[i*ldc+j] = s
-			}
-		}
-		MulAddNT(m, n, k, a, lda, b, ldb, c, ldc)
-		for i, w := range want {
-			if math.Float32bits(c[i]) != math.Float32bits(w) {
-				t.Fatalf("m=%d n=%d k=%d lda=%d ldb=%d ldc=%d: c[%d] = %v, want %v", m, n, k, lda, ldb, ldc, i, c[i], w)
-			}
-		}
-		if it%4 != 0 {
-			continue
-		}
-		// From a zero c this is MatMulInto(W, bᵀ) to the bit.
-		av, bt := New(m, k), New(k, n)
-		for i := 0; i < m; i++ {
-			copy(av.Data()[i*k:(i+1)*k], a[i*lda:i*lda+k])
-		}
-		for j := 0; j < n; j++ {
-			for p := 0; p < k; p++ {
-				bt.Set2(p, j, b[j*ldb+p])
-			}
-		}
-		g := New(m, n)
-		MatMulInto(g, av, bt)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				if math.Float32bits(g.At2(i, j)) != math.Float32bits(c[i*ldc+j]) {
-					t.Fatalf("m=%d n=%d k=%d: [%d,%d] = %v, MatMulInto gives %v", m, n, k, i, j, c[i*ldc+j], g.At2(i, j))
-				}
-			}
-		}
-	}
-}
-
 func TestMatMulIntoReusesStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	a, b := randTensor(rng, 8, 5), randTensor(rng, 5, 7)

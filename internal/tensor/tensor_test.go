@@ -78,24 +78,6 @@ func TestQuickBF16Idempotent(t *testing.T) {
 	}
 }
 
-func TestINT8Quantization(t *testing.T) {
-	if q := QuantizeINT8(1.0, 0.5); q != 2 {
-		t.Fatalf("q = %d, want 2", q)
-	}
-	if q := QuantizeINT8(1000, 0.5); q != 127 {
-		t.Fatalf("saturation high = %d", q)
-	}
-	if q := QuantizeINT8(-1000, 0.5); q != -128 {
-		t.Fatalf("saturation low = %d", q)
-	}
-	if q := QuantizeINT8(5, 0); q != 0 {
-		t.Fatalf("zero scale = %d", q)
-	}
-	if v := DequantizeINT8(2, 0.5); v != 1.0 {
-		t.Fatalf("dequant = %v", v)
-	}
-}
-
 func TestNewAndAccessors(t *testing.T) {
 	tt := New(2, 3, 4)
 	if tt.Size() != 24 || tt.Rank() != 3 || tt.Dim(1) != 3 {
