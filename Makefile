@@ -137,9 +137,9 @@ power-smoke:
 	$(GO) test -race -run 'TestGovernorPowerCapProperty' ./internal/serve/
 	$(GO) test -race -run 'TestBoard' ./internal/sched/
 
-# One implementation per scheduling rule. (1) Algorithm 2's steps, the DVFS
-# retime rule and the busy-view convention are applied by sched.Board alone,
-# on its sched.Table (sched.go defines the rule and the view). (2) Nothing on
+# One implementation per scheduling rule. (1) Algorithm 2's steps and the
+# DVFS retime rule are applied by sched.Board alone, on its sched.Table
+# (sched.go defines the rule). (2) Nothing on
 # a decision path evaluates the cost model: inside internal/sched only
 # table.go may call the definitions or rebuild the DVFS grid — the four lines
 # let through are the definitions themselves (TotalNanos, PPW), Validate and
@@ -163,11 +163,15 @@ power-smoke:
 # file but panel.go declares a func MulAdd…, outside panel.go (the portable
 # panel kernel) only the Axpy wrapper calls axpy, and no non-test file of the
 # package has a go statement, a sync.WaitGroup or a channel — a hit is a
-# second kernel, a second GEMM or a worker pool growing back.
+# second kernel, a second GEMM or a worker pool growing back. (6) A policy is
+# asked only inside the Board's admission step: no non-test file calls
+# .Decide( outside internal/sched's board.go and degrade.go (the ladder walk)
+# but for PickIssueExplained's one decision in sched.go — a hit is an engine
+# writing its own decide → save → retry → commit loop again.
 one-impl-check:
-	@bad=$$(grep -rnE '(^|[^.[:alnum:]_]|sched\.)BusyViewAt\(|\.(RetimedRemainingNanos|savePower|redistribute)\(' \
+	@bad=$$(grep -rnE '\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
-		| grep -vE '^\./internal/sched/(board|table|sched)\.go:'); \
+		| grep -vE '^\./internal/sched/(board|table)\.go:'); \
 	if [ -n "$$bad" ]; then \
 		echo "scheduling-board rule applied outside sched.Board:"; echo "$$bad"; exit 1; \
 	fi
@@ -212,6 +216,12 @@ one-impl-check:
 			{ print FILENAME ":" FNR ": " $$0 }' $$(ls internal/tensor/*.go | grep -v _test.go)); \
 	if [ -n "$$bad" ]; then \
 		echo "a second multiply kernel or loop, or a goroutine fan-out, in internal/tensor:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnF '.Decide(' --include='*.go' --exclude='*_test.go' . \
+		| grep -vE '^\./internal/sched/(board|degrade)\.go:' \
+		| grep -vE '^\./internal/sched/sched\.go:[0-9]+:[[:space:]]+dec := NewPPWScheduler\(cfg\)\.Decide\(SchedContext\{$$'); \
+	if [ -n "$$bad" ]; then \
+		echo "an admission decision outside sched.Board.Admit:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile

@@ -19,8 +19,8 @@ type SystemConfig struct {
 	// Sched carries the hardware models and scheduling feature switches.
 	Sched sched.Config
 	// Scheduler selects the scheduling strategy deciding what each idle
-	// accelerator issues. nil selects the paper's proactive PPW scheduler
-	// (Algorithm 1), which reproduces the pre-interface behaviour exactly.
+	// accelerator issues. nil selects the registry's "ppw" entry, the
+	// paper's proactive PPW scheduler (Algorithm 1).
 	Scheduler sched.Factory
 	// NumAccels is the accelerator count (1…16 in the paper's sweeps).
 	NumAccels int
@@ -90,6 +90,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.Sched.PostProcessNanos == 0 {
 		cfg.Sched.PostProcessNanos = DefaultPostPipelineNanos
 	}
+	if cfg.Scheduler == nil {
+		cfg.Scheduler, _ = sched.FactoryByName("ppw") // the registry's default entry: always there
+	}
 	if err := cfg.Sched.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -121,11 +124,7 @@ func (s *System) Name() string { return s.name }
 
 // Reset implements sim.SystemModel.
 func (s *System) Reset() {
-	factory := s.cfg.Scheduler
-	if factory == nil {
-		factory = func(c *sched.Config) sched.Scheduler { return sched.NewPPWScheduler(c) }
-	}
-	s.policy = factory(&s.cfg.Sched)
+	s.policy = s.cfg.Scheduler(&s.cfg.Sched)
 	s.queue = s.queue[:0]
 	s.board.Reset()
 	s.batches = make([][]sim.Query, s.cfg.NumAccels)
@@ -233,12 +232,11 @@ func (s *System) Advance(now int64) []sim.Completion {
 	return out
 }
 
-// schedule runs the configured scheduling policy over the shared FIFO: the
-// strategy decides what each idle accelerator issues (Algorithm 1 under the
-// default PPWScheduler, with the board's power-saving step as a retry path
-// — at most once per accelerator per call — when an issue fails on power),
-// then the board redistributes residual budget once, after every
-// accelerator has had its turn.
+// schedule runs the board's admission step over the shared FIFO for each
+// idle accelerator in turn (Algorithm 1 under the default PPW policy, with
+// the power-saving retry allowed at most once per accelerator per call),
+// deferring the oldest query on every refusal, then the board redistributes
+// residual budget once, after every accelerator has had its turn.
 func (s *System) schedule(now int64) {
 	for i := range s.batches {
 		if s.board.Slot(i).Busy {
@@ -248,17 +246,10 @@ func (s *System) schedule(now int64) {
 		for len(s.queue) > 0 {
 			oldest := s.queue[0]
 			avail := oldest.Remaining(now) - s.cfg.PrePipelineNanos
-			dec := s.policy.Decide(s.board.Context(i, now, len(s.queue), avail,
-				s.cfg.NumAccels-s.board.BusyCount()))
-			if dec.Verdict == sched.VerdictPowerInfeasible && s.cfg.Sched.DVFSScheduling && !savedPower {
-				// Saving step: scale busy accelerators down within their
-				// deadline slack to make room, then retry once. Only a power
-				// failure qualifies: freed watts cannot rescue a query no
-				// operating point is fast enough for.
+			dec, saved := s.board.Admit(i, now, len(s.queue), avail, s.cfg.NumAccels-s.board.BusyCount(),
+				s.policy, nil, !savedPower, s.minDeadline)
+			if saved {
 				savedPower = true
-				if s.board.Save(now) {
-					continue
-				}
 			}
 			if dec.Verdict != sched.VerdictIssued {
 				// Defer the oldest tensor to the conventional pipeline,
@@ -274,15 +265,9 @@ func (s *System) schedule(now int64) {
 			batch := make([]sim.Query, dec.Issue.Batch)
 			copy(batch, s.queue[:dec.Issue.Batch])
 			s.queue = s.queue[dec.Issue.Batch:]
-			minDeadline := batch[0].DeadlineNanos
-			for _, q := range batch[1:] {
-				if q.DeadlineNanos < minDeadline {
-					minDeadline = q.DeadlineNanos
-				}
-			}
 			s.batches[i] = batch
-			done := s.board.Commit(i, now, dec.Issue, 0, minDeadline)
 			if s.probe != nil {
+				done := s.board.Slot(i).DoneNanos
 				for _, q := range batch {
 					s.emitQuery(sim.QueryEvent{
 						TimeNanos: now, Kind: sim.QueryIssue, Query: q,
@@ -295,4 +280,16 @@ func (s *System) schedule(now int64) {
 	}
 	s.board.Redistribute(now, len(s.queue))
 	s.sample(now)
+}
+
+// minDeadline returns the earliest deadline over the first n queued queries
+// — the slack bound the board records for the batch it is committing.
+func (s *System) minDeadline(n int) int64 {
+	min := s.queue[0].DeadlineNanos
+	for _, q := range s.queue[1:n] {
+		if q.DeadlineNanos < min {
+			min = q.DeadlineNanos
+		}
+	}
+	return min
 }

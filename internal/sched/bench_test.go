@@ -14,10 +14,11 @@ func BenchmarkDecide(b *testing.B) {
 	cfg := testConfig(b, true, true)
 	ctxs := decideContexts(cfg)
 	for _, name := range SchedulerNames() {
-		p, err := NewByName(name, cfg)
+		f, err := FactoryByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}
+		p := f(cfg)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -42,7 +43,7 @@ func BenchmarkBoardRedistribute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for slot := 0; slot < board.Len(); slot++ {
-			board.Commit(slot, 0, issue, 0, 1<<40)
+			board.commit(slot, 0, issue, 0, 1<<40)
 		}
 		board.Redistribute(0, 0)
 	}

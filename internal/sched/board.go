@@ -21,7 +21,7 @@ type Slot struct {
 	// the last batch's completion after Retire.
 	DoneNanos int64
 	// MinDeadlineNanos is the earliest deadline inside the in-flight batch —
-	// the slack bound a Save scale-down must not violate.
+	// the slack bound a saving-step scale-down must not violate.
 	MinDeadlineNanos int64
 	// Retimes counts DVFS changes applied to the in-flight batch. Redistribute
 	// only touches a batch with none, to avoid switch-stall thrash (§III-D:
@@ -44,10 +44,11 @@ type Slot struct {
 // or a watt — boot state, busy/idle draw, unallocated budget, Algorithm 2's
 // busy views and retime eligibility, the DVFS retime itself, issue commit,
 // retire-and-park, and residual-budget redistribution with the idle-pickup
-// reserve — and emits every DVFS event. Queue discipline, the save-retry
-// rate limit, when Redistribute runs, the degrade-ladder walk, clocks and
-// locking belong to the engine. A Board is not goroutine-safe: the simulator
-// is single-threaded and the serving governor holds its mutex.
+// reserve — emits every DVFS event, and runs the admission step (Admit:
+// decide, save and retry, degrade-ladder walk, commit) with its counters.
+// Queue discipline, the save-retry rate limit, when Redistribute runs,
+// clocks and locking belong to the engine. A Board is not goroutine-safe:
+// the simulator is single-threaded and the serving governor holds its mutex.
 type Board struct {
 	cfg *Config
 	// table is cfg's profiled Table — every watt the ledger prices and both
@@ -71,6 +72,13 @@ type Board struct {
 	// draw is Σ Slot.Draw in slot order (summed afresh after every change so
 	// both engines see one float value); maxDraw its high-water mark.
 	draw, maxDraw float64
+
+	// retries counts power-infeasible decisions Admit ran the saving step
+	// for, rescues the retries that then issued, degrades the batches the
+	// ladder admitted; tierIssues[t] counts batches issued against tier t
+	// (nil without a ladder).
+	retries, rescues, degrades int64
+	tierIssues                 []int64
 }
 
 // NewBoard builds the ledger for n accelerators running cfg's kernel.
@@ -85,13 +93,16 @@ func NewBoard(cfg *Config, tierCfgs []*Config, n int, prePipelineNanos int64, dv
 	for _, tc := range tierCfgs {
 		b.tiers = append(b.tiers, NewTable(tc))
 	}
+	if len(b.tiers) > 0 {
+		b.tierIssues = make([]int64, len(b.tiers)+1)
+	}
 	b.Reset()
 	return b
 }
 
 // Reset returns every accelerator to the idle boot operating point: the
 // static Table III point without DVFS scheduling, the floor state with it
-// (DS parks idle accelerators at the power floor).
+// (DS parks idle accelerators at the power floor), and zeroes the counters.
 func (b *Board) Reset() {
 	start := b.cfg.StaticDVFS
 	if b.cfg.DVFSScheduling {
@@ -101,6 +112,8 @@ func (b *Board) Reset() {
 		b.slots[i] = Slot{State: start, Draw: b.cfg.Spec.IdlePower(start)}
 	}
 	b.maxDraw = 0
+	b.retries, b.rescues, b.degrades = 0, 0, 0
+	clear(b.tierIssues)
 	b.note()
 }
 
@@ -127,6 +140,17 @@ func (b *Board) Draw() float64 { return b.draw }
 // MaxDraw returns the highest draw committed since Reset — the quantity the
 // power budget constrains, observed after every single change.
 func (b *Board) MaxDraw() float64 { return b.maxDraw }
+
+// AdmitCounts returns Admit's counters since Reset: saving-step retries,
+// retries that then issued (rescues), ladder admissions (degrades), and a
+// copy of the per-tier issue counts (index 0 the primary model; nil
+// without a ladder).
+func (b *Board) AdmitCounts() (retries, rescues, degrades int64, tierIssues []int64) {
+	if b.tierIssues != nil {
+		tierIssues = append([]int64(nil), b.tierIssues...)
+	}
+	return b.retries, b.rescues, b.degrades, tierIssues
+}
 
 // note re-sums the ledger after a change.
 func (b *Board) note() {
@@ -173,10 +197,12 @@ func (b *Board) Context(slot int, now int64, queued int, availNanos int64, idleA
 	}
 }
 
-// views assembles Algorithm 2's busy views at now. With retimable set it
-// keeps only batches Redistribute may scale up: not yet retimed, with enough
-// remaining work to amortise the switch stall ("the HFT system carefully
-// uses DVFS", §III-D), and running the primary model.
+// views assembles Algorithm 2's busy views at now: per unfinished batch, its
+// slack (earliest in-batch deadline − projected completion) and remaining
+// time. With retimable set it keeps only batches Redistribute may scale up:
+// not yet retimed, with enough remaining work to amortise the switch stall
+// ("the HFT system carefully uses DVFS", §III-D), and running the primary
+// model.
 func (b *Board) views(now int64, retimable bool) []BusyAccel {
 	views := b.scratch[:0]
 	amortise := 4 * b.cfg.Spec.DVFSSwitchNanos
@@ -189,7 +215,10 @@ func (b *Board) views(now int64, retimable bool) []BusyAccel {
 			// the simulator retires every due batch before it schedules.
 			continue
 		}
-		v := BusyViewAt(i, s.State, s.Batch, s.MinDeadlineNanos, s.DoneNanos, now)
+		v := BusyAccel{
+			ID: i, DVFS: s.State, Batch: s.Batch,
+			SlackNanos: s.MinDeadlineNanos - s.DoneNanos, RemainingNanos: s.DoneNanos - now,
+		}
 		// Redistribute ranks scale-ups by the primary Table's marginal PPW,
 		// which misprices a batch running a cheaper tier — degraded
 		// batches are excluded from upgrades (the saving step still sees them: its
@@ -204,11 +233,53 @@ func (b *Board) views(now int64, retimable bool) []BusyAccel {
 	return views
 }
 
-// Commit records an issued batch on slot: the slot turns busy at the
+// Admit is the proactive scheduler's admission step for slot at now, the
+// one both engines run. pol decides against Context(slot, now, queued,
+// availNanos, idleAccels). A power-infeasible verdict runs Algorithm 2's
+// saving step and decides once more — when allowSave (the engine's rate
+// limit) and DVFS scheduling are on; freed watts cannot rescue a
+// deadline-infeasible query. A verdict still infeasible then walks tiers,
+// the cost-descending degrade ladder (tiers[t-1] is tier t), so a query the
+// save can rescue is never degraded. An issue — VerdictIssued, or
+// VerdictDegradedModel with Decision.Tier set — is committed with the
+// batch's earliest deadline minDeadlineFor(batch). Returns the decision and
+// whether the saving step ran. Admit never redistributes: when that runs is
+// the engine's.
+func (b *Board) Admit(slot int, now int64, queued int, availNanos int64, idleAccels int,
+	pol Scheduler, tiers []ModelTier, allowSave bool, minDeadlineFor func(int) int64) (dec Decision, saved bool) {
+	ctx := b.Context(slot, now, queued, availNanos, idleAccels)
+	dec = pol.Decide(ctx)
+	if dec.Verdict == VerdictPowerInfeasible && allowSave && b.dvfs {
+		saved = true
+		b.retries++
+		if b.save(now) {
+			ctx = b.Context(slot, now, queued, availNanos, idleAccels)
+			if dec = pol.Decide(ctx); dec.Verdict == VerdictIssued {
+				b.rescues++
+			}
+		}
+	}
+	if len(tiers) > 0 && degradable(dec.Verdict) {
+		if alt, ok := degrade(tiers, ctx); ok {
+			dec = alt
+			b.degrades++
+		}
+	}
+	if dec.Verdict != VerdictIssued && dec.Verdict != VerdictDegradedModel {
+		return dec, saved
+	}
+	b.commit(slot, now, dec.Issue, dec.Tier, minDeadlineFor(dec.Issue.Batch))
+	if b.tierIssues != nil {
+		b.tierIssues[dec.Tier]++
+	}
+	return dec, saved
+}
+
+// commit records an issued batch on slot: the slot turns busy at the
 // issue's operating point, draws the admitting tier's busy power, and
 // completes at now + pre-pipeline + t_total. minDeadline is the earliest
-// deadline inside the batch. Returns the projected completion.
-func (b *Board) Commit(slot int, now int64, issue Issue, tier int, minDeadline int64) int64 {
+// deadline inside the batch.
+func (b *Board) commit(slot int, now int64, issue Issue, tier int, minDeadline int64) {
 	s := &b.slots[slot]
 	if s.State != issue.DVFS {
 		s.Switches++
@@ -226,14 +297,13 @@ func (b *Board) Commit(slot int, now int64, issue Issue, tier int, minDeadline i
 	s.MinDeadlineNanos = minDeadline
 	s.Retimes = 0
 	b.note()
-	return s.DoneNanos
 }
 
-// Save is Algorithm 2's power-saving step: scale every busy accelerator down
+// save is Algorithm 2's power-saving step: scale every busy accelerator down
 // to the slowest state its in-flight deadline allows, freeing budget for an
 // issue that failed on power. A power emergency may retime a batch that was
 // already retimed. Reports whether anything changed (a retry can succeed).
-func (b *Board) Save(now int64) bool {
+func (b *Board) save(now int64) bool {
 	b.changes = b.table.savePower(b.changes[:0], b.views(now, false))
 	for _, ch := range b.changes {
 		b.apply(ch, now, sim.DVFSSave)

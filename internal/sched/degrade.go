@@ -5,7 +5,7 @@ package sched
 // own Config (kernel, activity factor, static DVFS point — hence its own
 // profiled Table) sharing the primary Config's accelerator Spec and power
 // budget. When the primary model is deadline- or power-infeasible for the
-// oldest query, the engine re-runs admission down the ladder and issues on
+// oldest query, Board.Admit re-runs admission down the ladder and issues on
 // the first tier that fits instead of dropping — trading prediction accuracy
 // for a response.
 
@@ -32,17 +32,17 @@ func NewModelTiers(f Factory, cfgs []*Config) []ModelTier {
 	return tiers
 }
 
-// Degradable reports whether a primary-model verdict opens the ladder: only
+// degradable reports whether a primary-model verdict opens the ladder: only
 // infeasibility verdicts do — an issued decision or an empty queue never
 // degrades.
-func Degradable(v Verdict) bool {
+func degradable(v Verdict) bool {
 	return v == VerdictDeadlineInfeasible || v == VerdictPowerInfeasible
 }
 
-// Degrade walks the ladder for a context whose primary-model admission
+// degrade walks the ladder for a context whose primary-model admission
 // failed and returns the first tier that fits, with VerdictDegradedModel
 // and Tier set. The second result is false when no tier fits either.
-func Degrade(tiers []ModelTier, ctx SchedContext) (Decision, bool) {
+func degrade(tiers []ModelTier, ctx SchedContext) (Decision, bool) {
 	for i, t := range tiers {
 		alt := t.Scheduler.Decide(ctx)
 		if alt.Verdict == VerdictIssued {

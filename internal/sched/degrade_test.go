@@ -25,10 +25,9 @@ import (
 // therefore never degraded, and VerdictNoQueue passes straight through.
 //
 // It is the ladder rule composed in its plainest form, for the property
-// tests below. No engine runs one: the serving runtime applies Degradable and
-// Degrade itself (serve.Config.Tiers — its governor interleaves Algorithm 2's
-// power-saving retry between the base decision and the ladder), and the
-// offline simulator is not tier-aware.
+// tests below. No engine runs one: Board.Admit applies degradable and
+// degrade itself, with Algorithm 2's power-saving retry between the base
+// decision and the ladder.
 type DegradingScheduler struct {
 	base  Scheduler
 	tiers []ModelTier
@@ -45,10 +44,10 @@ func (d *DegradingScheduler) Name() string { return d.base.Name() + "+degrade" }
 // Decide implements Scheduler.
 func (d *DegradingScheduler) Decide(ctx SchedContext) Decision {
 	dec := d.base.Decide(ctx)
-	if !Degradable(dec.Verdict) {
+	if !degradable(dec.Verdict) {
 		return dec
 	}
-	if alt, ok := Degrade(d.tiers, ctx); ok {
+	if alt, ok := degrade(d.tiers, ctx); ok {
 		return alt
 	}
 	return dec
@@ -86,7 +85,7 @@ func degradeTierConfigs(t *testing.T, ws, ds bool) []*Config {
 //  2. A plain VerdictIssued is always the base's own issue (a ladder issue
 //     must be labelled VerdictDegradedModel — no double-issue, so engines
 //     account each admission exactly once).
-//  3. A degraded issue opens only from a Degradable base verdict (deadline-
+//  3. A degraded issue opens only from a degradable base verdict (deadline-
 //     or power-infeasible; VerdictNoQueue passes through) and respects the
 //     issuing tier's OWN constraints: batch within the queue, modelled
 //     finish strictly inside the available time, busy power strictly inside
@@ -140,7 +139,7 @@ func TestQuickDegradeInvariants(t *testing.T) {
 					return false
 				}
 			case VerdictDegradedModel:
-				if !Degradable(base.Verdict) {
+				if !degradable(base.Verdict) {
 					t.Logf("%s: degraded from non-degradable base verdict %v", w.s.Name(), base.Verdict)
 					return false
 				}

@@ -19,11 +19,11 @@ func registrySchedulers(t *testing.T, cfg *Config) []Scheduler {
 	t.Helper()
 	var out []Scheduler
 	for _, name := range SchedulerNames() {
-		s, err := NewByName(name, cfg)
+		f, err := FactoryByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, s)
+		out = append(out, f(cfg))
 	}
 	hostile := NewQScheduler(cfg, DefaultQConfig())
 	rng := rand.New(rand.NewSource(99))

@@ -194,28 +194,6 @@ type BusyAccel struct {
 	RemainingNanos int64
 }
 
-// BusyViewAt assembles Algorithm 2's view of one busy accelerator from
-// engine-side state: the in-flight batch size, the earliest deadline inside
-// the batch, the projected completion time, and the decision instant. Both
-// engines (the offline simulator's accelerator array and the serving
-// runtime's power governor) build their views through it so the
-// slack/remaining conventions cannot drift apart. Remaining time clamps at
-// zero: an online engine can observe a lane whose modelled completion lies
-// before its own decision instant.
-func BusyViewAt(id int, d cgra.DVFSState, batch int, minDeadlineNanos, doneNanos, nowNanos int64) BusyAccel {
-	remaining := doneNanos - nowNanos
-	if remaining < 0 {
-		remaining = 0
-	}
-	return BusyAccel{
-		ID:             id,
-		DVFS:           d,
-		Batch:          batch,
-		SlackNanos:     minDeadlineNanos - doneNanos,
-		RemainingNanos: remaining,
-	}
-}
-
 // Change is a DVFS adjustment Algorithm 2 requests.
 type Change struct {
 	ID   int

@@ -3,12 +3,13 @@ package sched
 // The pluggable scheduling strategy seam. Both execution engines — the
 // offline event simulator (internal/core) and the online serving lanes
 // (internal/serve) — drive their accelerators through a Scheduler: the
-// engine owns queues, accelerator state and the power meter, and asks the
-// strategy one question per idle accelerator: given what you can observe,
-// what should this accelerator do now? Algorithm 1 (the paper's proactive
-// PPW scheduler) is the default implementation; the baselines in
-// policies.go and the learned scheduler in qlearn.go are the competitive
-// yardstick the paper's headline claim is measured against.
+// engine owns its queues, and its Board's admission step (Board.Admit) asks
+// the strategy one question per idle accelerator: given what you can
+// observe, what should this accelerator do now? Algorithm 1 (the paper's
+// proactive PPW scheduler, the registry's "ppw" entry) is the default both
+// engines resolve a nil Factory to; the baselines in policies.go and the
+// learned scheduler in qlearn.go are the competitive yardstick the paper's
+// headline claim is measured against.
 
 import (
 	"fmt"
@@ -46,9 +47,8 @@ type SchedContext struct {
 	// backlog across it; the serving runtime reports 1 because each lane
 	// owns its own queue.
 	IdleAccels int
-	// Busy is the engine's view of the non-idle accelerators (Algorithm 2's
-	// input). May be nil when the engine has no cross-accelerator view
-	// (serving lanes) or nothing is busy.
+	// Busy is the Board's view of the non-idle accelerators (Algorithm 2's
+	// input); empty when nothing is busy.
 	Busy []BusyAccel
 }
 
@@ -149,13 +149,4 @@ func FactoryByName(name string) (Factory, error) {
 		return nil, fmt.Errorf("sched: unknown scheduler %q (want one of %v)", name, SchedulerNames())
 	}
 	return f, nil
-}
-
-// NewByName builds a registered policy bound to cfg.
-func NewByName(name string, cfg *Config) (Scheduler, error) {
-	f, err := FactoryByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return f(cfg), nil
 }

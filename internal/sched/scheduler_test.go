@@ -82,19 +82,16 @@ func TestSchedulerRegistry(t *testing.T) {
 		}
 	}
 	for _, n := range names {
-		s, err := NewByName(n, cfg)
+		f, err := FactoryByName(n)
 		if err != nil {
-			t.Fatalf("NewByName(%q): %v", n, err)
+			t.Fatalf("FactoryByName(%q): %v", n, err)
 		}
-		if s.Name() != n {
+		if s := f(cfg); s.Name() != n {
 			t.Errorf("policy %q reports Name() = %q", n, s.Name())
 		}
 	}
-	if _, err := FactoryByName("nonesuch"); err == nil {
+	if f, err := FactoryByName("nonesuch"); err == nil || f != nil {
 		t.Fatal("unknown scheduler name resolved")
-	}
-	if _, err := NewByName("nonesuch", cfg); err == nil {
-		t.Fatal("NewByName accepted an unknown name")
 	}
 }
 

@@ -116,11 +116,11 @@ func TestTableMatchesOracle(t *testing.T) {
 		stateless := []string{"ppw", "fcfs", "greedy", "rr", "sjf"}
 		var policies []Scheduler
 		for _, name := range stateless {
-			p, err := NewByName(name, cfg)
+			f, err := FactoryByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			policies = append(policies, p)
+			policies = append(policies, f(cfg))
 		}
 		frozen, frozenWant := NewQScheduler(cfg, DefaultQConfig()), newOracleQ(cfg, DefaultQConfig())
 		hostileQ(frozen.q)
@@ -206,10 +206,11 @@ func TestDecideZeroAlloc(t *testing.T) {
 	cfg := testConfig(t, true, true)
 	ctxs := decideContexts(cfg)
 	for _, name := range []string{"ppw", "fcfs", "greedy", "rr", "sjf"} {
-		p, err := NewByName(name, cfg)
+		f, err := FactoryByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		p := f(cfg)
 		if n := testing.AllocsPerRun(100, func() {
 			for _, ctx := range ctxs {
 				sinkDecision = p.Decide(ctx)
@@ -221,21 +222,17 @@ func TestDecideZeroAlloc(t *testing.T) {
 }
 
 // boardRound is one steady-state round on a four-accelerator Board under a
-// contested budget: every slot asks, commits, the saving step and the
-// redistribution run, and every batch retires.
+// contested budget: every slot runs the admission step (decide, save and
+// retry, commit), the saving step and the redistribution run, and every
+// batch retires.
 func boardRound(b *Board, p Scheduler, now int64) {
+	const avail = 600_000 // batch 8 misses it at the floor state
+	deadline := func(int) int64 { return now + boardPre + avail }
 	for slot := 0; slot < b.Len(); slot++ {
-		const avail = 600_000 // batch 8 misses it at the floor state
-		dec := p.Decide(b.Context(slot, now, 8, avail, 1))
-		if dec.Verdict == VerdictPowerInfeasible && b.Save(now) {
-			dec = p.Decide(b.Context(slot, now, 8, avail, 1))
-		}
-		if dec.Verdict == VerdictIssued {
-			b.Commit(slot, now, dec.Issue, 0, now+boardPre+avail)
-		}
+		b.Admit(slot, now, 8, avail, 1, p, nil, true, deadline)
 		b.Redistribute(now, 0)
 	}
-	b.Save(now)
+	b.save(now)
 	for slot := 0; slot < b.Len(); slot++ {
 		if b.Slot(slot).Busy {
 			b.Retire(slot, now+2_000_000)
@@ -264,10 +261,12 @@ func TestBoardZeroAlloc(t *testing.T) {
 		s.Redistributes += b.Slot(i).Redistributes
 		s.Parks += b.Slot(i).Parks
 	}
-	if s.Switches == 0 || s.Saves == 0 || s.Redistributes == 0 || s.Parks == 0 {
-		t.Fatalf("vacuous round: %d switches, %d saves, %d redistributes, %d parks", s.Switches, s.Saves, s.Redistributes, s.Parks)
+	retries, _, _, _ := b.AdmitCounts()
+	if s.Switches == 0 || s.Saves == 0 || s.Redistributes == 0 || s.Parks == 0 || retries == 0 {
+		t.Fatalf("vacuous round: %d switches, %d saves, %d redistributes, %d parks, %d save retries",
+			s.Switches, s.Saves, s.Redistributes, s.Parks, retries)
 	}
 	if n := testing.AllocsPerRun(50, round); n != 0 {
-		t.Errorf("Board round (Context, Save, Commit, Redistribute, Retire): %v allocs, want 0", n)
+		t.Errorf("Board round (Admit, save, Redistribute, Retire): %v allocs, want 0", n)
 	}
 }

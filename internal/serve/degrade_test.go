@@ -216,10 +216,11 @@ func TestTierConfigValidation(t *testing.T) {
 }
 
 // TestModelSwitchPathNoAllocs is the allocation regression for the
-// lane-side model-switch path: one transactional admission that walks the
-// ladder, commits a degraded issue against the tier's cost model, and
-// switches the pipeline tier must not allocate — degradation is a
-// steady-state burst response, not a slow path.
+// lane-side model-switch path: one transactional admission (the governor's
+// lock around sched.Board.Admit) that walks the ladder, commits a degraded
+// issue against the tier's cost model and redistributes, plus the pipeline
+// tier switch, must not allocate — degradation is a steady-state burst
+// response, not a slow path.
 func TestModelSwitchPathNoAllocs(t *testing.T) {
 	primary, tier, mid := degradeConfigs(t)
 	srv, l := bareServer(t, Config{
@@ -232,11 +233,11 @@ func TestModelSwitchPathNoAllocs(t *testing.T) {
 	p.SetModelLadder([]*nn.Model{nil})
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		res := srv.gov.admit(l.id, now, 1, mid, l.policy, l.tiers, l.deadlineFn, false)
-		if res.verdict != sched.VerdictDegradedModel || res.tier != 1 {
-			t.Fatalf("admit = verdict %v tier %d, want a tier-1 degrade", res.verdict, res.tier)
+		dec, _ := srv.gov.admit(l, now, 1, mid, false)
+		if dec.Verdict != sched.VerdictDegradedModel || dec.Tier != 1 {
+			t.Fatalf("admit = verdict %v tier %d, want a tier-1 degrade", dec.Verdict, dec.Tier)
 		}
-		p.SetActiveTier(res.tier)
+		p.SetActiveTier(dec.Tier)
 		p.SetActiveTier(0)
 	})
 	if allocs != 0 {

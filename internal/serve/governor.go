@@ -8,19 +8,18 @@ import (
 
 // governor is the online owner of the paper's Algorithm 2 over the serving
 // lanes: the scheduling board (one slot per lane) behind a single lock that
-// makes admission transactional (decide and commit under one critical
-// section, so two lanes can never jointly overshoot the budget), runs the
-// power-saving step as a retry when a decision fails on power, and
-// redistributes residual budget after every issue and retire. Without a
-// scheduling config there is no board and the governor is inert; with one
-// but without DVFS scheduling (or when disabled) the board degrades to a
-// transactional power meter: Algorithm 1 admission against the shared
-// budget, no DVFS actions.
+// makes the board's admission step transactional (decide, save-retry,
+// ladder walk and commit under one critical section, so two lanes can never
+// jointly overshoot the budget), and redistributes residual budget after
+// every issue and retire. Without a scheduling config there is no board and
+// the governor is inert; with one but without DVFS scheduling (or when
+// disabled) the board degrades to a transactional power meter: Algorithm 1
+// admission against the shared budget, no DVFS actions.
 type governor struct {
 	srv *Server
-	// dvfs gates the save-retry (the board gates redistribute and park on the
-	// same value); admission accounting runs whenever a board exists.
-	dvfs bool
+	// tierCfgs are Config.Tiers' cost models, built once: the board prices
+	// degraded batches with them and every lane builds its ladder over them.
+	tierCfgs []*sched.Config
 	// modelled switches retirement to modelled time: a lane's power is held
 	// until its batch's modelled completion instant passes (observed lazily
 	// at the next governor event), not until the wall-clock dispatch
@@ -32,26 +31,6 @@ type governor struct {
 	mu sync.Mutex
 	// board is nil without a scheduling config.
 	board *sched.Board
-	// retries counts power-infeasible decisions that triggered the saving
-	// step; rescues counts the retries that issued after it freed budget.
-	retries, rescues int64
-	// degrades counts batches the ladder admitted after the primary model
-	// was infeasible; tierIssues[t] counts batches issued against tier t
-	// (index 0 is the primary model).
-	degrades   int64
-	tierIssues []int64
-}
-
-// admitResult is the outcome of one transactional admission attempt.
-type admitResult struct {
-	issue   sched.Issue
-	verdict sched.Verdict
-	// saved reports that the power-saving retry ran (the lane rate-limits it
-	// to once per decision instant).
-	saved bool
-	// tier is the model tier the batch was admitted against (0 = primary;
-	// non-zero only with VerdictDegradedModel).
-	tier int
 }
 
 func newGovernor(srv *Server, cfg *sched.Config, lanes int) *governor {
@@ -59,78 +38,34 @@ func newGovernor(srv *Server, cfg *sched.Config, lanes int) *governor {
 	if cfg == nil {
 		return g
 	}
-	g.dvfs = cfg.DVFSScheduling && !srv.cfg.DisablePowerGovernor
-	var tierCfgs []*sched.Config
-	if n := len(srv.cfg.Tiers); n > 0 {
-		tierCfgs = make([]*sched.Config, n)
-		for i, t := range srv.cfg.Tiers {
-			tierCfgs[i] = t.Sched
-		}
-		g.tierIssues = make([]int64, n+1)
+	for _, t := range srv.cfg.Tiers {
+		g.tierCfgs = append(g.tierCfgs, t.Sched)
 	}
-	g.board = sched.NewBoard(cfg, tierCfgs, lanes, srv.cfg.PrePipelineNanos, g.dvfs, srv.probe.dvfs)
+	dvfs := cfg.DVFSScheduling && !srv.cfg.DisablePowerGovernor
+	g.board = sched.NewBoard(cfg, g.tierCfgs, lanes, srv.cfg.PrePipelineNanos, dvfs, srv.probe.dvfs)
 	return g
 }
 
-// admit runs one scheduling decision for laneID transactionally: the policy
-// decides against the live cross-lane power view, a power-infeasible verdict
-// triggers Algorithm 2's saving step across the other busy lanes and one
-// retry (when allowSave), a still-infeasible verdict walks the degrade
-// ladder (tiers), and an issued verdict commits the lane's state, draw and
-// projected completion before the lock is released — then spends any
-// residual budget scaling busy lanes up. The ladder runs strictly after the
-// saving retry, so a query the full model can serve — even one only
-// Algorithm 2 can make room for — is never degraded. minDeadlineFor reports
-// the earliest deadline over the first n queued queries; it is called with
-// the issued batch size while the caller still holds its queue lock.
-func (g *governor) admit(laneID int, now int64, queued int, availNanos int64,
-	pol sched.Scheduler, tiers []sched.ModelTier,
-	minDeadlineFor func(int) int64, allowSave bool) admitResult {
+// admit runs the board's admission step for lane l transactionally — decide
+// against the live cross-lane power view, save and retry once (when
+// allowSave: the lane's once-per-decision-instant limit), walk the lane's
+// degrade ladder, commit — and on an issue spends any residual budget
+// scaling busy lanes up before the lock is released. l's minDeadlineFor is
+// called with the issued batch size while the caller still holds l.mu.
+// Returns the decision and whether the saving step ran.
+func (g *governor) admit(l *lane, now int64, queued int, availNanos int64, allowSave bool) (sched.Decision, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	// Modelled time: batches whose completion instant has passed release
 	// their power (and park, and redistribute) before this decision reads
 	// the budget — the simulator's advance-before-schedule ordering.
 	g.retireDue(now)
-	b := g.board
 	// IdleAccels is 1: each lane decides only for itself, off its own queue.
-	dec := pol.Decide(b.Context(laneID, now, queued, availNanos, 1))
-	res := admitResult{issue: dec.Issue, verdict: dec.Verdict}
-	if dec.Verdict == sched.VerdictPowerInfeasible && g.dvfs && allowSave {
-		// Algorithm 2's power-saving step: scale the other busy lanes down to
-		// the slowest states their in-flight deadlines allow, then retry the
-		// issue once.
-		res.saved = true
-		g.retries++
-		if b.Save(now) {
-			dec = pol.Decide(b.Context(laneID, now, queued, availNanos, 1))
-			res.issue, res.verdict = dec.Issue, dec.Verdict
-			if dec.Verdict == sched.VerdictIssued {
-				g.rescues++
-			}
-		}
+	dec, saved := g.board.Admit(l.id, now, queued, availNanos, 1, l.policy, l.tiers, allowSave, l.minDeadlineFor)
+	if dec.Verdict == sched.VerdictIssued || dec.Verdict == sched.VerdictDegradedModel {
+		g.board.Redistribute(now, int(g.srv.queued.Load())-dec.Issue.Batch)
 	}
-	if res.verdict != sched.VerdictIssued {
-		if len(tiers) == 0 || !sched.Degradable(res.verdict) {
-			return res
-		}
-		// The full model cannot serve the oldest query: re-run admission down
-		// the cost-descending ladder against the same live power view and
-		// issue on the first tier that fits — an answer at reduced accuracy
-		// instead of a drop.
-		alt, ok := sched.Degrade(tiers, b.Context(laneID, now, queued, availNanos, 1))
-		if !ok {
-			return res
-		}
-		res.issue, res.verdict, res.tier = alt.Issue, alt.Verdict, alt.Tier
-		g.degrades++
-	}
-	b.Commit(laneID, now, res.issue, res.tier, minDeadlineFor(res.issue.Batch))
-	if g.tierIssues != nil {
-		g.tierIssues[res.tier]++
-	}
-	b.Redistribute(now, int(g.srv.queued.Load())-res.issue.Batch)
-	return res
+	return dec, saved
 }
 
 // retire marks laneID's batch complete at its (possibly retimed) modelled
@@ -212,13 +147,8 @@ type govCounters struct {
 func (g *governor) counters() govCounters {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	c := govCounters{
-		retries: g.retries, rescues: g.rescues,
-		degrades: g.degrades, maxDraw: g.board.MaxDraw(),
-	}
-	if g.tierIssues != nil {
-		c.tierIssues = append([]int64(nil), g.tierIssues...)
-	}
+	c := govCounters{maxDraw: g.board.MaxDraw()}
+	c.retries, c.rescues, c.degrades, c.tierIssues = g.board.AdmitCounts()
 	for i := 0; i < g.board.Len(); i++ {
 		rec := g.board.Slot(i)
 		c.saves += rec.Saves

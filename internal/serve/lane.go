@@ -44,10 +44,6 @@ type lane struct {
 	// steady-state primary path never touches the pipelines' tier state.
 	curTier int
 
-	// deadlineFn is the bound minDeadlineFor method, built once so the
-	// admission path doesn't allocate a closure per decision.
-	deadlineFn func(int) int64
-
 	mu    sync.Mutex
 	cond  *sync.Cond
 	queue []query
@@ -88,20 +84,13 @@ type lane struct {
 func newLane(id int, s *Server) *lane {
 	l := &lane{id: id, srv: s, savedAt: -1 << 62}
 	l.cond = sync.NewCond(&l.mu)
-	l.deadlineFn = l.minDeadlineFor
 	if s.cfg.Sched != nil {
 		f := s.cfg.Scheduler
 		if f == nil {
-			f = func(cfg *sched.Config) sched.Scheduler { return sched.NewPPWScheduler(cfg) }
+			f, _ = sched.FactoryByName("ppw") // the registry's default entry: always there
 		}
 		l.policy = f(s.cfg.Sched)
-		if len(s.cfg.Tiers) > 0 {
-			cfgs := make([]*sched.Config, len(s.cfg.Tiers))
-			for i, t := range s.cfg.Tiers {
-				cfgs[i] = t.Sched
-			}
-			l.tiers = sched.NewModelTiers(f, cfgs)
-		}
+		l.tiers = sched.NewModelTiers(f, s.gov.tierCfgs)
 	}
 	return l
 }
@@ -291,21 +280,19 @@ func (l *lane) take(wait bool) (batch []query, issue sched.Issue, tier int, now 
 			}
 			oldest := l.queue[0]
 			avail := oldest.deadline - now - l.srv.cfg.PrePipelineNanos
-			res := l.srv.gov.admit(l.id, now, arrived, avail, l.policy, l.tiers,
-				l.deadlineFn, now != l.savedAt)
-			if res.saved {
+			dec, saved := l.srv.gov.admit(l, now, arrived, avail, now != l.savedAt)
+			if saved {
 				l.savedAt = now
 			}
-			var verdict sched.Verdict
-			issue, verdict = res.issue, res.verdict
+			verdict := dec.Verdict
 			if verdict == sched.VerdictIssued || verdict == sched.VerdictDegradedModel {
 				if verdict == sched.VerdictDegradedModel {
 					l.srv.probe.query(sim.QueryEvent{
 						TimeNanos: now, Kind: sim.QueryDegrade, Query: simQuery(oldest),
-						Accel: l.id, Batch: issue.Batch, Tier: res.tier,
+						Accel: l.id, Batch: dec.Issue.Batch, Tier: dec.Tier,
 					})
 				}
-				return l.issue(issue.Batch), issue, res.tier, now, true
+				return l.issue(dec.Issue.Batch), dec.Issue, dec.Tier, now, true
 			}
 			// No feasible candidate for the oldest query: drop it, attribute
 			// the cause, and retry with the next. The drop frees queue space,

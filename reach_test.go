@@ -30,7 +30,7 @@ import (
 
 // reachAllowMax is the allowlist's ratchet: the list may not be longer than
 // this, and when it gets shorter this comes down with it.
-const reachAllowMax = 24
+const reachAllowMax = 23
 
 const modulePath = "lighttrader"
 
