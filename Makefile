@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build cross-build test race vet fmt-check api-check api-update reach-check bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke one-impl-check perf-check ci
+.PHONY: build cross-build test race vet fmt-check api-check api-update reach-check bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier fuzz-smoke one-impl-check perf-check ci
 
 build:
 	$(GO) build ./...
@@ -38,9 +38,10 @@ api-update:
 	$(GO) test -run '^TestAPISnapshot$$' . -update-api
 
 # Reachability gate: every exported identifier under internal/ must be
-# referenced by a non-test file of this module or of perf/, or be listed with
-# a reason in testdata/reach_allow.txt — a list that may only shrink
-# (reach_test.go holds the scan and the ratchet).
+# referenced by a non-test file of this module or of perf/ (an exported
+# struct field, written by one), or be listed with a reason in
+# testdata/reach_allow.txt — a list that may only shrink (reach_test.go
+# holds the scan, its rule tests and the ratchet).
 reach-check:
 	$(GO) test -run '^TestReachCheck$$' .
 
@@ -110,32 +111,6 @@ bench-tickpath:
 	$(GO) test -run='ZeroAlloc' -bench=. -benchtime=1x \
 		./internal/sbe/ ./internal/lob/ ./internal/latency/ ./internal/core/ ./internal/nn/ ./internal/sched/
 	$(GO) test -run='^TestLiveLoopAllocsPerTick$$' -bench='^BenchmarkLaneDispatch$$' -benchtime=1x ./internal/trader/
-
-# Policy-matrix smoke: the full scheduler registry × three workloads over a
-# small trace via bench.RunMatrix, checked byte-identical across worker
-# counts, plus the per-policy engine invariants.
-sched-smoke:
-	$(GO) test -run 'TestSchedMatrix|TestEveryPolicyRespectsEngineInvariants' \
-		./internal/bench/ ./internal/core/
-
-# Fan-out smoke: a scaled-down signal-gateway experiment (scale rows, shard
-# sweep, faultnet chaos) with exact delivery/drop accounting, plus the
-# AllocsPerRun gates proving the lane-side publish hook is 0 allocs/op both
-# idle and with live subscribers.
-fanout-smoke:
-	$(GO) test -run 'TestFanoutSmoke' ./internal/bench/
-	$(GO) test -run 'TestPublishZeroAlloc' ./internal/signal/
-
-# Power-governor smoke: the sim-vs-serve limited-power differential (exact
-# response, per-cause drop and DVFS-event agreement at N=1), the recovery
-# claim (governor strictly reduces DeferredPower drops vs the status quo),
-# and under the race detector the budget-safety property with concurrent
-# lanes plus the scheduling board's random-operation ledger property.
-power-smoke:
-	$(GO) test -run 'TestSimServeLimitedPowerDifferential|TestGovernorRecoversDeferredPowerDrops' \
-		./internal/bench/
-	$(GO) test -race -run 'TestGovernorPowerCapProperty' ./internal/serve/
-	$(GO) test -race -run 'TestBoard' ./internal/sched/
 
 # One implementation per scheduling rule. (1) Algorithm 2's steps and the
 # DVFS retime rule are applied by sched.Board alone, on its sched.Table
@@ -230,26 +205,6 @@ one-impl-check:
 perf-check:
 	cd perf && $(GO) vet . && $(GO) test .
 
-# Scenario smoke: the chaos-matrix shape/non-vacuity check and the
-# three-way sim/serve/venue differential — one scenario byte stream must
-# produce identical per-cause miss attribution through the offline
-# simulator, the serving runtime, and a live venue's UDP republication.
-scenario-smoke:
-	$(GO) test -run 'TestScenarioMatrixSmoke|TestScenarioSimServeVenueDifferential' \
-		./internal/bench/
-	$(GO) test -run 'TestScenario' ./internal/trader/
-
-# Frontier smoke: the scaled-down inference-compute frontier (every zoo
-# variant trained and priced, Pareto monotonicity, burst recovery strictly
-# above the drop-only baseline with degrades accounted), the degrade-ladder
-# invariants property-checked across the whole scheduler registry, the
-# serve-side ladder admission/end-to-end/validation tests, and the
-# AllocsPerRun gate proving the lane-side model-switch path is 0 allocs/op.
-frontier-smoke:
-	$(GO) test -run 'TestFrontierSmoke' ./internal/bench/
-	$(GO) test -run 'TestQuickDegradeInvariants' ./internal/sched/
-	$(GO) test -run 'TestDegradeLadder|TestTierConfigValidation|TestModelSwitchPathNoAllocs' ./internal/serve/
-
 # Short fuzz runs over the wire-facing decoders — the surfaces an exchange
 # (or an attacker on the path) feeds directly. `go test -fuzz` takes exactly
 # one matching target per invocation, hence one line per fuzzer. The sbe
@@ -264,18 +219,13 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzDecodeFrame$$ -fuzztime=10s ./internal/signal/
 
 # The full CI gate: formatting, static analysis, build (also cross-built for
-# arm64, which has no assembly kernel), the API snapshot,
-# the test suite under the race detector (which covers the concurrent
-# serving runtime in internal/serve and the signal gateway), single-
-# iteration benchmark smoke runs (kernels and the zero-alloc tick path),
-# the scheduling policy-matrix smoke, the signal fan-out smoke with its
-# publish-hook allocation gate, the power-governor smoke (sim-vs-serve
-# differential, recovery claim, budget-safety race test), the scenario
-# smoke (chaos-matrix shape plus the three-way sim/serve/venue scenario
-# differential and the degraded-mode trader regressions), the frontier
-# smoke (zoo training/pricing, degrade-ladder invariants and the
-# model-switch allocation gate), a short fuzz pass over the wire decoders,
-# the one-implementation check on the scheduling-board rules and the
-# profiled table, the reachability gate on internal/'s exported names, and
-# the vet-and-test pass over the nested perf/ benchmark module.
-ci: fmt-check vet build cross-build api-check reach-check one-impl-check perf-check race bench-smoke bench-tickpath sched-smoke fanout-smoke power-smoke scenario-smoke frontier-smoke fuzz-smoke
+# arm64, which has no assembly kernel), the API snapshot, the reachability
+# gate on internal/'s exported names and fields, the one-implementation
+# check on the scheduling-board rules and the profiled table, the
+# vet-and-test pass over the nested perf/ benchmark module, the whole test
+# suite under the race detector (without -short, so it includes the policy
+# matrix, fan-out, power-governor, scenario and frontier smoke tests and the
+# concurrent serving runtime and signal gateway), single-iteration benchmark
+# smoke runs (kernels and the zero-alloc tick path, whose Predict gate skips
+# under -race), and a short fuzz pass over the wire decoders.
+ci: fmt-check vet build cross-build api-check reach-check one-impl-check perf-check race bench-smoke bench-tickpath fuzz-smoke

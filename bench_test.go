@@ -22,7 +22,8 @@ var (
 
 func benchTraffic() bench.TrafficConfig {
 	benchTrafficOnce.Do(func() {
-		benchTrafficCfg = bench.DefaultTraffic().Scale(20000)
+		benchTrafficCfg = bench.DefaultTraffic()
+		benchTrafficCfg.Ticks = 20000
 		benchTrafficCfg.Queries() // pre-generate outside timed sections
 	})
 	return benchTrafficCfg

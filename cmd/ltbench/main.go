@@ -78,12 +78,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *parallel != 1 && len(selected) > 1 && needsTraffic(selected) {
-		// Warm the shared query cache once so concurrent workers don't
-		// each generate the same trace on first access.
-		tc.Queries()
-	}
-
 	results := bench.RunAll(selected, *parallel)
 	for _, r := range results {
 		fmt.Println(r.Output)
@@ -114,19 +108,6 @@ func selectExperiments(all []bench.Experiment, exp string) []bench.Experiment {
 		}
 	}
 	return sel
-}
-
-// needsTraffic reports whether any selected experiment replays the tick
-// trace (the tables and fig9 are traffic-independent).
-func needsTraffic(sel []bench.Experiment) bool {
-	for _, e := range sel {
-		switch e.Name {
-		case "tableI", "tableII", "tableIII", "fig9", "ablation-precision":
-		default:
-			return true
-		}
-	}
-	return false
 }
 
 // writeTrace runs the canonical instrumented configuration and writes its

@@ -67,52 +67,45 @@ func DefaultTraffic() TrafficConfig {
 }
 
 // queryCache memoises generated query streams per config (trace generation
-// dominates experiment runtime otherwise). queryCacheMu guards it: the
-// parallel experiment runner calls Queries from many goroutines. The cached
-// slices themselves are shared read-only across workers; system models
-// never retain or mutate them.
+// dominates experiment runtime otherwise). queryCacheMu guards the map: the
+// parallel experiment runner calls Queries from many goroutines. Each entry
+// generates its stream once, outside the lock, however many callers ask for
+// it first. The slices themselves are shared read-only across workers;
+// system models never retain or mutate them.
 var (
 	queryCacheMu sync.Mutex
-	queryCache   = map[TrafficConfig][]sim.Query{}
+	queryCache   = map[TrafficConfig]*queryEntry{}
 )
+
+// queryEntry is one config's stream, generated by the first caller of once.
+type queryEntry struct {
+	once sync.Once
+	qs   []sim.Query
+}
 
 // Queries generates (or reuses) the deterministic query stream. Safe for
 // concurrent use; every caller for one config observes the same slice.
 func (tc TrafficConfig) Queries() []sim.Query {
 	queryCacheMu.Lock()
-	qs, ok := queryCache[tc]
-	queryCacheMu.Unlock()
-	if ok {
-		return qs
-	}
-	qs = tc.generate()
-	queryCacheMu.Lock()
-	// A racing worker may have generated the same config first; keep one
-	// canonical slice (both are byte-identical — generation is seeded).
-	if cached, ok := queryCache[tc]; ok {
-		qs = cached
-	} else {
-		queryCache[tc] = qs
+	e, ok := queryCache[tc]
+	if !ok {
+		e = new(queryEntry)
+		queryCache[tc] = e
 	}
 	queryCacheMu.Unlock()
-	return qs
+	e.once.Do(func() { e.qs = tc.generate() })
+	return e.qs
 }
 
-// generate builds the query stream outside the cache lock. Both branches
-// go through scenario.Source — the unified traffic API; the legacy branch
-// is byte-identical to the historical feed.Generator path.
+// generate builds the query stream. Both branches go through
+// scenario.Source — the unified traffic API; the legacy branch is
+// byte-identical to the historical feed.Generator path.
 func (tc TrafficConfig) generate() []sim.Query {
 	src := tc.Scenario
 	if src == nil {
 		src = scenario.FromTraffic(tc.Calm, tc.Burst, tc.Flash, tc.Seed, tc.Ticks)
 	}
 	return src.Queries(tc.TAvailNanos)
-}
-
-// Scale returns a copy with the tick count scaled by f (for -short runs).
-func (tc TrafficConfig) Scale(ticks int) TrafficConfig {
-	tc.Ticks = ticks
-	return tc
 }
 
 // runLT builds and runs a LightTrader configuration.

@@ -10,10 +10,11 @@ import (
 func shortTraffic(t *testing.T) TrafficConfig {
 	t.Helper()
 	tc := DefaultTraffic()
+	tc.Ticks = 12000
 	if testing.Short() {
-		return tc.Scale(4000)
+		tc.Ticks = 4000
 	}
-	return tc.Scale(12000)
+	return tc
 }
 
 func TestTableI(t *testing.T) {

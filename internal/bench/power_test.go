@@ -131,7 +131,8 @@ func TestSimServeLimitedPowerDifferential(t *testing.T) {
 // status quo, with a non-zero rescue count proving the save-retry path (not
 // some traffic accident) did it.
 func TestGovernorRecoversDeferredPowerDrops(t *testing.T) {
-	tc := PowerTraffic().Scale(2500)
+	tc := PowerTraffic()
+	tc.Ticks = 2500
 	nogov := runServePower("bursty", tc, false)
 	gov := runServePower("bursty", tc, true)
 

@@ -8,7 +8,6 @@ package bench
 // run and the determinism invariant of internal/sim holds.
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"time"
@@ -49,8 +48,8 @@ func Experiments(tc TrafficConfig) []Experiment {
 		{Name: "ablation-policy", Run: func() string { return RenderAblationPolicy(AblationPolicy(tc)) }},
 		{Name: "ablation-switch", Run: func() string { return RenderAblationSwitchDelay(AblationSwitchDelay(tc)) }},
 		{Name: "ablation-burstiness", Run: func() string { return RenderAblationBurstiness(AblationBurstiness(tc)) }},
-		{Name: "sched-matrix", Run: func() string { return RenderSchedMatrix(SchedMatrix(tc)) }},
-		{Name: "scenario-matrix", Run: func() string { return RenderScenarioMatrix(ScenarioMatrix(ScenarioTAvailNanos)) }},
+		{Name: "sched-matrix", Run: func() string { return RenderSchedMatrix(SchedMatrixWorkers(tc, 1)) }},
+		{Name: "scenario-matrix", Run: func() string { return RenderScenarioMatrix(ScenarioMatrixWorkers(ScenarioTAvailNanos, 1)) }},
 	}
 }
 
@@ -58,15 +57,7 @@ func Experiments(tc TrafficConfig) []Experiment {
 // GOMAXPROCS) and returns results in input order. workers == 1 degenerates
 // to a plain serial loop.
 func RunAll(exps []Experiment, workers int) []Result {
-	return RunAllContext(context.Background(), exps, workers)
-}
-
-// RunAllContext is RunAll under a context: once ctx is cancelled no new
-// experiment starts; experiments already running finish, so every returned
-// Result is either complete or the zero value (empty Name), never a torn
-// partial.
-func RunAllContext(ctx context.Context, exps []Experiment, workers int) []Result {
-	return RunMatrixContext(ctx, exps, workers, func(e Experiment) Result {
+	return RunMatrix(exps, workers, func(e Experiment) Result {
 		start := time.Now()
 		out := e.Run()
 		return Result{Name: e.Name, Output: out, Wall: time.Since(start)}
@@ -79,15 +70,6 @@ func RunAllContext(ctx context.Context, exps []Experiment, workers int) []Result
 // across items; under that contract the results are identical to a serial
 // loop regardless of worker count.
 func RunMatrix[T, R any](items []T, workers int, fn func(T) R) []R {
-	return RunMatrixContext(context.Background(), items, workers, fn)
-}
-
-// RunMatrixContext is RunMatrix under a context. Cancellation stops the
-// presentation of further items — items already handed to a worker run to
-// completion and their slots are filled; items never started keep the zero
-// value of R. The result slice therefore always has len(items) entries in
-// input order and no entry is ever written by a half-finished fn.
-func RunMatrixContext[T, R any](ctx context.Context, items []T, workers int, fn func(T) R) []R {
 	out := make([]R, len(items))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -97,9 +79,6 @@ func RunMatrixContext[T, R any](ctx context.Context, items []T, workers int, fn 
 	}
 	if workers <= 1 {
 		for i := range items {
-			if ctx.Err() != nil {
-				break
-			}
 			out[i] = fn(items[i])
 		}
 		return out
@@ -115,13 +94,8 @@ func RunMatrixContext[T, R any](ctx context.Context, items []T, workers int, fn 
 			}
 		}()
 	}
-feed:
 	for i := range items {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
-		}
+		next <- i
 	}
 	close(next)
 	wg.Wait()

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"context"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"lighttrader/internal/baseline"
@@ -61,57 +59,6 @@ func TestRunMatrixPreservesOrder(t *testing.T) {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
 			}
-		}
-	}
-}
-
-func TestRunMatrixContextCancellation(t *testing.T) {
-	items := make([]int, 100)
-	for i := range items {
-		items[i] = i
-	}
-	// A live context changes nothing.
-	out := RunMatrixContext(context.Background(), items, 3, func(x int) int { return x + 1 })
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("live ctx: out[%d] = %d", i, v)
-		}
-	}
-	// A pre-cancelled context runs nothing: every slot keeps the zero value.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, workers := range []int{1, 4} {
-		out := RunMatrixContext(ctx, items, workers, func(x int) int { return x + 1 })
-		for i, v := range out {
-			if v != 0 {
-				t.Fatalf("workers=%d: cancelled run wrote out[%d] = %d", workers, i, v)
-			}
-		}
-	}
-	// Cancelling mid-run leaves a consistent partial state: each slot is
-	// either fully computed or untouched, never torn.
-	for _, workers := range []int{1, 4} {
-		midCtx, midCancel := context.WithCancel(context.Background())
-		var n atomic.Int64
-		out := RunMatrixContext(midCtx, items, workers, func(x int) int {
-			if n.Add(1) == 10 {
-				midCancel()
-			}
-			return x + 1
-		})
-		midCancel()
-		var done int
-		for i, v := range out {
-			switch v {
-			case i + 1:
-				done++
-			case 0:
-			default:
-				t.Fatalf("workers=%d: torn slot out[%d] = %d", workers, i, v)
-			}
-		}
-		if done == 0 || done == len(items) {
-			t.Fatalf("workers=%d: expected truncation, %d of %d ran", workers, done, len(items))
 		}
 	}
 }

@@ -72,12 +72,8 @@ type scenarioCell struct {
 	tc  TrafficConfig
 }
 
-// ScenarioMatrix builds the full scenario × config chaos matrix serially.
-func ScenarioMatrix(tAvailNanos int64) []ScenarioRow {
-	return ScenarioMatrixWorkers(tAvailNanos, 1)
-}
-
-// ScenarioMatrixWorkers fans the cells across a worker pool. Each scenario
+// ScenarioMatrixWorkers builds the full scenario × config chaos matrix,
+// its cells fanned across a worker pool (1 runs them serially). Each scenario
 // is generated once and shared read-only across its configuration rungs
 // (Source memoises; TrafficConfig carries the pointer into the query
 // cache), so rows are identical for any worker count.

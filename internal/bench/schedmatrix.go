@@ -101,11 +101,8 @@ type schedCell struct {
 	factory  sched.Factory
 }
 
-// SchedMatrix builds the full policy × workload comparison serially.
-func SchedMatrix(tc TrafficConfig) []SchedRow { return SchedMatrixWorkers(tc, 1) }
-
-// SchedMatrixWorkers is SchedMatrix with the cells fanned across a worker
-// pool. Training runs first, serially; evaluation cells share only the
+// SchedMatrixWorkers builds the full policy × workload comparison, its cells
+// fanned across a worker pool (1 runs them serially). Training runs first, serially; evaluation cells share only the
 // frozen (read-only) Q-table and the query cache, so rows are identical for
 // any worker count.
 func SchedMatrixWorkers(tc TrafficConfig, workers int) []SchedRow {

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"lighttrader/internal/sched"
 )
 
 // schedTestTraffic is a small but non-trivial trace: enough ticks that every
@@ -15,8 +17,9 @@ func schedTestTraffic() TrafficConfig {
 	return tc
 }
 
-// TestSchedMatrixParallelIdentical is the policy-matrix smoke `make ci`
-// runs: the full policy × workload matrix over a small trace must be
+// TestSchedMatrixParallelIdentical is the policy-matrix smoke: the full
+// policy × workload matrix (every registered strategy, via RunMatrix) over a
+// small trace must be
 // byte-identical for any worker count — training is serial and seeded, and
 // evaluation cells share only read-only state.
 func TestSchedMatrixParallelIdentical(t *testing.T) {
@@ -35,7 +38,7 @@ func TestSchedMatrixParallelIdentical(t *testing.T) {
 // accounted rates, and the archived JSON carries the generating parameters.
 func TestSchedMatrixShape(t *testing.T) {
 	tc := schedTestTraffic()
-	rows := SchedMatrix(tc)
+	rows := SchedMatrixWorkers(tc, 1)
 	wantPolicies := []string{"ppw", "fcfs", "greedy", "rr", "sjf", "qtable"}
 	wantWorkloads := []string{"calm", "bursty", "flash"}
 	if len(rows) != len(wantPolicies)*len(wantWorkloads) {
@@ -92,12 +95,15 @@ func TestSchedMatrixShape(t *testing.T) {
 // its inputs — two independent trainings decide identically.
 func TestTrainQReproducible(t *testing.T) {
 	tc := schedTestTraffic()
-	a := TrainQ(tc, 2)
-	b := TrainQ(tc, 2)
-	if a.StatesVisited() == 0 {
-		t.Fatal("training visited no states")
+	row := func(q *sched.QScheduler) SchedRow {
+		return runSchedCell(schedCell{policy: "qtable", workload: schedWorkload{Name: "train", TC: tc},
+			factory: func(*sched.Config) sched.Scheduler { return q }})
 	}
-	if a.StatesVisited() != b.StatesVisited() {
-		t.Fatalf("training diverged: %d vs %d states visited", a.StatesVisited(), b.StatesVisited())
+	a, b := row(TrainQ(tc, 2)), row(TrainQ(tc, 2))
+	if a.ResponseRate == 0 {
+		t.Fatal("the trained policy answered nothing")
+	}
+	if a != b {
+		t.Fatalf("training diverged: %+v vs %+v", a, b)
 	}
 }

@@ -168,21 +168,3 @@ func (k *Kernel) InferenceNanos(spec Spec, d DVFSState, batch int) int64 {
 	cycles := k.CyclesForBatch(spec, batch)
 	return int64(float64(cycles) / d.FreqGHz)
 }
-
-// Utilisation returns achieved FLOPs per cycle divided by peak at batch 1.
-func (k *Kernel) Utilisation(spec Spec) float64 {
-	cycles := k.CyclesForBatch(spec, 1)
-	if cycles == 0 {
-		return 0
-	}
-	return float64(k.TotalFLOPs) / float64(cycles) / float64(spec.FLOPsPerCycle())
-}
-
-// EffectiveTFLOPS returns sustained TFLOPS for batch-1 inference at d.
-func (k *Kernel) EffectiveTFLOPS(spec Spec, d DVFSState) float64 {
-	ns := k.InferenceNanos(spec, d, 1)
-	if ns == 0 {
-		return 0
-	}
-	return float64(k.TotalFLOPs) / float64(ns) / 1e3
-}

@@ -162,9 +162,7 @@ func lower(layer nn.Layer, in []int, spec cgra.Spec) ([]cgra.Hyperblock, error) 
 		return []cgra.Hyperblock{elementwiseBlock(layer.Name(), prodInts(in)*2, true, layer.FLOPs(in), spec)}, nil
 	case nn.PositionalEncoding:
 		return []cgra.Hyperblock{elementwiseBlock(layer.Name(), prodInts(in), false, layer.FLOPs(in), spec)}, nil
-	case nn.SoftmaxLayer, nn.SoftmaxHeads:
-		// SoftmaxHeads is per-segment softmax: same EPE-class elementwise
-		// work over the same element count as one flat softmax.
+	case nn.SoftmaxLayer:
 		return []cgra.Hyperblock{elementwiseBlock(layer.Name(), prodInts(in)*2, true, layer.FLOPs(in), spec)}, nil
 	case nn.Flatten, nn.SeqFromCHW:
 		return []cgra.Hyperblock{formatBlock(layer.Name(), prodInts(in), spec)}, nil

@@ -173,10 +173,10 @@ func TestReportKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ns := k.InferenceNanos(s, top, 1)
+		util := float64(k.TotalFLOPs) / float64(k.CyclesForBatch(s, 1)) / float64(s.FLOPsPerCycle())
 		t.Logf("%-12s blocks=%3d  lat@2.2GHz=%7.2fµs  util=%.3f  act=%.3f  effTFLOPS=%.2f",
-			m.Name(), len(k.Blocks),
-			float64(k.InferenceNanos(s, top, 1))/1000,
-			k.Utilisation(s), k.Activity, k.EffectiveTFLOPS(s, top))
+			m.Name(), len(k.Blocks), float64(ns)/1000, util, k.Activity, float64(k.TotalFLOPs)/float64(ns)/1e3)
 	}
 }
 

@@ -3,7 +3,7 @@
 // reproducible. The datagram wrapper models what lossy redundant UDP feeds
 // deliver — drops, duplicates, bounded reordering, bit corruption — and the
 // stream wrapper models sick order-entry links: frames split mid-byte
-// across TCP segments, stalls, and abrupt resets. All decisions come from a
+// across TCP segments, and abrupt resets. All decisions come from a
 // caller-seeded PRNG, so a failing chaos test replays exactly.
 package faultnet
 
@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"time"
 )
 
 // ErrInjectedReset is returned by a faulted Conn once its byte budget is
@@ -171,14 +170,11 @@ func (c *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 
 // ConnFaults selects stream fault behaviour.
 type ConnFaults struct {
-	// Seed makes chunk sizes and stall points deterministic.
+	// Seed makes chunk sizes deterministic.
 	Seed int64
 	// MaxChunk > 0 splits every Write into chunks of 1..MaxChunk bytes, so
 	// frames straddle TCP segments and the peer's read boundaries.
 	MaxChunk int
-	// StallEvery > 0 sleeps Stall before every Nth chunk written.
-	StallEvery int
-	Stall      time.Duration
 	// ResetAfter > 0 abruptly closes the connection once that many bytes
 	// have crossed it (reads + writes combined); subsequent operations
 	// return ErrInjectedReset.
@@ -190,7 +186,6 @@ type ConnStats struct {
 	BytesRead    int64
 	BytesWritten int64
 	Chunks       int
-	Stalls       int
 	Resets       int
 }
 
@@ -203,7 +198,6 @@ type Conn struct {
 	faults ConnFaults
 	moved  int64 // bytes read + written
 	reset  bool
-	chunkN int
 	stats  ConnStats
 }
 
@@ -258,7 +252,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Write splits into chunks, stalls, and enforces the reset budget. A write
+// Write splits into chunks and enforces the reset budget. A write
 // interrupted by a reset reports the injected error with a partial count,
 // exactly as a torn TCP session would.
 func (c *Conn) Write(p []byte) (int, error) {
@@ -273,16 +267,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 		if c.faults.MaxChunk > 0 && chunk > 1 {
 			chunk = 1 + c.rng.Intn(min(c.faults.MaxChunk, chunk))
 		}
-		c.chunkN++
 		c.stats.Chunks++
-		stall := c.faults.StallEvery > 0 && c.chunkN%c.faults.StallEvery == 0
-		if stall {
-			c.stats.Stalls++
-		}
 		c.mu.Unlock()
-		if stall && c.faults.Stall > 0 {
-			time.Sleep(c.faults.Stall)
-		}
 		n, err := c.Conn.Write(p[written : written+chunk])
 		written += n
 		c.mu.Lock()

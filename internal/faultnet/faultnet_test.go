@@ -167,30 +167,3 @@ func TestConnInjectedReset(t *testing.T) {
 		t.Fatalf("stats %+v", fc.Stats())
 	}
 }
-
-func TestConnStalls(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	fc := WrapConn(client, ConnFaults{Seed: 5, StallEvery: 2, Stall: 10 * time.Millisecond})
-	go func() {
-		tmp := make([]byte, 64)
-		for {
-			if _, err := server.Read(tmp); err != nil {
-				return
-			}
-		}
-	}()
-	start := time.Now()
-	for i := 0; i < 4; i++ {
-		if _, err := fc.Write([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Fatalf("stalls not applied: %v", elapsed)
-	}
-	if fc.Stats().Stalls < 2 {
-		t.Fatalf("stats %+v", fc.Stats())
-	}
-}

@@ -9,6 +9,24 @@ import (
 	"lighttrader/internal/sbe"
 )
 
+// MeanRate returns the stationary event rate Mu/(1−Alpha/Beta) in events/s,
+// or +Inf for a supercritical process.
+func (p HawkesParams) MeanRate() float64 {
+	br := p.BranchingRatio()
+	if br >= 1 {
+		return math.Inf(1)
+	}
+	return p.Mu / (1 - br)
+}
+
+// Intensity reports λ(t) for t ≥ the last event time, in events/s.
+func (h *Hawkes) Intensity(t float64) float64 {
+	if t < h.last {
+		t = h.last
+	}
+	return h.p.Mu + h.excess*math.Exp(-h.p.Beta*(t-h.last))
+}
+
 func TestHawkesStrictlyIncreasing(t *testing.T) {
 	h := NewHawkes(DefaultCMEParams(), 42)
 	prev := int64(-1)

@@ -21,11 +21,8 @@ type Tick struct {
 // GeneratorConfig controls the synthetic order-flow model.
 type GeneratorConfig struct {
 	Hawkes HawkesParams
-	// HawkesMix, when non-empty, overrides Hawkes with a superposition of
-	// components (see Mixture) for multi-scale burst structure.
-	HawkesMix []HawkesParams
-	// Arrivals, when non-nil, overrides both Hawkes and HawkesMix with an
-	// arbitrary arrival process (e.g. a mixture including flash events).
+	// Arrivals, when non-nil, overrides Hawkes with an arbitrary arrival
+	// process (e.g. a mixture including flash events).
 	Arrivals   ArrivalProcess
 	Seed       int64
 	SecurityID int32
@@ -87,12 +84,8 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
-	switch {
-	case cfg.Arrivals != nil:
-		g.arrivals = cfg.Arrivals
-	case len(cfg.HawkesMix) > 0:
-		g.arrivals = NewMixture(cfg.HawkesMix, cfg.Seed+1)
-	default:
+	g.arrivals = cfg.Arrivals
+	if g.arrivals == nil {
 		g.arrivals = NewHawkes(cfg.Hawkes, cfg.Seed+1)
 	}
 	g.eng = exchange.New(func() int64 { return g.now }, func(buf []byte) {

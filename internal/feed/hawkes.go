@@ -33,16 +33,6 @@ type HawkesParams struct {
 // events triggered by one event.
 func (p HawkesParams) BranchingRatio() float64 { return p.Alpha / p.Beta }
 
-// MeanRate returns the stationary event rate Mu/(1−Alpha/Beta) in events/s,
-// or +Inf for a supercritical process.
-func (p HawkesParams) MeanRate() float64 {
-	br := p.BranchingRatio()
-	if br >= 1 {
-		return math.Inf(1)
-	}
-	return p.Mu / (1 - br)
-}
-
 // DefaultCMEParams approximates E-mini S&P 500 front-month tick traffic:
 // ~2,000 ticks/s on average with heavy clustering (branching ratio 0.8),
 // which yields inter-arrival times from single-digit microseconds inside
@@ -96,12 +86,4 @@ func (h *Hawkes) NextNanos() int64 {
 		h.last = float64(n) / 1e9
 	}
 	return n
-}
-
-// Intensity reports λ(t) for t ≥ the last event time, in events/s.
-func (h *Hawkes) Intensity(t float64) float64 {
-	if t < h.last {
-		t = h.last
-	}
-	return h.p.Mu + h.excess*math.Exp(-h.p.Beta*(t-h.last))
 }

@@ -6,7 +6,7 @@ type ArrivalProcess interface {
 	NextNanos() int64
 }
 
-// Mixture superposes independent Hawkes components into one arrival
+// Mixture superposes independent arrival processes into one arrival
 // stream. Real tick traffic is multi-scale: routine quoting produces
 // moderate clustering while cascade events (stop runs, sweep-triggered
 // reactions, §II-C's "even a small number of orders can trigger a massive
@@ -16,19 +16,6 @@ type Mixture struct {
 	procs []ArrivalProcess
 	next  []int64
 	last  int64
-}
-
-// NewMixture builds a superposed Hawkes process; each component gets a
-// distinct deterministic seed derived from seed.
-func NewMixture(components []HawkesParams, seed int64) *Mixture {
-	if len(components) == 0 {
-		panic("feed: empty mixture")
-	}
-	procs := make([]ArrivalProcess, len(components))
-	for i, p := range components {
-		procs[i] = NewHawkes(p, seed+int64(i)*7919)
-	}
-	return NewProcessMixture(procs)
 }
 
 // NewProcessMixture superposes arbitrary arrival processes (Hawkes
@@ -59,16 +46,4 @@ func (m *Mixture) NextNanos() int64 {
 	}
 	m.last = t
 	return t
-}
-
-// MeanRate sums the stationary rates of the Hawkes components (other
-// process kinds contribute zero; they are rare-event injections).
-func (m *Mixture) MeanRate() float64 {
-	var r float64
-	for _, p := range m.procs {
-		if h, ok := p.(*Hawkes); ok {
-			r += h.p.MeanRate()
-		}
-	}
-	return r
 }

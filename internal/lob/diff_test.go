@@ -31,7 +31,7 @@ func sameErr(a, b error) bool {
 
 // op is one randomized book operation for the differential stream.
 type op struct {
-	kind  int // 0 add, 1 cancel, 2 replace, 3 reduce
+	kind  int // 0 add, 1 cancel, 2 replace
 	id    uint64
 	newID uint64
 	side  Side
@@ -75,7 +75,7 @@ func randOps(rng *rand.Rand, n int) []op {
 				id = nextID + 1_000_000 // deliberate unknown
 			}
 			ops = append(ops, op{kind: 1, id: id})
-		case r < 0.9:
+		default:
 			id := live[rng.Intn(len(live))]
 			newID := nextID
 			nextID++
@@ -87,9 +87,6 @@ func randOps(rng *rand.Rand, n int) []op {
 			}
 			ops = append(ops, op{kind: 2, id: id, newID: newID, price: price, qty: int64(rng.Intn(10))})
 			live = append(live, newID)
-		default:
-			id := live[rng.Intn(len(live))]
-			ops = append(ops, op{kind: 3, id: id, qty: int64(rng.Intn(6))})
 		}
 	}
 	return ops
@@ -115,11 +112,8 @@ func TestDifferentialVsReference(t *testing.T) {
 				ge = got.Cancel(o.id)
 				we = want.Cancel(o.id)
 			case 2:
-				gf, ge = got.Replace(o.id, o.newID, o.price, o.qty)
+				gf, ge = got.ReplaceTo(nil, o.id, o.newID, o.price, o.qty)
 				wf, we = want.Replace(o.id, o.newID, o.price, o.qty)
-			case 3:
-				ge = got.Reduce(o.id, o.qty)
-				we = want.Reduce(o.id, o.qty)
 			}
 			if !sameErr(ge, we) {
 				t.Fatalf("seed %d op %d %+v: err %v, reference %v", seed, i, o, ge, we)
@@ -157,7 +151,7 @@ func TestDuplicateIDEdge(t *testing.T) {
 		t.Fatalf("dup after partial err %v", err)
 	}
 	// Replace to the same id is allowed and keeps it live.
-	if _, err := b.Replace(1, 1, 98, 4); err != nil {
+	if _, err := b.ReplaceTo(nil, 1, 1, 98, 4); err != nil {
 		t.Fatalf("replace-to-self: %v", err)
 	}
 	// Full fill releases the id for reuse.
@@ -203,7 +197,7 @@ func TestReplaceLosesTimePriority(t *testing.T) {
 	b := New("T")
 	mustAdd(t, b, 1, Bid, 100, 5)
 	mustAdd(t, b, 2, Bid, 100, 5)
-	if _, err := b.Replace(1, 11, 100, 5); err != nil {
+	if _, err := b.ReplaceTo(nil, 1, 11, 100, 5); err != nil {
 		t.Fatal(err)
 	}
 	fills, err := b.Add(3, Ask, 100, 10)

@@ -385,20 +385,9 @@ func (b *Book) unlink(idx int32) {
 	b.freeNode(idx)
 }
 
-// Replace atomically cancels id and places a new order with newID at the new
-// price/qty, losing time priority (CME semantics for price or qty-up
-// changes). It returns any fills produced by the replacement order.
-//
-// Like Add, it allocates the returned fills; use ReplaceTo on hot paths.
-func (b *Book) Replace(id, newID uint64, price, qty int64) ([]Fill, error) {
-	fills, err := b.ReplaceTo(nil, id, newID, price, qty)
-	if err != nil {
-		return nil, err
-	}
-	return fills, nil
-}
-
-// ReplaceTo is Replace with caller-owned fill storage, appending to dst.
+// ReplaceTo atomically cancels id and places a new order with newID at the
+// new price/qty, losing time priority (CME semantics for price or qty-up
+// changes). Fills produced by the replacement order are appended to dst.
 func (b *Book) ReplaceTo(dst []Fill, id, newID uint64, price, qty int64) ([]Fill, error) {
 	idx, ok := b.byID[id]
 	if !ok {
@@ -418,29 +407,6 @@ func (b *Book) ReplaceTo(dst []Fill, id, newID uint64, price, qty int64) ([]Fill
 	b.unlink(idx)
 	b.seq-- // AddTo below will bump it; count replace as one mutation
 	return b.AddTo(dst, newID, side, price, qty)
-}
-
-// Reduce decreases the remaining quantity of a resting order in place,
-// preserving time priority (CME semantics for qty-down changes). If the
-// reduction reaches zero the order is removed.
-func (b *Book) Reduce(id uint64, by int64) error {
-	if by <= 0 {
-		return ErrBadQty
-	}
-	idx, ok := b.byID[id]
-	if !ok {
-		return ErrUnknownOrder
-	}
-	b.seq++
-	n := &b.arena[idx]
-	if by >= n.order.Qty {
-		b.unlink(idx)
-		return nil
-	}
-	n.order.Qty -= by
-	li, _ := b.findLevel(n.order.Side, n.order.Price)
-	(*b.sideLevels(n.order.Side))[li].qty -= by
-	return nil
 }
 
 // Levels returns up to n aggregated levels from the top of side s, best

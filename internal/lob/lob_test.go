@@ -145,7 +145,7 @@ func TestReplaceLosesPriority(t *testing.T) {
 	b := New("ES")
 	mustAdd(t, b, 1, Bid, 100, 5)
 	mustAdd(t, b, 2, Bid, 100, 5)
-	if _, err := b.Replace(1, 10, 100, 5); err != nil {
+	if _, err := b.ReplaceTo(nil, 1, 10, 100, 5); err != nil {
 		t.Fatal(err)
 	}
 	fills := mustAdd(t, b, 3, Ask, 100, 5)
@@ -158,7 +158,7 @@ func TestReplaceCanCross(t *testing.T) {
 	b := New("ES")
 	mustAdd(t, b, 1, Ask, 105, 5)
 	mustAdd(t, b, 2, Bid, 100, 5)
-	fills, err := b.Replace(2, 20, 105, 5)
+	fills, err := b.ReplaceTo(nil, 2, 20, 105, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,30 +167,30 @@ func TestReplaceCanCross(t *testing.T) {
 	}
 }
 
+// TestReduceKeepsPriority: a partial fill reduces a resting order in place,
+// and the order keeps its place in the queue.
 func TestReduceKeepsPriority(t *testing.T) {
 	b := New("ES")
 	mustAdd(t, b, 1, Bid, 100, 10)
 	mustAdd(t, b, 2, Bid, 100, 10)
-	if err := b.Reduce(1, 4); err != nil {
-		t.Fatal(err)
-	}
-	fills := mustAdd(t, b, 3, Ask, 100, 6)
+	mustAdd(t, b, 3, Ask, 100, 4)
+	fills := mustAdd(t, b, 4, Ask, 100, 6)
 	if len(fills) != 1 || fills[0].MakerID != 1 || fills[0].Qty != 6 {
 		t.Fatalf("fills = %+v; reduced order must keep time priority", fills)
 	}
 }
 
+// TestReduceToZeroRemoves: an order filled down to zero leaves the book, and
+// so does its emptied level.
 func TestReduceToZeroRemoves(t *testing.T) {
 	b := New("ES")
 	mustAdd(t, b, 1, Bid, 100, 5)
-	if err := b.Reduce(1, 5); err != nil {
-		t.Fatal(err)
-	}
+	mustAdd(t, b, 2, Ask, 100, 5)
 	if _, ok := b.Order(1); ok {
-		t.Fatal("order 1 still present after full reduce")
+		t.Fatal("order 1 still present after a full fill")
 	}
 	if b.Depth(Bid) != 0 {
-		t.Fatal("level retained after full reduce")
+		t.Fatal("level retained after a full fill")
 	}
 }
 
@@ -206,10 +206,7 @@ func TestValidation(t *testing.T) {
 	if _, err := b.Add(1, Ask, 101, 5); err != ErrDuplicateID {
 		t.Fatalf("duplicate id = %v; want ErrDuplicateID", err)
 	}
-	if err := b.Reduce(1, 0); err != ErrBadQty {
-		t.Fatalf("Reduce by 0 = %v; want ErrBadQty", err)
-	}
-	if _, err := b.Replace(99, 100, 101, 1); err != ErrUnknownOrder {
+	if _, err := b.ReplaceTo(nil, 99, 100, 101, 1); err != ErrUnknownOrder {
 		t.Fatalf("Replace unknown = %v; want ErrUnknownOrder", err)
 	}
 }
@@ -299,7 +296,7 @@ func TestRandomOpsInvariants(t *testing.T) {
 			if _, ok := b.Order(id); ok {
 				price := int64(90 + rng.Intn(21))
 				qty := int64(1 + rng.Intn(20))
-				if _, err := b.Replace(id, nextID, price, qty); err != nil {
+				if _, err := b.ReplaceTo(nil, id, nextID, price, qty); err != nil {
 					t.Fatalf("op %d replace: %v", i, err)
 				}
 				if _, ok := b.Order(nextID); ok {

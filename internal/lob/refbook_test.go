@@ -199,24 +199,6 @@ func (b *refBook) Replace(id, newID uint64, price, qty int64) ([]Fill, error) {
 	return b.Add(newID, side, price, qty)
 }
 
-func (b *refBook) Reduce(id uint64, by int64) error {
-	if by <= 0 {
-		return ErrBadQty
-	}
-	o, ok := b.byID[id]
-	if !ok {
-		return ErrUnknownOrder
-	}
-	b.seq++
-	if by >= o.Qty {
-		b.unlink(o)
-		return nil
-	}
-	o.Qty -= by
-	b.side(o.Side)[o.Price].qty -= by
-	return nil
-}
-
 func (b *refBook) Levels(s Side, n int) []Level {
 	prices := b.bidPrices
 	m := b.bids

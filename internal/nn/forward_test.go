@@ -127,13 +127,18 @@ func convVia(c *Conv2D, p *tensor.Pool, x *tensor.Tensor, inPlace bool) *tensor.
 	return out
 }
 
+// wantSameBits fails unless got and want agree bit for bit, except that any
+// NaN matches any NaN: which payload a NaN-with-NaN add returns depends on
+// the operand order each panel kernel uses (tensor's sameFloat), and a full
+// pass and a memo row can send one output through different kernels, since
+// each leaves its own scalar tail.
 func wantSameBits(t *testing.T, tag string, got, want *tensor.Tensor) {
 	t.Helper()
 	if !shapeEq(got.Shape(), want.Shape()) {
 		t.Fatalf("%s: shape %v vs %v", tag, got.Shape(), want.Shape())
 	}
 	for i, w := range want.Data() {
-		if g := got.Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+		if g := got.Data()[i]; math.Float32bits(g) != math.Float32bits(w) && (g == g || w == w) {
 			t.Fatalf("%s: elem %d = %v (%#08x), want %v (%#08x)", tag, i, g, math.Float32bits(g), w, math.Float32bits(w))
 		}
 	}
@@ -380,37 +385,34 @@ func TestPositionalEncodingMatchesReference(t *testing.T) {
 }
 
 // TestInferMatchesForward checks Model.Infer (pooled scratch) against
-// Model.Forward (heap) on every benchmark architecture, with and without
-// BF16 rounding, and that a recycled pool reproduces identical outputs.
+// Model.Forward (heap) on every benchmark architecture, and that a recycled
+// pool reproduces identical outputs.
 func TestInferMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
-	for _, bf16 := range []bool{false, true} {
-		for _, m := range BenchmarkModels() {
-			m.BF16 = bf16
-			m.Init(7)
-			if _, err := m.Validate(); err != nil {
-				t.Fatalf("%s: %v", m.Name(), err)
-			}
-			x := tensor.New(m.InputShape...)
-			x.FillRandn(rng, 1)
-			want, err := m.Forward(x)
+	for _, m := range BenchmarkModels() {
+		m.Init(7)
+		if _, err := m.Validate(); err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
+		x := tensor.New(m.InputShape...)
+		x.FillRandn(rng, 1)
+		want, err := m.Forward(x)
+		if err != nil {
+			t.Fatalf("%s: forward: %v", m.Name(), err)
+		}
+		var p tensor.Pool
+		for round := 0; round < 2; round++ {
+			got, err := m.Infer(&p, x)
 			if err != nil {
-				t.Fatalf("%s: forward: %v", m.Name(), err)
+				t.Fatalf("%s: infer: %v", m.Name(), err)
 			}
-			var p tensor.Pool
-			for round := 0; round < 2; round++ {
-				got, err := m.Infer(&p, x)
-				if err != nil {
-					t.Fatalf("%s: infer: %v", m.Name(), err)
-				}
-				// Forward and Infer run the same ForwardCtx code (heap vs
-				// pool storage), so outputs must be bit-identical.
-				wantClose(t, m.Name(), got, want, 0, 0)
-			}
-			// Shape mismatch must surface as an error, not a panic.
-			if _, err := m.Infer(&p, tensor.New(1, 2, 3)); err == nil {
-				t.Fatalf("%s: Infer accepted wrong input shape", m.Name())
-			}
+			// Forward and Infer run the same ForwardCtx code (heap vs
+			// pool storage), so outputs must be bit-identical.
+			wantClose(t, m.Name(), got, want, 0, 0)
+		}
+		// Shape mismatch must surface as an error, not a panic.
+		if _, err := m.Infer(&p, tensor.New(1, 2, 3)); err == nil {
+			t.Fatalf("%s: Infer accepted wrong input shape", m.Name())
 		}
 	}
 }

@@ -65,62 +65,3 @@ func (wc WindowCrop) Backward(input, _, gradOut *tensor.Tensor) *tensor.Tensor {
 
 // Update implements Backprop (no parameters).
 func (WindowCrop) Update(float32) {}
-
-// SoftmaxHeads applies an independent softmax to each of Heads contiguous
-// segments of a rank-1 input: the joint multi-horizon output head (LiTCVG
-// style), where one backbone emits Heads×NumClasses logits and each horizon
-// gets its own probability distribution.
-type SoftmaxHeads struct{ Heads int }
-
-// Name implements Layer.
-func (s SoftmaxHeads) Name() string { return fmt.Sprintf("softmax×%d", s.Heads) }
-
-// OutShape implements Layer.
-func (s SoftmaxHeads) OutShape(in []int) ([]int, error) {
-	if len(in) != 1 {
-		return nil, fmt.Errorf("nn: softmax×%d expects rank 1, got %v", s.Heads, in)
-	}
-	if s.Heads <= 0 || in[0]%s.Heads != 0 {
-		return nil, fmt.Errorf("nn: softmax×%d cannot split %d outputs", s.Heads, in[0])
-	}
-	return in, nil
-}
-
-// Forward implements Layer.
-func (s SoftmaxHeads) Forward(x *tensor.Tensor) *tensor.Tensor { return s.ForwardCtx(nil, x) }
-
-// ForwardCtx implements Layer.
-func (s SoftmaxHeads) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
-	out := newTensor(p, x.Shape()...)
-	seg := x.Size() / s.Heads
-	for h := 0; h < s.Heads; h++ {
-		xs := x.Data()[h*seg : (h+1)*seg]
-		os := out.Data()[h*seg : (h+1)*seg]
-		maxv := xs[0]
-		for _, v := range xs[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float32
-		for i, v := range xs {
-			e := exp32(v - maxv)
-			os[i] = e
-			sum += e
-		}
-		inv := 1 / sum
-		for i := range os {
-			os[i] *= inv
-		}
-	}
-	return out
-}
-
-// FLOPs implements Layer.
-func (SoftmaxHeads) FLOPs(in []int) int64 { return int64(prod(in)) * 10 }
-
-// Params implements Layer.
-func (SoftmaxHeads) Params() int64 { return 0 }
-
-// Init implements Layer.
-func (SoftmaxHeads) Init(*rand.Rand) {}

@@ -11,10 +11,9 @@ import (
 // slideMemo is a layer's sliding-window memo: its last input and its last
 // stride-1 result — a convolution's output after bias and activation, or a
 // pool's max of every stride-1 window — with the lock that makes the layer
-// follow one caller at a time. Both are copies (x is the caller's to reuse,
-// and the output the caller's to round in place), each kept as a rowRing, so
-// that an input which is the last one moved up a row costs one row per
-// channel of each to record. in and out are nil until a full pass is kept,
+// follow one caller at a time. Both are copies (x and the output are the
+// caller's to reuse), each kept as a rowRing, so that an input which is the
+// last one moved up a row costs one row per channel of each to record. in and out are nil until a full pass is kept,
 // and again after a drop.
 type slideMemo struct {
 	mu           sync.Mutex

@@ -44,7 +44,7 @@ func memoCase(rng *rand.Rand, i int) *Model {
 		if out, err := c.OutShape([]int{inC, h, w}); err == nil && rng.Intn(3) == 0 {
 			layers = append(layers, NewConv2D(outC, 1+rng.Intn(4), 1+rng.Intn(min(3, out[1])), 1+rng.Intn(out[2]), 1, 1, 0, 0, ActReLU))
 		}
-		m := &Model{ModelName: "memo-sweep", InputShape: []int{inC, h, w}, Layers: layers, BF16: i%2 == 1}
+		m := &Model{ModelName: "memo-sweep", InputShape: []int{inC, h, w}, Layers: layers}
 		if _, err := m.Validate(); err != nil {
 			continue
 		}
@@ -89,8 +89,7 @@ func shiftRows(rng *rand.Rand, x []float32, c, h, w, k int) {
 // bits of a layer that has not. Each case drives one model through a random
 // walk of the things a stream does — the next tick, a skipped tick, the same
 // input again, an old element changed, a +0 turned −0, a NaN row, another
-// shape — inside a Model (so BF16 cases round the returned tensor in place)
-// and from two alternating caller-owned tensors (so a layer that kept the
+// shape — inside a Model and from two alternating caller-owned tensors (so a layer that kept the
 // caller's tensor rather than a copy would compare it with itself). The hit
 // counters hold the test to its subject: every next-tick input on an eligible
 // layer must have been answered from the memo.
@@ -103,7 +102,7 @@ func TestConv2DMemoDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := memoCase(rng, i)
 		convs := make([]*Conv2D, len(m.Layers))
-		ref := &Model{ModelName: "fresh", BF16: m.BF16, Layers: make([]Layer, len(m.Layers))}
+		ref := &Model{ModelName: "fresh", Layers: make([]Layer, len(m.Layers))}
 		for j, l := range m.Layers {
 			convs[j] = l.(*Conv2D)
 		}
@@ -237,7 +236,7 @@ func poolCase(rng *rand.Rand, i int) *Model {
 			layers = []Layer{pool()}
 		}
 		h := 1 + rng.Intn(14)
-		m := &Model{ModelName: "pool-sweep", InputShape: []int{c, h, w}, Layers: layers, BF16: i%2 == 1}
+		m := &Model{ModelName: "pool-sweep", InputShape: []int{c, h, w}, Layers: layers}
 		if _, err := m.Validate(); err == nil {
 			return m
 		}
@@ -275,8 +274,8 @@ func poolRows(rng *rand.Rand, x []float32, c, h, w, from int) {
 // tick, a repeat, an old element changed, a +0 turned −0, a NaN row, another
 // shape (channels and height, and now and then a second column, which the
 // memo does not follow) — a model whose pools have been remembering answers
-// with the bits of one whose layers have not, BF16 on and off, from two
-// alternating caller-owned tensors. MemoCounts holds it to its subject: every
+// with the bits of one whose layers have not, from two alternating
+// caller-owned tensors. MemoCounts holds it to its subject: every
 // next-tick input a pool could reuse a row of was answered from the memo.
 func TestMaxPool2DMemoDifferential(t *testing.T) {
 	const cases, callsPerCase = 300, 30
@@ -287,7 +286,7 @@ func TestMaxPool2DMemoDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := poolCase(rng, i)
 		_, convFirst := m.Layers[0].(*Conv2D)
-		ref := &Model{ModelName: "fresh", BF16: m.BF16, Layers: make([]Layer, len(m.Layers))}
+		ref := &Model{ModelName: "fresh", Layers: make([]Layer, len(m.Layers))}
 		c, h, w := m.InputShape[0], m.InputShape[1], m.InputShape[2]
 		cur := make([]float32, c*h*w)
 		poolRows(rng, cur, c, h, w, 0)

@@ -46,9 +46,6 @@ type Model struct {
 	InputShape []int
 	// Layers are applied in order.
 	Layers []Layer
-	// BF16 rounds every layer's output through BF16 precision, mirroring
-	// the accelerator's storage format.
-	BF16 bool
 }
 
 // Name returns the architecture name.
@@ -86,9 +83,6 @@ func (m *Model) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 			return nil, fmt.Errorf("nn: %s layer %d: %w", m.ModelName, i, err)
 		}
 		cur = l.Forward(cur)
-		if m.BF16 {
-			cur.RoundBF16()
-		}
 	}
 	return cur, nil
 }
@@ -106,9 +100,6 @@ func (m *Model) Infer(p *tensor.Pool, x *tensor.Tensor) (*tensor.Tensor, error) 
 	cur := x
 	for _, l := range m.Layers {
 		cur = l.ForwardCtx(p, cur)
-		if m.BF16 {
-			cur.RoundBF16()
-		}
 	}
 	return cur, nil
 }
@@ -119,8 +110,7 @@ var inferPools = sync.Pool{New: func() any { return new(tensor.Pool) }}
 
 // Predict runs one inference and interprets the output as class
 // probabilities. It uses pooled scratch storage, so steady-state calls do
-// not allocate. Multi-horizon models answer with head 0 (their shortest
-// horizon, the tick-to-trade one).
+// not allocate.
 //
 // A model instance follows one stream at a time: its unpadded stride-1
 // convolutions and its max-pools over a single column remember their last
@@ -132,9 +122,6 @@ var inferPools = sync.Pool{New: func() any { return new(tensor.Pool) }}
 // concurrent use, and a model shared across instruments is still correct —
 // it just finds nothing to reuse and runs every pass in full.
 func (m *Model) Predict(x *tensor.Tensor) (Direction, float32, error) {
-	if m.Heads() > 1 {
-		return m.PredictHead(0, x)
-	}
 	p := inferPools.Get().(*tensor.Pool)
 	defer inferPools.Put(p)
 	out, err := m.Infer(p, x)
@@ -146,44 +133,6 @@ func (m *Model) Predict(x *tensor.Tensor) (Direction, float32, error) {
 	}
 	idx := tensor.Argmax(out)
 	return Direction(idx), out.Data()[idx], nil
-}
-
-// Heads returns the number of prediction heads: 1 unless the model ends in
-// a joint multi-horizon SoftmaxHeads layer.
-func (m *Model) Heads() int {
-	if n := len(m.Layers); n > 0 {
-		if h, ok := m.Layers[n-1].(SoftmaxHeads); ok {
-			return h.Heads
-		}
-	}
-	return 1
-}
-
-// PredictHead runs one inference and interprets the given head's segment of
-// a multi-horizon output (head 0 first). Like Predict it uses pooled
-// scratch, so steady-state calls do not allocate.
-func (m *Model) PredictHead(head int, x *tensor.Tensor) (Direction, float32, error) {
-	n := m.Heads()
-	if head < 0 || head >= n {
-		return Stationary, 0, fmt.Errorf("nn: %s has %d heads, no head %d", m.ModelName, n, head)
-	}
-	p := inferPools.Get().(*tensor.Pool)
-	defer inferPools.Put(p)
-	out, err := m.Infer(p, x)
-	if err != nil {
-		return Stationary, 0, err
-	}
-	if out.Size() != n*NumClasses {
-		return Stationary, 0, fmt.Errorf("nn: %s output size %d, want %d", m.ModelName, out.Size(), n*NumClasses)
-	}
-	seg := out.Data()[head*NumClasses : (head+1)*NumClasses]
-	idx := 0
-	for i, v := range seg {
-		if v > seg[idx] {
-			idx = i
-		}
-	}
-	return Direction(idx), seg[idx], nil
 }
 
 // TotalFLOPs sums per-layer FLOP counts for one batch-1 inference.

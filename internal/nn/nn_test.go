@@ -129,25 +129,6 @@ func TestParamsPositive(t *testing.T) {
 	}
 }
 
-func TestBF16ForwardClose(t *testing.T) {
-	m := NewVanillaCNN()
-	x := randInput(11)
-	exact, err := m.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.BF16 = true
-	rounded, err := m.Forward(x.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range exact.Data() {
-		if math.Abs(float64(exact.Data()[i]-rounded.Data()[i])) > 0.15 {
-			t.Fatalf("BF16 output diverged: %v vs %v", exact.Data(), rounded.Data())
-		}
-	}
-}
-
 func TestConv2DKnownValues(t *testing.T) {
 	c := NewConv2D(1, 1, 2, 2, 1, 1, 0, 0, ActNone)
 	for i := range c.w.Data() {

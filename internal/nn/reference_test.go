@@ -236,7 +236,7 @@ func referenceSeqFromCHW(x *tensor.Tensor) *tensor.Tensor {
 	for t := 0; t < h; t++ {
 		for ci := 0; ci < c; ci++ {
 			for wi := 0; wi < w; wi++ {
-				out.Set2(t, ci*w+wi, x.At3(ci, t, wi))
+				out.Data()[t*c*w+ci*w+wi] = x.At3(ci, t, wi)
 			}
 		}
 	}

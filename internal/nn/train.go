@@ -234,13 +234,12 @@ func NewTrainer(m *Model, lr float32) (*Trainer, error) {
 }
 
 // trainableStack returns the layers to backpropagate through (excluding a
-// trailing SoftmaxLayer or SoftmaxHeads — both fold into the cross-entropy
-// loss), or nil if any lacks Backprop support.
+// trailing SoftmaxLayer, which folds into the cross-entropy loss), or nil if
+// any lacks Backprop support.
 func trainableStack(m *Model) []Layer {
 	layers := m.Layers
 	if len(layers) > 0 {
-		switch layers[len(layers)-1].(type) {
-		case SoftmaxLayer, SoftmaxHeads:
+		if _, ok := layers[len(layers)-1].(SoftmaxLayer); ok {
 			layers = layers[:len(layers)-1]
 		}
 	}
@@ -288,80 +287,6 @@ func (t *Trainer) Step(x *tensor.Tensor, label Direction) (float64, error) {
 	return loss, nil
 }
 
-// StepJoint runs one SGD update on a (possibly multi-horizon) model: one
-// label per head, joint cross-entropy summed across heads. For a
-// single-head model and one label it matches Step.
-func (t *Trainer) StepJoint(x *tensor.Tensor, labels []Direction) (float64, error) {
-	layers := trainableStack(t.Model)
-	inputs := make([]*tensor.Tensor, len(layers))
-	outputs := make([]*tensor.Tensor, len(layers))
-	cur := x
-	for i, l := range layers {
-		if _, err := l.OutShape(cur.Shape()); err != nil {
-			return 0, fmt.Errorf("nn: train: layer %d: %w", i, err)
-		}
-		inputs[i] = cur
-		cur = l.Forward(cur)
-		outputs[i] = cur
-	}
-	logits := cur
-	if len(labels) == 0 || logits.Size() != len(labels)*NumClasses {
-		return 0, fmt.Errorf("nn: train: logits size %d for %d heads", logits.Size(), len(labels))
-	}
-	// dL/dlogits = softmax - onehot, per head.
-	grad := tensor.New(logits.Size())
-	lf, gf := logits.Data(), grad.Data()
-	var loss float64
-	for h, label := range labels {
-		seg := lf[h*NumClasses : (h+1)*NumClasses]
-		gseg := gf[h*NumClasses : (h+1)*NumClasses]
-		maxv := float64(seg[0])
-		for _, v := range seg[1:] {
-			if float64(v) > maxv {
-				maxv = float64(v)
-			}
-		}
-		var sum float64
-		var e [NumClasses]float64
-		for i, v := range seg {
-			e[i] = math.Exp(float64(v) - maxv)
-			sum += e[i]
-		}
-		loss += -math.Log(math.Max(e[label]/sum, 1e-12))
-		for i := range gseg {
-			gseg[i] = float32(e[i] / sum)
-		}
-		gseg[label]--
-	}
-	for i := len(layers) - 1; i >= 0; i-- {
-		grad = layers[i].(Backprop).Backward(inputs[i], outputs[i], grad)
-	}
-	for _, l := range layers {
-		l.(Backprop).Update(t.LR)
-	}
-	return loss, nil
-}
-
-// EpochJoint trains once over a multi-horizon dataset (one label vector per
-// example), returning the mean joint loss.
-func (t *Trainer) EpochJoint(xs []*tensor.Tensor, labels [][]Direction) (float64, error) {
-	if len(xs) != len(labels) {
-		return 0, fmt.Errorf("nn: train: %d examples vs %d label vectors", len(xs), len(labels))
-	}
-	var total float64
-	for i := range xs {
-		loss, err := t.StepJoint(xs[i], labels[i])
-		if err != nil {
-			return 0, err
-		}
-		total += loss
-	}
-	if len(xs) == 0 {
-		return 0, nil
-	}
-	return total / float64(len(xs)), nil
-}
-
 // Epoch trains over a dataset once, returning the mean loss.
 func (t *Trainer) Epoch(xs []*tensor.Tensor, labels []Direction) (float64, error) {
 	if len(xs) != len(labels) {
@@ -379,25 +304,6 @@ func (t *Trainer) Epoch(xs []*tensor.Tensor, labels []Direction) (float64, error
 		return 0, nil
 	}
 	return total / float64(len(xs)), nil
-}
-
-// AccuracyHead evaluates classification accuracy of one output head over a
-// dataset.
-func AccuracyHead(m *Model, head int, xs []*tensor.Tensor, labels []Direction) (float64, error) {
-	if len(xs) == 0 {
-		return 0, nil
-	}
-	correct := 0
-	for i := range xs {
-		dir, _, err := m.PredictHead(head, xs[i])
-		if err != nil {
-			return 0, err
-		}
-		if dir == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(xs)), nil
 }
 
 // Accuracy evaluates classification accuracy over a dataset.

@@ -7,9 +7,9 @@ import (
 
 // Parameterised model zoo (inference-compute frontier). Instead of three
 // fixed benchmark architectures, a ZooSpec generates a whole family of
-// CNN/LSTM/transformer variants over width, depth, lookback and output-head
-// axes on the same tensor kernels — the accuracy-vs-compute frontier the
-// scheduler's degrade ladder walks. The three paper models and the M1…M5
+// CNN/LSTM/transformer variants over width, depth and lookback axes on the
+// same tensor kernels — the accuracy-vs-compute frontier the scheduler's
+// degrade ladder walks. The three paper models and the M1…M5
 // ladder are presets of this one construction path (see models.go), pinned
 // byte-identical by pin_test.go.
 
@@ -68,23 +68,9 @@ type ZooSpec struct {
 	// runs, scaling compute with history length; 0 or Window keeps the
 	// full window. The model input shape is unchanged.
 	Lookback int
-	// Horizons are the prediction horizons (in ticks) served by the output
-	// heads. nil or one entry builds the usual single NumClasses head;
-	// more build a joint multi-horizon head (len×NumClasses outputs,
-	// head 0 first). The horizons themselves are metadata for training
-	// and reporting; only their count shapes the network.
-	Horizons []int
 	// Seed initialises the weights; 0 derives a deterministic seed from
 	// Name.
 	Seed int64
-}
-
-// Heads returns the output head count the spec builds.
-func (s ZooSpec) Heads() int {
-	if len(s.Horizons) > 1 {
-		return len(s.Horizons)
-	}
-	return 1
 }
 
 // lookback resolves the effective history length.
@@ -103,14 +89,6 @@ func (s ZooSpec) seed() int64 {
 	h := fnv.New64a()
 	h.Write([]byte(s.Name))
 	return int64(h.Sum64()&0x7fffffffffffffff) + 1
-}
-
-// head returns the output head layer for the spec.
-func (s ZooSpec) head() Layer {
-	if n := s.Heads(); n > 1 {
-		return SoftmaxHeads{Heads: n}
-	}
-	return SoftmaxLayer{}
 }
 
 // crop returns the lookback crop prefix (empty for the full window).
@@ -212,8 +190,8 @@ func (s ZooSpec) buildCNN() ([]Layer, error) {
 	return append(layers,
 		Flatten{},
 		NewDense(prod(shape), hidden, ActReLU),
-		NewDense(hidden, s.Heads()*NumClasses, ActNone),
-		s.head(),
+		NewDense(hidden, NumClasses, ActNone),
+		SoftmaxLayer{},
 	), nil
 }
 
@@ -269,8 +247,8 @@ func (s ZooSpec) buildLSTM() ([]Layer, error) {
 		inception, // → [6B,H,1]
 		SeqFromCHW{},
 		NewLSTM(6*b, 4*b, true),
-		NewDense(4*b, s.Heads()*NumClasses, ActNone),
-		s.head(),
+		NewDense(4*b, NumClasses, ActNone),
+		SoftmaxLayer{},
 	), nil
 }
 
@@ -308,8 +286,8 @@ func (s ZooSpec) buildTransformer() ([]Layer, error) {
 	}
 	return append(layers,
 		Flatten{},
-		NewDense(s.lookback()*e, s.Heads()*NumClasses, ActNone),
-		s.head(),
+		NewDense(s.lookback()*e, NumClasses, ActNone),
+		SoftmaxLayer{},
 	), nil
 }
 

@@ -36,13 +36,11 @@ func TestZooPresetSpecsMatchConstructors(t *testing.T) {
 	}
 }
 
-// TestZooVariantAxes exercises the new zoo axes — lookback cropping and
-// joint multi-horizon heads — across all three families.
+// TestZooVariantAxes exercises the lookback crop across all three families.
 func TestZooVariantAxes(t *testing.T) {
 	specs := []ZooSpec{
 		{Name: "cnn-lb", Arch: ZooCNN, Width: 8, Depth: 1, Lookback: 32},
-		{Name: "cnn-mh", Arch: ZooCNN, Width: 8, Horizons: []int{10, 50, 100}},
-		{Name: "lstm-lb-mh", Arch: ZooLSTM, Width: 8, Lookback: 40, Horizons: []int{10, 50}},
+		{Name: "lstm-lb", Arch: ZooLSTM, Width: 8, Lookback: 40},
 		{Name: "trans-lb", Arch: ZooTransformer, Width: 8, Depth: 1, Lookback: 24},
 	}
 	x := pinInput()
@@ -55,21 +53,16 @@ func TestZooVariantAxes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-		if want := s.Heads() * NumClasses; prod(shape) != want {
-			t.Fatalf("%s: output size %d, want %d", s.Name, prod(shape), want)
+		if prod(shape) != NumClasses {
+			t.Fatalf("%s: output size %d, want %d", s.Name, prod(shape), NumClasses)
 		}
 		// Full-window input contract holds regardless of lookback.
-		if _, _, err := m.Predict(x); err != nil {
+		dir, conf, err := m.Predict(x)
+		if err != nil {
 			t.Fatalf("%s: Predict: %v", s.Name, err)
 		}
-		for h := 0; h < s.Heads(); h++ {
-			dir, conf, err := m.PredictHead(h, x)
-			if err != nil {
-				t.Fatalf("%s head %d: %v", s.Name, h, err)
-			}
-			if conf < 0 || conf > 1 || dir > Up {
-				t.Fatalf("%s head %d: dir %v conf %v", s.Name, h, dir, conf)
-			}
+		if conf < 0 || conf > 1 || dir > Up {
+			t.Fatalf("%s: dir %v conf %v", s.Name, dir, conf)
 		}
 	}
 }
@@ -123,14 +116,11 @@ func TestWindowCropBackprop(t *testing.T) {
 	}
 }
 
-// TestZooJointTraining trains a tiny multi-horizon lookback variant on a
-// fixed-direction toy set and checks the joint loss drops and head
-// accuracies become measurable.
-func TestZooJointTraining(t *testing.T) {
-	m, err := BuildZoo(ZooSpec{
-		Name: "train-mh", Arch: ZooCNN, Width: 4, Lookback: 16,
-		Horizons: []int{10, 50}, Seed: 7,
-	})
+// TestZooLookbackTraining trains a tiny lookback variant (so the gradient
+// runs back through the crop) on a fixed-direction toy set and checks the
+// loss drops and the model learns the task.
+func TestZooLookbackTraining(t *testing.T) {
+	m, err := BuildZoo(ZooSpec{Name: "train-lb", Arch: ZooCNN, Width: 4, Lookback: 16, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +128,9 @@ func TestZooJointTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Toy task: the sign of the feature map decides both heads.
+	// Toy task: the sign of the feature map decides the direction.
 	xs := make([]*tensor.Tensor, 24)
-	labels := make([][]Direction, len(xs))
-	head0 := make([]Direction, len(xs))
+	labels := make([]Direction, len(xs))
 	for i := range xs {
 		x := tensor.New(InputShape()...)
 		v := float32(1)
@@ -154,29 +143,26 @@ func TestZooJointTraining(t *testing.T) {
 			d[j] = v
 		}
 		xs[i] = x
-		labels[i] = []Direction{dir, dir}
-		head0[i] = dir
+		labels[i] = dir
 	}
-	first, err := tr.EpochJoint(xs, labels)
+	first, err := tr.Epoch(xs, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last float64
 	for e := 0; e < 20; e++ {
-		if last, err = tr.EpochJoint(xs, labels); err != nil {
+		if last, err = tr.Epoch(xs, labels); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if math.IsNaN(last) || last >= first {
-		t.Fatalf("joint loss did not drop: first %v last %v", first, last)
+		t.Fatalf("loss did not drop: first %v last %v", first, last)
 	}
-	for h := 0; h < 2; h++ {
-		acc, err := AccuracyHead(m, h, xs, head0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if acc != 1 {
-			t.Errorf("head %d accuracy %v after training separable toy task", h, acc)
-		}
+	acc, err := Accuracy(m, xs, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc != 1 {
+		t.Errorf("accuracy %v after training separable toy task", acc)
 	}
 }

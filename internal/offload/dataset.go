@@ -32,27 +32,12 @@ func BuildDataset(ticks []feed.Tick, norm Normalizer, horizon int, threshold flo
 		if !eng.Warm() || i >= len(labels) {
 			continue
 		}
-		batch := eng.PopBatch(1)
-		if len(batch) == 0 {
+		in, ok := eng.Pop()
+		if !ok {
 			continue
 		}
-		xs = append(xs, batch[0].Tensor)
+		xs = append(xs, in.Tensor)
 		ys = append(ys, labels[i])
 	}
 	return xs, ys
-}
-
-// ClassBalance returns the per-class share of a label set, a quick check
-// that the horizon/threshold choice yields a usable class mix.
-func ClassBalance(labels []nn.Direction) [nn.NumClasses]float64 {
-	var counts [nn.NumClasses]float64
-	for _, l := range labels {
-		counts[l]++
-	}
-	if len(labels) > 0 {
-		for i := range counts {
-			counts[i] /= float64(len(labels))
-		}
-	}
-	return counts
 }

@@ -174,8 +174,8 @@ func (e *Engine) popFront() InputTensor {
 	return in
 }
 
-// Pop removes and returns the oldest pending tensor without allocating;
-// ok is false when none is ready. This is the hot-path form of PopBatch.
+// Pop removes and returns the oldest pending tensor without allocating —
+// the DMA hand-off to an accelerator; ok is false when none is ready.
 func (e *Engine) Pop() (in InputTensor, ok bool) {
 	if e.pendLen == 0 {
 		return InputTensor{}, false
@@ -185,32 +185,6 @@ func (e *Engine) Pop() (in InputTensor, ok bool) {
 
 // Dropped returns how many stale tensors were evicted since construction.
 func (e *Engine) Dropped() int { return e.dropped }
-
-// PopBatch removes and returns up to n pending tensors, oldest first —
-// the DMA hand-off to an accelerator. It allocates the returned slice;
-// allocation-sensitive callers should drain with Pop instead.
-func (e *Engine) PopBatch(n int) []InputTensor {
-	if n > e.pendLen {
-		n = e.pendLen
-	}
-	batch := make([]InputTensor, n)
-	for i := range batch {
-		batch[i] = e.popFront()
-	}
-	return batch
-}
-
-// EvictOlderThan drops pending tensors created before cutoff (stale-tensor
-// management for deadline-expired feature maps), returning the count.
-func (e *Engine) EvictOlderThan(cutoff int64) int {
-	n := 0
-	for e.pendLen > 0 && e.pending[e.pendHead].TimeNanos < cutoff {
-		e.Recycle(e.popFront().Tensor)
-		n++
-	}
-	e.dropped += n
-	return n
-}
 
 // Recycle returns a feature-map tensor to the engine's freelist once the
 // consumer (inference) is done with it; buildTensor reuses the storage.

@@ -90,8 +90,11 @@ func TestTensorShapeAndOrdering(t *testing.T) {
 	for _, s := range snaps[:nn.Window] {
 		e.Push(s)
 	}
-	batch := e.PopBatch(1)
-	tt := batch[0].Tensor
+	in, ok := e.Pop()
+	if !ok {
+		t.Fatal("no tensor after a full window")
+	}
+	tt := in.Tensor
 	if tt.Dim(0) != 1 || tt.Dim(1) != nn.Window || tt.Dim(2) != nn.Features {
 		t.Fatalf("tensor shape %v", tt.Shape())
 	}
@@ -129,8 +132,11 @@ func TestFIFOEviction(t *testing.T) {
 	if e.Dropped() != 17 {
 		t.Fatalf("dropped = %d, want 17", e.Dropped())
 	}
-	// Remaining tensors are the newest four.
-	batch := e.PopBatch(10)
+	// Remaining tensors are the newest four, oldest first.
+	var batch []InputTensor
+	for in, ok := e.Pop(); ok; in, ok = e.Pop() {
+		batch = append(batch, in)
+	}
 	if len(batch) != 4 {
 		t.Fatalf("popped %d", len(batch))
 	}
@@ -139,26 +145,10 @@ func TestFIFOEviction(t *testing.T) {
 	}
 }
 
-func TestEvictOlderThan(t *testing.T) {
-	snaps := snapshots(t, nn.Window+5)
-	e := NewEngine(Calibrate(snaps), 0)
-	for _, s := range snaps {
-		e.Push(s)
-	}
-	cutoff := snaps[nn.Window+2].TimeNanos
-	evicted := e.EvictOlderThan(cutoff)
-	if evicted != 3 {
-		t.Fatalf("evicted %d, want 3", evicted)
-	}
-	if e.Ready() != 3 {
-		t.Fatalf("ready = %d, want 3", e.Ready())
-	}
-}
-
-func TestPopBatchBounds(t *testing.T) {
+func TestPopEmpty(t *testing.T) {
 	e := NewEngine(Normalizer{Std: unitStd()}, 0)
-	if got := e.PopBatch(5); len(got) != 0 {
-		t.Fatalf("pop from empty = %d", len(got))
+	if _, ok := e.Pop(); ok {
+		t.Fatal("pop from an empty engine returned a tensor")
 	}
 }
 
@@ -183,13 +173,10 @@ func TestBuildDataset(t *testing.T) {
 			t.Fatalf("example %d shape %v", i, x.Shape())
 		}
 	}
-	bal := ClassBalance(ys)
-	var sum float64
-	for _, b := range bal {
-		sum += b
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("class balance %v does not sum to 1", bal)
+	for i, y := range ys {
+		if y >= nn.NumClasses {
+			t.Fatalf("label %d = %v is no class", i, y)
+		}
 	}
 }
 

@@ -54,8 +54,7 @@ type QScheduler struct {
 
 	actions int // one issue action per selectable (state, batch) of t + 1 defer action
 
-	q      []float64 // state-major: q[state*actions+action]
-	visits []int
+	q []float64 // state-major: q[state*actions+action]
 
 	training bool
 	rng      *rand.Rand
@@ -84,7 +83,6 @@ func NewQScheduler(cfg *Config, qcfg QConfig) *QScheduler {
 	s.actions = (len(s.t.states)-s.t.first)*len(s.t.batches) + 1
 	states := qcfg.QueueBuckets * qcfg.SlackBuckets * qcfg.PowerBuckets
 	s.q = make([]float64, states*s.actions)
-	s.visits = make([]int, states)
 	return s
 }
 
@@ -97,18 +95,6 @@ func (s *QScheduler) SetTraining(on bool) {
 	if !on {
 		s.last.valid = false
 	}
-}
-
-// StatesVisited reports how many discrete states have been acted from —
-// a coverage signal for the training loop.
-func (s *QScheduler) StatesVisited() int {
-	n := 0
-	for _, v := range s.visits {
-		if v > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // deferAction is the forced action index when no candidate is feasible.
@@ -209,7 +195,6 @@ func (s *QScheduler) Decide(ctx SchedContext) Decision {
 	state := s.stateOf(ctx)
 	if s.training {
 		s.learn(state, ctx)
-		s.visits[state]++
 	}
 	si, bi, v := s.greedy(state, ctx)
 	if v != VerdictIssued {

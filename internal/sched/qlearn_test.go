@@ -18,7 +18,7 @@ func trainingContexts(cfg *Config) []SchedContext {
 	}
 }
 
-// TestQLearnsAndFreezes: training visits states and moves the table; a
+// TestQLearnsAndFreezes: training moves the table; a
 // frozen scheduler stops updating and decides deterministically.
 func TestQLearnsAndFreezes(t *testing.T) {
 	cfg := testConfig(t, true, true)
@@ -29,9 +29,6 @@ func TestQLearnsAndFreezes(t *testing.T) {
 			q.Decide(ctx)
 		}
 		q.EndEpisode()
-	}
-	if q.StatesVisited() == 0 {
-		t.Fatal("training visited no states")
 	}
 	var nonzero int
 	for _, v := range q.q {

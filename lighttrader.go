@@ -75,8 +75,7 @@ var (
 )
 
 // ZooSpec parameterises one model-zoo variant: architecture family, width,
-// depth, lookback and prediction-horizon heads, all generated on the shared
-// tensor kernels. The benchmark models above are presets of this one
+// depth and lookback, all generated on the shared tensor kernels. The benchmark models above are presets of this one
 // construction path (see VanillaCNNSpec and friends).
 type ZooSpec = nn.ZooSpec
 
