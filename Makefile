@@ -142,7 +142,14 @@ bench-tickpath:
 # asked only inside the Board's admission step: no non-test file calls
 # .Decide( outside internal/sched's board.go and degrade.go (the ladder walk)
 # but for PickIssueExplained's one decision in sched.go — a hit is an engine
-# writing its own decide → save → retry → commit loop again.
+# writing its own decide → save → retry → commit loop again. (7) A layer
+# learns that its input is the last one moved up a row from the input's
+# stream stamp alone: no non-test file of internal/nn names bytes.Equal,
+# sameBits or unsafe — a hit is the row comparison growing back. (8) A stamp
+# is a promise about data, made only by what produces stamped data: no
+# non-test file calls SetStamp( outside internal/tensor, the offload engine
+# (internal/offload/offload.go), the memo (internal/nn/memo.go) and the crop
+# (internal/nn/layer_zoo.go).
 one-impl-check:
 	@bad=$$(grep -rnE '\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -197,6 +204,15 @@ one-impl-check:
 		| grep -vE '^\./internal/sched/sched\.go:[0-9]+:[[:space:]]+dec := NewPPWScheduler\(cfg\)\.Decide\(SchedContext\{$$'); \
 	if [ -n "$$bad" ]; then \
 		echo "an admission decision outside sched.Board.Admit:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nE 'bytes\.Equal|sameBits|unsafe' $$(ls internal/nn/*.go | grep -v _test.go)); \
+	if [ -n "$$bad" ]; then \
+		echo "a row comparison in internal/nn (trust the stream stamp):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnF 'SetStamp(' --include='*.go' --exclude='*_test.go' . \
+		| grep -vE '^\./internal/(tensor/[^/]*|offload/offload|nn/memo|nn/layer_zoo)\.go:'); \
+	if [ -n "$$bad" ]; then \
+		echo "a stream stamp set outside its producers:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile

@@ -128,8 +128,9 @@ func (p *Pipeline) activeModel() *nn.Model {
 
 // SetPredictor replaces the model forward pass with fn (nil restores the
 // model). The offload engine still assembles feature maps; fn receives each
-// ready input tensor in place of nn.Model.Predict — this is how the
-// tick-to-trade benchmarks model the accelerator answering off the hot path.
+// one in place of nn.Model.Predict — lent, stamped and valid only for the
+// call (offload.Engine.Window) — this is how the tick-to-trade benchmarks
+// model the accelerator answering off the hot path.
 func (p *Pipeline) SetPredictor(fn func(t *tensor.Tensor) (nn.Direction, float32, error)) {
 	p.predict = fn
 }
@@ -278,39 +279,36 @@ func (p *Pipeline) onTick(timeNanos int64, dst []exchange.Request) ([]exchange.R
 	p.ticks++
 	snap := p.Snapshot(timeNanos)
 	p.offl.Push(snap)
-	for {
-		in, ok := p.offl.Pop()
-		if !ok {
-			break
-		}
-		var dir nn.Direction
-		var conf float32
-		var err error
-		if p.predict != nil {
-			dir, conf, err = p.predict(in.Tensor)
-		} else {
-			dir, conf, err = p.activeModel().Predict(in.Tensor)
-		}
-		p.offl.Recycle(in.Tensor) // feature map consumed; reuse its storage
-		if err != nil {
-			return dst, fmt.Errorf("core: inference: %w", err)
-		}
-		p.inferences++
-		if req, ok := p.trader.OnPrediction(dir, conf, snap); ok {
-			dst = append(dst, req)
-		}
-		if p.sig != nil {
-			p.sig(SignalEvent{
-				Action:     dir,
-				Confidence: conf,
-				BidPrice:   p.bids[0].Price,
-				BidQty:     p.bids[0].Qty,
-				AskPrice:   p.asks[0].Price,
-				AskQty:     p.asks[0].Qty,
-				LastTrade:  p.lastTrade,
-				TickNanos:  timeNanos,
-			})
-		}
+	x := p.offl.Window() // lent until the next Push; nil until the window fills
+	if x == nil {
+		return dst, nil
+	}
+	var dir nn.Direction
+	var conf float32
+	var err error
+	if p.predict != nil {
+		dir, conf, err = p.predict(x)
+	} else {
+		dir, conf, err = p.activeModel().Predict(x)
+	}
+	if err != nil {
+		return dst, fmt.Errorf("core: inference: %w", err)
+	}
+	p.inferences++
+	if req, ok := p.trader.OnPrediction(dir, conf, snap); ok {
+		dst = append(dst, req)
+	}
+	if p.sig != nil {
+		p.sig(SignalEvent{
+			Action:     dir,
+			Confidence: conf,
+			BidPrice:   p.bids[0].Price,
+			BidQty:     p.bids[0].Qty,
+			AskPrice:   p.asks[0].Price,
+			AskQty:     p.asks[0].Qty,
+			LastTrade:  p.lastTrade,
+			TickNanos:  timeNanos,
+		})
 	}
 	return dst, nil
 }

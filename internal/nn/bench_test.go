@@ -26,11 +26,12 @@ func BenchmarkConv2DForward(b *testing.B) {
 }
 
 // slidingInputs returns n BF16-rounded inputs of shape [C,H,W], each the one
-// before moved up a row with a new last row — the traffic a tick makes. The
-// row stream has period n, so input 0 follows input n−1 the same way and a
-// loop over them never breaks the stream. With one channel the inputs are
-// overlapping views of the stream, as cache-warm as a feature map the offload
-// engine has just written.
+// before moved up a row with a new last row — the traffic a tick makes — and
+// stamped so (tensor.SetStamp): input i is position i of a source of its own.
+// The row stream has period n, so input 0 follows input n−1 the same way and
+// a loop over them never breaks the stream, provided slide restamps them as
+// it goes. With one channel the inputs are overlapping views of the stream,
+// as cache-warm as the window the offload engine lends.
 func slidingInputs(rng *rand.Rand, shape []int, n int) []*tensor.Tensor {
 	c, h, w := shape[0], shape[1], shape[2]
 	period := tensor.New(c, n, w)
@@ -43,17 +44,28 @@ func slidingInputs(rng *rand.Rand, shape []int, n int) []*tensor.Tensor {
 		}
 	}
 	ins := make([]*tensor.Tensor, n)
+	src := tensor.NewStampSource()
 	for i := range ins {
 		if c == 1 {
 			ins[i] = tensor.FromSlice(stream[i*w:(i+h)*w], 1, h, w)
-			continue
+		} else {
+			ins[i] = tensor.New(c, h, w)
+			for ic := 0; ic < c; ic++ {
+				copy(ins[i].Data()[ic*h*w:(ic+1)*h*w], stream[(ic*(n+h-1)+i)*w:])
+			}
 		}
-		ins[i] = tensor.New(c, h, w)
-		for ic := 0; ic < c; ic++ {
-			copy(ins[i].Data()[ic*h*w:(ic+1)*h*w], stream[(ic*(n+h-1)+i)*w:])
-		}
+		ins[i].SetStamp(src, uint64(i))
 	}
 	return ins
+}
+
+// slide returns input i mod len(xs) of a slidingInputs stream stamped as
+// position i, so a loop that wraps around xs keeps the stream unbroken.
+func slide(xs []*tensor.Tensor, i int) *tensor.Tensor {
+	x := xs[i%len(xs)]
+	src, _ := x.Stamp()
+	x.SetStamp(src, uint64(i))
+	return x
 }
 
 // streamLen is how many sliding inputs the /stream benchmarks cycle through.
@@ -66,9 +78,9 @@ const streamLen = 128
 // second stage (k×1 over a W = 1 activation: full width, but a patch too
 // short for the in-place path, so im2col), and DeepLOB's level fold (in
 // place, strided) and (price,qty) fold (im2col). Each case runs twice: on one
-// unchanging input, which no layer can reuse anything of (the full pass, plus
-// the memo's copies where the layer keeps one), and as <case>/stream on an
-// input that moves up one row per call, the traffic the live loop has.
+// unchanging, unstamped input, which no layer can reuse anything of (the full
+// pass), and as <case>/stream on an input stamped as moving up one row per
+// call, the traffic the live loop has.
 func BenchmarkConv2DZoo(b *testing.B) {
 	cases := []struct {
 		name string
@@ -101,15 +113,15 @@ func BenchmarkConv2DZoo(b *testing.B) {
 		xs := slidingInputs(rng, tc.in, streamLen)
 		b.Run(tc.name+"/stream", func(b *testing.B) {
 			var p tensor.Pool
-			for _, x := range xs[streamLen-2:] { // arm the memo, warm the arena on a hit
+			for i := 0; i < 2; i++ { // arm the memo, warm the arena on a hit
 				p.Reset()
-				tc.conv.ForwardCtx(&p, x)
+				tc.conv.ForwardCtx(&p, slide(xs, i))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for i := 2; i < b.N+2; i++ {
 				p.Reset()
-				tc.conv.ForwardCtx(&p, xs[i%streamLen])
+				tc.conv.ForwardCtx(&p, slide(xs, i))
 			}
 		})
 	}
@@ -117,8 +129,8 @@ func BenchmarkConv2DZoo(b *testing.B) {
 
 // BenchmarkMaxPool2DColumn times the pool behind a full-width convolution:
 // SizedCNN(8,0)'s [8,97,1] → [8,48,1], a single column per channel — on one
-// unchanging input (every stride-1 window scanned and kept), and as /stream
-// on one that moves up a row per call (one new window per channel).
+// unchanging, unstamped input (every output window scanned), and as /stream
+// on one stamped as moving up a row per call (one new window per channel).
 func BenchmarkMaxPool2DColumn(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	in := []int{8, 97, 1}
@@ -139,15 +151,15 @@ func BenchmarkMaxPool2DColumn(b *testing.B) {
 	b.Run("stream", func(b *testing.B) {
 		mp := NewMaxPool2D(2, 1, 0, 0)
 		var p tensor.Pool
-		for _, x := range xs[streamLen-2:] { // arm the memo, warm the arena on a hit
+		for i := 0; i < 2; i++ { // arm the memo, warm the arena on a hit
 			p.Reset()
-			mp.ForwardCtx(&p, x)
+			mp.ForwardCtx(&p, slide(xs, i))
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		for i := 2; i < b.N+2; i++ {
 			p.Reset()
-			mp.ForwardCtx(&p, xs[i%streamLen])
+			mp.ForwardCtx(&p, slide(xs, i))
 		}
 	})
 }
@@ -235,15 +247,15 @@ func BenchmarkModelPredict(b *testing.B) {
 		})
 		xs := slidingInputs(rng, m.InputShape, streamLen)
 		b.Run(m.Name()+"/stream", func(b *testing.B) {
-			for _, x := range xs[streamLen-2:] { // arm the memos, warm the arena on a hit
-				if _, _, err := m.Predict(x); err != nil {
+			for i := 0; i < 2; i++ { // arm the memos, warm the arena on a hit
+				if _, _, err := m.Predict(slide(xs, i)); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := m.Predict(xs[i%streamLen]); err != nil {
+			for i := 2; i < b.N+2; i++ {
+				if _, _, err := m.Predict(slide(xs, i)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -51,7 +51,7 @@ func NewConv2D(inC, outC, kh, kw, sh, sw, padH, padW int, act Activation) *Conv2
 		c.wt = make([]float32, inC*kh*kw*outC)
 	}
 	if sh == 1 && padH == 0 {
-		c.memo = new(slideMemo)
+		c.memo = newSlideMemo()
 	}
 	c.repack()
 	return c
@@ -117,12 +117,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor { return c.ForwardCtx(
 // Geometry also decides whether the layer keeps a sliding-window memo: at
 // stride 1 and no padding in H (and H > KH, so there is a row to reuse) an
 // input that is the last one moved up by one row — what a tick does to the
-// offload engine's feature map — has last call's output moved up by one row
-// as all but its last output row, so only that row is computed: by forward —
-// the same lowering the full pass would take, the same biasAct — over the
-// last KH input rows, each of its elements the very chain the full pass would
-// have run. Anything else (a first call, another shape, a resync, a stream
-// other than the one the last call followed) runs the full pass and is kept.
+// offload engine's feature map, and what the input's stream stamp says it is
+// (tensor.SetStamp) — has last call's output moved up by one row as all but
+// its last output row, so only that row is computed: by forward — the same
+// lowering the full pass would take, the same biasAct — over the last KH
+// input rows, each of its elements the very chain the full pass would have
+// run. Any other stamped input (a first call, another shape, a skipped tick,
+// another stream) runs the full pass and is kept; an unstamped one runs it
+// beside the memo. Under the memo the output carries the layer's own stamp,
+// so a memo layer behind it hits when this one does.
 func (c *Conv2D) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(0) != c.InC {
 		panic(fmt.Sprintf("nn: %s expects [%d,H,W], got %v", c.Name(), c.InC, x.Shape()))
@@ -137,13 +140,14 @@ func (c *Conv2D) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	m := c.memo
 	// A second goroutine inside the layer (a model shared by two lanes) runs
 	// the full pass beside the memo rather than waiting for it.
-	if m == nil || c.SH != 1 || c.PadH != 0 || h <= c.KH || !m.mu.TryLock() {
+	if c.SH != 1 || c.PadH != 0 || h <= c.KH || !m.enter(x) {
 		return c.forward(p, x, oh, ow, inPlace)
 	}
 	defer m.mu.Unlock()
-	if !m.shifted(x) {
+	if !m.next(x) {
 		out := c.forward(p, x, oh, ow, inPlace)
-		m.keep(x, out.Data(), c.OutC, oh, ow)
+		m.keep(x, 1).set(out.Data(), c.OutC, oh, ow)
+		m.stamp(out)
 		return out
 	}
 	xf := x.Data()
@@ -156,11 +160,12 @@ func (c *Conv2D) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 			copy(tail.Data()[ic*c.KH*w:(ic+1)*c.KH*w], xf[((ic+1)*h-c.KH)*w:(ic+1)*h*w])
 		}
 	}
-	m.slide(x, c.forward(p, tail, 1, ow, inPlace).Data())
+	r := m.slide(x, c.forward(p, tail, 1, ow, inPlace).Data())
 	out := newTensor(p, c.OutC, oh, ow)
 	for oc := 0; oc < c.OutC; oc++ {
-		copy(out.Data()[oc*oh*ow:], m.out.channel(oc))
+		copy(out.Data()[oc*oh*ow:], r.channel(oc))
 	}
+	m.stamp(out)
 	return out
 }
 
@@ -359,7 +364,7 @@ func NewMaxPool2D(kh, kw, sh, sw int) *MaxPool2D {
 	}
 	p := &MaxPool2D{KH: kh, KW: kw, SH: sh, SW: sw}
 	if kw == 1 {
-		p.memo = new(slideMemo)
+		p.memo = newSlideMemo()
 	}
 	return p
 }
@@ -387,13 +392,15 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor { return p.ForwardC
 // straight down the column when the activation is one wide (what a full-width
 // convolution leaves): the same comparisons in the same order either way.
 //
-// A single-column pool also keeps a sliding-window memo when H > KH: the max
-// of every stride-1 window, of which the output is every SH-th. An input that
-// is the last one moved up a row has last call's windows moved up by one as
-// all but its last, so only that window is scanned per channel — with the
-// comparisons a full pass would make — and the output is gathered from the
-// kept windows. Anything else is a miss: every stride-1 window is scanned and
-// kept.
+// A single-column pool also keeps a sliding-window memo when H > KH. Its
+// output moves up one row for every SH rows the input does, so it keeps SH
+// answers, one per phase of the input's stream position (slideMemo.out): an
+// input stamped as the last one moved up a row is answered by the answer SH
+// positions back moved up a row, plus one new last window per channel,
+// scanned with the comparisons a full pass would make. Any other stamped
+// input is a miss: its windows are scanned, and so are those the next SH−1
+// phases will build on. An unstamped input is pooled beside the memo. At
+// stride 1 the output carries the layer's own stamp.
 func (p *MaxPool2D) ForwardCtx(pool *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 {
 		panic(fmt.Sprintf("nn: maxpool expects rank 3, got %v", x.Shape()))
@@ -408,7 +415,7 @@ func (p *MaxPool2D) ForwardCtx(pool *tensor.Pool, x *tensor.Tensor) *tensor.Tens
 	xf, of := x.Data(), out.Data()
 	if w == 1 && p.KW == 1 {
 		m := p.memo
-		if m == nil || h <= p.KH || !m.mu.TryLock() {
+		if h <= p.KH || !m.enter(x) {
 			for c := 0; c < ch; c++ {
 				col, ocol := xf[c*h:(c+1)*h], of[c*oh:(c+1)*oh]
 				for oy := range ocol {
@@ -418,28 +425,41 @@ func (p *MaxPool2D) ForwardCtx(pool *tensor.Pool, x *tensor.Tensor) *tensor.Tens
 			return out
 		}
 		defer m.mu.Unlock()
-		if m.shifted(x) {
-			next := newSlice(pool, ch)
-			for c := range next {
-				next[c] = colMax(xf[(c+1)*h-p.KH : (c+1)*h])
+		_, n := x.Stamp()
+		if m.next(x) {
+			last, at := newSlice(pool, ch), (oh-1)*p.SH
+			for c := range last {
+				last[c] = colMax(xf[c*h+at : c*h+at+p.KH])
 			}
-			m.slide(x, next)
+			m.slide(x, last)
 		} else {
-			n := h - p.KH + 1
-			wins := newSlice(pool, ch*n)
-			for c := 0; c < ch; c++ {
-				col := xf[c*h : (c+1)*h]
-				for i := 0; i < n; i++ {
-					wins[c*n+i] = colMax(col[i : i+p.KH])
+			// Ring n holds this answer; ring n+j, 0 < j < SH, the answer at
+			// n+j−SH but for its first row, which the hit at n+j pushes out:
+			// rows 1… are this input's windows from SH·oy + j − SH.
+			m.keep(x, p.SH)
+			rows := newSlice(pool, ch*oh)
+			for j := 0; j < p.SH; j++ {
+				d := j
+				if d > 0 {
+					d -= p.SH
 				}
+				for c := 0; c < ch; c++ {
+					col, rcol := xf[c*h:(c+1)*h], rows[c*oh:(c+1)*oh]
+					for oy := range rcol {
+						if at := oy*p.SH + d; at >= 0 {
+							rcol[oy] = colMax(col[at : at+p.KH])
+						}
+					}
+				}
+				m.ring(n+uint64(j)).set(rows, ch, oh, 1)
 			}
-			m.keep(x, wins, ch, n, 1)
 		}
+		r := m.ring(n)
 		for c := 0; c < ch; c++ {
-			wins, ocol := m.out.channel(c), of[c*oh:(c+1)*oh]
-			for oy := range ocol {
-				ocol[oy] = wins[oy*p.SH]
-			}
+			copy(of[c*oh:(c+1)*oh], r.channel(c))
+		}
+		if p.SH == 1 { // the output moves up a row with the input
+			m.stamp(out)
 		}
 		return out
 	}

@@ -127,6 +127,19 @@ func convVia(c *Conv2D, p *tensor.Pool, x *tensor.Tensor, inPlace bool) *tensor.
 	return out
 }
 
+// sameBits reports whether a and b hold the same float32 bit patterns.
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float32bits(v) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // wantSameBits fails unless got and want agree bit for bit, except that any
 // NaN matches any NaN: which payload a NaN-with-NaN add returns depends on
 // the operand order each panel kernel uses (tensor's sameFloat), and a full
@@ -466,11 +479,11 @@ func TestPredictZeroAlloc(t *testing.T) {
 			t.Errorf("%s: Predict allocates %v per call, want 0", m.Name(), n)
 		}
 		xs, tick := slidingInputs(rng, m.InputShape, 12), 0
-		x = xs[0]
+		x = slide(xs, 0)
 		predict()
 		next := func() {
 			tick++
-			x = xs[tick%len(xs)]
+			x = slide(xs, tick)
 			predict()
 		}
 		if n := testing.AllocsPerRun(10, next); n != 0 {

@@ -106,10 +106,13 @@ type Layer interface {
 	OutShape(in []int) ([]int, error)
 	// Forward computes the layer's output. Implementations must not mutate
 	// x or keep a reference to it or to the tensor they return — both are the
-	// caller's to reuse and overwrite. A layer may keep a private copy of
-	// either (Conv2D and MaxPool2D do, to answer the next call's shared
-	// rows), provided its output stays the function of x and its weights that
-	// a layer which kept nothing would compute, bit for bit.
+	// caller's to reuse and overwrite, and x may be a window the offload
+	// engine lends. A layer may keep a private copy of its output (Conv2D and
+	// MaxPool2D do, to answer the next call's shared rows when x's stream
+	// stamp says it is the last input moved up a row; see tensor.SetStamp),
+	// provided its output stays the function of x and its weights that a
+	// layer which kept nothing would compute, bit for bit. The output is
+	// unstamped unless the layer keeps the stamp's promise for it.
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	// ForwardCtx computes the layer's output drawing all scratch and output
 	// storage from p; results are valid only until p.Reset(). A nil pool

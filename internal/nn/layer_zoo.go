@@ -31,7 +31,8 @@ func (wc WindowCrop) OutShape(in []int) ([]int, error) {
 func (wc WindowCrop) Forward(x *tensor.Tensor) *tensor.Tensor { return wc.ForwardCtx(nil, x) }
 
 // ForwardCtx implements Layer: rows within a channel are contiguous, so the
-// crop is one copy per channel.
+// crop is one copy per channel. The crop of a window moved up a row is the
+// last crop moved up a row, so the output carries the input's stream stamp.
 func (wc WindowCrop) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	out := newTensor(p, c, wc.Rows, w)
@@ -39,6 +40,7 @@ func (wc WindowCrop) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor
 	for ci := 0; ci < c; ci++ {
 		copy(of[ci*wc.Rows*w:(ci+1)*wc.Rows*w], xf[(ci*h+h-wc.Rows)*w:(ci*h+h)*w])
 	}
+	out.SetStamp(x.Stamp())
 	return out
 }
 

@@ -1,70 +1,99 @@
 package nn
 
 import (
-	"bytes"
 	"sync"
-	"unsafe"
 
 	"lighttrader/internal/tensor"
 )
 
-// slideMemo is a layer's sliding-window memo: its last input and its last
-// stride-1 result — a convolution's output after bias and activation, or a
-// pool's max of every stride-1 window — with the lock that makes the layer
-// follow one caller at a time. Both are copies (x and the output are the
-// caller's to reuse), each kept as a rowRing, so that an input which is the
-// last one moved up a row costs one row per channel of each to record. in and out are nil until a full pass is kept,
-// and again after a drop.
+// slideMemo is a layer's sliding-window memo: the stamp and shape of its last
+// input and the results that go with it, with the lock that makes the layer
+// follow one caller at a time. The results are copies (the output is the
+// caller's to reuse), kept as rowRings, so that an input which is the kept
+// one moved up a row costs one row per channel to record. The memo learns
+// that from the input's stream stamp (tensor.SetStamp), never by comparing
+// rows: an unstamped input runs the full pass beside the memo and leaves it
+// as it was.
 type slideMemo struct {
 	mu           sync.Mutex
-	in, out      *rowRing
+	inSrc, inPos uint64 // the kept input's stamp
+	c, h, w      int    // the kept input's shape
+	// out keeps one result per phase of the input position, for a layer
+	// whose output moves up one row for every len(out) rows its input does —
+	// a convolution keeps one, a pool of stride SH keeps SH. out[n mod
+	// len(out)] is the answer to the input at position n, and until that
+	// call the answer at n−len(out), which is the same moved up a row but
+	// for the new last row. Empty until a full pass is kept, and again after
+	// a drop.
+	out []rowRing
+	// src stamps the layer's answers, where they move up a row with the
+	// input: pos advances by one on a hit, whose answer is the last one moved
+	// up a row, and by two on a miss, so that a memo layer downstream misses
+	// with it.
+	src, pos     uint64
 	hits, misses uint64 // calls answered by slide / by a full pass
 }
 
-// shifted reports whether x is the kept input moved up a row: rows [0,H−1)
-// of every channel of x are the kept rows [1,H). The rows are compared as
-// bytes, not as floats: equal bits give equal results, whereas == would take
-// −0 for +0 and refuse a NaN row that did not change. One memequal per
-// channel costs a hundredth of the rows it saves.
-func (m *slideMemo) shifted(x *tensor.Tensor) bool {
-	r := m.in
-	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	if r == nil || r.c != c || r.h != h || r.w != w {
+// newSlideMemo returns an empty memo with a stamp source of its own.
+func newSlideMemo() *slideMemo { return &slideMemo{src: tensor.NewStampSource()} }
+
+// enter reports whether the call on x runs under the memo — x is stamped and
+// no other caller holds the memo — and if so takes the lock, which the caller
+// releases. A nil memo is never entered.
+func (m *slideMemo) enter(x *tensor.Tensor) bool {
+	if m == nil {
 		return false
 	}
-	xf := x.Data()
-	for i := 0; i < c; i++ {
-		if !sameBits(xf[i*h*w:(i+1)*h*w-w], r.channel(i)[w:]) {
-			return false
-		}
-	}
-	return true
+	src, _ := x.Stamp()
+	return src != 0 && m.mu.TryLock()
 }
 
-// slide records x, which shifted has found to be the kept input moved up a
-// row, and next, the last row of every channel of the result that goes with
-// it: m.out then holds that whole result.
-func (m *slideMemo) slide(x *tensor.Tensor, next []float32) {
-	m.in.push(x.Data())
-	m.out.push(next)
+// next reports whether x is the kept input moved up a row: x is stamped
+// (s, n+1) and has the kept shape, where the kept input was stamped (s, n).
+func (m *slideMemo) next(x *tensor.Tensor) bool {
+	src, pos := x.Stamp()
+	return len(m.out) > 0 && src == m.inSrc && pos == m.inPos+1 &&
+		x.Dim(0) == m.c && x.Dim(1) == m.h && x.Dim(2) == m.w
+}
+
+// slide records x, which next has found to be the kept input moved up a row,
+// and last, the new last row of every channel of its answer, and returns the
+// ring that then holds the whole answer.
+func (m *slideMemo) slide(x *tensor.Tensor, last []float32) *rowRing {
+	_, m.inPos = x.Stamp()
+	r := m.ring(m.inPos)
+	r.push(last)
+	m.pos++
 	m.hits++
+	return r
 }
 
-// keep records x and res, the [c,h,w] stride-1 result a full pass computed
-// from it.
-func (m *slideMemo) keep(x *tensor.Tensor, res []float32, c, h, w int) {
-	if m.in == nil {
-		m.in, m.out = new(rowRing), new(rowRing)
+// keep records x, whose answer a full pass computed, and makes room for
+// phases results, which the caller then sets: it returns the ring for x's
+// answer, and ring reaches the others.
+func (m *slideMemo) keep(x *tensor.Tensor, phases int) *rowRing {
+	m.inSrc, m.inPos = x.Stamp()
+	m.c, m.h, m.w = x.Dim(0), x.Dim(1), x.Dim(2)
+	if cap(m.out) < phases {
+		m.out = make([]rowRing, phases)
 	}
-	m.in.set(x.Data(), x.Dim(0), x.Dim(1), x.Dim(2))
-	m.out.set(res, c, h, w)
+	m.out = m.out[:phases]
+	m.pos += 2
 	m.misses++
+	return m.ring(m.inPos)
 }
 
-// drop forgets the kept input and result.
+// ring returns the result kept for the input at position n.
+func (m *slideMemo) ring(n uint64) *rowRing { return &m.out[n%uint64(len(m.out))] }
+
+// stamp stamps out, the answer to the call slide or keep recorded, with the
+// layer's own source.
+func (m *slideMemo) stamp(out *tensor.Tensor) { out.SetStamp(m.src, m.pos) }
+
+// drop forgets the kept results.
 func (m *slideMemo) drop() {
 	m.mu.Lock()
-	m.in, m.out = nil, nil
+	m.out = m.out[:0]
 	m.mu.Unlock()
 }
 
@@ -93,15 +122,14 @@ func (r *rowRing) set(x []float32, c, h, w int) {
 	}
 }
 
-// push moves the kept tensor up a row. x holds the new rows as c equal
-// parts, one per channel, whose last w floats are that channel's new last
-// row: an input of the kept shape, or one row per channel.
-func (r *rowRing) push(x []float32) {
-	part, hw := len(x)/r.c, r.h*r.w
+// push moves the kept tensor up a row. row holds the c new last rows, one
+// per channel.
+func (r *rowRing) push(row []float32) {
+	hw := r.h * r.w
 	for i := 0; i < r.c; i++ {
-		row := x[(i+1)*part-r.w : (i+1)*part]
-		copy(r.data[2*i*hw+(r.s+r.h)*r.w:], row)
-		copy(r.data[2*i*hw+r.s*r.w:], row)
+		next := row[i*r.w : (i+1)*r.w]
+		copy(r.data[2*i*hw+(r.s+r.h)*r.w:], next)
+		copy(r.data[2*i*hw+r.s*r.w:], next)
 	}
 	if r.s++; r.s == r.h {
 		r.s = 0
@@ -112,17 +140,4 @@ func (r *rowRing) push(x []float32) {
 func (r *rowRing) channel(i int) []float32 {
 	at := (2*i*r.h + r.s) * r.w
 	return r.data[at : at+r.h*r.w]
-}
-
-// sameBits reports whether a and b hold the same float32 bit patterns.
-func sameBits(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 {
-		return true
-	}
-	return bytes.Equal(
-		unsafe.Slice((*byte)(unsafe.Pointer(&a[0])), 4*len(a)),
-		unsafe.Slice((*byte)(unsafe.Pointer(&b[0])), 4*len(b)))
 }

@@ -59,9 +59,6 @@ func memoCase(rng *rand.Rand, i int) *Model {
 	}
 }
 
-// eligible reports whether c can reuse anything of an h-row input.
-func eligible(c *Conv2D, h int) bool { return c.SH == 1 && c.PadH == 0 && h > c.KH }
-
 // freshRows overwrites rows [from,h) of every channel of the [c,h,w] input x:
 // normal draws, one in ten of them +0.
 func freshRows(rng *rand.Rand, x []float32, c, h, w, from int) {
@@ -75,134 +72,172 @@ func freshRows(rng *rand.Rand, x []float32, c, h, w, from int) {
 	}
 }
 
-// shiftRows moves every channel of x up by k rows and draws the last k anew.
-func shiftRows(rng *rand.Rand, x []float32, c, h, w, k int) {
-	k = min(k, h)
-	for ic := 0; ic < c; ic++ {
-		copy(x[ic*h*w:], x[(ic*h+k)*w:(ic+1)*h*w])
+// walkStep is what a stream does to a model's input between two calls.
+type walkStep int
+
+const (
+	stepNext      walkStep = iota // the next tick: up a row, stamped one position on
+	stepSkipped                   // a tick skipped: up two rows, two positions on
+	stepRepeat                    // the same input under the same stamp
+	stepSource                    // the next tick's rows under another source's stamp
+	stepUnstamped                 // an unrelated input with no stamp; the stream resumes after it
+	stepShape                     // another shape: a new stream
+)
+
+// memoEnters reports whether layer l runs a stamped input of the given shape
+// under its memo, and whether it then stamps its output.
+func memoEnters(l Layer, shape []int) (enters, stampsOut bool) {
+	switch l := l.(type) {
+	case *Conv2D:
+		return l.memo != nil && shape[1] > l.KH, true
+	case *MaxPool2D:
+		return l.memo != nil && shape[2] == 1 && shape[1] > l.KH, l.SH == 1
 	}
-	freshRows(rng, x, c, h, w, h-k)
+	return false, false
 }
 
-// TestConv2DMemoDifferential is the contract of the sliding-window memo: on
-// any sequence of inputs a layer that has been remembering answers with the
-// bits of a layer that has not. Each case drives one model through a random
-// walk of the things a stream does — the next tick, a skipped tick, the same
-// input again, an old element changed, a +0 turned −0, a NaN row, another
-// shape — inside a Model and from two alternating caller-owned tensors (so a layer that kept the
-// caller's tensor rather than a copy would compare it with itself). The hit
-// counters hold the test to its subject: every next-tick input on an eligible
-// layer must have been answered from the memo.
+// stampedWalk drives m through calls steps of a random stamped walk — the
+// first a new source, then stepNext half the time and each other step a
+// tenth — drawing rows with draw and shapes with reshape, from two
+// alternating caller-owned tensors (so a layer that kept the caller's tensor
+// rather than a copy would be caught when it is overwritten). Every answer
+// must equal, bit for bit, that of fresh layers (freshLayer) that have seen
+// nothing. Every memo layer's counters must show a hit exactly where its
+// input was stamped one position on from the last stamped input it ran under
+// its memo — for the first layer, a stepNext; behind a memo layer, a call
+// that layer answered from its memo and stamped — and a miss at every other
+// stamped input it could run under its memo. It returns the hits and misses.
+func stampedWalk(t *testing.T, seed int64, rng *rand.Rand, m *Model, calls int,
+	draw func(x []float32, c, h, w, from int), reshape func() []int) (hits, misses uint64) {
+	t.Helper()
+	c, h, w := m.InputShape[0], m.InputShape[1], m.InputShape[2]
+	cur := make([]float32, c*h*w)
+	draw(cur, c, h, w, 0)
+	shift := func(k int) {
+		k = min(k, h)
+		for ic := 0; ic < c; ic++ {
+			copy(cur[ic*h*w:], cur[(ic*h+k)*w:(ic+1)*h*w])
+		}
+		draw(cur, c, h, w, h-k)
+	}
+	src, pos := tensor.NewStampSource(), uint64(0)
+	wantHits := make([]uint64, len(m.Layers))
+	wantMisses := make([]uint64, len(m.Layers))
+	ref := &Model{ModelName: "fresh", Layers: make([]Layer, len(m.Layers))}
+	var bufs [2][]float32
+	var p tensor.Pool
+	for call := 0; call < calls; call++ {
+		step := stepSource // the first call starts a stream
+		if r := rng.Intn(10); call > 0 && r < 5 {
+			step = stepNext
+		} else if call > 0 {
+			step = walkStep(r - 4)
+		}
+		in := cur
+		switch step {
+		case stepNext:
+			shift(1)
+			if rng.Intn(8) == 0 { // a NaN row, moving up like any other
+				for j := (h - 1) * w; j < h*w; j++ {
+					cur[j] = float32(math.NaN())
+				}
+			}
+			pos++
+		case stepSkipped:
+			shift(2)
+			pos += 2
+		case stepSource:
+			shift(1)
+			src, pos = tensor.NewStampSource(), 0
+		case stepUnstamped:
+			in = make([]float32, c*h*w)
+			draw(in, c, h, w, 0)
+		case stepShape:
+			m.InputShape = reshape()
+			c, h, w = m.InputShape[0], m.InputShape[1], m.InputShape[2]
+			cur = make([]float32, c*h*w)
+			draw(cur, c, h, w, 0)
+			in, src, pos = cur, tensor.NewStampSource(), 0
+		}
+		buf := append(bufs[call%2][:0], in...)
+		bufs[call%2] = buf
+		x := tensor.FromSlice(buf, c, h, w)
+		if step != stepUnstamped {
+			x.SetStamp(src, pos)
+		}
+		for j, l := range m.Layers {
+			ref.Layers[j] = freshLayer(l)
+		}
+		ref.InputShape = m.InputShape
+		want, err := ref.Forward(x)
+		if err != nil {
+			t.Fatalf("seed %d call %d: fresh model: %v", seed, call, err)
+		}
+		got, err := m.Infer(&p, x)
+		if err != nil {
+			t.Fatalf("seed %d call %d: %v", seed, call, err)
+		}
+		wantSameBits(t, fmt.Sprintf("seed %d call %d (step %d, %s on %v) vs fresh layers", seed, call, step, m.Layers[len(m.Layers)-1].Name(), m.InputShape), got, want)
+		stamped, next := step != stepUnstamped, step == stepNext
+		shape := m.InputShape
+		for j, l := range m.Layers {
+			enters, stampsOut := memoEnters(l, shape)
+			if stamped && enters {
+				if next {
+					wantHits[j]++
+				} else {
+					wantMisses[j]++
+				}
+			}
+			stamped, next = stamped && enters && stampsOut, next && enters && stampsOut
+			shape, _ = l.OutShape(shape)
+		}
+	}
+	for j, l := range m.Layers {
+		lh, lm, ok := MemoCounts(l)
+		if lh != wantHits[j] || lm != wantMisses[j] {
+			t.Errorf("seed %d: layer %d %s (memo %v) counted %d hits and %d misses; the stamps call for %d and %d",
+				seed, j, l.Name(), ok, lh, lm, wantHits[j], wantMisses[j])
+		}
+		hits += lh
+		misses += lm
+	}
+	return hits, misses
+}
+
+// TestConv2DMemoDifferential is the contract of the convolution's
+// sliding-window memo: on any stamped walk (stampedWalk) a layer that has
+// been remembering answers with the bits of a layer that has not, and its
+// memo answers exactly the calls whose stamp says the input moved up one row.
+// The models are single convolutions and chains of two (memoCase).
 func TestConv2DMemoDifferential(t *testing.T) {
 	const cases, callsPerCase = 360, 30
 	var calls, hits, misses, chained uint64
-	var p tensor.Pool
 	for i := 0; i < cases; i++ {
 		seed := int64(4300 + i)
 		rng := rand.New(rand.NewSource(seed))
 		m := memoCase(rng, i)
-		convs := make([]*Conv2D, len(m.Layers))
-		ref := &Model{ModelName: "fresh", Layers: make([]Layer, len(m.Layers))}
-		for j, l := range m.Layers {
-			convs[j] = l.(*Conv2D)
-		}
-		chained += uint64(len(convs) - 1)
-		c, h, w := m.InputShape[0], m.InputShape[1], m.InputShape[2]
-		cur := make([]float32, c*h*w)
-		freshRows(rng, cur, c, h, w, 0)
-		// nextTick[j] counts the calls layer j must have answered from its
-		// memo; armed whether the first layer ever saw a row it could reuse.
-		nextTick := make([]uint64, len(convs))
-		armed := false
-		var bufs [2][]float32
-		for call := 0; call < callsPerCase; call++ {
-			pure := false
-			switch op := rng.Intn(12); {
-			case call == 0:
-			case op == 5: // a tick skipped
-				shiftRows(rng, cur, c, h, w, 2)
-			case op == 6: // the same input again
-			case op == 7 && h > 1: // the next tick, one old element changed
-				shiftRows(rng, cur, c, h, w, 1)
-				at := rng.Intn(c)*h*w + rng.Intn((h-1)*w)
-				cur[at] = math.Float32frombits(math.Float32bits(cur[at]) ^ 1)
-			case op == 8 && h > 1: // the next tick, an old +0 now −0
-				shiftRows(rng, cur, c, h, w, 1)
-				pure = true // unless a +0 is found to flip
-				for at := 0; at < (h-1)*w && pure; at++ {
-					if math.Float32bits(cur[at]) == 0 {
-						cur[at] = float32(math.Copysign(0, -1))
-						pure = false
-					}
-				}
-			case op == 9: // the next tick is a NaN row, then moves up like any other
-				shiftRows(rng, cur, c, h, w, 1)
-				for j := (h - 1) * w; j < h*w; j++ {
-					cur[j] = float32(math.NaN())
-				}
-				pure = true
-			case op == 10: // another shape
-				for {
-					h2, w2 := max(1, h-2+rng.Intn(5)), max(1, w-2+rng.Intn(5))
-					m.InputShape = []int{c, h2, w2}
-					if _, err := m.Validate(); err == nil && (h2 != h || w2 != w) {
-						h, w = h2, w2
-						break
-					}
-				}
-				cur = make([]float32, c*h*w)
-				freshRows(rng, cur, c, h, w, 0)
-			default: // the next tick
-				shiftRows(rng, cur, c, h, w, 1)
-				pure = true
-			}
-			buf := append(bufs[call%2][:0], cur...)
-			bufs[call%2] = buf
-			x := tensor.FromSlice(buf, c, h, w)
-			for j, cv := range convs {
-				ref.Layers[j] = cloneConv(cv)
-			}
-			ref.InputShape = m.InputShape
-			want, err := ref.Forward(x)
-			if err != nil {
-				t.Fatalf("seed %d call %d: fresh model: %v", seed, call, err)
-			}
-			got, err := m.Infer(&p, x)
-			if err != nil {
-				t.Fatalf("seed %d call %d: %v", seed, call, err)
-			}
-			wantSameBits(t, fmt.Sprintf("seed %d call %d (%s on %v) vs a fresh layer", seed, call, convs[0].Name(), m.InputShape), got, want)
-			calls++
-			armed = armed || eligible(convs[0], h)
-			rows := h
-			for j, cv := range convs {
-				if pure && eligible(cv, rows) {
-					nextTick[j]++
-				}
-				pure = pure && eligible(cv, rows) // a full pass of a strided or padded layer is no shift
-				rows = outDim(rows, cv.KH, cv.SH, cv.PadH)
+		for _, l := range m.Layers {
+			if c := l.(*Conv2D); (c.SH != 1 || c.PadH != 0) != (c.memo == nil) {
+				t.Errorf("seed %d: %s has memo %v", seed, c.Name(), c.memo != nil)
 			}
 		}
-		for j, cv := range convs {
-			if cv.SH != 1 || cv.PadH != 0 {
-				if cv.memo != nil {
-					t.Errorf("seed %d: %s strides or pads in H and has a memo", seed, cv.Name())
+		chained += uint64(len(m.Layers) - 1)
+		reshape := func() []int {
+			c, h, w := m.InputShape[0], m.InputShape[1], m.InputShape[2]
+			for {
+				h2, w2 := max(1, h-2+rng.Intn(5)), max(1, w-2+rng.Intn(5))
+				shape := []int{c, h2, w2}
+				if _, err := (&Model{Layers: m.Layers, InputShape: shape}).Validate(); err == nil && (h2 != h || w2 != w) {
+					return shape
 				}
-				continue
 			}
-			if j == 0 && !armed && cv.memo.in != nil {
-				t.Errorf("seed %d: %s never saw H > KH and kept an input", seed, cv.Name())
-			}
-			if cv.memo.hits < nextTick[j] {
-				t.Errorf("seed %d: layer %d %s answered %d calls from its memo, %d were the last input moved up a row",
-					seed, j, cv.Name(), cv.memo.hits, nextTick[j])
-			}
-			if got := cv.memo.hits + cv.memo.misses; got > callsPerCase {
-				t.Errorf("seed %d: layer %d counted %d calls of %d", seed, j, got, callsPerCase)
-			}
-			hits += cv.memo.hits
-			misses += cv.memo.misses
 		}
+		draw := func(x []float32, c, h, w, from int) { freshRows(rng, x, c, h, w, from) }
+		lh, lm := stampedWalk(t, seed, rng, m, callsPerCase, draw, reshape)
+		calls += callsPerCase
+		hits += lh
+		misses += lm
 	}
 	t.Logf("%d calls, %d chained layers; memo hits %d, misses %d", calls, chained, hits, misses)
 	if calls < 10000 || hits < calls/4 || misses < calls/8 || chained < cases/6 {
@@ -270,131 +305,42 @@ func poolRows(rng *rand.Rand, x []float32, c, h, w, from int) {
 }
 
 // TestMaxPool2DMemoDifferential is TestConv2DMemoDifferential for the pool's
-// memo: over the same random walk of stream events — the next tick, a skipped
-// tick, a repeat, an old element changed, a +0 turned −0, a NaN row, another
-// shape (channels and height, and now and then a second column, which the
-// memo does not follow) — a model whose pools have been remembering answers
-// with the bits of one whose layers have not, from two alternating
-// caller-owned tensors. MemoCounts holds it to its subject: every
-// next-tick input a pool could reuse a row of was answered from the memo.
+// memo, on pools alone, behind a full-width convolution (conv → pool, as in
+// SizedCNN) and in front of a second pool (poolCase), with rows drawn to hold
+// ties, ±0 and NaNs (poolRows). The walk's new shapes change channels and
+// height, and now and then give a pool alone a second column, which the memo
+// does not follow.
 func TestMaxPool2DMemoDifferential(t *testing.T) {
 	const cases, callsPerCase = 300, 30
 	var calls, hits, misses uint64
-	var p tensor.Pool
 	for i := 0; i < cases; i++ {
 		seed := int64(5300 + i)
 		rng := rand.New(rand.NewSource(seed))
 		m := poolCase(rng, i)
 		_, convFirst := m.Layers[0].(*Conv2D)
-		ref := &Model{ModelName: "fresh", Layers: make([]Layer, len(m.Layers))}
-		c, h, w := m.InputShape[0], m.InputShape[1], m.InputShape[2]
-		cur := make([]float32, c*h*w)
-		poolRows(rng, cur, c, h, w, 0)
-		shift := func(k int) {
-			k = min(k, h)
-			for ic := 0; ic < c; ic++ {
-				copy(cur[ic*h*w:], cur[(ic*h+k)*w:(ic+1)*h*w])
-			}
-			poolRows(rng, cur, c, h, w, h-k)
-		}
-		nextTick := make([]uint64, len(m.Layers))
-		var bufs [2][]float32
-		for call := 0; call < callsPerCase; call++ {
-			pure := false
-			switch op := rng.Intn(12); {
-			case call == 0:
-			case op == 5: // a tick skipped
-				shift(2)
-			case op == 6: // the same input again
-			case op == 7 && h > 1: // the next tick, one old element changed
-				shift(1)
-				at := rng.Intn(c)*h*w + rng.Intn((h-1)*w)
-				cur[at] = math.Float32frombits(math.Float32bits(cur[at]) ^ 1)
-			case op == 8 && h > 1: // the next tick, an old +0 now −0
-				shift(1)
-				pure = true // unless a +0 is found to flip
-				for at := 0; at < (h-1)*w && pure; at++ {
-					if math.Float32bits(cur[at]) == 0 {
-						cur[at] = float32(math.Copysign(0, -1))
-						pure = false
+		reshape := func() []int {
+			c, h, w := m.InputShape[0], m.InputShape[1], m.InputShape[2]
+			for {
+				c2, h2, w2 := c, max(1, h-3+rng.Intn(7)), w
+				if !convFirst {
+					c2 = max(1, c-1+rng.Intn(3))
+					if w2 = 1; rng.Intn(4) == 0 {
+						w2 = 2
 					}
 				}
-			case op == 9: // the next tick is a NaN row, then moves up like any other
-				shift(1)
-				for j := (h - 1) * w; j < h*w; j++ {
-					cur[j] = float32(math.NaN())
+				shape := []int{c2, h2, w2}
+				if _, err := (&Model{Layers: m.Layers, InputShape: shape}).Validate(); err == nil && (c2 != c || h2 != h || w2 != w) {
+					return shape
 				}
-				pure = true
-			case op == 10: // another shape
-				for {
-					c2, h2, w2 := c, max(1, h-3+rng.Intn(7)), w
-					if !convFirst {
-						c2 = max(1, c-1+rng.Intn(3))
-						if w2 = 1; rng.Intn(4) == 0 {
-							w2 = 2
-						}
-					}
-					m.InputShape = []int{c2, h2, w2}
-					if _, err := m.Validate(); err == nil && (c2 != c || h2 != h || w2 != w) {
-						c, h, w = c2, h2, w2
-						break
-					}
-				}
-				cur = make([]float32, c*h*w)
-				poolRows(rng, cur, c, h, w, 0)
-			default: // the next tick
-				shift(1)
-				pure = true
-			}
-			buf := append(bufs[call%2][:0], cur...)
-			bufs[call%2] = buf
-			x := tensor.FromSlice(buf, c, h, w)
-			for j, l := range m.Layers {
-				ref.Layers[j] = freshLayer(l)
-			}
-			ref.InputShape = m.InputShape
-			want, err := ref.Forward(x)
-			if err != nil {
-				t.Fatalf("seed %d call %d: fresh model: %v", seed, call, err)
-			}
-			got, err := m.Infer(&p, x)
-			if err != nil {
-				t.Fatalf("seed %d call %d: %v", seed, call, err)
-			}
-			wantSameBits(t, fmt.Sprintf("seed %d call %d (%s on %v) vs fresh layers", seed, call, m.Layers[len(m.Layers)-1].Name(), m.InputShape), got, want)
-			calls++
-			// A layer's output is its input moved up a row when the input was
-			// and the layer is stride 1 in H; the convolution never pads.
-			shape := m.InputShape
-			for j, l := range m.Layers {
-				mp, isPool := l.(*MaxPool2D)
-				if pure && isPool && shape[2] == 1 && shape[1] > mp.KH {
-					nextTick[j]++
-				}
-				pure = pure && (!isPool || mp.SH == 1)
-				shape, _ = l.OutShape(shape)
 			}
 		}
-		for j, l := range m.Layers {
-			if _, isPool := l.(*MaxPool2D); !isPool {
-				continue
-			}
-			lh, lm, ok := MemoCounts(l)
-			if !ok {
-				t.Fatalf("seed %d: %s keeps no memo", seed, l.Name())
-			}
-			if lh < nextTick[j] {
-				t.Errorf("seed %d: layer %d %s answered %d calls from its memo, %d were the last input moved up a row",
-					seed, j, l.Name(), lh, nextTick[j])
-			}
-			if lh+lm > callsPerCase {
-				t.Errorf("seed %d: layer %d counted %d calls of %d", seed, j, lh+lm, callsPerCase)
-			}
-			hits += lh
-			misses += lm
-		}
+		draw := func(x []float32, c, h, w, from int) { poolRows(rng, x, c, h, w, from) }
+		lh, lm := stampedWalk(t, seed, rng, m, callsPerCase, draw, reshape)
+		calls += callsPerCase
+		hits += lh
+		misses += lm
 	}
-	t.Logf("%d calls; pool memo hits %d, misses %d", calls, hits, misses)
+	t.Logf("%d calls; memo hits %d, misses %d", calls, hits, misses)
 	if calls < 9000 || hits < calls/4 || misses < calls/8 {
 		t.Errorf("sweep too thin: %d calls, %d hits, %d misses", calls, hits, misses)
 	}
@@ -439,11 +385,13 @@ func TestConv2DMemoDroppedWithWeights(t *testing.T) {
 }
 
 // TestSharedModelTwoStreams is what serve.New does with a tier ladder: one
-// *Model answers two pipelines on two lanes. The layers' memos — the first
-// convolution's and the max-pool's — must neither mix the streams up nor make
-// one lane wait for the other — under -race, nor be touched by both at once.
+// *Model answers two pipelines on two lanes, each lending windows stamped by
+// a source of its own. The layers' memos — the first convolution's and the
+// max-pool's — must neither mix the streams up nor make one lane wait for the
+// other — under -race, nor be touched by both at once. A model on its own
+// stream answers all but its first call from both memos.
 func TestSharedModelTwoStreams(t *testing.T) {
-	const ticks = 96
+	const ticks, rounds = 96, 3
 	rng := rand.New(rand.NewSource(48))
 	shared := NewSizedCNN("shared", 8, 0)
 	type answer struct {
@@ -455,16 +403,16 @@ func TestSharedModelTwoStreams(t *testing.T) {
 	for s := range streams {
 		streams[s] = slidingInputs(rng, shared.InputShape, ticks)
 		alone := NewSizedCNN("shared", 8, 0) // same spec, so the same weights
-		for _, x := range streams[s] {
-			dir, conf, err := alone.Predict(x)
+		for i := 0; i < rounds*ticks; i++ {
+			dir, conf, err := alone.Predict(slide(streams[s], i))
 			if err != nil {
 				t.Fatal(err)
 			}
 			want[s] = append(want[s], answer{dir, conf})
 		}
 		for _, l := range alone.Layers[:2] {
-			if hits, misses, _ := MemoCounts(l); hits != ticks-1 || misses != 1 {
-				t.Fatalf("%s on its own stream: %d hits, %d misses; want %d and 1", l.Name(), hits, misses, ticks-1)
+			if hits, misses, _ := MemoCounts(l); hits != rounds*ticks-1 || misses != 1 {
+				t.Fatalf("%s on its own stream: %d hits, %d misses; want %d and 1", l.Name(), hits, misses, rounds*ticks-1)
 			}
 		}
 	}
@@ -473,25 +421,73 @@ func TestSharedModelTwoStreams(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for round := 0; round < 3; round++ {
-				for i, x := range streams[s] {
-					dir, conf, err := shared.Predict(x)
-					if err != nil {
-						t.Errorf("stream %d tick %d: %v", s, i, err)
-						return
-					}
-					if w := want[s][i]; dir != w.dir || math.Float32bits(conf) != math.Float32bits(w.conf) {
-						t.Errorf("stream %d tick %d: %v %v, the model on its own answers %v %v", s, i, dir, conf, w.dir, w.conf)
-						return
-					}
+			for i := 0; i < rounds*ticks; i++ {
+				dir, conf, err := shared.Predict(slide(streams[s], i))
+				if err != nil {
+					t.Errorf("stream %d tick %d: %v", s, i, err)
+					return
+				}
+				if w := want[s][i]; dir != w.dir || math.Float32bits(conf) != math.Float32bits(w.conf) {
+					t.Errorf("stream %d tick %d: %v %v, the model on its own answers %v %v", s, i, dir, conf, w.dir, w.conf)
+					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
 	for _, l := range shared.Layers[:2] {
-		if hits, misses, ok := MemoCounts(l); !ok || hits+misses == 0 {
-			t.Errorf("%s: its memo never ran (%d hits, %d misses, ok %v)", l.Name(), hits, misses, ok)
+		if hits, misses, ok := MemoCounts(l); !ok || hits+misses == 0 || hits+misses > 2*rounds*ticks {
+			t.Errorf("%s: %d hits, %d misses (memo %v) over %d calls", l.Name(), hits, misses, ok, 2*rounds*ticks)
 		}
+	}
+}
+
+// TestLayersLeaveInputAlone holds every layer to the precondition the stream
+// stamps rest on: no layer writes its input. The offload engine lends the
+// model its own window, and a memo trusts that the window stamped n+1 is the
+// one stamped n moved up a row — true only if nothing downstream wrote it.
+// For every paper preset, every ladder rung and SizedCNN(8,0), on a stamped
+// stream (so the memos' hit paths run) and then on an unstamped input,
+// Predict leaves its input's bits as they were, and so does every layer of
+// Infer's chain — each Inception branch's layers included — to its own input.
+func TestLayersLeaveInputAlone(t *testing.T) {
+	models := func() []*Model {
+		return append(append(BenchmarkModels(), ComplexityLadder()...), NewSizedCNN("SizedCNN-8-0", 8, 0))
+	}
+	rng := rand.New(rand.NewSource(33))
+	var p tensor.Pool
+	for i, walked := range models() {
+		predicted := models()[i]
+		xs := slidingInputs(rng, walked.InputShape, 3)
+		for j, x := range append(xs, xs[2].Clone()) {
+			tag := fmt.Sprintf("%s input %d", walked.Name(), j)
+			before := x.Clone()
+			if _, _, err := predicted.Predict(x); err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if !sameBits(before.Data(), x.Data()) {
+				t.Fatalf("%s: Predict wrote its input", tag)
+			}
+			p.Reset()
+			leavesInput(t, tag, &p, walked.Layers, x)
+		}
+	}
+}
+
+// leavesInput runs layers as Infer does, failing if one writes its input.
+func leavesInput(t *testing.T, tag string, p *tensor.Pool, layers []Layer, x *tensor.Tensor) {
+	t.Helper()
+	for i, l := range layers {
+		if in, ok := l.(*Inception); ok {
+			for b, branch := range in.Branches {
+				leavesInput(t, fmt.Sprintf("%s layer %d branch %d", tag, i, b), p, branch, x)
+			}
+		}
+		before := x.Clone()
+		out := l.ForwardCtx(p, x)
+		if !sameBits(before.Data(), x.Data()) {
+			t.Fatalf("%s: layer %d %s wrote its input", tag, i, l.Name())
+		}
+		x = out
 	}
 }

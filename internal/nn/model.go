@@ -114,13 +114,16 @@ var inferPools = sync.Pool{New: func() any { return new(tensor.Pool) }}
 //
 // A model instance follows one stream at a time: its unpadded stride-1
 // convolutions and its max-pools over a single column remember their last
-// input and compute only the one output row (for a pool, the one window per
-// channel) a new input moved up a row does not share with it (see
-// Conv2D.ForwardCtx and MaxPool2D.ForwardCtx), so the feature maps of one
-// instrument, each the last moved up a row, cost a fraction of a full pass.
-// The answer never depends on what was remembered. Predict is still safe for
+// answer and, when x's stream stamp says it is the last input moved up a row
+// (tensor.SetStamp; the offload engine's lent window carries one), compute
+// only the one output row (for a pool, the one window per channel) the two
+// do not share (see Conv2D.ForwardCtx and MaxPool2D.ForwardCtx), so the
+// feature maps of one instrument cost a fraction of a full pass. An
+// unstamped x runs every pass in full. Predict never writes x, and the
+// answer never depends on what was remembered. Predict is still safe for
 // concurrent use, and a model shared across instruments is still correct —
-// it just finds nothing to reuse and runs every pass in full.
+// their stamps alternate, so it finds nothing to reuse and runs every pass
+// in full.
 func (m *Model) Predict(x *tensor.Tensor) (Direction, float32, error) {
 	p := inferPools.Get().(*tensor.Pool)
 	defer inferPools.Put(p)

@@ -3,12 +3,12 @@ package nn_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"lighttrader/internal/core"
 	"lighttrader/internal/exchange"
-	"lighttrader/internal/feed"
 	"lighttrader/internal/lob"
 	"lighttrader/internal/nn"
 	"lighttrader/internal/offload"
@@ -17,118 +17,210 @@ import (
 	"lighttrader/internal/trading"
 )
 
-// streamTicks is one instrument's scenario stream, a recovery snapshot at
-// every scenario-second.
-func streamTicks(t *testing.T, seed int64) []feed.Tick {
+// answer is one inference result as the signal hook sees it, the confidence
+// as bits.
+type answer struct {
+	dir  nn.Direction
+	conf uint32
+}
+
+// streamRun is one pipeline over a stretch of a scenario, recording what it
+// answered and ordered.
+type streamRun struct {
+	p       *core.Pipeline
+	answers []answer
+	orders  []exchange.Request
+}
+
+// newStreamRun builds a pipeline for the scenarios' standard instrument
+// around model; predict, when set, replaces the model's forward pass.
+func newStreamRun(t *testing.T, model *nn.Model, norm offload.Normalizer, predict func(*tensor.Tensor) (nn.Direction, float32, error)) *streamRun {
 	t.Helper()
-	phases := make([]scenario.Phase, 3)
-	for i := range phases {
-		phases[i] = scenario.Phase{
-			Name: fmt.Sprintf("steady-%d", i), DurationSecs: 1, SnapshotOnEnter: true,
-			Arrivals: scenario.ArrivalSpec{RateHz: 170},
-		}
-	}
-	src, err := scenario.New("memo-stream", scenario.Script{
-		Instruments: []scenario.Instrument{{SecurityID: 1, Symbol: "ESU6", MidPrice: 450000, DepthPerLevel: 50}},
-		Phases:      phases,
-	}, seed)
+	tcfg := trading.DefaultConfig(1)
+	tcfg.MinConfidence = 0
+	p, err := core.NewPipeline("ESU6", 1, model, norm, tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return src.Ticks()
+	r := &streamRun{p: p}
+	if predict != nil {
+		p.SetPredictor(predict)
+	}
+	p.SetSignalHook(func(ev core.SignalEvent) {
+		r.answers = append(r.answers, answer{ev.Action, math.Float32bits(ev.Confidence)})
+	})
+	return r
 }
 
-// TestStreamedModelMatchesFreshModel: on the feature maps the offload engine
-// makes of a live stream — each the last moved up a row — a model that
-// follows the stream answers, tick for tick and bit for bit, what a model
-// built for that one tick answers, straight off the engine and through
-// core.Pipeline (decision log and orders); and its first convolution
-// answered all but the first of them from its memo.
-func TestStreamedModelMatchesFreshModel(t *testing.T) {
-	ticks := streamTicks(t, 61)
-	snaps := make([]lob.Snapshot, len(ticks))
-	for i := range ticks {
-		snaps[i] = ticks[i].Snapshot
-	}
-	norm := offload.Calibrate(snaps)
-	// VanillaCNN costs twenty SizedCNN(8,0)s a tick and is built anew for
-	// every one: it gets the stream up to just past the second snapshot.
-	for _, tc := range []struct {
-		build func() *nn.Model
-		ticks int
-	}{
-		{func() *nn.Model { return nn.NewSizedCNN("SizedCNN-8-0", 8, 0) }, len(ticks)},
-		{nn.NewVanillaCNN, 240},
-	} {
-		build, ticks, snaps := tc.build, ticks[:tc.ticks], snaps[:tc.ticks]
-		streamed := build()
-		eng := offload.NewEngine(norm, 4)
-		inferences := 0
-		for i := range snaps {
-			eng.Push(snaps[i])
-			for in, ok := eng.Pop(); ok; in, ok = eng.Pop() {
-				dir, conf, err := streamed.Predict(in.Tensor)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wdir, wconf, err := build().Predict(in.Tensor)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dir != wdir || math.Float32bits(conf) != math.Float32bits(wconf) {
-					t.Fatalf("%s tick %d: %v %v, a fresh model answers %v %v", streamed.Name(), i, dir, conf, wdir, wconf)
-				}
-				eng.Recycle(in.Tensor)
-				inferences++
-			}
-		}
-		checkHitShare(t, streamed, inferences)
-
-		tcfg := trading.DefaultConfig(1)
-		tcfg.MinConfidence = 0
-		streamed = build()
-		var pipes [2]*core.Pipeline
-		for i := range pipes {
-			p, err := core.NewPipeline("ESU6", 1, streamed, norm, tcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pipes[i] = p
-		}
-		pipes[1].SetPredictor(func(x *tensor.Tensor) (nn.Direction, float32, error) { return build().Predict(x) })
-		var orders [2][]exchange.Request
-		for _, tk := range ticks {
-			for i, p := range pipes {
-				reqs, err := p.OnPacket(tk.Packet)
-				if err != nil {
-					t.Fatal(err)
-				}
-				orders[i] = append(orders[i], reqs...)
-			}
-		}
-		if pipes[0].Inferences() == 0 || len(orders[0]) == 0 {
-			t.Fatalf("%s: %d inferences, %d orders", streamed.Name(), pipes[0].Inferences(), len(orders[0]))
-		}
-		if !reflect.DeepEqual(pipes[0].Trader().Decisions(), pipes[1].Trader().Decisions()) {
-			t.Errorf("%s: decision logs differ", streamed.Name())
-		}
-		if !reflect.DeepEqual(orders[0], orders[1]) {
-			t.Errorf("%s: order streams differ", streamed.Name())
-		}
-		checkHitShare(t, streamed, pipes[0].Inferences())
-	}
-}
-
-// checkHitShare holds m's first layer — the convolution the feature map goes
-// into — to having answered at least 99 % of the calls from its memo.
-func checkHitShare(t *testing.T, m *nn.Model, calls int) {
+// feed runs one packet through the pipeline.
+func (r *streamRun) feed(t *testing.T, pkt []byte) {
 	t.Helper()
-	hits, misses, ok := nn.MemoCounts(m.Layers[0])
-	if !ok || hits+misses != uint64(calls) {
-		t.Fatalf("%s: first layer %s counted %d+%d calls (memo %v), the stream made %d",
-			m.Name(), m.Layers[0].Name(), hits, misses, ok, calls)
+	reqs, err := r.p.OnPacket(pkt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if float64(hits) < 0.99*float64(calls) {
-		t.Errorf("%s: %d of %d calls answered from the memo, want ≥ 99 %%", m.Name(), hits, calls)
+	r.orders = append(r.orders, reqs...)
+}
+
+// matches fails unless r answered and ordered exactly what ref did, and
+// made at least min inferences.
+func (r *streamRun) matches(t *testing.T, tag string, ref *streamRun, min int) {
+	t.Helper()
+	if len(r.answers) < min || len(r.answers) != len(ref.answers) {
+		t.Fatalf("%s: %d answers, a model that remembers nothing gave %d (want ≥ %d)", tag, len(r.answers), len(ref.answers), min)
 	}
+	for i, a := range r.answers {
+		if a != ref.answers[i] {
+			t.Fatalf("%s: inference %d answered %v %#08x, a model that remembers nothing %v %#08x",
+				tag, i, a.dir, a.conf, ref.answers[i].dir, ref.answers[i].conf)
+		}
+	}
+	if !reflect.DeepEqual(r.orders, ref.orders) || !reflect.DeepEqual(r.p.Trader().Decisions(), ref.p.Trader().Decisions()) {
+		t.Fatalf("%s: orders or decision logs differ from the reference's", tag)
+	}
+}
+
+// forgetful answers as a model that remembers nothing: it hands m unstamped
+// copies of the window, which every memo runs beside (tensor.SetStamp), so
+// each answer is the full pass a freshly built m would make.
+func forgetful(m *nn.Model) func(*tensor.Tensor) (nn.Direction, float32, error) {
+	return func(x *tensor.Tensor) (nn.Direction, float32, error) { return m.Predict(x.Clone()) }
+}
+
+// checkHitShare holds layers [0,2) of m — the convolution the feature map
+// goes into and the pool behind it — to having run every one of calls under
+// their memos and answered at least 99 % of them from it.
+func checkHitShare(t *testing.T, tag string, m *nn.Model, calls int) {
+	t.Helper()
+	for _, l := range m.Layers[:2] {
+		hits, misses, ok := nn.MemoCounts(l)
+		if !ok || hits+misses != uint64(calls) {
+			t.Fatalf("%s: %s counted %d+%d calls (memo %v), the stream made %d", tag, l.Name(), hits, misses, ok, calls)
+		}
+		if float64(hits) < 0.99*float64(calls) {
+			t.Errorf("%s: %s answered %d of %d calls from its memo, want ≥ 99 %%", tag, l.Name(), hits, calls)
+		}
+	}
+}
+
+// streamStretch returns up to n packets of the named registry scenario at
+// seed, from an offset the seed draws, and a normaliser calibrated on the
+// scenario's books.
+func streamStretch(t *testing.T, name string, seed int64, n int) ([][]byte, offload.Normalizer) {
+	t.Helper()
+	src, err := scenario.ByName(name, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks := src.Ticks()
+	snaps := make([]lob.Snapshot, len(ticks))
+	pkts := make([][]byte, len(ticks))
+	for i := range ticks {
+		snaps[i], pkts[i] = ticks[i].Snapshot, ticks[i].Packet
+	}
+	if len(pkts) > n {
+		at := rand.New(rand.NewSource(seed)).Intn(len(pkts) - n)
+		pkts = pkts[at : at+n]
+	}
+	return pkts, offload.Calibrate(snaps)
+}
+
+// TestStreamedModelMatchesFreshModel: on every registry scenario at two
+// seeds, through core.Pipeline — the offload engine lending each window
+// stamped as the last moved up a row — a model that follows the stream
+// answers, inference for inference and bit for bit, what a model that
+// remembers nothing answers (forgetful), and orders the same. Three
+// arrangements run on each stretch:
+//   - own: one model per pipeline; its convolution and pool answer ≥ 99 % of
+//     the calls from their memos;
+//   - shared: one model behind two pipelines fed the same packets, whose
+//     windows' stamps therefore alternate between two sources and always
+//     miss;
+//   - ladder: a primary model and a cheap rung that crops the window
+//     (nn.WindowCrop), switched every k inferences; the crop passes the
+//     stamp on, so the cheap rung's memos hit within its stretches too.
+//
+// Each stretch is a subtest named by scenario and seed, so a failure replays
+// with go test -run 'TestStreamedModelMatchesFreshModel/<scenario>/seed=<n>'.
+// VanillaCNN, twenty SizedCNN(8,0)s a tick, runs the own arrangement on one
+// shorter stretch.
+func TestStreamedModelMatchesFreshModel(t *testing.T) {
+	sized := func() *nn.Model { return nn.NewSizedCNN("SizedCNN-8-0", 8, 0) }
+	cheap := func() *nn.Model {
+		s := nn.SizedCNNSpec("SizedCNN-8-0-lb40", 8, 0)
+		s.Lookback = 40
+		return nn.MustBuildZoo(s)
+	}
+	for i, name := range scenario.Names() {
+		for _, seed := range []int64{int64(61 + 2*i), int64(1061 + 2*i)} {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				t.Logf("scenario %s, seed %d", name, seed)
+				pkts, norm := streamStretch(t, name, seed, 700)
+				ref := newStreamRun(t, nil, norm, forgetful(sized()))
+
+				own := newStreamRun(t, sized(), norm, nil)
+				sharedModel := sized()
+				shared := [2]*streamRun{newStreamRun(t, sharedModel, norm, nil), newStreamRun(t, sharedModel, norm, nil)}
+
+				k := 3 + rand.New(rand.NewSource(seed)).Intn(14)
+				rungs := [2]*nn.Model{sized(), cheap()}
+				ladder := newStreamRun(t, rungs[0], norm, nil)
+				ladder.p.SetModelLadder(rungs[1:])
+				refRungs := [2]*nn.Model{sized(), cheap()}
+				tier, lastTier := 0, -1
+				ladderRef := newStreamRun(t, nil, norm, func(x *tensor.Tensor) (nn.Direction, float32, error) {
+					return forgetful(refRungs[tier])(x)
+				})
+				var calls, stretches [2]uint64 // per rung: inferences, and runs of them unbroken by the other rung
+				for _, pkt := range pkts {
+					tier = ladder.p.Inferences() / k % 2
+					ladder.p.SetActiveTier(tier)
+					before := ladder.p.Inferences()
+					for _, r := range []*streamRun{ref, own, shared[0], shared[1], ladder, ladderRef} {
+						r.feed(t, pkt)
+					}
+					if n := ladder.p.Inferences() - before; n > 0 {
+						calls[tier] += uint64(n)
+						if tier != lastTier {
+							stretches[tier]++
+						}
+						lastTier = tier
+					}
+				}
+				own.matches(t, "own", ref, 100)
+				checkHitShare(t, "own", own.p.Model(), own.p.Inferences())
+				for s, r := range shared {
+					r.matches(t, fmt.Sprintf("shared/%d", s), ref, 100)
+				}
+				for _, l := range sharedModel.Layers[:2] {
+					if hits, misses, _ := nn.MemoCounts(l); hits != 0 || misses != uint64(2*ref.p.Inferences()) {
+						t.Errorf("shared: %s counted %d hits and %d misses over two alternating streams of %d",
+							l.Name(), hits, misses, ref.p.Inferences())
+					}
+				}
+				ladder.matches(t, fmt.Sprintf("ladder/k=%d", k), ladderRef, 100)
+				// The memo layers: the primary's first two, the cheap rung's two behind its crop.
+				for r, layers := range [2][]nn.Layer{rungs[0].Layers[0:2], rungs[1].Layers[1:3]} {
+					for _, l := range layers {
+						hits, misses, _ := nn.MemoCounts(l)
+						if hits != calls[r]-stretches[r] || misses != stretches[r] {
+							t.Errorf("ladder/k=%d: rung %d's %s counted %d hits and %d misses; it ran %d times in %d stretches",
+								k, r, l.Name(), hits, misses, calls[r], stretches[r])
+						}
+					}
+				}
+			})
+		}
+	}
+	t.Run("VanillaCNN", func(t *testing.T) {
+		pkts, norm := streamStretch(t, "trading-day", 61, 340)
+		ref := newStreamRun(t, nil, norm, forgetful(nn.NewVanillaCNN()))
+		own := newStreamRun(t, nn.NewVanillaCNN(), norm, nil)
+		for _, pkt := range pkts {
+			ref.feed(t, pkt)
+			own.feed(t, pkt)
+		}
+		own.matches(t, "own", ref, 200)
+		checkHitShare(t, "own", own.p.Model(), own.p.Inferences())
+	})
 }

@@ -2,8 +2,8 @@
 // it converts limit-order-book snapshots into BF16 feature vectors,
 // Z-score-normalises them against statistics profiled from historical
 // data, stacks the most recent Window vectors into the two-dimensional
-// input feature map the DNN models consume, and manages stale tensors so
-// feature-map generation needs minimal storage.
+// input feature map the DNN models consume — lent in place, stamped with its
+// stream position — so feature-map generation copies nothing per tick.
 package offload
 
 import (
@@ -59,8 +59,8 @@ func (n *Normalizer) Apply(f *[nn.Features]float64) {
 	}
 }
 
-// InputTensor is a ready-to-offload feature map with its creation time for
-// stale-tensor management.
+// InputTensor is a feature map the consumer owns, with the time of the
+// snapshot that completed it.
 type InputTensor struct {
 	TimeNanos int64
 	Tensor    *tensor.Tensor // [1, Window, Features], BF16-rounded
@@ -72,48 +72,52 @@ type Engine struct {
 	// ring stores the most recent Window feature vectors doubled: every
 	// vector is written at slot h and h+Window, so the current window is
 	// always the contiguous run ring[head·F : (head+Window)·F] oldest row
-	// first, and buildTensor is a single memcpy instead of Window wrapped
-	// row copies.
+	// first, and lending it (Window) copies nothing.
 	ring  []float32 // flat, 2·Window·Features
 	head  int       // next write slot, in [0, Window)
 	count int
-	// pending is the ready-tensor FIFO of Fig. 5, a fixed circular buffer:
-	// pushes and pops move indices instead of reslicing, so the steady
-	// state touches no allocator.
-	pending  []InputTensor // cap maxPend, allocated once
-	pendHead int
-	pendLen  int
-	maxPend  int
-	dropped  int
-	// free is the stale-tensor freelist: retired feature maps (consumed by
-	// inference or evicted as stale) are reused by buildTensor, so
-	// steady-state feature-map generation allocates nothing.
-	free []*tensor.Tensor
+	// views[h] is the [1,Window,Features] tensor over the window that starts
+	// at slot h, so Window allocates nothing either.
+	views [nn.Window]*tensor.Tensor
+	// src and pushes are the window's stream stamp: one source per engine,
+	// and a position that advances by one with every Push, which moves the
+	// window up a row.
+	src, pushes uint64
+	last        int64 // TimeNanos of the last Push
+	popped      bool  // Pop has copied the current window
+	// free is the freelist Pop draws its copies from: feature maps the
+	// consumer has Recycled, at most maxFree of them.
+	free    []*tensor.Tensor
+	maxFree int
 }
 
-// NewEngine builds an offload engine; maxPending bounds the ready-tensor
-// FIFO (oldest evicted beyond it). maxPending ≤ 0 means 64.
-func NewEngine(norm Normalizer, maxPending int) *Engine {
-	if maxPending <= 0 {
-		maxPending = 64
+// NewEngine builds an offload engine; maxFree bounds the freelist of
+// recycled feature maps. maxFree ≤ 0 means 64.
+func NewEngine(norm Normalizer, maxFree int) *Engine {
+	if maxFree <= 0 {
+		maxFree = 64
 	}
-	return &Engine{
+	e := &Engine{
 		norm:    norm,
 		ring:    make([]float32, 2*nn.Window*nn.Features),
-		pending: make([]InputTensor, maxPending),
-		maxPend: maxPending,
+		src:     tensor.NewStampSource(),
+		maxFree: maxFree,
 	}
+	for h := range e.views {
+		e.views[h] = tensor.FromSlice(e.ring[h*nn.Features:(h+nn.Window)*nn.Features], 1, nn.Window, nn.Features)
+	}
+	return e
 }
 
-// Push ingests one book snapshot. Once Window vectors have accumulated it
-// enqueues a ready input tensor, evicting the oldest pending tensor if the
-// FIFO is full.
+// Push ingests one book snapshot: it writes the snapshot's feature row and
+// nothing else.
 func (e *Engine) Push(snap lob.Snapshot) {
 	raw := snap.Features()
 	e.norm.Apply(&raw)
 	const f = nn.Features
 	row := e.ring[e.head*f : (e.head+1)*f : (e.head+1)*f]
 	alt := e.ring[(e.head+nn.Window)*f : (e.head+nn.Window+1)*f]
+	e.views[e.head].SetStamp(0, 0) // the window lent until now changes under it
 	for j, v := range raw {
 		bf := tensor.RoundBF16(float32(v))
 		row[j] = bf
@@ -126,20 +130,34 @@ func (e *Engine) Push(snap lob.Snapshot) {
 	if e.count < nn.Window {
 		e.count++
 	}
-	if e.count < nn.Window {
-		return
-	}
-	if e.pendLen == e.maxPend {
-		e.Recycle(e.popFront().Tensor)
-		e.dropped++
-	}
-	e.pushBack(InputTensor{TimeNanos: snap.TimeNanos, Tensor: e.buildTensor()})
+	e.pushes++
+	e.last = snap.TimeNanos
+	e.popped = false
 }
 
-// buildTensor copies the current window — one contiguous run of the
-// doubled ring — into a model input, reusing a recycled tensor when one is
-// available.
-func (e *Engine) buildTensor() *tensor.Tensor {
+// Window lends the current feature map, [1,Window,Features] oldest row first,
+// without copying it: the tensor is the engine's, and valid only until the
+// next Push. It is stamped (tensor.SetStamp) with the engine's source and the
+// push count, so the window after the next Push — this one moved up a row —
+// carries the next position. Window returns nil until the window has filled.
+func (e *Engine) Window() *tensor.Tensor {
+	if !e.Warm() {
+		return nil
+	}
+	t := e.views[e.head]
+	t.SetStamp(e.src, e.pushes)
+	return t
+}
+
+// Pop returns an owned, unstamped copy of the current window — the DMA
+// hand-off to a consumer that keeps it past the next Push — once per Push;
+// ok is false before the window fills and once the current window has been
+// popped. The copy reuses a Recycled tensor when one is available.
+func (e *Engine) Pop() (in InputTensor, ok bool) {
+	if !e.Warm() || e.popped {
+		return InputTensor{}, false
+	}
+	e.popped = true
 	var t *tensor.Tensor
 	if n := len(e.free); n > 0 {
 		t = e.free[n-1]
@@ -149,49 +167,15 @@ func (e *Engine) buildTensor() *tensor.Tensor {
 		t = tensor.New(1, nn.Window, nn.Features)
 	}
 	copy(t.Data(), e.ring[e.head*nn.Features:(e.head+nn.Window)*nn.Features])
-	return t
+	return InputTensor{TimeNanos: e.last, Tensor: t}, true
 }
 
-// pushBack appends to the circular pending FIFO (caller ensures room).
-func (e *Engine) pushBack(in InputTensor) {
-	i := e.pendHead + e.pendLen
-	if i >= e.maxPend {
-		i -= e.maxPend
-	}
-	e.pending[i] = in
-	e.pendLen++
-}
-
-// popFront removes the oldest pending tensor (caller ensures non-empty).
-func (e *Engine) popFront() InputTensor {
-	in := e.pending[e.pendHead]
-	e.pending[e.pendHead] = InputTensor{}
-	e.pendHead++
-	if e.pendHead == e.maxPend {
-		e.pendHead = 0
-	}
-	e.pendLen--
-	return in
-}
-
-// Pop removes and returns the oldest pending tensor without allocating —
-// the DMA hand-off to an accelerator; ok is false when none is ready.
-func (e *Engine) Pop() (in InputTensor, ok bool) {
-	if e.pendLen == 0 {
-		return InputTensor{}, false
-	}
-	return e.popFront(), true
-}
-
-// Dropped returns how many stale tensors were evicted since construction.
-func (e *Engine) Dropped() int { return e.dropped }
-
-// Recycle returns a feature-map tensor to the engine's freelist once the
-// consumer (inference) is done with it; buildTensor reuses the storage.
-// Tensors of the wrong shape and excess tensors beyond the FIFO bound are
-// simply dropped for the garbage collector.
+// Recycle returns a popped feature map to the engine's freelist once the
+// consumer is done with it; Pop reuses the storage. Tensors of the wrong
+// shape and excess tensors beyond the freelist bound are simply dropped for
+// the garbage collector.
 func (e *Engine) Recycle(t *tensor.Tensor) {
-	if t == nil || t.Size() != nn.Window*nn.Features || len(e.free) >= e.maxPend {
+	if t == nil || t.Size() != nn.Window*nn.Features || len(e.free) >= e.maxFree {
 		return
 	}
 	e.free = append(e.free, t)
@@ -202,6 +186,5 @@ func (e *Engine) Warm() bool { return e.count >= nn.Window }
 
 // String summarises engine state for diagnostics.
 func (e *Engine) String() string {
-	return fmt.Sprintf("offload{window %d/%d, pending %d, dropped %d}",
-		e.count, nn.Window, e.pendLen, e.dropped)
+	return fmt.Sprintf("offload{window %d/%d, pushes %d}", e.count, nn.Window, e.pushes)
 }

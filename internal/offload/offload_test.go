@@ -2,6 +2,7 @@ package offload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"lighttrader/internal/feed"
@@ -9,9 +10,6 @@ import (
 	"lighttrader/internal/nn"
 	"lighttrader/internal/tensor"
 )
-
-// Ready returns the number of pending input tensors (only these tests ask).
-func (e *Engine) Ready() int { return e.pendLen }
 
 func snapshots(t *testing.T, n int) []lob.Snapshot {
 	t.Helper()
@@ -69,18 +67,68 @@ func TestEngineWarmupThenTensors(t *testing.T) {
 	for i := 0; i < nn.Window-1; i++ {
 		e.Push(snaps[i])
 	}
-	if e.Warm() || e.Ready() != 0 {
+	if _, ok := e.Pop(); e.Warm() || ok || e.Window() != nil {
 		t.Fatalf("engine warm too early: %s", e)
 	}
 	e.Push(snaps[nn.Window-1])
-	if !e.Warm() || e.Ready() != 1 {
+	if !e.Warm() || e.Window() == nil {
 		t.Fatalf("engine not warm after %d pushes: %s", nn.Window, e)
 	}
 	for i := nn.Window; i < nn.Window+10; i++ {
 		e.Push(snaps[i])
 	}
-	if e.Ready() != 11 {
-		t.Fatalf("ready = %d, want 11", e.Ready())
+	if in, ok := e.Pop(); !ok || in.TimeNanos != snaps[len(snaps)-1].TimeNanos {
+		t.Fatalf("pop after %d pushes: ok %v, time %d, want the newest snapshot's", len(snaps), ok, in.TimeNanos)
+	}
+}
+
+// TestWindowStamped: Window lends the current window in place — the same
+// values Pop copies — stamped with the engine's source and the push count, so
+// consecutive windows carry consecutive positions and another engine's never
+// share a source; the next Push, which changes the lent window, unstamps it;
+// Pop's copies are unstamped. Lending allocates nothing.
+func TestWindowStamped(t *testing.T) {
+	snaps := snapshots(t, 3*nn.Window)
+	e, other := NewEngine(Calibrate(snaps), 0), NewEngine(Calibrate(snaps), 0)
+	var lastSrc, lastPos uint64
+	var prev *tensor.Tensor
+	for i, s := range snaps {
+		e.Push(s)
+		other.Push(s)
+		if prev != nil {
+			if src, _ := prev.Stamp(); src != 0 {
+				t.Fatalf("push %d changed the window lent before it, which kept its stamp", i)
+			}
+		}
+		x := e.Window()
+		if x == nil {
+			continue
+		}
+		src, pos := x.Stamp()
+		if osrc, _ := other.Window().Stamp(); src == 0 || src == osrc {
+			t.Fatalf("push %d: source %d, the other engine's %d", i, src, osrc)
+		}
+		if lastSrc != 0 && (src != lastSrc || pos != lastPos+1) {
+			t.Fatalf("push %d: stamp (%d,%d) after (%d,%d)", i, src, pos, lastSrc, lastPos)
+		}
+		lastSrc, lastPos = src, pos
+		in, ok := e.Pop()
+		if !ok {
+			t.Fatalf("push %d: nothing to pop", i)
+		}
+		if s, _ := in.Tensor.Stamp(); s != 0 {
+			t.Fatalf("push %d: popped copy stamped by %d", i, s)
+		}
+		for j, v := range x.Data() {
+			if in.Tensor.Data()[j] != v {
+				t.Fatalf("push %d: element %d lent %v, popped %v", i, j, v, in.Tensor.Data()[j])
+			}
+		}
+		e.Recycle(in.Tensor)
+		prev = x
+	}
+	if n := testing.AllocsPerRun(100, func() { e.Push(snaps[0]); e.Window() }); n != 0 {
+		t.Errorf("Push + Window allocates %v per call, want 0", n)
 	}
 }
 
@@ -120,28 +168,29 @@ func unitStd() [nn.Features]float64 {
 
 func bf16(v float64) float32 { return tensor.RoundBF16(float32(v)) }
 
-func TestFIFOEviction(t *testing.T) {
+// TestPopOncePerPush: Pop copies the current window once per Push — pushes
+// it missed are not queued — and the copy is the consumer's: a later Push
+// leaves it as it was.
+func TestPopOncePerPush(t *testing.T) {
 	snaps := snapshots(t, nn.Window+20)
-	e := NewEngine(Calibrate(snaps), 4)
+	e := NewEngine(Normalizer{Std: unitStd()}, 4)
 	for _, s := range snaps {
 		e.Push(s)
 	}
-	if e.Ready() != 4 {
-		t.Fatalf("ready = %d, want cap 4", e.Ready())
+	in, ok := e.Pop()
+	if !ok || in.TimeNanos != snaps[len(snaps)-1].TimeNanos {
+		t.Fatalf("pop: ok %v, time %d, want the newest snapshot's", ok, in.TimeNanos)
 	}
-	if e.Dropped() != 17 {
-		t.Fatalf("dropped = %d, want 17", e.Dropped())
+	if _, ok := e.Pop(); ok {
+		t.Fatal("a second pop after one push returned a tensor")
 	}
-	// Remaining tensors are the newest four, oldest first.
-	var batch []InputTensor
-	for in, ok := e.Pop(); ok; in, ok = e.Pop() {
-		batch = append(batch, in)
+	kept := in.Tensor.Clone()
+	e.Push(snaps[0])
+	if !reflect.DeepEqual(kept.Data(), in.Tensor.Data()) {
+		t.Fatal("a push changed a popped tensor")
 	}
-	if len(batch) != 4 {
-		t.Fatalf("popped %d", len(batch))
-	}
-	if batch[3].TimeNanos != snaps[len(snaps)-1].TimeNanos {
-		t.Fatal("newest tensor missing after eviction")
+	if _, ok := e.Pop(); !ok {
+		t.Fatal("no tensor after the next push")
 	}
 }
 

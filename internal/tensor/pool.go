@@ -61,11 +61,12 @@ func (p *Pool) Get(n int) []float32 {
 	return c[0:n:n]
 }
 
-// header returns a reusable Tensor header.
+// header returns a reusable, unstamped Tensor header.
 func (p *Pool) header() *Tensor {
 	if p.hi < len(p.headers) {
 		t := p.headers[p.hi]
 		p.hi++
+		t.src, t.pos = 0, 0
 		return t
 	}
 	t := &Tensor{}

@@ -3,12 +3,15 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 )
 
-// Tensor is a dense row-major float32 tensor of arbitrary rank.
+// Tensor is a dense row-major float32 tensor of arbitrary rank, with an
+// optional stream stamp (SetStamp).
 type Tensor struct {
-	shape []int
-	data  []float32
+	shape    []int
+	data     []float32
+	src, pos uint64 // stream stamp; src 0 means unstamped
 }
 
 // checkedSize returns the element count of shape, or a negative value if
@@ -86,6 +89,25 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	}
 	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
 }
+
+// stampSources hands out stream source ids.
+var stampSources atomic.Uint64
+
+// NewStampSource returns a stream source id no other call in the process
+// returns. It is never 0, the source of an unstamped tensor.
+func NewStampSource() uint64 { return stampSources.Add(1) }
+
+// SetStamp stamps t as position pos of stream src; src 0 clears the stamp.
+// Whoever stamps a tensor promises two things. First, in every channel (the
+// first dimension), the tensor stamped (src, pos+1) is the tensor stamped
+// (src, pos) moved up one row (the second dimension), plus one new last row.
+// Second, t's data does not change while it carries the stamp. A layer that
+// keeps a sliding-window memo trusts the promise instead of comparing rows.
+// New, FromSlice, Pool handouts, Clone and Reshape return unstamped tensors.
+func (t *Tensor) SetStamp(src, pos uint64) { t.src, t.pos = src, pos }
+
+// Stamp returns t's stream stamp; src is 0 when t is unstamped.
+func (t *Tensor) Stamp() (src, pos uint64) { return t.src, t.pos }
 
 // At2 reads element (i,j) of a rank-2 tensor.
 func (t *Tensor) At2(i, j int) float32 { return t.data[i*t.shape[1]+j] }
