@@ -149,7 +149,14 @@ bench-tickpath:
 # is a promise about data, made only by what produces stamped data: no
 # non-test file calls SetStamp( outside internal/tensor, the offload engine
 # (internal/offload/offload.go), the memo (internal/nn/memo.go) and the crop
-# (internal/nn/layer_zoo.go).
+# (internal/nn/layer_zoo.go). (9) One order-flow generator: no non-test
+# file builds a matching engine with a publish sink outside the scenario
+# world generator (internal/scenario/worldgen.go) and the live venue
+# (internal/venue/server.go) — an engine built with a nil sink publishes
+# nothing, so perf's engine-timing stage passes — and (10) the deleted
+# traffic paths (the bench traffic config, the feed generator, the legacy
+# adapter, the power sweep's private feed) are named in no Go file: a hit
+# is a second traffic vocabulary growing back.
 one-impl-check:
 	@bad=$$(grep -rnE '\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -213,6 +220,16 @@ one-impl-check:
 		| grep -vE '^\./internal/(tensor/[^/]*|offload/offload|nn/memo|nn/layer_zoo)\.go:'); \
 	if [ -n "$$bad" ]; then \
 		echo "a stream stamp set outside its producers:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnF 'exchange.New(' --include='*.go' --exclude='*_test.go' . \
+		| grep -vE '^\./internal/(scenario/worldgen|venue/server)\.go:' \
+		| grep -vE ', nil\)$$'); \
+	if [ -n "$$bad" ]; then \
+		echo "a second order-flow generator (a publishing matching engine):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE 'TrafficConfig|NewGenerator|FromTraffic|powerFeed' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "a deleted traffic path named again:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile

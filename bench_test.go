@@ -12,21 +12,22 @@ import (
 	"testing"
 
 	"lighttrader/internal/bench"
+	"lighttrader/internal/scenario"
 )
 
-// benchTraffic is the shared, memoised experiment workload.
+// benchTraffic is the shared experiment workload: ≈ 20 000 ticks of the
+// paper script at the 20 ms horizon, its stream memoised by the Source.
 var (
 	benchTrafficOnce sync.Once
-	benchTrafficCfg  bench.TrafficConfig
+	benchTrafficSrc  *scenario.Source
 )
 
-func benchTraffic() bench.TrafficConfig {
+func benchTraffic() (*scenario.Source, int64) {
 	benchTrafficOnce.Do(func() {
-		benchTrafficCfg = bench.DefaultTraffic()
-		benchTrafficCfg.Ticks = 20000
-		benchTrafficCfg.Queries() // pre-generate outside timed sections
+		benchTrafficSrc = bench.DefaultTraffic(38, 1)
+		benchTrafficSrc.Ticks() // pre-generate outside timed sections
 	})
-	return benchTrafficCfg
+	return benchTrafficSrc, 20_000_000
 }
 
 func BenchmarkTableI(b *testing.B) {
@@ -59,10 +60,10 @@ func BenchmarkTableIII(b *testing.B) {
 }
 
 func BenchmarkFig8(b *testing.B) {
-	tc := benchTraffic()
+	src, tAvail := benchTraffic()
 	var rows []bench.Fig8Row
 	for i := 0; i < b.N; i++ {
-		rows = bench.Fig8(tc)
+		rows = bench.Fig8(src, tAvail)
 	}
 	logOnce(b, bench.RenderFig8(rows))
 	b.ReportMetric(rows[0].ResponseRate-rows[4].ResponseRate, "m1-m5-response-gap")
@@ -78,10 +79,10 @@ func BenchmarkFig9(b *testing.B) {
 }
 
 func BenchmarkFig11(b *testing.B) {
-	tc := benchTraffic()
+	src, tAvail := benchTraffic()
 	var rows []bench.Fig11Row
 	for i := 0; i < b.N; i++ {
-		rows = bench.Fig11(tc)
+		rows = bench.Fig11(src, tAvail)
 	}
 	logOnce(b, bench.RenderFig11(rows))
 	var gpu, fpga float64
@@ -94,10 +95,10 @@ func BenchmarkFig11(b *testing.B) {
 }
 
 func BenchmarkFig12(b *testing.B) {
-	tc := benchTraffic()
+	src, tAvail := benchTraffic()
 	var rows []bench.Fig12Row
 	for i := 0; i < b.N; i++ {
-		rows = bench.Fig12(tc)
+		rows = bench.Fig12(src, tAvail)
 	}
 	logOnce(b, bench.RenderFig12(rows))
 	for _, r := range rows {
@@ -108,10 +109,10 @@ func BenchmarkFig12(b *testing.B) {
 }
 
 func BenchmarkFig13(b *testing.B) {
-	tc := benchTraffic()
+	src, tAvail := benchTraffic()
 	var rows []bench.Fig13Row
 	for i := 0; i < b.N; i++ {
-		rows = bench.Fig13(tc)
+		rows = bench.Fig13(src, tAvail)
 	}
 	logOnce(b, bench.RenderFig13(rows))
 	s := bench.SummarizeFig13(rows)

@@ -1,10 +1,10 @@
-// Command feedgen generates a synthetic CME-like tick trace — or renders a
-// named market scenario (flash crash, halt/resume, ...) — and writes it to
-// a binary trace file for exactly re-runnable back-tests.
+// Command feedgen renders a named market scenario (trading day, flash
+// crash, halt/resume, ...) as a tick trace and writes it to a binary trace
+// file for exactly re-runnable back-tests.
 //
 // Usage:
 //
-//	feedgen -out ticks.lttr -ticks 100000 -seed 7
+//	feedgen -out ticks.lttr -seed 7
 //	feedgen -out crash.lttr -scenario flash-crash -seed 3
 //	feedgen -out ticks.lttr -stats
 package main
@@ -21,32 +21,20 @@ import (
 
 func main() {
 	out := flag.String("out", "ticks.lttr", "output trace file")
-	ticks := flag.Int("ticks", 100000, "number of ticks")
 	seed := flag.Int64("seed", 1, "generator seed")
-	mid := flag.Int64("mid", 450000, "initial mid price in ticks")
-	scenarioName := flag.String("scenario", "", "render a named market scenario instead of the synthetic trace: "+strings.Join(lighttrader.ScenarioNames(), ", "))
+	scenarioName := flag.String("scenario", "trading-day", "market scenario to render: "+strings.Join(lighttrader.ScenarioNames(), ", "))
 	stats := flag.Bool("stats", false, "print arrival statistics")
 	flag.Parse()
 
-	var symbol string
-	var trace []lighttrader.Tick
-	if *scenarioName != "" {
-		src, err := lighttrader.ScenarioByName(*scenarioName, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		trace = src.Ticks()
-		symbol = src.Script().Instruments[0].Symbol
-		for _, sp := range src.PhaseSpans() {
-			fmt.Printf("phase %-12s %8.3f s  %6d packets  %d withheld\n",
-				sp.Name, float64(sp.EndNanos-sp.StartNanos)/1e9, sp.Ticks, sp.Withheld)
-		}
-	} else {
-		cfg := lighttrader.DefaultTraceConfig()
-		cfg.Seed = *seed
-		cfg.MidPrice = *mid
-		trace = lighttrader.GenerateTrace(cfg, *ticks)
-		symbol = cfg.Symbol
+	src, err := lighttrader.ScenarioByName(*scenarioName, *seed)
+	if err != nil {
+		fatal(err)
+	}
+	trace := src.Ticks()
+	symbol := src.Script().Instruments[0].Symbol
+	for _, sp := range src.PhaseSpans() {
+		fmt.Printf("phase %-12s %8.3f s  %6d packets  %d withheld\n",
+			sp.Name, float64(sp.EndNanos-sp.StartNanos)/1e9, sp.Ticks, sp.Withheld)
 	}
 
 	f, err := os.Create(*out)

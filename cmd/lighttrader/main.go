@@ -1,5 +1,5 @@
 // Command lighttrader runs a back-test of the LightTrader system (or a
-// baseline) against a synthetic or recorded tick trace and prints the
+// baseline) against a market scenario or a recorded tick trace and prints the
 // response-rate / latency metrics. With -serve it instead drives the
 // concurrent multi-symbol serving runtime (online Algorithm-1 batching
 // across worker lanes) over a shared feed and reports the modelled
@@ -9,7 +9,7 @@
 //
 //	lighttrader -model deeplob -accels 4 -power sufficient -ws -ds
 //	lighttrader -trace ticks.lttr -system gpu
-//	lighttrader -ticks 50000 -tavail 20ms -seed 7
+//	lighttrader -tavail 20ms -seed 7
 //	lighttrader -scenario flash-crash -seed 3 -power limited -ws -ds
 //	lighttrader -serve -symbols 8 -accels 8
 //	lighttrader -signal-listen :9000 -symbols 4
@@ -38,14 +38,14 @@ func main() {
 	ws := flag.Bool("ws", false, "enable workload scheduling (Algorithm 1 batching)")
 	ds := flag.Bool("ds", false, "enable DVFS scheduling (Algorithm 2)")
 	scheduler := flag.String("scheduler", "", "scheduling strategy: "+strings.Join(lighttrader.SchedulerNames(), ", ")+" (default ppw; implies -ws)")
-	ticks := flag.Int("ticks", 40000, "synthetic trace length (total packets in -serve mode)")
-	seed := flag.Int64("seed", 1, "synthetic trace seed")
-	tracePath := flag.String("trace", "", "replay a recorded trace file instead of generating one")
-	scenarioName := flag.String("scenario", "", "replay a named market scenario instead of the synthetic trace: "+strings.Join(lighttrader.ScenarioNames(), ", "))
+	ticks := flag.Int("ticks", 40000, "total packets in -serve and -signal-listen mode")
+	seed := flag.Int64("seed", 1, "scenario seed")
+	tracePath := flag.String("trace", "", "replay a recorded trace file instead of the scenario")
+	scenarioName := flag.String("scenario", "trading-day", "market scenario to replay: "+strings.Join(lighttrader.ScenarioNames(), ", "))
 	tavail := flag.Duration("tavail", 20*time.Millisecond, "available time per query (t_avail)")
 	serveMode := flag.Bool("serve", false, "drive the concurrent serving runtime instead of a back-test")
 	symbols := flag.Int("symbols", 8, "subscribed instruments (-serve mode)")
-	signalListen := flag.String("signal-listen", "", "serve the live trade-signal stream on this TCP address (paced synthetic feed; Ctrl-C to stop)")
+	signalListen := flag.String("signal-listen", "", "serve the live trade-signal stream on this TCP address (paced scenario feed; Ctrl-C to stop)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
@@ -84,21 +84,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var trace []lighttrader.Tick
-	if *scenarioName != "" {
-		if *tracePath != "" {
-			fatal(fmt.Errorf("-scenario and -trace are mutually exclusive"))
-		}
-		src, err := lighttrader.ScenarioByName(*scenarioName, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		trace = src.Ticks()
-	} else {
-		trace, err = loadTrace(*tracePath, *ticks, *seed)
-		if err != nil {
-			fatal(err)
-		}
+	trace, err := loadTrace(*tracePath, *scenarioName, *seed)
+	if err != nil {
+		fatal(err)
 	}
 
 	var sys lighttrader.System
@@ -156,42 +144,10 @@ func runServe(symbols, lanes, total int, seed int64, pc lighttrader.PowerConditi
 	if symbols < 1 || lanes < 1 {
 		fatal(fmt.Errorf("-serve needs -symbols >= 1 and -accels >= 1"))
 	}
-	events := total / symbols
-	if events < 300 {
-		events = 300 // enough to fill the model window and still measure
-	}
-
-	traces := make([][]lighttrader.Tick, symbols)
-	for i := range traces {
-		cfg := lighttrader.DefaultTraceConfig()
-		cfg.Symbol = fmt.Sprintf("SIM%d", i+1)
-		cfg.SecurityID = int32(i + 1)
-		cfg.Seed = seed + int64(i)
-		traces[i] = lighttrader.GenerateTrace(cfg, events)
-	}
-	var packets [][]byte
-	var arrivals []int64
-	for j := 0; j < events; j++ {
-		for i := range traces {
-			packets = append(packets, traces[i][j].Packet)
-			arrivals = append(arrivals, traces[i][j].TimeNanos)
-		}
-	}
+	feed := symbolFeed(symbols, total, seed)
 	// Fresh pipelines per run: NewSizedCNN self-seeds from its shape, so
 	// every run starts from identical weights and identical empty books.
-	build := func() *lighttrader.MultiPipeline {
-		mp := lighttrader.NewMultiPipeline()
-		for i := range traces {
-			tcfg := lighttrader.DefaultTradingConfig(int32(i + 1))
-			tcfg.MinConfidence = 0.2
-			if err := mp.Add(fmt.Sprintf("SIM%d", i+1), int32(i+1),
-				lighttrader.NewSizedCNN("serve", 8, 0),
-				lighttrader.CalibrateNormalizer(traces[i]), tcfg); err != nil {
-				fatal(err)
-			}
-		}
-		return mp
-	}
+	build := func() *lighttrader.MultiPipeline { return symbolPipelines(symbols, feed) }
 
 	run := func(n int) (lighttrader.ServeStats, int64, time.Duration, int) {
 		log := lighttrader.NewOrderLog()
@@ -199,7 +155,7 @@ func runServe(symbols, lanes, total int, seed int64, pc lighttrader.PowerConditi
 			lighttrader.WithAccelerators(n),
 			lighttrader.WithPowerBudget(pc),
 			lighttrader.WithWorkloadScheduling(),
-			lighttrader.WithMaxQueue(len(packets) + 1),
+			lighttrader.WithMaxQueue(len(feed) + 1),
 			lighttrader.WithOrderSink(log.Sink()),
 		}
 		if ds {
@@ -210,8 +166,8 @@ func runServe(symbols, lanes, total int, seed int64, pc lighttrader.PowerConditi
 		if err != nil {
 			fatal(err)
 		}
-		for i, buf := range packets {
-			if err := srv.Submit(arrivals[i], buf); err != nil {
+		for _, tk := range feed {
+			if err := srv.Submit(tk.TimeNanos, tk.Packet); err != nil {
 				fatal(err)
 			}
 		}
@@ -236,8 +192,8 @@ func runServe(symbols, lanes, total int, seed int64, pc lighttrader.PowerConditi
 	if ds {
 		sched += "+DS"
 	}
-	fmt.Printf("serving: %d symbols x %d events = %d packets, sized CNN (8 ch), %s, %s power\n\n",
-		symbols, events, len(packets), sched, pcName(pc))
+	fmt.Printf("serving: %d symbols, %d packets, sized CNN (8 ch), %s, %s power\n\n",
+		symbols, len(feed), sched, pcName(pc))
 	fmt.Printf("%5s %15s %6s %8s %11s %7s %18s %10s\n",
 		"lanes", "served", "drops", "batches", "mean batch", "orders", "modelled makespan", "wall")
 	var base int64
@@ -259,7 +215,7 @@ func runServe(symbols, lanes, total int, seed int64, pc lighttrader.PowerConditi
 }
 
 // runSignalListen is the live signal-distribution mode: the serving
-// runtime replays a paced synthetic multi-instrument feed with the signal
+// runtime replays a paced multi-instrument scenario feed with the signal
 // gateway attached, while the gateway serves the conflated trade-signal
 // stream to TCP subscribers on addr (see examples/signals for a client).
 // After the replay the gateway keeps serving — late joiners warm-start on
@@ -268,28 +224,8 @@ func runSignalListen(addr string, symbols, lanes, total int, seed int64) {
 	if symbols < 1 || lanes < 1 {
 		fatal(fmt.Errorf("-signal-listen needs -symbols >= 1 and -accels >= 1"))
 	}
-	events := total / symbols
-	if events < 300 {
-		events = 300
-	}
-	traces := make([][]lighttrader.Tick, symbols)
-	for i := range traces {
-		cfg := lighttrader.DefaultTraceConfig()
-		cfg.Symbol = fmt.Sprintf("SIM%d", i+1)
-		cfg.SecurityID = int32(i + 1)
-		cfg.Seed = seed + int64(i)
-		traces[i] = lighttrader.GenerateTrace(cfg, events)
-	}
-	mp := lighttrader.NewMultiPipeline()
-	for i := range traces {
-		tcfg := lighttrader.DefaultTradingConfig(int32(i + 1))
-		tcfg.MinConfidence = 0.2
-		if err := mp.Add(fmt.Sprintf("SIM%d", i+1), int32(i+1),
-			lighttrader.NewSizedCNN("serve", 8, 0),
-			lighttrader.CalibrateNormalizer(traces[i]), tcfg); err != nil {
-			fatal(err)
-		}
-	}
+	feed := symbolFeed(symbols, total, seed)
+	mp := symbolPipelines(symbols, feed)
 
 	gw, err := lighttrader.NewSignalGateway(lighttrader.SignalGatewayConfig{})
 	if err != nil {
@@ -300,7 +236,7 @@ func runSignalListen(addr string, symbols, lanes, total int, seed int64) {
 	srv, err := lighttrader.NewServer(mp,
 		lighttrader.WithAccelerators(lanes),
 		lighttrader.WithWorkloadScheduling(),
-		lighttrader.WithMaxQueue(symbols*events+1),
+		lighttrader.WithMaxQueue(len(feed)+1),
 		lighttrader.WithOrderSink(log.Sink()),
 		lighttrader.WithSignalGateway(gw),
 	)
@@ -324,21 +260,19 @@ func runSignalListen(addr string, symbols, lanes, total int, seed int64) {
 
 	fmt.Printf("signal gateway listening on %s (%d symbols, %d lanes, %d shards)\n",
 		ln.Addr(), symbols, lanes, gw.Shards())
-	fmt.Printf("replaying %d packets paced at ~5k/s; Ctrl-C to stop\n", symbols*events)
+	fmt.Printf("replaying %d packets paced at ~5k/s; Ctrl-C to stop\n", len(feed))
 
 	pace := time.NewTicker(200 * time.Microsecond)
 	defer pace.Stop()
 replay:
-	for j := 0; j < events; j++ {
-		for i := range traces {
-			select {
-			case <-interrupted:
-				break replay
-			case <-pace.C:
-			}
-			if err := srv.Submit(traces[i][j].TimeNanos, traces[i][j].Packet); err != nil {
-				fatal(err)
-			}
+	for _, tk := range feed {
+		select {
+		case <-interrupted:
+			break replay
+		case <-pace.C:
+		}
+		if err := srv.Submit(tk.TimeNanos, tk.Packet); err != nil {
+			fatal(err)
 		}
 	}
 	srv.Drain()
@@ -358,6 +292,54 @@ replay:
 	gw.Close()
 	<-serveDone
 	<-runDone
+}
+
+// symbolFeed is the -serve/-signal-listen feed: the quiet scenario's drift
+// listed on symbols instruments SIM1…SIMn (security ids 1…n), one stream
+// cut to total packets — at least 300 per instrument on average, enough to
+// fill the model window and still measure.
+func symbolFeed(symbols, total int, seed int64) []lighttrader.Tick {
+	total = max(total, 300*symbols)
+	src, err := lighttrader.ScenarioByName("quiet", seed)
+	if err != nil {
+		fatal(err)
+	}
+	sc := src.Script()
+	ins := sc.Instruments[0]
+	sc.Instruments = sc.Instruments[:0]
+	for i := 0; i < symbols; i++ {
+		ins.SecurityID, ins.Symbol = int32(i+1), fmt.Sprintf("SIM%d", i+1)
+		sc.Instruments = append(sc.Instruments, ins)
+	}
+	// The drift runs at ≈ 420 packets/s; 300/s leaves margin for the cut.
+	sc.Phases[0].DurationSecs = float64(total) / 300
+	if src, err = lighttrader.NewScenario("symbols", sc, seed); err != nil {
+		fatal(err)
+	}
+	feed := src.Ticks()
+	return feed[:min(total, len(feed))]
+}
+
+// symbolPipelines subscribes SIM1…SIMn, each calibrated on its own ticks
+// of the feed.
+func symbolPipelines(symbols int, feed []lighttrader.Tick) *lighttrader.MultiPipeline {
+	mp := lighttrader.NewMultiPipeline()
+	for i := 0; i < symbols; i++ {
+		sym := fmt.Sprintf("SIM%d", i+1)
+		var own []lighttrader.Tick
+		for _, tk := range feed {
+			if tk.Snapshot.Symbol == sym {
+				own = append(own, tk)
+			}
+		}
+		tcfg := lighttrader.DefaultTradingConfig(int32(i + 1))
+		tcfg.MinConfidence = 0.2
+		if err := mp.Add(sym, int32(i+1), lighttrader.NewSizedCNN("serve", 8, 0),
+			lighttrader.CalibrateNormalizer(own), tcfg); err != nil {
+			fatal(err)
+		}
+	}
+	return mp
 }
 
 func laneSweep(lanes int) []int {
@@ -387,11 +369,15 @@ func pickModel(name string) (*lighttrader.Model, error) {
 	}
 }
 
-func loadTrace(path string, ticks int, seed int64) ([]lighttrader.Tick, error) {
+// loadTrace reads the recorded trace at path, or renders the named scenario
+// when path is empty.
+func loadTrace(path, scenarioName string, seed int64) ([]lighttrader.Tick, error) {
 	if path == "" {
-		cfg := lighttrader.DefaultTraceConfig()
-		cfg.Seed = seed
-		return lighttrader.GenerateTrace(cfg, ticks), nil
+		src, err := lighttrader.ScenarioByName(scenarioName, seed)
+		if err != nil {
+			return nil, err
+		}
+		return src.Ticks(), nil
 	}
 	f, err := os.Open(path)
 	if err != nil {

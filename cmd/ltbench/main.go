@@ -5,7 +5,7 @@
 //	ltbench                      # run everything, serially
 //	ltbench -parallel 4          # fan experiments across 4 workers (0 = GOMAXPROCS)
 //	ltbench -exp fig12           # one experiment: tableI…tableIII, fig8…fig13, ablations
-//	ltbench -ticks 40000         # trace length
+//	ltbench -seconds 77          # paper workload length (≈ 40 000 ticks at seed 1)
 //	ltbench -tavail 20ms         # per-query available time
 //	ltbench -trace out.jsonl     # instrumented run: event log + miss attribution
 //	ltbench -scheduler fcfs      # scheduling strategy for the -trace run
@@ -26,12 +26,13 @@ import (
 
 	"lighttrader/internal/bench"
 	"lighttrader/internal/prof"
+	"lighttrader/internal/scenario"
 	"lighttrader/internal/sched"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: all, tableI, tableII, tableIII, fig8, fig9, fig11, fig12, fig13, ablations, one ablation-* name, or (with -json) an archived experiment")
-	ticks := flag.Int("ticks", 40000, "trace length in ticks")
+	seconds := flag.Float64("seconds", 77, "paper workload length in seconds (77 s ≈ 40 000 ticks at seed 1)")
 	tavail := flag.Duration("tavail", 20*time.Millisecond, "available time per query (t_avail)")
 	seed := flag.Int64("seed", 1, "trace seed")
 	parallel := flag.Int("parallel", 1, "experiment worker count (0 = GOMAXPROCS)")
@@ -49,15 +50,17 @@ func main() {
 	}
 	defer stopProf()
 
-	tc := bench.DefaultTraffic()
-	tc.Ticks = *ticks
-	tc.TAvailNanos = tavail.Nanoseconds()
-	tc.Seed = *seed
+	if *seconds <= 0 {
+		fmt.Fprintf(os.Stderr, "ltbench: -seconds must be positive\n")
+		os.Exit(2)
+	}
+	src := bench.DefaultTraffic(*seconds, *seed)
+	tAvail := tavail.Nanoseconds()
 
 	start := time.Now()
 
 	if *trace != "" {
-		if err := writeTrace(tc, *trace, *scheduler); err != nil {
+		if err := writeTrace(src, tAvail, *trace, *scheduler); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
 		}
@@ -65,14 +68,14 @@ func main() {
 
 	if *jsonPath != "" {
 		// Archive run: one experiment, one file, nothing else regenerated.
-		if err := writeArchive(*exp, tc, *parallel, *jsonPath); err != nil {
+		if err := writeArchive(*exp, src, tAvail, *parallel, *jsonPath); err != nil {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	selected := selectExperiments(bench.Experiments(tc), *exp)
+	selected := selectExperiments(bench.Experiments(src, tAvail), *exp)
 	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -112,7 +115,7 @@ func selectExperiments(all []bench.Experiment, exp string) []bench.Experiment {
 
 // writeTrace runs the canonical instrumented configuration and writes its
 // event log, printing the per-cause miss attribution summary.
-func writeTrace(tc bench.TrafficConfig, path, scheduler string) error {
+func writeTrace(src *scenario.Source, tAvail int64, path, scheduler string) error {
 	start := time.Now()
 	var factory sched.Factory
 	if scheduler != "" {
@@ -121,7 +124,7 @@ func writeTrace(tc bench.TrafficConfig, path, scheduler string) error {
 			return err
 		}
 	}
-	m, tr := bench.TraceRunWith(tc, factory)
+	m, tr := bench.TraceRunWith(src, tAvail, factory)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -141,38 +144,38 @@ func writeTrace(tc bench.TrafficConfig, path, scheduler string) error {
 
 // archives maps each archivable experiment to one run of it, returned both
 // as the marshalled report (the BENCH_*.json payload) and the rendered table.
-// Only sched-matrix replays the -ticks/-tavail/-seed traffic; the others are
-// independent of those knobs: power-sweep replays bench.PowerTraffic (the
-// tight-horizon, high-rate regime where power infeasibility actually fires),
+// Only sched-matrix replays the -seconds/-tavail/-seed traffic; the others
+// are independent of those knobs: power-sweep replays bench.PowerTraffic (the
+// high-rate regime, under a tight horizon, where power infeasibility fires),
 // scenario-matrix its own registry of seeded byte streams at the scenario
 // horizon budget, and frontier trains the zoo at its own archived scale.
 var archives = []struct {
 	name string
-	run  func(tc bench.TrafficConfig, parallel int) (data []byte, table string, err error)
+	run  func(src *scenario.Source, tAvail int64, parallel int) (data []byte, table string, err error)
 }{
-	{"sched-matrix", func(tc bench.TrafficConfig, parallel int) ([]byte, string, error) {
-		rows := bench.SchedMatrixWorkers(tc, parallel)
-		data, err := bench.SchedMatrixJSON(tc, rows)
+	{"sched-matrix", func(src *scenario.Source, tAvail int64, parallel int) ([]byte, string, error) {
+		rows := bench.SchedMatrixWorkers(src, tAvail, parallel)
+		data, err := bench.SchedMatrixJSON(src, tAvail, rows)
 		return data, bench.RenderSchedMatrix(rows), err
 	}},
-	{"fanout", func(bench.TrafficConfig, int) ([]byte, string, error) {
+	{"fanout", func(*scenario.Source, int64, int) ([]byte, string, error) {
 		cfg := bench.FanoutConfig{}
 		rows := bench.RunFanout(cfg)
 		data, err := bench.FanoutJSON(cfg, rows)
 		return data, bench.RenderFanout(rows), err
 	}},
-	{"power-sweep", func(bench.TrafficConfig, int) ([]byte, string, error) {
-		tc := bench.PowerTraffic()
-		rows := bench.PowerSweep(tc)
-		data, err := bench.PowerSweepJSON(tc, rows)
+	{"power-sweep", func(*scenario.Source, int64, int) ([]byte, string, error) {
+		src := bench.PowerTraffic()
+		rows := bench.PowerSweep(src)
+		data, err := bench.PowerSweepJSON(src, rows)
 		return data, bench.RenderPowerSweep(rows), err
 	}},
-	{"scenario-matrix", func(_ bench.TrafficConfig, parallel int) ([]byte, string, error) {
+	{"scenario-matrix", func(_ *scenario.Source, _ int64, parallel int) ([]byte, string, error) {
 		rows := bench.ScenarioMatrixWorkers(bench.ScenarioTAvailNanos, parallel)
 		data, err := bench.ScenarioMatrixJSON(bench.ScenarioTAvailNanos, rows)
 		return data, bench.RenderScenarioMatrix(rows), err
 	}},
-	{"frontier", func(bench.TrafficConfig, int) ([]byte, string, error) {
+	{"frontier", func(*scenario.Source, int64, int) ([]byte, string, error) {
 		rep := bench.FrontierSweep(bench.DefaultFrontierConfig())
 		data, err := bench.FrontierJSON(rep)
 		return data, bench.RenderFrontier(rep), err
@@ -189,13 +192,13 @@ func archiveNames() []string {
 
 // writeArchive runs the named archivable experiment once, writes its report
 // to path and prints its table.
-func writeArchive(name string, tc bench.TrafficConfig, parallel int, path string) error {
+func writeArchive(name string, src *scenario.Source, tAvail int64, parallel int, path string) error {
 	for _, a := range archives {
 		if !strings.EqualFold(a.name, name) {
 			continue
 		}
 		start := time.Now()
-		data, table, err := a.run(tc, parallel)
+		data, table, err := a.run(src, tAvail, parallel)
 		if err != nil {
 			return err
 		}

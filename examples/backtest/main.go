@@ -1,6 +1,6 @@
 // Backtest: the paper's evaluation loop in ~40 lines.
 //
-// Replays a bursty synthetic CME-like trace against LightTrader with 1…8
+// Replays a bursty E-mini-like scenario against LightTrader with 1…8
 // accelerators and against the GPU- and FPGA-based baselines, printing the
 // response-rate comparison of paper Figs. 11(b) and 12.
 //
@@ -16,12 +16,24 @@ import (
 )
 
 func main() {
-	const ticks = 20000
 	const tAvail = 20 * time.Millisecond
 
-	trace := lighttrader.GenerateTrace(lighttrader.DefaultTraceConfig(), ticks)
+	// The quiet scenario's book at E-mini front-month intensity: ≈ 2 000
+	// ticks/s with heavy clustering (branching ratio 0.8), for 10 s.
+	src, err := lighttrader.ScenarioByName("quiet", 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sc := src.Script()
+	sc.Phases[0].DurationSecs = 10
+	h := &sc.Phases[0].Arrivals.Hawkes[0]
+	h.Mu, h.Alpha, h.Beta = 400, 16000, 20000
+	if src, err = lighttrader.NewScenario("cme", sc, 1); err != nil {
+		log.Fatal(err)
+	}
+	trace := src.Ticks()
 	model := lighttrader.NewDeepLOB()
-	fmt.Printf("backtest: DeepLOB over %d ticks, t_avail %v\n\n", ticks, tAvail)
+	fmt.Printf("backtest: DeepLOB over %d ticks of %s, t_avail %v\n\n", len(trace), src.Name(), tAvail)
 
 	fmt.Println("LightTrader (workload + DVFS scheduling, sufficient power):")
 	for _, n := range []int{1, 2, 4, 8} {

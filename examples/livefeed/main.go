@@ -110,7 +110,11 @@ func main() {
 
 	// Calibrate the normaliser offline, as the paper does with historical
 	// data, then build the pipeline and wrap it in the resilient trader.
-	calib := lighttrader.GenerateTrace(lighttrader.DefaultTraceConfig(), 500)
+	calibSrc, err := lighttrader.ScenarioByName("quiet", 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	calib := calibSrc.Ticks()[:500]
 	tcfg := lighttrader.DefaultTradingConfig(securityID)
 	tcfg.MinConfidence = 0.34
 	pipeline, err := lighttrader.NewPipeline(symbol, securityID,

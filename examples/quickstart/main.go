@@ -1,7 +1,8 @@
 // Quickstart: one tick through the whole AI-enabled HFT pipeline, via the
 // serving facade.
 //
-// It generates a short burst of market data, calibrates the offload
+// It takes a short burst of market data from the opening scenario,
+// calibrates the offload
 // engine's Z-score normaliser, subscribes one instrument on a
 // MultiPipeline, and feeds encoded market-data packets through an inline
 // (serial, synchronous) serving runtime — SBE parse → local book →
@@ -19,17 +20,21 @@ import (
 )
 
 func main() {
-	cfg := lighttrader.DefaultTraceConfig()
+	src, err := lighttrader.ScenarioByName("opening", 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ins := src.Script().Instruments[0]
 
 	// 150 ticks: 100 to fill the model's input window, 50 live ones.
-	trace := lighttrader.GenerateTrace(cfg, 150)
+	trace := src.Ticks()[:150]
 	norm := lighttrader.CalibrateNormalizer(trace[:100])
 
-	tcfg := lighttrader.DefaultTradingConfig(cfg.SecurityID)
+	tcfg := lighttrader.DefaultTradingConfig(ins.SecurityID)
 	tcfg.MinConfidence = 0.34 // act on any directional lean
 
 	mp := lighttrader.NewMultiPipeline()
-	if err := mp.Add(cfg.Symbol, cfg.SecurityID,
+	if err := mp.Add(ins.Symbol, ins.SecurityID,
 		lighttrader.NewVanillaCNN(), norm, tcfg); err != nil {
 		log.Fatal(err)
 	}
@@ -46,13 +51,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("quickstart: %s, %d ticks\n\n", cfg.Symbol, len(trace))
+	fmt.Printf("quickstart: %s, %d ticks\n\n", ins.Symbol, len(trace))
 	seen := 0
 	for i, tick := range trace {
 		if err := srv.Submit(tick.TimeNanos, tick.Packet); err != nil {
 			log.Fatalf("tick %d: %v", i, err)
 		}
-		for _, req := range orders.Orders(cfg.SecurityID)[seen:] {
+		for _, req := range orders.Orders(ins.SecurityID)[seen:] {
 			seen++
 			side := "BUY "
 			if req.Side == 1 {
@@ -63,9 +68,9 @@ func main() {
 		}
 	}
 
-	snap, _ := srv.Snapshot(cfg.SecurityID, 0)
+	snap, _ := srv.Snapshot(ins.SecurityID, 0)
 	fmt.Printf("\nprocessed %d ticks, ran %d inferences, generated %d orders\n",
-		len(trace), srv.Inferences(cfg.SecurityID), orders.Total())
+		len(trace), srv.Inferences(ins.SecurityID), orders.Total())
 	fmt.Printf("final book: best bid %d x %d | best ask %d x %d\n",
 		snap.Bids[0].Price, snap.Bids[0].Qty, snap.Asks[0].Price, snap.Asks[0].Qty)
 	decisions := mp.Pipelines()[0].Trader().Decisions()

@@ -1,6 +1,6 @@
 // Scheduler: Algorithms 1 and 2 at work (paper Fig. 13 in miniature).
 //
-// Runs the same bursty trace against LightTrader with 8 accelerators under
+// Runs one bursty E-mini-like stream against LightTrader with 8 accelerators under
 // the limited power condition in all four scheduler configurations —
 // baseline, workload scheduling (WS), DVFS scheduling (DS), and both — and
 // shows the miss rate, the batch sizes the PPW metric picked, and the
@@ -18,10 +18,22 @@ import (
 )
 
 func main() {
-	const ticks = 20000
 	const accels = 8
 
-	trace := lighttrader.GenerateTrace(lighttrader.DefaultTraceConfig(), ticks)
+	// The quiet scenario's book at E-mini front-month intensity: ≈ 2 000
+	// ticks/s with heavy clustering (branching ratio 0.8), for 10 s.
+	src, err := lighttrader.ScenarioByName("quiet", 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sc := src.Script()
+	sc.Phases[0].DurationSecs = 10
+	h := &sc.Phases[0].Arrivals.Hawkes[0]
+	h.Mu, h.Alpha, h.Beta = 400, 16000, 20000
+	if src, err = lighttrader.NewScenario("cme", sc, 1); err != nil {
+		log.Fatal(err)
+	}
+	trace := src.Ticks()
 	model := lighttrader.NewTransLOB()
 
 	configs := []struct {

@@ -1,8 +1,8 @@
 // Serving: the concurrent multi-symbol runtime end to end.
 //
 // Subscribes several instruments on one MultiPipeline, shards them across
-// worker lanes (one logical lane per modelled accelerator), and replays a
-// shared interleaved feed through the runtime with online Algorithm-1
+// worker lanes (one logical lane per modelled accelerator), and replays one
+// multi-instrument scenario feed through the runtime with online Algorithm-1
 // admission — each lane batches its backlog by the PPW rule before running
 // the real DNN forward passes. The same feed is then replayed through the
 // inline (serial) configuration to show the runtime's defining property:
@@ -25,35 +25,46 @@ import (
 func main() {
 	symbols := flag.Int("symbols", 4, "subscribed instruments")
 	lanes := flag.Int("lanes", 2, "worker lanes (modelled accelerators)")
-	events := flag.Int("events", 300, "market-data events per instrument")
+	events := flag.Int("events", 300, "market-data events per instrument (on average)")
 	flag.Parse()
 
-	// One synthetic trace per instrument, interleaved into a shared feed.
-	traces := make([][]lighttrader.Tick, *symbols)
-	for i := range traces {
-		cfg := lighttrader.DefaultTraceConfig()
-		cfg.Symbol = fmt.Sprintf("SIM%d", i+1)
-		cfg.SecurityID = int32(i + 1)
-		cfg.Seed = int64(i + 1)
-		traces[i] = lighttrader.GenerateTrace(cfg, *events)
+	// The quiet scenario's drift listed on SIM1…SIMn: one stream whose
+	// events land on a random instrument each, cut to symbols × events.
+	src, err := lighttrader.ScenarioByName("quiet", 1)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var feed []lighttrader.Tick
-	for j := 0; j < *events; j++ {
-		for i := range traces {
-			feed = append(feed, traces[i][j])
-		}
+	sc := src.Script()
+	ins := sc.Instruments[0]
+	sc.Instruments = sc.Instruments[:0]
+	for i := 0; i < *symbols; i++ {
+		ins.SecurityID, ins.Symbol = int32(i+1), fmt.Sprintf("SIM%d", i+1)
+		sc.Instruments = append(sc.Instruments, ins)
 	}
+	total := *symbols * *events
+	sc.Phases[0].DurationSecs = float64(total) / 300 // the drift runs at ≈ 420 events/s
+	if src, err = lighttrader.NewScenario("serving", sc, 1); err != nil {
+		log.Fatal(err)
+	}
+	feed := src.Ticks()
+	feed = feed[:min(total, len(feed))]
 
 	// Fresh pipelines per run: identically-sized CNNs self-seed to
 	// identical weights, so runs are comparable.
 	build := func() *lighttrader.MultiPipeline {
 		mp := lighttrader.NewMultiPipeline()
-		for i := range traces {
-			tcfg := lighttrader.DefaultTradingConfig(int32(i + 1))
+		for _, in := range sc.Instruments {
+			var own []lighttrader.Tick
+			for _, tk := range feed {
+				if tk.Snapshot.Symbol == in.Symbol {
+					own = append(own, tk)
+				}
+			}
+			tcfg := lighttrader.DefaultTradingConfig(in.SecurityID)
 			tcfg.MinConfidence = 0.2
-			if err := mp.Add(fmt.Sprintf("SIM%d", i+1), int32(i+1),
+			if err := mp.Add(in.Symbol, in.SecurityID,
 				lighttrader.NewSizedCNN("serving", 8, 0),
-				lighttrader.CalibrateNormalizer(traces[i]), tcfg); err != nil {
+				lighttrader.CalibrateNormalizer(own), tcfg); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -105,7 +116,7 @@ func main() {
 		inline.Stats().Orders, inlineWall.Round(time.Millisecond))
 
 	// The parity check: same orders, same books, at any lane count.
-	for i := range traces {
+	for i := range sc.Instruments {
 		id := int32(i + 1)
 		a, b := inlineOrders.Orders(id), fleetOrders.Orders(id)
 		if len(a) != len(b) {

@@ -2,7 +2,7 @@
 // predictor on historical ticks, then deploy it in the tick-to-trade
 // pipeline and compare PnL against an untrained model.
 //
-// It generates a tick trace, labels each step by the direction of the mean
+// It takes a tick trace from the trading-day scenario, labels each step by the direction of the mean
 // mid over the next 20 ticks (the DeepLOB smoothed-labelling scheme),
 // trains a small CNN by SGD, evaluates held-out accuracy, and runs both
 // the trained and an untrained model through a packet-level back-test.
@@ -24,8 +24,14 @@ const (
 )
 
 func main() {
-	cfg := lighttrader.DefaultTraceConfig()
-	trace := lighttrader.GenerateTrace(cfg, 2200)
+	day := func(seed int64, n int) []lighttrader.Tick {
+		src, err := lighttrader.ScenarioByName("trading-day", seed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return src.Ticks()[:n]
+	}
+	trace := day(1, 2200)
 	norm := lighttrader.CalibrateNormalizer(trace)
 
 	xs, ys := lighttrader.BuildDataset(trace, norm, horizon, threshold)
@@ -48,13 +54,11 @@ func main() {
 	}
 
 	// Deploy both models on a fresh out-of-sample trace.
-	oos := cfg
-	oos.Seed = 99
-	testTrace := lighttrader.GenerateTrace(oos, 3000)
+	testTrace := day(99, 3000)
 	for _, m := range []*lighttrader.Model{model, lighttrader.NewSizedCNN("untrained-cnn", 8, 0)} {
-		tcfg := lighttrader.DefaultTradingConfig(cfg.SecurityID)
+		tcfg := lighttrader.DefaultTradingConfig(1) // the scenario's one book, ESU6
 		tcfg.MinConfidence = 0.34
-		p, err := lighttrader.NewPipeline(cfg.Symbol, cfg.SecurityID, m, norm, tcfg)
+		p, err := lighttrader.NewPipeline("ESU6", 1, m, norm, tcfg)
 		if err != nil {
 			log.Fatal(err)
 		}

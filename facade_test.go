@@ -72,31 +72,35 @@ func TestBacktestContext(t *testing.T) {
 // interleaved shared feed for the serving facade tests.
 func servingFixture(t *testing.T) (func() *MultiPipeline, [][]byte) {
 	t.Helper()
-	type inst struct {
-		sym string
-		id  int32
-		mid int64
+	// multi-shock lists three books; the fixture keeps the first two and
+	// cuts the one stream to ≈ 180 ticks per book.
+	src, err := ScenarioByName("multi-shock", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	insts := []inst{{"ESU6", 1, 450000}, {"NQU6", 2, 1500000}}
-	traces := make([][]Tick, len(insts))
-	for i, in := range insts {
-		cfg := DefaultTraceConfig()
-		cfg.Symbol, cfg.SecurityID, cfg.MidPrice = in.sym, in.id, in.mid
-		traces[i] = GenerateTrace(cfg, 180)
+	sc := src.Script()
+	sc.Instruments = sc.Instruments[:2]
+	if src, err = NewScenario("facade", sc, 1); err != nil {
+		t.Fatal(err)
 	}
+	feed := src.Ticks()[:360]
 	var packets [][]byte
-	for j := range traces[0] {
-		for i := range traces {
-			packets = append(packets, traces[i][j].Packet)
-		}
+	for _, tk := range feed {
+		packets = append(packets, tk.Packet)
 	}
 	build := func() *MultiPipeline {
 		mp := NewMultiPipeline()
-		for i, in := range insts {
-			tcfg := DefaultTradingConfig(in.id)
+		for _, in := range sc.Instruments {
+			var own []Tick
+			for _, tk := range feed {
+				if tk.Snapshot.Symbol == in.Symbol {
+					own = append(own, tk)
+				}
+			}
+			tcfg := DefaultTradingConfig(in.SecurityID)
 			tcfg.MinConfidence = 0
-			if err := mp.Add(in.sym, in.id, NewSizedCNN("facade-"+in.sym, 8, 0),
-				CalibrateNormalizer(traces[i]), tcfg); err != nil {
+			if err := mp.Add(in.Symbol, in.SecurityID, NewSizedCNN("facade-"+in.Symbol, 8, 0),
+				CalibrateNormalizer(own), tcfg); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -178,13 +182,12 @@ func TestPublicServing(t *testing.T) {
 // degraded answers, a candidate no cheaper than the primary is rejected,
 // and WithModelDegradation's default ladder builds without a zoo.
 func TestModelZooFacade(t *testing.T) {
-	cfg := DefaultTraceConfig()
-	trace := GenerateTrace(cfg, 160)
+	trace := smallTrace(t)[:160]
 	norm := CalibrateNormalizer(trace)
 	build := func() *MultiPipeline {
 		mp := NewMultiPipeline()
-		tcfg := DefaultTradingConfig(cfg.SecurityID)
-		if err := mp.Add(cfg.Symbol, cfg.SecurityID, NewVanillaCNN(), norm, tcfg); err != nil {
+		tcfg := DefaultTradingConfig(1)
+		if err := mp.Add("ESU6", 1, NewVanillaCNN(), norm, tcfg); err != nil {
 			t.Fatal(err)
 		}
 		return mp

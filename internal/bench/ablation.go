@@ -14,6 +14,7 @@ import (
 	"lighttrader/internal/core"
 	"lighttrader/internal/feed"
 	"lighttrader/internal/nn"
+	"lighttrader/internal/scenario"
 	"lighttrader/internal/sched"
 	"lighttrader/internal/sim"
 )
@@ -94,7 +95,8 @@ type PolicyRow struct {
 
 // AblationPolicy compares the PPW objective against latency-greedy and
 // throughput-greedy issue policies (WS+DS enabled, limited power).
-func AblationPolicy(tc TrafficConfig) []PolicyRow {
+func AblationPolicy(src *scenario.Source, tAvailNanos int64) []PolicyRow {
+	qs := src.Queries(tAvailNanos)
 	policies := []sched.Policy{sched.PolicyPPW, sched.PolicyLatency, sched.PolicyThroughput}
 	var rows []PolicyRow
 	for _, m := range []*nn.Model{nn.NewVanillaCNN(), nn.NewDeepLOB()} {
@@ -102,7 +104,7 @@ func AblationPolicy(tc TrafficConfig) []PolicyRow {
 			row := PolicyRow{Model: m.Name(), NumAccels: n,
 				MissRate: map[string]float64{}, EnergyJ: map[string]float64{}}
 			for _, p := range policies {
-				metrics, _ := runLT(tc, m, n, core.Limited, core.Options{
+				metrics, _ := runLT(qs, m, n, core.Limited, core.Options{
 					WorkloadScheduling: true, DVFSScheduling: true, Policy: p,
 				})
 				row.MissRate[p.String()] = metrics.MissRate
@@ -138,7 +140,8 @@ type SwitchDelayRow struct {
 // AblationSwitchDelay sweeps the PMIC/PLL transition cost to show why the
 // paper treats DVFS changes as hazards: past a few microseconds the stall
 // eats the scheduling gain.
-func AblationSwitchDelay(tc TrafficConfig) []SwitchDelayRow {
+func AblationSwitchDelay(src *scenario.Source, tAvailNanos int64) []SwitchDelayRow {
+	qs := src.Queries(tAvailNanos)
 	var rows []SwitchDelayRow
 	for _, sw := range []int64{0, 500, 2_000, 10_000, 50_000} {
 		cfg, err := core.Configure(nn.NewDeepLOB(), 8, core.Limited,
@@ -151,7 +154,7 @@ func AblationSwitchDelay(tc TrafficConfig) []SwitchDelayRow {
 		if err != nil {
 			panic(err)
 		}
-		m := sim.Run(tc.Queries(), sys)
+		m := sim.Run(qs, sys)
 		rows = append(rows, SwitchDelayRow{SwitchNanos: sw, MissRate: m.MissRate})
 	}
 	return rows
@@ -178,18 +181,12 @@ type BurstinessRow struct {
 // AblationBurstiness sweeps the cascade component's branching ratio: the
 // closer to critical the order flow, the more response rate a fixed system
 // loses — §II-C's motivation for throughput-oriented scheduling.
-func AblationBurstiness(tc TrafficConfig) []BurstinessRow {
+func AblationBurstiness(src *scenario.Source, tAvailNanos int64) []BurstinessRow {
 	var rows []BurstinessRow
 	for _, n := range []float64{0.5, 0.8, 0.93, 0.964, 0.98} {
-		t := tc
-		t.Burst.Alpha = t.Burst.Beta * n
-		queries := t.Queries()
-		// Arrival statistics for the generated stream.
-		ticks := make([]feed.Tick, len(queries))
-		for i, q := range queries {
-			ticks[i].TimeNanos = q.ArrivalNanos
-		}
-		stats := feed.ComputeStats(ticks)
+		regime := withBranching(src, n)
+		stats := feed.ComputeStats(regime.Ticks())
+		queries := regime.Queries(tAvailNanos)
 		cfg, err := core.Configure(nn.NewDeepLOB(), 1, core.Sufficient, core.Options{})
 		if err != nil {
 			panic(err)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -65,17 +66,32 @@ func TestAblationSwitchDelay(t *testing.T) {
 	_ = RenderAblationSwitchDelay(rows)
 }
 
+// TestAblationBurstiness checks §II-C's trend at the length ltbench
+// reports: response rate falls as the order flow approaches criticality.
+// The trend belongs to a stream long enough to hold a near-critical
+// cascade — seed 1 cut to shortTraffic's length holds none, and its
+// near-critical row is not below the calm one — so it is asserted on the
+// full-length stream for each of seeds 1–4, not on one seed that happens
+// to pass.
 func TestAblationBurstiness(t *testing.T) {
-	rows := AblationBurstiness(shortTraffic(t))
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
+	if testing.Short() {
+		t.Skip("replays four full-length streams per branching ratio; skipped in -short")
 	}
-	// Response rate must fall as the order flow approaches criticality.
-	if rows[len(rows)-1].ResponseRate >= rows[0].ResponseRate {
-		t.Fatalf("near-critical flow (%.3f) not below calm flow (%.3f)",
-			rows[len(rows)-1].ResponseRate, rows[0].ResponseRate)
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rows := AblationBurstiness(DefaultTraffic(paperSeconds, seed), 20_000_000)
+			if len(rows) != 5 {
+				t.Fatalf("rows = %d", len(rows))
+			}
+			if rows[len(rows)-1].ResponseRate >= rows[0].ResponseRate {
+				t.Fatalf("near-critical flow (%.3f) not below calm flow (%.3f)",
+					rows[len(rows)-1].ResponseRate, rows[0].ResponseRate)
+			}
+			t.Logf("calm %.3f → near-critical %.3f", rows[0].ResponseRate, rows[len(rows)-1].ResponseRate)
+			_ = RenderAblationBurstiness(rows)
+		})
 	}
-	_ = RenderAblationBurstiness(rows)
 }
 
 func TestAblationPrecisionDatapath(t *testing.T) {

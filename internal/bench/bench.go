@@ -8,7 +8,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"lighttrader/internal/core"
 	"lighttrader/internal/feed"
@@ -17,99 +16,69 @@ import (
 	"lighttrader/internal/sim"
 )
 
-// TrafficConfig defines the market-data workload all figure experiments
-// replay: a Hawkes-clustered tick stream and the per-tick available time.
+// cascade indexes the near-critical cascade component in the paper
+// script's Hawkes list; the burstiness sweeps move its branching ratio.
+const cascade = 1
+
+// DefaultTraffic is the workload every figure replays, as a scenario: one
+// E-mini instrument and one phase of routine order flow whose arrivals mix
+// a calm component of routine quoting, a rare near-critical cascade
+// component whose local rate (≈9 k ticks/s) sits just above a single
+// accelerator's service capacity, and a very rare flash process whose local
+// rate exceeds even a multi-accelerator system — the multi-scale burst
+// structure of §II-C (market disruptions "more than once a day"). At
+// ltbench's default 77 s, seed 1 yields ≈ 40 000 ticks. Under
+// ltbench's generous 20 ms horizon the misses are throughput-driven drops,
+// as in the paper's bursty-traffic discussion, not per-query latency.
 //
-// Deprecated: constructing TrafficConfig field by field is the legacy
-// entry point. New workloads should build a scenario.Source (or use
-// scenario.ByName) and wrap it with FromScenario; the Hawkes/Flash fields
-// remain as the adapter for the historical bursty-replay trace.
-type TrafficConfig struct {
-	// Calm is the routine-quoting Hawkes component (moderate clustering);
-	// Burst is the rare near-critical cascade component; Flash is the very
-	// rare flash-event component whose local rate exceeds even a multi-
-	// accelerator system. Together they give the multi-scale burst
-	// structure of §II-C (market disruptions "more than once a day").
-	Calm  feed.HawkesParams
-	Burst feed.HawkesParams
-	Flash feed.FlashParams
-	Seed  int64
-	Ticks int
-	// TAvailNanos is t_avail, the prediction-horizon budget per query.
-	TAvailNanos int64
-	// Scenario, when set, overrides the Hawkes/Flash replay entirely: the
-	// query stream is the scenario's Queries() projection. A pointer keeps
-	// TrafficConfig usable as the query-cache map key (sources are memoised
-	// internally, so sharing one pointer across cells shares one stream).
-	Scenario *scenario.Source
-}
-
-// FromScenario wraps a scenario Source as a benchmark workload.
-func FromScenario(src *scenario.Source, tAvailNanos int64) TrafficConfig {
-	return TrafficConfig{Scenario: src, Seed: src.Seed(), TAvailNanos: tAvailNanos}
-}
-
-// DefaultTraffic is calibrated so the response-rate experiments land in
-// the paper's regimes: a calm component of routine quoting plus a rare
-// near-critical cascade component whose local rate (≈9 k ticks/s) sits just
-// above a single accelerator's service capacity, under a generous 20 ms
-// horizon budget (misses are throughput-driven drops, as in the paper's
-// bursty-traffic discussion, not per-query latency).
-func DefaultTraffic() TrafficConfig {
-	return TrafficConfig{
-		Calm:        feed.HawkesParams{Mu: 250, Alpha: 2000, Beta: 5000},
-		Burst:       feed.HawkesParams{Mu: 6.5, Alpha: 540, Beta: 560},
-		Flash:       feed.FlashParams{MeanIntervalSecs: 11, DurationSecs: 0.005, RateHz: 75000},
-		Seed:        1,
-		Ticks:       40000,
-		TAvailNanos: 20_000_000,
+// The script is bench's own and not in the scenario registry: the
+// registry's consumers (the chaos matrix, perf's replay) keep their rows.
+func DefaultTraffic(seconds float64, seed int64) *scenario.Source {
+	calm := feed.HawkesParams{Mu: 250, Alpha: 2000, Beta: 5000}
+	burst := feed.HawkesParams{Mu: 6.5, Alpha: 540, Beta: 560}
+	src, err := scenario.New("paper", scenario.Script{
+		Instruments: []scenario.Instrument{{SecurityID: 1, Symbol: "ESU6", MidPrice: 450000, DepthPerLevel: 50}},
+		Phases: []scenario.Phase{{
+			Name:         "paper",
+			DurationSecs: seconds,
+			Arrivals: scenario.ArrivalSpec{
+				Hawkes: []feed.HawkesParams{calm, burst},
+				Flash:  &feed.FlashParams{MeanIntervalSecs: 11, DurationSecs: 0.005, RateHz: 75000},
+			},
+		}},
+	}, seed)
+	if err != nil {
+		panic(err) // static script; only a non-positive length fails
 	}
+	return src
 }
 
-// queryCache memoises generated query streams per config (trace generation
-// dominates experiment runtime otherwise). queryCacheMu guards the map: the
-// parallel experiment runner calls Queries from many goroutines. Each entry
-// generates its stream once, outside the lock, however many callers ask for
-// it first. The slices themselves are shared read-only across workers;
-// system models never retain or mutate them.
-var (
-	queryCacheMu sync.Mutex
-	queryCache   = map[TrafficConfig]*queryEntry{}
-)
-
-// queryEntry is one config's stream, generated by the first caller of once.
-type queryEntry struct {
-	once sync.Once
-	qs   []sim.Query
-}
-
-// Queries generates (or reuses) the deterministic query stream. Safe for
-// concurrent use; every caller for one config observes the same slice.
-func (tc TrafficConfig) Queries() []sim.Query {
-	queryCacheMu.Lock()
-	e, ok := queryCache[tc]
-	if !ok {
-		e = new(queryEntry)
-		queryCache[tc] = e
+// rescript rebuilds src, under its name and seed, from its script after
+// edit: how the experiments derive their traffic regimes, since scripts are
+// data.
+func rescript(src *scenario.Source, edit func(*scenario.Script)) *scenario.Source {
+	sc := src.Script()
+	edit(&sc)
+	out, err := scenario.New(src.Name(), sc, src.Seed())
+	if err != nil {
+		panic(err)
 	}
-	queryCacheMu.Unlock()
-	e.once.Do(func() { e.qs = tc.generate() })
-	return e.qs
+	return out
 }
 
-// generate builds the query stream. Both branches go through
-// scenario.Source — the unified traffic API; the legacy branch is
-// byte-identical to the historical feed.Generator path.
-func (tc TrafficConfig) generate() []sim.Query {
-	src := tc.Scenario
-	if src == nil {
-		src = scenario.FromTraffic(tc.Calm, tc.Burst, tc.Flash, tc.Seed, tc.Ticks)
-	}
-	return src.Queries(tc.TAvailNanos)
+// withBranching derives src's regime whose cascade component has branching
+// ratio n.
+func withBranching(src *scenario.Source, n float64) *scenario.Source {
+	return rescript(src, func(sc *scenario.Script) {
+		for i := range sc.Phases {
+			h := &sc.Phases[i].Arrivals.Hawkes[cascade]
+			h.Alpha = h.Beta * n
+		}
+	})
 }
 
 // runLT builds and runs a LightTrader configuration.
-func runLT(tc TrafficConfig, m *nn.Model, n int, pc core.PowerCondition, opts core.Options) (sim.Metrics, core.SystemConfig) {
+func runLT(qs []sim.Query, m *nn.Model, n int, pc core.PowerCondition, opts core.Options) (sim.Metrics, core.SystemConfig) {
 	cfg, err := core.Configure(m, n, pc, opts)
 	if err != nil {
 		panic(err)
@@ -118,7 +87,7 @@ func runLT(tc TrafficConfig, m *nn.Model, n int, pc core.PowerCondition, opts co
 	if err != nil {
 		panic(err)
 	}
-	return sim.Run(tc.Queries(), sys), cfg
+	return sim.Run(qs, sys), cfg
 }
 
 // header renders an aligned table heading.

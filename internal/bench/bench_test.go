@@ -3,18 +3,24 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"lighttrader/internal/scenario"
 )
 
+// paperSeconds is ltbench's default -seconds: the full-length paper
+// workload, ≈ 40 000 ticks at seed 1.
+const paperSeconds = 77
+
 // shortTraffic keeps unit-test runtime manageable while preserving the
-// traffic shape; the repo-level benchmarks use the full trace.
-func shortTraffic(t *testing.T) TrafficConfig {
+// traffic shape (≈ 12 000 ticks, 4 000 under -short, at the 20 ms horizon
+// ltbench defaults to); the repo-level benchmarks use the full trace.
+func shortTraffic(t *testing.T) (*scenario.Source, int64) {
 	t.Helper()
-	tc := DefaultTraffic()
-	tc.Ticks = 12000
+	seconds := 26.0
 	if testing.Short() {
-		tc.Ticks = 4000
+		seconds = 8
 	}
-	return tc
+	return DefaultTraffic(seconds, 1), 20_000_000
 }
 
 func TestTableI(t *testing.T) {

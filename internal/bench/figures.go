@@ -8,6 +8,7 @@ import (
 	"lighttrader/internal/c2c"
 	"lighttrader/internal/core"
 	"lighttrader/internal/nn"
+	"lighttrader/internal/scenario"
 	"lighttrader/internal/sim"
 )
 
@@ -24,10 +25,11 @@ type Fig8Row struct {
 
 // Fig8 measures the response rate of a single accelerator across the
 // M1…M5 complexity ladder: response falls as inference latency rises.
-func Fig8(tc TrafficConfig) []Fig8Row {
+func Fig8(src *scenario.Source, tAvailNanos int64) []Fig8Row {
+	qs := src.Queries(tAvailNanos)
 	var rows []Fig8Row
 	for _, m := range nn.ComplexityLadder() {
-		metrics, cfg := runLT(tc, m, 1, core.Sufficient, core.Options{})
+		metrics, cfg := runLT(qs, m, 1, core.Sufficient, core.Options{})
 		rows = append(rows, Fig8Row{
 			Model:        m.Name(),
 			LatencyNanos: cfg.TickToTradeNanos(),
@@ -99,7 +101,7 @@ type Fig11Row struct {
 	Model string
 	// Latency (ns), batch 1, single accelerator, sufficient power.
 	LTNanos, GPUNanos, FPGANanos int64
-	// Response rate under the bursty trace.
+	// Response rate under the paper workload (DefaultTraffic).
 	LTResp, GPUResp, FPGAResp float64
 	// Effective GFLOPS/W at the system level.
 	LTEff, GPUEff, FPGAEff float64
@@ -107,17 +109,18 @@ type Fig11Row struct {
 
 // Fig11 runs the non-batching comparison of LightTrader against the
 // GPU-based and FPGA-based systems (latency, response rate, efficiency).
-func Fig11(tc TrafficConfig) []Fig11Row {
+func Fig11(src *scenario.Source, tAvailNanos int64) []Fig11Row {
+	qs := src.Queries(tAvailNanos)
 	var rows []Fig11Row
 	for _, m := range nn.BenchmarkModels() {
-		ltMetrics, cfg := runLT(tc, m, 1, core.Sufficient, core.Options{})
+		ltMetrics, cfg := runLT(qs, m, 1, core.Sufficient, core.Options{})
 		ltNanos := cfg.TickToTradeNanos()
 		ltPower := cfg.Sched.BusyPower(cfg.Sched.StaticDVFS) + fpgaHubWatts
 
 		gpu := baseline.NewGPU(m)
 		fpga := baseline.NewFPGA(m)
-		gpuMetrics := sim.Run(tc.Queries(), gpu)
-		fpgaMetrics := sim.Run(tc.Queries(), fpga)
+		gpuMetrics := sim.Run(qs, gpu)
+		fpgaMetrics := sim.Run(qs, fpga)
 
 		eff := func(nanos int64, watts float64) float64 {
 			return float64(m.TotalFLOPs()) / (float64(nanos) / 1e9) / watts / 1e9
@@ -178,12 +181,13 @@ type Fig12Row struct {
 
 // Fig12 sweeps the accelerator count under both power conditions with the
 // conservative static clocking of Table III (no scheduling).
-func Fig12(tc TrafficConfig) []Fig12Row {
+func Fig12(src *scenario.Source, tAvailNanos int64) []Fig12Row {
+	qs := src.Queries(tAvailNanos)
 	var rows []Fig12Row
 	for _, m := range nn.BenchmarkModels() {
 		for _, pc := range []core.PowerCondition{core.Sufficient, core.Limited} {
 			for _, n := range []int{1, 2, 4, 8, 16} {
-				metrics, cfg := runLT(tc, m, n, pc, core.Options{})
+				metrics, cfg := runLT(qs, m, n, pc, core.Options{})
 				rows = append(rows, Fig12Row{
 					Model:        m.Name(),
 					Condition:    pc.Name,
@@ -230,7 +234,8 @@ type Fig13Row struct {
 }
 
 // Fig13 evaluates the scheduling algorithms across the full matrix.
-func Fig13(tc TrafficConfig) []Fig13Row {
+func Fig13(src *scenario.Source, tAvailNanos int64) []Fig13Row {
+	qs := src.Queries(tAvailNanos)
 	var rows []Fig13Row
 	for _, m := range nn.BenchmarkModels() {
 		for _, pc := range []core.PowerCondition{core.Sufficient, core.Limited} {
@@ -238,7 +243,7 @@ func Fig13(tc TrafficConfig) []Fig13Row {
 				row := Fig13Row{Model: m.Name(), Condition: pc.Name, NumAccels: n,
 					MissRate: map[string]float64{}}
 				for _, mode := range SchedulerModes {
-					metrics, _ := runLT(tc, m, n, pc, mode.Opts)
+					metrics, _ := runLT(qs, m, n, pc, mode.Opts)
 					row.MissRate[mode.Name] = metrics.MissRate
 				}
 				rows = append(rows, row)

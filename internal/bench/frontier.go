@@ -46,7 +46,6 @@ import (
 	"lighttrader/internal/scenario"
 	"lighttrader/internal/serve"
 	"lighttrader/internal/tensor"
-	"lighttrader/internal/trading"
 )
 
 // FrontierConfig parameterises the frontier experiment. The zero value is
@@ -222,20 +221,27 @@ func frontierOutputs(spec nn.ZooSpec, xs []*tensor.Tensor) [][]float32 {
 	return outs
 }
 
-// frontierDataset builds the labelled window set: feature windows from a
-// deterministic synthetic trace, labels from the argmax of the teacher's
+// frontierDataset builds the labelled window set: feature windows from
+// the first fc.Ticks ticks of a one-book, one-phase script at
+// feed.DefaultCMEParams, labels from the argmax of the teacher's
 // class-centred outputs over a masked copy of each window that keeps only
 // the oldest frontierTeacherRows rows — the students always see the full
 // (or lookback-cropped) window, so what separates them is how much of the
 // teacher's input region their lookback covers.
 func frontierDataset(fc FrontierConfig) ([]*tensor.Tensor, []nn.Direction) {
-	gcfg := feed.DefaultGeneratorConfig()
-	gcfg.Seed = fc.Seed
-	gen, err := feed.NewGenerator(gcfg)
+	// The script runs twice as long as the mean rate needs for fc.Ticks.
+	p := feed.DefaultCMEParams()
+	seconds := 2 * float64(fc.Ticks) * (1 - p.BranchingRatio()) / p.Mu
+	src, err := scenario.New("frontier", scenario.Script{
+		Instruments: []scenario.Instrument{{SecurityID: 1, Symbol: "ESU6", MidPrice: 450000, DepthPerLevel: 50}},
+		Phases: []scenario.Phase{{Name: "cme", DurationSecs: seconds,
+			Arrivals: scenario.ArrivalSpec{Hawkes: []feed.HawkesParams{p}}}},
+	}, fc.Seed)
 	if err != nil {
-		panic(err) // default config; cannot fail
+		panic(err)
 	}
-	trace := gen.Generate(fc.Ticks)
+	trace := src.Ticks()
+	trace = trace[:min(len(trace), fc.Ticks)]
 	snaps := make([]lob.Snapshot, len(trace))
 	for i := range trace {
 		snaps[i] = trace[i].Snapshot
@@ -412,19 +418,6 @@ func frontierRecoveryLadder() (primary core.SystemConfig, tiers []serve.TierConf
 	return primary, tiers, names
 }
 
-// frontierMulti subscribes one serving pipeline per scenario instrument.
-func frontierMulti(src *scenario.Source) *core.MultiPipeline {
-	mp := core.NewMultiPipeline()
-	for _, ins := range src.Script().Instruments {
-		if err := mp.Add(ins.Symbol, ins.SecurityID,
-			nn.NewSizedCNN("fr-"+ins.Symbol, 8, 0), offload.Normalizer{},
-			trading.DefaultConfig(ins.SecurityID)); err != nil {
-			panic(err) // static subscription set; cannot fail
-		}
-	}
-	return mp
-}
-
 // frontierRecovery replays the burst scenarios through the serving runtime
 // with the ladder on and off. The deadline budget is set a little above the
 // primary's batch-1 service time: a short queue stays on the full model, a
@@ -449,7 +442,7 @@ func frontierRecovery(fc FrontierConfig) ([]RecoveryRow, string, []string, int64
 			cfg.Tiers = tiers
 			mode = "degrade"
 		}
-		srv, err := serve.New(frontierMulti(src), cfg)
+		srv, err := serve.New(sourceMulti(src), cfg)
 		if err != nil {
 			panic(err)
 		}

@@ -15,10 +15,9 @@ import (
 	"strings"
 
 	"lighttrader/internal/core"
-	"lighttrader/internal/exchange"
-	"lighttrader/internal/lob"
 	"lighttrader/internal/nn"
 	"lighttrader/internal/offload"
+	"lighttrader/internal/scenario"
 	"lighttrader/internal/serve"
 	"lighttrader/internal/sim"
 	"lighttrader/internal/trading"
@@ -59,18 +58,33 @@ type PowerRow struct {
 	MaxPowerWatts float64 `json:"max_power_watts"`
 }
 
-// PowerTraffic is the sweep's canonical workload: the default mixture at
-// three times the arrival rate under a tight 500 µs horizon. The short
-// horizon forces high operating points (low states cannot meet single-query
-// deadlines), so un-governed idle draws pile up against the budget — the
-// regime where the status quo drops on power and Algorithm 2 recovers.
-func PowerTraffic() TrafficConfig {
-	tc := DefaultTraffic()
-	tc.Ticks = 12000
-	tc.TAvailNanos = 500_000
-	tc.Calm.Mu *= 3
-	tc.Burst.Mu *= 3
-	return tc
+// powerSeconds is the power workload's length: seed 1 yields ≈ 12 000
+// ticks at its tripled rate.
+const powerSeconds = 8.6
+
+// powerTAvailNanos is the sweep's tight horizon: it forces high operating
+// points (low states cannot meet single-query deadlines), so un-governed
+// idle draws pile up against the budget — the regime where the status quo
+// drops on power and Algorithm 2 recovers.
+const powerTAvailNanos = 500_000
+
+// PowerTraffic is the sweep's canonical workload: the paper script with its
+// Hawkes rates tripled, its flow spread over powerLanes instruments so
+// the serving leg runs one lane per instrument.
+func PowerTraffic() *scenario.Source {
+	return rescript(DefaultTraffic(powerSeconds, 1), func(sc *scenario.Script) {
+		sc.Instruments = sc.Instruments[:0]
+		for s := 0; s < powerLanes; s++ {
+			sc.Instruments = append(sc.Instruments, scenario.Instrument{
+				SecurityID: int32(s + 1), Symbol: fmt.Sprintf("PWR%d", s), MidPrice: 450000, DepthPerLevel: 50,
+			})
+		}
+		for i := range sc.Phases {
+			for k := range sc.Phases[i].Arrivals.Hawkes {
+				sc.Phases[i].Arrivals.Hawkes[k].Mu *= 3
+			}
+		}
+	})
 }
 
 // powerSystemConfig is the sweep's system: DeepLOB latency tables across
@@ -86,48 +100,15 @@ func powerSystemConfig() core.SystemConfig {
 	return cfg
 }
 
-// powerFeed builds the serving-side packet stream: `lanes` instruments
-// listed round-robin on a matching engine, order flow interleaved so packet
-// i belongs to instrument i mod lanes — one packet per query slot.
-func powerFeed(n, lanes int) [][]byte {
-	var packets [][]byte
-	var clock int64
-	eng := exchange.New(
-		func() int64 { clock++; return clock },
-		func(buf []byte) {
-			cp := make([]byte, len(buf))
-			copy(cp, buf)
-			packets = append(packets, cp)
-		},
-	)
-	for s := 0; s < lanes; s++ {
-		eng.ListSecurity(int32(s+1), powerSymbol(s))
-	}
-	id := uint64(1000)
-	for i := 0; len(packets) < n; i++ {
-		sec := int32(i%lanes + 1)
-		id++
-		eng.Submit(exchange.Request{
-			Kind: exchange.ReqNew, SecurityID: sec, ClOrdID: id,
-			Side:  lob.Side(i % 2),
-			Price: int64(100000*int(sec) + i%5 - 2 + 10*(i%2)),
-			Qty:   2,
-		})
-	}
-	return packets[:n]
-}
-
-func powerSymbol(i int) string { return fmt.Sprintf("PWR%d", i) }
-
-// powerMulti subscribes the sweep's instruments with small identically-
+// sourceMulti subscribes a source's instruments with small identically-
 // seeded models: the pipelines' wall-clock cost is irrelevant (admission
 // and completion run on modelled time), they only have to be real.
-func powerMulti(lanes int) *core.MultiPipeline {
+func sourceMulti(src *scenario.Source) *core.MultiPipeline {
 	mp := core.NewMultiPipeline()
-	for s := 0; s < lanes; s++ {
-		tcfg := trading.DefaultConfig(int32(s + 1))
-		if err := mp.Add(powerSymbol(s), int32(s+1),
-			nn.NewSizedCNN("pwr-"+powerSymbol(s), 8, 0), offload.Normalizer{}, tcfg); err != nil {
+	for _, ins := range src.Script().Instruments {
+		if err := mp.Add(ins.Symbol, ins.SecurityID,
+			nn.NewSizedCNN(ins.Symbol, 8, 0), offload.Normalizer{},
+			trading.DefaultConfig(ins.SecurityID)); err != nil {
 			panic(err) // static subscription set; cannot fail
 		}
 	}
@@ -135,14 +116,14 @@ func powerMulti(lanes int) *core.MultiPipeline {
 }
 
 // runSimPower runs one workload through the instrumented simulator.
-func runSimPower(name string, tc TrafficConfig) PowerRow {
+func runSimPower(name string, src *scenario.Source) PowerRow {
 	cfg := powerSystemConfig()
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		panic(err)
 	}
 	tr := sim.NewTracer()
-	m := sim.RunWithOptions(tc.Queries(), sys, sim.WithProbe(tr))
+	m := sim.RunWithOptions(src.Queries(powerTAvailNanos), sys, sim.WithProbe(tr))
 	attr := tr.Attribution()
 	return PowerRow{
 		Workload: name, Engine: "sim",
@@ -155,28 +136,27 @@ func runSimPower(name string, tc TrafficConfig) PowerRow {
 	}
 }
 
-// runServePower replays one workload through the serving runtime in
-// deterministic multi-lane inline replay (modelled clock, one lane per
-// instrument), with the power governor on or off.
-func runServePower(name string, tc TrafficConfig, governor bool) PowerRow {
+// runServePower replays one workload's packets, at the arrivals the
+// simulator leg reads, through the serving runtime in deterministic
+// multi-lane inline replay (modelled clock, one lane per instrument), with
+// the power governor on or off.
+func runServePower(name string, src *scenario.Source, governor bool) PowerRow {
 	cfg := powerSystemConfig()
-	qs := tc.Queries()
-	packets := powerFeed(len(qs), powerLanes)
-	srv, err := serve.New(powerMulti(powerLanes), serve.Config{
+	srv, err := serve.New(sourceMulti(src), serve.Config{
 		Lanes:                powerLanes,
 		Inline:               true,
 		ModelledClock:        true,
 		MaxQueue:             64,
 		Sched:                &cfg.Sched,
-		TAvailNanos:          tc.TAvailNanos,
+		TAvailNanos:          powerTAvailNanos,
 		PrePipelineNanos:     cfg.PrePipelineNanos,
 		DisablePowerGovernor: !governor,
 	})
 	if err != nil {
 		panic(err)
 	}
-	for i, q := range qs {
-		if err := srv.Submit(q.ArrivalNanos, packets[i]); err != nil {
+	for _, tk := range src.Ticks() {
+		if err := srv.Submit(tk.TimeNanos, tk.Packet); err != nil {
 			panic(err) // engine-generated packets always parse
 		}
 	}
@@ -196,13 +176,14 @@ func runServePower(name string, tc TrafficConfig, governor bool) PowerRow {
 	}
 }
 
-// PowerSweep runs the three traffic regimes through all three engines.
-func PowerSweep(tc TrafficConfig) []PowerRow {
+// PowerSweep runs src's three traffic regimes (the sched matrix's calm,
+// bursty and flash) through all three engines.
+func PowerSweep(src *scenario.Source) []PowerRow {
 	var rows []PowerRow
-	for _, w := range schedWorkloads(tc) {
-		rows = append(rows, runSimPower(w.Name, w.TC))
-		rows = append(rows, runServePower(w.Name, w.TC, false))
-		rows = append(rows, runServePower(w.Name, w.TC, true))
+	for _, w := range schedWorkloads(src) {
+		rows = append(rows, runSimPower(w.Name, w.Src))
+		rows = append(rows, runServePower(w.Name, w.Src, false))
+		rows = append(rows, runServePower(w.Name, w.Src, true))
 	}
 	return rows
 }
@@ -245,11 +226,11 @@ type PowerReport struct {
 }
 
 // PowerSweepJSON marshals the sweep with its generating parameters.
-func PowerSweepJSON(tc TrafficConfig, rows []PowerRow) ([]byte, error) {
+func PowerSweepJSON(src *scenario.Source, rows []PowerRow) ([]byte, error) {
 	rep := PowerReport{
 		Model: "DeepLOB", Lanes: powerLanes, Power: core.Limited.Name,
 		BudgetWatts: powerBudgetWatts,
-		Ticks:       tc.Ticks, TAvailNanos: tc.TAvailNanos, Seed: tc.Seed,
+		Ticks:       len(src.Ticks()), TAvailNanos: powerTAvailNanos, Seed: src.Seed(),
 		Rows: rows,
 	}
 	return json.MarshalIndent(rep, "", "  ")

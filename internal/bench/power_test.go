@@ -5,7 +5,7 @@ import (
 
 	"lighttrader/internal/core"
 	"lighttrader/internal/nn"
-	"lighttrader/internal/serve"
+	"lighttrader/internal/scenario"
 	"lighttrader/internal/sim"
 )
 
@@ -25,19 +25,41 @@ func powerDifferentialConfig() core.SystemConfig {
 	return cfg
 }
 
-// TestSimServeLimitedPowerDifferential pins the serving runtime to the
-// offline simulator on the paper's limited-power workload: one accelerator,
-// one lane, modelled clock, identical scheduler config. Response counts and
-// the per-cause drop attribution must agree exactly — the lane's take/retire
-// path is the same decision procedure as core.System's advance loop, and any
-// divergence here means the governor changed admission semantics rather than
-// just power accounting.
-func TestSimServeLimitedPowerDifferential(t *testing.T) {
-	tc := PowerTraffic()
-	tc.Ticks = 3000
-	tc.TAvailNanos = 900_000
-	qs := tc.Queries()
+// withSeconds rebuilds a one-phase source (the paper and power scripts) at
+// another length.
+func withSeconds(src *scenario.Source, seconds float64) *scenario.Source {
+	return rescript(src, func(sc *scenario.Script) { sc.Phases[0].DurationSecs = seconds })
+}
 
+// TestSimServeLimitedPowerDifferential pins the serving runtime to the
+// offline simulator on the limited-power system, for the power sweep's
+// paper-mixture script and every registry scenario: one accelerator, one
+// lane (a multi-instrument scenario's books all share it), modelled clock,
+// identical scheduler config. Response counts, the per-cause drop
+// attribution and the DVFS event sequence must agree exactly — the lane's
+// take/retire path is the same decision procedure as core.System's advance
+// loop, and any divergence here means the governor changed admission
+// semantics rather than just power accounting. A failing case replays as
+// -run 'TestSimServeLimitedPowerDifferential/<scenario>'.
+func TestSimServeLimitedPowerDifferential(t *testing.T) {
+	const tAvail = 900_000
+	srcs := []*scenario.Source{withSeconds(PowerTraffic(), 1.7)}
+	for _, name := range scenario.Names() {
+		src, err := scenario.ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, src)
+	}
+	for _, src := range srcs {
+		t.Run(src.Name(), func(t *testing.T) { simServeDifferential(t, src, tAvail) })
+	}
+}
+
+// simServeDifferential replays src through both engines at N = 1 and
+// compares them.
+func simServeDifferential(t *testing.T, src *scenario.Source, tAvail int64) {
+	qs := src.Queries(tAvail)
 	simCfg := powerDifferentialConfig()
 	sys, err := core.NewSystem(simCfg)
 	if err != nil {
@@ -49,29 +71,8 @@ func TestSimServeLimitedPowerDifferential(t *testing.T) {
 	m := sim.RunWithOptions(qs, sys, sim.WithProbe(tr))
 	attr := tr.Attribution()
 
-	srvCfg := powerDifferentialConfig()
 	srvTr := sim.NewTracerCapacity(1 << 16)
-	srv, err := serve.New(powerMulti(1), serve.Config{
-		Lanes:            1,
-		Inline:           true,
-		ModelledClock:    true,
-		MaxQueue:         srvCfg.MaxQueue,
-		Sched:            &srvCfg.Sched,
-		TAvailNanos:      tc.TAvailNanos,
-		PrePipelineNanos: srvCfg.PrePipelineNanos,
-		Probe:            srvTr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	packets := powerFeed(len(qs), 1)
-	for i, q := range qs {
-		if err := srv.Submit(q.ArrivalNanos, packets[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv.Drain()
-	st := srv.Stats()
+	st := runScenarioServe(t, src, qs, src.Packets(), tAvail, srvTr)
 
 	if st.Submitted != m.Total {
 		t.Errorf("submitted: serve %d, sim %d", st.Submitted, m.Total)
@@ -104,12 +105,10 @@ func TestSimServeLimitedPowerDifferential(t *testing.T) {
 			t.Fatalf("DVFS event %d: serve %+v, sim %+v", i, srvEv[i], simEv[i])
 		}
 	}
-	if tr.DVFSTransitions(sim.DVFSRedistribute) == 0 || tr.DVFSTransitions(sim.DVFSPark) == 0 {
-		t.Error("vacuous differential: no redistribute or park event occurred")
-	}
 
-	// Non-vacuity: the trace must actually exercise service and both
-	// Algorithm-1 drop causes, or the agreement above proves nothing.
+	// Non-vacuity: the stream must actually exercise service, both
+	// Algorithm-1 drop causes and the Board's redistribute and park steps,
+	// or the agreement above proves nothing.
 	if m.Responded == 0 {
 		t.Error("vacuous differential: no query was served")
 	}
@@ -119,9 +118,12 @@ func TestSimServeLimitedPowerDifferential(t *testing.T) {
 	if attr.DeferredPower == 0 {
 		t.Error("vacuous differential: no power-infeasible drop occurred")
 	}
+	if tr.DVFSTransitions(sim.DVFSRedistribute) == 0 || tr.DVFSTransitions(sim.DVFSPark) == 0 {
+		t.Error("vacuous differential: no redistribute or park event occurred")
+	}
 	t.Logf("differential: %d submitted, %d served, %d late, %d evicted, "+
-		"%d deferred-deadline, %d deferred-power",
-		m.Total, m.Responded, m.Late, attr.Evicted, attr.DeferredDeadline, attr.DeferredPower)
+		"%d deferred-deadline, %d deferred-power, %d DVFS events",
+		m.Total, m.Responded, m.Late, attr.Evicted, attr.DeferredDeadline, attr.DeferredPower, len(simEv))
 }
 
 // TestGovernorRecoversDeferredPowerDrops is the recovery claim of the sweep
@@ -131,10 +133,9 @@ func TestSimServeLimitedPowerDifferential(t *testing.T) {
 // status quo, with a non-zero rescue count proving the save-retry path (not
 // some traffic accident) did it.
 func TestGovernorRecoversDeferredPowerDrops(t *testing.T) {
-	tc := PowerTraffic()
-	tc.Ticks = 2500
-	nogov := runServePower("bursty", tc, false)
-	gov := runServePower("bursty", tc, true)
+	src := withSeconds(PowerTraffic(), 1.5)
+	nogov := runServePower("bursty", src, false)
+	gov := runServePower("bursty", src, true)
 
 	if nogov.DeferredPower == 0 {
 		t.Fatal("vacuous recovery test: status quo saw no power-infeasible drops")

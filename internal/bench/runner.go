@@ -1,8 +1,8 @@
 package bench
 
 // The parallel experiment harness. Experiments are independent (each builds
-// its own system models; the only shared state is the read-only query
-// cache), so they fan out across a bounded worker pool. Parallelism is
+// its own system models; the only shared state is the source's memoised,
+// read-only tick stream), so they fan out across a bounded worker pool. Parallelism is
 // strictly across experiments, never inside one — each experiment still
 // drives its simulator serially, so outputs are bit-identical to a serial
 // run and the determinism invariant of internal/sim holds.
@@ -14,6 +14,7 @@ import (
 
 	"lighttrader/internal/core"
 	"lighttrader/internal/nn"
+	"lighttrader/internal/scenario"
 	"lighttrader/internal/sched"
 	"lighttrader/internal/sim"
 )
@@ -32,23 +33,24 @@ type Result struct {
 	Wall   time.Duration
 }
 
-// Experiments returns the full evaluation suite over tc in presentation
-// order: the paper's tables and figures, then the ablations.
-func Experiments(tc TrafficConfig) []Experiment {
+// Experiments returns the full evaluation suite over src's queries at
+// horizon tAvailNanos, in presentation order: the paper's tables and
+// figures, then the ablations.
+func Experiments(src *scenario.Source, tAvailNanos int64) []Experiment {
 	return []Experiment{
 		{Name: "tableI", Run: RenderTableI},
 		{Name: "tableII", Run: RenderTableII},
 		{Name: "tableIII", Run: RenderTableIII},
-		{Name: "fig8", Run: func() string { return RenderFig8(Fig8(tc)) }},
+		{Name: "fig8", Run: func() string { return RenderFig8(Fig8(src, tAvailNanos)) }},
 		{Name: "fig9", Run: func() string { return RenderFig9(Fig9()) }},
-		{Name: "fig11", Run: func() string { return RenderFig11(Fig11(tc)) }},
-		{Name: "fig12", Run: func() string { return RenderFig12(Fig12(tc)) }},
-		{Name: "fig13", Run: func() string { return RenderFig13(Fig13(tc)) }},
+		{Name: "fig11", Run: func() string { return RenderFig11(Fig11(src, tAvailNanos)) }},
+		{Name: "fig12", Run: func() string { return RenderFig12(Fig12(src, tAvailNanos)) }},
+		{Name: "fig13", Run: func() string { return RenderFig13(Fig13(src, tAvailNanos)) }},
 		{Name: "ablation-precision", Run: func() string { return RenderAblationPrecision(AblationPrecision()) }},
-		{Name: "ablation-policy", Run: func() string { return RenderAblationPolicy(AblationPolicy(tc)) }},
-		{Name: "ablation-switch", Run: func() string { return RenderAblationSwitchDelay(AblationSwitchDelay(tc)) }},
-		{Name: "ablation-burstiness", Run: func() string { return RenderAblationBurstiness(AblationBurstiness(tc)) }},
-		{Name: "sched-matrix", Run: func() string { return RenderSchedMatrix(SchedMatrixWorkers(tc, 1)) }},
+		{Name: "ablation-policy", Run: func() string { return RenderAblationPolicy(AblationPolicy(src, tAvailNanos)) }},
+		{Name: "ablation-switch", Run: func() string { return RenderAblationSwitchDelay(AblationSwitchDelay(src, tAvailNanos)) }},
+		{Name: "ablation-burstiness", Run: func() string { return RenderAblationBurstiness(AblationBurstiness(src, tAvailNanos)) }},
+		{Name: "sched-matrix", Run: func() string { return RenderSchedMatrix(SchedMatrixWorkers(src, tAvailNanos, 1)) }},
 		{Name: "scenario-matrix", Run: func() string { return RenderScenarioMatrix(ScenarioMatrixWorkers(ScenarioTAvailNanos, 1)) }},
 	}
 }
@@ -109,7 +111,7 @@ func RunMatrix[T, R any](items []T, workers int, fn func(T) R) []R {
 // attached, and returns the run metrics alongside the tracer for attribution
 // and event export (ltbench -trace). factory is the scheduling strategy (the
 // ltbench -scheduler knob); nil keeps the default proactive PPW scheduler.
-func TraceRunWith(tc TrafficConfig, factory sched.Factory) (sim.Metrics, *sim.Tracer) {
+func TraceRunWith(src *scenario.Source, tAvailNanos int64, factory sched.Factory) (sim.Metrics, *sim.Tracer) {
 	cfg, err := core.Configure(nn.NewDeepLOB(), 2, core.Limited,
 		core.Options{WorkloadScheduling: true, DVFSScheduling: true, Scheduler: factory})
 	if err != nil {
@@ -120,6 +122,6 @@ func TraceRunWith(tc TrafficConfig, factory sched.Factory) (sim.Metrics, *sim.Tr
 		panic(err)
 	}
 	tr := sim.NewTracer()
-	m := sim.RunWithOptions(tc.Queries(), sys, sim.WithProbe(tr))
+	m := sim.RunWithOptions(src.Queries(tAvailNanos), sys, sim.WithProbe(tr))
 	return m, tr
 }

@@ -1,49 +1,51 @@
 package bench
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"lighttrader/internal/baseline"
 	"lighttrader/internal/core"
+	"lighttrader/internal/feed"
 	"lighttrader/internal/nn"
+	"lighttrader/internal/scenario"
 	"lighttrader/internal/sim"
 )
 
-// tinyTraffic is a fast config distinct from shortTraffic so cache state
-// from other tests doesn't mask generation races.
-func tinyTraffic(ticks int) TrafficConfig {
-	tc := DefaultTraffic()
-	tc.Ticks = ticks
-	return tc
+// tinyTraffic is a fast slice of the paper workload at the 20 ms horizon.
+func tinyTraffic(seconds float64) (*scenario.Source, int64) {
+	return DefaultTraffic(seconds, 1), 20_000_000
 }
 
 func TestQueriesConcurrentAccess(t *testing.T) {
-	// Exercises the query cache from many goroutines; run under -race this
-	// guards the lock added for the parallel experiment runner. Workers hit
-	// both an uncached config (generation race) and repeated lookups.
-	tc := tinyTraffic(701) // unlikely to be cached by another test
+	// The parallel experiment runner hands one Source to many goroutines;
+	// run under -race this guards its memoisation. Every worker races the
+	// first generation, then projects queries from the shared ticks.
+	src, tAvail := tinyTraffic(1.3)
 	var wg sync.WaitGroup
+	ticks := make([][]feed.Tick, 8)
 	results := make([][]sim.Query, 8)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 4; j++ {
-				results[i] = tc.Queries()
+				ticks[i] = src.Ticks()
+				results[i] = src.Queries(tAvail)
 			}
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < len(results); i++ {
-		if len(results[i]) != len(results[0]) {
-			t.Fatalf("worker %d saw %d queries, worker 0 saw %d", i, len(results[i]), len(results[0]))
+		if !reflect.DeepEqual(results[i], results[0]) {
+			t.Fatalf("worker %d saw different queries from worker 0", i)
 		}
 	}
-	// All callers must observe the same canonical slice.
-	for i := 1; i < len(results); i++ {
-		if &results[i][0] != &results[0][0] {
-			t.Fatal("workers observed different cached slices")
+	// All callers must observe the same canonical tick slice.
+	for i := 1; i < len(ticks); i++ {
+		if &ticks[i][0] != &ticks[0][0] {
+			t.Fatal("workers observed different memoised tick slices")
 		}
 	}
 }
@@ -66,10 +68,10 @@ func TestRunMatrixPreservesOrder(t *testing.T) {
 func TestRunAllParallelMatchesSerial(t *testing.T) {
 	// The tentpole invariant: fanning experiments across workers changes
 	// only wall time, never output.
-	tc := tinyTraffic(2000)
+	src, tAvail := tinyTraffic(3.8)
 	subset := func() []Experiment {
 		var sel []Experiment
-		for _, e := range Experiments(tc) {
+		for _, e := range Experiments(src, tAvail) {
 			switch e.Name {
 			case "tableI", "tableIII", "fig8", "fig9", "fig11", "fig12":
 				sel = append(sel, e)
@@ -109,11 +111,11 @@ func systemsUnderTest(t *testing.T) []sim.SystemModel {
 }
 
 func TestDeterminismAcrossSystemsAndHarness(t *testing.T) {
-	// Same TrafficConfig seed run twice must produce byte-identical Metrics
-	// for LightTrader, GPU and FPGA — serially and under the parallel
-	// harness (Metrics is a comparable struct, so == is a bytewise check).
-	tc := tinyTraffic(3000)
-	queries := tc.Queries()
+	// The same source run twice must produce byte-identical Metrics for
+	// LightTrader, GPU and FPGA — serially and under the parallel harness
+	// (Metrics is a comparable struct, so == is a bytewise check).
+	src, tAvail := tinyTraffic(5.7)
+	queries := src.Queries(tAvail)
 	first := make([]sim.Metrics, 3)
 	for i, sys := range systemsUnderTest(t) {
 		first[i] = sim.Run(queries, sys)
@@ -123,7 +125,7 @@ func TestDeterminismAcrossSystemsAndHarness(t *testing.T) {
 		second[i] = sim.Run(queries, sys)
 	}
 	viaHarness := RunMatrix(systemsUnderTest(t), 3, func(sys sim.SystemModel) sim.Metrics {
-		return sim.Run(tc.Queries(), sys)
+		return sim.Run(src.Queries(tAvail), sys)
 	})
 	for i := range first {
 		if first[i] != second[i] {
@@ -141,9 +143,8 @@ func TestTraceRunAttributionSumsToMisses(t *testing.T) {
 	// counts sum to Metrics.Dropped + Metrics.Late. A tight 500 µs horizon
 	// (< 2·tick-to-trade for DeepLOB) guarantees bursts overrun the
 	// two-accelerator system even on the -short trace.
-	tc := shortTraffic(t)
-	tc.TAvailNanos = 500_000
-	m, tr := TraceRunWith(tc, nil)
+	src, _ := shortTraffic(t)
+	m, tr := TraceRunWith(src, 500_000, nil)
 	if m.Dropped+m.Late == 0 {
 		t.Fatal("bursty trace produced no misses; attribution unexercised")
 	}

@@ -67,16 +67,15 @@ func scenarioConfigs() []scenarioConfig {
 
 // scenarioCell is one unit of matrix work.
 type scenarioCell struct {
-	src *scenario.Source
-	cfg scenarioConfig
-	tc  TrafficConfig
+	src    *scenario.Source
+	cfg    scenarioConfig
+	tAvail int64
 }
 
 // ScenarioMatrixWorkers builds the full scenario × config chaos matrix,
 // its cells fanned across a worker pool (1 runs them serially). Each scenario
 // is generated once and shared read-only across its configuration rungs
-// (Source memoises; TrafficConfig carries the pointer into the query
-// cache), so rows are identical for any worker count.
+// (Source memoises its ticks), so rows are identical for any worker count.
 func ScenarioMatrixWorkers(tAvailNanos int64, workers int) []ScenarioRow {
 	var cells []scenarioCell
 	for _, name := range scenario.Names() {
@@ -86,9 +85,8 @@ func ScenarioMatrixWorkers(tAvailNanos int64, workers int) []ScenarioRow {
 		}
 		// Generate eagerly so parallel cells never race to build one stream.
 		src.Ticks()
-		tc := FromScenario(src, tAvailNanos)
 		for _, cfg := range scenarioConfigs() {
-			cells = append(cells, scenarioCell{src: src, cfg: cfg, tc: tc})
+			cells = append(cells, scenarioCell{src: src, cfg: cfg, tAvail: tAvailNanos})
 		}
 	}
 	return RunMatrix(cells, workers, runScenarioCell)
@@ -110,7 +108,7 @@ func runScenarioCell(c scenarioCell) ScenarioRow {
 		panic(err)
 	}
 	tr := sim.NewTracer()
-	m := sim.RunWithOptions(c.tc.Queries(), sys, sim.WithProbe(tr))
+	m := sim.RunWithOptions(c.src.Queries(c.tAvail), sys, sim.WithProbe(tr))
 	attr := tr.Attribution()
 	return ScenarioRow{
 		Scenario: c.src.Name(), Config: c.cfg.Name,

@@ -9,12 +9,9 @@ import (
 	"time"
 
 	"lighttrader/internal/core"
-	"lighttrader/internal/nn"
-	"lighttrader/internal/offload"
 	"lighttrader/internal/scenario"
 	"lighttrader/internal/serve"
 	"lighttrader/internal/sim"
-	"lighttrader/internal/trading"
 	"lighttrader/internal/venue"
 )
 
@@ -50,26 +47,14 @@ func TestScenarioMatrixSmoke(t *testing.T) {
 	}
 }
 
-// scenarioMulti subscribes one serving pipeline per scenario instrument.
-func scenarioMulti(src *scenario.Source) *core.MultiPipeline {
-	mp := core.NewMultiPipeline()
-	for _, ins := range src.Script().Instruments {
-		if err := mp.Add(ins.Symbol, ins.SecurityID,
-			nn.NewSizedCNN("scn-"+ins.Symbol, 8, 0), offload.Normalizer{},
-			trading.DefaultConfig(ins.SecurityID)); err != nil {
-			panic(err) // static subscription set; cannot fail
-		}
-	}
-	return mp
-}
-
 // runScenarioServe replays packet/arrival pairs through an N=1 modelled-
-// clock serving runtime under the differential system config.
+// clock serving runtime under the differential system config, observed by
+// probe (nil for none).
 func runScenarioServe(t *testing.T, src *scenario.Source, qs []sim.Query,
-	packets [][]byte, tAvail int64) serve.Stats {
+	packets [][]byte, tAvail int64, probe sim.Probe) serve.Stats {
 	t.Helper()
 	srvCfg := powerDifferentialConfig()
-	srv, err := serve.New(scenarioMulti(src), serve.Config{
+	srv, err := serve.New(sourceMulti(src), serve.Config{
 		Lanes:            1,
 		Inline:           true,
 		ModelledClock:    true,
@@ -77,6 +62,7 @@ func runScenarioServe(t *testing.T, src *scenario.Source, qs []sim.Query,
 		Sched:            &srvCfg.Sched,
 		TAvailNanos:      tAvail,
 		PrePipelineNanos: srvCfg.PrePipelineNanos,
+		Probe:            probe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +105,7 @@ func TestScenarioSimServeVenueDifferential(t *testing.T) {
 	attr := tr.Attribution()
 
 	// Leg 2: the serving runtime on the same bytes.
-	st := runScenarioServe(t, src, qs, packets, tAvail)
+	st := runScenarioServe(t, src, qs, packets, tAvail, nil)
 
 	if st.Submitted != m.Total {
 		t.Errorf("submitted: serve %d, sim %d", st.Submitted, m.Total)
@@ -193,7 +179,7 @@ func TestScenarioSimServeVenueDifferential(t *testing.T) {
 			t.Fatalf("wire packet %d differs from scenario byte stream", i)
 		}
 	}
-	stWire := runScenarioServe(t, src, qs, received, tAvail)
+	stWire := runScenarioServe(t, src, qs, received, tAvail, nil)
 	if !reflect.DeepEqual(stWire, st) {
 		t.Errorf("venue-replayed serve stats %+v differ from direct serve stats %+v", stWire, st)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"lighttrader/internal/core"
 	"lighttrader/internal/nn"
+	"lighttrader/internal/scenario"
 	"lighttrader/internal/sched"
 	"lighttrader/internal/sim"
 )
@@ -40,21 +41,18 @@ type SchedRow struct {
 // schedWorkload is one traffic regime of the matrix.
 type schedWorkload struct {
 	Name string
-	TC   TrafficConfig
+	Src  *scenario.Source
 }
 
-// schedWorkloads derives the three regimes from the base traffic: a
-// subcritical calm stream, the default near-critical bursty mixture, and a
-// flash regime with the cascade component pushed next to criticality.
-func schedWorkloads(tc TrafficConfig) []schedWorkload {
-	calm := tc
-	calm.Burst.Alpha = calm.Burst.Beta * 0.5
-	flash := tc
-	flash.Burst.Alpha = flash.Burst.Beta * 0.98
+// schedWorkloads derives the three regimes from the paper script: a
+// subcritical calm stream, the script itself (the near-critical bursty
+// mixture), and a flash regime with the cascade component pushed next to
+// criticality.
+func schedWorkloads(src *scenario.Source) []schedWorkload {
 	return []schedWorkload{
-		{Name: "calm", TC: calm},
-		{Name: "bursty", TC: tc},
-		{Name: "flash", TC: flash},
+		{Name: "calm", Src: withBranching(src, 0.5)},
+		{Name: "bursty", Src: src},
+		{Name: "flash", Src: withBranching(src, 0.98)},
 	}
 }
 
@@ -67,12 +65,12 @@ func schedMatrixConfig(factory sched.Factory) (core.SystemConfig, error) {
 }
 
 // TrainQ trains a tabular Q-scheduler for the matrix configuration against
-// the deterministic simulator: `episodes` seeded replays of tc's query
+// the deterministic simulator: `episodes` seeded replays of src's query
 // stream with exploration and updates on, then frozen. Training is exactly
 // reproducible — the trace, the simulator and the ε-greedy source are all
 // seeded — so the returned (read-only) policy is a deterministic function
-// of (tc, episodes).
-func TrainQ(tc TrafficConfig, episodes int) *sched.QScheduler {
+// of (src, tAvailNanos, episodes).
+func TrainQ(src *scenario.Source, tAvailNanos int64, episodes int) *sched.QScheduler {
 	cfg, err := schedMatrixConfig(nil)
 	if err != nil {
 		panic(err) // static config; cannot fail
@@ -85,9 +83,10 @@ func TrainQ(tc TrafficConfig, episodes int) *sched.QScheduler {
 	if err != nil {
 		panic(err)
 	}
+	qs := src.Queries(tAvailNanos)
 	q.SetTraining(true)
 	for e := 0; e < episodes; e++ {
-		sim.Run(tc.Queries(), sys)
+		sim.Run(qs, sys)
 		q.EndEpisode()
 	}
 	q.SetTraining(false)
@@ -98,15 +97,17 @@ func TrainQ(tc TrafficConfig, episodes int) *sched.QScheduler {
 type schedCell struct {
 	policy   string
 	workload schedWorkload
+	tAvail   int64
 	factory  sched.Factory
 }
 
 // SchedMatrixWorkers builds the full policy × workload comparison, its cells
-// fanned across a worker pool (1 runs them serially). Training runs first, serially; evaluation cells share only the
-// frozen (read-only) Q-table and the query cache, so rows are identical for
-// any worker count.
-func SchedMatrixWorkers(tc TrafficConfig, workers int) []SchedRow {
-	trained := TrainQ(tc, schedTrainEpisodes)
+// fanned across a worker pool (1 runs them serially). Training runs first,
+// serially; evaluation cells share only the frozen (read-only) Q-table and
+// the regimes' memoised tick streams, so rows are identical for any worker
+// count.
+func SchedMatrixWorkers(src *scenario.Source, tAvailNanos int64, workers int) []SchedRow {
+	trained := TrainQ(src, tAvailNanos, schedTrainEpisodes)
 	policies := []struct {
 		name    string
 		factory sched.Factory
@@ -119,9 +120,9 @@ func SchedMatrixWorkers(tc TrafficConfig, workers int) []SchedRow {
 		{"qtable", func(*sched.Config) sched.Scheduler { return trained }},
 	}
 	var cells []schedCell
-	for _, w := range schedWorkloads(tc) {
+	for _, w := range schedWorkloads(src) {
 		for _, p := range policies {
-			cells = append(cells, schedCell{policy: p.name, workload: w, factory: p.factory})
+			cells = append(cells, schedCell{policy: p.name, workload: w, tAvail: tAvailNanos, factory: p.factory})
 		}
 	}
 	return RunMatrix(cells, workers, runSchedCell)
@@ -147,7 +148,7 @@ func runSchedCell(c schedCell) SchedRow {
 	if err != nil {
 		panic(err)
 	}
-	m := sim.Run(c.workload.TC.Queries(), sys)
+	m := sim.Run(c.workload.Src.Queries(c.tAvail), sys)
 	row := SchedRow{
 		Policy: c.policy, Workload: c.workload.Name,
 		ResponseRate: m.ResponseRate, MissRate: m.MissRate,
@@ -194,10 +195,10 @@ type SchedReport struct {
 }
 
 // SchedMatrixJSON marshals the matrix with its generating parameters.
-func SchedMatrixJSON(tc TrafficConfig, rows []SchedRow) ([]byte, error) {
+func SchedMatrixJSON(src *scenario.Source, tAvailNanos int64, rows []SchedRow) ([]byte, error) {
 	rep := SchedReport{
 		Model: "DeepLOB", Accels: 2, Power: core.Limited.Name,
-		Ticks: tc.Ticks, TAvailNanos: tc.TAvailNanos, Seed: tc.Seed,
+		Ticks: len(src.Ticks()), TAvailNanos: tAvailNanos, Seed: src.Seed(),
 		Episodes: schedTrainEpisodes, Rows: rows,
 	}
 	return json.MarshalIndent(rep, "", "  ")

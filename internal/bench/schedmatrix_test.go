@@ -6,15 +6,14 @@ import (
 	"strings"
 	"testing"
 
+	"lighttrader/internal/scenario"
 	"lighttrader/internal/sched"
 )
 
 // schedTestTraffic is a small but non-trivial trace: enough ticks that every
 // policy issues, defers and batches, small enough for CI.
-func schedTestTraffic() TrafficConfig {
-	tc := DefaultTraffic()
-	tc.Ticks = 4000
-	return tc
+func schedTestTraffic() (*scenario.Source, int64) {
+	return DefaultTraffic(8, 1), 20_000_000
 }
 
 // TestSchedMatrixParallelIdentical is the policy-matrix smoke: the full
@@ -23,9 +22,9 @@ func schedTestTraffic() TrafficConfig {
 // byte-identical for any worker count — training is serial and seeded, and
 // evaluation cells share only read-only state.
 func TestSchedMatrixParallelIdentical(t *testing.T) {
-	tc := schedTestTraffic()
-	serial := SchedMatrixWorkers(tc, 1)
-	parallel := SchedMatrixWorkers(tc, 4)
+	src, tAvail := schedTestTraffic()
+	serial := SchedMatrixWorkers(src, tAvail, 1)
+	parallel := SchedMatrixWorkers(src, tAvail, 4)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("matrix diverged across worker counts:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
@@ -37,8 +36,8 @@ func TestSchedMatrixParallelIdentical(t *testing.T) {
 // TestSchedMatrixShape: one row per (workload, policy) pair, fully
 // accounted rates, and the archived JSON carries the generating parameters.
 func TestSchedMatrixShape(t *testing.T) {
-	tc := schedTestTraffic()
-	rows := SchedMatrixWorkers(tc, 1)
+	src, tAvail := schedTestTraffic()
+	rows := SchedMatrixWorkers(src, tAvail, 1)
 	wantPolicies := []string{"ppw", "fcfs", "greedy", "rr", "sjf", "qtable"}
 	wantWorkloads := []string{"calm", "bursty", "flash"}
 	if len(rows) != len(wantPolicies)*len(wantWorkloads) {
@@ -75,7 +74,7 @@ func TestSchedMatrixShape(t *testing.T) {
 		t.Fatalf("ppw mean batch = %v, want > 1 under bursty traffic", mb)
 	}
 
-	data, err := SchedMatrixJSON(tc, rows)
+	data, err := SchedMatrixJSON(src, tAvail, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +82,8 @@ func TestSchedMatrixShape(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Ticks != tc.Ticks || rep.Seed != tc.Seed || len(rep.Rows) != len(rows) {
+	if rep.Ticks != len(src.Ticks()) || rep.TAvailNanos != tAvail || rep.Seed != src.Seed() ||
+		len(rep.Rows) != len(rows) {
 		t.Fatalf("archived report lost parameters: %+v", rep)
 	}
 	if !strings.Contains(string(data), "responses_per_joule") {
@@ -94,12 +94,12 @@ func TestSchedMatrixShape(t *testing.T) {
 // TestTrainQReproducible: the training loop is a deterministic function of
 // its inputs — two independent trainings decide identically.
 func TestTrainQReproducible(t *testing.T) {
-	tc := schedTestTraffic()
+	src, tAvail := schedTestTraffic()
 	row := func(q *sched.QScheduler) SchedRow {
-		return runSchedCell(schedCell{policy: "qtable", workload: schedWorkload{Name: "train", TC: tc},
-			factory: func(*sched.Config) sched.Scheduler { return q }})
+		return runSchedCell(schedCell{policy: "qtable", workload: schedWorkload{Name: "train", Src: src},
+			tAvail: tAvail, factory: func(*sched.Config) sched.Scheduler { return q }})
 	}
-	a, b := row(TrainQ(tc, 2)), row(TrainQ(tc, 2))
+	a, b := row(TrainQ(src, tAvail, 2)), row(TrainQ(src, tAvail, 2))
 	if a.ResponseRate == 0 {
 		t.Fatal("the trained policy answered nothing")
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"lighttrader/internal/feed"
 	"lighttrader/internal/latency"
 	"lighttrader/internal/nn"
 	"lighttrader/internal/offload"
@@ -13,12 +12,9 @@ import (
 // TestPipelineLatencyHook checks SetLatency records one sample per decoded
 // packet and that detaching stops recording.
 func TestPipelineLatencyHook(t *testing.T) {
-	cfg := feed.DefaultGeneratorConfig()
-	gen, err := feed.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ticks := gen.Generate(20)
+	cfg := cmeBook
+	all := cmeTicks(t, 21)
+	ticks := all[:20]
 	p, err := NewPipeline(cfg.Symbol, cfg.SecurityID, nn.NewSizedCNN("tiny", 8, 0),
 		offload.Calibrate(snapsOf(ticks)), trading.DefaultConfig(cfg.SecurityID))
 	if err != nil {
@@ -38,7 +34,7 @@ func TestPipelineLatencyHook(t *testing.T) {
 		t.Fatalf("inconsistent summary: %+v", s)
 	}
 	p.SetLatency(nil)
-	if _, err := p.OnPacket(gen.Generate(1)[0].Packet); err != nil {
+	if _, err := p.OnPacket(all[20].Packet); err != nil {
 		t.Fatal(err)
 	}
 	if hist.Count() != uint64(len(ticks)) {

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"lighttrader/internal/feed"
 	"lighttrader/internal/nn"
 	"lighttrader/internal/sim"
 )
@@ -11,11 +10,7 @@ import (
 // burstyQueries builds a deterministic bursty tick trace for system tests.
 func burstyQueries(t *testing.T, n int, tAvail int64) []sim.Query {
 	t.Helper()
-	gen, err := feed.NewGenerator(feed.DefaultGeneratorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sim.QueriesFromTicks(gen.Generate(n), tAvail)
+	return sim.QueriesFromTicks(cmeTicks(t, n), tAvail)
 }
 
 func mustSystem(t *testing.T, m *nn.Model, n int, pc PowerCondition, opts Options) *System {

@@ -24,11 +24,7 @@ var benchNorm offload.Normalizer
 func tickTrace(b *testing.B) []feed.Tick {
 	b.Helper()
 	if benchTicks == nil {
-		g, err := feed.NewGenerator(feed.DefaultGeneratorConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchTicks = g.Generate(4096)
+		benchTicks = cmeTicks(b, 4096)
 		snaps := make([]lob.Snapshot, len(benchTicks))
 		for i := range benchTicks {
 			snaps[i] = benchTicks[i].Snapshot

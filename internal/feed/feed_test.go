@@ -2,11 +2,11 @@ package feed
 
 import (
 	"bytes"
+	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
-	"lighttrader/internal/sbe"
+	"lighttrader/internal/lob"
 )
 
 // MeanRate returns the stationary event rate Mu/(1−Alpha/Beta) in events/s,
@@ -54,15 +54,30 @@ func TestHawkesMeanRate(t *testing.T) {
 	}
 }
 
+// syntheticTicks builds n ticks at Hawkes arrival times, each with its own
+// packet bytes and book: the trace format round-trips bytes, it does not
+// parse them.
+func syntheticTicks(n int) []Tick {
+	h := NewHawkes(DefaultCMEParams(), 2)
+	ticks := make([]Tick, n)
+	for i := range ticks {
+		tk := &ticks[i]
+		tk.TimeNanos = h.NextNanos()
+		tk.Packet = []byte(fmt.Sprintf("packet %d", i))
+		tk.Snapshot.Seq = uint64(i + 1)
+		tk.Snapshot.LastTrade = int64(450000 + i%7)
+		for l := range tk.Snapshot.Bids {
+			tk.Snapshot.Bids[l] = lob.Level{Price: int64(449999 - l), Qty: int64(i + l + 1), Orders: l + 1}
+			tk.Snapshot.Asks[l] = lob.Level{Price: int64(450001 + l), Qty: int64(2*i + l + 1), Orders: l + 2}
+		}
+	}
+	return ticks
+}
+
 func TestHawkesBurstiness(t *testing.T) {
 	// A Hawkes process with branching ratio 0.8 must be far burstier than
 	// Poisson: CV² of inter-arrivals well above 1.
-	g, err := NewGenerator(DefaultGeneratorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ticks := g.Generate(20000)
-	s := ComputeStats(ticks)
+	s := ComputeStats(syntheticTicks(20000))
 	if s.CV2 < 2 {
 		t.Fatalf("CV² = %.2f; want ≫ 1 (bursty)", s.CV2)
 	}
@@ -96,6 +111,67 @@ func TestHawkesIntensityDecays(t *testing.T) {
 	}
 }
 
+// arrivalMix builds the routine-plus-flash arrival mixture the scenario
+// engine times its ticks by.
+func arrivalMix(seed int64) *Mixture {
+	return NewProcessMixture([]ArrivalProcess{
+		NewHawkes(DefaultCMEParams(), seed),
+		NewFlash(FlashParams{MeanIntervalSecs: 0.05, DurationSecs: 0.005, RateHz: 75000}, seed+1),
+	})
+}
+
+func TestGeneratorDeterminism(t *testing.T) {
+	const n = 2000
+	draw := func(seed int64) []int64 {
+		m := arrivalMix(seed)
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = m.NextNanos()
+		}
+		return out
+	}
+	t1, t2 := draw(1), draw(1)
+	for i := range t1 {
+		if t1[i] != t2[i] {
+			t.Fatalf("same seed diverged at event %d: %d vs %d", i, t1[i], t2[i])
+		}
+		if i > 0 && t1[i] <= t1[i-1] {
+			t.Fatalf("event %d not after event %d: %d <= %d", i, i-1, t1[i], t1[i-1])
+		}
+	}
+	t3 := draw(2)
+	same := true
+	for i := range t1 {
+		if t1[i] != t3[i] {
+			same = false
+			break
+		}
+	}
+	if same {
+		t.Fatal("different seeds produced identical arrival times")
+	}
+}
+
+func TestGeneratorBadConfig(t *testing.T) {
+	for name, build := range map[string]func(){
+		"hawkes zero baseline": func() { NewHawkes(HawkesParams{Mu: 0, Alpha: 1, Beta: 1}, 1) },
+		"hawkes negative jump": func() { NewHawkes(HawkesParams{Mu: 1, Alpha: -1, Beta: 1}, 1) },
+		"flash zero interval":  func() { NewFlash(FlashParams{DurationSecs: 1, RateHz: 1}, 1) },
+		"flash zero duration":  func() { NewFlash(FlashParams{MeanIntervalSecs: 1, RateHz: 1}, 1) },
+		"flash zero rate":      func() { NewFlash(FlashParams{MeanIntervalSecs: 1, DurationSecs: 1}, 1) },
+		"empty mixture":        func() { NewProcessMixture(nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: bad config accepted", name)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
 func TestSupercriticalMeanRate(t *testing.T) {
 	p := HawkesParams{Mu: 1, Alpha: 2, Beta: 1}
 	if !math.IsInf(p.MeanRate(), 1) {
@@ -103,77 +179,8 @@ func TestSupercriticalMeanRate(t *testing.T) {
 	}
 }
 
-func TestGeneratorDeterminism(t *testing.T) {
-	cfg := DefaultGeneratorConfig()
-	g1, _ := NewGenerator(cfg)
-	g2, _ := NewGenerator(cfg)
-	t1 := g1.Generate(500)
-	t2 := g2.Generate(500)
-	if !reflect.DeepEqual(t1, t2) {
-		t.Fatal("same seed must produce identical traces")
-	}
-	cfg.Seed = 2
-	g3, _ := NewGenerator(cfg)
-	t3 := g3.Generate(500)
-	if reflect.DeepEqual(t1, t3) {
-		t.Fatal("different seeds produced identical traces")
-	}
-}
-
-func TestGeneratorTicksWellFormed(t *testing.T) {
-	g, err := NewGenerator(DefaultGeneratorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ticks := g.Generate(2000)
-	if len(ticks) != 2000 {
-		t.Fatalf("got %d ticks", len(ticks))
-	}
-	prev := int64(0)
-	for i, tk := range ticks {
-		if tk.TimeNanos < prev {
-			t.Fatalf("tick %d time went backwards", i)
-		}
-		prev = tk.TimeNanos
-		if _, err := sbe.DecodePacket(tk.Packet); err != nil {
-			t.Fatalf("tick %d packet: %v", i, err)
-		}
-		if tk.Snapshot.Bids[0].Price == 0 || tk.Snapshot.Asks[0].Price == 0 {
-			t.Fatalf("tick %d: empty top of book %+v", i, tk.Snapshot)
-		}
-		if tk.Snapshot.Bids[0].Price >= tk.Snapshot.Asks[0].Price {
-			t.Fatalf("tick %d: crossed snapshot", i)
-		}
-	}
-}
-
-func TestGeneratorPriceMoves(t *testing.T) {
-	g, _ := NewGenerator(DefaultGeneratorConfig())
-	ticks := g.Generate(5000)
-	first := ticks[0].Snapshot.MidPrice()
-	var moved bool
-	for _, tk := range ticks {
-		if tk.Snapshot.MidPrice() != first {
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		t.Fatal("mid price never moved over 5000 ticks")
-	}
-}
-
-func TestGeneratorBadConfig(t *testing.T) {
-	cfg := DefaultGeneratorConfig()
-	cfg.MidPrice = 5
-	if _, err := NewGenerator(cfg); err == nil {
-		t.Fatal("bad config accepted")
-	}
-}
-
 func TestTraceRoundTrip(t *testing.T) {
-	g, _ := NewGenerator(DefaultGeneratorConfig())
-	ticks := g.Generate(300)
+	ticks := syntheticTicks(300)
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, "ESU6", ticks); err != nil {
 		t.Fatal(err)
@@ -195,7 +202,8 @@ func TestTraceRoundTrip(t *testing.T) {
 		if !bytes.Equal(got[i].Packet, ticks[i].Packet) {
 			t.Fatalf("tick %d packet mismatch", i)
 		}
-		if got[i].Snapshot.Bids != ticks[i].Snapshot.Bids || got[i].Snapshot.Asks != ticks[i].Snapshot.Asks {
+		if got[i].Snapshot.Bids != ticks[i].Snapshot.Bids || got[i].Snapshot.Asks != ticks[i].Snapshot.Asks ||
+			got[i].Snapshot.Seq != ticks[i].Snapshot.Seq || got[i].Snapshot.LastTrade != ticks[i].Snapshot.LastTrade {
 			t.Fatalf("tick %d snapshot mismatch", i)
 		}
 	}
@@ -209,8 +217,7 @@ func TestTraceErrors(t *testing.T) {
 		t.Fatal("bad magic accepted")
 	}
 	// Truncated record.
-	g, _ := NewGenerator(DefaultGeneratorConfig())
-	ticks := g.Generate(5)
+	ticks := syntheticTicks(5)
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, "ES", ticks); err != nil {
 		t.Fatal(err)
@@ -234,17 +241,5 @@ func BenchmarkHawkesNext(b *testing.B) {
 	h := NewHawkes(DefaultCMEParams(), 1)
 	for i := 0; i < b.N; i++ {
 		_ = h.Next()
-	}
-}
-
-func BenchmarkGenerate(b *testing.B) {
-	g, err := NewGenerator(DefaultGeneratorConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.Generate(1)
 	}
 }

@@ -1,14 +1,16 @@
-// Package feed synthesises and stores bursty market-data traffic.
+// Package feed holds the arrival processes and the trace format of the
+// market-data traffic.
 //
 // The paper evaluates LightTrader against CME E-mini S&P 500 historical tick
 // data, whose defining property for the experiments is extreme burstiness:
 // inter-tick gaps swing from microseconds inside event clusters to seconds
 // between them (§II-C). That proprietary trace is replaced by a
 // self-exciting Hawkes point process — the standard econometric model for
-// exactly this clustering — driving a real matching engine, so generated
-// ticks have both realistic arrival times and internally consistent book
-// content. Traces are deterministic given a seed and serialisable to a
-// binary file for exactly re-runnable back-tests.
+// exactly this clustering — mixed with rare flash windows. The scenario
+// package drives a real matching engine at these arrival times, so ticks
+// have both realistic timing and internally consistent book content. A
+// trace is a Tick slice, serialisable to a binary file for exactly
+// re-runnable back-tests.
 package feed
 
 import (

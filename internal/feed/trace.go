@@ -12,6 +12,16 @@ import (
 	"lighttrader/internal/lob"
 )
 
+// Tick is one market-data event as seen by the HFT system: the encoded
+// datagram (for the functional packet-parsing path) plus the post-event book
+// snapshot (for the simulation fast path, mirroring the paper's profiled
+// replay).
+type Tick struct {
+	TimeNanos int64
+	Packet    []byte
+	Snapshot  lob.Snapshot
+}
+
 // Binary trace file format:
 //
 //	header : magic "LTTR" | version uint16 | symbolLen uint16 | symbol | count uint32

@@ -8,16 +8,23 @@ import (
 	"lighttrader/internal/feed"
 	"lighttrader/internal/lob"
 	"lighttrader/internal/nn"
+	"lighttrader/internal/scenario"
 	"lighttrader/internal/tensor"
 )
 
-func snapshots(t *testing.T, n int) []lob.Snapshot {
+// quietTicks returns the first n ticks of the quiet scenario.
+func quietTicks(t *testing.T, n int) []feed.Tick {
 	t.Helper()
-	g, err := feed.NewGenerator(feed.DefaultGeneratorConfig())
+	src, err := scenario.ByName("quiet", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticks := g.Generate(n)
+	return src.Ticks()[:n]
+}
+
+func snapshots(t *testing.T, n int) []lob.Snapshot {
+	t.Helper()
+	ticks := quietTicks(t, n)
 	out := make([]lob.Snapshot, n)
 	for i := range ticks {
 		out[i] = ticks[i].Snapshot
@@ -202,11 +209,7 @@ func TestPopEmpty(t *testing.T) {
 }
 
 func TestBuildDataset(t *testing.T) {
-	g, err := feed.NewGenerator(feed.DefaultGeneratorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ticks := g.Generate(nn.Window + 60)
+	ticks := quietTicks(t, nn.Window+60)
 	norm := Calibrate(snapshotsFrom(ticks))
 	xs, ys := BuildDataset(ticks, norm, 20, 1e-6)
 	if len(xs) == 0 || len(xs) != len(ys) {
@@ -230,8 +233,7 @@ func TestBuildDataset(t *testing.T) {
 }
 
 func TestBuildDatasetTooShort(t *testing.T) {
-	g, _ := feed.NewGenerator(feed.DefaultGeneratorConfig())
-	ticks := g.Generate(50)
+	ticks := quietTicks(t, 50)
 	if xs, _ := BuildDataset(ticks, Normalizer{Std: unitStd()}, 20, 1e-6); xs != nil {
 		t.Fatal("short trace produced examples")
 	}

@@ -16,6 +16,9 @@
 // Determinism: a Source is a pure function of (script, seed). The same
 // seed reproduces the byte stream exactly; a different seed reproduces the
 // regime shape with different microstructure.
+//
+// It is the repository's one order-flow generator: the paper figures, the
+// tests, the examples and the command-line tools all read a Source.
 package scenario
 
 import (
@@ -93,8 +96,8 @@ type FlowSpec struct {
 	QtyMax int
 }
 
-// DefaultFlow is routine two-sided quoting: the flow mix of the legacy
-// feed generator.
+// DefaultFlow is routine two-sided quoting: one event in ten is a market
+// order, and the rest split between cancels, replaces and passive limits.
 func DefaultFlow() FlowSpec {
 	return FlowSpec{
 		MarketOrderProb: 0.10,
@@ -192,29 +195,16 @@ type PhaseSpan struct {
 // Source is the unified traffic API: a seeded, deterministic, memoised
 // iterator of timestamped SBE packets with projections for every consumer.
 // It is safe for concurrent use; the stream is generated once on first
-// access and shared read-only afterwards (the same discipline as the bench
-// query cache).
+// access and shared read-only afterwards.
 type Source struct {
 	name string
 	seed int64
 
-	script Script // scripted mode when legacy is nil
-
-	legacy *legacyTraffic // delegate to the historical feed.Generator path
+	script Script
 
 	mu    sync.Mutex
 	ticks []feed.Tick
 	spans []PhaseSpan
-}
-
-// legacyTraffic reproduces bench.TrafficConfig's historical trace byte for
-// byte: the three-component mixture over the default single-instrument
-// generator, with the exact seed derivation the experiments pinned their
-// golden numbers to.
-type legacyTraffic struct {
-	calm, burst feed.HawkesParams
-	flash       feed.FlashParams
-	ticks       int
 }
 
 // New builds a scripted Source. The name is the scenario's registry/flag
@@ -226,26 +216,30 @@ func New(name string, script Script, seed int64) (*Source, error) {
 	return &Source{name: name, seed: seed, script: script}, nil
 }
 
-// FromTraffic wraps the legacy bursty-replay traffic (calm + burst Hawkes
-// components plus the flash process) as a Source. Its stream is
-// byte-identical to the historical feed.Generator path, so every
-// experiment pinned to bench.TrafficConfig numbers is unchanged.
-func FromTraffic(calm, burst feed.HawkesParams, flash feed.FlashParams, seed int64, ticks int) *Source {
-	return &Source{
-		name:   "traffic",
-		seed:   seed,
-		legacy: &legacyTraffic{calm: calm, burst: burst, flash: flash, ticks: ticks},
-	}
-}
-
 // Name returns the scenario name (the -scenario flag vocabulary).
 func (s *Source) Name() string { return s.name }
 
 // Seed returns the generation seed.
 func (s *Source) Seed() int64 { return s.seed }
 
-// Script returns the phase script (zero value for legacy traffic sources).
-func (s *Source) Script() Script { return s.script }
+// Script returns a deep copy of the phase script: callers derive new
+// regimes by editing it and passing it to New with the same seed, and the
+// edit never reaches this Source's (shared, read-only) script.
+func (s *Source) Script() Script {
+	sc := Script{
+		Instruments: append([]Instrument(nil), s.script.Instruments...),
+		Phases:      append([]Phase(nil), s.script.Phases...),
+	}
+	for i := range sc.Phases {
+		a := &sc.Phases[i].Arrivals
+		a.Hawkes = append([]feed.HawkesParams(nil), a.Hawkes...)
+		if a.Flash != nil {
+			f := *a.Flash
+			a.Flash = &f
+		}
+	}
+	return sc
+}
 
 // Ticks returns the scenario's full market-data stream: one Tick per
 // published packet, carrying the encoded SBE datagram, its timestamp and
@@ -255,10 +249,6 @@ func (s *Source) Ticks() []feed.Tick {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ticks != nil {
-		return s.ticks
-	}
-	if s.legacy != nil {
-		s.ticks = s.legacy.generate(s.seed)
 		return s.ticks
 	}
 	ticks, spans := generateScript(s.script, s.seed)
@@ -283,28 +273,10 @@ func (s *Source) Queries(tAvailNanos int64) []sim.Query {
 	return sim.QueriesFromTicks(s.Ticks(), tAvailNanos)
 }
 
-// PhaseSpans returns the phase boundaries of the generated stream (nil for
-// legacy traffic sources, which are single-regime replays).
+// PhaseSpans returns the phase boundaries of the generated stream.
 func (s *Source) PhaseSpans() []PhaseSpan {
 	s.Ticks() // ensure generated
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.spans
-}
-
-// generate runs the historical generator path, byte-identical to the
-// pre-scenario bench.TrafficConfig.generate.
-func (lt *legacyTraffic) generate(seed int64) []feed.Tick {
-	gcfg := feed.DefaultGeneratorConfig()
-	gcfg.Arrivals = feed.NewProcessMixture([]feed.ArrivalProcess{
-		feed.NewHawkes(lt.calm, seed+1),
-		feed.NewHawkes(lt.burst, seed+7919),
-		feed.NewFlash(lt.flash, seed+15887),
-	})
-	gcfg.Seed = seed
-	gen, err := feed.NewGenerator(gcfg)
-	if err != nil {
-		panic(err) // static config; cannot fail
-	}
-	return gen.Generate(lt.ticks)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"lighttrader/internal/feed"
 	"lighttrader/internal/sbe"
 )
 
@@ -119,43 +118,42 @@ func TestPhaseSpansConsistent(t *testing.T) {
 	}
 }
 
-// TestFromTrafficMatchesLegacyGenerator pins the adapter's contract: a
-// legacy Source reproduces the historical bench generator path byte for
-// byte, so every experiment pinned to TrafficConfig numbers is unchanged.
-func TestFromTrafficMatchesLegacyGenerator(t *testing.T) {
-	// Mirrors bench.DefaultTraffic, inlined to keep scenario below bench in
-	// the import graph.
-	calm := feed.HawkesParams{Mu: 250, Alpha: 2000, Beta: 5000}
-	burst := feed.HawkesParams{Mu: 6.5, Alpha: 540, Beta: 560}
-	flash := feed.FlashParams{MeanIntervalSecs: 11, DurationSecs: 0.005, RateHz: 75000}
-	const seed, nTicks = int64(1), 2000
-	src := FromTraffic(calm, burst, flash, seed, nTicks)
-
-	gcfg := feed.DefaultGeneratorConfig()
-	gcfg.Arrivals = feed.NewProcessMixture([]feed.ArrivalProcess{
-		feed.NewHawkes(calm, seed+1),
-		feed.NewHawkes(burst, seed+7919),
-		feed.NewFlash(flash, seed+15887),
-	})
-	gcfg.Seed = seed
-	gen, err := feed.NewGenerator(gcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := gen.Generate(nTicks)
-
-	got := src.Ticks()
-	if len(got) != nTicks || len(got) != len(want) {
-		t.Fatalf("legacy source: %d ticks, generator: %d, want %d", len(got), len(want), nTicks)
-	}
-	for i := range got {
-		if got[i].TimeNanos != want[i].TimeNanos || !bytes.Equal(got[i].Packet, want[i].Packet) {
-			t.Fatalf("legacy source diverges from generator at tick %d", i)
+// TestTicksWellFormed: routine flow's ticks are in time order, every
+// packet parses, and every snapshot is a two-sided, uncrossed book (the
+// stress scenarios may sweep a side empty on purpose).
+func TestTicksWellFormed(t *testing.T) {
+	src, _ := ByName("quiet", 3)
+	prev := int64(0)
+	for i, tk := range src.Ticks() {
+		if tk.TimeNanos < prev {
+			t.Fatalf("tick %d: time went backwards", i)
+		}
+		prev = tk.TimeNanos
+		if _, err := sbe.DecodePacket(tk.Packet); err != nil {
+			t.Fatalf("tick %d packet: %v", i, err)
+		}
+		bid, ask := tk.Snapshot.Bids[0].Price, tk.Snapshot.Asks[0].Price
+		if bid == 0 || ask == 0 {
+			t.Fatalf("tick %d: empty top of book %+v", i, tk.Snapshot)
+		}
+		if bid >= ask {
+			t.Fatalf("tick %d: crossed snapshot", i)
 		}
 	}
-	if src.PhaseSpans() != nil {
-		t.Fatal("legacy source should have no phase spans")
+}
+
+// TestPriceMoves: routine flow moves the mid; a stream that never leaves
+// its opening price exercises nothing downstream.
+func TestPriceMoves(t *testing.T) {
+	src, _ := ByName("quiet", 1)
+	ticks := src.Ticks()
+	first := ticks[0].Snapshot.MidPrice()
+	for _, tk := range ticks {
+		if tk.Snapshot.MidPrice() != first {
+			return
+		}
 	}
+	t.Fatalf("mid price never moved over %d ticks", len(ticks))
 }
 
 func TestQueriesProjection(t *testing.T) {
@@ -187,6 +185,12 @@ func TestRegistryValidation(t *testing.T) {
 		Phases:      []Phase{{Name: "p", DurationSecs: -1}},
 	}, 1); err == nil {
 		t.Fatal("negative duration should fail validation")
+	}
+	if _, err := New("bad", Script{
+		Instruments: []Instrument{{SecurityID: 1, Symbol: "X", MidPrice: 5}},
+		Phases:      []Phase{{Name: "p", DurationSecs: 1}},
+	}, 1); err == nil {
+		t.Fatal("a mid price inside the quoting offsets should fail validation")
 	}
 	if len(Names()) < 6 {
 		t.Fatalf("registry too small: %v", Names())

@@ -16,6 +16,7 @@ import (
 	"lighttrader/internal/nn"
 	"lighttrader/internal/offload"
 	"lighttrader/internal/orderentry"
+	"lighttrader/internal/scenario"
 	"lighttrader/internal/serve"
 	"lighttrader/internal/tensor"
 	"lighttrader/internal/trading"
@@ -46,13 +47,18 @@ var liveLoopAllocsPerTick = []struct {
 // and stopped with the test.
 func liveLoop(tb testing.TB, scfg serve.Config, conn net.Conn) (*MultiTrader, []feed.Tick) {
 	tb.Helper()
-	gcfg := feed.DefaultGeneratorConfig()
-	gen, err := feed.NewGenerator(gcfg)
+	// One ESU6 book at E-mini intensity (feed.DefaultCMEParams).
+	src, err := scenario.New("cme", scenario.Script{
+		Instruments: []scenario.Instrument{{SecurityID: 1, Symbol: "ESU6", MidPrice: 450000, DepthPerLevel: 50}},
+		Phases: []scenario.Phase{{Name: "cme", DurationSecs: 1.5,
+			Arrivals: scenario.ArrivalSpec{Hawkes: []feed.HawkesParams{feed.DefaultCMEParams()}}}},
+	}, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p, err := core.NewPipeline(gcfg.Symbol, gcfg.SecurityID, nil, offload.Normalizer{}, trading.Config{
-		SecurityID: gcfg.SecurityID, OrderQty: 1, MaxPosition: 1 << 40, DecisionLogCap: 512})
+	ticks := src.Ticks()[:1024]
+	p, err := core.NewPipeline("ESU6", 1, nil, offload.Normalizer{}, trading.Config{
+		SecurityID: 1, OrderQty: 1, MaxPosition: 1 << 40, DecisionLogCap: 512})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -70,7 +76,7 @@ func liveLoop(tb testing.TB, scfg serve.Config, conn net.Conn) (*MultiTrader, []
 	done := make(chan struct{})
 	go func() { defer close(done); _ = mt.Run(ctx) }()
 	tb.Cleanup(func() { cancel(); <-done })
-	return mt, gen.Generate(1024)
+	return mt, ticks
 }
 
 // liveTicker returns the measured step: the next n datagrams of the trace in,

@@ -10,11 +10,11 @@ import (
 	"lighttrader/internal/core"
 	"lighttrader/internal/exchange"
 	"lighttrader/internal/faultnet"
-	"lighttrader/internal/feed"
 	"lighttrader/internal/lob"
 	"lighttrader/internal/nn"
 	"lighttrader/internal/offload"
 	"lighttrader/internal/orderentry"
+	"lighttrader/internal/scenario"
 	"lighttrader/internal/serve"
 	"lighttrader/internal/testutil"
 	"lighttrader/internal/trader"
@@ -30,11 +30,11 @@ const (
 // newChaosPipeline builds a small but real tick-to-trade pipeline.
 func newChaosPipeline(t *testing.T) *core.Pipeline {
 	t.Helper()
-	gen, err := feed.NewGenerator(feed.DefaultGeneratorConfig())
+	src, err := scenario.ByName("quiet", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticks := gen.Generate(300)
+	ticks := src.Ticks()[:300]
 	snaps := make([]lob.Snapshot, len(ticks))
 	for i := range ticks {
 		snaps[i] = ticks[i].Snapshot

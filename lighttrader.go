@@ -13,17 +13,17 @@
 //     them onto the modelled CGRA accelerator;
 //   - the proactive scheduler: PPW-driven workload scheduling
 //     (Algorithm 1) and DVFS power redistribution (Algorithm 2);
-//   - the back-test simulation framework, the bursty CME-like traffic
-//     generator, and GPU-/FPGA-based baseline system models.
+//   - the back-test simulation framework, the scripted market-scenario
+//     traffic generator, and GPU-/FPGA-based baseline system models.
 //
 // The quickest path from zero to a running back-test:
 //
-//	trace := lighttrader.GenerateTrace(lighttrader.DefaultTraceConfig(), 20000)
+//	src, _ := lighttrader.ScenarioByName("trading-day", 1)
 //	sys, _ := lighttrader.New(lighttrader.NewDeepLOB(),
 //	    lighttrader.WithAccelerators(4),
 //	    lighttrader.WithWorkloadScheduling(),
 //	    lighttrader.WithDVFSScheduling())
-//	metrics := lighttrader.Backtest(trace, 20*time.Millisecond, sys)
+//	metrics := lighttrader.Backtest(src.Ticks(), 20*time.Millisecond, sys)
 //	fmt.Printf("response rate: %.1f%%\n", 100*metrics.ResponseRate)
 //
 // For multi-symbol serving, subscribe instruments on a MultiPipeline and
@@ -108,21 +108,6 @@ var (
 
 // Tick is one market-data event: encoded packet plus book snapshot.
 type Tick = feed.Tick
-
-// TraceConfig controls synthetic market-data generation.
-type TraceConfig = feed.GeneratorConfig
-
-// DefaultTraceConfig returns ES-like bursty tick traffic parameters.
-func DefaultTraceConfig() TraceConfig { return feed.DefaultGeneratorConfig() }
-
-// GenerateTrace produces a deterministic synthetic tick trace.
-func GenerateTrace(cfg TraceConfig, ticks int) []Tick {
-	gen, err := feed.NewGenerator(cfg)
-	if err != nil {
-		panic(err) // configs from DefaultTraceConfig cannot fail
-	}
-	return gen.Generate(ticks)
-}
 
 // WriteTrace serialises a trace; ReadTrace loads one.
 func WriteTrace(w io.Writer, symbol string, ticks []Tick) error {

@@ -6,9 +6,25 @@ import (
 	"time"
 )
 
+// scenarioTicks returns the first n ticks of a registry scenario at seed 1.
+func scenarioTicks(t testing.TB, name string, n int) []Tick {
+	t.Helper()
+	src, err := ScenarioByName(name, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks := src.Ticks()
+	if len(ticks) < n {
+		t.Fatalf("%s has %d ticks, want %d", name, len(ticks), n)
+	}
+	return ticks[:n]
+}
+
+// smallTrace is the trading day's opening burst and the calm after it, on
+// one ESU6 book (security id 1).
 func smallTrace(t testing.TB) []Tick {
 	t.Helper()
-	return GenerateTrace(DefaultTraceConfig(), 3000)
+	return scenarioTicks(t, "trading-day", 3000)
 }
 
 func TestPublicBacktestLightTrader(t *testing.T) {
@@ -43,7 +59,7 @@ func TestPublicBaselinesOrdering(t *testing.T) {
 }
 
 func TestPublicTraceRoundTrip(t *testing.T) {
-	trace := GenerateTrace(DefaultTraceConfig(), 100)
+	trace := smallTrace(t)[:100]
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, "ESU6", trace); err != nil {
 		t.Fatal(err)
@@ -55,12 +71,11 @@ func TestPublicTraceRoundTrip(t *testing.T) {
 }
 
 func TestPublicPipeline(t *testing.T) {
-	cfg := DefaultTraceConfig()
-	trace := GenerateTrace(cfg, 120)
+	trace := smallTrace(t)[:120]
 	norm := CalibrateNormalizer(trace)
-	tc := DefaultTradingConfig(cfg.SecurityID)
+	tc := DefaultTradingConfig(1)
 	tc.MinConfidence = 0
-	p, err := NewPipeline(cfg.Symbol, cfg.SecurityID, NewVanillaCNN(), norm, tc)
+	p, err := NewPipeline("ESU6", 1, NewVanillaCNN(), norm, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
