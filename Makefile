@@ -28,20 +28,26 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# API-compatibility gate: the exported surface of the root package must
-# match the checked-in golden snapshot. Deliberate API changes are recorded
-# with api-update and reviewed as part of the diff.
+# API-compatibility gate: the exported surface of the root package — with
+# the exported methods and fields of each internal type it re-exports by
+# alias — must match the checked-in golden snapshot. Deliberate API changes
+# are recorded with api-update and reviewed as part of the diff.
 api-check:
 	$(GO) test -run '^TestAPISnapshot$$' .
 
 api-update:
 	$(GO) test -run '^TestAPISnapshot$$' . -update-api
 
-# Reachability gate: every exported identifier under internal/ must be
-# referenced by a non-test file of this module or of perf/ (an exported
-# struct field, written by one), or be listed with a reason in
-# testdata/reach_allow.txt — a list that may only shrink (reach_test.go
-# holds the scan, its rule tests and the ratchet).
+# Reachability gate: the tree is type-checked from source (go/types) and
+# every declaration under internal/ must be reached from a non-test file of
+# this module or of perf/ — a function, type, constant or variable by a use,
+# a method by a call or an interface it satisfies, an exported field by a
+# write, an unexported field by a read — and every facade With… option by
+# some file, tests included; packages only tests import are test support,
+# and the members of types the facade re-exports are public API.
+# Anything else is listed with a reason in testdata/reach_allow.txt, a list
+# that may only shrink (reach_test.go holds the scan, its rule tests and the
+# ratchet).
 reach-check:
 	$(GO) test -run '^TestReachCheck$$' .
 
@@ -156,7 +162,12 @@ bench-tickpath:
 # nothing, so perf's engine-timing stage passes — and (10) the deleted
 # traffic paths (the bench traffic config, the feed generator, the legacy
 # adapter, the power sweep's private feed) are named in no Go file: a hit
-# is a second traffic vocabulary growing back.
+# is a second traffic vocabulary growing back. (11) One way to choose
+# Algorithm 1's objective and batch ladder: the scheduler registry ranks the
+# candidates (ppw, sjf, greedy, ...) and workload scheduling means
+# DefaultBatchOptions, so no non-test Go file names the deleted objective
+# field, its type, a custom batch ladder or their facade options — a hit is
+# a second selector growing back.
 one-impl-check:
 	@bad=$$(grep -rnE '\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -231,6 +242,11 @@ one-impl-check:
 	if [ -n "$$bad" ]; then \
 		echo "a deleted traffic path named again:"; echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -rnE '\b(IssuePolicy|BatchOptions|WithPolicy|WithBatchOptions)\b|\bsched\.Policy\b' \
+		--include='*.go' --exclude='*_test.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "a second way to choose Algorithm 1's objective or batch ladder:"; echo "$$bad"; exit 1; \
+	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile
 # it: without this a change could delete an API the benchmark is built on
@@ -253,12 +269,13 @@ fuzz-smoke:
 
 # The full CI gate: formatting, static analysis, build (also cross-built for
 # arm64, which has no assembly kernel), the API snapshot, the reachability
-# gate on internal/'s exported names and fields, the one-implementation
-# check on the scheduling-board rules and the profiled table, the
-# vet-and-test pass over the nested perf/ benchmark module, the whole test
-# suite under the race detector (without -short, so it includes the policy
-# matrix, fan-out, power-governor, scenario and frontier smoke tests and the
-# concurrent serving runtime and signal gateway), single-iteration benchmark
-# smoke runs (kernels and the zero-alloc tick path, whose Predict gate skips
-# under -race), and a short fuzz pass over the wire decoders.
+# gate on internal/'s declarations and the facade options, the
+# one-implementation check on the scheduling-board rules and the profiled
+# table, the vet-and-test pass over the nested perf/ benchmark module, the
+# whole test suite under the race detector (without -short, so it includes
+# the policy matrix, fan-out, power-governor, scenario and frontier smoke
+# tests and the concurrent serving runtime and signal gateway),
+# single-iteration benchmark smoke runs (kernels and the zero-alloc tick
+# path, whose Predict gate skips under -race), and a short fuzz pass over
+# the wire decoders.
 ci: fmt-check vet build cross-build api-check reach-check one-impl-check perf-check race bench-smoke bench-tickpath fuzz-smoke

@@ -88,27 +88,34 @@ func RenderAblationPrecision(rows []PrecisionRow) string {
 type PolicyRow struct {
 	Model     string
 	NumAccels int
-	// MissRate / Energy by policy name.
+	// MissRate / Energy by registry policy name.
 	MissRate map[string]float64
 	EnergyJ  map[string]float64
 }
 
-// AblationPolicy compares the PPW objective against latency-greedy and
-// throughput-greedy issue policies (WS+DS enabled, limited power).
+// ablationPolicies are the registry policies that rank Algorithm 1's one
+// candidate enumeration by PPW, by latency and by batch size.
+var ablationPolicies = []string{"ppw", "sjf", "greedy"}
+
+// AblationPolicy compares the PPW objective against the latency-first and
+// batch-first registry policies (WS+DS enabled, limited power).
 func AblationPolicy(src *scenario.Source, tAvailNanos int64) []PolicyRow {
 	qs := src.Queries(tAvailNanos)
-	policies := []sched.Policy{sched.PolicyPPW, sched.PolicyLatency, sched.PolicyThroughput}
 	var rows []PolicyRow
 	for _, m := range []*nn.Model{nn.NewVanillaCNN(), nn.NewDeepLOB()} {
 		for _, n := range []int{1, 8} {
 			row := PolicyRow{Model: m.Name(), NumAccels: n,
 				MissRate: map[string]float64{}, EnergyJ: map[string]float64{}}
-			for _, p := range policies {
+			for _, p := range ablationPolicies {
+				f, err := sched.FactoryByName(p)
+				if err != nil {
+					panic(err)
+				}
 				metrics, _ := runLT(qs, m, n, core.Limited, core.Options{
-					WorkloadScheduling: true, DVFSScheduling: true, Policy: p,
+					WorkloadScheduling: true, DVFSScheduling: true, Scheduler: f,
 				})
-				row.MissRate[p.String()] = metrics.MissRate
-				row.EnergyJ[p.String()] = metrics.EnergyJoules
+				row.MissRate[p] = metrics.MissRate
+				row.EnergyJ[p] = metrics.EnergyJoules
 			}
 			rows = append(rows, row)
 		}
@@ -120,10 +127,10 @@ func AblationPolicy(src *scenario.Source, tAvailNanos int64) []PolicyRow {
 func RenderAblationPolicy(rows []PolicyRow) string {
 	var b strings.Builder
 	header(&b, "Ablation: Algorithm 1 objective (WS+DS, limited power)")
-	fmt.Fprintf(&b, "%-12s %3s | %22s | %22s | %22s\n", "Model", "N", "ppw", "latency-greedy", "throughput-greedy")
+	fmt.Fprintf(&b, "%-12s %3s | %22s | %22s | %22s\n", "Model", "N", "ppw", "sjf", "greedy")
 	for _, r := range rows {
 		line := fmt.Sprintf("%-12s %3d |", r.Model, r.NumAccels)
-		for _, p := range []string{"ppw", "latency-greedy", "throughput-greedy"} {
+		for _, p := range ablationPolicies {
 			line += fmt.Sprintf(" miss %5.2f%%, %6.1f J |", 100*r.MissRate[p], r.EnergyJ[p])
 		}
 		b.WriteString(line + "\n")

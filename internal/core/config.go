@@ -29,12 +29,6 @@ var (
 type Options struct {
 	WorkloadScheduling bool
 	DVFSScheduling     bool
-	// BatchOptions overrides the default batch ladder when non-nil.
-	BatchOptions []int
-	// Policy overrides Algorithm 1's objective (default: the paper's PPW).
-	Policy sched.Policy
-	// Precision selects the execution data type (default BF16).
-	Precision cgra.Precision
 	// Scheduler overrides the scheduling strategy (default: the paper's
 	// proactive PPW scheduler behind sched.NewPPWScheduler).
 	Scheduler sched.Factory
@@ -45,7 +39,7 @@ type Options struct {
 // condition.
 func Configure(m *nn.Model, n int, power PowerCondition, opts Options) (SystemConfig, error) {
 	spec := cgra.DefaultSpec()
-	kernel, err := compile.CompileFor(m, spec, opts.Precision)
+	kernel, err := compile.Compile(m, spec)
 	if err != nil {
 		return SystemConfig{}, fmt.Errorf("core: %w", err)
 	}
@@ -55,13 +49,11 @@ func Configure(m *nn.Model, n int, power PowerCondition, opts Options) (SystemCo
 			Spec:               spec,
 			Kernel:             kernel,
 			Link:               c2c.CustomC2C(),
-			BatchOptions:       opts.BatchOptions,
 			WorkloadScheduling: opts.WorkloadScheduling,
 			DVFSScheduling:     opts.DVFSScheduling,
 			StaticDVFS:         staticDVFS,
 			PowerBudgetWatts:   power.AccelBudgetWatts,
 			PostProcessNanos:   DefaultPostPipelineNanos,
-			IssuePolicy:        opts.Policy,
 		},
 		Scheduler:        opts.Scheduler,
 		NumAccels:        n,

@@ -56,26 +56,11 @@ func (mp *MultiPipeline) Attach(p *Pipeline) error {
 	return nil
 }
 
-// Pipeline returns the per-instrument pipeline.
-func (mp *MultiPipeline) Pipeline(securityID int32) (*Pipeline, bool) {
-	p, ok := mp.pipes[securityID]
-	return p, ok
-}
-
 // Pipelines returns every subscribed pipeline in subscription order.
 func (mp *MultiPipeline) Pipelines() []*Pipeline {
 	out := make([]*Pipeline, len(mp.order))
 	for i, id := range mp.order {
 		out[i] = mp.pipes[id]
-	}
-	return out
-}
-
-// Symbols returns the subscribed symbols in subscription order.
-func (mp *MultiPipeline) Symbols() []string {
-	out := make([]string, len(mp.order))
-	for i, id := range mp.order {
-		out[i] = mp.pipes[id].Symbol()
 	}
 	return out
 }

@@ -304,3 +304,18 @@ func TestMultiPipelineTwoInstruments(t *testing.T) {
 		}
 	}
 }
+
+// Pipeline returns the per-instrument pipeline.
+func (mp *MultiPipeline) Pipeline(securityID int32) (*Pipeline, bool) {
+	p, ok := mp.pipes[securityID]
+	return p, ok
+}
+
+// Symbols returns the subscribed symbols in subscription order.
+func (mp *MultiPipeline) Symbols() []string {
+	out := make([]string, len(mp.order))
+	for i, id := range mp.order {
+		out[i] = mp.pipes[id].Symbol()
+	}
+	return out
+}

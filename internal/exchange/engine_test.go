@@ -127,7 +127,7 @@ func TestMarketOrderIOC(t *testing.T) {
 	if _, resting := b.Order(2); resting {
 		t.Fatal("market order remainder rested; want IOC cancel")
 	}
-	if b.Depth(lob.Ask) != 0 {
+	if _, ok := b.BestAsk(); ok {
 		t.Fatal("ask not consumed")
 	}
 }
@@ -152,7 +152,7 @@ func TestCancelAndReplace(t *testing.T) {
 		t.Fatalf("cancel report = %+v", reps[0])
 	}
 	b, _ := h.eng.Book(7)
-	if b.Depth(lob.Bid) != 0 {
+	if _, ok := b.BestBid(); ok {
 		t.Fatal("book not empty after cancel")
 	}
 }

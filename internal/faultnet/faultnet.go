@@ -210,13 +210,6 @@ func WrapConn(inner net.Conn, f ConnFaults) *Conn {
 	}
 }
 
-// Stats returns fault counters.
-func (c *Conn) Stats() ConnStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
 // tripped reports (and applies) the reset budget; callers hold no locks.
 func (c *Conn) tripped(add int64) bool {
 	c.mu.Lock()

@@ -167,3 +167,10 @@ func TestConnInjectedReset(t *testing.T) {
 		t.Fatalf("stats %+v", fc.Stats())
 	}
 }
+
+// Stats returns fault counters.
+func (c *Conn) Stats() ConnStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
+}

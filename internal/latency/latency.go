@@ -69,9 +69,6 @@ func (h *Histogram) Record(ns int64) {
 	}
 }
 
-// Count returns how many durations have been recorded.
-func (h *Histogram) Count() uint64 { return h.count }
-
 // Min returns the smallest recorded duration (0 when empty).
 func (h *Histogram) Min() int64 { return int64(h.min) }
 
@@ -131,9 +128,6 @@ func (h *Histogram) Merge(other *Histogram) {
 		h.counts[i] += other.counts[i]
 	}
 }
-
-// Reset empties the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
 
 // Summary is a point-in-time digest of a histogram.
 type Summary struct {

@@ -120,3 +120,6 @@ func BenchmarkRecord(b *testing.B) {
 		h.Record(int64(i) & 0xFFFFF)
 	}
 }
+
+// Count returns how many durations have been recorded.
+func (h *Histogram) Count() uint64 { return h.count }

@@ -24,9 +24,6 @@ func NewSharded(n int) *Sharded {
 	return &Sharded{shards: make([]shardedPart, n)}
 }
 
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
 // Record adds one duration to the given shard. Callers with one goroutine
 // per shard never contend; the lock only serialises against Summarize.
 func (s *Sharded) Record(shard int, ns int64) {
@@ -46,14 +43,4 @@ func (s *Sharded) Summarize() Summary {
 		p.mu.Unlock()
 	}
 	return merged.Summarize()
-}
-
-// Reset empties every shard.
-func (s *Sharded) Reset() {
-	for i := range s.shards {
-		p := &s.shards[i]
-		p.mu.Lock()
-		p.h.Reset()
-		p.mu.Unlock()
-	}
 }

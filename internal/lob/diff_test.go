@@ -304,3 +304,7 @@ func TestBookZeroAlloc(t *testing.T) {
 	}
 	_ = snap
 }
+
+// Seq returns the number of successful mutations applied to the book. It is
+// used as the book-update sequence number in market-data publication.
+func (b *Book) Seq() uint64 { return b.seq }

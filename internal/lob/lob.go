@@ -134,16 +134,6 @@ func New(symbol string) *Book {
 	}
 }
 
-// Symbol returns the instrument this book tracks.
-func (b *Book) Symbol() string { return b.symbol }
-
-// Seq returns the number of successful mutations applied to the book. It is
-// used as the book-update sequence number in market-data publication.
-func (b *Book) Seq() uint64 { return b.seq }
-
-// LastTrade returns the most recent execution price, or 0 if none.
-func (b *Book) LastTrade() int64 { return b.lastTrade }
-
 // sideLevels returns the level slice for s.
 func (b *Book) sideLevels(s Side) *[]level {
 	if s == Bid {
@@ -227,14 +217,6 @@ func (b *Book) Mid() (float64, bool) {
 		return 0, false
 	}
 	return float64(bb.Price+ba.Price) / 2, true
-}
-
-// Depth returns the number of populated price levels on side s.
-func (b *Book) Depth(s Side) int {
-	if s == Bid {
-		return len(b.bids)
-	}
-	return len(b.asks)
 }
 
 // Order returns a copy of the resting order with the given id.

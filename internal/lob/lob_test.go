@@ -372,3 +372,14 @@ func BenchmarkSnapshot(b *testing.B) {
 		_ = book.TakeSnapshot(int64(i))
 	}
 }
+
+// Depth returns the number of populated price levels on side s.
+func (b *Book) Depth(s Side) int {
+	if s == Bid {
+		return len(b.bids)
+	}
+	return len(b.asks)
+}
+
+// LastTrade returns the most recent execution price, or 0 if none.
+func (b *Book) LastTrade() int64 { return b.lastTrade }

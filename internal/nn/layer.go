@@ -48,28 +48,6 @@ func (a Activation) String() string {
 	}
 }
 
-// apply computes the activation for one value.
-func (a Activation) apply(x float32) float32 {
-	switch a {
-	case ActReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	case ActLeakyReLU:
-		if x < 0 {
-			return 0.01 * x
-		}
-		return x
-	case ActTanh:
-		return tanh32(x)
-	case ActSigmoid:
-		return sigmoid32(x)
-	default:
-		return x
-	}
-}
-
 func tanh32(x float32) float32 {
 	// Clamp to avoid overflow in exp; tanh saturates well before ±20.
 	if x > 20 {

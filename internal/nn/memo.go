@@ -30,8 +30,7 @@ type slideMemo struct {
 	// input: pos advances by one on a hit, whose answer is the last one moved
 	// up a row, and by two on a miss, so that a memo layer downstream misses
 	// with it.
-	src, pos     uint64
-	hits, misses uint64 // calls answered by slide / by a full pass
+	src, pos uint64
 }
 
 // newSlideMemo returns an empty memo with a stamp source of its own.
@@ -64,7 +63,6 @@ func (m *slideMemo) slide(x *tensor.Tensor, last []float32) *rowRing {
 	r := m.ring(m.inPos)
 	r.push(last)
 	m.pos++
-	m.hits++
 	return r
 }
 
@@ -79,7 +77,6 @@ func (m *slideMemo) keep(x *tensor.Tensor, phases int) *rowRing {
 	}
 	m.out = m.out[:phases]
 	m.pos += 2
-	m.misses++
 	return m.ring(m.inPos)
 }
 

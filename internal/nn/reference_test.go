@@ -262,3 +262,25 @@ func referencePosEnc(x *tensor.Tensor) *tensor.Tensor {
 	}
 	return out
 }
+
+// apply computes the activation for one value.
+func (a Activation) apply(x float32) float32 {
+	switch a {
+	case ActReLU:
+		if x < 0 {
+			return 0
+		}
+		return x
+	case ActLeakyReLU:
+		if x < 0 {
+			return 0.01 * x
+		}
+		return x
+	case ActTanh:
+		return tanh32(x)
+	case ActSigmoid:
+		return sigmoid32(x)
+	default:
+		return x
+	}
+}

@@ -30,6 +30,7 @@ type streamRun struct {
 	p       *core.Pipeline
 	answers []answer
 	orders  []exchange.Request
+	tally   *nn.MemoTally // observed after every inference, when set
 }
 
 // newStreamRun builds a pipeline for the scenarios' standard instrument
@@ -48,6 +49,9 @@ func newStreamRun(t *testing.T, model *nn.Model, norm offload.Normalizer, predic
 	}
 	p.SetSignalHook(func(ev core.SignalEvent) {
 		r.answers = append(r.answers, answer{ev.Action, math.Float32bits(ev.Confidence)})
+		if r.tally != nil {
+			r.tally.Observe()
+		}
 	})
 	return r
 }
@@ -87,15 +91,23 @@ func forgetful(m *nn.Model) func(*tensor.Tensor) (nn.Direction, float32, error) 
 	return func(x *tensor.Tensor) (nn.Direction, float32, error) { return m.Predict(x.Clone()) }
 }
 
-// checkHitShare holds layers [0,2) of m — the convolution the feature map
-// goes into and the pool behind it — to having run every one of calls under
-// their memos and answered at least 99 % of them from it.
-func checkHitShare(t *testing.T, tag string, m *nn.Model, calls int) {
+// watchMemos tallies, inference by inference, the memos of layers [0,2) of
+// r's model — the convolution the feature map goes into and the pool behind
+// it.
+func (r *streamRun) watchMemos() { r.tally = nn.NewMemoTally(r.p.Model().Layers[:2]...) }
+
+// checkHitShare holds the layers r watches (watchMemos) to having run every
+// one of calls under their memos and answered at least 99 % of them from it.
+func checkHitShare(t *testing.T, tag string, r *streamRun, calls int) {
 	t.Helper()
-	for _, l := range m.Layers[:2] {
-		hits, misses, ok := nn.MemoCounts(l)
-		if !ok || hits+misses != uint64(calls) {
-			t.Fatalf("%s: %s counted %d+%d calls (memo %v), the stream made %d", tag, l.Name(), hits, misses, ok, calls)
+	c := r.tally
+	if c.Odd != 0 {
+		t.Fatalf("%s: %d inferences moved a memo's answer position by more than two", tag, c.Odd)
+	}
+	for j, l := range r.p.Model().Layers[:2] {
+		hits, misses := c.Hits[j], c.Misses[j]
+		if hits+misses != uint64(calls) {
+			t.Fatalf("%s: %s counted %d+%d calls, the stream made %d", tag, l.Name(), hits, misses, calls)
 		}
 		if float64(hits) < 0.99*float64(calls) {
 			t.Errorf("%s: %s answered %d of %d calls from its memo, want ≥ 99 %%", tag, l.Name(), hits, calls)
@@ -159,13 +171,19 @@ func TestStreamedModelMatchesFreshModel(t *testing.T) {
 				ref := newStreamRun(t, nil, norm, forgetful(sized()))
 
 				own := newStreamRun(t, sized(), norm, nil)
+				own.watchMemos()
 				sharedModel := sized()
 				shared := [2]*streamRun{newStreamRun(t, sharedModel, norm, nil), newStreamRun(t, sharedModel, norm, nil)}
+				shared[0].watchMemos()
+				shared[1].tally = shared[0].tally
 
 				k := 3 + rand.New(rand.NewSource(seed)).Intn(14)
 				rungs := [2]*nn.Model{sized(), cheap()}
 				ladder := newStreamRun(t, rungs[0], norm, nil)
 				ladder.p.SetModelLadder(rungs[1:])
+				// The memo layers: the primary's first two, the cheap rung's two behind its crop.
+				ladderMemos := []nn.Layer{rungs[0].Layers[0], rungs[0].Layers[1], rungs[1].Layers[1], rungs[1].Layers[2]}
+				ladder.tally = nn.NewMemoTally(ladderMemos...)
 				refRungs := [2]*nn.Model{sized(), cheap()}
 				tier, lastTier := 0, -1
 				ladderRef := newStreamRun(t, nil, norm, func(x *tensor.Tensor) (nn.Direction, float32, error) {
@@ -188,25 +206,27 @@ func TestStreamedModelMatchesFreshModel(t *testing.T) {
 					}
 				}
 				own.matches(t, "own", ref, 100)
-				checkHitShare(t, "own", own.p.Model(), own.p.Inferences())
+				checkHitShare(t, "own", own, own.p.Inferences())
 				for s, r := range shared {
 					r.matches(t, fmt.Sprintf("shared/%d", s), ref, 100)
 				}
-				for _, l := range sharedModel.Layers[:2] {
-					if hits, misses, _ := nn.MemoCounts(l); hits != 0 || misses != uint64(2*ref.p.Inferences()) {
-						t.Errorf("shared: %s counted %d hits and %d misses over two alternating streams of %d",
-							l.Name(), hits, misses, ref.p.Inferences())
+				for j, l := range sharedModel.Layers[:2] {
+					c := shared[0].tally
+					if hits, misses := c.Hits[j], c.Misses[j]; hits != 0 || misses != uint64(2*ref.p.Inferences()) || c.Odd != 0 {
+						t.Errorf("shared: %s counted %d hits and %d misses (%d odd) over two alternating streams of %d",
+							l.Name(), hits, misses, c.Odd, ref.p.Inferences())
 					}
 				}
 				ladder.matches(t, fmt.Sprintf("ladder/k=%d", k), ladderRef, 100)
-				// The memo layers: the primary's first two, the cheap rung's two behind its crop.
-				for r, layers := range [2][]nn.Layer{rungs[0].Layers[0:2], rungs[1].Layers[1:3]} {
-					for _, l := range layers {
-						hits, misses, _ := nn.MemoCounts(l)
-						if hits != calls[r]-stretches[r] || misses != stretches[r] {
-							t.Errorf("ladder/k=%d: rung %d's %s counted %d hits and %d misses; it ran %d times in %d stretches",
-								k, r, l.Name(), hits, misses, calls[r], stretches[r])
-						}
+				if c := ladder.tally; c.Odd != 0 {
+					t.Errorf("ladder/k=%d: %d inferences moved a memo's answer position by more than two", k, c.Odd)
+				}
+				for j, l := range ladderMemos {
+					r := j / 2
+					hits, misses := ladder.tally.Hits[j], ladder.tally.Misses[j]
+					if hits != calls[r]-stretches[r] || misses != stretches[r] {
+						t.Errorf("ladder/k=%d: rung %d's %s counted %d hits and %d misses; it ran %d times in %d stretches",
+							k, r, l.Name(), hits, misses, calls[r], stretches[r])
 					}
 				}
 			})
@@ -216,11 +236,12 @@ func TestStreamedModelMatchesFreshModel(t *testing.T) {
 		pkts, norm := streamStretch(t, "trading-day", 61, 340)
 		ref := newStreamRun(t, nil, norm, forgetful(nn.NewVanillaCNN()))
 		own := newStreamRun(t, nn.NewVanillaCNN(), norm, nil)
+		own.watchMemos()
 		for _, pkt := range pkts {
 			ref.feed(t, pkt)
 			own.feed(t, pkt)
 		}
 		own.matches(t, "own", ref, 200)
-		checkHitShare(t, "own", own.p.Model(), own.p.Inferences())
+		checkHitShare(t, "own", own, own.p.Inferences())
 	})
 }

@@ -16,10 +16,7 @@ func oracleBatchOptions(c *Config) []int {
 	if !c.WorkloadScheduling {
 		return []int{1}
 	}
-	if len(c.BatchOptions) == 0 {
-		return DefaultBatchOptions()
-	}
-	return c.BatchOptions
+	return DefaultBatchOptions()
 }
 
 func oracleDVFSOptions(c *Config) []cgra.DVFSState {
@@ -72,7 +69,7 @@ func oraclePickIssueExplained(cfg *Config, queued int, availNanos int64, powerAv
 			if cfg.BusyPower(d) >= powerAvail {
 				continue
 			}
-			score := oracleIssueScore(cfg, d, bs, tTotal)
+			score := cfg.PPW(d, bs)
 			if !found || score > bestScore {
 				found = true
 				bestScore = score
@@ -87,17 +84,6 @@ func oraclePickIssueExplained(cfg *Config, queued int, availNanos int64, powerAv
 		return Issue{}, VerdictPowerInfeasible
 	default:
 		return Issue{}, VerdictDeadlineInfeasible
-	}
-}
-
-func oracleIssueScore(c *Config, d cgra.DVFSState, bs int, tTotal int64) float64 {
-	switch c.IssuePolicy {
-	case PolicyLatency:
-		return -float64(tTotal)
-	case PolicyThroughput:
-		return float64(bs)*1e12 - float64(tTotal)
-	default:
-		return c.PPW(d, bs)
 	}
 }
 

@@ -15,35 +15,6 @@ import (
 	"lighttrader/internal/cgra"
 )
 
-// Policy selects Algorithm 1's objective among feasible (dvfs, batch)
-// candidates. The paper uses PPW; the alternatives exist for the ablation
-// study in internal/bench.
-type Policy uint8
-
-const (
-	// PolicyPPW maximises batch/(latency·power) — the paper's metric.
-	PolicyPPW Policy = iota
-	// PolicyLatency minimises t_total (greedy latency: fastest state,
-	// smallest batch).
-	PolicyLatency
-	// PolicyThroughput maximises batch size, breaking ties by latency.
-	PolicyThroughput
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case PolicyPPW:
-		return "ppw"
-	case PolicyLatency:
-		return "latency-greedy"
-	case PolicyThroughput:
-		return "throughput-greedy"
-	default:
-		return "Policy(?)"
-	}
-}
-
 // Config selects the scheduling features under evaluation (the four Fig. 13
 // configurations) and carries the hardware models decisions are made
 // against.
@@ -51,10 +22,8 @@ type Config struct {
 	Spec   cgra.Spec
 	Kernel *cgra.Kernel
 	Link   c2c.Link
-	// BatchOptions are the batch sizes Algorithm 1 may issue; ignored
-	// (forced to 1) when WorkloadScheduling is false.
-	BatchOptions []int
-	// WorkloadScheduling enables Algorithm 1's batch exploration (WS).
+	// WorkloadScheduling enables Algorithm 1's batch exploration over
+	// DefaultBatchOptions (WS); without it every issue is batch 1.
 	WorkloadScheduling bool
 	// DVFSScheduling enables DVFS state exploration and Algorithm 2's
 	// power redistribution (DS).
@@ -68,9 +37,6 @@ type Config struct {
 	// PostProcessNanos is the trading-engine and order-encoding time after
 	// inference completes, part of t_total.
 	PostProcessNanos int64
-	// IssuePolicy is Algorithm 1's objective; zero value is the paper's
-	// PPW metric.
-	IssuePolicy Policy
 }
 
 // DefaultBatchOptions is the batch ladder explored by Algorithm 1.

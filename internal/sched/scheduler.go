@@ -91,8 +91,9 @@ type Factory func(cfg *Config) Scheduler
 
 // PPWScheduler is the paper's proactive scheduler behind the strategy
 // interface: Algorithm 1's joint (batch, DVFS) selection under deadline
-// and power constraints, ranked by the configured issue objective (PPW by
-// default). It is the default policy of both engines.
+// and power constraints, ranked by PPW. It is the default policy of both
+// engines; the registry's "sjf" and "greedy" entries rank the same
+// candidates by latency and by batch size instead.
 type PPWScheduler struct{ t *Table }
 
 // NewPPWScheduler binds Algorithm 1 to cfg's profiled table.
@@ -103,7 +104,7 @@ func (s *PPWScheduler) Name() string { return "ppw" }
 
 // Decide implements Scheduler.
 func (s *PPWScheduler) Decide(ctx SchedContext) Decision {
-	return s.t.decide(ctx, ctx.Queued, s.t.objective)
+	return s.t.decide(ctx, ctx.Queued, s.t.byPPW)
 }
 
 // DeferCause maps a verdict onto the sim probe's miss-attribution taxonomy.

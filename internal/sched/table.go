@@ -43,10 +43,7 @@ func NewTable(cfg *Config) *Table {
 		t.states = append(t.states, cfg.StaticDVFS)
 	}
 	if cfg.WorkloadScheduling {
-		t.batches = cfg.BatchOptions
-		if len(t.batches) == 0 {
-			t.batches = DefaultBatchOptions()
-		}
+		t.batches = DefaultBatchOptions()
 	}
 	nb := len(t.batches)
 	t.total = make([]int64, len(t.states)*nb)
@@ -60,11 +57,7 @@ func NewTable(cfg *Config) *Table {
 		}
 	}
 	for si := t.first; si < len(t.states); si++ {
-		one := t.total[si*nb]
-		if t.batches[0] != 1 { // a custom ladder need not start at batch 1
-			one = cfg.TotalNanos(t.states[si], 1)
-		}
-		if si == t.first || one < t.minTotal {
+		if one := t.total[si*nb]; si == t.first || one < t.minTotal {
 			t.minTotal = one
 		}
 	}
@@ -112,18 +105,8 @@ func (t *Table) byBatch(_, bi int, tTotal int64) float64 {
 	return float64(t.batches[bi])*1e12 - float64(tTotal)
 }
 
-// objective scores by the Config's issue policy — by default the paper's
-// PPW, batch/(latency·power).
-func (t *Table) objective(si, bi int, tTotal int64) float64 {
-	switch t.cfg.IssuePolicy {
-	case PolicyLatency:
-		return byLatency(si, bi, tTotal)
-	case PolicyThroughput:
-		return t.byBatch(si, bi, tTotal)
-	default:
-		return t.ppw[si*len(t.batches)+bi]
-	}
-}
+// byPPW prefers the paper's performance per watt, batch/(latency·power).
+func (t *Table) byPPW(si, bi int, _ int64) float64 { return t.ppw[si*len(t.batches)+bi] }
 
 // pick is Algorithm 1's candidate enumeration, the only one: it walks the
 // selectable (state, batch) pairs in table order — ascending state, then

@@ -14,24 +14,19 @@ import (
 var offGrid = cgra.DVFSState{FreqGHz: 1.234, Volt: 0.9}
 
 // oracleConfigs spans what a Table is built from: the primary model and a
-// two-rung degrade ladder × WS × DS × the three issue objectives × an on- and
-// an off-grid static point × the default ladder and one that starts above
-// batch 1.
+// two-rung degrade ladder × WS × DS × an on- and an off-grid static point.
+// The objectives are the registry's policies, which TestTableMatchesOracle
+// runs on every config.
 func oracleConfigs(t *testing.T) []*Config {
 	t.Helper()
 	var out []*Config
 	for _, base := range append([]*Config{testConfig(t, true, true)}, degradeTierConfigs(t, true, true)...) {
 		for _, ws := range []bool{false, true} {
 			for _, ds := range []bool{false, true} {
-				for _, pol := range []Policy{PolicyPPW, PolicyLatency, PolicyThroughput} {
-					for _, static := range []cgra.DVFSState{base.StaticDVFS, offGrid} {
-						for _, ladder := range [][]int{nil, {2, 6}} {
-							cfg := *base
-							cfg.WorkloadScheduling, cfg.DVFSScheduling = ws, ds
-							cfg.IssuePolicy, cfg.StaticDVFS, cfg.BatchOptions = pol, static, ladder
-							out = append(out, &cfg)
-						}
-					}
+				for _, static := range []cgra.DVFSState{base.StaticDVFS, offGrid} {
+					cfg := *base
+					cfg.WorkloadScheduling, cfg.DVFSScheduling, cfg.StaticDVFS = ws, ds, static
+					out = append(out, &cfg)
 				}
 			}
 		}
@@ -106,8 +101,8 @@ func TestTableMatchesOracle(t *testing.T) {
 	for ci, cfg := range oracleConfigs(t) {
 		seed := int64(1000 + ci)
 		rng := rand.New(rand.NewSource(seed))
-		where := fmt.Sprintf("seed %d (ws %v ds %v %v static %v ladder %v %s)", seed, cfg.WorkloadScheduling,
-			cfg.DVFSScheduling, cfg.IssuePolicy, cfg.StaticDVFS, cfg.BatchOptions, cfg.Kernel.ModelName)
+		where := fmt.Sprintf("seed %d (ws %v ds %v static %v %s)", seed, cfg.WorkloadScheduling,
+			cfg.DVFSScheduling, cfg.StaticDVFS, cfg.Kernel.ModelName)
 
 		table := NewTable(cfg)
 		if got, want := table.MinTotalNanos(), oracleMinTotalNanos(cfg); got != want {

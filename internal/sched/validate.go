@@ -1,7 +1,7 @@
 package sched
 
-// Construction-time validation. A Config with a non-positive power budget,
-// a degenerate DVFS table or a broken batch ladder used to misbehave deep
+// Construction-time validation. A Config with a non-positive power budget
+// or a degenerate DVFS table used to misbehave deep
 // inside a run (every issue power-infeasible, candidate loops that never
 // fire, divide-by-zero PPW scores); both engines now reject such configs
 // when the system is built.
@@ -11,8 +11,7 @@ import "fmt"
 // Validate checks the invariants every scheduling decision relies on:
 // a compiled kernel, a positive power budget, a non-empty strictly
 // ascending DVFS table, a positive operating point when DVFS scheduling is
-// off, positive ascending batch options, and a non-negative post-process
-// time. It returns the first violation found.
+// off, and a non-negative post-process time. It returns the first violation found.
 func (c *Config) Validate() error {
 	if c.Kernel == nil {
 		return fmt.Errorf("sched: config carries no compiled kernel")
@@ -32,15 +31,6 @@ func (c *Config) Validate() error {
 	}
 	if !c.DVFSScheduling && c.StaticDVFS.FreqGHz <= 0 {
 		return fmt.Errorf("sched: non-positive static DVFS frequency %g GHz", c.StaticDVFS.FreqGHz)
-	}
-	for i, bs := range c.BatchOptions {
-		if bs <= 0 {
-			return fmt.Errorf("sched: non-positive batch option %d at index %d", bs, i)
-		}
-		if i > 0 && bs <= c.BatchOptions[i-1] {
-			return fmt.Errorf("sched: batch options not strictly ascending at index %d (%d after %d)",
-				i, bs, c.BatchOptions[i-1])
-		}
 	}
 	if c.PostProcessNanos < 0 {
 		return fmt.Errorf("sched: negative post-process time %d ns", c.PostProcessNanos)

@@ -39,10 +39,6 @@ func TestValidateRejections(t *testing.T) {
 			c.DVFSScheduling = false
 			c.StaticDVFS = cgra.DVFSState{}
 		}, "static DVFS"},
-		{"zero batch option", func(c *Config) { c.BatchOptions = []int{0, 2} }, "batch option"},
-		{"negative batch option", func(c *Config) { c.BatchOptions = []int{-1} }, "batch option"},
-		{"unsorted batch ladder", func(c *Config) { c.BatchOptions = []int{4, 2} }, "not strictly ascending"},
-		{"duplicate batch rung", func(c *Config) { c.BatchOptions = []int{2, 2} }, "not strictly ascending"},
 		{"negative post-process", func(c *Config) { c.PostProcessNanos = -1 }, "post-process"},
 	}
 	for _, c := range cases {

@@ -158,10 +158,11 @@ func TestLatencyRecordsPerQueryShare(t *testing.T) {
 	l.process(batch, issue, tier, now)
 	wall := time.Since(start).Nanoseconds()
 
-	if got := l.lat.Count(); got != K {
-		t.Fatalf("histogram count = %d, want %d (one sample per query)", got, K)
+	n := l.lat.Summarize().Count
+	if n != K {
+		t.Fatalf("histogram count = %d, want %d (one sample per query)", n, K)
 	}
-	sum := l.lat.Mean() * float64(l.lat.Count())
+	sum := l.lat.Mean() * float64(n)
 	if sum > float64(wall) {
 		t.Errorf("per-query samples sum to %.0f ns > %d ns batch wall time: "+
 			"whole-batch elapsed recorded per query", sum, wall)

@@ -289,19 +289,6 @@ func New(mp *core.MultiPipeline, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Signals returns the attached signal gateway (nil when none).
-func (s *Server) Signals() *signal.Gateway { return s.cfg.Signals }
-
-// Subscribe opens a conflated in-process subscription to one served
-// symbol's signal stream (see signal.Gateway.Subscribe for the
-// latest-value-wins contract). It requires a Config.Signals gateway.
-func (s *Server) Subscribe(symbol string) (*signal.Subscription, error) {
-	if s.cfg.Signals == nil {
-		return nil, errors.New("serve: no signal gateway attached")
-	}
-	return s.cfg.Signals.Subscribe(symbol)
-}
-
 // Lanes returns the effective lane count.
 func (s *Server) Lanes() int { return len(s.lanes) }
 

@@ -225,8 +225,7 @@ func TestServeExecReportRoutesBySecurity(t *testing.T) {
 		ClOrdID: 999, Side: lob.Bid, Price: 200000, Qty: 1})
 	srv.OnExecReport(exchange.ExecReport{Exec: exchange.ExecFilled, SecurityID: 3,
 		ClOrdID: 999, Side: lob.Bid, Price: 200000, Qty: 1})
-	p1, _ := mp.Pipeline(1)
-	p2, _ := mp.Pipeline(2)
+	p1, p2 := mp.Pipelines()[0], mp.Pipelines()[1] // securities 1 and 2
 	if p1.Trader().Position() != 0 || p2.Trader().Position() != 1 {
 		t.Fatalf("positions: ES %d NQ %d, want 0 and 1", p1.Trader().Position(), p2.Trader().Position())
 	}

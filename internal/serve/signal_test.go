@@ -11,10 +11,10 @@ import (
 )
 
 // TestSignalGatewayStats is the publish-hook counter regression test: with
-// a gateway attached, Server.Stats() folds in the signal counters, they
-// stay monotonic under concurrent Stats() readers while lanes publish
-// (race-clean under -race), and the in-process Subscribe facade delivers
-// the conflated stream.
+// a gateway attached, New registers exactly the served symbols,
+// Server.Stats() folds in the signal counters, they stay monotonic under
+// concurrent Stats() readers while lanes publish (race-clean under -race),
+// and a sleeping in-process subscriber holds exactly the newest signal.
 func TestSignalGatewayStats(t *testing.T) {
 	leak := testutil.StartLeakCheck()
 	syms := []string{"ESU6", "NQU6"}
@@ -31,15 +31,12 @@ func TestSignalGatewayStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.Signals() != gw {
-		t.Fatal("Signals() does not expose the attached gateway")
-	}
-	sub, err := srv.Subscribe("ESU6")
+	sub, err := gw.Subscribe("ESU6")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if _, err := srv.Subscribe("NOPE"); err == nil {
+	if _, err := gw.Subscribe("NOPE"); err == nil {
 		t.Fatal("Subscribe to an unserved symbol succeeded")
 	}
 
@@ -106,8 +103,9 @@ func TestSignalGatewayStats(t *testing.T) {
 		t.Fatalf("Server.Stats() diverges from gateway: %+v vs %+v", st, gs)
 	}
 
-	// The conflated facade stream: exactly the newest ESU6 signal remains
-	// buffered; everything the sleeping consumer missed is in Drops().
+	// The conflated stream: exactly the newest ESU6 signal remains
+	// buffered, under the identity New registered; everything the sleeping
+	// consumer missed is in Drops().
 	var got signal.TradeSignal
 	select {
 	case got = <-sub.C():
@@ -124,26 +122,11 @@ func TestSignalGatewayStats(t *testing.T) {
 	if got.Seq != per[0].Published {
 		t.Fatalf("buffered Seq %d != ESU6 published %d (latest-value-wins broken)", got.Seq, per[0].Published)
 	}
-	if drops := sub.Drops(); drops != per[0].Published-1 {
-		t.Fatalf("subscriber drops = %d, want %d", drops, per[0].Published-1)
+	if drops := sub.Drops(); drops != per[0].Published-1 || per[0].Subscribers != 1 || per[0].ConflationDrops != drops {
+		t.Fatalf("subscriber drops = %d, want %d (ESU6 stats %+v)", drops, per[0].Published-1, per[0])
 	}
 
 	sub.Close()
 	gw.Close()
 	leak.Verify(t, 5*time.Second)
-}
-
-// TestSubscribeWithoutGateway pins the facade error contract when no
-// gateway is attached.
-func TestSubscribeWithoutGateway(t *testing.T) {
-	srv, err := New(buildMulti(t, []string{"ESU6"}), Config{Lanes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.Signals() != nil {
-		t.Fatal("Signals() non-nil without a gateway")
-	}
-	if _, err := srv.Subscribe("ESU6"); err == nil {
-		t.Fatal("Subscribe without a gateway succeeded")
-	}
 }

@@ -26,13 +26,11 @@ type ClientConfig struct {
 	// Heartbeat is the keep-alive cadence; 0 selects 500ms. Liveness
 	// expires after three silent intervals, matching the server.
 	Heartbeat time.Duration
-	// BackoffMin/BackoffMax/BackoffSeed parameterise the reconnect ladder
-	// (session.Backoff); zero values select 50ms/2s/deterministic seed 0.
-	BackoffMin  time.Duration
-	BackoffMax  time.Duration
-	BackoffSeed int64
 	// Logf, when non-nil, receives connection lifecycle events.
 	Logf func(format string, args ...any)
+	// backoffMin/backoffMax bound the reconnect ladder (session.Backoff,
+	// seed 0); zero values select 50ms/2s. In-package tests shorten it.
+	backoffMin, backoffMax time.Duration
 }
 
 // ClientStats counts client lifecycle events since construction.
@@ -66,7 +64,7 @@ func NewClient(cfg ClientConfig) *Client {
 	}
 	c := &Client{
 		cfg:     cfg,
-		backoff: session.NewBackoff(cfg.BackoffMin, cfg.BackoffMax, cfg.BackoffSeed),
+		backoff: session.NewBackoff(cfg.backoffMin, cfg.backoffMax, 0),
 		seen:    make(map[string]uint64),
 	}
 	c.dial = cfg.Dial

@@ -92,9 +92,8 @@ func (g *Gateway) handleConn(ctx context.Context, conn net.Conn) {
 			return
 		case <-g.stop:
 			return
-		case err := <-writerDone:
+		case <-writerDone:
 			g.connsDropped.Add(1)
-			g.logf("signal: conn %v writer: %v", conn.RemoteAddr(), err)
 			return
 		default:
 		}
@@ -111,7 +110,6 @@ func (g *Gateway) handleConn(ctx context.Context, conn net.Conn) {
 			}
 			if derr != nil {
 				g.connsDropped.Add(1)
-				g.logf("signal: conn %v: %v", conn.RemoteAddr(), derr)
 				return
 			}
 			buf = buf[consumed:]
@@ -119,8 +117,7 @@ func (g *Gateway) handleConn(ctx context.Context, conn net.Conn) {
 			case FrameSubscribe:
 				sub, serr := g.subscribeConn(frame.Symbol, sink)
 				if serr != nil {
-					g.logf("signal: conn %v subscribe %q: %v", conn.RemoteAddr(), frame.Symbol, serr)
-					continue
+					continue // an unknown symbol subscribes to nothing
 				}
 				subs = append(subs, sub)
 			case FrameHeartbeat, FrameSignal:
@@ -131,13 +128,11 @@ func (g *Gateway) handleConn(ctx context.Context, conn net.Conn) {
 		if rerr != nil {
 			var ne net.Error
 			if !errors.As(rerr, &ne) || !ne.Timeout() {
-				g.logf("signal: conn %v read: %v", conn.RemoteAddr(), rerr)
 				return
 			}
 		}
 		if live.Expired(time.Now()) {
 			g.connsDropped.Add(1)
-			g.logf("signal: conn %v liveness expired", conn.RemoteAddr())
 			return
 		}
 	}

@@ -103,11 +103,9 @@ type Config struct {
 	// memory behind it, instead of silently absorbing megabytes of stale
 	// signals. 0 keeps the OS default.
 	ConnWriteBuffer int
-	// Clock supplies PublishNanos and the propagation-latency timestamps.
-	// nil selects the wall clock.
-	Clock func() int64
-	// Logf, when non-nil, receives wire lifecycle events.
-	Logf func(format string, args ...any)
+	// clock supplies PublishNanos and the propagation-latency timestamps;
+	// nil selects the wall clock. In-package tests pin it.
+	clock func() int64
 }
 
 // Gateway is the signal-distribution tier. Build with NewGateway, register
@@ -180,16 +178,10 @@ func (g *Gateway) Shards() int { return len(g.shards) }
 
 // now reads the gateway clock.
 func (g *Gateway) now() int64 {
-	if g.cfg.Clock != nil {
-		return g.cfg.Clock()
+	if g.cfg.clock != nil {
+		return g.cfg.clock()
 	}
 	return time.Now().UnixNano()
-}
-
-func (g *Gateway) logf(format string, args ...any) {
-	if g.cfg.Logf != nil {
-		g.cfg.Logf(format, args...)
-	}
 }
 
 // Close stops the fan-out shards and any Serve loops, then waits for them.
@@ -231,18 +223,6 @@ func (g *Gateway) Register(symbol string, securityID int32) (*Publisher, error) 
 	grown[len(old)] = s
 	g.slots.Store(&grown)
 	return &Publisher{s: s}, nil
-}
-
-// Symbols returns the registered symbols, sorted.
-func (g *Gateway) Symbols() []string {
-	g.regMu.Lock()
-	defer g.regMu.Unlock()
-	out := make([]string, 0, len(g.bySym))
-	for sym := range g.bySym {
-		out = append(out, sym)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // slotFor resolves a symbol (registration-path lookup; not for fan-out).
@@ -295,12 +275,6 @@ type subList struct {
 type Publisher struct {
 	s *slot
 }
-
-// Symbol returns the published instrument's symbol.
-func (p *Publisher) Symbol() string { return p.s.symbol }
-
-// Published returns how many signals this publisher has produced.
-func (p *Publisher) Published() uint64 { return p.s.published.Load() }
 
 // Publish records one prediction. Single writer per Publisher. The fast
 // path — a symbol no subscriber has ever watched — is one counter
@@ -369,9 +343,6 @@ type Subscription struct {
 // signals are delivered (at most one already-in-flight value remains
 // buffered).
 func (s *Subscription) C() <-chan TradeSignal { return s.sub.ch }
-
-// Symbol returns the subscribed instrument.
-func (s *Subscription) Symbol() string { return s.sub.slot.symbol }
 
 // Drops returns how many updates conflation has dropped for this
 // subscriber: publishes skipped because only the latest value is kept,

@@ -15,9 +15,9 @@ import (
 // registers it for cleanup.
 func testGateway(t *testing.T, cfg Config) *Gateway {
 	t.Helper()
-	if cfg.Clock == nil {
+	if cfg.clock == nil {
 		var clk atomic.Int64
-		cfg.Clock = func() int64 { return clk.Add(1) }
+		cfg.clock = func() int64 { return clk.Add(1) }
 	}
 	g, err := NewGateway(cfg)
 	if err != nil {

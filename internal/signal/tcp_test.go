@@ -240,8 +240,8 @@ func TestTCPClientReconnect(t *testing.T) {
 			mu.Unlock()
 		},
 		Heartbeat:  50 * time.Millisecond,
-		BackoffMin: 10 * time.Millisecond,
-		BackoffMax: 50 * time.Millisecond,
+		backoffMin: 10 * time.Millisecond,
+		backoffMax: 50 * time.Millisecond,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cliDone := make(chan struct{})

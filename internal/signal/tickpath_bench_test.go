@@ -138,7 +138,7 @@ func BenchmarkPublishIdle(b *testing.B) {
 // BenchmarkPublishActive measures the hook with one (stalled) subscriber:
 // the copy into the conflation slot plus the shard wake.
 func BenchmarkPublishActive(b *testing.B) {
-	g, err := NewGateway(Config{Shards: 8, Clock: func() int64 { return 1 }})
+	g, err := NewGateway(Config{Shards: 8, clock: func() int64 { return 1 }})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -44,9 +44,6 @@ type Completion struct {
 	Batch int
 }
 
-// Responded reports whether the query was served within its deadline.
-func (c Completion) Responded() bool { return !c.Dropped && c.DoneNanos <= c.Query.DeadlineNanos }
-
 // SystemModel is a system under test: LightTrader, the GPU-based system, or
 // the FPGA-based system. Implementations are single-threaded state machines
 // driven by the engine strictly forward in time.

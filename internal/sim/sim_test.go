@@ -255,3 +255,6 @@ func (c *cancelAfter) OnArrival(now int64, q Query) {
 	}
 	c.fifoServer.OnArrival(now, q)
 }
+
+// Responded reports whether the query was served within its deadline.
+func (c Completion) Responded() bool { return !c.Dropped && c.DoneNanos <= c.Query.DeadlineNanos }

@@ -11,9 +11,8 @@ import (
 // oldest entries. The tracer keeps aggregate counters outside the rings so
 // summaries stay exact even after a wrap.
 type ring[T any] struct {
-	buf   []T
-	next  int
-	total int
+	buf  []T
+	next int
 }
 
 func newRing[T any](capacity int) *ring[T] {
@@ -30,7 +29,6 @@ func (r *ring[T]) append(v T) {
 		r.buf[r.next] = v
 	}
 	r.next = (r.next + 1) % cap(r.buf)
-	r.total++
 }
 
 // snapshot returns the retained entries oldest-first.
@@ -213,10 +211,6 @@ func (t *Tracer) OnSample(s Sample) {
 func (t *Tracer) Arrived() int   { return t.arrived }
 func (t *Tracer) Issued() int    { return t.issued }
 func (t *Tracer) Completed() int { return t.completed }
-
-// Degrades returns the number of degraded-batch events: admissions rescued
-// by a cheaper model tier instead of deferring.
-func (t *Tracer) Degrades() int { return t.degrades }
 
 // Attribution returns the per-cause miss classification.
 func (t *Tracer) Attribution() MissAttribution { return t.attr }

@@ -16,9 +16,6 @@ func TestRingWrapKeepsNewestOldestFirst(t *testing.T) {
 	if len(got) != 3 || got[0] != 3 || got[1] != 4 || got[2] != 5 {
 		t.Fatalf("snapshot = %v, want [3 4 5]", got)
 	}
-	if r.total != 5 {
-		t.Fatalf("total = %d, want 5", r.total)
-	}
 }
 
 func TestRingPartialFill(t *testing.T) {

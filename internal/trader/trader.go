@@ -141,13 +141,6 @@ func (t *MultiTrader) ArbiterStats() mdclient.Stats {
 	return t.arb.Stats()
 }
 
-// Recovering reports whether the feed has declared a gap.
-func (t *MultiTrader) Recovering() bool {
-	t.feedMu.Lock()
-	defer t.feedMu.Unlock()
-	return t.arb.Recovering()
-}
-
 // Book returns one instrument's local book mirror.
 func (t *MultiTrader) Book(securityID int32) (lob.Snapshot, bool) {
 	return t.srv.Snapshot(securityID, time.Now().UnixNano())

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"time"
 
-	"lighttrader/internal/cgra"
 	"lighttrader/internal/core"
 	"lighttrader/internal/scenario"
 	"lighttrader/internal/sched"
@@ -31,9 +30,6 @@ type Tracer = sim.Tracer
 
 // NewTracer returns an empty Tracer.
 func NewTracer() *Tracer { return sim.NewTracer() }
-
-// Policy selects Algorithm 1's issue objective (PPW by default).
-type Policy = sched.Policy
 
 // Scheduler is a pluggable scheduling strategy: the engine asks it, once per
 // idle accelerator, what to issue. See WithScheduler.
@@ -101,9 +97,6 @@ func ReplayScenario(srv *Server, src *Scenario) error {
 	return nil
 }
 
-// Precision selects the accelerator execution data type.
-type Precision = cgra.Precision
-
 // MultiPipeline is the multi-instrument subscription set: one functional
 // pipeline per symbol over a shared market-data channel.
 type MultiPipeline = core.MultiPipeline
@@ -135,9 +128,9 @@ func NewOrderLog() *OrderLog { return serve.NewOrderLog() }
 type TradeSignal = signal.TradeSignal
 
 // SignalGateway is the signal-distribution tier: sharded, conflated
-// fan-out of every served symbol's predictions to in-process subscribers
-// (Server.Subscribe) and TCP wire clients (SignalGateway.Serve). Attach
-// one to a serving runtime with WithSignalGateway.
+// fan-out of every served symbol's predictions to in-process subscriptions
+// (SignalGateway.Subscribe) and TCP wire clients (SignalGateway.Serve).
+// Attach one to a serving runtime with WithSignalGateway.
 type SignalGateway = signal.Gateway
 
 // SignalGatewayConfig parameterises NewSignalGateway (shard count,
@@ -145,10 +138,10 @@ type SignalGateway = signal.Gateway
 // value selects the defaults.
 type SignalGatewayConfig = signal.Config
 
-// SignalSubscription is one conflated in-process subscription: receive
-// from C(), read conflation drops from Drops(), Close() to detach. The
-// stream is latest-value-wins — a slow consumer always finds the newest
-// signal, never a backlog.
+// SignalSubscription is one conflated in-process subscription
+// (SignalGateway.Subscribe): receive from C(), read conflation drops from
+// Drops(), Close() to detach. The stream is latest-value-wins — a slow
+// consumer always finds the newest signal, never a backlog.
 type SignalSubscription = signal.Subscription
 
 // SignalStats is the gateway's counter set (published, delivered,
@@ -182,7 +175,6 @@ type config struct {
 	accels    int
 	power     PowerCondition
 	schedOpts SchedulerOptions
-	admission bool // any scheduling feature requested
 
 	probe         Probe
 	deadline      time.Duration
@@ -190,9 +182,7 @@ type config struct {
 	backpressure  bool
 	inline        bool
 	modelledClock bool
-	noPowerGov    bool
 	sink          OrderSink
-	clock         func() int64
 	signals       *SignalGateway
 	scenario      *Scenario
 	zoo           []*Model
@@ -201,19 +191,30 @@ type config struct {
 
 // Option configures New, NewServer or BacktestContext. Options that do not
 // apply to an entry point are ignored by it (WithOrderSink has no meaning
-// in a back-test; WithPrecision has none at run time).
+// in a back-test).
 type Option func(*config)
 
 func defaults() config {
 	return config{accels: 4, power: Sufficient}
 }
 
+// resolve applies opts over the defaults. Selecting a scheduler or a model
+// degrade ladder implies admission control, so either enables workload
+// scheduling when neither scheduling feature was requested.
 func resolve(opts []Option) config {
 	cfg := defaults()
 	for _, o := range opts {
 		o(&cfg)
 	}
+	if (cfg.schedOpts.Scheduler != nil || cfg.degrade) && !cfg.admission() {
+		cfg.schedOpts.WorkloadScheduling = true
+	}
 	return cfg
+}
+
+// admission reports whether any scheduling feature is on.
+func (c config) admission() bool {
+	return c.schedOpts.WorkloadScheduling || c.schedOpts.DVFSScheduling
 }
 
 // WithAccelerators sets the modelled accelerator count: simulated
@@ -228,40 +229,21 @@ func WithPowerBudget(p PowerCondition) Option { return func(c *config) { c.power
 // WithWorkloadScheduling enables Algorithm 1 (PPW-driven batch and DVFS
 // selection under the deadline).
 func WithWorkloadScheduling() Option {
-	return func(c *config) { c.schedOpts.WorkloadScheduling = true; c.admission = true }
+	return func(c *config) { c.schedOpts.WorkloadScheduling = true }
 }
 
 // WithDVFSScheduling enables Algorithm 2 (DVFS power redistribution).
 func WithDVFSScheduling() Option {
-	return func(c *config) { c.schedOpts.DVFSScheduling = true; c.admission = true }
+	return func(c *config) { c.schedOpts.DVFSScheduling = true }
 }
-
-// WithBatchOptions overrides Algorithm 1's batch ladder.
-func WithBatchOptions(batches []int) Option {
-	return func(c *config) { c.schedOpts.BatchOptions = batches }
-}
-
-// WithPolicy overrides Algorithm 1's issue objective.
-func WithPolicy(p Policy) Option { return func(c *config) { c.schedOpts.Policy = p } }
 
 // WithScheduler swaps the scheduling strategy itself (default: the paper's
 // proactive PPW scheduler). Resolve named policies with SchedulerByName.
 // Selecting a scheduler implies admission control, so it enables workload
 // scheduling when neither scheduling feature was requested.
 func WithScheduler(f SchedulerFactory) Option {
-	return func(c *config) {
-		c.schedOpts.Scheduler = f
-		if f != nil && !c.schedOpts.WorkloadScheduling && !c.schedOpts.DVFSScheduling {
-			c.schedOpts.WorkloadScheduling = true
-		}
-		if f != nil {
-			c.admission = true
-		}
-	}
+	return func(c *config) { c.schedOpts.Scheduler = f }
 }
-
-// WithPrecision selects the accelerator execution data type (default BF16).
-func WithPrecision(p Precision) Option { return func(c *config) { c.schedOpts.Precision = p } }
 
 // WithProbe attaches an observability probe: to the simulator in
 // BacktestContext, to the runtime in NewServer.
@@ -288,23 +270,11 @@ func WithInline() Option { return func(c *config) { c.inline = true } }
 // submitted arrival timestamp and batches complete at their scheduled
 // latency-table instants, so a replayed trace reproduces the back-test
 // simulator's timing exactly regardless of host speed. Requires
-// Algorithm-1 admission; incompatible with WithClock and WithBackpressure.
-// Serving only.
+// Algorithm-1 admission; incompatible with WithBackpressure. Serving only.
 func WithModelledClock() Option { return func(c *config) { c.modelledClock = true } }
-
-// WithoutPowerGovernor disables the online Algorithm-2 power governor, the
-// drop-on-power-infeasible status quo: lanes keep their last operating
-// point while idle and power-infeasible decisions are dropped instead of
-// retried after a cross-lane saving step. Serving only; the default (with
-// DVFS scheduling) is governed.
-func WithoutPowerGovernor() Option { return func(c *config) { c.noPowerGov = true } }
 
 // WithOrderSink routes generated orders to sink. Serving only.
 func WithOrderSink(sink OrderSink) Option { return func(c *config) { c.sink = sink } }
-
-// WithClock supplies the serving admission clock (default: the
-// deterministic arrival-driven logical clock). Serving only.
-func WithClock(clock func() int64) Option { return func(c *config) { c.clock = clock } }
 
 // WithScenario selects a scenario as the run's traffic source. In
 // BacktestContext it replaces the ticks argument (pass nil ticks); resolve
@@ -323,34 +293,19 @@ func WithScenario(src *Scenario) Option { return func(c *config) { c.scenario = 
 // ServeStats.TierIssues, never hidden. Implies WithModelDegradation and
 // workload scheduling. Serving only.
 func WithModelZoo(models ...*Model) Option {
-	return func(c *config) {
-		c.zoo = models
-		c.degrade = true
-		c.admission = true
-		if !c.schedOpts.WorkloadScheduling && !c.schedOpts.DVFSScheduling {
-			c.schedOpts.WorkloadScheduling = true
-		}
-	}
+	return func(c *config) { c.zoo, c.degrade = models, true }
 }
 
 // WithModelDegradation arms degrade-to-cheaper-model switching with a
 // default two-rung CNN ladder (width 16 and width 8 rungs of the M1…M5
 // family). Use WithModelZoo to choose the candidate models instead. Implies
 // workload scheduling. Serving only.
-func WithModelDegradation() Option {
-	return func(c *config) {
-		c.degrade = true
-		c.admission = true
-		if !c.schedOpts.WorkloadScheduling && !c.schedOpts.DVFSScheduling {
-			c.schedOpts.WorkloadScheduling = true
-		}
-	}
-}
+func WithModelDegradation() Option { return func(c *config) { c.degrade = true } }
 
 // WithSignalGateway attaches a signal-distribution gateway to the serving
 // runtime: every subscription's inference results are published to the
-// gateway's conflated per-symbol streams, consumable in-process via
-// Server.Subscribe or over TCP via SignalGateway.Serve. Serving only.
+// gateway's conflated per-symbol streams, served over TCP by
+// SignalGateway.Serve. Serving only.
 func WithSignalGateway(gw *SignalGateway) Option { return func(c *config) { c.signals = gw } }
 
 // New assembles a simulated LightTrader appliance from options:
@@ -377,30 +332,27 @@ func New(m *Model, opts ...Option) (System, error) {
 // degenerate configuration instead); WithWorkloadScheduling/
 // WithDVFSScheduling enable online Algorithm-1 admission with latency
 // tables compiled for the first subscription's model under WithPowerBudget
-// (DVFS scheduling also arms the online Algorithm-2 power governor; opt out
-// with WithoutPowerGovernor); WithModelZoo/WithModelDegradation wire a
-// cost-sorted ladder of cheaper zoo models that admission falls back to
-// when the full model is infeasible; WithDeadline, WithMaxQueue, WithBackpressure,
-// WithModelledClock, WithProbe, WithOrderSink and WithClock configure the
-// runtime directly. Start lanes with Server.Run; feed packets with
+// (DVFS scheduling also arms the online Algorithm-2 power governor);
+// WithModelZoo/WithModelDegradation wire a cost-sorted ladder of cheaper zoo
+// models that admission falls back to when the full model is infeasible;
+// WithDeadline, WithMaxQueue, WithBackpressure, WithModelledClock, WithProbe
+// and WithOrderSink configure the runtime directly. Start lanes with Server.Run; feed packets with
 // Server.Submit.
 func NewServer(mp *MultiPipeline, opts ...Option) (*Server, error) {
 	cfg := resolve(opts)
 	scfg := serve.Config{
-		MaxQueue:             cfg.maxQueue,
-		Backpressure:         cfg.backpressure,
-		TAvailNanos:          cfg.deadline.Nanoseconds(),
-		ModelledClock:        cfg.modelledClock,
-		DisablePowerGovernor: cfg.noPowerGov,
-		Clock:                cfg.clock,
-		Probe:                cfg.probe,
-		OnOrders:             cfg.sink,
-		Signals:              cfg.signals,
+		MaxQueue:      cfg.maxQueue,
+		Backpressure:  cfg.backpressure,
+		TAvailNanos:   cfg.deadline.Nanoseconds(),
+		ModelledClock: cfg.modelledClock,
+		Probe:         cfg.probe,
+		OnOrders:      cfg.sink,
+		Signals:       cfg.signals,
 	}
 	if !cfg.inline {
 		scfg.Lanes = cfg.accels
 	}
-	if cfg.admission && mp != nil && mp.Len() > 0 {
+	if cfg.admission() && mp != nil && mp.Len() > 0 {
 		lanes := scfg.Lanes
 		if lanes == 0 {
 			lanes = 1
