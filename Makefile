@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build cross-build test race vet fmt-check api-check api-update reach-check bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier fuzz-smoke one-impl-check perf-check ci
+.PHONY: build cross-build test race verify-worlds vet fmt-check api-check api-update reach-check bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier fuzz-smoke one-impl-check perf-check ci
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The generated-world harness at scale: 500 seeded worlds
+# (internal/serve/worlds_test.go), each a perturbed market scenario under a
+# drawn deployment, run through the simulator and the serving runtime
+# against every named invariant, with the worlds/s it ran at. A failing
+# world prints one shrunk line for worldRegressions.
+verify-worlds:
+	@out=$$($(GO) test -count=1 -run '^TestWorlds$$' -v ./internal/serve/ -worlds 500 2>&1); st=$$?; \
+	echo "$$out" | grep -vE '^ *(=== (RUN|PAUSE|CONT)|--- PASS)'; exit $$st
 
 vet:
 	$(GO) vet ./...
@@ -274,7 +283,8 @@ fuzz-smoke:
 # table, the vet-and-test pass over the nested perf/ benchmark module, the
 # whole test suite under the race detector (without -short, so it includes
 # the policy matrix, fan-out, power-governor, scenario and frontier smoke
-# tests and the concurrent serving runtime and signal gateway),
+# tests, the concurrent serving runtime and signal gateway, and the
+# generated worlds — TestWorlds at half its default count under -race),
 # single-iteration benchmark smoke runs (kernels and the zero-alloc tick
 # path, whose Predict gate skips under -race), and a short fuzz pass over
 # the wire decoders.

@@ -17,6 +17,7 @@ import (
 
 // Normalizer holds per-feature Z-score statistics (mean and standard
 // deviation), obtained from historical market data as the paper describes.
+// A zero Std reads as 1, so the zero value is the identity.
 type Normalizer struct {
 	Mean [nn.Features]float64
 	Std  [nn.Features]float64
@@ -55,7 +56,11 @@ func Calibrate(snapshots []lob.Snapshot) Normalizer {
 // Apply normalises a raw feature vector in place.
 func (n *Normalizer) Apply(f *[nn.Features]float64) {
 	for j := range f {
-		f[j] = (f[j] - n.Mean[j]) / n.Std[j]
+		std := n.Std[j]
+		if std == 0 {
+			std = 1
+		}
+		f[j] = (f[j] - n.Mean[j]) / std
 	}
 }
 

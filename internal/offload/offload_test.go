@@ -68,6 +68,21 @@ func TestCalibrateEmpty(t *testing.T) {
 	}
 }
 
+// TestZeroNormalizerIsIdentity: Normalizer{} leaves a snapshot's features
+// as they are, where dividing by its zero Std would make them ±Inf or NaN.
+func TestZeroNormalizerIsIdentity(t *testing.T) {
+	for _, snap := range snapshots(t, 20) {
+		raw := snap.Features()
+		got := raw
+		(&Normalizer{}).Apply(&got)
+		for j, v := range got {
+			if v != raw[j] || math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("feature %d: Normalizer{} gave %v for %v", j, v, raw[j])
+			}
+		}
+	}
+}
+
 func TestEngineWarmupThenTensors(t *testing.T) {
 	snaps := snapshots(t, nn.Window+10)
 	e := NewEngine(Calibrate(snaps), 0)

@@ -9,7 +9,7 @@ import (
 func TestServeLatencyHistogram(t *testing.T) {
 	syms := []string{"AAA", "BBB", "CCC"}
 	packets := buildMarket(t, syms, 40)
-	srv, _ := runServer(t, syms, packets, Config{Lanes: 2})
+	srv, _ := runServer(t, buildMulti(t, syms), packets, Config{Lanes: 2})
 	sum := srv.Latency()
 	if sum.Count == 0 {
 		t.Fatal("no latency samples recorded")

@@ -29,7 +29,7 @@ func TestServeScenarioStreamAcrossLanes(t *testing.T) {
 	}
 	packets := src.Packets()
 
-	wantOrders, wantBooks, wantInfs := serialRun(t, syms, packets)
+	wantOrders, wantBooks, wantInfs := serialRun(t, buildMulti(t, syms), packets)
 	var total int
 	for _, reqs := range wantOrders {
 		total += len(reqs)
@@ -38,7 +38,7 @@ func TestServeScenarioStreamAcrossLanes(t *testing.T) {
 		t.Fatal("scenario generated no orders through the serial baseline; parity would be vacuous")
 	}
 
-	srv, log := runServer(t, syms, packets, Config{Lanes: len(syms), Backpressure: true})
+	srv, log := runServer(t, buildMulti(t, syms), packets, Config{Lanes: len(syms), Backpressure: true})
 	st := srv.Stats()
 	if st.Submitted != len(packets) {
 		t.Fatalf("Submitted = %d, want %d", st.Submitted, len(packets))

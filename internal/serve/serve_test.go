@@ -80,11 +80,11 @@ func serialDispatch(pipes []*core.Pipeline, buf []byte) ([]exchange.Request, err
 	return orders, nil
 }
 
-// serialRun replays the packets through the serial reference and returns
-// per-security order streams and quiesce-time books.
-func serialRun(t *testing.T, syms []string, packets [][]byte) (map[int32][]exchange.Request, map[int32]lob.Snapshot, map[int32]int) {
+// serialRun replays the packets through mp's pipelines on the serial
+// reference and returns per-security order streams, quiesce-time books and
+// inference counts.
+func serialRun(t testing.TB, mp *core.MultiPipeline, packets [][]byte) (map[int32][]exchange.Request, map[int32]lob.Snapshot, map[int32]int) {
 	t.Helper()
-	mp := buildMulti(t, syms)
 	orders := make(map[int32][]exchange.Request)
 	for _, buf := range packets {
 		reqs, err := serialDispatch(mp.Pipelines(), buf)
@@ -104,13 +104,13 @@ func serialRun(t *testing.T, syms []string, packets [][]byte) (map[int32][]excha
 	return orders, books, infs
 }
 
-// runServer feeds the packet stream to a fresh Server (started when lanes >
-// 0), drains, stops, and returns it with its order log.
-func runServer(t *testing.T, syms []string, packets [][]byte, cfg Config) (*Server, *OrderLog) {
+// runServer feeds the packet stream to a fresh Server over mp (started when
+// lanes > 0), drains, stops, and returns it with its order log.
+func runServer(t testing.TB, mp *core.MultiPipeline, packets [][]byte, cfg Config) (*Server, *OrderLog) {
 	t.Helper()
 	log := NewOrderLog()
 	cfg.OnOrders = log.Sink()
-	srv, err := New(buildMulti(t, syms), cfg)
+	srv, err := New(mp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func runServer(t *testing.T, syms []string, packets [][]byte, cfg Config) (*Serv
 func TestServeParityAcrossLanes(t *testing.T) {
 	syms := []string{"ESU6", "NQU6", "YMU6", "RTYU6"}
 	packets := buildMarket(t, syms, nn.Window+40)
-	wantOrders, wantBooks, wantInfs := serialRun(t, syms, packets)
+	wantOrders, wantBooks, wantInfs := serialRun(t, buildMulti(t, syms), packets)
 	var total int
 	for _, reqs := range wantOrders {
 		total += len(reqs)
@@ -169,7 +169,7 @@ func TestServeParityAcrossLanes(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			srv, log := runServer(t, syms, packets, c.cfg)
+			srv, log := runServer(t, buildMulti(t, syms), packets, c.cfg)
 			st := srv.Stats()
 			if st.Submitted != len(packets) {
 				t.Fatalf("Submitted = %d, want %d", st.Submitted, len(packets))
@@ -278,7 +278,7 @@ func TestServeInlineDeliversBeforeSubmitReturns(t *testing.T) {
 func TestSubmitPacketBorrowsPacket(t *testing.T) {
 	syms := []string{"ESU6", "NQU6", "YMU6"}
 	packets := buildMarket(t, syms, nn.Window+40)
-	wantOrders, _, _ := serialRun(t, syms, packets)
+	wantOrders, _, _ := serialRun(t, buildMulti(t, syms), packets)
 
 	log := NewOrderLog()
 	srv, err := New(buildMulti(t, syms), Config{Lanes: 2, Backpressure: true, OnOrders: log.Sink()})
@@ -483,7 +483,7 @@ func TestServeBoundedQueueEvicts(t *testing.T) {
 func TestServeChaosConcurrentReads(t *testing.T) {
 	syms := []string{"ESU6", "NQU6", "YMU6", "RTYU6"}
 	packets := buildMarket(t, syms, nn.Window+20)
-	_, wantBooks, _ := serialRun(t, syms, packets)
+	_, wantBooks, _ := serialRun(t, buildMulti(t, syms), packets)
 
 	log := NewOrderLog()
 	srv, err := New(buildMulti(t, syms), Config{Lanes: len(syms), Backpressure: true, OnOrders: log.Sink()})
