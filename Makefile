@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build cross-build test race verify-worlds vet fmt-check api-check api-update reach-check bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier fuzz-smoke one-impl-check perf-check ci
+.PHONY: build cross-build test race verify-worlds vet fmt-check api-check api-update reach-check bench bench-all bench-smoke bench-tickpath bench-sched bench-fanout bench-power bench-scenario bench-frontier bench-pin fuzz-smoke one-impl-check perf-check ci
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,21 @@ bench-frontier:
 # EXPERIMENTS.md.
 bench-fanout:
 	$(GO) run ./cmd/ltbench -exp fanout -json BENCH_fanout.json
+
+# The modelled archives are deterministic, so regenerating one must give
+# the committed bytes: this reruns sched-matrix, power-sweep and
+# scenario-matrix into a temporary directory and cmps each result with its
+# BENCH_*.json (plain `go test` also checks the scenario leg, in
+# cmd/ltbench). frontier is left out because it trains the model zoo for
+# minutes, fanout because its numbers are host-measured wall clock.
+bench-pin:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/ltbench" ./cmd/ltbench || exit 1; \
+	for exp in sched-matrix:sched power-sweep:power scenario-matrix:scenario; do \
+		name=$${exp%%:*}; file=BENCH_$${exp##*:}.json; \
+		"$$tmp/ltbench" -exp $$name -json "$$tmp/$$file" -parallel 0 > /dev/null || exit 1; \
+		cmp "$$file" "$$tmp/$$file" || { echo "$$name no longer reproduces $$file"; exit 1; }; \
+	done
 
 # Every benchmark in the repo (including the sim-engine harness).
 bench-all:
@@ -286,6 +301,6 @@ fuzz-smoke:
 # tests, the concurrent serving runtime and signal gateway, and the
 # generated worlds — TestWorlds at half its default count under -race),
 # single-iteration benchmark smoke runs (kernels and the zero-alloc tick
-# path, whose Predict gate skips under -race), and a short fuzz pass over
-# the wire decoders.
-ci: fmt-check vet build cross-build api-check reach-check one-impl-check perf-check race bench-smoke bench-tickpath fuzz-smoke
+# path, whose Predict gate skips under -race), the byte-for-byte pin of the
+# modelled BENCH archives, and a short fuzz pass over the wire decoders.
+ci: fmt-check vet build cross-build api-check reach-check one-impl-check perf-check race bench-smoke bench-tickpath bench-pin fuzz-smoke

@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -31,28 +33,37 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, tableI, tableII, tableIII, fig8, fig9, fig11, fig12, fig13, ablations, one ablation-* name, or (with -json) an archived experiment")
-	seconds := flag.Float64("seconds", 77, "paper workload length in seconds (77 s ≈ 40 000 ticks at seed 1)")
-	tavail := flag.Duration("tavail", 20*time.Millisecond, "available time per query (t_avail)")
-	seed := flag.Int64("seed", 1, "trace seed")
-	parallel := flag.Int("parallel", 1, "experiment worker count (0 = GOMAXPROCS)")
-	trace := flag.String("trace", "", "write an instrumented-run event log (JSONL) to this path")
-	scheduler := flag.String("scheduler", "", "scheduling strategy for the -trace run: "+strings.Join(sched.SchedulerNames(), ", ")+" (default ppw)")
-	jsonPath := flag.String("json", "", "run the archived experiment named by -exp ("+strings.Join(archiveNames(), ", ")+") and write its report as JSON to this path")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	flag.Parse()
-
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ltbench: %v\n", err)
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "ltbench:", err)
 		os.Exit(1)
+	}
+}
+
+// run takes no context: an experiment cannot stop part way, so an interrupt
+// ends the process.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ltbench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment to run: all, tableI, tableII, tableIII, fig8, fig9, fig11, fig12, fig13, ablations, one ablation-* name, or (with -json) an archived experiment")
+	seconds := fs.Float64("seconds", 77, "paper workload length in seconds (77 s ≈ 40 000 ticks at seed 1)")
+	tavail := fs.Duration("tavail", 20*time.Millisecond, "available time per query (t_avail)")
+	seed := fs.Int64("seed", 1, "trace seed")
+	parallel := fs.Int("parallel", 1, "experiment worker count (0 = GOMAXPROCS)")
+	trace := fs.String("trace", "", "write an instrumented-run event log (JSONL) to this path")
+	scheduler := fs.String("scheduler", "", "scheduling strategy for the -trace run: "+strings.Join(sched.SchedulerNames(), ", ")+" (default ppw)")
+	jsonPath := fs.String("json", "", "run the archived experiment named by -exp ("+strings.Join(archiveNames(), ", ")+") and write its report as JSON to this path")
+	profile := prof.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	stopProf, err := profile.Start()
+	if err != nil {
+		return err
 	}
 	defer stopProf()
 
 	if *seconds <= 0 {
-		fmt.Fprintf(os.Stderr, "ltbench: -seconds must be positive\n")
-		os.Exit(2)
+		return fmt.Errorf("-seconds must be positive")
 	}
 	src := bench.DefaultTraffic(*seconds, *seed)
 	tAvail := tavail.Nanoseconds()
@@ -60,41 +71,39 @@ func main() {
 	start := time.Now()
 
 	if *trace != "" {
-		if err := writeTrace(src, tAvail, *trace, *scheduler); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+		if err := writeTrace(stdout, src, tAvail, *trace, *scheduler); err != nil {
+			return fmt.Errorf("trace: %w", err)
 		}
 	}
 
 	if *jsonPath != "" {
 		// Archive run: one experiment, one file, nothing else regenerated.
-		if err := writeArchive(*exp, src, tAvail, *parallel, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
+		if err := writeArchive(stdout, *exp, src, tAvail, *parallel, *jsonPath); err != nil {
+			return fmt.Errorf("json: %w", err)
 		}
-		return
+		return nil
 	}
 
 	selected := selectExperiments(bench.Experiments(src, tAvail), *exp)
 	if len(selected) == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 
 	results := bench.RunAll(selected, *parallel)
 	for _, r := range results {
-		fmt.Println(r.Output)
-		fmt.Printf("[%s completed in %v]\n\n", r.Name, r.Wall.Round(time.Millisecond))
+		fmt.Fprintln(stdout, r.Output)
+		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", r.Name, r.Wall.Round(time.Millisecond))
 	}
 
 	var aggregate time.Duration
-	fmt.Printf("Per-experiment wall time (parallel=%d):\n", *parallel)
+	fmt.Fprintf(stdout, "Per-experiment wall time (parallel=%d):\n", *parallel)
 	for _, r := range results {
-		fmt.Printf("  %-22s %v\n", r.Name, r.Wall.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "  %-22s %v\n", r.Name, r.Wall.Round(time.Millisecond))
 		aggregate += r.Wall
 	}
-	fmt.Printf("  %-22s %v (sum of experiments)\n", "aggregate", aggregate.Round(time.Millisecond))
-	fmt.Printf("  %-22s %v\n", "total wall", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "  %-22s %v (sum of experiments)\n", "aggregate", aggregate.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "  %-22s %v\n", "total wall", time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 // selectExperiments filters the suite by the -exp flag; "ablations" keeps
@@ -115,7 +124,7 @@ func selectExperiments(all []bench.Experiment, exp string) []bench.Experiment {
 
 // writeTrace runs the canonical instrumented configuration and writes its
 // event log, printing the per-cause miss attribution summary.
-func writeTrace(src *scenario.Source, tAvail int64, path, scheduler string) error {
+func writeTrace(stdout io.Writer, src *scenario.Source, tAvail int64, path, scheduler string) error {
 	start := time.Now()
 	var factory sched.Factory
 	if scheduler != "" {
@@ -133,12 +142,12 @@ func writeTrace(src *scenario.Source, tAvail int64, path, scheduler string) erro
 	if err := tr.WriteJSONL(f); err != nil {
 		return err
 	}
-	fmt.Printf("Instrumented run: %s\n", m.System)
-	fmt.Printf("  total %d, responded %d (%.1f%%), dropped %d, late %d\n",
+	fmt.Fprintf(stdout, "Instrumented run: %s\n", m.System)
+	fmt.Fprintf(stdout, "  total %d, responded %d (%.1f%%), dropped %d, late %d\n",
 		m.Total, m.Responded, 100*m.ResponseRate, m.Dropped, m.Late)
-	fmt.Print(indent(tr.Summary()))
-	fmt.Printf("  event log written to %s\n", path)
-	fmt.Printf("[trace completed in %v]\n\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprint(stdout, indent(tr.Summary()))
+	fmt.Fprintf(stdout, "  event log written to %s\n", path)
+	fmt.Fprintf(stdout, "[trace completed in %v]\n\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -192,7 +201,7 @@ func archiveNames() []string {
 
 // writeArchive runs the named archivable experiment once, writes its report
 // to path and prints its table.
-func writeArchive(name string, src *scenario.Source, tAvail int64, parallel int, path string) error {
+func writeArchive(stdout io.Writer, name string, src *scenario.Source, tAvail int64, parallel int, path string) error {
 	for _, a := range archives {
 		if !strings.EqualFold(a.name, name) {
 			continue
@@ -205,9 +214,9 @@ func writeArchive(name string, src *scenario.Source, tAvail int64, parallel int,
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Print(table)
-		fmt.Printf("%s report written to %s\n", a.name, path)
-		fmt.Printf("[%s completed in %v]\n\n", a.name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprint(stdout, table)
+		fmt.Fprintf(stdout, "%s report written to %s\n", a.name, path)
+		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", a.name, time.Since(start).Round(time.Millisecond))
 		return nil
 	}
 	return fmt.Errorf("-exp %q has no JSON archive; choose one of %s", name, strings.Join(archiveNames(), ", "))

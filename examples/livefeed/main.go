@@ -23,10 +23,16 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
+	"os"
+	"os/signal"
+	"sync"
+	"syscall"
 	"time"
 
 	"lighttrader"
@@ -44,27 +50,41 @@ const (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "livefeed:", err)
+		os.Exit(1)
+	}
+}
+
+// run trades for -dur, or until ctx is done, and returns once every
+// goroutine it started has.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("livefeed", flag.ContinueOnError)
 	var (
-		runFor  = flag.Duration("dur", 3*time.Second, "how long to trade")
-		drop    = flag.Float64("drop", 0, "per-feed datagram drop probability")
-		dup     = flag.Float64("dup", 0, "per-feed duplicate probability")
-		reorder = flag.Float64("reorder", 0, "per-feed reorder probability")
-		corrupt = flag.Float64("corrupt", 0, "per-feed corruption probability")
-		reset   = flag.Int64("reset", 0, "order-entry reset budget in bytes (0 = never)")
-		seed    = flag.Int64("seed", 1, "fault sequence seed")
+		runFor  = flags.Duration("dur", 3*time.Second, "how long to trade")
+		drop    = flags.Float64("drop", 0, "per-feed datagram drop probability")
+		dup     = flags.Float64("dup", 0, "per-feed duplicate probability")
+		reorder = flags.Float64("reorder", 0, "per-feed reorder probability")
+		corrupt = flags.Float64("corrupt", 0, "per-feed corruption probability")
+		reset   = flags.Int64("reset", 0, "order-entry reset budget in bytes (0 = never)")
+		seed    = flags.Int64("seed", 1, "fault sequence seed")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 
 	// Two feed subscription sockets first, so the exchange knows where to
 	// publish its redundant A and B streams.
 	feedA, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer feedA.Close()
 	feedB, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer feedB.Close()
 
@@ -81,11 +101,19 @@ func main() {
 		SnapshotInterval: 100 * time.Millisecond,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), *runFor)
+	ctx, cancel := context.WithTimeout(ctx, *runFor)
+	var wg sync.WaitGroup
+	// Deferred before anything that can fail, so every return cancels the
+	// goroutines below and waits for them.
+	defer wg.Wait()
 	defer cancel()
-	go func() { _ = srv.Run(ctx) }()
+	goRun := func(f func(context.Context) error) {
+		wg.Add(1)
+		go func() { defer wg.Done(); _ = f(ctx) }()
+	}
+	goRun(srv.Run)
 
 	// Seeded faults on both feeds (distinct sequences) and, when asked, a
 	// byte-budget reset on every order-entry dial.
@@ -112,7 +140,7 @@ func main() {
 	// data, then build the pipeline and wrap it in the resilient trader.
 	calibSrc, err := lighttrader.ScenarioByName("quiet", 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	calib := calibSrc.Ticks()[:500]
 	tcfg := lighttrader.DefaultTradingConfig(securityID)
@@ -120,14 +148,14 @@ func main() {
 	pipeline, err := lighttrader.NewPipeline(symbol, securityID,
 		lighttrader.NewVanillaCNN(), lighttrader.CalibrateNormalizer(calib), tcfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// One subscription, Lanes: 0 — the whole loop runs inline on the feed
 	// goroutine, the degenerate lane count of the multi-symbol runtime.
 	mp := lighttrader.NewMultiPipeline()
 	if err := mp.Attach(pipeline); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tr, err := trader.NewMulti(trader.Config{
 		Dial:               dial,
@@ -138,52 +166,61 @@ func main() {
 		CancelOnDisconnect: true,
 		OnAck: func(ack orderentry.ExecAck) {
 			if ack.Exec == exchange.ExecFilled || ack.Exec == exchange.ExecPartialFill {
-				fmt.Printf("  fill: clOrdID %d %d @ %d\n", ack.ClOrdID, ack.Qty, ack.Price)
+				fmt.Fprintf(stdout, "  fill: clOrdID %d %d @ %d\n", ack.ClOrdID, ack.Qty, ack.Price)
 			}
 		},
 		Logf: log.Printf,
 	}, mp, 8, serve.Config{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	go func() { _ = tr.Run(ctx) }() // starts the lanes; none at Lanes: 0
-	go func() { _ = tr.Client().Run(ctx) }()
-	go func() { _ = tr.ServeFeed(ctx, faultA) }()
-	go func() { _ = tr.ServeFeed(ctx, faultB) }()
+	goRun(tr.Run) // starts the lanes; none at Lanes: 0
+	goRun(tr.Client().Run)
+	goRun(func(ctx context.Context) error { return tr.ServeFeed(ctx, faultA) })
+	goRun(func(ctx context.Context) error { return tr.ServeFeed(ctx, faultB) })
 
 	readyCtx, readyCancel := context.WithTimeout(ctx, 5*time.Second)
 	err = tr.Client().WaitReady(readyCtx)
 	readyCancel()
 	if err != nil {
-		log.Fatalf("session never established: %v", err)
+		return fmt.Errorf("session never established: %w", err)
 	}
 
-	fmt.Printf("livefeed: trading %s for %v (feeds %s/%s, orders %s)\n",
+	fmt.Fprintf(stdout, "livefeed: trading %s for %v (feeds %s/%s, orders %s)\n",
 		symbol, *runFor, feedA.LocalAddr(), feedB.LocalAddr(), srv.OrderAddr())
 	if *drop > 0 || *dup > 0 || *reorder > 0 || *corrupt > 0 {
-		fmt.Printf("livefeed: feed faults A[%v] B[%v]\n", pfA, pfB)
+		fmt.Fprintf(stdout, "livefeed: feed faults A[%v] B[%v]\n", pfA, pfB)
 	}
 	if *reset > 0 {
-		fmt.Printf("livefeed: order-entry reset every %d bytes\n", *reset)
+		fmt.Fprintf(stdout, "livefeed: order-entry reset every %d bytes\n", *reset)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	<-ctx.Done()
+	wg.Wait()
 
 	fs := tr.FeedStats()
 	as := tr.ArbiterStats()
 	cs := tr.Client().Stats()
-	fmt.Printf("\nsession done: %d datagrams (%d bad), %d inferences, position %d\n",
+	fmt.Fprintf(stdout, "\nsession done: %d datagrams (%d bad), %d inferences, position %d\n",
 		fs.Datagrams, fs.BadDatagrams, tr.Serve().Inferences(securityID), pipeline.Trader().Position())
-	fmt.Printf("  arbiter: %d delivered, %d duplicates suppressed, %d gaps, %d snapshot recoveries\n",
+	fmt.Fprintf(stdout, "  arbiter: %d delivered, %d duplicates suppressed, %d gaps, %d snapshot recoveries\n",
 		as.Delivered, as.Duplicates, as.Gaps, as.Recoveries)
-	fmt.Printf("  orders: %d routed, %d suppressed while degraded\n", fs.OrdersRouted, fs.Suppressed)
-	fmt.Printf("  session: %d dials, %d established, %d reconnects, %d heartbeats, %d cancels-on-reconnect\n",
+	acted, decisions := 0, pipeline.Trader().Decisions()
+	for _, d := range decisions {
+		if d.Acted {
+			acted++
+		}
+	}
+	fmt.Fprintf(stdout, "  decisions: %d acted on, %d suppressed by the trading engine's checks\n", acted, len(decisions)-acted)
+	fmt.Fprintf(stdout, "  orders: %d routed, %d suppressed while degraded\n", fs.OrdersRouted, fs.Suppressed)
+	fmt.Fprintf(stdout, "  session: %d dials, %d established, %d reconnects, %d heartbeats, %d cancels-on-reconnect\n",
 		cs.Dials, cs.Sessions, cs.Reconnects, cs.HeartbeatsSent, cs.CancelsOnReconnect)
 	if fA, fB := faultA.Stats(), faultB.Stats(); fA.Dropped+fB.Dropped+fA.Corrupted+fB.Corrupted > 0 {
-		fmt.Printf("  faults: A dropped %d dup %d reordered %d corrupted %d | B dropped %d dup %d reordered %d corrupted %d\n",
+		fmt.Fprintf(stdout, "  faults: A dropped %d dup %d reordered %d corrupted %d | B dropped %d dup %d reordered %d corrupted %d\n",
 			fA.Dropped, fA.Duplicated, fA.Reordered, fA.Corrupted,
 			fB.Dropped, fB.Duplicated, fB.Reordered, fB.Corrupted)
 	}
+	return nil
 }

@@ -18,8 +18,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -30,10 +32,23 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:9000", "signal gateway address")
-	symbols := flag.String("symbols", "SIM1", "comma-separated symbols to subscribe")
-	quiet := flag.Bool("quiet", false, "suppress per-signal lines (stats only)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "signals:", err)
+		os.Exit(1)
+	}
+}
+
+// run subscribes until ctx is done, then prints the final counts.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("signals", flag.ContinueOnError)
+	addr := fs.String("addr", "127.0.0.1:9000", "signal gateway address")
+	symbols := fs.String("symbols", "SIM1", "comma-separated symbols to subscribe")
+	quiet := fs.Bool("quiet", false, "suppress per-signal lines (stats only)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cli := lighttrader.NewSignalClient(lighttrader.SignalClientConfig{
 		Addr:    *addr,
@@ -42,7 +57,7 @@ func main() {
 			if *quiet {
 				return
 			}
-			fmt.Printf("%-6s seq=%-6d action=%d conf=%.2f bid=%d ask=%d last=%d lag=%s\n",
+			fmt.Fprintf(stdout, "%-6s seq=%-6d action=%d conf=%.2f bid=%d ask=%d last=%d lag=%s\n",
 				sig.Symbol, sig.Seq, sig.Action, sig.Confidence,
 				sig.BidPrice, sig.AskPrice, sig.LastTrade,
 				time.Duration(time.Now().UnixNano()-sig.PublishNanos).Round(time.Microsecond))
@@ -52,12 +67,9 @@ func main() {
 		},
 	})
 
-	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { defer close(done); _ = cli.Run(ctx) }()
 
-	interrupted := make(chan os.Signal, 1)
-	signal.Notify(interrupted, os.Interrupt, syscall.SIGTERM)
 	tick := time.NewTicker(5 * time.Second)
 	defer tick.Stop()
 	for {
@@ -67,13 +79,11 @@ func main() {
 			fmt.Fprintf(os.Stderr,
 				"-- dials %d, sessions %d, received %d, gap drops %d, heartbeats %d\n",
 				st.Dials, st.Sessions, st.SignalsReceived, st.GapDrops, st.HeartbeatsSent)
-		case <-interrupted:
-			cancel()
-			<-done
+		case <-done:
 			st := cli.Stats()
-			fmt.Printf("\nfinal: received %d signals, %d conflated away upstream\n",
+			fmt.Fprintf(stdout, "\nfinal: received %d signals, %d conflated away upstream\n",
 				st.SignalsReceived, st.GapDrops)
-			return
+			return nil
 		}
 	}
 }

@@ -8,7 +8,7 @@ package bench
 // Accuracy side: zoo variants train on synthetic FI-2010-style LOB windows
 // labelled by a fixed nonlinear teacher network that reads only the oldest
 // rows of the window. The synthetic order flow itself carries almost no
-// exploitable signal (see examples/train), so future-mid labels would score
+// exploitable signal (see the root package's ExampleNewTrainer), so future-mid labels would score
 // every architecture at the class prior and separate nothing; and a planted
 // surface over the *whole* window grades nothing either, because the window
 // manifold is so low-dimensional that a 320-parameter net fits it as well

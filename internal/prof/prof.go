@@ -5,20 +5,34 @@
 package prof
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
-// Start begins profiling per the two (possibly empty) file paths and
-// returns a stop function to run at exit. An empty path disables that
-// profile. The stop function ends the CPU profile and writes the heap
-// profile (after a GC, so it reflects live objects, not garbage).
-func Start(cpuPath, memPath string) (stop func(), err error) {
+// Flags holds the two profile paths a command's flag set parsed.
+type Flags struct {
+	cpuPath, memPath string
+}
+
+// Register declares -cpuprofile and -memprofile on fs.
+func Register(fs *flag.FlagSet) *Flags {
+	f := &Flags{}
+	fs.StringVar(&f.cpuPath, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&f.memPath, "memprofile", "", "write a heap profile to this file at exit")
+	return f
+}
+
+// Start begins profiling per the parsed flags and returns a stop function
+// to run at exit. An empty path disables that profile. The stop function
+// ends the CPU profile and writes the heap profile (after a GC, so it
+// reflects live objects, not garbage).
+func (f *Flags) Start() (stop func(), err error) {
 	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
+	if f.cpuPath != "" {
+		cpuFile, err = os.Create(f.cpuPath)
 		if err != nil {
 			return nil, fmt.Errorf("prof: %w", err)
 		}
@@ -32,15 +46,15 @@ func Start(cpuPath, memPath string) (stop func(), err error) {
 			pprof.StopCPUProfile()
 			cpuFile.Close()
 		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
+		if f.memPath != "" {
+			out, err := os.Create(f.memPath)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "prof:", err)
 				return
 			}
-			defer f.Close()
+			defer out.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := pprof.WriteHeapProfile(out); err != nil {
 				fmt.Fprintln(os.Stderr, "prof: write heap profile:", err)
 			}
 		}

@@ -31,8 +31,9 @@
 // scheduler's batch/deadline decision online across worker lanes (see
 // DESIGN.md §9). BacktestContext adds cancellation to long replays.
 //
-// See examples/ for runnable programs and DESIGN.md for the system
-// inventory and per-experiment index.
+// The package examples run end to end and are checked by go test; see
+// DESIGN.md for the programs, the system inventory and the per-experiment
+// index.
 package lighttrader
 
 import (
