@@ -181,12 +181,13 @@ bench-tickpath:
 # (internal/offload/offload.go), the memo (internal/nn/memo.go) and the crop
 # (internal/nn/layer_zoo.go). (9) One order-flow generator: no non-test
 # file builds a matching engine with a publish sink outside the scenario
-# world generator (internal/scenario/worldgen.go) and the live venue
-# (internal/venue/server.go) — an engine built with a nil sink publishes
-# nothing, so perf's engine-timing stage passes — and (10) the deleted
-# traffic paths (the bench traffic config, the feed generator, the legacy
-# adapter, the power sweep's private feed) are named in no Go file: a hit
-# is a second traffic vocabulary growing back. (11) One way to choose
+# world (internal/scenario/worldgen.go), which the live venue plays too —
+# an engine built with a nil sink publishes nothing, so perf's
+# engine-timing stage passes — and (10) the deleted traffic paths (the
+# bench traffic config, the feed generator, the legacy adapter, the power
+# sweep's private feed, the venue's noise trader with its knobs and switch,
+# and its raw-publish side door) are named in no Go file: a hit is a second
+# traffic vocabulary growing back. (11) One way to choose
 # Algorithm 1's objective and batch ladder: the scheduler registry ranks the
 # candidates (ppw, sjf, greedy, ...) and workload scheduling means
 # DefaultBatchOptions, so no non-test Go file names the deleted objective
@@ -257,12 +258,13 @@ one-impl-check:
 		echo "a stream stamp set outside its producers:"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rnF 'exchange.New(' --include='*.go' --exclude='*_test.go' . \
-		| grep -vE '^\./internal/(scenario/worldgen|venue/server)\.go:' \
+		| grep -vE '^\./internal/scenario/worldgen\.go:' \
 		| grep -vE ', nil\)$$'); \
 	if [ -n "$$bad" ]; then \
 		echo "a second order-flow generator (a publishing matching engine):"; echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -rnE 'TrafficConfig|NewGenerator|FromTraffic|powerFeed' --include='*.go' .); \
+	@bad=$$(grep -rnE 'TrafficConfig|NewGenerator|FromTraffic|powerFeed|noiseTrader|NoiseInterval|NoiseSeed|PublishRaw|SetNoise' \
+		--include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "a deleted traffic path named again:"; echo "$$bad"; exit 1; \
 	fi

@@ -1,12 +1,14 @@
-// Command exchange runs the wire-level exchange simulator: SBE market data
-// out over UDP, iLink-style binary order entry in over TCP, with a
-// background noise trader keeping the book alive. Any client that speaks
-// the two protocols can trade against it; examples/livefeed runs the same
-// venue in-process for a self-contained tick-to-trade loop.
+// Command exchange runs the wire-level exchange simulator: a market
+// scenario's order flow played in real time on the venue's matching
+// engine, SBE market data out over UDP and iLink-style binary order entry
+// in over TCP. Any client that speaks the two protocols can trade against
+// it; once the script ends the book stops moving but orders still match.
+// examples/livefeed runs the same venue in-process for a self-contained
+// tick-to-trade loop.
 //
 // Usage:
 //
-//	exchange -orders 127.0.0.1:9440 -feed 127.0.0.1:9441 -noise 1ms
+//	exchange -orders 127.0.0.1:9440 -feed 127.0.0.1:9441 -scenario trading-day -seed 1
 package main
 
 import (
@@ -17,9 +19,10 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
-	"time"
 
+	"lighttrader/internal/scenario"
 	"lighttrader/internal/venue"
 )
 
@@ -37,29 +40,25 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("exchange", flag.ContinueOnError)
 	orders := fs.String("orders", "127.0.0.1:9440", "TCP order-entry listen address")
 	feedAddr := fs.String("feed", "127.0.0.1:9441", "UDP market-data destination")
-	symbol := fs.String("symbol", "ESU6", "instrument symbol")
-	secID := fs.Int("security", 1, "security id")
-	mid := fs.Int64("mid", 450000, "initial mid price")
-	noise := fs.Duration("noise", time.Millisecond, "mean background order-flow interval (0 disables)")
-	seed := fs.Int64("seed", 1, "noise-trader seed")
+	name := fs.String("scenario", "trading-day", "market scenario to play: "+strings.Join(scenario.Names(), ", "))
+	seed := fs.Int64("seed", 1, "scenario seed")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	src, err := scenario.ByName(*name, *seed)
+	if err != nil {
 		return err
 	}
 
 	srv, err := venue.NewServer(venue.ServerConfig{
-		OrderAddr:     *orders,
-		FeedAddr:      *feedAddr,
-		SecurityID:    int32(*secID),
-		Symbol:        *symbol,
-		MidPrice:      *mid,
-		Depth:         100,
-		NoiseInterval: *noise,
-		NoiseSeed:     *seed,
+		OrderAddr: *orders,
+		FeedAddr:  *feedAddr,
+		Scenario:  src,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "exchange up: orders %s, feed → %s, symbol %s\n", srv.OrderAddr(), *feedAddr, *symbol)
+	fmt.Fprintf(stdout, "exchange up: orders %s, feed → %s, scenario %s seed %d\n", srv.OrderAddr(), *feedAddr, *name, *seed)
 
 	if err := srv.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
 		return err

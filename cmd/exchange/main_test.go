@@ -27,7 +27,7 @@ func TestRunServesUntilCancel(t *testing.T) {
 	var out bytes.Buffer
 	errc := make(chan error, 1)
 	go func() {
-		errc <- run(ctx, []string{"-orders", "127.0.0.1:0", "-feed", feed.LocalAddr().String(), "-noise", "1ms"}, &out)
+		errc <- run(ctx, []string{"-orders", "127.0.0.1:0", "-feed", feed.LocalAddr().String(), "-scenario", "quiet"}, &out)
 	}()
 	_ = feed.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, _, err := feed.ReadFrom(make([]byte, 1500)); err != nil {

@@ -1,8 +1,9 @@
 // Livefeed: the full tick-to-trade loop over real sockets, with optional
 // network chaos.
 //
-// It boots the wire-level exchange simulator in-process (redundant A/B UDP
-// market data out, TCP iLink-style order entry in) and runs the resilient
+// It boots the wire-level exchange simulator in-process (the quiet market
+// scenario played in real time, redundant A/B UDP market data out, TCP
+// iLink-style order entry in) and runs the resilient
 // live client from internal/trader against it: arbitrated dual-feed
 // consumption, SBE parse → book → feature map → DNN inference → risk
 // checks, and a FIXP-style order-entry session with heartbeats, keep-alive
@@ -44,11 +45,6 @@ import (
 	"lighttrader/internal/venue"
 )
 
-const (
-	securityID = 1
-	symbol     = "ESU6"
-)
-
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -88,16 +84,18 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	defer feedB.Close()
 
+	// The venue plays a quiet session; the normaliser below is calibrated
+	// on another day (seed) of the same regime.
+	market, err := lighttrader.ScenarioByName("quiet", 7)
+	if err != nil {
+		return err
+	}
+	ins := market.Script().Instruments[0]
 	srv, err := venue.NewServer(venue.ServerConfig{
 		OrderAddr:        "127.0.0.1:0",
 		FeedAddr:         feedA.LocalAddr().String(),
 		FeedAddrB:        feedB.LocalAddr().String(),
-		SecurityID:       securityID,
-		Symbol:           symbol,
-		MidPrice:         450000,
-		Depth:            100,
-		NoiseInterval:    500 * time.Microsecond,
-		NoiseSeed:        7,
+		Scenario:         market,
 		SnapshotInterval: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -143,9 +141,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	calib := calibSrc.Ticks()[:500]
-	tcfg := lighttrader.DefaultTradingConfig(securityID)
+	tcfg := lighttrader.DefaultTradingConfig(ins.SecurityID)
 	tcfg.MinConfidence = 0.34
-	pipeline, err := lighttrader.NewPipeline(symbol, securityID,
+	pipeline, err := lighttrader.NewPipeline(ins.Symbol, ins.SecurityID,
 		lighttrader.NewVanillaCNN(), lighttrader.CalibrateNormalizer(calib), tcfg)
 	if err != nil {
 		return err
@@ -188,7 +186,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	fmt.Fprintf(stdout, "livefeed: trading %s for %v (feeds %s/%s, orders %s)\n",
-		symbol, *runFor, feedA.LocalAddr(), feedB.LocalAddr(), srv.OrderAddr())
+		ins.Symbol, *runFor, feedA.LocalAddr(), feedB.LocalAddr(), srv.OrderAddr())
 	if *drop > 0 || *dup > 0 || *reorder > 0 || *corrupt > 0 {
 		fmt.Fprintf(stdout, "livefeed: feed faults A[%v] B[%v]\n", pfA, pfB)
 	}
@@ -204,7 +202,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	as := tr.ArbiterStats()
 	cs := tr.Client().Stats()
 	fmt.Fprintf(stdout, "\nsession done: %d datagrams (%d bad), %d inferences, position %d\n",
-		fs.Datagrams, fs.BadDatagrams, tr.Serve().Inferences(securityID), pipeline.Trader().Position())
+		fs.Datagrams, fs.BadDatagrams, tr.Serve().Inferences(ins.SecurityID), pipeline.Trader().Position())
 	fmt.Fprintf(stdout, "  arbiter: %d delivered, %d duplicates suppressed, %d gaps, %d snapshot recoveries\n",
 		as.Delivered, as.Duplicates, as.Gaps, as.Recoveries)
 	acted, decisions := 0, pipeline.Trader().Decisions()

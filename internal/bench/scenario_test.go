@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"context"
 	"net"
 	"reflect"
 	"testing"
@@ -12,7 +11,7 @@ import (
 	"lighttrader/internal/scenario"
 	"lighttrader/internal/serve"
 	"lighttrader/internal/sim"
-	"lighttrader/internal/venue"
+	"lighttrader/internal/testutil"
 )
 
 // TestScenarioMatrixSmoke runs the full chaos matrix at test scale and
@@ -78,10 +77,11 @@ func runScenarioServe(t *testing.T, src *scenario.Source, qs []sim.Query,
 
 // TestScenarioSimServeVenueDifferential is the acceptance differential:
 // one flash-crash byte stream drives (a) the offline simulator, (b) the
-// serving runtime, and (c) a live venue replaying the stream over UDP into
-// a second serving runtime — and all three agree exactly on per-cause
-// attribution at N=1. The venue hop is checked byte-for-byte, so what the
-// wire carries IS the scenario.
+// serving runtime — which agree exactly on per-cause attribution at N=1 —
+// and (c) a live venue plays a short script derived from it over UDP into
+// a second serving runtime, which must agree exactly with one fed the
+// script directly. The venue hop is checked byte-for-byte, so what the wire
+// carries IS the scenario.
 func TestScenarioSimServeVenueDifferential(t *testing.T) {
 	const tAvail = 900_000
 	src, err := scenario.ByName("flash-crash", 1)
@@ -129,60 +129,51 @@ func TestScenarioSimServeVenueDifferential(t *testing.T) {
 		t.Errorf("vacuous differential: %d/%d served", m.Responded, m.Total)
 	}
 
-	// Leg 3: the venue republishes the stream over real UDP; the wire bytes
-	// must be the scenario bytes, and a second serving runtime fed from the
-	// wire must agree with leg 2 exactly.
+	// Leg 3: a live venue plays a short script derived from the same
+	// scenario over real UDP; the wire bytes must be that script's bytes,
+	// and a serving runtime fed from the wire must agree exactly with one
+	// fed the script's packets directly.
+	short := testutil.ShortScenario(t, "flash-crash", 1, 0.5)
+	shortQs, shortPackets := short.Queries(tAvail), short.Packets()
 	feedSock, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer feedSock.Close()
-	vs, err := venue.NewServer(venue.ServerConfig{
-		OrderAddr:        "127.0.0.1:0",
-		FeedAddr:         feedSock.LocalAddr().String(),
-		SecurityID:       99, // the venue's own listing stays out of the replay
-		Symbol:           "RAW",
-		SnapshotInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
+	_ = feedSock.(*net.UDPConn).SetReadBuffer(4 << 20) // the crash bursts outrun a default buffer
+	recv := make(chan [][]byte, 1)
+	go func() {
+		var out [][]byte
+		buf := make([]byte, 64<<10)
+		for len(out) < len(shortPackets) {
+			_ = feedSock.SetReadDeadline(time.Now().Add(2 * time.Second))
+			n, _, err := feedSock.ReadFrom(buf)
+			if err != nil {
+				break
+			}
+			out = append(out, bytes.Clone(buf[:n]))
+		}
+		recv <- out
+	}()
+	_, stopVenue := testutil.StartVenue(t, short, time.Hour, feedSock)
+	received := <-recv
+	stopVenue()
+	if len(received) != len(shortPackets) {
+		t.Fatalf("wire carried %d packets, the script %d", len(received), len(shortPackets))
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go vs.Run(ctx)
-
-	// Drain the venue's own book-seeding packets before the replay.
-	buf := make([]byte, 64<<10)
-	for {
-		feedSock.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
-		if _, _, err := feedSock.ReadFrom(buf); err != nil {
-			break
+	for i := range shortPackets {
+		if !bytes.Equal(received[i], shortPackets[i]) {
+			t.Fatalf("wire packet %d differs from the scenario byte stream", i)
 		}
 	}
-
-	received := make([][]byte, 0, len(packets))
-	for i, pkt := range packets {
-		if err := vs.PublishRaw(pkt); err != nil {
-			t.Fatalf("PublishRaw packet %d: %v", i, err)
-		}
-		feedSock.SetReadDeadline(time.Now().Add(2 * time.Second))
-		n, _, err := feedSock.ReadFrom(buf)
-		if err != nil {
-			t.Fatalf("read packet %d: %v", i, err)
-		}
-		cp := make([]byte, n)
-		copy(cp, buf[:n])
-		received = append(received, cp)
+	stDirect := runScenarioServe(t, short, shortQs, shortPackets, tAvail, nil)
+	stWire := runScenarioServe(t, short, shortQs, received, tAvail, nil)
+	if !reflect.DeepEqual(stWire, stDirect) {
+		t.Errorf("venue-played serve stats %+v differ from direct serve stats %+v", stWire, stDirect)
 	}
-	for i := range packets {
-		if !bytes.Equal(received[i], packets[i]) {
-			t.Fatalf("wire packet %d differs from scenario byte stream", i)
-		}
+	if stDirect.Submitted != len(shortPackets) {
+		t.Errorf("wire leg submitted %d of %d packets", stDirect.Submitted, len(shortPackets))
 	}
-	stWire := runScenarioServe(t, src, qs, received, tAvail, nil)
-	if !reflect.DeepEqual(stWire, st) {
-		t.Errorf("venue-replayed serve stats %+v differ from direct serve stats %+v", stWire, st)
-	}
-	t.Logf("three-way differential over %d packets: %d served, %d late, %d evicted, %d def-ddl, %d def-pw",
-		len(packets), st.Served, st.Late, st.EvictedQueueFull, st.DeferredDeadline, st.DeferredPower)
+	t.Logf("sim/serve differential over %d packets: %d served, %d late, %d evicted, %d def-ddl, %d def-pw; venue leg %d packets",
+		len(packets), st.Served, st.Late, st.EvictedQueueFull, st.DeferredDeadline, st.DeferredPower, len(shortPackets))
 }

@@ -1,9 +1,8 @@
 // Package exchange implements the exchange-side substrate: order
 // sequencing, the matching engine, and market-data publication (paper
-// §II-A). It is used three ways: in-process by the feed generator to
-// synthesise realistic tick traffic, by the back-test simulator as ground
-// truth, and wrapped by cmd/exchange as a real UDP/TCP server for the
-// live-wire example.
+// §II-A). The scenario world (internal/scenario) drives it to generate
+// every tick stream, offline and, behind the UDP/TCP sockets of
+// internal/venue, live; perf times it with publication discarded.
 package exchange
 
 import (

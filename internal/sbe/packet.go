@@ -38,8 +38,8 @@ func encodedMessageLen(m *Message) int {
 // AppendPacket appends one complete encoded datagram — header plus every
 // non-empty message in msgs, size-framed — to dst and returns the extended
 // slice. The destination grows by the packet's exact wire size at most
-// once, so replay and publish loops that reuse dst (venue publishers, the
-// feed generator) reach steady-state zero allocations.
+// once, so replay and publish loops that reuse dst (the matching engine's
+// publisher) reach steady-state zero allocations.
 func AppendPacket(dst []byte, seqNum uint32, sendingTime uint64, msgs []Message) []byte {
 	total := PacketHeaderLen
 	for i := range msgs {

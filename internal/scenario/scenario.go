@@ -6,8 +6,10 @@
 //
 // A Source emits real SBE packet streams, so one scenario drives every
 // deployment target byte-identically: the back-test simulator consumes its
-// Queries() projection, the live venue republishes its Packets() over UDP,
-// and the serving runtime ingests the same bytes through Server.Submit.
+// Queries() projection, the serving runtime ingests its Packets() through
+// Server.Submit, and the live venue plays the script in real time on a
+// World — the same stepper Ticks() runs to the end — so undisturbed it
+// publishes exactly Packets() over UDP.
 // Three traffic entry points, one source of truth (paper §II-C motivates
 // exactly this: sub-second disruptions "more than once a day" whose tick
 // rates dwarf steady state — they must hit sim, venue and serving alike
@@ -17,8 +19,9 @@
 // seed reproduces the byte stream exactly; a different seed reproduces the
 // regime shape with different microstructure.
 //
-// It is the repository's one order-flow generator: the paper figures, the
-// tests, the examples and the command-line tools all read a Source.
+// It is the repository's one order-flow generator, offline and live: the
+// paper figures, the tests, the examples, the command-line tools and the
+// venue all read a Source.
 package scenario
 
 import (
@@ -137,7 +140,9 @@ type Phase struct {
 	Correlated bool
 }
 
-// Script is a full scenario: the listed market plus its phase sequence.
+// Script is a full scenario: the listed market plus its phase sequence. A
+// script without phases is a static market: its books are seeded and
+// nothing is ever published.
 type Script struct {
 	Instruments []Instrument
 	Phases      []Phase
@@ -147,9 +152,6 @@ type Script struct {
 func (sc Script) validate() error {
 	if len(sc.Instruments) == 0 {
 		return errors.New("scenario: script lists no instruments")
-	}
-	if len(sc.Phases) == 0 {
-		return errors.New("scenario: script has no phases")
 	}
 	seen := map[int32]bool{}
 	for _, ins := range sc.Instruments {
@@ -248,7 +250,7 @@ func (s *Source) Script() Script {
 func (s *Source) Ticks() []feed.Tick {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ticks != nil {
+	if s.spans != nil {
 		return s.ticks
 	}
 	ticks, spans := generateScript(s.script, s.seed)

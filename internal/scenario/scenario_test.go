@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"lighttrader/internal/sbe"
@@ -224,6 +226,42 @@ func TestMultiShockCoversAllInstruments(t *testing.T) {
 	for _, ins := range multiInstruments() {
 		if !seen[ins.SecurityID] {
 			t.Fatalf("instrument %d (%s) never appeared in the stream", ins.SecurityID, ins.Symbol)
+		}
+	}
+}
+
+// TestRegistryStreamsPinned holds every registry scenario's byte stream at
+// seed 1 to its packet count and sha256: a change to the generator, the
+// engine or the encoder that moves one byte of any stream fails here.
+func TestRegistryStreamsPinned(t *testing.T) {
+	pins := map[string]struct {
+		packets int
+		sha256  string
+	}{
+		"flash-crash": {6368, "69305e3de6d423a3740eded8b7d2d41bc3eb375aa9c9efeba4f5db5cc8b0d635"},
+		"halt-resume": {4722, "60eb33b093bed178cb2878fe843dcd25b29663652322b6fa6294c47610e9f7c7"},
+		"multi-shock": {4789, "e610e60b448e5d7c5f57effc2b8eb144b809254e9b595603633b1b9c2d8e782e"},
+		"opening":     {5171, "20b2b624f9fd313fbcee5f6e0fb1a9f779d5f3ab9959b27bcffe239cc040b2e1"},
+		"quiet":       {3171, "bcfbd0356af4f28b87e6741fb8852a6e66457c8f0f2a321c4184724e4fbb1d54"},
+		"thin-book":   {4331, "b2436baa536501a9c816f30661414fa80eaf884ad84e7ca93c606dec4196941c"},
+		"trading-day": {10531, "7519c03e1a745af719e23d8396cd82f13f109b836456bd4d2ed17dd6078517ec"},
+	}
+	if len(pins) != len(Names()) {
+		t.Fatalf("%d pins for %d registry scenarios %v", len(pins), len(Names()), Names())
+	}
+	for _, name := range Names() {
+		src, err := ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		packets := src.Packets()
+		for _, p := range packets {
+			h.Write(p)
+		}
+		got := hex.EncodeToString(h.Sum(nil))
+		if want := pins[name]; len(packets) != want.packets || got != want.sha256 {
+			t.Errorf("%s: %d packets, sha256 %s; want %d, %s", name, len(packets), got, want.packets, want.sha256)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 package scenario
 
-// The scripted world generator: a multi-instrument matching engine driven
-// phase by phase. Every published packet becomes one Tick; withheld phases
-// keep mutating books (and advancing the channel sequence) while publishing
-// nothing, which is how a trading halt manifests to subscribers — silence,
-// then an unbridgeable sequence gap that only the reopen snapshot heals.
+// The scripted world: a multi-instrument matching engine driven phase by
+// phase, one event at a time. Withheld phases keep mutating books (and
+// advancing the channel sequence) while publishing nothing, which is how a
+// trading halt manifests to subscribers — silence, then an unbridgeable
+// sequence gap that only the reopen snapshot heals.
 
 import (
 	"math/rand"
@@ -22,246 +22,334 @@ const backstopOffset = int64(lob.DepthLevels + 40)
 // backstopQty is effectively infinite relative to scenario flow.
 const backstopQty = int64(1) << 20
 
+// firstOrderID is where the world's own order ids start, far above any id
+// a client of the live venue picks.
+const firstOrderID = uint64(1) << 32
+
 // phaseSalt derives per-phase arrival seeds so phases are independent
 // draws of one seeded experiment.
 func phaseSalt(i int) int64 { return int64(i+1) * 104729 }
 
-// worldgen holds the generation state for one scripted run.
-type worldgen struct {
-	script Script
-	rng    *rand.Rand
-	eng    *exchange.Engine
-	books  map[int32]*lob.Book
-	live   map[int32][]uint64
+// World plays a script's order flow on its own matching engine, one event
+// at a time: Next says when the next event is due in scripted time, Step
+// applies it. The engine's clock is the scripted time reached, so other
+// requests submitted between events (the live venue's clients) carry it
+// too, and every packet passes the withhold gate of the running phase.
+// Offline, generateScript steps a World to the end; the live venue steps
+// one as the wall clock reaches each event. A World is not safe for
+// concurrent use.
+type World struct {
+	script  Script
+	seed    int64
+	rng     *rand.Rand
+	eng     *exchange.Engine
+	books   map[int32]*lob.Book
+	live    map[int32][]uint64
+	publish exchange.Publisher
 
-	now      int64
+	now      int64 // scripted time: the engine's clock
 	nextID   uint64
+	touched  int32 // the instrument of the engine call in progress
 	withhold bool
-	withheld int
-	packets  [][]byte
+
+	// published and withheld count the packets the gate let through and
+	// dropped; a phase's span takes its share when the phase closes.
+	published, withheld, withheldAtOpen int
+	spans                               []PhaseSpan
+
+	// The event cursor: phase indexes the running phase (-1 before the
+	// script, len(Phases) once it has ended) and next is the time of the
+	// next event, the boundary that opens the following phase when
+	// boundary is set.
+	phase    int
+	proc     feed.ArrivalProcess
+	flow     FlowSpec
+	next     int64
+	boundary bool
 }
 
-// generateScript materialises a script into its tick stream and spans.
-func generateScript(script Script, seed int64) ([]feed.Tick, []PhaseSpan) {
-	g := &worldgen{
-		script: script,
-		rng:    rand.New(rand.NewSource(seed)),
-		books:  make(map[int32]*lob.Book, len(script.Instruments)),
-		live:   make(map[int32][]uint64, len(script.Instruments)),
+// NewWorld lists the script's instruments and seeds their books; the
+// seeding is not published. publish receives every packet the world lets
+// through and must not retain it. The first event is the opening boundary
+// at time 0.
+func NewWorld(script Script, seed int64, publish exchange.Publisher) *World {
+	w := &World{
+		script:   script,
+		seed:     seed,
+		rng:      rand.New(rand.NewSource(seed)),
+		books:    make(map[int32]*lob.Book, len(script.Instruments)),
+		live:     make(map[int32][]uint64, len(script.Instruments)),
+		publish:  publish,
+		nextID:   firstOrderID,
+		spans:    make([]PhaseSpan, 0, len(script.Phases)),
+		phase:    -1,
+		boundary: true,
 	}
-	g.eng = exchange.New(func() int64 { return g.now }, func(buf []byte) {
-		if g.withhold {
-			g.withheld++
-			return
-		}
+	w.eng = exchange.New(func() int64 { return w.now }, w.gate)
+	for _, ins := range script.Instruments {
+		w.eng.ListSecurity(ins.SecurityID, ins.Symbol)
+		w.books[ins.SecurityID], _ = w.eng.Book(ins.SecurityID)
+	}
+	w.withhold = true
+	w.seedBooks()
+	w.withhold = false
+	return w
+}
+
+// generateScript materialises a script into its tick stream and spans:
+// every published packet becomes one Tick, stamped with the touched
+// instrument's post-event snapshot.
+func generateScript(script Script, seed int64) ([]feed.Tick, []PhaseSpan) {
+	var ticks []feed.Tick
+	var w *World
+	w = NewWorld(script, seed, func(buf []byte) {
 		cp := make([]byte, len(buf))
 		copy(cp, buf)
-		g.packets = append(g.packets, cp)
+		ticks = append(ticks, feed.Tick{
+			TimeNanos: w.now,
+			Packet:    cp,
+			Snapshot:  w.books[w.touched].TakeSnapshot(w.now),
+		})
 	})
-	for _, ins := range script.Instruments {
-		g.eng.ListSecurity(ins.SecurityID, ins.Symbol)
-		g.books[ins.SecurityID], _ = g.eng.Book(ins.SecurityID)
+	for _, ok := w.Next(); ok; _, ok = w.Next() {
+		w.Step()
 	}
-	g.seedBooks()
-
-	var ticks []feed.Tick
-	spans := make([]PhaseSpan, 0, len(script.Phases))
-	var cursor int64
-	for pi, ph := range script.Phases {
-		start := cursor
-		end := start + int64(ph.DurationSecs*1e9)
-		cursor = end
-		span := PhaseSpan{Name: ph.Name, StartNanos: start, EndNanos: end, FirstTick: len(ticks)}
-		withheldBefore := g.withheld
-
-		g.withhold = ph.Withhold
-		g.now = start
-		ticks = g.enterPhase(ph, ticks)
-
-		flow := ph.Flow
-		if flow == (FlowSpec{}) {
-			flow = DefaultFlow()
-		}
-		proc := ph.Arrivals.process(seed + phaseSalt(pi))
-		for {
-			t := start + proc.NextNanos()
-			if t >= end {
-				break
-			}
-			g.now = t
-			if ph.Correlated {
-				for _, ins := range script.Instruments {
-					ticks = g.step(ins.SecurityID, flow, ticks)
-				}
-			} else {
-				ticks = g.step(g.pickInstrument(), flow, ticks)
-			}
-		}
-		g.withhold = false
-
-		span.Ticks = len(ticks) - span.FirstTick
-		span.Withheld = g.withheld - withheldBefore
-		spans = append(spans, span)
-	}
-	return ticks, spans
+	return ticks, w.spans
 }
 
-// seedBooks places the visible opening depth plus the deep backstop; the
-// seeding is not part of the published stream.
-func (g *worldgen) seedBooks() {
-	for _, ins := range g.script.Instruments {
+// Next returns the scripted time of the next event; ok is false once the
+// script has ended.
+func (w *World) Next() (nanos int64, ok bool) {
+	return w.next, w.phase < len(w.script.Phases)
+}
+
+// Step applies the next event at its scripted time: a phase boundary
+// (closing the running phase and firing the next one's entry actions) or
+// one flow event. It does nothing once the script has ended.
+func (w *World) Step() {
+	if _, ok := w.Next(); !ok {
+		return
+	}
+	w.now = w.next
+	switch {
+	case w.boundary:
+		w.enter(w.phase + 1)
+	case w.script.Phases[w.phase].Correlated:
+		for _, ins := range w.script.Instruments {
+			w.step(ins.SecurityID)
+		}
+	default:
+		w.step(w.pickInstrument())
+	}
+	if w.phase == len(w.script.Phases) {
+		return
+	}
+	sp := &w.spans[w.phase]
+	t := sp.StartNanos + w.proc.NextNanos()
+	w.boundary = t >= sp.EndNanos
+	w.next = min(t, sp.EndNanos)
+}
+
+// Submit applies one order-entry request at the scripted time reached.
+func (w *World) Submit(req exchange.Request) []exchange.ExecReport {
+	w.touched = req.SecurityID
+	return w.eng.Submit(req)
+}
+
+// PublishSnapshots publishes a full recovery snapshot of every listed book,
+// through the withhold gate.
+func (w *World) PublishSnapshots() {
+	for _, ins := range w.script.Instruments {
+		w.touched = ins.SecurityID
+		_ = w.eng.PublishSnapshot(ins.SecurityID)
+	}
+}
+
+// Snapshot returns the instrument's book at the scripted time reached, or
+// an empty snapshot for an unlisted one.
+func (w *World) Snapshot(sec int32) lob.Snapshot {
+	if b, ok := w.books[sec]; ok {
+		return b.TakeSnapshot(w.now)
+	}
+	return lob.Snapshot{}
+}
+
+// gate is the engine's publish sink: a withheld phase drops its packets,
+// anything else reaches publish.
+func (w *World) gate(buf []byte) {
+	if w.withhold {
+		w.withheld++
+		return
+	}
+	w.published++
+	w.publish(buf)
+}
+
+// enter closes the running phase and opens phase k, if the script has one,
+// firing its boundary actions: the reopen snapshot first (recovery precedes
+// new flow), then the liquidity drain, then the opening sweep dominoes.
+func (w *World) enter(k int) {
+	if k > 0 {
+		sp := &w.spans[k-1]
+		sp.Ticks = w.published - sp.FirstTick
+		sp.Withheld = w.withheld - w.withheldAtOpen
+	}
+	w.phase = k
+	w.withhold = false
+	if k == len(w.script.Phases) {
+		return
+	}
+	ph := w.script.Phases[k]
+	w.spans = append(w.spans, PhaseSpan{Name: ph.Name, StartNanos: w.now,
+		EndNanos: w.now + int64(ph.DurationSecs*1e9), FirstTick: w.published})
+	w.withheldAtOpen = w.withheld
+	w.withhold = ph.Withhold
+	w.flow = ph.Flow
+	if w.flow == (FlowSpec{}) {
+		w.flow = DefaultFlow()
+	}
+	if ph.SnapshotOnEnter {
+		w.PublishSnapshots()
+	}
+	if ph.EvaporateOnEnter > 0 {
+		for _, ins := range w.script.Instruments {
+			w.evaporate(ins.SecurityID, ph.EvaporateOnEnter)
+		}
+	}
+	if ph.SweepOnEnter > 0 {
+		for _, ins := range w.script.Instruments {
+			w.sweep(ins.SecurityID, ph.SweepOnEnter, ph.Flow.Bias)
+		}
+	}
+	w.proc = ph.Arrivals.process(w.seed + phaseSalt(k))
+}
+
+// seedBooks places the visible opening depth plus the deep backstop.
+func (w *World) seedBooks() {
+	for _, ins := range w.script.Instruments {
 		depth := ins.DepthPerLevel
 		if depth <= 0 {
 			depth = 50
 		}
 		for lvl := int64(1); lvl <= lob.DepthLevels; lvl++ {
-			g.eng.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
-				ClOrdID: g.id(), Side: lob.Bid, Price: ins.MidPrice - lvl, Qty: depth})
-			g.eng.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
-				ClOrdID: g.id(), Side: lob.Ask, Price: ins.MidPrice + lvl, Qty: depth})
+			w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
+				ClOrdID: w.id(), Side: lob.Bid, Price: ins.MidPrice - lvl, Qty: depth})
+			w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
+				ClOrdID: w.id(), Side: lob.Ask, Price: ins.MidPrice + lvl, Qty: depth})
 		}
-		g.eng.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
-			ClOrdID: g.id(), Side: lob.Bid, Price: ins.MidPrice - backstopOffset, Qty: backstopQty})
-		g.eng.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
-			ClOrdID: g.id(), Side: lob.Ask, Price: ins.MidPrice + backstopOffset, Qty: backstopQty})
+		w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
+			ClOrdID: w.id(), Side: lob.Bid, Price: ins.MidPrice - backstopOffset, Qty: backstopQty})
+		w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
+			ClOrdID: w.id(), Side: lob.Ask, Price: ins.MidPrice + backstopOffset, Qty: backstopQty})
 	}
-	g.packets = g.packets[:0]
-	g.withheld = 0
-}
-
-// enterPhase fires the phase-boundary actions: the reopen snapshot first
-// (recovery precedes new flow), then the liquidity drain, then the opening
-// sweep dominoes.
-func (g *worldgen) enterPhase(ph Phase, ticks []feed.Tick) []feed.Tick {
-	if ph.SnapshotOnEnter {
-		for _, ins := range g.script.Instruments {
-			_ = g.eng.PublishSnapshot(ins.SecurityID)
-			ticks = g.flush(ins.SecurityID, ticks)
-		}
-	}
-	if ph.EvaporateOnEnter > 0 {
-		for _, ins := range g.script.Instruments {
-			ticks = g.evaporate(ins.SecurityID, ph.EvaporateOnEnter, ticks)
-		}
-	}
-	if ph.SweepOnEnter > 0 {
-		for _, ins := range g.script.Instruments {
-			ticks = g.sweep(ins.SecurityID, ph.SweepOnEnter, ph.Flow.Bias, ticks)
-		}
-	}
-	return ticks
 }
 
 // pickInstrument draws the event's instrument. Single-instrument scripts
 // consume no randomness here, so adding instruments never perturbs an
 // existing single-symbol scenario's flow sequence.
-func (g *worldgen) pickInstrument() int32 {
-	if len(g.script.Instruments) == 1 {
-		return g.script.Instruments[0].SecurityID
+func (w *World) pickInstrument() int32 {
+	if len(w.script.Instruments) == 1 {
+		return w.script.Instruments[0].SecurityID
 	}
-	return g.script.Instruments[g.rng.Intn(len(g.script.Instruments))].SecurityID
+	return w.script.Instruments[w.rng.Intn(len(w.script.Instruments))].SecurityID
 }
 
-// step performs one flow action on one instrument and flushes any published
-// packets into the tick stream.
-func (g *worldgen) step(sec int32, f FlowSpec, ticks []feed.Tick) []feed.Tick {
-	r := g.rng.Float64()
-	live := g.live[sec]
+// step performs one flow action of the running phase on one instrument.
+func (w *World) step(sec int32) {
+	f := w.flow
+	r := w.rng.Float64()
+	live := w.live[sec]
 	switch {
 	case r < f.SweepProb:
-		return g.sweep(sec, f.SweepLevels, f.Bias, ticks)
+		w.sweep(sec, f.SweepLevels, f.Bias)
 	case r < f.SweepProb+f.MarketOrderProb:
-		g.eng.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
-			ClOrdID: g.id(), Side: g.pickSide(f.Bias), Type: exchange.Market,
-			Qty: int64(1 + g.rng.Intn(max(1, f.QtyMax)))})
+		w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
+			ClOrdID: w.id(), Side: w.pickSide(f.Bias), Type: exchange.Market,
+			Qty: int64(1 + w.rng.Intn(max(1, f.QtyMax)))})
 	case r < f.SweepProb+f.MarketOrderProb+f.CancelProb && len(live) > 0:
-		idx := g.rng.Intn(len(live))
+		idx := w.rng.Intn(len(live))
 		id := live[idx]
-		g.live[sec] = append(live[:idx], live[idx+1:]...)
-		g.eng.Submit(exchange.Request{Kind: exchange.ReqCancel, SecurityID: sec, ClOrdID: id})
+		w.live[sec] = append(live[:idx], live[idx+1:]...)
+		w.Submit(exchange.Request{Kind: exchange.ReqCancel, SecurityID: sec, ClOrdID: id})
 	case r < f.SweepProb+f.MarketOrderProb+f.CancelProb+f.ReplaceProb && len(live) > 0:
-		idx := g.rng.Intn(len(live))
+		idx := w.rng.Intn(len(live))
 		id := live[idx]
-		g.live[sec] = append(live[:idx], live[idx+1:]...)
+		w.live[sec] = append(live[:idx], live[idx+1:]...)
 		side := lob.Bid
-		if o, ok := g.books[sec].Order(id); ok {
+		if o, ok := w.books[sec].Order(id); ok {
 			side = o.Side
 		}
-		newID := g.id()
-		reps := g.eng.Submit(exchange.Request{Kind: exchange.ReqReplace, SecurityID: sec,
-			ClOrdID: id, NewClOrdID: newID, Side: side, Price: g.limitPrice(sec, side, f),
-			Qty: int64(1 + g.rng.Intn(max(1, f.QtyMax)))})
+		newID := w.id()
+		reps := w.Submit(exchange.Request{Kind: exchange.ReqReplace, SecurityID: sec,
+			ClOrdID: id, NewClOrdID: newID, Side: side, Price: w.limitPrice(sec, side, f),
+			Qty: int64(1 + w.rng.Intn(max(1, f.QtyMax)))})
 		if reps[0].Exec == exchange.ExecReplaced {
-			if _, resting := g.books[sec].Order(newID); resting {
-				g.live[sec] = append(g.live[sec], newID)
+			if _, resting := w.books[sec].Order(newID); resting {
+				w.live[sec] = append(w.live[sec], newID)
 			}
 		}
 	default:
-		side := g.pickSide(f.Bias)
-		id := g.id()
-		g.eng.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
-			ClOrdID: id, Side: side, Price: g.limitPrice(sec, side, f),
-			Qty: int64(1 + g.rng.Intn(max(1, f.QtyMax)))})
-		if _, resting := g.books[sec].Order(id); resting {
-			g.live[sec] = append(g.live[sec], id)
+		side := w.pickSide(f.Bias)
+		id := w.id()
+		w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
+			ClOrdID: id, Side: side, Price: w.limitPrice(sec, side, f),
+			Qty: int64(1 + w.rng.Intn(max(1, f.QtyMax)))})
+		if _, resting := w.books[sec].Order(id); resting {
+			w.live[sec] = append(w.live[sec], id)
 		}
 	}
-	return g.flush(sec, ticks)
 }
 
 // sweep submits a marketable order sized to consume the top `levels` of the
 // opposite side in one event — the cascade primitive of a flash crash.
-func (g *worldgen) sweep(sec int32, levels int, bias float64, ticks []feed.Tick) []feed.Tick {
+func (w *World) sweep(sec int32, levels int, bias float64) {
 	if levels <= 0 {
 		levels = DefaultFlow().SweepLevels
 	}
-	side := g.pickSide(bias)
-	opp := g.books[sec].Levels(side.Opposite(), min(levels, lob.DepthLevels))
+	side := w.pickSide(bias)
+	opp := w.books[sec].Levels(side.Opposite(), min(levels, lob.DepthLevels))
 	var qty int64
 	for _, lvl := range opp {
 		qty += lvl.Qty
 	}
 	if qty == 0 {
-		return ticks
+		return
 	}
-	g.eng.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
-		ClOrdID: g.id(), Side: side, Type: exchange.Market, Qty: qty})
-	return g.flush(sec, ticks)
+	w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
+		ClOrdID: w.id(), Side: side, Type: exchange.Market, Qty: qty})
 }
 
 // evaporate cancels a fraction of the instrument's tracked resting orders —
 // liquidity evaporation as the cancel storm subscribers actually see.
-func (g *worldgen) evaporate(sec int32, frac float64, ticks []feed.Tick) []feed.Tick {
-	live := g.live[sec]
+func (w *World) evaporate(sec int32, frac float64) {
+	live := w.live[sec]
 	n := int(frac * float64(len(live)))
 	for i := 0; i < n && len(live) > 0; i++ {
-		idx := g.rng.Intn(len(live))
+		idx := w.rng.Intn(len(live))
 		id := live[idx]
 		live = append(live[:idx], live[idx+1:]...)
-		g.eng.Submit(exchange.Request{Kind: exchange.ReqCancel, SecurityID: sec, ClOrdID: id})
-		ticks = g.flush(sec, ticks)
+		w.Submit(exchange.Request{Kind: exchange.ReqCancel, SecurityID: sec, ClOrdID: id})
 	}
-	g.live[sec] = live
-	return ticks
+	w.live[sec] = live
 }
 
 // pickSide draws the aggressor side under directional bias.
-func (g *worldgen) pickSide(bias float64) lob.Side {
-	if g.rng.Float64() < 0.5*(1+bias) {
+func (w *World) pickSide(bias float64) lob.Side {
+	if w.rng.Float64() < 0.5*(1+bias) {
 		return lob.Bid
 	}
 	return lob.Ask
 }
 
 // limitPrice draws a passive price near mid, crossing with CrossProb.
-func (g *worldgen) limitPrice(sec int32, side lob.Side, f FlowSpec) int64 {
-	mid := g.mid(sec)
+func (w *World) limitPrice(sec int32, side lob.Side, f FlowSpec) int64 {
+	mid := w.mid(sec)
 	maxOff := f.MaxOffset
 	if maxOff <= 0 {
 		maxOff = DefaultFlow().MaxOffset
 	}
-	off := 1 + g.rng.Int63n(maxOff)
-	if g.rng.Float64() < f.CrossProb {
+	off := 1 + w.rng.Int63n(maxOff)
+	if w.rng.Float64() < f.CrossProb {
 		off = -off
 	}
 	if side == lob.Bid {
@@ -272,11 +360,11 @@ func (g *worldgen) limitPrice(sec int32, side lob.Side, f FlowSpec) int64 {
 
 // mid returns the instrument's current midpoint, falling back to its
 // configured opening mid.
-func (g *worldgen) mid(sec int32) int64 {
-	if m, ok := g.books[sec].Mid(); ok {
+func (w *World) mid(sec int32) int64 {
+	if m, ok := w.books[sec].Mid(); ok {
 		return int64(m)
 	}
-	for _, ins := range g.script.Instruments {
+	for _, ins := range w.script.Instruments {
 		if ins.SecurityID == sec {
 			return ins.MidPrice
 		}
@@ -284,21 +372,7 @@ func (g *worldgen) mid(sec int32) int64 {
 	return 0
 }
 
-// flush drains published packets into the tick stream, stamping each with
-// the touched instrument's post-event snapshot.
-func (g *worldgen) flush(sec int32, ticks []feed.Tick) []feed.Tick {
-	for _, pkt := range g.packets {
-		ticks = append(ticks, feed.Tick{
-			TimeNanos: g.now,
-			Packet:    pkt,
-			Snapshot:  g.books[sec].TakeSnapshot(g.now),
-		})
-	}
-	g.packets = g.packets[:0]
-	return ticks
-}
-
-func (g *worldgen) id() uint64 {
-	g.nextID++
-	return g.nextID
+func (w *World) id() uint64 {
+	w.nextID++
+	return w.nextID
 }

@@ -11,43 +11,11 @@ import (
 	"lighttrader/internal/exchange"
 	"lighttrader/internal/faultnet"
 	"lighttrader/internal/lob"
-	"lighttrader/internal/nn"
-	"lighttrader/internal/offload"
 	"lighttrader/internal/orderentry"
-	"lighttrader/internal/scenario"
 	"lighttrader/internal/serve"
 	"lighttrader/internal/testutil"
 	"lighttrader/internal/trader"
-	"lighttrader/internal/trading"
-	"lighttrader/internal/venue"
 )
-
-const (
-	chaosSecID  = 7
-	chaosSymbol = "ESU6"
-)
-
-// newChaosPipeline builds a small but real tick-to-trade pipeline.
-func newChaosPipeline(t *testing.T) *core.Pipeline {
-	t.Helper()
-	src, err := scenario.ByName("quiet", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ticks := src.Ticks()[:300]
-	snaps := make([]lob.Snapshot, len(ticks))
-	for i := range ticks {
-		snaps[i] = ticks[i].Snapshot
-	}
-	tcfg := trading.DefaultConfig(chaosSecID)
-	tcfg.MinConfidence = 0.2 // untrained CNN hovers near uniform; let it trade
-	p, err := core.NewPipeline(chaosSymbol, chaosSecID, nn.NewSizedCNN("chaos", 4, 0),
-		offload.Calibrate(snaps), tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
 
 // newSingleTrader builds the live loop over one instrument's pipeline.
 func newSingleTrader(t *testing.T, cfg trader.Config, p *core.Pipeline, scfg serve.Config) *trader.MultiTrader {
@@ -106,24 +74,11 @@ func TestChaosLossyDualFeedBookConverges(t *testing.T) {
 	faultB := faultnet.WrapPacketConn(feedB, faultnet.PacketFaults{
 		Seed: 202, Drop: 0.35, Duplicate: 0.10, Reorder: 0.10})
 
-	srv, err := venue.NewServer(venue.ServerConfig{
-		OrderAddr:        "127.0.0.1:0",
-		FeedAddr:         feedA.LocalAddr().String(),
-		FeedAddrB:        feedB.LocalAddr().String(),
-		SecurityID:       chaosSecID,
-		Symbol:           chaosSymbol,
-		MidPrice:         450000,
-		Depth:            100,
-		NoiseInterval:    300 * time.Microsecond,
-		NoiseSeed:        11,
-		SnapshotInterval: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A short quiet session the venue plays out; its end is the quiesce.
+	src := testutil.ShortScenario(t, "quiet", 11, 1.5)
+	sec := src.Script().Instruments[0].SecurityID
+	srv, stopVenue := testutil.StartVenue(t, src, 50*time.Millisecond, feedA, feedB)
 	ctx, cancel := context.WithCancel(context.Background())
-	srvDone := make(chan struct{})
-	go func() { defer close(srvDone); _ = srv.Run(ctx) }()
 
 	tr := newSingleTrader(t, trader.Config{
 		OrderAddr:          srv.OrderAddr().String(),
@@ -131,7 +86,7 @@ func TestChaosLossyDualFeedBookConverges(t *testing.T) {
 		KeepAliveMillis:    200,
 		BackoffSeed:        1,
 		CancelOnDisconnect: true,
-	}, newChaosPipeline(t), serve.Config{})
+	}, newScenarioPipeline(t, src), serve.Config{})
 
 	clientCtx, clientCancel := context.WithCancel(ctx)
 	clientDone := make(chan struct{})
@@ -146,16 +101,15 @@ func TestChaosLossyDualFeedBookConverges(t *testing.T) {
 	}
 	readyCancel()
 
-	// Let the noise trader churn the book through the lossy feeds.
+	// Let the script churn the book through the lossy feeds to its end.
 	time.Sleep(1500 * time.Millisecond)
 
-	// Quiesce: stop the venue churn, stop our own trading (the pipeline's
-	// aggressive orders echo back as book updates and would keep the book
-	// moving forever), and lift the faults so the next periodic snapshot
-	// resynchronises the mirror against a static book. With the client
-	// down, the degraded-mode gate suppresses any further generated
-	// orders instead of erroring.
-	srv.SetNoise(false)
+	// Quiesce: the venue's flow has stopped; stop our own trading (the
+	// pipeline's aggressive orders echo back as book updates and would
+	// keep the book moving forever), and lift the faults so the next
+	// periodic snapshot resynchronises the mirror against a static book.
+	// With the client down, the degraded-mode gate suppresses any further
+	// generated orders instead of erroring.
 	clientCancel()
 	<-clientDone
 	faultA.SetEnabled(false)
@@ -164,10 +118,10 @@ func TestChaosLossyDualFeedBookConverges(t *testing.T) {
 	var venueSnap, local lob.Snapshot
 	converged := false
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		vs, ok := srv.Snapshot()
+		vs, ok := srv.Snapshot(sec)
 		if ok {
 			venueSnap = vs
-			local, _ = tr.Book(chaosSecID)
+			local, _ = tr.Book(sec)
 			if booksMatch(venueSnap, local) {
 				converged = true
 				break
@@ -204,10 +158,10 @@ func TestChaosLossyDualFeedBookConverges(t *testing.T) {
 	}
 	t.Logf("feed: %+v", tr.FeedStats())
 	t.Logf("arbiter: %+v", stats)
-	t.Logf("inferences: %d", tr.Serve().Inferences(chaosSecID))
+	t.Logf("inferences: %d", tr.Serve().Inferences(sec))
 
 	cancel()
-	<-srvDone
+	stopVenue()
 	<-feedDone
 	<-feedDone
 	feedA.Close()
@@ -222,25 +176,10 @@ func TestChaosLossyDualFeedBookConverges(t *testing.T) {
 // backoff, apply cancel-on-disconnect to its resting orders, and keep
 // trading on the new session.
 func TestChaosOrderEntryResetReconnects(t *testing.T) {
-	feedSock, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer feedSock.Close()
-	srv, err := venue.NewServer(venue.ServerConfig{
-		OrderAddr:  "127.0.0.1:0",
-		FeedAddr:   feedSock.LocalAddr().String(),
-		SecurityID: chaosSecID,
-		Symbol:     chaosSymbol,
-		MidPrice:   450000,
-		Depth:      100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const sec = 7
+	srv, _ := testutil.StartVenue(t, testutil.StaticBook(t, sec), 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() { _ = srv.Run(ctx) }()
 
 	// First session dies after ~600 bytes cross it; later sessions are
 	// clean.
@@ -281,7 +220,7 @@ func TestChaosOrderEntryResetReconnects(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		clOrdID++
 		if _, err := client.Send(exchange.Request{
-			Kind: exchange.ReqNew, SecurityID: chaosSecID, ClOrdID: clOrdID,
+			Kind: exchange.ReqNew, SecurityID: sec, ClOrdID: clOrdID,
 			Side: lob.Bid, Price: 449995, Qty: 1, Type: exchange.Limit,
 		}); err != nil {
 			break
@@ -308,7 +247,7 @@ func TestChaosOrderEntryResetReconnects(t *testing.T) {
 	// The cancels must actually flatten the venue book back to its seeded
 	// depth at our resting price.
 	waitFor(t, 5*time.Second, "venue book flattened", func() bool {
-		snap, ok := srv.Snapshot()
+		snap, ok := srv.Snapshot(sec)
 		if !ok {
 			return false
 		}
@@ -323,7 +262,7 @@ func TestChaosOrderEntryResetReconnects(t *testing.T) {
 	// The new session still trades: a fresh order must be acked.
 	before := client.Stats().AcksReceived
 	if _, err := client.Send(exchange.Request{
-		Kind: exchange.ReqNew, SecurityID: chaosSecID, ClOrdID: 99999,
+		Kind: exchange.ReqNew, SecurityID: sec, ClOrdID: 99999,
 		Side: lob.Bid, Price: 449990, Qty: 1,
 	}); err != nil {
 		t.Fatalf("send on re-established session: %v", err)

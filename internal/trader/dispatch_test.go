@@ -17,7 +17,6 @@ import (
 	"lighttrader/internal/tensor"
 	"lighttrader/internal/testutil"
 	"lighttrader/internal/trading"
-	"lighttrader/internal/venue"
 )
 
 // orderWrites is a session conn counting the writes that carry order frames,
@@ -65,18 +64,9 @@ func TestCoalescedSendAgainstVenue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer feedConn.Close()
-	srv, err := venue.NewServer(venue.ServerConfig{
-		OrderAddr: "127.0.0.1:0", FeedAddr: feedConn.LocalAddr().String(),
-		SecurityID: sec, Symbol: "ESU6", MidPrice: mid, Depth: 100,
-		SnapshotInterval: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, stopVenue := testutil.StartVenue(t, testutil.StaticBook(t, sec), 10*time.Millisecond, feedConn)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	venueDone := make(chan struct{})
-	go func() { defer close(venueDone); _ = srv.Run(ctx) }()
 
 	// Record the feed while a maker churns a deep bid: ticks that fill the
 	// feature window without moving the touch, with the venue's periodic
@@ -209,5 +199,5 @@ func TestCoalescedSendAgainstVenue(t *testing.T) {
 		t.Errorf("per-order run: %d orders filled, position %d; want %d and %d", perOrder.filled, perOrder.position, maxPos, maxPos)
 	}
 	cancel()
-	<-venueDone
+	stopVenue()
 }

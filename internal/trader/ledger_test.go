@@ -19,7 +19,6 @@ import (
 	"lighttrader/internal/tensor"
 	"lighttrader/internal/testutil"
 	"lighttrader/internal/trading"
-	"lighttrader/internal/venue"
 )
 
 // tornConn accepts okWrites writes, then fails every later one — a session
@@ -269,13 +268,7 @@ func multiMakerFill(t *testing.T, lanes int) {
 		t.Fatal(err)
 	}
 	defer feedConn.Close()
-	srv, err := venue.NewServer(venue.ServerConfig{
-		OrderAddr: "127.0.0.1:0", FeedAddr: feedConn.LocalAddr().String(),
-		SecurityID: sec, Symbol: "ESU6", MidPrice: mid, Depth: 100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := testutil.StartVenue(t, testutil.StaticBook(t, sec), 0, feedConn)
 
 	// One buy of 3 lots at the best ask, on the first full feature window;
 	// the position limit then holds every later signal back.
@@ -299,9 +292,8 @@ func multiMakerFill(t *testing.T, lanes int) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	joined := make(chan struct{}, 4)
+	joined := make(chan struct{}, 3)
 	for _, run := range []func(){
-		func() { _ = srv.Run(ctx) },
 		func() { _ = mt.Client().Run(ctx) },
 		func() { _ = mt.Run(ctx) },
 		func() { _ = mt.ServeFeed(ctx, feedConn) },

@@ -11,7 +11,6 @@ import (
 	"lighttrader/internal/serve"
 	"lighttrader/internal/testutil"
 	"lighttrader/internal/trader"
-	"lighttrader/internal/venue"
 )
 
 // TestMultiTraderLiveLoop runs the concurrent serving runtime inside the
@@ -26,26 +25,14 @@ func TestMultiTraderLiveLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := venue.NewServer(venue.ServerConfig{
-		OrderAddr:        "127.0.0.1:0",
-		FeedAddr:         feedConn.LocalAddr().String(),
-		SecurityID:       chaosSecID,
-		Symbol:           chaosSymbol,
-		MidPrice:         450000,
-		Depth:            100,
-		NoiseInterval:    300 * time.Microsecond,
-		NoiseSeed:        23,
-		SnapshotInterval: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A short quiet session the venue plays out; its end is the quiesce.
+	src := testutil.ShortScenario(t, "quiet", 23, 1.5)
+	sec := src.Script().Instruments[0].SecurityID
+	srv, stopVenue := testutil.StartVenue(t, src, 50*time.Millisecond, feedConn)
 	ctx, cancel := context.WithCancel(context.Background())
-	srvDone := make(chan struct{})
-	go func() { defer close(srvDone); _ = srv.Run(ctx) }()
 
 	mp := core.NewMultiPipeline()
-	if err := mp.Attach(newChaosPipeline(t)); err != nil {
+	if err := mp.Attach(newScenarioPipeline(t, src)); err != nil {
 		t.Fatal(err)
 	}
 	mt, err := trader.NewMulti(trader.Config{
@@ -83,18 +70,18 @@ func TestMultiTraderLiveLoop(t *testing.T) {
 		return mt.FeedStats().OrdersRouted > 0
 	})
 
-	// Quiesce exactly like the serial chaos test: stop churn and our own
-	// trading, then let a periodic snapshot resynchronise the mirror.
-	srv.SetNoise(false)
+	// Quiesce like the serial chaos test: stop our own trading; the script
+	// ends inside the polling window below, and a periodic snapshot then
+	// resynchronises the mirror.
 	clientCancel()
 	<-clientDone
 
 	var venueSnap, local lob.Snapshot
 	converged := false
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		vs, ok := srv.Snapshot()
+		vs, ok := srv.Snapshot(sec)
 		if ok {
-			bk, bok := mt.Book(chaosSecID)
+			bk, bok := mt.Book(sec)
 			if bok {
 				venueSnap, local = vs, bk
 				if booksMatch(venueSnap, local) {
@@ -129,7 +116,7 @@ func TestMultiTraderLiveLoop(t *testing.T) {
 	t.Logf("serve: %+v", st)
 
 	cancel()
-	<-srvDone
+	stopVenue()
 	<-runDone
 	<-feedDone
 	feedConn.Close()

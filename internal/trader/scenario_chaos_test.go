@@ -3,7 +3,6 @@ package trader_test
 import (
 	"context"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 	"lighttrader/internal/testutil"
 	"lighttrader/internal/trader"
 	"lighttrader/internal/trading"
-	"lighttrader/internal/venue"
 )
 
 // The scenario-driven regression tests for the trader's degraded-mode order
@@ -89,10 +87,10 @@ func startSession(t *testing.T, ctx context.Context, tr *trader.MultiTrader) <-c
 }
 
 // newScenarioPipeline builds a real tick-to-trade pipeline for the
-// scenario's standard instrument, calibrated on the scenario's own opening
-// tape. Position limits are lifted: the tests deliberately leave intents
-// unacked while the gate is closed, and bounded exposure would otherwise
-// starve the post-recovery assertions.
+// scenario's first instrument, calibrated on the scenario's own opening
+// tape. Position limits are lifted: the gate tests deliberately leave
+// intents unacked while the gate is closed, and bounded exposure would
+// otherwise starve the post-recovery assertions.
 func newScenarioPipeline(t *testing.T, src *scenario.Source) *core.Pipeline {
 	t.Helper()
 	ins := src.Script().Instruments[0]
@@ -114,32 +112,6 @@ func newScenarioPipeline(t *testing.T, src *scenario.Source) *core.Pipeline {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// newScenarioVenue starts an order-entry venue for the scenario instrument.
-// Its market-data feed goes to a throwaway socket: the trader's feed in
-// these tests is the scenario byte stream itself.
-func newScenarioVenue(t *testing.T, ctx context.Context, ins scenario.Instrument) (*venue.Server, func()) {
-	t.Helper()
-	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := venue.NewServer(venue.ServerConfig{
-		OrderAddr:  "127.0.0.1:0",
-		FeedAddr:   sink.LocalAddr().String(),
-		SecurityID: ins.SecurityID,
-		Symbol:     ins.Symbol,
-		MidPrice:   ins.MidPrice,
-		Depth:      100,
-	})
-	if err != nil {
-		sink.Close()
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Run(ctx) }()
-	return srv, func() { <-done; sink.Close() }
 }
 
 // TestScenarioFlashCrashGatesOrdersUntilReady replays the flash-crash
@@ -165,7 +137,7 @@ func flashCrashGate(t *testing.T, lanes int) {
 	ins := src.Script().Instruments[0]
 
 	ctx, cancel := context.WithCancel(context.Background())
-	srv, srvCleanup := newScenarioVenue(t, ctx, ins)
+	srv, stopVenue := testutil.StartVenue(t, testutil.StaticBook(t, ins.SecurityID), 0)
 	tr, stopRun := startGateTrader(t, ctx, trader.Config{
 		OrderAddr:       srv.OrderAddr().String(),
 		UUID:            0xCAFE11,
@@ -202,7 +174,7 @@ func flashCrashGate(t *testing.T, lanes int) {
 	cancel()
 	<-clientDone
 	stopRun()
-	srvCleanup()
+	stopVenue()
 	leak.Verify(t, 5*time.Second)
 }
 
@@ -227,7 +199,7 @@ func haltResumeGate(t *testing.T, lanes int) {
 	packets := src.Packets()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	srv, srvCleanup := newScenarioVenue(t, ctx, src.Script().Instruments[0])
+	srv, stopVenue := testutil.StartVenue(t, testutil.StaticBook(t, src.Script().Instruments[0].SecurityID), 0)
 	tr, stopRun := startGateTrader(t, ctx, trader.Config{
 		OrderAddr:       srv.OrderAddr().String(),
 		UUID:            0xCAFE12,
@@ -284,7 +256,7 @@ func haltResumeGate(t *testing.T, lanes int) {
 	cancel()
 	<-clientDone
 	stopRun()
-	srvCleanup()
+	stopVenue()
 	leak.Verify(t, 5*time.Second)
 }
 
@@ -306,7 +278,7 @@ func TestScenarioLateSnapshotRoutesDrainedBacklog(t *testing.T) {
 			packets := src.Packets()
 
 			ctx, cancel := context.WithCancel(context.Background())
-			srv, srvCleanup := newScenarioVenue(t, ctx, src.Script().Instruments[0])
+			srv, stopVenue := testutil.StartVenue(t, testutil.StaticBook(t, src.Script().Instruments[0].SecurityID), 0)
 			tr, stopRun := startGateTrader(t, ctx, trader.Config{
 				OrderAddr:       srv.OrderAddr().String(),
 				UUID:            0xCAFE13,
@@ -347,7 +319,7 @@ func TestScenarioLateSnapshotRoutesDrainedBacklog(t *testing.T) {
 			cancel()
 			<-clientDone
 			stopRun()
-			srvCleanup()
+			stopVenue()
 			leak.Verify(t, 5*time.Second)
 		})
 	}

@@ -1,14 +1,13 @@
-// Package venue wraps the matching engine in real sockets: market data out
-// over UDP (the direct data feed of Fig. 2), iLink-style binary order entry
-// in over TCP. It is the substrate for cmd/exchange and the live-wire
-// example.
+// Package venue wraps a scenario's matching engine in real sockets: market
+// data out over UDP (the direct data feed of Fig. 2), iLink-style binary
+// order entry in over TCP. It is the substrate for cmd/exchange and the
+// live-wire example.
 package venue
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -16,12 +15,13 @@ import (
 	"lighttrader/internal/exchange"
 	"lighttrader/internal/lob"
 	"lighttrader/internal/orderentry"
+	"lighttrader/internal/scenario"
 )
 
-// ServerConfig configures the wire-level exchange simulator: market data
-// out over UDP (the direct data feed of Fig. 2), order entry in over TCP
-// with iLink-style binary frames, plus an optional background "noise
-// trader" that keeps the book moving so subscribers see realistic traffic.
+// ServerConfig configures the wire-level exchange simulator: a scenario's
+// order flow played on the venue's engine in real time, its market data out
+// over UDP (the direct data feed of Fig. 2) and order entry in over TCP
+// with iLink-style binary frames.
 type ServerConfig struct {
 	// OrderAddr is the TCP listen address for order entry ("127.0.0.1:0"
 	// picks a free port).
@@ -32,23 +32,19 @@ type ServerConfig struct {
 	// is also published to — the redundant B channel real venues run, so
 	// mdclient.Arbiter's A/B arbitration is exercised over real sockets.
 	FeedAddrB string
-	// SecurityID and Symbol define the single listed instrument.
-	SecurityID int32
-	Symbol     string
-	// MidPrice seeds the book around this price with Depth lots per level.
-	MidPrice int64
-	Depth    int64
-	// NoiseInterval is the mean gap between background order-flow events;
-	// zero disables the noise trader.
-	NoiseInterval time.Duration
-	// NoiseSeed makes the background flow deterministic.
-	NoiseSeed int64
+	// Scenario lists the instruments, seeds their books and scripts the
+	// order flow; a script without phases is a static book. Undisturbed —
+	// no client orders, no periodic snapshot inside the script — the venue
+	// publishes exactly Scenario.Packets().
+	Scenario *scenario.Source
 	// SnapshotInterval is the cadence of the recovery snapshot channel;
 	// zero selects one second.
 	SnapshotInterval time.Duration
 }
 
-// Server is a single-instrument exchange reachable over real sockets.
+// Server is an exchange reachable over real sockets. Fills are reported
+// only to the taker's session: a resting client order that scenario flow
+// (or another session) trades against is never acked.
 type Server struct {
 	cfg      ServerConfig
 	ln       net.Listener
@@ -56,13 +52,10 @@ type Server struct {
 	feedDst  net.Addr
 	feedDstB net.Addr
 
-	// reqCh serialises all engine access onto the run goroutine; snapCh and
-	// noiseCh ride the same goroutine for book reads and noise control;
-	// rawCh carries pre-encoded packets for scenario replay.
-	reqCh   chan serverReq
-	snapCh  chan chan lob.Snapshot
-	noiseCh chan bool
-	rawCh   chan rawPublish
+	// reqCh serialises all engine access onto the run goroutine; snapCh
+	// rides the same goroutine for book reads.
+	reqCh  chan serverReq
+	snapCh chan snapReq
 
 	mu     sync.Mutex
 	closed bool
@@ -73,15 +66,15 @@ type serverReq struct {
 	reply chan []exchange.ExecReport
 }
 
-type rawPublish struct {
-	buf  []byte
-	done chan error
+type snapReq struct {
+	sec   int32
+	reply chan lob.Snapshot
 }
 
 // NewServer binds the listener and feed socket; call Run to serve.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	if cfg.Symbol == "" || cfg.SecurityID == 0 {
-		return nil, errors.New("exchange: server needs a listed instrument")
+	if cfg.Scenario == nil {
+		return nil, errors.New("exchange: server needs a scenario")
 	}
 	ln, err := net.Listen("tcp", cfg.OrderAddr)
 	if err != nil {
@@ -115,74 +108,41 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		feedDst:  feedDst,
 		feedDstB: feedDstB,
 		reqCh:    make(chan serverReq, 64),
-		snapCh:   make(chan chan lob.Snapshot),
-		noiseCh:  make(chan bool),
-		rawCh:    make(chan rawPublish),
+		snapCh:   make(chan snapReq),
 	}, nil
 }
 
 // OrderAddr returns the bound TCP order-entry address.
 func (s *Server) OrderAddr() net.Addr { return s.ln.Addr() }
 
-// Snapshot returns the venue's authoritative top-of-book, serialised
-// through the engine goroutine. ok is false when the server is not running.
-func (s *Server) Snapshot() (lob.Snapshot, bool) {
+// Snapshot returns the venue's authoritative top-of-book for sec,
+// serialised through the engine goroutine. ok is false when the server is
+// not running.
+func (s *Server) Snapshot(sec int32) (lob.Snapshot, bool) {
 	reply := make(chan lob.Snapshot, 1)
 	select {
-	case s.snapCh <- reply:
+	case s.snapCh <- snapReq{sec: sec, reply: reply}:
 		return <-reply, true
 	case <-time.After(2 * time.Second):
 		return lob.Snapshot{}, false
 	}
 }
 
-// PublishRaw sends a pre-encoded market-data packet on the feed channel(s),
-// serialised through the run goroutine so replayed packets interleave with
-// engine-published ones in a single channel order. It is the venue leg of
-// scenario replay: feeding scenario.Source.Packets() through here puts the
-// exact scenario bytes on the wire. The buffer is not retained.
-func (s *Server) PublishRaw(buf []byte) error {
-	done := make(chan error, 1)
-	select {
-	case s.rawCh <- rawPublish{buf: buf, done: done}:
-		return <-done
-	case <-time.After(2 * time.Second):
-		return errors.New("exchange: server not running")
-	}
-}
-
-// SetNoise pauses or resumes the background noise trader, so tests can
-// quiesce the book before comparing it against a subscriber's mirror. It is
-// a no-op when the server was configured without noise.
-func (s *Server) SetNoise(enabled bool) {
-	select {
-	case s.noiseCh <- enabled:
-	case <-time.After(2 * time.Second):
-	}
-}
-
-// Run serves until ctx is cancelled. It owns the matching engine: all
-// order-entry requests and noise-trader actions are serialised here,
-// mirroring the per-channel ordering of a real venue.
+// Run serves until ctx is cancelled. It owns the scenario's engine: each
+// scripted event is applied once its scripted time has passed since Run
+// started, and order-entry requests and periodic snapshots interleave with
+// them here, mirroring the per-channel ordering of a real venue. Requests
+// carry the latest scripted time reached. When the script ends its flow
+// stops; matching and snapshots go on.
 func (s *Server) Run(ctx context.Context) error {
-	eng := exchange.New(func() int64 { return time.Now().UnixNano() }, func(buf []byte) {
-		_, _ = s.feedConn.WriteTo(buf, s.feedDst)
-		if s.feedDstB != nil {
-			_, _ = s.feedConn.WriteTo(buf, s.feedDstB)
-		}
-	})
-	eng.ListSecurity(s.cfg.SecurityID, s.cfg.Symbol)
-	s.seedBook(eng)
+	src := s.cfg.Scenario
+	w := scenario.NewWorld(src.Script(), src.Seed(), s.publish)
 
 	go s.acceptLoop(ctx)
 
-	var noise *noiseTrader
-	noiseTick := time.NewTicker(time.Hour)
-	defer noiseTick.Stop()
-	if s.cfg.NoiseInterval > 0 {
-		noise = newNoiseTrader(s.cfg, eng)
-		noiseTick.Reset(s.cfg.NoiseInterval)
-	}
+	start := time.Now()
+	flow := time.NewTimer(0)
+	defer flow.Stop()
 
 	snapEvery := s.cfg.SnapshotInterval
 	if snapEvery <= 0 {
@@ -197,35 +157,28 @@ func (s *Server) Run(ctx context.Context) error {
 			s.close()
 			return ctx.Err()
 		case r := <-s.reqCh:
-			r.reply <- eng.Submit(r.req)
-		case raw := <-s.rawCh:
-			_, err := s.feedConn.WriteTo(raw.buf, s.feedDst)
-			if err == nil && s.feedDstB != nil {
-				_, err = s.feedConn.WriteTo(raw.buf, s.feedDstB)
-			}
-			raw.done <- err
-		case reply := <-s.snapCh:
-			var snap lob.Snapshot
-			if book, ok := eng.Book(s.cfg.SecurityID); ok {
-				snap = book.TakeSnapshot(time.Now().UnixNano())
-			}
-			reply <- snap
-		case enabled := <-s.noiseCh:
-			if noise == nil {
-				break
-			}
-			if enabled {
-				noiseTick.Reset(s.cfg.NoiseInterval)
-			} else {
-				noiseTick.Stop()
-			}
-		case <-noiseTick.C:
-			if noise != nil {
-				noise.step()
+			r.reply <- w.Submit(r.req)
+		case r := <-s.snapCh:
+			r.reply <- w.Snapshot(r.sec)
+		case <-flow.C:
+			for t, ok := w.Next(); ok; t, ok = w.Next() {
+				if wait := time.Until(start.Add(time.Duration(t))); wait > 0 {
+					flow.Reset(wait)
+					break
+				}
+				w.Step()
 			}
 		case <-snapshotTick.C:
-			_ = eng.PublishSnapshot(s.cfg.SecurityID)
+			w.PublishSnapshots()
 		}
+	}
+}
+
+// publish writes one packet to the feed channel(s).
+func (s *Server) publish(buf []byte) {
+	_, _ = s.feedConn.WriteTo(buf, s.feedDst)
+	if s.feedDstB != nil {
+		_, _ = s.feedConn.WriteTo(buf, s.feedDstB)
 	}
 }
 
@@ -412,67 +365,5 @@ func (s *Server) terminateProtocolError(conn net.Conn, st *connState) {
 		st.session.State() == orderentry.StateEstablished {
 		_, _ = conn.Write(orderentry.AppendTerminate(nil, st.session.UUID(),
 			orderentry.TerminateProtocolError))
-	}
-}
-
-// seedBook places initial depth.
-func (s *Server) seedBook(eng *exchange.Engine) {
-	depth := s.cfg.Depth
-	if depth <= 0 {
-		depth = 50
-	}
-	mid := s.cfg.MidPrice
-	if mid <= 0 {
-		mid = 450000
-	}
-	for lvl := int64(1); lvl <= lob.DepthLevels; lvl++ {
-		eng.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: s.cfg.SecurityID,
-			ClOrdID: uint64(lvl), Side: lob.Bid, Price: mid - lvl, Qty: depth})
-		eng.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: s.cfg.SecurityID,
-			ClOrdID: uint64(lvl + lob.DepthLevels), Side: lob.Ask, Price: mid + lvl, Qty: depth})
-	}
-}
-
-// noiseTrader submits random order flow to keep the feed alive.
-type noiseTrader struct {
-	cfg    ServerConfig
-	eng    *exchange.Engine
-	rng    *rand.Rand
-	nextID uint64
-	live   []uint64
-}
-
-func newNoiseTrader(cfg ServerConfig, eng *exchange.Engine) *noiseTrader {
-	return &noiseTrader{cfg: cfg, eng: eng, rng: rand.New(rand.NewSource(cfg.NoiseSeed)), nextID: 1 << 32}
-}
-
-func (n *noiseTrader) step() {
-	book, _ := n.eng.Book(n.cfg.SecurityID)
-	mid := n.cfg.MidPrice
-	if m, ok := book.Mid(); ok {
-		mid = int64(m)
-	}
-	n.nextID++
-	switch r := n.rng.Float64(); {
-	case r < 0.15 && len(n.live) > 0:
-		idx := n.rng.Intn(len(n.live))
-		id := n.live[idx]
-		n.live = append(n.live[:idx], n.live[idx+1:]...)
-		n.eng.Submit(exchange.Request{Kind: exchange.ReqCancel, SecurityID: n.cfg.SecurityID, ClOrdID: id})
-	case r < 0.25:
-		n.eng.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: n.cfg.SecurityID, ClOrdID: n.nextID,
-			Side: lob.Side(n.rng.Intn(2)), Type: exchange.Market, Qty: int64(1 + n.rng.Intn(5))})
-	default:
-		side := lob.Side(n.rng.Intn(2))
-		off := 1 + n.rng.Int63n(8)
-		price := mid - off
-		if side == lob.Ask {
-			price = mid + off
-		}
-		n.eng.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: n.cfg.SecurityID, ClOrdID: n.nextID,
-			Side: side, Price: price, Qty: int64(1 + n.rng.Intn(10))})
-		if _, resting := book.Order(n.nextID); resting {
-			n.live = append(n.live, n.nextID)
-		}
 	}
 }

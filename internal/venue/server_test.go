@@ -1,7 +1,7 @@
-package venue
+package venue_test
 
 import (
-	"context"
+	"bytes"
 	"net"
 	"testing"
 	"time"
@@ -10,40 +10,33 @@ import (
 	"lighttrader/internal/lob"
 	"lighttrader/internal/orderentry"
 	"lighttrader/internal/sbe"
+	"lighttrader/internal/testutil"
+	"lighttrader/internal/venue"
 )
 
-// startServer boots a server publishing to a local UDP socket and returns
-// the order-entry address, the feed socket, and a cancel func.
-func startServer(t *testing.T, noise time.Duration) (net.Addr, net.PacketConn, context.CancelFunc) {
+// startServer boots a venue on a static book (ESU6 under security id 7,
+// 100 lots a level either side of 450000) publishing to feed, and returns
+// its order-entry address.
+func startServer(t *testing.T, feed net.PacketConn) net.Addr {
+	t.Helper()
+	srv, _ := testutil.StartVenue(t, testutil.StaticBook(t, 7), 0, feed)
+	return srv.OrderAddr()
+}
+
+// listenFeed opens a feed subscription socket closed at cleanup.
+func listenFeed(t *testing.T) net.PacketConn {
 	t.Helper()
 	feed, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(ServerConfig{
-		OrderAddr:     "127.0.0.1:0",
-		FeedAddr:      feed.LocalAddr().String(),
-		SecurityID:    7,
-		Symbol:        "ESU6",
-		MidPrice:      450000,
-		Depth:         100,
-		NoiseInterval: noise,
-		NoiseSeed:     3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() { _ = srv.Run(ctx) }()
-	t.Cleanup(func() {
-		cancel()
-		feed.Close()
-	})
-	return srv.OrderAddr(), feed, cancel
+	t.Cleanup(func() { feed.Close() })
+	return feed
 }
 
 func TestServerOrderEntryRoundTrip(t *testing.T) {
-	addr, feed, _ := startServer(t, 0)
+	feed := listenFeed(t)
+	addr := startServer(t, feed)
 	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +87,7 @@ func TestServerOrderEntryRoundTrip(t *testing.T) {
 }
 
 func TestServerCrossAcksFill(t *testing.T) {
-	addr, _, _ := startServer(t, 0)
+	addr := startServer(t, listenFeed(t))
 	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
@@ -132,30 +125,85 @@ func TestServerCrossAcksFill(t *testing.T) {
 	}
 }
 
+// TestServerNoiseTraderPublishes holds the venue to its scenario: left
+// undisturbed (no client order, no periodic snapshot inside the script) it
+// puts exactly the script's Packets() on both feeds, halt gap and reopen
+// snapshots included.
 func TestServerNoiseTraderPublishes(t *testing.T) {
-	_, feed, _ := startServer(t, 2*time.Millisecond)
-	feed.SetReadDeadline(time.Now().Add(3 * time.Second))
-	buf := make([]byte, 4096)
-	// At least a handful of noise-driven packets must arrive.
-	for i := 0; i < 3; i++ {
-		n, _, err := feed.ReadFrom(buf)
-		if err != nil {
-			t.Fatalf("packet %d: %v", i, err)
+	src := testutil.ShortScenario(t, "trading-day", 1, 0.3)
+	want := src.Packets()
+	feeds := []net.PacketConn{listenFeed(t), listenFeed(t)}
+	got := make([]chan [][]byte, len(feeds))
+	for i, feed := range feeds {
+		got[i] = make(chan [][]byte, 1)
+		go func() { got[i] <- readPackets(feed, len(want)) }()
+	}
+	testutil.StartVenue(t, src, time.Hour, feeds...)
+	for i := range feeds {
+		pkts := <-got[i]
+		if len(pkts) != len(want) {
+			t.Fatalf("feed %d carried %d packets, the script %d", i, len(pkts), len(want))
 		}
-		if _, err := sbe.DecodePacket(buf[:n]); err != nil {
-			t.Fatalf("packet %d decode: %v", i, err)
+		for j := range want {
+			if !bytes.Equal(pkts[j], want[j]) {
+				t.Fatalf("feed %d packet %d differs from the scenario byte stream", i, j)
+			}
 		}
 	}
 }
 
+// readPackets reads n datagrams from feed, or as many as arrive before it
+// goes quiet for two seconds.
+func readPackets(feed net.PacketConn, n int) [][]byte {
+	var out [][]byte
+	buf := make([]byte, 64<<10)
+	for len(out) < n {
+		_ = feed.SetReadDeadline(time.Now().Add(2 * time.Second))
+		m, _, err := feed.ReadFrom(buf)
+		if err != nil {
+			break
+		}
+		out = append(out, bytes.Clone(buf[:m]))
+	}
+	return out
+}
+
+// TestServerAcceptsLowClientIDs: the venue's own orders keep out of the
+// client id space, so a client's ClOrdID 1 is a fresh order, not a
+// collision with the seeded book.
+func TestServerAcceptsLowClientIDs(t *testing.T) {
+	conn, err := net.Dial("tcp", startServer(t, listenFeed(t)).String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req := exchange.Request{Kind: exchange.ReqNew, SecurityID: 7, ClOrdID: 1, Side: lob.Bid, Price: 449995, Qty: 3}
+	if _, err := conn.Write(orderentry.AppendRequest(nil, req)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	buf := make([]byte, 4096)
+	n, err := conn.Read(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, _, err := orderentry.DecodeFrame(buf[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame.Ack == nil || frame.Ack.ClOrdID != 1 || frame.Ack.Exec != exchange.ExecAccepted {
+		t.Fatalf("ack = %+v", frame.Ack)
+	}
+}
+
 func TestServerRejectsBadConfig(t *testing.T) {
-	if _, err := NewServer(ServerConfig{}); err == nil {
+	if _, err := venue.NewServer(venue.ServerConfig{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 }
 
 func TestServerSessionHandshake(t *testing.T) {
-	addr, _, _ := startServer(t, 0)
+	addr := startServer(t, listenFeed(t))
 	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)

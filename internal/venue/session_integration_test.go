@@ -1,7 +1,6 @@
-package venue
+package venue_test
 
 import (
-	"context"
 	"errors"
 	"net"
 	"testing"
@@ -10,12 +9,13 @@ import (
 	"lighttrader/internal/exchange"
 	"lighttrader/internal/lob"
 	"lighttrader/internal/orderentry"
+	"lighttrader/internal/testutil"
 )
 
 // dialVenue connects to a freshly started server.
 func dialVenue(t *testing.T) net.Conn {
 	t.Helper()
-	addr, _, _ := startServer(t, 0)
+	addr := startServer(t, listenFeed(t))
 	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestServerBurstAcrossReadBuffer(t *testing.T) {
 // Terminate(protocol error), close only that session, and keep serving a
 // second, healthy connection.
 func TestServerCorruptFrameTerminatesSessionNotServer(t *testing.T) {
-	addr, _, _ := startServer(t, 0)
+	addr := startServer(t, listenFeed(t))
 	bad, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestServerCorruptFrameTerminatesSessionNotServer(t *testing.T) {
 // TestServerCorruptFrameOnIdleConnDropsQuietly: a connection that opens
 // with garbage (no session) is cut without taking the server down.
 func TestServerCorruptFrameOnIdleConnDropsQuietly(t *testing.T) {
-	addr, _, _ := startServer(t, 0)
+	addr := startServer(t, listenFeed(t))
 	bad, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
@@ -310,25 +310,7 @@ func TestServerHeartbeatsWhileEstablished(t *testing.T) {
 // TestServerDrainsFramesAtEOF writes a complete order frame and immediately
 // closes the write side; the order must still reach the engine.
 func TestServerDrainsFramesAtEOF(t *testing.T) {
-	feed, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { feed.Close() })
-	srv, err := NewServer(ServerConfig{
-		OrderAddr:  "127.0.0.1:0",
-		FeedAddr:   feed.LocalAddr().String(),
-		SecurityID: 7,
-		Symbol:     "ESU6",
-		MidPrice:   450000,
-		Depth:      100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := testContext(t)
-	go func() { _ = srv.Run(ctx) }()
-	defer cancel()
+	srv, _ := testutil.StartVenue(t, testutil.StaticBook(t, 7), 0, listenFeed(t))
 
 	conn, err := net.Dial("tcp", srv.OrderAddr().String())
 	if err != nil {
@@ -345,7 +327,7 @@ func TestServerDrainsFramesAtEOF(t *testing.T) {
 	// this level plus our 5.
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		snap, ok := srv.Snapshot()
+		snap, ok := srv.Snapshot(7)
 		if ok {
 			for _, lvl := range snap.Bids {
 				if lvl.Price == 449997 && lvl.Qty == 105 {
@@ -359,36 +341,10 @@ func TestServerDrainsFramesAtEOF(t *testing.T) {
 }
 
 // TestServerDualFeedPublishesBoth verifies A/B publication: both sockets
-// receive every packet.
+// receive the venue's periodic snapshots on a static book.
 func TestServerDualFeedPublishesBoth(t *testing.T) {
-	feedA, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { feedA.Close() })
-	feedB, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { feedB.Close() })
-	srv, err := NewServer(ServerConfig{
-		OrderAddr:        "127.0.0.1:0",
-		FeedAddr:         feedA.LocalAddr().String(),
-		FeedAddrB:        feedB.LocalAddr().String(),
-		SecurityID:       7,
-		Symbol:           "ESU6",
-		MidPrice:         450000,
-		Depth:            100,
-		NoiseInterval:    2 * time.Millisecond,
-		NoiseSeed:        5,
-		SnapshotInterval: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := testContext(t)
-	go func() { _ = srv.Run(ctx) }()
-	defer cancel()
+	feedA, feedB := listenFeed(t), listenFeed(t)
+	testutil.StartVenue(t, testutil.StaticBook(t, 7), 50*time.Millisecond, feedA, feedB)
 
 	for _, feed := range []net.PacketConn{feedA, feedB} {
 		feed.SetReadDeadline(time.Now().Add(3 * time.Second))
@@ -397,11 +353,4 @@ func TestServerDualFeedPublishesBoth(t *testing.T) {
 			t.Fatalf("feed %v received nothing: %v", feed.LocalAddr(), err)
 		}
 	}
-}
-
-// testContext returns a cancellable context tied to test cleanup.
-func testContext(t *testing.T) (ctx context.Context, cancel context.CancelFunc) {
-	ctx, cancel = context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	return ctx, cancel
 }

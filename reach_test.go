@@ -74,7 +74,7 @@ import (
 
 // reachAllowMax is the allowlist's ratchet: the list may not be longer than
 // this, and when it gets shorter this comes down with it.
-const reachAllowMax = 5
+const reachAllowMax = 3
 
 const modulePath = "lighttrader"
 
