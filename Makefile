@@ -124,11 +124,13 @@ bench-pin:
 bench-all:
 	$(GO) test -run=^$$ -bench=. -benchmem ./...
 
-# One iteration of each kernel benchmark and of the scheduling-decision
-# benchmarks: a CI-speed check that the benchmark code itself still compiles
-# and runs.
+# One iteration of each kernel benchmark, of the scheduling-decision
+# benchmarks and of the set-up benchmarks (scenario generation and the
+# matching engine under it, with their allocations): a CI-speed check that
+# the benchmark code itself still compiles and runs.
 bench-smoke:
-	$(GO) test -run=^$$ -bench=. -benchtime=1x ./internal/tensor/ ./internal/nn/ ./internal/sched/
+	$(GO) test -run=^$$ -bench=. -benchtime=1x -benchmem ./internal/tensor/ ./internal/nn/ ./internal/sched/ \
+		./internal/scenario/ ./internal/exchange/
 
 # One iteration of each tick-path benchmark plus the allocation regression
 # tests over the hot path (decode-into, book ops, snapshot, histogram record,

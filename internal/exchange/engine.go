@@ -79,16 +79,19 @@ type Publisher func(buf []byte)
 // It is not safe for concurrent use; the surrounding server or simulator
 // serialises access, mirroring the per-channel ordering of a real venue.
 type Engine struct {
-	books   map[int32]*lob.Book
-	rptSeq  map[int32]uint32
-	seqNum  uint32
-	now     func() int64
-	publish Publisher
+	// listings holds one record per listed instrument: its book, its
+	// RptSeq, and the top of book its last incremental described, which
+	// Submit diffs the mutated book against.
+	listings map[int32]*listing
+	seqNum   uint32
+	now      func() int64
+	publish  Publisher
 
 	// Publication scratch, reused across Submit/PublishSnapshot calls so the
 	// market-data path is allocation-free in steady state. Safe because the
 	// Publisher contract forbids retaining buf.
 	fillsBuf   []lob.Fill
+	levelsBuf  []lob.Level
 	entriesBuf []sbe.BookEntry
 	tradesBuf  []sbe.TradeSummary
 	msgsBuf    []sbe.Message
@@ -96,6 +99,16 @@ type Engine struct {
 	snapBuf    []sbe.SnapshotEntry
 	snapMsg    sbe.SnapshotFullRefresh
 	encBuf     []byte
+}
+
+// listing is one listed instrument. top is the book's visible depth as of
+// the last Submit that reached it: only a Submit mutates the book, and every
+// Submit that can have mutated it refreshes top while it publishes the
+// difference, so top always equals the book's current top levels.
+type listing struct {
+	book   *lob.Book
+	rptSeq uint32
+	top    [2][lob.DepthLevels]lob.Level
 }
 
 // New creates an engine. now supplies the exchange clock in nanoseconds;
@@ -108,39 +121,43 @@ func New(now func() int64, publish Publisher) *Engine {
 		publish = func([]byte) {}
 	}
 	return &Engine{
-		books:   make(map[int32]*lob.Book),
-		rptSeq:  make(map[int32]uint32),
-		now:     now,
-		publish: publish,
+		listings: make(map[int32]*listing),
+		now:      now,
+		publish:  publish,
 	}
 }
 
 // ErrUnknownSecurity is returned for requests naming an unlisted instrument.
 var ErrUnknownSecurity = errors.New("exchange: unknown security")
 
-// ListSecurity registers an instrument.
+// ListSecurity registers an instrument with an empty book.
 func (e *Engine) ListSecurity(id int32, symbol string) {
-	e.books[id] = lob.New(symbol)
+	e.listings[id] = &listing{book: lob.New(symbol)}
 }
 
-// Book exposes the book for a security (read-only use by tests/simulator).
+// Book exposes the book for a security, for reading only: a change made
+// through it bypasses the market data the engine publishes.
 func (e *Engine) Book(id int32) (*lob.Book, bool) {
-	b, ok := e.books[id]
-	return b, ok
+	l, ok := e.listings[id]
+	if !ok {
+		return nil, false
+	}
+	return l.book, true
 }
 
 // Submit processes one order-entry request, returning execution reports for
 // the requesting client and publishing market data describing the book
-// changes and trades.
+// changes and trades. A rejected request leaves the book as it was: every
+// lob mutation validates before it changes anything.
 func (e *Engine) Submit(req Request) []ExecReport {
 	now := e.now()
-	b, ok := e.books[req.SecurityID]
+	l, ok := e.listings[req.SecurityID]
 	if !ok {
 		return []ExecReport{{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
 			Reason: ErrUnknownSecurity.Error(), TimeNanos: now}}
 	}
-	before := e.captureTop(b)
-	var reports []ExecReport
+	b := l.book
+	var first ExecReport
 	var fills []lob.Fill
 	switch req.Kind {
 	case ReqNew:
@@ -167,15 +184,15 @@ func (e *Engine) Submit(req Request) []ExecReport {
 				_ = b.Cancel(req.ClOrdID)
 			}
 		}
-		reports = append(reports, ExecReport{Exec: ExecAccepted, ClOrdID: req.ClOrdID,
-			SecurityID: req.SecurityID, Side: req.Side, Price: price, Qty: req.Qty, TimeNanos: now})
+		first = ExecReport{Exec: ExecAccepted, ClOrdID: req.ClOrdID,
+			SecurityID: req.SecurityID, Side: req.Side, Price: price, Qty: req.Qty, TimeNanos: now}
 	case ReqCancel:
 		if err := b.Cancel(req.ClOrdID); err != nil {
 			return []ExecReport{{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
 				Reason: err.Error(), TimeNanos: now}}
 		}
-		reports = append(reports, ExecReport{Exec: ExecCanceled, ClOrdID: req.ClOrdID,
-			SecurityID: req.SecurityID, TimeNanos: now})
+		first = ExecReport{Exec: ExecCanceled, ClOrdID: req.ClOrdID,
+			SecurityID: req.SecurityID, TimeNanos: now}
 	case ReqReplace:
 		fl, err := b.ReplaceTo(e.fillsBuf[:0], req.ClOrdID, req.NewClOrdID, req.Price, req.Qty)
 		e.fillsBuf = fl[:0]
@@ -184,12 +201,14 @@ func (e *Engine) Submit(req Request) []ExecReport {
 				Reason: err.Error(), TimeNanos: now}}
 		}
 		fills = fl
-		reports = append(reports, ExecReport{Exec: ExecReplaced, ClOrdID: req.NewClOrdID,
-			SecurityID: req.SecurityID, Side: req.Side, Price: req.Price, Qty: req.Qty, TimeNanos: now})
+		first = ExecReport{Exec: ExecReplaced, ClOrdID: req.NewClOrdID,
+			SecurityID: req.SecurityID, Side: req.Side, Price: req.Price, Qty: req.Qty, TimeNanos: now}
 	default:
 		return []ExecReport{{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
 			Reason: fmt.Sprintf("unknown request kind %d", req.Kind), TimeNanos: now}}
 	}
+	reports := make([]ExecReport, 1, 1+len(fills))
+	reports[0] = first
 	// One fill per maker matched, all the taker's. ExecFilled is terminal —
 	// consumers retire the id on it — so only the fill that ends the order
 	// carries it: the last one, unless a remainder rests.
@@ -201,46 +220,47 @@ func (e *Engine) Submit(req Request) []ExecReport {
 		reports = append(reports, ExecReport{Exec: exec, ClOrdID: f.TakerID,
 			SecurityID: req.SecurityID, Side: f.TakerSide, Price: f.Price, Qty: f.Qty, TimeNanos: now})
 	}
-	e.publishDelta(req.SecurityID, b, before, fills, now)
+	e.publishDelta(req.SecurityID, l, fills, now)
 	return reports
 }
 
 // marketablePrice returns a price that crosses the entire visible opposite
 // side, or 0 when the opposite side is empty.
 func (e *Engine) marketablePrice(b *lob.Book, side lob.Side) int64 {
-	levels := b.Levels(side.Opposite(), lob.DepthLevels)
-	if len(levels) == 0 {
+	e.levelsBuf = b.AppendLevels(e.levelsBuf[:0], side.Opposite(), lob.DepthLevels)
+	if len(e.levelsBuf) == 0 {
 		return 0
 	}
-	return levels[len(levels)-1].Price
-}
-
-// captureTop snapshots the visible levels before a mutation so the
-// market-data diff can be computed afterwards.
-func (e *Engine) captureTop(b *lob.Book) (top [2][lob.DepthLevels]lob.Level) {
-	snap := b.TakeSnapshot(0)
-	top[0] = snap.Bids
-	top[1] = snap.Asks
-	return top
+	return e.levelsBuf[len(e.levelsBuf)-1].Price
 }
 
 // publishDelta emits an MDP-style packet describing the visible book changes
-// (market-by-price diff of the top levels) plus trade summaries.
-func (e *Engine) publishDelta(secID int32, b *lob.Book, before [2][lob.DepthLevels]lob.Level, fills []lob.Fill, now int64) {
-	after := e.captureTop(b)
+// (market-by-price diff of the top levels against the listing's stored top,
+// which it brings up to date) plus trade summaries.
+func (e *Engine) publishDelta(secID int32, l *listing, fills []lob.Fill, now int64) {
 	entries := e.entriesBuf[:0]
-	for sideIdx, entryType := range []sbe.EntryType{sbe.EntryBid, sbe.EntryAsk} {
+	for sideIdx, side := range [...]lob.Side{lob.Bid, lob.Ask} {
+		entryType := sbe.EntryBid
+		if side == lob.Ask {
+			entryType = sbe.EntryAsk
+		}
+		e.levelsBuf = l.book.AppendLevels(e.levelsBuf[:0], side, lob.DepthLevels)
 		for lvl := 0; lvl < lob.DepthLevels; lvl++ {
-			oldL, newL := before[sideIdx][lvl], after[sideIdx][lvl]
+			var newL lob.Level
+			if lvl < len(e.levelsBuf) {
+				newL = e.levelsBuf[lvl]
+			}
+			oldL := l.top[sideIdx][lvl]
 			if oldL == newL {
 				continue
 			}
-			e.rptSeq[secID]++
+			l.top[sideIdx][lvl] = newL
+			l.rptSeq++
 			entry := sbe.BookEntry{
 				Price:      newL.Price,
 				Qty:        int32(newL.Qty),
 				SecurityID: secID,
-				RptSeq:     e.rptSeq[secID],
+				RptSeq:     l.rptSeq,
 				Level:      uint8(lvl + 1),
 				Entry:      entryType,
 			}
@@ -289,12 +309,12 @@ func (e *Engine) publishDelta(secID int32, b *lob.Book, before [2][lob.DepthLeve
 // PublishSnapshot emits a full top-of-book snapshot for secID, used by the
 // recovery channel and to seed late joiners.
 func (e *Engine) PublishSnapshot(secID int32) error {
-	b, ok := e.books[secID]
+	l, ok := e.listings[secID]
 	if !ok {
 		return ErrUnknownSecurity
 	}
 	now := e.now()
-	snap := b.TakeSnapshot(now)
+	snap := l.book.TakeSnapshot(now)
 	e.snapBuf = e.snapBuf[:0]
 	for i := 0; i < lob.DepthLevels; i++ {
 		if snap.Bids[i].Price != 0 {
@@ -314,7 +334,7 @@ func (e *Engine) PublishSnapshot(secID int32) error {
 		TransactTime:  uint64(now),
 		LastMsgSeqNum: e.seqNum,
 		SecurityID:    secID,
-		RptSeq:        e.rptSeq[secID],
+		RptSeq:        l.rptSeq,
 		TotNumReports: 1,
 		Entries:       e.snapBuf,
 	}

@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -248,4 +249,191 @@ func TestPublishSnapshot(t *testing.T) {
 	if len(s.Entries) != 1 || s.Entries[0].Price != 100 || s.Entries[0].Entry != sbe.EntryBid {
 		t.Fatalf("snapshot entries = %+v", s.Entries)
 	}
+}
+
+// TestStoredTopExact drives a seeded request mix against several books and
+// checks, after every Submit, that each listing's stored top — what the next
+// incremental is diffed against — equals the book's visible levels. The
+// outcomes are tallied so that every request path is known to have run:
+// resting and crossing limits, partial fills, market orders with and
+// without an IOC remainder, market orders into an empty side, cancels,
+// replaces, and every rejection.
+func TestStoredTopExact(t *testing.T) {
+	var clock int64
+	e := New(func() int64 { clock++; return clock }, nil)
+	secs := []int32{1, 2, 3}
+	for _, sec := range secs {
+		e.ListSecurity(sec, "S")
+	}
+	rng := rand.New(rand.NewSource(1))
+	// placed holds ids that rested on each book; some have since filled or
+	// been cancelled, which makes them unknown ids again, and drawing one of
+	// those drops it.
+	placed := map[int32][]uint64{}
+	nextID := uint64(0)
+	seen := map[string]int{}
+	for step := 0; step < 20000; step++ {
+		sec := secs[rng.Intn(len(secs))]
+		old := uint64(1 << 40) // an id no order ever had
+		if ids := placed[sec]; len(ids) > 0 && rng.Intn(8) > 0 {
+			i := rng.Intn(len(ids))
+			old = ids[i]
+			if b, _ := e.Book(sec); !resting(b, old) {
+				ids[i] = ids[len(ids)-1]
+				placed[sec] = ids[:len(ids)-1]
+			}
+		}
+		// Limits rest within ten ticks of 1000; one in five crosses it.
+		side, off := lob.Side(rng.Intn(2)), int64(1+rng.Intn(10))
+		if rng.Intn(5) == 0 {
+			off = -off
+		}
+		if side == lob.Ask {
+			off = -off
+		}
+		nextID++
+		req := Request{SecurityID: sec, ClOrdID: nextID, Side: side, Price: 1000 - off,
+			Qty: int64(1 + rng.Intn(6))}
+		switch r := rng.Intn(100); {
+		case r < 40:
+		case r < 52:
+			req.Type, req.Qty = Market, int64(1+rng.Intn(80))
+		case r < 70:
+			req.Kind, req.ClOrdID = ReqCancel, old
+		case r < 85:
+			req.Kind, req.ClOrdID, req.NewClOrdID = ReqReplace, old, nextID
+		case r < 88:
+			req.ClOrdID = old // a duplicate while old still rests
+		case r < 90:
+			req.Qty = -req.Qty
+		case r < 92:
+			req.Price = -req.Price
+		case r < 94:
+			req.Kind, req.ClOrdID, req.NewClOrdID, req.Qty = ReqReplace, old, nextID, 0
+		case r < 96:
+			req.Kind, req.ClOrdID, req.Price = ReqReplace, old, -req.Price
+		case r < 97:
+			if ids := placed[sec]; len(ids) > 0 {
+				req.Kind, req.ClOrdID, req.NewClOrdID = ReqReplace, old, ids[rng.Intn(len(ids))]
+			}
+		case r < 98:
+			req.SecurityID = 99
+		default:
+			req.Kind = RequestKind(7)
+		}
+		reps := e.Submit(req)
+		var filled int64
+		for _, r := range reps {
+			switch r.Exec {
+			case ExecPartialFill:
+				seen["partial fill"]++
+				filled += r.Qty
+			case ExecFilled:
+				filled += r.Qty
+			}
+		}
+		var label string
+		switch {
+		case reps[0].Exec == ExecRejected:
+			label = "rejected: " + reps[0].Reason
+		case req.Kind == ReqCancel:
+			label = "cancel"
+		case req.Kind == ReqReplace:
+			label = "replace"
+		case req.Type == Market && filled < req.Qty:
+			label = "market with IOC remainder"
+		case req.Type == Market:
+			label = "market filled"
+		case filled > 0:
+			label = "crossing limit"
+		default:
+			label = "resting limit"
+		}
+		seen[label]++
+		if reps[0].Exec != ExecRejected {
+			id := req.ClOrdID
+			if req.Kind == ReqReplace {
+				id = req.NewClOrdID
+			}
+			if b, _ := e.Book(sec); req.Kind != ReqCancel && resting(b, id) {
+				placed[sec] = append(placed[sec], id)
+			}
+		}
+		for _, s := range secs {
+			l := e.listings[s]
+			snap := l.book.TakeSnapshot(0)
+			if l.top[0] != snap.Bids || l.top[1] != snap.Asks {
+				t.Fatalf("step %d (%s on %d): security %d stored top\n%v\n%v\nbook\n%v\n%v",
+					step, label, sec, s, l.top[0], l.top[1], snap.Bids, snap.Asks)
+			}
+		}
+	}
+	for _, want := range []string{"resting limit", "crossing limit", "partial fill", "market filled",
+		"market with IOC remainder", "rejected: no liquidity", "cancel", "replace",
+		"rejected: " + lob.ErrUnknownOrder.Error(), "rejected: " + lob.ErrDuplicateID.Error(),
+		"rejected: " + lob.ErrBadQty.Error(), "rejected: " + lob.ErrBadPrice.Error(),
+		"rejected: " + ErrUnknownSecurity.Error(), "rejected: unknown request kind 7"} {
+		if seen[want] == 0 {
+			t.Errorf("the mix never ran %q (ran %v)", want, seen)
+		}
+	}
+}
+
+func resting(b *lob.Book, id uint64) bool {
+	_, ok := b.Order(id)
+	return ok
+}
+
+// TestSubmitAllocs pins a marketable order at one allocation, the exec
+// reports it returns: reading levels, matching, diffing and encoding reuse
+// the engine's scratch.
+func TestSubmitAllocs(t *testing.T) {
+	var clock int64
+	e := New(func() int64 { clock++; return clock }, nil)
+	e.ListSecurity(1, "ALLOC")
+	e.Submit(Request{Kind: ReqNew, SecurityID: 1, ClOrdID: 1, Side: lob.Ask, Price: 1000, Qty: 1 << 40})
+	id := uint64(1)
+	allocs := testing.AllocsPerRun(1000, func() {
+		id++
+		e.Submit(Request{Kind: ReqNew, SecurityID: 1, ClOrdID: id, Side: lob.Bid, Type: Market, Qty: 2})
+	})
+	if allocs > 1 {
+		t.Fatalf("a marketable order allocates %v times; want at most 1 (its reports)", allocs)
+	}
+}
+
+// BenchmarkEngineSubmit times the matching engine's request mix: a resting
+// limit order and its cancel, and a market order filled against a resting
+// ask placed for it — two Submits an iteration each.
+func BenchmarkEngineSubmit(b *testing.B) {
+	seeded := func() *Engine {
+		var clock int64
+		e := New(func() int64 { clock++; return clock }, nil)
+		e.ListSecurity(1, "BENCH")
+		for lvl := int64(1); lvl <= lob.DepthLevels; lvl++ {
+			e.Submit(Request{Kind: ReqNew, SecurityID: 1, ClOrdID: uint64(lvl), Side: lob.Bid, Price: 1000 - lvl, Qty: 10})
+			e.Submit(Request{Kind: ReqNew, SecurityID: 1, ClOrdID: uint64(100 + lvl), Side: lob.Ask, Price: 1000 + lvl, Qty: 10})
+		}
+		return e
+	}
+	b.Run("limit-cancel", func(b *testing.B) {
+		e := seeded()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			id := uint64(1000 + i)
+			e.Submit(Request{Kind: ReqNew, SecurityID: 1, ClOrdID: id, Side: lob.Bid, Price: 1000 - int64(i%5) - 1, Qty: 3})
+			e.Submit(Request{Kind: ReqCancel, SecurityID: 1, ClOrdID: id})
+		}
+	})
+	b.Run("market", func(b *testing.B) {
+		e := seeded()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			id := uint64(1000 + 2*i)
+			e.Submit(Request{Kind: ReqNew, SecurityID: 1, ClOrdID: id, Side: lob.Ask, Price: 1000, Qty: 3})
+			e.Submit(Request{Kind: ReqNew, SecurityID: 1, ClOrdID: id + 1, Side: lob.Bid, Type: Market, Qty: 3})
+		}
+	})
 }

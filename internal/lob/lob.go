@@ -391,16 +391,6 @@ func (b *Book) ReplaceTo(dst []Fill, id, newID uint64, price, qty int64) ([]Fill
 	return b.AddTo(dst, newID, side, price, qty)
 }
 
-// Levels returns up to n aggregated levels from the top of side s, best
-// first. It allocates the result; AppendLevels is the reusable-storage form.
-func (b *Book) Levels(s Side, n int) []Level {
-	lv := *b.sideLevels(s)
-	if n > len(lv) {
-		n = len(lv)
-	}
-	return b.AppendLevels(make([]Level, 0, n), s, n)
-}
-
 // AppendLevels appends up to n aggregated levels from the top of side s,
 // best first, to dst and returns the extended slice.
 func (b *Book) AppendLevels(dst []Level, s Side, n int) []Level {

@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// Levels returns up to n aggregated levels from the top of side s, best
+// first, in a new slice.
+func (b *Book) Levels(s Side, n int) []Level {
+	return b.AppendLevels(nil, s, n)
+}
+
 func mustAdd(t *testing.T, b *Book, id uint64, s Side, price, qty int64) []Fill {
 	t.Helper()
 	fills, err := b.Add(id, s, price, qty)

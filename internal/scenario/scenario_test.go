@@ -3,9 +3,12 @@ package scenario
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 
+	"lighttrader/internal/feed"
+	"lighttrader/internal/lob"
 	"lighttrader/internal/sbe"
 )
 
@@ -264,4 +267,111 @@ func TestRegistryStreamsPinned(t *testing.T) {
 			t.Errorf("%s: %d packets, sha256 %s; want %d, %s", name, len(packets), got, want.packets, want.sha256)
 		}
 	}
+}
+
+// TestPacketsDoNotAlias: ticks share the blocks their packets are copied
+// into, so each packet's capacity must end where its bytes do, and an
+// append to one must leave the next one untouched.
+func TestPacketsDoNotAlias(t *testing.T) {
+	src, err := ByName("multi-shock", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks := src.Ticks()
+	for i := range ticks {
+		if p := ticks[i].Packet; cap(p) != len(p) {
+			t.Fatalf("tick %d: packet len %d cap %d", i, len(p), cap(p))
+		}
+	}
+	for i := 0; i+1 < len(ticks); i++ {
+		next := bytes.Clone(ticks[i+1].Packet)
+		_ = append(ticks[i].Packet, 0xff, 0xff, 0xff, 0xff)
+		if !bytes.Equal(ticks[i+1].Packet, next) {
+			t.Fatalf("appending to tick %d's packet changed tick %d's", i, i+1)
+		}
+	}
+}
+
+// TestRegistryTicksPinned holds what TestRegistryStreamsPinned leaves out:
+// every registry scenario's tick times and snapshots at seed 1, which the
+// simulator's query projection and the trader's price checks read. Each
+// tick contributes its TimeNanos and its snapshot's Seq, TimeNanos,
+// LastTrade and both sides' levels (price, qty, orders), all as 64-bit
+// little-endian words, to one sha256.
+func TestRegistryTicksPinned(t *testing.T) {
+	pins := map[string]string{
+		"flash-crash": "a62985245e4851441c7650f0c3434af88db06177baea70b2d7395f69d0c8862d",
+		"halt-resume": "38e56f4ee520761854a504a626cf8921490535fd26599f5c22cefdd5daaac5b5",
+		"multi-shock": "01ece45ea5b20a2a3ba52ae46747c5d7197d4f290fbc3c80db5f47f0e1f54a51",
+		"opening":     "72e3f09cce537ed119dfaa0d61e6797916801efa47efbe070ed899eb4c4d4458",
+		"quiet":       "9880b208bf93e10d04f7c5af0d484e4cfbe4ce0d815093bedce850f3a8e8e93c",
+		"thin-book":   "6af5f7d5711388d10cda3edbfc56324930da6b0af97f075d79e7c6ec74505aa2",
+		"trading-day": "d7df823de2a9ec82b75ec58e75dc6876d5453e654e39143fcd2be7360eb20d2f",
+	}
+	if len(pins) != len(Names()) {
+		t.Fatalf("%d pins for %d registry scenarios %v", len(pins), len(Names()), Names())
+	}
+	for _, name := range Names() {
+		src, err := ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ticksDigest(src.Ticks()); got != pins[name] {
+			t.Errorf("%s: ticks sha256 %s; want %s", name, got, pins[name])
+		}
+	}
+}
+
+// ticksDigest is TestRegistryTicksPinned's fixed encoding of a tick stream.
+func ticksDigest(ticks []feed.Tick) string {
+	h := sha256.New()
+	var buf []byte
+	word := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
+	for i := range ticks {
+		tk := &ticks[i]
+		s := &tk.Snapshot
+		buf = buf[:0]
+		word(tk.TimeNanos)
+		word(int64(s.Seq))
+		word(s.TimeNanos)
+		word(s.LastTrade)
+		for _, side := range [...]*[lob.DepthLevels]lob.Level{&s.Bids, &s.Asks} {
+			for _, l := range side {
+				word(l.Price)
+				word(l.Qty)
+				word(int64(l.Orders))
+			}
+		}
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// BenchmarkSourceTicks generates a stream shaped like the wire benchmark's:
+// four instruments, four 1 s phases of 5 000 Poisson events/s, each opening
+// with a snapshot of every book. Each iteration builds a fresh Source, since
+// Ticks is memoised.
+func BenchmarkSourceTicks(b *testing.B) {
+	ins := []Instrument{
+		{SecurityID: 1, Symbol: "ESU6", MidPrice: 450000, DepthPerLevel: 50},
+		{SecurityID: 2, Symbol: "NQU6", MidPrice: 1500000, DepthPerLevel: 50},
+		{SecurityID: 3, Symbol: "YMU6", MidPrice: 350000, DepthPerLevel: 50},
+		{SecurityID: 4, Symbol: "RTYU6", MidPrice: 200000, DepthPerLevel: 50},
+	}
+	phases := make([]Phase, 4)
+	for i := range phases {
+		phases[i] = Phase{Name: "steady", DurationSecs: 1, SnapshotOnEnter: true,
+			Arrivals: ArrivalSpec{RateHz: 5000}}
+	}
+	script := Script{Instruments: ins, Phases: phases}
+	b.ReportAllocs()
+	var n int
+	for i := 0; i < b.N; i++ {
+		src, err := New("bench", script, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n = len(src.Ticks())
+	}
+	b.ReportMetric(float64(n), "ticks/op")
 }

@@ -8,6 +8,7 @@ package scenario
 
 import (
 	"math/rand"
+	"slices"
 
 	"lighttrader/internal/exchange"
 	"lighttrader/internal/feed"
@@ -46,6 +47,7 @@ type World struct {
 	books   map[int32]*lob.Book
 	live    map[int32][]uint64
 	publish exchange.Publisher
+	levels  []lob.Level // sweep's scratch
 
 	now      int64 // scripted time: the engine's clock
 	nextID   uint64
@@ -96,25 +98,44 @@ func NewWorld(script Script, seed int64, publish exchange.Publisher) *World {
 	return w
 }
 
+// tickChunk is how many ticks generateScript gathers in one chunk, and
+// arenaBlock the size of the blocks it copies packets into: the stream
+// grows a fixed step at a time instead of regrowing one slice, and its
+// packets cost one allocation per block instead of one each.
+const (
+	tickChunk  = 1024
+	arenaBlock = 64 << 10
+)
+
 // generateScript materialises a script into its tick stream and spans:
 // every published packet becomes one Tick, stamped with the touched
 // instrument's post-event snapshot.
 func generateScript(script Script, seed int64) ([]feed.Tick, []PhaseSpan) {
-	var ticks []feed.Tick
+	var chunks [][]feed.Tick
+	var arena []byte
 	var w *World
 	w = NewWorld(script, seed, func(buf []byte) {
-		cp := make([]byte, len(buf))
-		copy(cp, buf)
-		ticks = append(ticks, feed.Tick{
+		if len(arena)+len(buf) > cap(arena) {
+			arena = make([]byte, 0, max(arenaBlock, len(buf)))
+		}
+		i := len(arena)
+		arena = append(arena, buf...)
+		if len(chunks) == 0 || len(chunks[len(chunks)-1]) == tickChunk {
+			chunks = append(chunks, make([]feed.Tick, 0, tickChunk))
+		}
+		c := &chunks[len(chunks)-1]
+		*c = append(*c, feed.Tick{
 			TimeNanos: w.now,
-			Packet:    cp,
-			Snapshot:  w.books[w.touched].TakeSnapshot(w.now),
+			// Capacity ends with the packet, so an append to one tick's
+			// packet never writes into the next one's bytes.
+			Packet:   arena[i:len(arena):len(arena)],
+			Snapshot: w.books[w.touched].TakeSnapshot(w.now),
 		})
 	})
 	for _, ok := w.Next(); ok; _, ok = w.Next() {
 		w.Step()
 	}
-	return ticks, w.spans
+	return slices.Concat(chunks...), w.spans
 }
 
 // Next returns the scripted time of the next event; ok is false once the
@@ -307,9 +328,9 @@ func (w *World) sweep(sec int32, levels int, bias float64) {
 		levels = DefaultFlow().SweepLevels
 	}
 	side := w.pickSide(bias)
-	opp := w.books[sec].Levels(side.Opposite(), min(levels, lob.DepthLevels))
+	w.levels = w.books[sec].AppendLevels(w.levels[:0], side.Opposite(), min(levels, lob.DepthLevels))
 	var qty int64
-	for _, lvl := range opp {
+	for _, lvl := range w.levels {
 		qty += lvl.Qty
 	}
 	if qty == 0 {
