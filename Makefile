@@ -194,7 +194,11 @@ bench-tickpath:
 # candidates (ppw, sjf, greedy, ...) and workload scheduling means
 # DefaultBatchOptions, so no non-test Go file names the deleted objective
 # field, its type, a custom batch ladder or their facade options — a hit is
-# a second selector growing back.
+# a second selector growing back. (12) A policy decides from Algorithm 1's
+# four inputs (sched.SchedContext): no non-test Go file names IdleAccels or
+# RoundRobinScheduler — a hit is the idle-count input, or the round-robin
+# baseline that alone read it (identical to greedy under a work-conserving
+# engine), growing back.
 one-impl-check:
 	@bad=$$(grep -rnE '\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -274,6 +278,10 @@ one-impl-check:
 		--include='*.go' --exclude='*_test.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "a second way to choose Algorithm 1's objective or batch ladder:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE 'IdleAccels|RoundRobinScheduler' --include='*.go' --exclude='*_test.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "a scheduling input no policy reads, or the rr baseline that read it:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile

@@ -115,7 +115,6 @@ func SchedMatrixWorkers(src *scenario.Source, tAvailNanos int64, workers int) []
 		{"ppw", nil}, // nil factory: the engines' default PPW path
 		{"fcfs", mustFactory("fcfs")},
 		{"greedy", mustFactory("greedy")},
-		{"rr", mustFactory("rr")},
 		{"sjf", mustFactory("sjf")},
 		{"qtable", func(*sched.Config) sched.Scheduler { return trained }},
 	}
@@ -176,7 +175,7 @@ func RenderSchedMatrix(rows []SchedRow) string {
 			r.Workload, r.Policy, pct(r.ResponseRate), pct(r.MissRate),
 			r.MeanBatch, r.EnergyJ, r.PPW)
 	}
-	b.WriteString("\nppw is Algorithm 1; fcfs/greedy/rr/sjf are naive baselines over the\n")
+	b.WriteString("\nppw is Algorithm 1; fcfs/greedy/sjf are naive baselines over the\n")
 	b.WriteString("same feasibility checks; qtable is a tabular Q-learner trained on the\n")
 	b.WriteString("bursty regime (seeded, reproducible) and frozen for evaluation.\n")
 	return b.String()

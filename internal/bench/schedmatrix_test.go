@@ -38,7 +38,7 @@ func TestSchedMatrixParallelIdentical(t *testing.T) {
 func TestSchedMatrixShape(t *testing.T) {
 	src, tAvail := schedTestTraffic()
 	rows := SchedMatrixWorkers(src, tAvail, 1)
-	wantPolicies := []string{"ppw", "fcfs", "greedy", "rr", "sjf", "qtable"}
+	wantPolicies := []string{"ppw", "fcfs", "greedy", "sjf", "qtable"}
 	wantWorkloads := []string{"calm", "bursty", "flash"}
 	if len(rows) != len(wantPolicies)*len(wantWorkloads) {
 		t.Fatalf("got %d rows, want %d", len(rows), len(wantPolicies)*len(wantWorkloads))
@@ -73,6 +73,15 @@ func TestSchedMatrixShape(t *testing.T) {
 	if mb := byKey["bursty/ppw"].MeanBatch; mb <= 1 {
 		t.Fatalf("ppw mean batch = %v, want > 1 under bursty traffic", mb)
 	}
+	// Every registry row earns its place: each pair of policies differs in
+	// at least one stat on at least one workload.
+	for i, a := range wantPolicies {
+		for _, b := range wantPolicies[i+1:] {
+			if sameStats(byKey, wantWorkloads, a, b) {
+				t.Errorf("%s and %s give identical stats on every workload", a, b)
+			}
+		}
+	}
 
 	data, err := SchedMatrixJSON(src, tAvail, rows)
 	if err != nil {
@@ -89,6 +98,19 @@ func TestSchedMatrixShape(t *testing.T) {
 	if !strings.Contains(string(data), "responses_per_joule") {
 		t.Fatal("JSON missing the PPW column")
 	}
+}
+
+// sameStats reports whether policies a and b have equal stats on every
+// workload.
+func sameStats(byKey map[string]SchedRow, workloads []string, a, b string) bool {
+	for _, w := range workloads {
+		ra, rb := byKey[w+"/"+a], byKey[w+"/"+b]
+		ra.Policy, rb.Policy = "", ""
+		if ra != rb {
+			return false
+		}
+	}
+	return true
 }
 
 // TestTrainQReproducible: the training loop is a deterministic function of

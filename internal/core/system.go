@@ -220,9 +220,12 @@ func (s *System) Advance(now int64) []sim.Completion {
 	out := s.pending
 	s.pending = nil
 	for i, batch := range s.batches {
-		if a := s.board.Slot(i); a.Busy && a.DoneNanos <= now {
+		if batch == nil {
+			continue
+		}
+		if done := s.board.Slot(i).DoneNanos; done <= now {
 			for _, q := range batch {
-				out = append(out, sim.Completion{Query: q, DoneNanos: a.DoneNanos, Batch: len(batch)})
+				out = append(out, sim.Completion{Query: q, DoneNanos: done, Batch: len(batch)})
 			}
 			s.batches[i] = nil
 			s.board.Retire(i, now)
@@ -239,15 +242,14 @@ func (s *System) Advance(now int64) []sim.Completion {
 // residual budget once, after every accelerator has had its turn.
 func (s *System) schedule(now int64) {
 	for i := range s.batches {
-		if s.board.Slot(i).Busy {
+		if s.batches[i] != nil {
 			continue
 		}
 		savedPower := false
 		for len(s.queue) > 0 {
 			oldest := s.queue[0]
 			avail := oldest.Remaining(now) - s.cfg.PrePipelineNanos
-			dec, saved := s.board.Admit(i, now, len(s.queue), avail, s.cfg.NumAccels-s.board.BusyCount(),
-				s.policy, nil, !savedPower, s.minDeadline)
+			dec, saved := s.board.Admit(i, now, len(s.queue), avail, s.policy, nil, !savedPower, s.minDeadline)
 			if saved {
 				savedPower = true
 			}

@@ -65,8 +65,8 @@ type Board struct {
 	emit  func(sim.DVFSEvent)
 
 	slots []Slot
-	// scratch backs the busy views handed to policies and to Algorithm 2,
-	// changes what Algorithm 2 answers; reused across calls, never retained.
+	// scratch backs the busy views Algorithm 2 reads, changes what it
+	// answers; reused across calls, never retained.
 	scratch []BusyAccel
 	changes []Change
 	// draw is Σ Slot.Draw in slot order (summed afresh after every change so
@@ -173,12 +173,11 @@ func (b *Board) tableFor(tier int) *Table {
 	return b.table
 }
 
-// Context assembles the scheduling context for slot's decision at now: the
+// Context assembles the scheduling context for slot's decision: the
 // unallocated budget with the slot's own draw excluded (it is about to
-// change state) and the busy views of the other accelerators. queued,
-// availNanos and idleAccels are the engine's (they follow its queue
-// discipline). Busy aliases the Board's scratch until the next call.
-func (b *Board) Context(slot int, now int64, queued int, availNanos int64, idleAccels int) SchedContext {
+// change state) and the slot's operating point. queued and availNanos are
+// the engine's (they follow its queue discipline).
+func (b *Board) Context(slot, queued int, availNanos int64) SchedContext {
 	var used float64
 	for i := range b.slots {
 		if i != slot {
@@ -186,14 +185,10 @@ func (b *Board) Context(slot int, now int64, queued int, availNanos int64, idleA
 		}
 	}
 	return SchedContext{
-		NowNanos:        now,
 		Queued:          queued,
 		AvailNanos:      availNanos,
 		PowerAvailWatts: b.cfg.PowerBudgetWatts - used,
 		Current:         b.slots[slot].State,
-		AccelID:         slot,
-		IdleAccels:      idleAccels,
-		Busy:            b.views(now, false),
 	}
 }
 
@@ -234,26 +229,25 @@ func (b *Board) views(now int64, retimable bool) []BusyAccel {
 }
 
 // Admit is the proactive scheduler's admission step for slot at now, the
-// one both engines run. pol decides against Context(slot, now, queued,
-// availNanos, idleAccels). A power-infeasible verdict runs Algorithm 2's
-// saving step and decides once more — when allowSave (the engine's rate
-// limit) and DVFS scheduling are on; freed watts cannot rescue a
-// deadline-infeasible query. A verdict still infeasible then walks tiers,
-// the cost-descending degrade ladder (tiers[t-1] is tier t), so a query the
-// save can rescue is never degraded. An issue — VerdictIssued, or
-// VerdictDegradedModel with Decision.Tier set — is committed with the
-// batch's earliest deadline minDeadlineFor(batch). Returns the decision and
-// whether the saving step ran. Admit never redistributes: when that runs is
-// the engine's.
-func (b *Board) Admit(slot int, now int64, queued int, availNanos int64, idleAccels int,
+// one both engines run. pol decides against Context(slot, queued,
+// availNanos). A power-infeasible verdict runs Algorithm 2's saving step
+// and decides once more — when allowSave (the engine's rate limit) and DVFS
+// scheduling are on; freed watts cannot rescue a deadline-infeasible query.
+// A verdict still infeasible then walks tiers, the cost-descending degrade
+// ladder (tiers[t-1] is tier t), so a query the save can rescue is never
+// degraded. An issue — VerdictIssued, or VerdictDegradedModel with
+// Decision.Tier set — is committed with the batch's earliest deadline
+// minDeadlineFor(batch). Returns the decision and whether the saving step
+// ran. Admit never redistributes: when that runs is the engine's.
+func (b *Board) Admit(slot int, now int64, queued int, availNanos int64,
 	pol Scheduler, tiers []ModelTier, allowSave bool, minDeadlineFor func(int) int64) (dec Decision, saved bool) {
-	ctx := b.Context(slot, now, queued, availNanos, idleAccels)
+	ctx := b.Context(slot, queued, availNanos)
 	dec = pol.Decide(ctx)
 	if dec.Verdict == VerdictPowerInfeasible && allowSave && b.dvfs {
 		saved = true
 		b.retries++
 		if b.save(now) {
-			ctx = b.Context(slot, now, queued, availNanos, idleAccels)
+			ctx = b.Context(slot, queued, availNanos)
 			if dec = pol.Decide(ctx); dec.Verdict == VerdictIssued {
 				b.rescues++
 			}

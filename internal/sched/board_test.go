@@ -120,7 +120,7 @@ func (h *boardHarness) issue(slot, tier int) bool {
 	floor := NewTable(cfg).MinTotalNanos()
 	avail := floor/2 + h.rng.Int63n(6*floor)
 	decide := func() (Issue, Verdict) {
-		ctx := h.b.Context(slot, h.now, queued, avail, 1)
+		ctx := h.b.Context(slot, queued, avail)
 		return PickIssueExplained(cfg, queued, avail, ctx.PowerAvailWatts, ctx.Current)
 	}
 	is, v := decide()
@@ -161,7 +161,7 @@ func (h *boardHarness) admit(slot int) {
 	var dec Decision
 	var saved bool
 	h.step("admit", func() {
-		dec, saved = h.b.Admit(slot, h.now, queued, avail, 1, h.pol, tiers, allowSave,
+		dec, saved = h.b.Admit(slot, h.now, queued, avail, h.pol, tiers, allowSave,
 			func(n int) int64 { asked = n; return deadline })
 	})
 	savedEvents := 0
@@ -347,7 +347,7 @@ func TestBoardExactBudgetBoundary(t *testing.T) {
 	b := NewBoard(cfg, nil, 2, 0, true, func(sim.DVFSEvent) {})
 	b.commit(1, 0, long, 0, 1<<40)
 	b.commit(0, 0, long, 0, 1<<40)
-	if got, want := b.Context(0, 0, 1, 1<<30, 1).PowerAvailWatts, 20-b.Slot(1).Draw; got != want {
+	if got, want := b.Context(0, 1, 1<<30).PowerAvailWatts, 20-b.Slot(1).Draw; got != want {
 		t.Errorf("PowerAvailWatts = %.9f, want budget − the other slot's draw = %.9f", got, want)
 	}
 }
@@ -435,7 +435,7 @@ func TestBoardAdmit(t *testing.T) {
 
 			const now, deadline = 1_000, 1 << 41
 			asked := -1
-			dec, saved := b.Admit(0, now, tc.queued, tc.avail, 1, NewPPWScheduler(&cfg), tiers, tc.allowSave,
+			dec, saved := b.Admit(0, now, tc.queued, tc.avail, NewPPWScheduler(&cfg), tiers, tc.allowSave,
 				func(n int) int64 { asked = n; return deadline })
 			if dec.Verdict != tc.want || dec.Tier != tc.tier || saved != tc.saved {
 				t.Fatalf("Admit = %v on tier %d, saved %v; want %v on tier %d, saved %v",

@@ -23,7 +23,7 @@ type ModelTier struct {
 
 // NewModelTiers builds the ladder for a factory over cost-descending tier
 // configs (tier 1 first). Each tier gets its own policy instance, keeping
-// stateful policies (Q-tables, round-robin cursors) per-tier.
+// stateful policies (Q-tables) per-tier.
 func NewModelTiers(f Factory, cfgs []*Config) []ModelTier {
 	tiers := make([]ModelTier, len(cfgs))
 	for i, cfg := range cfgs {

@@ -117,13 +117,12 @@ func TestQuickDegradeInvariants(t *testing.T) {
 		}
 	}
 
-	f := func(queued uint8, availMicros uint16, powerCenti uint16, stateIdx, idle uint8) bool {
+	f := func(queued uint8, availMicros uint16, powerCenti uint16, stateIdx uint8) bool {
 		ctx := SchedContext{
 			Queued:          int(queued % 40),
 			AvailNanos:      int64(availMicros) * 1000,
 			PowerAvailWatts: float64(powerCenti) / 100, // 0..655 W
 			Current:         table[int(stateIdx)%len(table)],
-			IdleAccels:      int(idle%4) + 1,
 		}
 		for _, w := range scheds {
 			dec := w.s.Decide(ctx)

@@ -43,13 +43,12 @@ func TestQuickPolicyInvariants(t *testing.T) {
 	cfg := testConfig(t, true, true)
 	scheds := registrySchedulers(t, cfg)
 	table := cfg.Spec.DVFSTable()
-	f := func(queued uint8, availMicros uint16, powerCenti uint16, stateIdx, idle uint8) bool {
+	f := func(queued uint8, availMicros uint16, powerCenti uint16, stateIdx uint8) bool {
 		ctx := SchedContext{
 			Queued:          int(queued % 40),
 			AvailNanos:      int64(availMicros) * 1000,
 			PowerAvailWatts: float64(powerCenti) / 100, // 0..655 W
 			Current:         table[int(stateIdx)%len(table)],
-			IdleAccels:      int(idle%4) + 1,
 		}
 		for _, s := range scheds {
 			dec := s.Decide(ctx)
@@ -114,7 +113,6 @@ func TestQuickPolicyNeverMissesFeasibleWork(t *testing.T) {
 			AvailNanos:      int64(availMicros) * 1000,
 			PowerAvailWatts: float64(powerCenti) / 100,
 			Current:         table[int(stateIdx)%len(table)],
-			IdleAccels:      1,
 		}
 		_, want := PickIssueExplained(cfg, ctx.Queued, ctx.AvailNanos, ctx.PowerAvailWatts, ctx.Current)
 		for _, s := range scheds {
@@ -144,7 +142,7 @@ func TestPolicyDeterminism(t *testing.T) {
 	for _, s := range registrySchedulers(t, cfg) {
 		ctx := SchedContext{
 			Queued: 9, AvailNanos: 5_000_000, PowerAvailWatts: 20,
-			Current: cfg.Spec.DVFSTable()[0], IdleAccels: 2,
+			Current: cfg.Spec.DVFSTable()[0],
 		}
 		first := s.Decide(ctx)
 		for i := 0; i < 10; i++ {

@@ -156,12 +156,6 @@ func oracleDecide(name string, cfg *Config, ctx SchedContext) Decision {
 		})
 	case "greedy":
 		return oracleDecideScored(cfg, ctx, ctx.Queued, byBatch)
-	case "rr":
-		idle := ctx.IdleAccels
-		if idle < 1 {
-			idle = 1
-		}
-		return oracleDecideScored(cfg, ctx, (ctx.Queued+idle-1)/idle, byBatch)
 	case "sjf":
 		return oracleDecideScored(cfg, ctx, ctx.Queued, func(d cgra.DVFSState, bs int, tTotal int64) float64 {
 			return -float64(tTotal)

@@ -49,31 +49,6 @@ func (s *GreedyScheduler) Decide(ctx SchedContext) Decision {
 	return s.t.decide(ctx, ctx.Queued, s.t.byBatch)
 }
 
-// RoundRobinScheduler assigns the backlog to lanes round-robin: instead of
-// letting the first idle accelerator take the PPW-best (often the whole)
-// batch, each decision takes only its fair share ⌈queued/idle⌉ of the
-// queue, spreading work evenly across the idle accelerators. Within its
-// share it behaves greedily (largest feasible batch, fastest completion).
-type RoundRobinScheduler struct{ t *Table }
-
-// NewRoundRobinScheduler builds the round-robin fair-share baseline.
-func NewRoundRobinScheduler(cfg *Config) *RoundRobinScheduler {
-	return &RoundRobinScheduler{t: NewTable(cfg)}
-}
-
-// Name implements Scheduler.
-func (s *RoundRobinScheduler) Name() string { return "rr" }
-
-// Decide implements Scheduler.
-func (s *RoundRobinScheduler) Decide(ctx SchedContext) Decision {
-	idle := ctx.IdleAccels
-	if idle < 1 {
-		idle = 1
-	}
-	share := (ctx.Queued + idle - 1) / idle
-	return s.t.decide(ctx, share, s.t.byBatch)
-}
-
 // SJFScheduler is shortest-job-first over the modelled batch cost: among
 // feasible candidates it picks the one whose projected t_total (transfer +
 // inference + post-processing + switch stall, from the compiled cycle

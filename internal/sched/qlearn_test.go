@@ -10,11 +10,11 @@ import (
 func trainingContexts(cfg *Config) []SchedContext {
 	low := cfg.Spec.DVFSTable()[0]
 	return []SchedContext{
-		{Queued: 8, AvailNanos: 10_000_000, PowerAvailWatts: 55, Current: low, IdleAccels: 1},
-		{Queued: 2, AvailNanos: 400_000, PowerAvailWatts: 20, Current: low, IdleAccels: 1},
-		{Queued: 5, AvailNanos: 10_000_000, PowerAvailWatts: 0.1, Current: low, IdleAccels: 1},
-		{Queued: 16, AvailNanos: 10_000_000, PowerAvailWatts: 55, Current: low, IdleAccels: 1},
-		{Queued: 1, AvailNanos: 1_000, PowerAvailWatts: 55, Current: low, IdleAccels: 1},
+		{Queued: 8, AvailNanos: 10_000_000, PowerAvailWatts: 55, Current: low},
+		{Queued: 2, AvailNanos: 400_000, PowerAvailWatts: 20, Current: low},
+		{Queued: 5, AvailNanos: 10_000_000, PowerAvailWatts: 0.1, Current: low},
+		{Queued: 16, AvailNanos: 10_000_000, PowerAvailWatts: 55, Current: low},
+		{Queued: 1, AvailNanos: 1_000, PowerAvailWatts: 55, Current: low},
 	}
 }
 
@@ -101,7 +101,7 @@ func TestQTrainingLearnsToBatch(t *testing.T) {
 	q := NewQScheduler(cfg, DefaultQConfig())
 	loaded := SchedContext{
 		Queued: 16, AvailNanos: 10_000_000, PowerAvailWatts: 55,
-		Current: cfg.Spec.DVFSTable()[0], IdleAccels: 1,
+		Current: cfg.Spec.DVFSTable()[0],
 	}
 	q.SetTraining(true)
 	for i := 0; i < 400; i++ {

@@ -20,12 +20,9 @@ import (
 )
 
 // SchedContext is the state one scheduling decision is made from: the view
-// an engine exposes to a Scheduler when an accelerator is free to issue.
-// Everything in it is observed, never owned — a Scheduler must not retain
-// references into it across calls (Busy is reused by some engines).
+// an engine exposes to a Scheduler when an accelerator is free to issue —
+// Algorithm 1's four inputs. Everything in it is observed, never owned.
 type SchedContext struct {
-	// NowNanos is the engine's current time (simulated or logical).
-	NowNanos int64
 	// Queued is the number of unscheduled input tensors waiting in the
 	// offload queue feeding this accelerator.
 	Queued int
@@ -39,17 +36,6 @@ type SchedContext struct {
 	// Current is the deciding accelerator's present DVFS operating point;
 	// issuing at a different point stalls for the switch delay.
 	Current cgra.DVFSState
-	// AccelID identifies the deciding accelerator (simulator accelerator
-	// index or serving-lane id).
-	AccelID int
-	// IdleAccels is the number of accelerators currently able to take work,
-	// including the deciding one (≥ 1). Fair-share policies split the
-	// backlog across it; the serving runtime reports 1 because each lane
-	// owns its own queue.
-	IdleAccels int
-	// Busy is the Board's view of the non-idle accelerators (Algorithm 2's
-	// input); empty when nothing is busy.
-	Busy []BusyAccel
 }
 
 // Decision is a Scheduler's answer for one idle accelerator: what to issue
@@ -128,7 +114,6 @@ var factories = map[string]Factory{
 	"ppw":    func(cfg *Config) Scheduler { return NewPPWScheduler(cfg) },
 	"fcfs":   func(cfg *Config) Scheduler { return NewFCFSScheduler(cfg) },
 	"greedy": func(cfg *Config) Scheduler { return NewGreedyScheduler(cfg) },
-	"rr":     func(cfg *Config) Scheduler { return NewRoundRobinScheduler(cfg) },
 	"sjf":    func(cfg *Config) Scheduler { return NewSJFScheduler(cfg) },
 	"qtable": func(cfg *Config) Scheduler { return NewQScheduler(cfg, DefaultQConfig()) },
 }

@@ -72,7 +72,7 @@ func TestPPWSchedulerMatchesPickIssueExplained(t *testing.T) {
 func TestSchedulerRegistry(t *testing.T) {
 	cfg := testConfig(t, true, true)
 	names := SchedulerNames()
-	want := []string{"fcfs", "greedy", "ppw", "qtable", "rr", "sjf"}
+	want := []string{"fcfs", "greedy", "ppw", "qtable", "sjf"}
 	if len(names) != len(want) {
 		t.Fatalf("SchedulerNames = %v, want %v", names, want)
 	}
@@ -101,7 +101,7 @@ func TestFCFSSingleIssue(t *testing.T) {
 	s := NewFCFSScheduler(cfg)
 	dec := s.Decide(SchedContext{
 		Queued: 16, AvailNanos: 10_000_000, PowerAvailWatts: 55,
-		Current: cfg.StaticDVFS, IdleAccels: 1,
+		Current: cfg.StaticDVFS,
 	})
 	if dec.Verdict != VerdictIssued || dec.Issue.Batch != 1 {
 		t.Fatalf("fcfs decision = %+v, want batch 1 issued", dec)
@@ -118,32 +118,10 @@ func TestGreedyMaxBatch(t *testing.T) {
 	s := NewGreedyScheduler(cfg)
 	dec := s.Decide(SchedContext{
 		Queued: 16, AvailNanos: 10_000_000, PowerAvailWatts: 55,
-		Current: cfg.StaticDVFS, IdleAccels: 1,
+		Current: cfg.StaticDVFS,
 	})
 	if dec.Verdict != VerdictIssued || dec.Issue.Batch != 16 {
 		t.Fatalf("greedy decision = %+v, want batch 16", dec)
-	}
-}
-
-// TestRoundRobinFairShare: with several idle accelerators the round-robin
-// baseline takes only its share of the backlog.
-func TestRoundRobinFairShare(t *testing.T) {
-	cfg := testConfig(t, true, true)
-	s := NewRoundRobinScheduler(cfg)
-	dec := s.Decide(SchedContext{
-		Queued: 16, AvailNanos: 10_000_000, PowerAvailWatts: 55,
-		Current: cfg.StaticDVFS, IdleAccels: 4,
-	})
-	if dec.Verdict != VerdictIssued || dec.Issue.Batch != 4 {
-		t.Fatalf("rr decision = %+v, want the 16/4 fair share", dec)
-	}
-	// Alone it degenerates to greedy.
-	dec = s.Decide(SchedContext{
-		Queued: 16, AvailNanos: 10_000_000, PowerAvailWatts: 55,
-		Current: cfg.StaticDVFS, IdleAccels: 1,
-	})
-	if dec.Issue.Batch != 16 {
-		t.Fatalf("rr alone issued batch %d, want 16", dec.Issue.Batch)
 	}
 }
 
@@ -154,7 +132,7 @@ func TestSJFPicksFastestCandidate(t *testing.T) {
 	s := NewSJFScheduler(cfg)
 	ctx := SchedContext{
 		Queued: 16, AvailNanos: 10_000_000, PowerAvailWatts: 55,
-		Current: cfg.StaticDVFS, IdleAccels: 1,
+		Current: cfg.StaticDVFS,
 	}
 	dec := s.Decide(ctx)
 	if dec.Verdict != VerdictIssued {

@@ -60,7 +60,6 @@ func randomContext(rng *rand.Rand, cfg *Config) SchedContext {
 		AvailNanos:      rng.Int63n(8 * floor),
 		PowerAvailWatts: rng.Float64() * 1.5 * cfg.BusyPower(grid[len(grid)-1]),
 		Current:         randomState(rng, cfg),
-		IdleAccels:      rng.Intn(5),
 	}
 	if rng.Intn(4) == 0 {
 		ctx.AvailNanos = cfg.TotalNanos(randomState(rng, cfg), 1+rng.Intn(16)) + int64(rng.Intn(2))
@@ -108,7 +107,7 @@ func TestTableMatchesOracle(t *testing.T) {
 		if got, want := table.MinTotalNanos(), oracleMinTotalNanos(cfg); got != want {
 			t.Fatalf("%s: MinTotalNanos %d, oracle %d", where, got, want)
 		}
-		stateless := []string{"ppw", "fcfs", "greedy", "rr", "sjf"}
+		stateless := []string{"ppw", "fcfs", "greedy", "sjf"}
 		var policies []Scheduler
 		for _, name := range stateless {
 			f, err := FactoryByName(name)
@@ -186,10 +185,10 @@ func decideContexts(cfg *Config) []SchedContext {
 	floor, top := grid[0], grid[len(grid)-1]
 	tight := cfg.TotalNanos(top, 1) + cfg.Spec.DVFSSwitchNanos + cfg.TotalNanos(top, 1)/12
 	return []SchedContext{
-		{Queued: 16, AvailNanos: 10_000_000, PowerAvailWatts: 55, Current: floor, IdleAccels: 2},
-		{Queued: 3, AvailNanos: tight, PowerAvailWatts: 55, Current: floor, IdleAccels: 1},
-		{Queued: 8, AvailNanos: 2_000_000, PowerAvailWatts: cfg.BusyPower(grid[4]), Current: grid[6], IdleAccels: 1},
-		{Queued: 2, AvailNanos: 1_000, PowerAvailWatts: 55, Current: top, IdleAccels: 1},
+		{Queued: 16, AvailNanos: 10_000_000, PowerAvailWatts: 55, Current: floor},
+		{Queued: 3, AvailNanos: tight, PowerAvailWatts: 55, Current: floor},
+		{Queued: 8, AvailNanos: 2_000_000, PowerAvailWatts: cfg.BusyPower(grid[4]), Current: grid[6]},
+		{Queued: 2, AvailNanos: 1_000, PowerAvailWatts: 55, Current: top},
 	}
 }
 
@@ -200,7 +199,7 @@ var sinkDecision Decision
 func TestDecideZeroAlloc(t *testing.T) {
 	cfg := testConfig(t, true, true)
 	ctxs := decideContexts(cfg)
-	for _, name := range []string{"ppw", "fcfs", "greedy", "rr", "sjf"} {
+	for _, name := range []string{"ppw", "fcfs", "greedy", "sjf"} {
 		f, err := FactoryByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -224,7 +223,7 @@ func boardRound(b *Board, p Scheduler, now int64) {
 	const avail = 600_000 // batch 8 misses it at the floor state
 	deadline := func(int) int64 { return now + boardPre + avail }
 	for slot := 0; slot < b.Len(); slot++ {
-		b.Admit(slot, now, 8, avail, 1, p, nil, true, deadline)
+		b.Admit(slot, now, 8, avail, p, nil, true, deadline)
 		b.Redistribute(now, 0)
 	}
 	b.save(now)

@@ -60,8 +60,7 @@ func (g *governor) admit(l *lane, now int64, queued int, availNanos int64, allow
 	// their power (and park, and redistribute) before this decision reads
 	// the budget — the simulator's advance-before-schedule ordering.
 	g.retireDue(now)
-	// IdleAccels is 1: each lane decides only for itself, off its own queue.
-	dec, saved := g.board.Admit(l.id, now, queued, availNanos, 1, l.policy, l.tiers, allowSave, l.minDeadlineFor)
+	dec, saved := g.board.Admit(l.id, now, queued, availNanos, l.policy, l.tiers, allowSave, l.minDeadlineFor)
 	if dec.Verdict == sched.VerdictIssued || dec.Verdict == sched.VerdictDegradedModel {
 		g.board.Redistribute(now, int(g.srv.queued.Load())-dec.Issue.Batch)
 	}

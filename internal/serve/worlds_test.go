@@ -107,15 +107,18 @@ func (w *world) String() string {
 }
 
 // buildWorld draws the world of spec.Seed and applies spec's cuts. Seed i
-// deals policy i mod 7, lanes 1 + i mod 8, budget i mod 4 and deadline kind
-// i mod 3, so 16 worlds cover every value and their corners meet.
+// deals policy i mod P (P = len(worldPolicies)), lanes 1 + i mod 8, budget
+// i mod 4 and deadline kind (i − i/P) mod 3, so 16 worlds cover every value
+// and their corners meet. The i/P shift moves each policy to another
+// deadline kind every P seeds; without it, a P divisible by 3 would deal
+// each policy one deadline kind forever.
 func buildWorld(t testing.TB, spec worldSpec) *world {
 	t.Helper()
-	i := spec.Seed
+	i, p := spec.Seed, int64(len(worldPolicies))
 	rng := rand.New(rand.NewSource(i))
-	w := &world{policy: worldPolicies[i%int64(len(worldPolicies))], lanes: 1 + int(i%8),
+	w := &world{policy: worldPolicies[i%p], lanes: 1 + int(i%8),
 		budget: worldBudgets[i%int64(len(worldBudgets))], tAvail: noDeadline}
-	switch i % 3 {
+	switch (i - i/p) % 3 {
 	case 0:
 		w.tAvail = 1
 	case 1: // log-uniform in 150 µs–20 ms, weighted toward the batch-1 service times

@@ -47,7 +47,7 @@ type SchedContext = sched.SchedContext
 type SchedDecision = sched.Decision
 
 // SchedulerByName resolves a registered policy name ("ppw", "fcfs", "greedy",
-// "rr", "sjf", "qtable") to its factory — the -scheduler flag vocabulary.
+// "sjf", "qtable") to its factory — the -scheduler flag vocabulary.
 func SchedulerByName(name string) (SchedulerFactory, error) { return sched.FactoryByName(name) }
 
 // SchedulerNames returns the registered scheduling policy names, sorted.
