@@ -137,12 +137,16 @@ bench-smoke:
 # model Predict, a policy's Decide and a scheduling-board round at zero, and
 # the live loop itself — MultiTrader.OnDatagram inline and through a worker
 # lane, order out and ack back — at its pinned counts), with the lane
-# dispatch benchmark (ns, writes and allocs per order at batch 1, 4 and 16):
-# allocation creep fails CI here.
+# dispatch benchmark (ns, writes and allocs per order at batch 1, 4 and 16),
+# and the set-up path's pins: scenario generation at its measured count and
+# the engine's AppendSubmit at zero, with one generation benchmark run.
+# Allocation creep fails CI here.
 bench-tickpath:
 	$(GO) test -run='ZeroAlloc' -bench=. -benchtime=1x \
 		./internal/sbe/ ./internal/lob/ ./internal/latency/ ./internal/core/ ./internal/nn/ ./internal/sched/
 	$(GO) test -run='^TestLiveLoopAllocsPerTick$$' -bench='^BenchmarkLaneDispatch$$' -benchtime=1x ./internal/trader/
+	$(GO) test -run='^(TestSourceTicksAllocs|TestAppendSubmitAllocs)$$' -bench='^BenchmarkSourceTicks$$' -benchtime=1x -benchmem \
+		./internal/scenario/ ./internal/exchange/
 
 # One implementation per scheduling rule. (1) Algorithm 2's steps and the
 # DVFS retime rule are applied by sched.Board alone, on its sched.Table

@@ -146,15 +146,21 @@ func (e *Engine) Book(id int32) (*lob.Book, bool) {
 }
 
 // Submit processes one order-entry request, returning execution reports for
-// the requesting client and publishing market data describing the book
-// changes and trades. A rejected request leaves the book as it was: every
-// lob mutation validates before it changes anything.
-func (e *Engine) Submit(req Request) []ExecReport {
+// the requesting client in a slice of their own. It is AppendSubmit onto
+// nothing.
+func (e *Engine) Submit(req Request) []ExecReport { return e.AppendSubmit(nil, req) }
+
+// AppendSubmit processes one order-entry request, appending its execution
+// reports to dst and returning the extended slice, and publishes market
+// data describing the book changes and trades. A caller that reuses dst
+// across requests allocates no reports. A rejected request leaves the book
+// as it was: every lob mutation validates before it changes anything.
+func (e *Engine) AppendSubmit(dst []ExecReport, req Request) []ExecReport {
 	now := e.now()
 	l, ok := e.listings[req.SecurityID]
 	if !ok {
-		return []ExecReport{{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
-			Reason: ErrUnknownSecurity.Error(), TimeNanos: now}}
+		return append(dst, ExecReport{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
+			Reason: ErrUnknownSecurity.Error(), TimeNanos: now})
 	}
 	b := l.book
 	var first ExecReport
@@ -167,15 +173,15 @@ func (e *Engine) Submit(req Request) []ExecReport {
 			// cancelled rather than rested (IOC semantics).
 			price = e.marketablePrice(b, req.Side)
 			if price == 0 {
-				return []ExecReport{{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
-					Side: req.Side, Reason: "no liquidity", TimeNanos: now}}
+				return append(dst, ExecReport{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
+					Side: req.Side, Reason: "no liquidity", TimeNanos: now})
 			}
 		}
 		fl, err := b.AddTo(e.fillsBuf[:0], req.ClOrdID, req.Side, price, req.Qty)
 		e.fillsBuf = fl[:0]
 		if err != nil {
-			return []ExecReport{{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
-				Side: req.Side, Reason: err.Error(), TimeNanos: now}}
+			return append(dst, ExecReport{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
+				Side: req.Side, Reason: err.Error(), TimeNanos: now})
 		}
 		fills = fl
 		if req.Type == Market {
@@ -188,8 +194,8 @@ func (e *Engine) Submit(req Request) []ExecReport {
 			SecurityID: req.SecurityID, Side: req.Side, Price: price, Qty: req.Qty, TimeNanos: now}
 	case ReqCancel:
 		if err := b.Cancel(req.ClOrdID); err != nil {
-			return []ExecReport{{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
-				Reason: err.Error(), TimeNanos: now}}
+			return append(dst, ExecReport{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
+				Reason: err.Error(), TimeNanos: now})
 		}
 		first = ExecReport{Exec: ExecCanceled, ClOrdID: req.ClOrdID,
 			SecurityID: req.SecurityID, TimeNanos: now}
@@ -197,18 +203,22 @@ func (e *Engine) Submit(req Request) []ExecReport {
 		fl, err := b.ReplaceTo(e.fillsBuf[:0], req.ClOrdID, req.NewClOrdID, req.Price, req.Qty)
 		e.fillsBuf = fl[:0]
 		if err != nil {
-			return []ExecReport{{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
-				Reason: err.Error(), TimeNanos: now}}
+			return append(dst, ExecReport{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
+				Reason: err.Error(), TimeNanos: now})
 		}
 		fills = fl
 		first = ExecReport{Exec: ExecReplaced, ClOrdID: req.NewClOrdID,
 			SecurityID: req.SecurityID, Side: req.Side, Price: req.Price, Qty: req.Qty, TimeNanos: now}
 	default:
-		return []ExecReport{{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
-			Reason: fmt.Sprintf("unknown request kind %d", req.Kind), TimeNanos: now}}
+		return append(dst, ExecReport{Exec: ExecRejected, ClOrdID: req.ClOrdID, SecurityID: req.SecurityID,
+			Reason: fmt.Sprintf("unknown request kind %d", req.Kind), TimeNanos: now})
 	}
-	reports := make([]ExecReport, 1, 1+len(fills))
-	reports[0] = first
+	// One growth at most, exact for Submit's nil dst and at least doubling a
+	// reused one. (slices.Grow would allocate twice under the race detector.)
+	if need := len(dst) + 1 + len(fills); need > cap(dst) {
+		dst = append(make([]ExecReport, 0, cap(dst)+need), dst...)
+	}
+	dst = append(dst, first)
 	// One fill per maker matched, all the taker's. ExecFilled is terminal —
 	// consumers retire the id on it — so only the fill that ends the order
 	// carries it: the last one, unless a remainder rests.
@@ -217,11 +227,11 @@ func (e *Engine) Submit(req Request) []ExecReport {
 		if _, resting := b.Order(f.TakerID); i == len(fills)-1 && !resting {
 			exec = ExecFilled
 		}
-		reports = append(reports, ExecReport{Exec: exec, ClOrdID: f.TakerID,
+		dst = append(dst, ExecReport{Exec: exec, ClOrdID: f.TakerID,
 			SecurityID: req.SecurityID, Side: f.TakerSide, Price: f.Price, Qty: f.Qty, TimeNanos: now})
 	}
 	e.publishDelta(req.SecurityID, l, fills, now)
-	return reports
+	return dst
 }
 
 // marketablePrice returns a price that crosses the entire visible opposite

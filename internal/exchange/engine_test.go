@@ -402,6 +402,29 @@ func TestSubmitAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendSubmitAllocs: a marketable order whose reports go into a warm
+// buffer allocates nothing, which is how the scenario world submits its
+// own flow.
+func TestAppendSubmitAllocs(t *testing.T) {
+	var clock int64
+	e := New(func() int64 { clock++; return clock }, nil)
+	e.ListSecurity(1, "ALLOC")
+	e.Submit(Request{Kind: ReqNew, SecurityID: 1, ClOrdID: 1, Side: lob.Ask, Price: 1000, Qty: 1 << 40})
+	id := uint64(1)
+	var reps []ExecReport
+	submit := func() {
+		id++
+		reps = e.AppendSubmit(reps[:0], Request{Kind: ReqNew, SecurityID: 1, ClOrdID: id, Side: lob.Bid, Type: Market, Qty: 2})
+	}
+	submit()
+	if len(reps) != 2 || reps[0].Exec != ExecAccepted || reps[1].Exec != ExecFilled {
+		t.Fatalf("a marketable order reported %+v; want accepted then filled", reps)
+	}
+	if allocs := testing.AllocsPerRun(1000, submit); allocs != 0 {
+		t.Fatalf("a marketable order into a warm buffer allocates %v times; want 0", allocs)
+	}
+}
+
 // BenchmarkEngineSubmit times the matching engine's request mix: a resting
 // limit order and its cancel, and a market order filled against a resting
 // ask placed for it — two Submits an iteration each.

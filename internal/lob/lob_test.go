@@ -258,6 +258,29 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotIntoOverwrites: SnapshotInto sets every field of a slot that
+// already holds a deeper book's snapshot, so a thin book's missing levels
+// read zero, as TakeSnapshot's do.
+func TestSnapshotIntoOverwrites(t *testing.T) {
+	deep := New("NQ")
+	for i := int64(0); i < DepthLevels+2; i++ {
+		mustAdd(t, deep, uint64(1+i), Bid, 100-i, 5)
+		mustAdd(t, deep, uint64(100+i), Ask, 102+i, 7)
+	}
+	mustAdd(t, deep, 200, Bid, 102, 1) // a trade, so LastTrade is set
+	thin := New("ES")
+	mustAdd(t, thin, 1, Bid, 100, 5)
+	var s Snapshot
+	deep.SnapshotInto(&s, 1)
+	if s != deep.TakeSnapshot(1) {
+		t.Fatalf("SnapshotInto = %+v; want TakeSnapshot's %+v", s, deep.TakeSnapshot(1))
+	}
+	thin.SnapshotInto(&s, 2)
+	if want := thin.TakeSnapshot(2); s != want {
+		t.Fatalf("SnapshotInto over a deeper snapshot = %+v; want %+v", s, want)
+	}
+}
+
 func TestSnapshotEmptyMid(t *testing.T) {
 	b := New("ES")
 	mustAdd(t, b, 1, Bid, 100, 5)

@@ -19,19 +19,30 @@ type Snapshot struct {
 
 // TakeSnapshot captures the current top DepthLevels levels of the book.
 // timeNanos is the event timestamp assigned by the caller (exchange clock in
-// simulation, wall clock on a live feed). The fixed-size result is filled
-// directly from the sorted level arrays — no allocation.
-func (b *Book) TakeSnapshot(timeNanos int64) Snapshot {
-	s := Snapshot{Symbol: b.symbol, Seq: b.seq, TimeNanos: timeNanos, LastTrade: b.lastTrade}
-	for i := 0; i < DepthLevels && i < len(b.bids); i++ {
-		l := &b.bids[i]
-		s.Bids[i] = Level{Price: l.price, Qty: l.qty, Orders: int(l.count)}
-	}
-	for i := 0; i < DepthLevels && i < len(b.asks); i++ {
-		l := &b.asks[i]
-		s.Asks[i] = Level{Price: l.price, Qty: l.qty, Orders: int(l.count)}
-	}
+// simulation, wall clock on a live feed).
+func (b *Book) TakeSnapshot(timeNanos int64) (s Snapshot) {
+	b.SnapshotInto(&s, timeNanos)
 	return s
+}
+
+// SnapshotInto is TakeSnapshot written into dst: every field of dst is
+// set, levels past the book's depth to zero, so a stream can fill each
+// snapshot in its own slot with no temporary and no copy. It allocates
+// nothing.
+func (b *Book) SnapshotInto(dst *Snapshot, timeNanos int64) {
+	dst.Symbol, dst.Seq, dst.TimeNanos, dst.LastTrade = b.symbol, b.seq, timeNanos, b.lastTrade
+	fillLevels(&dst.Bids, b.bids)
+	fillLevels(&dst.Asks, b.asks)
+}
+
+// fillLevels writes one side's top levels into dst and zeroes the rest.
+func fillLevels(dst *[DepthLevels]Level, side []level) {
+	n := min(DepthLevels, len(side))
+	for i := range n {
+		l := &side[i]
+		dst[i] = Level{Price: l.price, Qty: l.qty, Orders: int(l.count)}
+	}
+	clear(dst[n:])
 }
 
 // MidPrice returns the snapshot midpoint, or 0 when either side is empty.

@@ -245,8 +245,10 @@ func (s *Source) Script() Script {
 
 // Ticks returns the scenario's full market-data stream: one Tick per
 // published packet, carrying the encoded SBE datagram, its timestamp and
-// the post-event book snapshot of the touched instrument. Generated once,
-// then shared read-only.
+// the post-event book snapshot of the touched instrument. It is generated
+// once, on first access, and every caller then shares it read-only: the
+// slice is clipped (cap == len), so appending to it copies instead of
+// writing where another caller's append could land.
 func (s *Source) Ticks() []feed.Tick {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"lighttrader/internal/feed"
@@ -271,7 +272,9 @@ func TestRegistryStreamsPinned(t *testing.T) {
 
 // TestPacketsDoNotAlias: ticks share the blocks their packets are copied
 // into, so each packet's capacity must end where its bytes do, and an
-// append to one must leave the next one untouched.
+// append to one must leave the next one untouched. The stream itself is
+// shared by every caller of Ticks, so its capacity ends with it too: one
+// caller's append must not land in a slot another caller's append fills.
 func TestPacketsDoNotAlias(t *testing.T) {
 	src, err := ByName("multi-shock", 2)
 	if err != nil {
@@ -289,6 +292,89 @@ func TestPacketsDoNotAlias(t *testing.T) {
 		if !bytes.Equal(ticks[i+1].Packet, next) {
 			t.Fatalf("appending to tick %d's packet changed tick %d's", i, i+1)
 		}
+	}
+	mine := append(src.Ticks(), feed.Tick{TimeNanos: -1})
+	theirs := append(src.Ticks(), feed.Tick{TimeNanos: -2})
+	if got := mine[len(mine)-1].TimeNanos; got != -1 || theirs[len(theirs)-1].TimeNanos != -2 {
+		t.Fatalf("two callers' appends to Ticks() share a slot: the first reads back %d", got)
+	}
+	if again := src.Ticks(); len(again) != len(ticks) || &again[0] != &ticks[0] {
+		t.Fatal("an append to Ticks() changed the shared stream")
+	}
+}
+
+// TestStreamBound: generateScript sizes the stream from streamBound before
+// the first event, so the bound must never fall below the ticks published
+// — across the registry and the shapes TestWorlds' perturbed scripts deal
+// in — and the dry run must count each phase's flow events exactly as the
+// World steps them. The ratio logged is the stream's unused headroom.
+func TestStreamBound(t *testing.T) {
+	type named struct {
+		name   string
+		script Script
+		seed   int64
+	}
+	var cases []named
+	for _, name := range Names() {
+		for _, seed := range []int64{1, 2, 3, 42} {
+			src, err := ByName(name, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, named{fmt.Sprintf("%s/seed=%d", name, seed), src.Script(), seed})
+		}
+	}
+	calm := Phase{Name: "calm", DurationSecs: 1, Arrivals: ArrivalSpec{RateHz: 800}}
+	mixture := ArrivalSpec{
+		Hawkes: []feed.HawkesParams{{Mu: 600, Beta: 1}, {Mu: 6.5, Alpha: 540, Beta: 560}},
+		Flash:  &feed.FlashParams{MeanIntervalSecs: 0.5, DurationSecs: 0.005, RateHz: 75000},
+	}
+	cases = append(cases, []named{
+		{"wire-shaped", wireShapedScript(), 1},
+		{"correlated", Script{Instruments: multiInstruments(), Phases: []Phase{calm,
+			{Name: "shock", DurationSecs: 0.5, Correlated: true, Arrivals: ArrivalSpec{RateHz: 3000},
+				Flow: FlowSpec{MarketOrderProb: 0.4, SweepProb: 0.1, SweepLevels: 4, Bias: -0.6}}}}, 5},
+		{"evaporate", Script{Instruments: multiInstruments(), Phases: []Phase{calm,
+			{Name: "drain", DurationSecs: 0.5, EvaporateOnEnter: 0.9, Arrivals: ArrivalSpec{RateHz: 400}},
+			{Name: "drain-all", DurationSecs: 0.5, EvaporateOnEnter: 1, Correlated: true, Arrivals: ArrivalSpec{RateHz: 400}}}}, 6},
+		{"withhold", Script{Instruments: []Instrument{standardInstrument()}, Phases: []Phase{calm,
+			{Name: "halt", DurationSecs: 1, Withhold: true, SweepOnEnter: 3, EvaporateOnEnter: 0.5,
+				SnapshotOnEnter: true, Arrivals: ArrivalSpec{RateHz: 2000}},
+			{Name: "reopen", DurationSecs: 0.5, SnapshotOnEnter: true, EvaporateOnEnter: 0.3, Arrivals: ArrivalSpec{RateHz: 1500}}}}, 7},
+		{"sweep", Script{Instruments: multiInstruments(), Phases: []Phase{calm,
+			{Name: "crash", DurationSecs: 0.3, SweepOnEnter: 4, Arrivals: ArrivalSpec{RateHz: 8000},
+				Flow: FlowSpec{SweepProb: 0.3, SweepLevels: 5, MarketOrderProb: 0.3, Bias: -0.9}}}}, 8},
+		{"hawkes+flash", Script{Instruments: multiInstruments(), Phases: []Phase{
+			{Name: "bursty", DurationSecs: 2, Arrivals: mixture},
+			{Name: "bursty-correlated", DurationSecs: 0.5, Correlated: true, SweepOnEnter: 1, Arrivals: mixture}}}, 9},
+	}...)
+	for _, c := range cases {
+		src, err := New(c.name, c.script, c.seed)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		ticks := src.Ticks()
+		bound := streamBound(c.script, c.seed)
+		if len(ticks) > bound {
+			t.Errorf("%s: %d ticks exceed the bound %d", c.name, len(ticks), bound)
+		}
+		if cap(ticks) != len(ticks) {
+			t.Errorf("%s: Ticks() len %d cap %d; the shared stream must be clipped", c.name, len(ticks), cap(ticks))
+		}
+		events := make([]int, len(c.script.Phases))
+		w := NewWorld(c.script, c.seed, func([]byte) {})
+		for _, ok := w.Next(); ok; _, ok = w.Next() {
+			if !w.boundary {
+				events[w.phase]++
+			}
+			w.Step()
+		}
+		for k, ph := range c.script.Phases {
+			if want := phaseEvents(ph, c.seed+phaseSalt(k)); events[k] != want {
+				t.Errorf("%s: phase %d stepped %d flow events; the dry run counts %d", c.name, k, events[k], want)
+			}
+		}
+		t.Logf("%-22s %6d ticks, bound %6d: %.2f×", c.name, len(ticks), bound, float64(bound)/float64(len(ticks)))
 	}
 }
 
@@ -347,11 +433,10 @@ func ticksDigest(ticks []feed.Tick) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// BenchmarkSourceTicks generates a stream shaped like the wire benchmark's:
-// four instruments, four 1 s phases of 5 000 Poisson events/s, each opening
-// with a snapshot of every book. Each iteration builds a fresh Source, since
-// Ticks is memoised.
-func BenchmarkSourceTicks(b *testing.B) {
+// wireShapedScript is shaped like the wire benchmark's stream: four
+// instruments, four 1 s phases of 5 000 Poisson events/s, each opening with
+// a snapshot of every book.
+func wireShapedScript() Script {
 	ins := []Instrument{
 		{SecurityID: 1, Symbol: "ESU6", MidPrice: 450000, DepthPerLevel: 50},
 		{SecurityID: 2, Symbol: "NQU6", MidPrice: 1500000, DepthPerLevel: 50},
@@ -363,7 +448,13 @@ func BenchmarkSourceTicks(b *testing.B) {
 		phases[i] = Phase{Name: "steady", DurationSecs: 1, SnapshotOnEnter: true,
 			Arrivals: ArrivalSpec{RateHz: 5000}}
 	}
-	script := Script{Instruments: ins, Phases: phases}
+	return Script{Instruments: ins, Phases: phases}
+}
+
+// BenchmarkSourceTicks generates wireShapedScript's stream. Each iteration
+// builds a fresh Source, since Ticks is memoised.
+func BenchmarkSourceTicks(b *testing.B) {
+	script := wireShapedScript()
 	b.ReportAllocs()
 	var n int
 	for i := 0; i < b.N; i++ {
@@ -374,4 +465,27 @@ func BenchmarkSourceTicks(b *testing.B) {
 		n = len(src.Ticks())
 	}
 	b.ReportMetric(float64(n), "ticks/op")
+}
+
+// sourceTicksAllocs is what generating wireShapedScript's stream allocates,
+// as measured: the stream, the 64 KiB packet blocks, the world and its
+// books, and the arrival processes of the dry run and the real one. It is a
+// measurement, not a target: a rise fails TestSourceTicksAllocs.
+const sourceTicksAllocs = 325
+
+// TestSourceTicksAllocs pins generation's allocations: no tick, snapshot or
+// exec report allocates on its own.
+func TestSourceTicksAllocs(t *testing.T) {
+	script := wireShapedScript()
+	allocs := testing.AllocsPerRun(3, func() {
+		src, err := New("allocs", script, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Ticks()
+	})
+	t.Logf("%v allocs", allocs)
+	if allocs > sourceTicksAllocs {
+		t.Fatalf("generating the wire-shaped stream allocates %v times; want at most %d", allocs, sourceTicksAllocs)
+	}
 }

@@ -47,7 +47,8 @@ type World struct {
 	books   map[int32]*lob.Book
 	live    map[int32][]uint64
 	publish exchange.Publisher
-	levels  []lob.Level // sweep's scratch
+	levels  []lob.Level           // sweep's scratch
+	reps    []exchange.ExecReport // submit's reports, reused
 
 	now      int64 // scripted time: the engine's clock
 	nextID   uint64
@@ -98,20 +99,16 @@ func NewWorld(script Script, seed int64, publish exchange.Publisher) *World {
 	return w
 }
 
-// tickChunk is how many ticks generateScript gathers in one chunk, and
-// arenaBlock the size of the blocks it copies packets into: the stream
-// grows a fixed step at a time instead of regrowing one slice, and its
-// packets cost one allocation per block instead of one each.
-const (
-	tickChunk  = 1024
-	arenaBlock = 64 << 10
-)
+// arenaBlock is the size of the blocks generateScript copies packets
+// into: its packets cost one allocation per block instead of one each.
+const arenaBlock = 64 << 10
 
 // generateScript materialises a script into its tick stream and spans:
 // every published packet becomes one Tick, stamped with the touched
-// instrument's post-event snapshot.
+// instrument's post-event snapshot. The stream is allocated once, at
+// streamBound's capacity, and each tick is written once, in its slot.
 func generateScript(script Script, seed int64) ([]feed.Tick, []PhaseSpan) {
-	var chunks [][]feed.Tick
+	ticks := make([]feed.Tick, 0, streamBound(script, seed))
 	var arena []byte
 	var w *World
 	w = NewWorld(script, seed, func(buf []byte) {
@@ -120,22 +117,66 @@ func generateScript(script Script, seed int64) ([]feed.Tick, []PhaseSpan) {
 		}
 		i := len(arena)
 		arena = append(arena, buf...)
-		if len(chunks) == 0 || len(chunks[len(chunks)-1]) == tickChunk {
-			chunks = append(chunks, make([]feed.Tick, 0, tickChunk))
-		}
-		c := &chunks[len(chunks)-1]
-		*c = append(*c, feed.Tick{
-			TimeNanos: w.now,
-			// Capacity ends with the packet, so an append to one tick's
-			// packet never writes into the next one's bytes.
-			Packet:   arena[i:len(arena):len(arena)],
-			Snapshot: w.books[w.touched].TakeSnapshot(w.now),
-		})
+		// Grow does nothing while the bound holds; past it, the stream
+		// regrows and stays correct.
+		ticks = slices.Grow(ticks, 1)[:len(ticks)+1]
+		tk := &ticks[len(ticks)-1]
+		tk.TimeNanos = w.now
+		// Capacity ends with the packet, so an append to one tick's
+		// packet never writes into the next one's bytes.
+		tk.Packet = arena[i:len(arena):len(arena)]
+		w.books[w.touched].SnapshotInto(&tk.Snapshot, w.now)
 	})
 	for _, ok := w.Next(); ok; _, ok = w.Next() {
 		w.Step()
 	}
-	return slices.Concat(chunks...), w.spans
+	// Clipped, so that one reader's append to the shared stream cannot
+	// write into spare capacity another reader sees.
+	return ticks[:len(ticks):len(ticks)], w.spans
+}
+
+// streamBound is an upper bound, fixed before the first event, on the
+// ticks script publishes at seed. The arrival processes read no book, so a
+// dry run of each phase's process counts its flow events exactly. A flow event submits once, or once per
+// instrument when Correlated, and a submit publishes at most one packet. A
+// phase entry publishes a snapshot and a sweep per instrument at most, and
+// its evaporation cancels at most EvaporateOnEnter of each book's tracked
+// orders, which number no more than the flow submits so far. A withheld
+// phase publishes nothing.
+func streamBound(script Script, seed int64) int {
+	n := len(script.Instruments)
+	bound, submits := 0, 0
+	for k, ph := range script.Phases {
+		entry := 0
+		if ph.SnapshotOnEnter {
+			entry += n
+		}
+		if ph.SweepOnEnter > 0 {
+			entry += n
+		}
+		entry += int(ph.EvaporateOnEnter * float64(submits))
+		flow := phaseEvents(ph, seed+phaseSalt(k))
+		if ph.Correlated {
+			flow *= n
+		}
+		submits += flow
+		if !ph.Withhold {
+			bound += entry + flow
+		}
+	}
+	return bound
+}
+
+// phaseEvents counts a phase's flow events as World.Step draws them: every
+// arrival before the phase's duration has elapsed.
+func phaseEvents(ph Phase, seed int64) int {
+	proc := ph.Arrivals.process(seed)
+	dur := int64(ph.DurationSecs * 1e9)
+	n := 0
+	for proc.NextNanos() < dur {
+		n++
+	}
+	return n
 }
 
 // Next returns the scripted time of the next event; ok is false once the
@@ -171,10 +212,19 @@ func (w *World) Step() {
 	w.next = min(t, sp.EndNanos)
 }
 
-// Submit applies one order-entry request at the scripted time reached.
+// Submit applies one order-entry request at the scripted time reached and
+// returns its reports in a slice the caller owns.
 func (w *World) Submit(req exchange.Request) []exchange.ExecReport {
 	w.touched = req.SecurityID
 	return w.eng.Submit(req)
+}
+
+// submit applies one of the world's own requests. Its reports share one
+// buffer and last until the next submit.
+func (w *World) submit(req exchange.Request) []exchange.ExecReport {
+	w.touched = req.SecurityID
+	w.reps = w.eng.AppendSubmit(w.reps[:0], req)
+	return w.reps
 }
 
 // PublishSnapshots publishes a full recovery snapshot of every listed book,
@@ -253,14 +303,14 @@ func (w *World) seedBooks() {
 			depth = 50
 		}
 		for lvl := int64(1); lvl <= lob.DepthLevels; lvl++ {
-			w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
+			w.submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
 				ClOrdID: w.id(), Side: lob.Bid, Price: ins.MidPrice - lvl, Qty: depth})
-			w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
+			w.submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
 				ClOrdID: w.id(), Side: lob.Ask, Price: ins.MidPrice + lvl, Qty: depth})
 		}
-		w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
+		w.submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
 			ClOrdID: w.id(), Side: lob.Bid, Price: ins.MidPrice - backstopOffset, Qty: backstopQty})
-		w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
+		w.submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
 			ClOrdID: w.id(), Side: lob.Ask, Price: ins.MidPrice + backstopOffset, Qty: backstopQty})
 	}
 }
@@ -284,14 +334,14 @@ func (w *World) step(sec int32) {
 	case r < f.SweepProb:
 		w.sweep(sec, f.SweepLevels, f.Bias)
 	case r < f.SweepProb+f.MarketOrderProb:
-		w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
+		w.submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
 			ClOrdID: w.id(), Side: w.pickSide(f.Bias), Type: exchange.Market,
 			Qty: int64(1 + w.rng.Intn(max(1, f.QtyMax)))})
 	case r < f.SweepProb+f.MarketOrderProb+f.CancelProb && len(live) > 0:
 		idx := w.rng.Intn(len(live))
 		id := live[idx]
 		w.live[sec] = append(live[:idx], live[idx+1:]...)
-		w.Submit(exchange.Request{Kind: exchange.ReqCancel, SecurityID: sec, ClOrdID: id})
+		w.submit(exchange.Request{Kind: exchange.ReqCancel, SecurityID: sec, ClOrdID: id})
 	case r < f.SweepProb+f.MarketOrderProb+f.CancelProb+f.ReplaceProb && len(live) > 0:
 		idx := w.rng.Intn(len(live))
 		id := live[idx]
@@ -301,7 +351,7 @@ func (w *World) step(sec int32) {
 			side = o.Side
 		}
 		newID := w.id()
-		reps := w.Submit(exchange.Request{Kind: exchange.ReqReplace, SecurityID: sec,
+		reps := w.submit(exchange.Request{Kind: exchange.ReqReplace, SecurityID: sec,
 			ClOrdID: id, NewClOrdID: newID, Side: side, Price: w.limitPrice(sec, side, f),
 			Qty: int64(1 + w.rng.Intn(max(1, f.QtyMax)))})
 		if reps[0].Exec == exchange.ExecReplaced {
@@ -312,7 +362,7 @@ func (w *World) step(sec int32) {
 	default:
 		side := w.pickSide(f.Bias)
 		id := w.id()
-		w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
+		w.submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
 			ClOrdID: id, Side: side, Price: w.limitPrice(sec, side, f),
 			Qty: int64(1 + w.rng.Intn(max(1, f.QtyMax)))})
 		if _, resting := w.books[sec].Order(id); resting {
@@ -336,7 +386,7 @@ func (w *World) sweep(sec int32, levels int, bias float64) {
 	if qty == 0 {
 		return
 	}
-	w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
+	w.submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
 		ClOrdID: w.id(), Side: side, Type: exchange.Market, Qty: qty})
 }
 
@@ -349,7 +399,7 @@ func (w *World) evaporate(sec int32, frac float64) {
 		idx := w.rng.Intn(len(live))
 		id := live[idx]
 		live = append(live[:idx], live[idx+1:]...)
-		w.Submit(exchange.Request{Kind: exchange.ReqCancel, SecurityID: sec, ClOrdID: id})
+		w.submit(exchange.Request{Kind: exchange.ReqCancel, SecurityID: sec, ClOrdID: id})
 	}
 	w.live[sec] = live
 }

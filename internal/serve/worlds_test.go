@@ -38,9 +38,11 @@ import (
 
 var worldCount = flag.Int("worlds", 0, "generated worlds TestWorlds runs (0: the default)")
 
-// defaultWorlds is the world count without -worlds, the smallest that
-// meets the coverage tally; race_test.go lowers it under the race detector.
-var defaultWorlds = 16
+// defaultWorlds is the world count without -worlds, the smallest at which
+// at least two worlds reach every behaviour the coverage tally names, so
+// that re-dealing one world cannot fail the tally without a bug;
+// race_test.go lowers it under the race detector.
+var defaultWorlds = 34
 
 // worldTicks is the packet count a world is sized to, and its cap.
 const worldTicks = 2048
@@ -536,17 +538,16 @@ func runWorld(t testing.TB, spec worldSpec, tally *worldTally) {
 	}
 }
 
-// worldTally records which behaviours the worlds reached, so a generator
+// worldTally counts the worlds that reached each behaviour, so a generator
 // that stops reaching one fails TestWorlds instead of passing vacuously.
 type worldTally struct {
-	mu   sync.Mutex
-	seen map[string]bool
+	mu      sync.Mutex
+	reached map[string]int
 }
 
 func (c *worldTally) note(w *world, trs []*sim.Tracer, sts []Stats, logs []*OrderLog) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	see := func(what string, ok bool) { c.seen[what] = c.seen[what] || ok }
+	seen := map[string]bool{}
+	see := func(what string, ok bool) { seen[what] = seen[what] || ok }
 	see(w.policy, true)
 	see("N=1", w.lanes == 1)
 	see("N>1", w.lanes > 1)
@@ -570,6 +571,13 @@ func (c *worldTally) note(w *world, trs []*sim.Tracer, sts []Stats, logs []*Orde
 			for _, r := range reqs {
 				see("orders "+r.Side.String(), true)
 			}
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for what, ok := range seen {
+		if ok {
+			c.reached[what]++
 		}
 	}
 }
@@ -648,7 +656,7 @@ func TestWorlds(t *testing.T) {
 	if n == 0 {
 		n = defaultWorlds
 	}
-	tally := &worldTally{seen: map[string]bool{}}
+	tally := &worldTally{reached: map[string]int{}}
 	start := time.Now()
 	t.Run("world", func(t *testing.T) {
 		for seed := range int64(n) {
@@ -665,14 +673,16 @@ func TestWorlds(t *testing.T) {
 	})
 	secs := time.Since(start).Seconds()
 	t.Logf("%d worlds in %.2f s: %.1f worlds/s", n, secs, float64(n)/secs)
-	var missing []string
+	var missing, counts []string
 	for _, what := range append([]string{"served", "late", "evicted", "deferred-deadline", "deferred-power",
 		"degrade", "DVFS save", "DVFS redistribute", "DVFS park", "orders bid", "orders ask",
 		"halt gap", "multi-instrument", "N=1", "N>1"}, worldPolicies...) {
-		if !tally.seen[what] {
+		counts = append(counts, fmt.Sprintf("%s %d", what, tally.reached[what]))
+		if tally.reached[what] == 0 {
 			missing = append(missing, what)
 		}
 	}
+	t.Logf("worlds reaching each behaviour: %s", strings.Join(counts, ", "))
 	if n >= 16 && len(missing) > 0 {
 		t.Errorf("no world reached: %s", strings.Join(missing, ", "))
 	}
