@@ -133,18 +133,20 @@ bench-smoke:
 		./internal/scenario/ ./internal/exchange/
 
 # One iteration of each tick-path benchmark plus the allocation regression
-# tests over the hot path (decode-into, book ops, snapshot, histogram record,
-# model Predict, a policy's Decide and a scheduling-board round at zero, and
-# the live loop itself — MultiTrader.OnDatagram inline and through a worker
-# lane, order out and ack back — at its pinned counts), with the lane
+# tests over the hot path (decode-into, iLink frame decode-into, book ops,
+# snapshot, histogram record, model Predict, a policy's Decide and a
+# scheduling-board round at zero, and the live loop itself —
+# MultiTrader.OnDatagram inline and through a worker lane, order out and ack
+# back, and the same loop from socket to socket over loopback UDP and TCP —
+# at its pinned counts), with the lane
 # dispatch benchmark (ns, writes and allocs per order at batch 1, 4 and 16),
 # and the set-up path's pins: scenario generation at its measured count and
 # the engine's AppendSubmit at zero, with one generation benchmark run.
 # Allocation creep fails CI here.
 bench-tickpath:
 	$(GO) test -run='ZeroAlloc' -bench=. -benchtime=1x \
-		./internal/sbe/ ./internal/lob/ ./internal/latency/ ./internal/core/ ./internal/nn/ ./internal/sched/
-	$(GO) test -run='^TestLiveLoopAllocsPerTick$$' -bench='^BenchmarkLaneDispatch$$' -benchtime=1x ./internal/trader/
+		./internal/sbe/ ./internal/orderentry/ ./internal/lob/ ./internal/latency/ ./internal/core/ ./internal/nn/ ./internal/sched/
+	$(GO) test -run='^(TestLiveLoopAllocsPerTick|TestSocketLoopAllocsPerTick)$$' -bench='^BenchmarkLaneDispatch$$' -benchtime=1x ./internal/trader/
 	$(GO) test -run='^(TestSourceTicksAllocs|TestAppendSubmitAllocs)$$' -bench='^BenchmarkSourceTicks$$' -benchtime=1x -benchmem \
 		./internal/scenario/ ./internal/exchange/
 
@@ -202,7 +204,11 @@ bench-tickpath:
 # four inputs (sched.SchedContext): no non-test Go file names IdleAccels or
 # RoundRobinScheduler — a hit is the idle-count input, or the round-robin
 # baseline that alone read it (identical to greedy under a work-conserving
-# engine), growing back.
+# engine), growing back. (13) A wire reader decodes iLink business frames
+# into storage it owns: no non-test Go file under internal/ or cmd/ calls
+# orderentry.DecodeFrame( — the wrapper over fresh storage, kept for callers
+# outside the tree — so a hit is a per-frame allocation growing back into a
+# read loop; use orderentry.DecodeFrameInto.
 one-impl-check:
 	@bad=$$(grep -rnE '\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -286,6 +292,10 @@ one-impl-check:
 	@bad=$$(grep -rnE 'IdleAccels|RoundRobinScheduler' --include='*.go' --exclude='*_test.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "a scheduling input no policy reads, or the rr baseline that read it:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnF 'orderentry.DecodeFrame(' --include='*.go' --exclude='*_test.go' internal cmd); \
+	if [ -n "$$bad" ]; then \
+		echo "an iLink read loop decoding into fresh storage (use DecodeFrameInto):"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile

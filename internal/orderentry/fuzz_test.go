@@ -1,22 +1,46 @@
 package orderentry
 
 import (
+	"fmt"
 	"testing"
 
 	"lighttrader/internal/exchange"
 	"lighttrader/internal/lob"
 )
 
-// FuzzDecodeFrame exercises the iLink business-frame decoder.
+// FuzzDecodeFrame exercises the iLink business-frame decoder, and holds
+// DecodeFrame and DecodeFrameInto to the same answer on every input. The
+// Into storage holds a different frame of each kind beforehand, so a field
+// the parser fails to overwrite shows as a mismatch.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendRequest(nil, exchange.Request{
 		Kind: exchange.ReqNew, SecurityID: 7, ClOrdID: 1,
 		Side: lob.Bid, Price: 100, Qty: 2,
 	}))
+	f.Add(AppendRequest(nil, exchange.Request{Kind: exchange.ReqCancel, SecurityID: 7, ClOrdID: 1}))
+	f.Add(AppendRequest(nil, exchange.Request{
+		Kind: exchange.ReqReplace, SecurityID: 7, ClOrdID: 1, NewClOrdID: 2, Price: 101, Qty: 3,
+	}))
 	f.Add(AppendExecAck(nil, ExecAck{ClOrdID: 1}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, n, err := DecodeFrame(data)
+		req := exchange.Request{Kind: exchange.ReqReplace, SecurityID: -1, ClOrdID: ^uint64(0),
+			NewClOrdID: ^uint64(0), Side: lob.Ask, Type: exchange.Market, Price: -1, Qty: -1}
+		ack := ExecAck{ClOrdID: ^uint64(0), Price: -1, Qty: -1, SecurityID: -1, Exec: exchange.ExecRejected}
+		into, intoN, intoErr := DecodeFrameInto(data, &req, &ack)
+		if n != intoN || fmt.Sprint(err) != fmt.Sprint(intoErr) {
+			t.Fatalf("DecodeFrame (%d, %v) vs DecodeFrameInto (%d, %v)", n, err, intoN, intoErr)
+		}
+		if (frame.Request == nil) != (into.Request == nil) || (frame.Ack == nil) != (into.Ack == nil) {
+			t.Fatalf("frame kinds differ: %+v vs %+v", frame, into)
+		}
+		if frame.Request != nil && (into.Request != &req || *frame.Request != req) {
+			t.Fatalf("request %+v vs %+v (into caller storage: %v)", *frame.Request, *into.Request, into.Request == &req)
+		}
+		if frame.Ack != nil && (into.Ack != &ack || *frame.Ack != ack) {
+			t.Fatalf("ack %+v vs %+v (into caller storage: %v)", *frame.Ack, *into.Ack, into.Ack == &ack)
+		}
 		if err != nil {
 			return
 		}

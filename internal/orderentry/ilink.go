@@ -138,8 +138,19 @@ type Frame struct {
 
 // DecodeFrame decodes one iLink frame from buf, returning the frame and
 // bytes consumed. Callers streaming from TCP should retry with more data on
-// ErrILinkShort.
+// ErrILinkShort. It is DecodeFrameInto over fresh storage: a caller that
+// does not keep the frame pays no allocation once this wrapper inlines.
 func DecodeFrame(buf []byte) (Frame, int, error) {
+	return DecodeFrameInto(buf, new(exchange.Request), new(ExecAck))
+}
+
+// DecodeFrameInto is the iLink business-frame parser. It decodes one frame
+// from buf into storage the caller owns — a request into *req, an ack into
+// *ack, overwriting every field — and returns a Frame pointing at whichever
+// it wrote, with the bytes consumed. The other is left untouched, as both
+// are on error. Streaming readers decode every frame into the same two
+// values and allocate nothing per frame.
+func DecodeFrameInto(buf []byte, req *exchange.Request, ack *ExecAck) (Frame, int, error) {
 	if len(buf) < sofhLen {
 		return Frame{}, 0, ErrILinkShort
 	}
@@ -160,17 +171,16 @@ func DecodeFrame(buf []byte) (Frame, int, error) {
 		if len(body) < newOrderBodyLen {
 			return Frame{}, 0, fmt.Errorf("%w: new-order body %d", ErrILinkMalformed, len(body))
 		}
-		req := &exchange.Request{
+		*req = exchange.Request{
 			Kind:       exchange.ReqNew,
 			ClOrdID:    binary.LittleEndian.Uint64(body[0:]),
 			Price:      int64(binary.LittleEndian.Uint64(body[8:])),
 			SecurityID: int32(binary.LittleEndian.Uint32(body[16:])),
 			Qty:        int64(binary.LittleEndian.Uint64(body[20:])),
+			Side:       lob.Ask,
 		}
 		if body[28] == ilinkSideBuy {
 			req.Side = lob.Bid
-		} else {
-			req.Side = lob.Ask
 		}
 		if body[29] == ilinkOrdTypeMkt {
 			req.Type = exchange.Market
@@ -180,34 +190,37 @@ func DecodeFrame(buf []byte) (Frame, int, error) {
 		if len(body) < cancelBodyLen {
 			return Frame{}, 0, fmt.Errorf("%w: cancel body %d", ErrILinkMalformed, len(body))
 		}
-		return Frame{Request: &exchange.Request{
+		*req = exchange.Request{
 			Kind:       exchange.ReqCancel,
 			ClOrdID:    binary.LittleEndian.Uint64(body[0:]),
 			SecurityID: int32(binary.LittleEndian.Uint32(body[8:])),
-		}}, frameLen, nil
+		}
+		return Frame{Request: req}, frameLen, nil
 	case templateReplace:
 		if len(body) < replaceBodyLen {
 			return Frame{}, 0, fmt.Errorf("%w: replace body %d", ErrILinkMalformed, len(body))
 		}
-		return Frame{Request: &exchange.Request{
+		*req = exchange.Request{
 			Kind:       exchange.ReqReplace,
 			ClOrdID:    binary.LittleEndian.Uint64(body[0:]),
 			NewClOrdID: binary.LittleEndian.Uint64(body[8:]),
 			Price:      int64(binary.LittleEndian.Uint64(body[16:])),
 			SecurityID: int32(binary.LittleEndian.Uint32(body[24:])),
 			Qty:        int64(binary.LittleEndian.Uint64(body[28:])),
-		}}, frameLen, nil
+		}
+		return Frame{Request: req}, frameLen, nil
 	case templateExecAck:
 		if len(body) < execAckBodyLen {
 			return Frame{}, 0, fmt.Errorf("%w: exec-ack body %d", ErrILinkMalformed, len(body))
 		}
-		return Frame{Ack: &ExecAck{
+		*ack = ExecAck{
 			ClOrdID:    binary.LittleEndian.Uint64(body[0:]),
 			Price:      int64(binary.LittleEndian.Uint64(body[8:])),
 			Qty:        int64(binary.LittleEndian.Uint64(body[16:])),
 			SecurityID: int32(binary.LittleEndian.Uint32(body[24:])),
 			Exec:       exchange.ExecType(body[28]),
-		}}, frameLen, nil
+		}
+		return Frame{Ack: ack}, frameLen, nil
 	default:
 		return Frame{}, 0, fmt.Errorf("%w: %d", ErrILinkTemplate, template)
 	}

@@ -136,3 +136,38 @@ func BenchmarkILinkDecode(b *testing.B) {
 		}
 	}
 }
+
+// TestDecodeFrameIntoZeroAlloc: decoding a stream's frames into the two
+// values a reader owns allocates nothing, for every business template, and
+// a short buffer — the read-more answer a streaming reader meets at every
+// read boundary — allocates nothing either.
+func TestDecodeFrameIntoZeroAlloc(t *testing.T) {
+	var stream []byte
+	stream = AppendRequest(stream, exchange.Request{Kind: exchange.ReqNew, SecurityID: 7, ClOrdID: 1,
+		Side: lob.Bid, Price: 100, Qty: 2})
+	stream = AppendRequest(stream, exchange.Request{Kind: exchange.ReqCancel, SecurityID: 7, ClOrdID: 1})
+	stream = AppendRequest(stream, exchange.Request{Kind: exchange.ReqReplace, SecurityID: 7, ClOrdID: 1,
+		NewClOrdID: 2, Price: 101, Qty: 3})
+	stream = AppendExecAck(stream, ExecAck{ClOrdID: 2, Price: 101, Qty: 3, SecurityID: 7, Exec: exchange.ExecFilled})
+	var req exchange.Request
+	var ack ExecAck
+	frames := 0
+	if n := testing.AllocsPerRun(100, func() {
+		frames = 0
+		for buf := stream; ; frames++ {
+			_, used, err := DecodeFrameInto(buf, &req, &ack)
+			if err == ErrILinkShort {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = buf[used:]
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocs per stream of %d frames, want 0", n, frames)
+	}
+	if frames != 4 {
+		t.Fatalf("decoded %d frames of 4", frames)
+	}
+}

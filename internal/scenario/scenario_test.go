@@ -374,7 +374,50 @@ func TestStreamBound(t *testing.T) {
 				t.Errorf("%s: phase %d stepped %d flow events; the dry run counts %d", c.name, k, events[k], want)
 			}
 		}
-		t.Logf("%-22s %6d ticks, bound %6d: %.2f×", c.name, len(ticks), bound, float64(bound)/float64(len(ticks)))
+		fit := "kept"
+		if fitCopies(len(ticks), bound) {
+			fit = "copied to exact length"
+		}
+		t.Logf("%-22s %6d ticks, bound %6d: %.2f×, %s", c.name, len(ticks), bound, float64(bound)/float64(len(ticks)), fit)
+	}
+}
+
+// TestFitStream holds the copy decision to its rule: a stream whose array
+// has more than half its length again in unused slots moves to an
+// exact-length array, anything tighter keeps its array, and either way the
+// result is clipped and holds the same ticks.
+func TestFitStream(t *testing.T) {
+	for _, c := range []struct {
+		n, capacity int
+		copies      bool
+	}{
+		{n: 100, capacity: 100},
+		{n: 100, capacity: 112}, // the wire-shaped script's headroom
+		{n: 100, capacity: 150},
+		{n: 100, capacity: 151, copies: true},
+		{n: 100, capacity: 209, copies: true}, // multi-shock's
+		{n: 0, capacity: 8, copies: true},
+		{n: 0, capacity: 0},
+	} {
+		ticks := make([]feed.Tick, c.n, c.capacity)
+		for i := range ticks {
+			ticks[i].TimeNanos = int64(i + 1)
+		}
+		got := fitStream(ticks)
+		if len(got) != c.n || cap(got) != c.n {
+			t.Fatalf("%d of %d: fitted to len %d cap %d", c.n, c.capacity, len(got), cap(got))
+		}
+		if c.n > 0 && (&got[0] != &ticks[0]) != c.copies {
+			t.Errorf("%d ticks in an array of %d: copied %v, want %v", c.n, c.capacity, !c.copies, c.copies)
+		}
+		if fitCopies(c.n, c.capacity) != c.copies {
+			t.Errorf("fitCopies(%d, %d) = %v, want %v", c.n, c.capacity, !c.copies, c.copies)
+		}
+		for i := range got {
+			if got[i].TimeNanos != int64(i+1) {
+				t.Fatalf("%d of %d: tick %d holds %d", c.n, c.capacity, i, got[i].TimeNanos)
+			}
+		}
 	}
 }
 

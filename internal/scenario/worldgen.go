@@ -130,10 +130,29 @@ func generateScript(script Script, seed int64) ([]feed.Tick, []PhaseSpan) {
 	for _, ok := w.Next(); ok; _, ok = w.Next() {
 		w.Step()
 	}
-	// Clipped, so that one reader's append to the shared stream cannot
-	// write into spare capacity another reader sees.
-	return ticks[:len(ticks):len(ticks)], w.spans
+	return fitStream(ticks), w.spans
 }
+
+// fitStream returns the finished stream clipped to its length, so that one
+// reader's append to the shared stream cannot write into spare capacity
+// another reader sees. Where the bound left more than half the ticks' count
+// unused (the multi-shock and flash-crash scripts, up to 2.1× the ticks),
+// the ticks move to an exact-length array instead, and the bound-sized one
+// is garbage rather than kept alive, unused, for the Source's life. A
+// tighter bound (the wire-shaped script's is 1.12×) keeps its array: the
+// copy would cost generation time for little memory.
+func fitStream(ticks []feed.Tick) []feed.Tick {
+	if !fitCopies(len(ticks), cap(ticks)) {
+		return ticks[:len(ticks):len(ticks)]
+	}
+	exact := make([]feed.Tick, len(ticks))
+	copy(exact, ticks)
+	return exact
+}
+
+// fitCopies reports whether fitStream copies n ticks out of an array of
+// capacity: whether more than n/2 of its slots are unused.
+func fitCopies(n, capacity int) bool { return 2*capacity > 3*n }
 
 // streamBound is an upper bound, fixed before the first event, on the
 // ticks script publishes at seed. The arrival processes read no book, so a

@@ -1,10 +1,13 @@
 // Package session holds the connection-survival machinery shared by every
 // wire client in the tree: the order-entry trader and the signal-gateway
 // subscriber both reconnect with the same capped-exponential-backoff
-// ladder and enforce the same three-interval keep-alive liveness rule.
+// ladder and enforce the same three-interval keep-alive liveness rule. Every
+// framed TCP read loop — theirs, the venue's and the signal gateway's —
+// reads through the same Reader.
 package session
 
 import (
+	"io"
 	"math/rand"
 	"sync"
 	"time"
@@ -76,3 +79,36 @@ func (l *Liveness) Touch(now time.Time) { l.lastRecv = now }
 func (l *Liveness) Expired(now time.Time) bool {
 	return now.Sub(l.lastRecv) > 3*l.interval
 }
+
+// readerMin is a Reader's first array: one read holds a whole frame of
+// either wire protocol in the tree (iLink frames stop at 4 KiB, signal
+// frames at 1 KiB).
+const readerMin = 4 << 10
+
+// Reader is a framed stream's read buffer: Read reads straight into the
+// free tail of one array, and Keep moves what the frame decoder left
+// unconsumed to its front. The array lives as long as the stream and
+// doubles only when a pending frame fills it, so a read loop allocates
+// nothing per read. The zero Reader is ready to use; it is not safe for
+// concurrent use.
+type Reader struct {
+	buf  []byte
+	fill int
+}
+
+// Read reads once from r and returns every buffered byte — what Keep
+// retained followed by what arrived — with the count and error of the read.
+// The bytes are valid until the next Keep; decode them before acting on err,
+// since a peer's last frame may arrive together with its EOF.
+func (b *Reader) Read(r io.Reader) ([]byte, int, error) {
+	if b.fill == len(b.buf) {
+		b.buf = append(b.buf, make([]byte, max(len(b.buf), readerMin))...)
+	}
+	n, err := r.Read(b.buf[b.fill:])
+	b.fill += n
+	return b.buf[:b.fill], n, err
+}
+
+// Keep retains rest, the unconsumed tail of what Read returned, at the front
+// of the array for the next Read to append to.
+func (b *Reader) Keep(rest []byte) { b.fill = copy(b.buf, rest) }

@@ -1,6 +1,8 @@
 package session
 
 import (
+	"bytes"
+	"io"
 	"testing"
 	"time"
 )
@@ -57,5 +59,67 @@ func TestLivenessThreeIntervals(t *testing.T) {
 	l.Touch(start.Add(301 * time.Millisecond))
 	if l.Expired(start.Add(600 * time.Millisecond)) {
 		t.Fatal("expired despite Touch")
+	}
+}
+
+// chunks is a stream that arrives in the pieces given, then ends.
+type chunks [][]byte
+
+func (c *chunks) Read(p []byte) (int, error) {
+	if len(*c) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, (*c)[0])
+	if (*c)[0] = (*c)[0][n:]; len((*c)[0]) == 0 {
+		*c = (*c)[1:]
+	}
+	return n, nil
+}
+
+// TestReader: each Read returns what Keep retained followed by what
+// arrived, a frame larger than the array grows it instead of stalling the
+// stream, and a loop that keeps its unconsumed tail reads with no
+// allocation once the array exists.
+func TestReader(t *testing.T) {
+	var rb Reader
+	in := chunks{[]byte("abc"), []byte("defg")}
+	buf, n, err := rb.Read(&in)
+	if string(buf) != "abc" || n != 3 || err != nil {
+		t.Fatalf("first read: %q, %d, %v", buf, n, err)
+	}
+	rb.Keep(buf[1:])
+	if buf, n, err = rb.Read(&in); string(buf) != "bcdefg" || n != 4 || err != nil {
+		t.Fatalf("read after Keep: %q, %d, %v", buf, n, err)
+	}
+	rb.Keep(buf[len(buf):])
+	if buf, n, err = rb.Read(&in); len(buf) != 0 || n != 0 || err != io.EOF {
+		t.Fatalf("read at EOF: %q, %d, %v", buf, n, err)
+	}
+
+	big := bytes.Repeat([]byte{7}, 3*readerMin+5)
+	in = chunks{big}
+	rb = Reader{}
+	for len(in) > 0 {
+		buf, _, _ = rb.Read(&in)
+		rb.Keep(buf) // an unfinished frame: nothing consumed
+	}
+	if !bytes.Equal(buf, big) {
+		t.Fatalf("a %d-byte frame read back as %d bytes", len(big), len(buf))
+	}
+
+	frame := bytes.Repeat([]byte{1}, 100)
+	parts := make(chunks, 2)
+	if allocs := testing.AllocsPerRun(100, func() {
+		parts[0], parts[1] = frame[:40], frame[40:]
+		in = parts
+		for len(in) > 0 {
+			buf, _, _ = rb.Read(&in)
+			if len(buf) >= len(frame) {
+				buf = buf[len(frame):]
+			}
+			rb.Keep(buf)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a read loop allocates %v per frame, want 0", allocs)
 	}
 }

@@ -132,8 +132,7 @@ func (c *Client) runSession(ctx context.Context, conn net.Conn, healthy *bool) e
 		return fmt.Errorf("signal: subscribe write: %w", err)
 	}
 
-	buf := make([]byte, 0, 4096)
-	tmp := make([]byte, 2048)
+	var rb session.Reader
 	live := session.NewLiveness(c.cfg.Heartbeat, time.Now())
 	nextHB := time.Now().Add(c.cfg.Heartbeat)
 	counted := false
@@ -142,9 +141,8 @@ func (c *Client) runSession(ctx context.Context, conn net.Conn, healthy *bool) e
 			return ctx.Err()
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(sessionReadTick))
-		n, rerr := conn.Read(tmp)
+		buf, n, rerr := rb.Read(conn)
 		if n > 0 {
-			buf = append(buf, tmp[:n]...)
 			live.Touch(time.Now())
 		}
 		for {
@@ -169,6 +167,7 @@ func (c *Client) runSession(ctx context.Context, conn net.Conn, healthy *bool) e
 				c.onSignal(frame.Signal)
 			}
 		}
+		rb.Keep(buf)
 		if rerr != nil {
 			var ne net.Error
 			if !errors.As(rerr, &ne) || !ne.Timeout() {

@@ -83,8 +83,7 @@ func (g *Gateway) handleConn(ctx context.Context, conn net.Conn) {
 	go func() { writerDone <- g.connWriter(conn, sink, stopWriter) }()
 	defer close(stopWriter)
 
-	buf := make([]byte, 0, 4096)
-	tmp := make([]byte, 2048)
+	var rb session.Reader
 	live := session.NewLiveness(g.cfg.Heartbeat, time.Now())
 	for {
 		select {
@@ -98,9 +97,8 @@ func (g *Gateway) handleConn(ctx context.Context, conn net.Conn) {
 		default:
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(sessionReadTick))
-		n, rerr := conn.Read(tmp)
+		buf, n, rerr := rb.Read(conn)
 		if n > 0 {
-			buf = append(buf, tmp[:n]...)
 			live.Touch(time.Now())
 		}
 		for {
@@ -125,6 +123,7 @@ func (g *Gateway) handleConn(ctx context.Context, conn net.Conn) {
 				// are tolerated no-ops (the protocol is symmetric).
 			}
 		}
+		rb.Keep(buf)
 		if rerr != nil {
 			var ne net.Error
 			if !errors.As(rerr, &ne) || !ne.Timeout() {

@@ -281,8 +281,7 @@ func (c *Client) runSession(ctx context.Context, conn net.Conn) error {
 	}
 
 	keepAlive := time.Duration(c.cfg.KeepAliveMillis) * time.Millisecond
-	buf := make([]byte, 0, 8192)
-	tmp := make([]byte, 4096)
+	var rb session.Reader
 	live := session.NewLiveness(keepAlive, time.Now())
 	handshakeDeadline := time.Now().Add(3 * keepAlive)
 
@@ -291,13 +290,12 @@ func (c *Client) runSession(ctx context.Context, conn net.Conn) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		n, rerr := conn.Read(tmp)
+		buf, n, rerr := rb.Read(conn)
 		if n > 0 {
-			buf = append(buf, tmp[:n]...)
 			live.Touch(time.Now())
 		}
 		rest, perr := c.processFrames(buf, sess, conn)
-		buf = rest
+		rb.Keep(rest)
 		if perr != nil {
 			return perr
 		}
@@ -340,6 +338,8 @@ func (c *Client) runSession(ctx context.Context, conn net.Conn) error {
 // processFrames consumes complete frames: session frames advance the
 // handshake, business frames surface acks. Returns the unconsumed tail.
 func (c *Client) processFrames(buf []byte, sess *orderentry.ClientSession, conn net.Conn) ([]byte, error) {
+	var req exchange.Request // business frames decode into these two
+	var ack orderentry.ExecAck
 	for {
 		sf, consumed, serr := orderentry.DecodeSessionFrame(buf)
 		if serr == nil {
@@ -372,7 +372,7 @@ func (c *Client) processFrames(buf []byte, sess *orderentry.ClientSession, conn 
 		if errors.Is(serr, orderentry.ErrILinkShort) {
 			return buf, nil
 		}
-		frame, consumed, err := orderentry.DecodeFrame(buf)
+		frame, consumed, err := orderentry.DecodeFrameInto(buf, &req, &ack)
 		if errors.Is(err, orderentry.ErrILinkShort) {
 			return buf, nil
 		}

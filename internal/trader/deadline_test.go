@@ -38,7 +38,7 @@ func (c *countedPacketConn) SetReadDeadline(t time.Time) error {
 // first deadline has passed — so cancellation is seen within that bound and
 // datagrams after an idle stretch are still read.
 func TestServeFeedReadDeadline(t *testing.T) {
-	mt, _ := liveLoop(t, serve.Config{Lanes: 0}, discardConn{})
+	mt, _ := liveLoop(t, Config{}, serve.Config{Lanes: 0}, discardConn{})
 	sock, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

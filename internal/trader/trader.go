@@ -169,15 +169,24 @@ const feedReadTick = 100 * time.Millisecond
 // the loop, never kill it. Run one ServeFeed goroutine per redundant feed
 // socket. The read deadline is re-armed only once it has expired: a busy
 // socket pays one spurious timeout per feedReadTick, not a timer reset per
-// datagram, and an idle one still sees ctx within feedReadTick.
+// datagram, and an idle one still sees ctx within feedReadTick. On a
+// *net.UDPConn the datagram is read without its source address, which
+// ReadFrom would allocate per datagram and the trader never looks at.
 func (t *MultiTrader) ServeFeed(ctx context.Context, conn net.PacketConn) error {
 	buf := make([]byte, 64<<10)
+	read := func(b []byte) (int, error) {
+		n, _, err := conn.ReadFrom(b)
+		return n, err
+	}
+	if uc, ok := conn.(*net.UDPConn); ok {
+		read = uc.Read
+	}
 	_ = conn.SetReadDeadline(time.Now().Add(feedReadTick))
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		n, _, err := conn.ReadFrom(buf)
+		n, err := read(buf)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {

@@ -79,7 +79,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.MaxPosition <= 0 {
 		return nil, fmt.Errorf("trading: max position %d must be positive", cfg.MaxPosition)
 	}
-	return &Engine{cfg: cfg, nextID: cfg.FirstClOrdID, sides: make(map[uint64]lob.Side)}, nil
+	e := &Engine{cfg: cfg, nextID: cfg.FirstClOrdID, sides: make(map[uint64]lob.Side)}
+	if cfg.DecisionLogCap > 0 {
+		// The capped log is a ring of known size: allocated once here, not
+		// regrown by record's append while the first cap ticks trade.
+		e.decisions = make([]Decision, 0, cfg.DecisionLogCap)
+	}
+	return e, nil
 }
 
 // Position returns the current filled net position (positive = long).

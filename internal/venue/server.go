@@ -16,6 +16,7 @@ import (
 	"lighttrader/internal/lob"
 	"lighttrader/internal/orderentry"
 	"lighttrader/internal/scenario"
+	"lighttrader/internal/session"
 )
 
 // ServerConfig configures the wire-level exchange simulator: a scenario's
@@ -224,8 +225,7 @@ const serveTick = 100 * time.Millisecond
 // sessions whose keep-alive lapsed and emit its own Sequence heartbeats.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
-	buf := make([]byte, 0, 4096)
-	tmp := make([]byte, 2048)
+	var rb session.Reader
 	st := &connState{
 		session: orderentry.NewVenueSession(),
 		reply:   make(chan []exchange.ExecReport, 1),
@@ -233,15 +233,12 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	}
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(serveTick))
-		n, err := conn.Read(tmp)
-		if n > 0 {
-			buf = append(buf, tmp[:n]...)
-		}
+		buf, _, err := rb.Read(conn)
 		// Drain every complete frame already buffered before acting on the
 		// read error: a peer may write a frame and close in one burst, and
 		// those bytes can arrive together with EOF.
 		rest, ok := s.processFrames(ctx, conn, buf, st)
-		buf = rest
+		rb.Keep(rest)
 		if !ok {
 			return
 		}
@@ -285,6 +282,8 @@ func (s *Server) maybeHeartbeat(conn net.Conn, st *connState, now time.Time) {
 // SOFH lengths, and consumed is always positive on success, so this loop
 // cannot spin.
 func (s *Server) processFrames(ctx context.Context, conn net.Conn, buf []byte, st *connState) ([]byte, bool) {
+	var req exchange.Request // business frames decode into these two
+	var ack orderentry.ExecAck
 	for {
 		sf, consumed, serr := orderentry.DecodeSessionFrame(buf)
 		if serr == nil {
@@ -310,7 +309,7 @@ func (s *Server) processFrames(ctx context.Context, conn net.Conn, buf []byte, s
 			s.terminateProtocolError(conn, st)
 			return buf, false
 		}
-		frame, consumed, err := orderentry.DecodeFrame(buf)
+		frame, consumed, err := orderentry.DecodeFrameInto(buf, &req, &ack)
 		if errors.Is(err, orderentry.ErrILinkShort) {
 			return buf, true
 		}
