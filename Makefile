@@ -137,8 +137,9 @@ bench-smoke:
 # snapshot, histogram record, model Predict, a policy's Decide and a
 # scheduling-board round at zero, and the live loop itself —
 # MultiTrader.OnDatagram inline and through a worker lane, order out and ack
-# back, and the same loop from socket to socket over loopback UDP and TCP —
-# at its pinned counts), with the lane
+# back, the same loop from socket to socket over loopback UDP and TCP, and
+# the venue's side of a new + cancel pair over a loopback session — at
+# their pinned counts), with the lane
 # dispatch benchmark (ns, writes and allocs per order at batch 1, 4 and 16),
 # and the set-up path's pins: scenario generation at its measured count and
 # the engine's AppendSubmit at zero, with one generation benchmark run.
@@ -147,6 +148,7 @@ bench-tickpath:
 	$(GO) test -run='ZeroAlloc' -bench=. -benchtime=1x \
 		./internal/sbe/ ./internal/orderentry/ ./internal/lob/ ./internal/latency/ ./internal/core/ ./internal/nn/ ./internal/sched/
 	$(GO) test -run='^(TestLiveLoopAllocsPerTick|TestSocketLoopAllocsPerTick)$$' -bench='^BenchmarkLaneDispatch$$' -benchtime=1x ./internal/trader/
+	$(GO) test -run='^TestServerOrderPathAllocs$$' ./internal/venue/
 	$(GO) test -run='^(TestSourceTicksAllocs|TestAppendSubmitAllocs)$$' -bench='^BenchmarkSourceTicks$$' -benchtime=1x -benchmem \
 		./internal/scenario/ ./internal/exchange/
 
@@ -208,7 +210,11 @@ bench-tickpath:
 # into storage it owns: no non-test Go file under internal/ or cmd/ calls
 # orderentry.DecodeFrame( — the wrapper over fresh storage, kept for callers
 # outside the tree — so a hit is a per-frame allocation growing back into a
-# read loop; use orderentry.DecodeFrameInto.
+# read loop; use orderentry.DecodeFrameInto. (14) One full-queue policy and
+# one venue hand-off: a full lane queue evicts its oldest query, and a venue
+# connection applies its requests to the scenario world under the server's
+# lock. No Go file names Backpressure, serverReq or snapReq — a hit is a
+# blocking submitter or the venue's engine mailbox growing back.
 one-impl-check:
 	@bad=$$(grep -rnE '\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -296,6 +302,10 @@ one-impl-check:
 	@bad=$$(grep -rnF 'orderentry.DecodeFrame(' --include='*.go' --exclude='*_test.go' internal cmd); \
 	if [ -n "$$bad" ]; then \
 		echo "an iLink read loop decoding into fresh storage (use DecodeFrameInto):"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE 'Backpressure|serverReq|snapReq' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "a blocking submitter or the venue's engine mailbox named again:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile

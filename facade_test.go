@@ -137,7 +137,7 @@ func TestPublicServing(t *testing.T) {
 	}
 
 	inline, inlineLog := run(WithInline())
-	fleet, fleetLog := run(WithAccelerators(2), WithBackpressure(),
+	fleet, fleetLog := run(WithAccelerators(2), WithMaxQueue(len(packets)+1),
 		WithWorkloadScheduling(), WithDeadline(time.Hour))
 
 	for _, srv := range []*Server{inline, fleet} {

@@ -48,7 +48,7 @@ type World struct {
 	live    map[int32][]uint64
 	publish exchange.Publisher
 	levels  []lob.Level           // sweep's scratch
-	reps    []exchange.ExecReport // submit's reports, reused
+	reps    []exchange.ExecReport // Submit's reports, reused
 
 	now      int64 // scripted time: the engine's clock
 	nextID   uint64
@@ -231,16 +231,10 @@ func (w *World) Step() {
 	w.next = min(t, sp.EndNanos)
 }
 
-// Submit applies one order-entry request at the scripted time reached and
-// returns its reports in a slice the caller owns.
+// Submit applies one request at the scripted time reached: the world's own
+// flow, or a live venue client's order entry. Its reports share one buffer
+// and last until the next submit.
 func (w *World) Submit(req exchange.Request) []exchange.ExecReport {
-	w.touched = req.SecurityID
-	return w.eng.Submit(req)
-}
-
-// submit applies one of the world's own requests. Its reports share one
-// buffer and last until the next submit.
-func (w *World) submit(req exchange.Request) []exchange.ExecReport {
 	w.touched = req.SecurityID
 	w.reps = w.eng.AppendSubmit(w.reps[:0], req)
 	return w.reps
@@ -322,14 +316,14 @@ func (w *World) seedBooks() {
 			depth = 50
 		}
 		for lvl := int64(1); lvl <= lob.DepthLevels; lvl++ {
-			w.submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
+			w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
 				ClOrdID: w.id(), Side: lob.Bid, Price: ins.MidPrice - lvl, Qty: depth})
-			w.submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
+			w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
 				ClOrdID: w.id(), Side: lob.Ask, Price: ins.MidPrice + lvl, Qty: depth})
 		}
-		w.submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
+		w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
 			ClOrdID: w.id(), Side: lob.Bid, Price: ins.MidPrice - backstopOffset, Qty: backstopQty})
-		w.submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
+		w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: ins.SecurityID,
 			ClOrdID: w.id(), Side: lob.Ask, Price: ins.MidPrice + backstopOffset, Qty: backstopQty})
 	}
 }
@@ -353,14 +347,14 @@ func (w *World) step(sec int32) {
 	case r < f.SweepProb:
 		w.sweep(sec, f.SweepLevels, f.Bias)
 	case r < f.SweepProb+f.MarketOrderProb:
-		w.submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
+		w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
 			ClOrdID: w.id(), Side: w.pickSide(f.Bias), Type: exchange.Market,
 			Qty: int64(1 + w.rng.Intn(max(1, f.QtyMax)))})
 	case r < f.SweepProb+f.MarketOrderProb+f.CancelProb && len(live) > 0:
 		idx := w.rng.Intn(len(live))
 		id := live[idx]
 		w.live[sec] = append(live[:idx], live[idx+1:]...)
-		w.submit(exchange.Request{Kind: exchange.ReqCancel, SecurityID: sec, ClOrdID: id})
+		w.Submit(exchange.Request{Kind: exchange.ReqCancel, SecurityID: sec, ClOrdID: id})
 	case r < f.SweepProb+f.MarketOrderProb+f.CancelProb+f.ReplaceProb && len(live) > 0:
 		idx := w.rng.Intn(len(live))
 		id := live[idx]
@@ -370,7 +364,7 @@ func (w *World) step(sec int32) {
 			side = o.Side
 		}
 		newID := w.id()
-		reps := w.submit(exchange.Request{Kind: exchange.ReqReplace, SecurityID: sec,
+		reps := w.Submit(exchange.Request{Kind: exchange.ReqReplace, SecurityID: sec,
 			ClOrdID: id, NewClOrdID: newID, Side: side, Price: w.limitPrice(sec, side, f),
 			Qty: int64(1 + w.rng.Intn(max(1, f.QtyMax)))})
 		if reps[0].Exec == exchange.ExecReplaced {
@@ -381,7 +375,7 @@ func (w *World) step(sec int32) {
 	default:
 		side := w.pickSide(f.Bias)
 		id := w.id()
-		w.submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
+		w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
 			ClOrdID: id, Side: side, Price: w.limitPrice(sec, side, f),
 			Qty: int64(1 + w.rng.Intn(max(1, f.QtyMax)))})
 		if _, resting := w.books[sec].Order(id); resting {
@@ -405,7 +399,7 @@ func (w *World) sweep(sec int32, levels int, bias float64) {
 	if qty == 0 {
 		return
 	}
-	w.submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
+	w.Submit(exchange.Request{Kind: exchange.ReqNew, SecurityID: sec,
 		ClOrdID: w.id(), Side: side, Type: exchange.Market, Qty: qty})
 }
 
@@ -418,7 +412,7 @@ func (w *World) evaporate(sec int32, frac float64) {
 		idx := w.rng.Intn(len(live))
 		id := live[idx]
 		live = append(live[:idx], live[idx+1:]...)
-		w.submit(exchange.Request{Kind: exchange.ReqCancel, SecurityID: sec, ClOrdID: id})
+		w.Submit(exchange.Request{Kind: exchange.ReqCancel, SecurityID: sec, ClOrdID: id})
 	}
 	w.live[sec] = live
 }

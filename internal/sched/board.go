@@ -240,7 +240,7 @@ func (b *Board) views(now int64, retimable bool) []BusyAccel {
 // minDeadlineFor(batch). Returns the decision and whether the saving step
 // ran. Admit never redistributes: when that runs is the engine's.
 func (b *Board) Admit(slot int, now int64, queued int, availNanos int64,
-	pol Scheduler, tiers []ModelTier, allowSave bool, minDeadlineFor func(int) int64) (dec Decision, saved bool) {
+	pol Scheduler, tiers []Scheduler, allowSave bool, minDeadlineFor func(int) int64) (dec Decision, saved bool) {
 	ctx := b.Context(slot, queued, availNanos)
 	dec = pol.Decide(ctx)
 	if dec.Verdict == VerdictPowerInfeasible && allowSave && b.dvfs {

@@ -27,7 +27,7 @@ type boardHarness struct {
 	// pol and ladder are what Admit asks (one registry policy per seed);
 	// retries, degrades and tierIssues tally what Admit reported.
 	pol               Scheduler
-	ladder            []ModelTier
+	ladder            []Scheduler
 	retries, degrades int64
 	tierIssues        []int64
 }
@@ -152,7 +152,7 @@ func (h *boardHarness) admit(slot int) {
 	queued := h.rng.Intn(17)
 	avail := h.floor/2 + h.rng.Int63n(6*h.floor)
 	deadline := h.now + boardPre + avail
-	var tiers []ModelTier
+	var tiers []Scheduler
 	if h.rng.Intn(2) == 0 {
 		tiers = h.ladder
 	}
@@ -421,7 +421,7 @@ func TestBoardAdmit(t *testing.T) {
 			cfg := *base
 			cfg.PowerBudgetWatts = base.BusyPower(top) + tc.x
 			var tcfgs []*Config
-			var tiers []ModelTier
+			var tiers []Scheduler
 			if tc.ladder {
 				tcfgs, tiers = tierCfgs, NewModelTiers(factories["ppw"], tierCfgs)
 			}

@@ -9,25 +9,15 @@ package sched
 // the first tier that fits instead of dropping — trading prediction accuracy
 // for a response.
 
-// ModelTier couples one cheaper model's cost model with the policy instance
-// that answers admission questions against its Table.
-type ModelTier struct {
-	// Cfg is the tier's compiled cost model. It must share the primary
-	// Config's Spec and PowerBudgetWatts: the ladder changes what runs,
-	// never the hardware or the budget.
-	Cfg *Config
-	// Scheduler decides against Cfg. Built from the same factory as the
-	// primary policy so the ladder inherits its issue objective.
-	Scheduler Scheduler
-}
-
-// NewModelTiers builds the ladder for a factory over cost-descending tier
-// configs (tier 1 first). Each tier gets its own policy instance, keeping
-// stateful policies (Q-tables) per-tier.
-func NewModelTiers(f Factory, cfgs []*Config) []ModelTier {
-	tiers := make([]ModelTier, len(cfgs))
+// NewModelTiers returns the ladder's policies for a factory over
+// cost-descending tier configs (tier 1 first): policy t-1 decides against
+// cfgs[t-1], which the Board holds as its tier tables. Each tier gets its
+// own instance from the primary policy's factory, so the ladder inherits
+// its issue objective and stateful policies (Q-tables) stay per-tier.
+func NewModelTiers(f Factory, cfgs []*Config) []Scheduler {
+	tiers := make([]Scheduler, len(cfgs))
 	for i, cfg := range cfgs {
-		tiers[i] = ModelTier{Cfg: cfg, Scheduler: f(cfg)}
+		tiers[i] = f(cfg)
 	}
 	return tiers
 }
@@ -42,9 +32,9 @@ func degradable(v Verdict) bool {
 // degrade walks the ladder for a context whose primary-model admission
 // failed and returns the first tier that fits, with VerdictDegradedModel
 // and Tier set. The second result is false when no tier fits either.
-func degrade(tiers []ModelTier, ctx SchedContext) (Decision, bool) {
-	for i, t := range tiers {
-		alt := t.Scheduler.Decide(ctx)
+func degrade(tiers []Scheduler, ctx SchedContext) (Decision, bool) {
+	for i, pol := range tiers {
+		alt := pol.Decide(ctx)
 		if alt.Verdict == VerdictIssued {
 			alt.Verdict = VerdictDegradedModel
 			alt.Tier = i + 1

@@ -30,11 +30,11 @@ import (
 // decision and the ladder.
 type DegradingScheduler struct {
 	base  Scheduler
-	tiers []ModelTier
+	tiers []Scheduler
 }
 
 // NewDegradingScheduler wraps base with the ladder.
-func NewDegradingScheduler(base Scheduler, tiers []ModelTier) *DegradingScheduler {
+func NewDegradingScheduler(base Scheduler, tiers []Scheduler) *DegradingScheduler {
 	return &DegradingScheduler{base: base, tiers: tiers}
 }
 
@@ -101,7 +101,7 @@ func TestQuickDegradeInvariants(t *testing.T) {
 	type wrapped struct {
 		s     *DegradingScheduler
 		base  Scheduler
-		tiers []ModelTier
+		tiers []Scheduler
 	}
 	var scheds []wrapped
 	for _, name := range SchedulerNames() {
@@ -146,7 +146,7 @@ func TestQuickDegradeInvariants(t *testing.T) {
 					t.Logf("%s: tier %d outside ladder of %d", w.s.Name(), dec.Tier, len(w.tiers))
 					return false
 				}
-				tcfg := w.tiers[dec.Tier-1].Cfg
+				tcfg := tierCfgs[dec.Tier-1]
 				if dec.Issue.Batch < 1 || dec.Issue.Batch > ctx.Queued {
 					t.Logf("%s: degraded batch %d outside queue %d", w.s.Name(), dec.Issue.Batch, ctx.Queued)
 					return false
@@ -163,7 +163,7 @@ func TestQuickDegradeInvariants(t *testing.T) {
 				}
 				// First-fit: every rung above the issuing one must refuse.
 				for i := 0; i < dec.Tier-1; i++ {
-					if alt := w.tiers[i].Scheduler.Decide(ctx); alt.Verdict == VerdictIssued {
+					if alt := w.tiers[i].Decide(ctx); alt.Verdict == VerdictIssued {
 						t.Logf("%s: tier %d issued but ladder picked tier %d", w.s.Name(), i+1, dec.Tier)
 						return false
 					}
@@ -174,7 +174,7 @@ func TestQuickDegradeInvariants(t *testing.T) {
 					return false
 				}
 				for i, tier := range w.tiers {
-					if alt := tier.Scheduler.Decide(ctx); alt.Verdict == VerdictIssued {
+					if alt := tier.Decide(ctx); alt.Verdict == VerdictIssued {
 						t.Logf("%s: deferred but tier %d had a feasible issue %+v", w.s.Name(), i+1, alt.Issue)
 						return false
 					}

@@ -62,7 +62,7 @@ func BenchmarkServingThroughput(b *testing.B) {
 		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				srv, err := New(benchMulti(b, syms), Config{Lanes: lanes, Backpressure: true})
+				srv, err := New(benchMulti(b, syms), Config{Lanes: lanes, MaxQueue: len(packets) + 1})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -38,7 +38,7 @@ type lane struct {
 	// tiers is this lane's degrade ladder: one policy instance per tier
 	// from the same factory as policy (stateful policies stay lane- and
 	// tier-local). Empty without Config.Tiers.
-	tiers []sched.ModelTier
+	tiers []sched.Scheduler
 	// curTier is the model tier the lane's pipelines are currently switched
 	// to (guarded by procMu); process flips it only when it changes, so the
 	// steady-state primary path never touches the pipelines' tier state.
@@ -108,23 +108,13 @@ func (l *lane) minDeadlineFor(n int) int64 {
 	return min
 }
 
-// enqueue appends a query and wakes the worker. A full queue either blocks
-// the submitter until the lane catches up (backpressure) or evicts the
-// lane's oldest query (stale-tensor management), per Config.Backpressure.
+// enqueue appends a query and wakes the worker. A full queue evicts the
+// lane's oldest query (stale-tensor management): the submitter never waits.
 func (l *lane) enqueue(q query) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return
-	}
-	if l.srv.cfg.Backpressure && !l.srv.Inline() {
-		for len(l.queue) >= l.srv.cfg.MaxQueue && !l.closed {
-			l.cond.Wait()
-		}
-		if l.closed {
-			l.mu.Unlock()
-			return
-		}
 	}
 	if len(l.queue) >= l.srv.cfg.MaxQueue {
 		old := l.queue[0]
@@ -295,10 +285,9 @@ func (l *lane) take(wait bool) (batch []query, issue sched.Issue, tier int, now 
 				return l.issue(dec.Issue.Batch), dec.Issue, dec.Tier, now, true
 			}
 			// No feasible candidate for the oldest query: drop it, attribute
-			// the cause, and retry with the next. The drop frees queue space,
-			// so wake backpressured submitters and Drain waiters sharing the
-			// cond — if the whole backlog drains this way the worker parks in
-			// Wait below and nothing else would ever wake them.
+			// the cause, and retry with the next. Wake Drain waiters sharing
+			// the cond: if the whole backlog drains this way the worker parks
+			// in Wait below and nothing else would ever wake them.
 			l.pop(1)
 			l.recycle(oldest)
 			l.srv.queued.Add(-1)

@@ -38,7 +38,7 @@ func TestServeScenarioStreamAcrossLanes(t *testing.T) {
 		t.Fatal("scenario generated no orders through the serial baseline; parity would be vacuous")
 	}
 
-	srv, log := runServer(t, buildMulti(t, syms), packets, Config{Lanes: len(syms), Backpressure: true})
+	srv, log := runServer(t, buildMulti(t, syms), packets, Config{Lanes: len(syms), MaxQueue: len(packets) + 1})
 	st := srv.Stats()
 	if st.Submitted != len(packets) {
 		t.Fatalf("Submitted = %d, want %d", st.Submitted, len(packets))

@@ -68,7 +68,7 @@ func TestServeSchedulerSharedFrozenInstance(t *testing.T) {
 	cfg := servePolicyConfig(t)
 	frozen := sched.NewQScheduler(cfg, sched.DefaultQConfig())
 	srv, err := New(buildMulti(t, syms), Config{
-		Lanes: 4, Backpressure: true,
+		Lanes: 4, MaxQueue: len(packets) + 1,
 		Sched:     cfg,
 		Scheduler: func(*sched.Config) sched.Scheduler { return frozen },
 	})

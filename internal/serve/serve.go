@@ -83,11 +83,6 @@ type Config struct {
 	// the lane's oldest query (stale-tensor management). 0 means 64;
 	// negative is an error.
 	MaxQueue int
-	// Backpressure switches the full-queue policy from eviction to blocking:
-	// SubmitPacket stalls until the owning lane has room, so a replay is
-	// lossless at the cost of coupling the submitter to lane throughput.
-	// Ignored in inline mode (the queue drains within the submit call).
-	Backpressure bool
 	// Sched, when non-nil, enables online Algorithm-1 admission: each lane
 	// dispatch picks the PPW-best feasible (dvfs, batch) candidate from the
 	// policy's sched.Table and drops queries no candidate can serve in time.
@@ -225,11 +220,6 @@ func New(mp *core.MultiPipeline, cfg Config) (*Server, error) {
 	}
 	if cfg.ModelledClock && cfg.Clock != nil {
 		return nil, errors.New("serve: ModelledClock is incompatible with an external Clock")
-	}
-	if cfg.ModelledClock && cfg.Backpressure {
-		// A blocked submitter can never advance the logical clock, and a held
-		// decision can never free queue space: mutual wait, so reject the pair.
-		return nil, errors.New("serve: ModelledClock is incompatible with Backpressure")
 	}
 	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = 64

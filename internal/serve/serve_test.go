@@ -156,16 +156,17 @@ func TestServeParityAcrossLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lossless := len(packets) + 1 // a queue no replay fills: nothing is evicted
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
 		{"inline", Config{Lanes: 0}},
-		{"lanes=1", Config{Lanes: 1, Backpressure: true}},
-		{"lanes=2", Config{Lanes: 2, Backpressure: true}},
-		{"lanes=4", Config{Lanes: 4, Backpressure: true}},
-		{"lanes=2+sched", Config{Lanes: 2, Backpressure: true, Sched: &syscfg.Sched, TAvailNanos: 1 << 40}},
-		{"lanes=4+sched", Config{Lanes: 4, Backpressure: true, Sched: &syscfg.Sched, TAvailNanos: 1 << 40}},
+		{"lanes=1", Config{Lanes: 1, MaxQueue: lossless}},
+		{"lanes=2", Config{Lanes: 2, MaxQueue: lossless}},
+		{"lanes=4", Config{Lanes: 4, MaxQueue: lossless}},
+		{"lanes=2+sched", Config{Lanes: 2, MaxQueue: lossless, Sched: &syscfg.Sched, TAvailNanos: 1 << 40}},
+		{"lanes=4+sched", Config{Lanes: 4, MaxQueue: lossless, Sched: &syscfg.Sched, TAvailNanos: 1 << 40}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -281,7 +282,7 @@ func TestSubmitPacketBorrowsPacket(t *testing.T) {
 	wantOrders, _, _ := serialRun(t, buildMulti(t, syms), packets)
 
 	log := NewOrderLog()
-	srv, err := New(buildMulti(t, syms), Config{Lanes: 2, Backpressure: true, OnOrders: log.Sink()})
+	srv, err := New(buildMulti(t, syms), Config{Lanes: 2, MaxQueue: len(packets) + 1, OnOrders: log.Sink()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +487,7 @@ func TestServeChaosConcurrentReads(t *testing.T) {
 	_, wantBooks, _ := serialRun(t, buildMulti(t, syms), packets)
 
 	log := NewOrderLog()
-	srv, err := New(buildMulti(t, syms), Config{Lanes: len(syms), Backpressure: true, OnOrders: log.Sink()})
+	srv, err := New(buildMulti(t, syms), Config{Lanes: len(syms), MaxQueue: len(packets) + 1, OnOrders: log.Sink()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,15 +607,14 @@ func TestServeModelledThroughputScaling(t *testing.T) {
 	}
 }
 
-// TestServeDropWakesBackpressure pins the drop-path wakeup: when online
-// Algorithm 1 drains a lane's whole backlog by dropping infeasible queries,
-// the drops must wake backpressured submitters and Drain waiters — without
-// the broadcast the worker parks in Wait with the queue empty while a
-// submitter parked at the full-queue bound sleeps forever.
-func TestServeDropWakesBackpressure(t *testing.T) {
+// TestServeDropWakesDrain pins the drop-path wakeup: when online Algorithm 1
+// drains a lane's whole backlog by dropping infeasible queries, the drops
+// must wake a Drain waiter — without the broadcast the worker parks in Wait
+// with the queue empty while Drain sleeps forever.
+func TestServeDropWakesDrain(t *testing.T) {
 	syms := []string{"ESU6"}
 	packets := buildMarket(t, syms, 40)
-	syscfg, err := core.Configure(nn.NewSizedCNN("sched-bp", 8, 0), 1,
+	syscfg, err := core.Configure(nn.NewSizedCNN("sched-drop", 8, 0), 1,
 		core.Sufficient, core.Options{WorkloadScheduling: true})
 	if err != nil {
 		t.Fatal(err)
@@ -623,7 +623,7 @@ func TestServeDropWakesBackpressure(t *testing.T) {
 		t.Fatal("latency floor too low for the test premise")
 	}
 	srv, err := New(buildMulti(t, syms), Config{
-		Lanes: 1, MaxQueue: 2, Backpressure: true,
+		Lanes: 1, MaxQueue: 2,
 		Sched: &syscfg.Sched, TAvailNanos: 1, // every query deadline-infeasible
 	})
 	if err != nil {
@@ -650,7 +650,7 @@ func TestServeDropWakesBackpressure(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("backpressured submitter or Drain never woken by the drop path")
+		t.Fatal("Drain never woken by the drop path")
 	}
 	cancel()
 	wg.Wait()
@@ -715,7 +715,7 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatal("negative lanes accepted")
 	}
 	// A negative queue bound would make enqueue's eviction branch index an
-	// empty queue (or park a backpressured submitter forever).
+	// empty queue.
 	if _, err := New(buildMulti(t, syms), Config{MaxQueue: -1}); err == nil {
 		t.Fatal("negative queue bound accepted")
 	}

@@ -27,7 +27,7 @@ func TestSignalGatewayStats(t *testing.T) {
 	defer gw.Close()
 
 	log := NewOrderLog()
-	srv, err := New(buildMulti(t, syms), Config{Lanes: 2, Backpressure: true, OnOrders: log.Sink(), Signals: gw})
+	srv, err := New(buildMulti(t, syms), Config{Lanes: 2, MaxQueue: len(packets) + 1, OnOrders: log.Sink(), Signals: gw})
 	if err != nil {
 		t.Fatal(err)
 	}

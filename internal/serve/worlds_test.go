@@ -94,7 +94,7 @@ type world struct {
 	budget       core.PowerCondition
 	tAvail       int64
 	maxQueue     int
-	backpressure bool
+	unbounded    bool // the concurrent run queues the whole feed instead of running on modelled time
 	ws, ds, stub bool
 	sys          core.SystemConfig // M1's or M2's tables on the world's lanes, budget and policy
 	tier         *sched.Config     // the ladder's one rung; nil with the ladder off
@@ -103,9 +103,9 @@ type world struct {
 }
 
 func (w *world) String() string {
-	return fmt.Sprintf("%s: %d packets, %d instruments, policy %s, %d lanes, %s budget, tAvail %d ns, queue %d, backpressure %v, ws %v, ds %v, %s tables, stub %v, ladder %v",
+	return fmt.Sprintf("%s: %d packets, %d instruments, policy %s, %d lanes, %s budget, tAvail %d ns, queue %d, unbounded %v, ws %v, ds %v, %s tables, stub %v, ladder %v",
 		w.src.Name(), len(w.packets), len(w.models), w.policy, w.lanes, w.budget.Name,
-		w.tAvail, w.maxQueue, w.backpressure, w.ws, w.ds, w.sys.Sched.Kernel.ModelName, w.stub, w.tier != nil)
+		w.tAvail, w.maxQueue, w.unbounded, w.ws, w.ds, w.sys.Sched.Kernel.ModelName, w.stub, w.tier != nil)
 }
 
 // buildWorld draws the world of spec.Seed and applies spec's cuts. Seed i
@@ -127,7 +127,7 @@ func buildWorld(t testing.TB, spec worldSpec) *world {
 		w.tAvail = int64(150e3 * math.Pow(20e6/150e3, rng.Float64()*rng.Float64()))
 	}
 	w.maxQueue = 1 << rng.Intn(7)
-	w.backpressure = rng.Intn(2) == 0
+	w.unbounded = rng.Intn(2) == 0
 	w.ws, w.ds = rng.Intn(4) > 0, rng.Intn(4) > 0
 	ladder := rng.Intn(2) == 0 && w.policy != "none"
 	rung := rng.Intn(3) // 0: the stub, 1: M1, 2: M1 on M2's tables
@@ -502,11 +502,11 @@ func runWorld(t testing.TB, spec worldSpec, tally *worldTally) {
 			len(simP.DVFSEvents()), len(srvP.DVFSEvents()), m, a, st)
 	}
 
-	// Lossless (3): no deadline, backpressure, and admission only where
-	// the budget holds every lane at its fastest point.
+	// Lossless (3): no deadline, a queue the whole feed fits in, and
+	// admission only where the budget holds every lane at its fastest point.
 	wantOrders, wantBooks, wantInfs := serialRun(t, w.multi(t, &bad), w.packets)
 	logs := []*OrderLog{log}
-	for _, cfg := range []Config{{}, {Lanes: w.lanes, MaxQueue: w.maxQueue, Backpressure: true}} {
+	for _, cfg := range []Config{{}, {Lanes: w.lanes, MaxQueue: len(w.packets) + 1}} {
 		if w.budget == core.Sufficient {
 			w.admission(&cfg, false)
 		}
@@ -524,11 +524,14 @@ func runWorld(t testing.TB, spec worldSpec, tally *worldTally) {
 		}
 	}
 
-	// Concurrent lanes (1, 2): Run, on modelled time or with backpressure,
-	// and a reader racing the governor.
+	// Concurrent lanes (1, 2): Run, on modelled time or with a queue the
+	// whole feed fits in, and a reader racing the governor.
 	conP := newWorldProbe(w, false)
 	cfg := Config{Lanes: w.lanes, MaxQueue: w.maxQueue, TAvailNanos: w.tAvail, PrePipelineNanos: core.DefaultPrePipelineNanos,
-		Backpressure: w.backpressure, ModelledClock: !w.backpressure, Probe: conP}
+		ModelledClock: !w.unbounded, Probe: conP}
+	if w.unbounded {
+		cfg.MaxQueue = len(w.packets) + 1
+	}
 	w.admission(&cfg, true)
 	conSt, _, peak := serveRun(t, w, cfg, &bad)
 	conP.check(t, "concurrent", conSt.Submitted, conSt.Served, conSt.Late, conSt.Dropped(), max(peak, conSt.MaxPowerWatts))

@@ -56,6 +56,10 @@ var (
 	ErrUnknownSymbol = errors.New("signal: unknown symbol")
 )
 
+// horizonTicks is the prediction horizon, in ticks, stamped into every
+// TradeSignal.
+const horizonTicks = 10
+
 // TradeSignal is one published prediction: the action/confidence/horizon
 // triple plus the top-of-book context it was made from. Signals are value
 // types — they copy freely through conflation slots, channels and wire
@@ -72,7 +76,7 @@ type TradeSignal struct {
 	Action     nn.Direction
 	Confidence float32
 	// HorizonTicks is the prediction horizon the serving models were
-	// trained for, stamped from the gateway config.
+	// trained for (horizonTicks).
 	HorizonTicks int32
 	// Top-of-book snapshot at prediction time.
 	BidPrice, BidQty int64
@@ -90,9 +94,6 @@ type Config struct {
 	// Shards is the fixed fan-out shard count (one goroutine each).
 	// 0 selects 8; negative is an error.
 	Shards int
-	// HorizonTicks is stamped into every TradeSignal (0 selects 10, the
-	// repo's default training horizon).
-	HorizonTicks int32
 	// Heartbeat is the wire keep-alive interval (0 selects 500ms).
 	Heartbeat time.Duration
 	// WriteTimeout is the per-connection write deadline: a TCP subscriber
@@ -143,12 +144,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = 8
-	}
-	if cfg.HorizonTicks < 0 {
-		return nil, fmt.Errorf("signal: negative horizon %d", cfg.HorizonTicks)
-	}
-	if cfg.HorizonTicks == 0 {
-		cfg.HorizonTicks = 10
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 500 * time.Millisecond
@@ -209,12 +204,11 @@ func (g *Gateway) Register(symbol string, securityID int32) (*Publisher, error) 
 		return nil, fmt.Errorf("signal: symbol %q already registered", symbol)
 	}
 	s := &slot{
-		gw:      g,
-		symbol:  symbol,
-		sec:     securityID,
-		horizon: g.cfg.HorizonTicks,
-		dirty:   make([]atomic.Uint32, len(g.shards)),
-		lists:   make([]atomic.Pointer[subList], len(g.shards)),
+		gw:     g,
+		symbol: symbol,
+		sec:    securityID,
+		dirty:  make([]atomic.Uint32, len(g.shards)),
+		lists:  make([]atomic.Pointer[subList], len(g.shards)),
 	}
 	g.bySym[symbol] = s
 	old := *g.slots.Load()
@@ -235,10 +229,9 @@ func (g *Gateway) slotFor(symbol string) *slot {
 // slot is one symbol's conflated stream: a latest-value cell plus the
 // publish-sequence counter and per-shard subscriber lists.
 type slot struct {
-	gw      *Gateway
-	symbol  string
-	sec     int32
-	horizon int32
+	gw     *Gateway
+	symbol string
+	sec    int32
 
 	// published counts Publish calls (the signal sequence). subs is the
 	// live subscriber count across shards. everSub latches on the first
@@ -293,7 +286,7 @@ func (p *Publisher) Publish(ev core.SignalEvent) {
 		Seq:          n,
 		Action:       ev.Action,
 		Confidence:   ev.Confidence,
-		HorizonTicks: s.horizon,
+		HorizonTicks: horizonTicks,
 		BidPrice:     ev.BidPrice,
 		BidQty:       ev.BidQty,
 		AskPrice:     ev.AskPrice,

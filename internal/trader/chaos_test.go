@@ -118,14 +118,11 @@ func TestChaosLossyDualFeedBookConverges(t *testing.T) {
 	var venueSnap, local lob.Snapshot
 	converged := false
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		vs, ok := srv.Snapshot(sec)
-		if ok {
-			venueSnap = vs
-			local, _ = tr.Book(sec)
-			if booksMatch(venueSnap, local) {
-				converged = true
-				break
-			}
+		venueSnap = srv.Snapshot(sec)
+		local, _ = tr.Book(sec)
+		if booksMatch(venueSnap, local) {
+			converged = true
+			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -247,11 +244,7 @@ func TestChaosOrderEntryResetReconnects(t *testing.T) {
 	// The cancels must actually flatten the venue book back to its seeded
 	// depth at our resting price.
 	waitFor(t, 5*time.Second, "venue book flattened", func() bool {
-		snap, ok := srv.Snapshot(sec)
-		if !ok {
-			return false
-		}
-		for _, lvl := range snap.Bids {
+		for _, lvl := range srv.Snapshot(sec).Bids {
 			if lvl.Price == 449995 {
 				return lvl.Qty == 100
 			}

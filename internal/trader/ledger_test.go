@@ -162,10 +162,9 @@ func TestReplacedOrderLeavesReconnectSweep(t *testing.T) {
 	}
 }
 
-// TestRouteOrdersAvoidsFeedLock pins the deadlock fix: the lane-side order
-// gate must complete while feedMu is held, because under Backpressure the
-// feed pump holds feedMu while parked inside serve.SubmitPacket waiting for
-// a lane to drain — and the lane can only drain by finishing routeOrders.
+// TestRouteOrdersAvoidsFeedLock pins the lock rule: the order gate must
+// complete while feedMu is held, because inline dispatch (Lanes: 0) runs
+// routeOrders on the feed goroutine under feedMu.
 func TestRouteOrdersAvoidsFeedLock(t *testing.T) {
 	mt := &MultiTrader{client: NewClient(Config{})}
 	// No session was ever established: the gate suppresses.
@@ -180,7 +179,7 @@ func TestRouteOrdersAvoidsFeedLock(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("routeOrders blocked on the feed lock (ABBA deadlock with Backpressure)")
+		t.Fatal("routeOrders blocked on the feed lock (inline dispatch would deadlock)")
 	}
 	if got := mt.FeedStats().Suppressed; got != 1 {
 		t.Fatalf("Suppressed = %d, want 1", got)
@@ -284,7 +283,7 @@ func multiMakerFill(t *testing.T, lanes int) {
 	}
 	var sent []exchange.Request // written on the dispatching goroutine, read after it is joined
 	mt, err := NewMulti(Config{OrderAddr: srv.OrderAddr().String(), UUID: 0xCAFE23, KeepAliveMillis: 200},
-		mp, 8, serve.Config{Lanes: lanes, Backpressure: true,
+		mp, 8, serve.Config{Lanes: lanes, MaxQueue: 6 * nn.Window, // more packets than the makers below publish
 			OnOrders: func(_ int32, reqs []exchange.Request) { sent = append(sent, reqs...) }})
 	if err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ func TestMultiTraderLiveLoop(t *testing.T) {
 		KeepAliveMillis:    200,
 		BackoffSeed:        1,
 		CancelOnDisconnect: true,
-	}, mp, 8, serve.Config{Lanes: 1, Backpressure: true})
+	}, mp, 8, serve.Config{Lanes: 1, MaxQueue: len(src.Packets()) + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +79,12 @@ func TestMultiTraderLiveLoop(t *testing.T) {
 	var venueSnap, local lob.Snapshot
 	converged := false
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		vs, ok := srv.Snapshot(sec)
-		if ok {
-			bk, bok := mt.Book(sec)
-			if bok {
-				venueSnap, local = vs, bk
-				if booksMatch(venueSnap, local) {
-					converged = true
-					break
-				}
+		vs := srv.Snapshot(sec)
+		if bk, ok := mt.Book(sec); ok {
+			venueSnap, local = vs, bk
+			if booksMatch(venueSnap, local) {
+				converged = true
+				break
 			}
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -65,7 +65,7 @@ func feedSpan(t *testing.T, tr *trader.MultiTrader, packets [][]byte, sp scenari
 // and starts its runtime; stop cancels and joins it.
 func startGateTrader(t *testing.T, ctx context.Context, cfg trader.Config, src *scenario.Source, lanes int) (*trader.MultiTrader, func()) {
 	t.Helper()
-	tr := newSingleTrader(t, cfg, newScenarioPipeline(t, src), serve.Config{Lanes: lanes, Backpressure: true})
+	tr := newSingleTrader(t, cfg, newScenarioPipeline(t, src), serve.Config{Lanes: lanes, MaxQueue: len(src.Packets()) + 1})
 	runCtx, stop := context.WithCancel(ctx)
 	done := make(chan struct{})
 	go func() { defer close(done); _ = tr.Run(runCtx) }()

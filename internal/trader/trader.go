@@ -39,10 +39,10 @@ type MultiTrader struct {
 	srv    *serve.Server
 
 	// feedMu serialises the single-goroutine arbiter. It is held across
-	// arb.OnDatagram — which, under a Backpressure config, can park inside
-	// serve.SubmitPacket until a lane drains — so nothing a lane goroutine
-	// runs (routeOrders, onAck) may ever take it: that ABBA cycle would
-	// deadlock the whole loop the first time a queue fills mid-delivery.
+	// arb.OnDatagram, which at Lanes: 0 dispatches inline and so runs
+	// routeOrders under it: routeOrders may never take it, or the first
+	// inline order would deadlock the feed goroutine on itself. onAck keeps
+	// off it too, so an ack never waits behind a datagram's dispatch.
 	// Lane-shared state lives in atomics and the client's ledger instead.
 	feedMu sync.Mutex
 	arb    *mdclient.Arbiter

@@ -53,26 +53,16 @@ type Server struct {
 	feedDst  net.Addr
 	feedDstB net.Addr
 
-	// reqCh serialises all engine access onto the run goroutine; snapCh
-	// rides the same goroutine for book reads.
-	reqCh  chan serverReq
-	snapCh chan snapReq
-
+	// mu guards the world and closed. Run steps the scenario's flow and
+	// publishes snapshots under it, and each connection applies its
+	// requests under it, so the world sees one caller at a time.
 	mu     sync.Mutex
+	world  *scenario.World
 	closed bool
 }
 
-type serverReq struct {
-	req   exchange.Request
-	reply chan []exchange.ExecReport
-}
-
-type snapReq struct {
-	sec   int32
-	reply chan lob.Snapshot
-}
-
-// NewServer binds the listener and feed socket; call Run to serve.
+// NewServer binds the listener and feed socket and builds the scenario's
+// world; call Run to serve.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Scenario == nil {
 		return nil, errors.New("exchange: server needs a scenario")
@@ -102,44 +92,38 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 		feedDstB = b
 	}
-	return &Server{
+	s := &Server{
 		cfg:      cfg,
 		ln:       ln,
 		feedConn: feedConn,
 		feedDst:  feedDst,
 		feedDstB: feedDstB,
-		reqCh:    make(chan serverReq, 64),
-		snapCh:   make(chan snapReq),
-	}, nil
+	}
+	// NewWorld publishes nothing, so the world exists before Run without
+	// reaching the feed.
+	s.world = scenario.NewWorld(cfg.Scenario.Script(), cfg.Scenario.Seed(), s.publish)
+	return s, nil
 }
 
 // OrderAddr returns the bound TCP order-entry address.
 func (s *Server) OrderAddr() net.Addr { return s.ln.Addr() }
 
-// Snapshot returns the venue's authoritative top-of-book for sec,
-// serialised through the engine goroutine. ok is false when the server is
-// not running.
-func (s *Server) Snapshot(sec int32) (lob.Snapshot, bool) {
-	reply := make(chan lob.Snapshot, 1)
-	select {
-	case s.snapCh <- snapReq{sec: sec, reply: reply}:
-		return <-reply, true
-	case <-time.After(2 * time.Second):
-		return lob.Snapshot{}, false
-	}
+// Snapshot returns the venue's authoritative top-of-book for sec, read
+// under the world lock.
+func (s *Server) Snapshot(sec int32) lob.Snapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.world.Snapshot(sec)
 }
 
-// Run serves until ctx is cancelled. It owns the scenario's engine: each
+// Run serves until ctx is cancelled. It plays the scenario's flow: each
 // scripted event is applied once its scripted time has passed since Run
 // started, and order-entry requests and periodic snapshots interleave with
-// them here, mirroring the per-channel ordering of a real venue. Requests
-// carry the latest scripted time reached. When the script ends its flow
-// stops; matching and snapshots go on.
+// them under the world lock, mirroring the per-channel ordering of a real
+// venue. Requests carry the latest scripted time reached. When the script
+// ends its flow stops; matching and snapshots go on.
 func (s *Server) Run(ctx context.Context) error {
-	src := s.cfg.Scenario
-	w := scenario.NewWorld(src.Script(), src.Seed(), s.publish)
-
-	go s.acceptLoop(ctx)
+	go s.acceptLoop()
 
 	start := time.Now()
 	flow := time.NewTimer(0)
@@ -157,25 +141,26 @@ func (s *Server) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			s.close()
 			return ctx.Err()
-		case r := <-s.reqCh:
-			r.reply <- w.Submit(r.req)
-		case r := <-s.snapCh:
-			r.reply <- w.Snapshot(r.sec)
 		case <-flow.C:
-			for t, ok := w.Next(); ok; t, ok = w.Next() {
+			s.mu.Lock()
+			for t, ok := s.world.Next(); ok; t, ok = s.world.Next() {
 				if wait := time.Until(start.Add(time.Duration(t))); wait > 0 {
 					flow.Reset(wait)
 					break
 				}
-				w.Step()
+				s.world.Step()
 			}
+			s.mu.Unlock()
 		case <-snapshotTick.C:
-			w.PublishSnapshots()
+			s.mu.Lock()
+			s.world.PublishSnapshots()
+			s.mu.Unlock()
 		}
 	}
 }
 
-// publish writes one packet to the feed channel(s).
+// publish writes one packet to the feed channel(s). The world calls it
+// under s.mu.
 func (s *Server) publish(buf []byte) {
 	_, _ = s.feedConn.WriteTo(buf, s.feedDst)
 	if s.feedDstB != nil {
@@ -194,13 +179,13 @@ func (s *Server) close() {
 }
 
 // acceptLoop handles order-entry sessions.
-func (s *Server) acceptLoop(ctx context.Context) {
+func (s *Server) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		go s.serveConn(ctx, conn)
+		go s.serveConn(conn)
 	}
 }
 
@@ -209,26 +194,26 @@ func (s *Server) acceptLoop(ctx context.Context) {
 type connState struct {
 	session *orderentry.VenueSession
 	legacy  bool
-	reply   chan []exchange.ExecReport
 	lastHB  time.Time
+	// acks is the connection's ack frame buffer, reused for every request.
+	acks []byte
 }
 
 // serveTick bounds how long serveConn blocks in a read before checking
 // keep-alive expiry and heartbeat deadlines.
 const serveTick = 100 * time.Millisecond
 
-// serveConn reads iLink frames, submits them to the engine goroutine, and
-// writes ExecAck frames back. Sessions may open with the FIXP-style
+// serveConn reads iLink frames, applies them to the world, and writes
+// ExecAck frames back. Sessions may open with the FIXP-style
 // Negotiate/Establish handshake (orderentry.VenueSession); clients that
 // send a business frame first run in legacy implicit-session mode. The
 // read loop is deadline-driven so the venue can terminate established
 // sessions whose keep-alive lapsed and emit its own Sequence heartbeats.
-func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
+func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	var rb session.Reader
 	st := &connState{
 		session: orderentry.NewVenueSession(),
-		reply:   make(chan []exchange.ExecReport, 1),
 		lastHB:  time.Now(),
 	}
 	for {
@@ -237,7 +222,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		// Drain every complete frame already buffered before acting on the
 		// read error: a peer may write a frame and close in one burst, and
 		// those bytes can arrive together with EOF.
-		rest, ok := s.processFrames(ctx, conn, buf, st)
+		rest, ok := s.processFrames(conn, buf, st)
 		rb.Keep(rest)
 		if !ok {
 			return
@@ -276,12 +261,13 @@ func (s *Server) maybeHeartbeat(conn net.Conn, st *connState, now time.Time) {
 
 // processFrames consumes every complete frame in buf, returning the
 // unconsumed remainder and whether the connection should stay open. Session
-// frames advance the FIXP state machine; business frames are submitted to
-// the engine goroutine and acked. Malformed frames terminate the session —
-// never the server: the decoder returns errors (not panics) for corrupt
-// SOFH lengths, and consumed is always positive on success, so this loop
-// cannot spin.
-func (s *Server) processFrames(ctx context.Context, conn net.Conn, buf []byte, st *connState) ([]byte, bool) {
+// frames advance the FIXP state machine; business frames are applied to
+// the world under s.mu, their acks encoded before the lock is released and
+// written after, and a stopped server closes the session. Malformed frames
+// terminate the session — never the server: the decoder returns errors (not
+// panics) for corrupt SOFH lengths, and consumed is always positive on
+// success, so this loop cannot spin.
+func (s *Server) processFrames(conn net.Conn, buf []byte, st *connState) ([]byte, bool) {
 	var req exchange.Request // business frames decode into these two
 	var ack orderentry.ExecAck
 	for {
@@ -333,14 +319,14 @@ func (s *Server) processFrames(ctx context.Context, conn net.Conn, buf []byte, s
 				return buf, false
 			}
 		}
-		select {
-		case s.reqCh <- serverReq{req: *frame.Request, reply: st.reply}:
-		case <-ctx.Done():
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
 			return buf, false
 		}
-		var out []byte
-		for _, rep := range <-st.reply {
-			out = orderentry.AppendExecAck(out, orderentry.ExecAck{
+		st.acks = st.acks[:0]
+		for _, rep := range s.world.Submit(*frame.Request) {
+			st.acks = orderentry.AppendExecAck(st.acks, orderentry.ExecAck{
 				ClOrdID:    rep.ClOrdID,
 				Price:      rep.Price,
 				Qty:        rep.Qty,
@@ -348,9 +334,10 @@ func (s *Server) processFrames(ctx context.Context, conn net.Conn, buf []byte, s
 				Exec:       rep.Exec,
 			})
 		}
-		if len(out) > 0 {
+		s.mu.Unlock()
+		if len(st.acks) > 0 {
 			st.lastHB = time.Now()
-			if _, err := conn.Write(out); err != nil {
+			if _, err := conn.Write(st.acks); err != nil {
 				return buf, false
 			}
 		}

@@ -327,12 +327,9 @@ func TestServerDrainsFramesAtEOF(t *testing.T) {
 	// this level plus our 5.
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		snap, ok := srv.Snapshot(7)
-		if ok {
-			for _, lvl := range snap.Bids {
-				if lvl.Price == 449997 && lvl.Qty == 105 {
-					return
-				}
+		for _, lvl := range srv.Snapshot(7).Bids {
+			if lvl.Price == 449997 && lvl.Qty == 105 {
+				return
 			}
 		}
 		time.Sleep(20 * time.Millisecond)

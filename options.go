@@ -133,9 +133,8 @@ type TradeSignal = signal.TradeSignal
 // Attach one to a serving runtime with WithSignalGateway.
 type SignalGateway = signal.Gateway
 
-// SignalGatewayConfig parameterises NewSignalGateway (shard count,
-// prediction horizon, wire heartbeat/write-deadline tuning). The zero
-// value selects the defaults.
+// SignalGatewayConfig parameterises NewSignalGateway (shard count, wire
+// heartbeat/write-deadline tuning). The zero value selects the defaults.
 type SignalGatewayConfig = signal.Config
 
 // SignalSubscription is one conflated in-process subscription
@@ -179,7 +178,6 @@ type config struct {
 	probe         Probe
 	deadline      time.Duration
 	maxQueue      int
-	backpressure  bool
 	inline        bool
 	modelledClock bool
 	sink          OrderSink
@@ -253,12 +251,9 @@ func WithProbe(p Probe) Option { return func(c *config) { c.probe = p } }
 // zero means no deadline. Serving entry points only.
 func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline = d } }
 
-// WithMaxQueue bounds each lane's queue (default 64). Serving only.
+// WithMaxQueue bounds each lane's queue (default 64); an arrival at a full
+// queue evicts its oldest query. Serving only.
 func WithMaxQueue(n int) Option { return func(c *config) { c.maxQueue = n } }
-
-// WithBackpressure blocks submission when a lane queue is full instead of
-// evicting the oldest query. Serving only.
-func WithBackpressure() Option { return func(c *config) { c.backpressure = true } }
 
 // WithInline runs the serving runtime inline on the caller's goroutine —
 // the degenerate serial configuration: a packet's orders have reached the
@@ -270,7 +265,7 @@ func WithInline() Option { return func(c *config) { c.inline = true } }
 // submitted arrival timestamp and batches complete at their scheduled
 // latency-table instants, so a replayed trace reproduces the back-test
 // simulator's timing exactly regardless of host speed. Requires
-// Algorithm-1 admission; incompatible with WithBackpressure. Serving only.
+// Algorithm-1 admission. Serving only.
 func WithModelledClock() Option { return func(c *config) { c.modelledClock = true } }
 
 // WithOrderSink routes generated orders to sink. Serving only.
@@ -335,14 +330,13 @@ func New(m *Model, opts ...Option) (System, error) {
 // (DVFS scheduling also arms the online Algorithm-2 power governor);
 // WithModelZoo/WithModelDegradation wire a cost-sorted ladder of cheaper zoo
 // models that admission falls back to when the full model is infeasible;
-// WithDeadline, WithMaxQueue, WithBackpressure, WithModelledClock, WithProbe
-// and WithOrderSink configure the runtime directly. Start lanes with Server.Run; feed packets with
-// Server.Submit.
+// WithDeadline, WithMaxQueue, WithModelledClock, WithProbe and
+// WithOrderSink configure the runtime directly. Start lanes with
+// Server.Run; feed packets with Server.Submit.
 func NewServer(mp *MultiPipeline, opts ...Option) (*Server, error) {
 	cfg := resolve(opts)
 	scfg := serve.Config{
 		MaxQueue:      cfg.maxQueue,
-		Backpressure:  cfg.backpressure,
 		TAvailNanos:   cfg.deadline.Nanoseconds(),
 		ModelledClock: cfg.modelledClock,
 		Probe:         cfg.probe,
