@@ -8,10 +8,13 @@ build:
 # internal/tensor has an amd64 assembly kernel beside its portable one; this
 # builds the tree, and vets the two packages that reach the kernel, for an
 # architecture that gets only the portable one, so that path cannot rot
-# unbuilt. Offline; nothing is run.
+# unbuilt. internal/trader reads its feed with recvmmsg on Linux and one
+# datagram at a time elsewhere; the darwin build keeps the second path
+# compiling. Offline; nothing is run.
 cross-build:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/
+	GOOS=darwin $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -137,7 +140,8 @@ bench-smoke:
 # snapshot, histogram record, model Predict, a policy's Decide and a
 # scheduling-board round at zero, and the live loop itself —
 # MultiTrader.OnDatagram inline and through a worker lane, order out and ack
-# back, the same loop from socket to socket over loopback UDP and TCP, and
+# back, the same loop from socket to socket over loopback UDP and TCP (one
+# datagram and 16-datagram bursts per tick), and
 # the venue's side of a new + cancel pair over a loopback session — at
 # their pinned counts), with the lane
 # dispatch benchmark (ns, writes and allocs per order at batch 1, 4 and 16),
@@ -328,7 +332,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzDecodeFrame$$ -fuzztime=10s ./internal/signal/
 
 # The full CI gate: formatting, static analysis, build (also cross-built for
-# arm64, which has no assembly kernel), the API snapshot, the reachability
+# arm64, which has no assembly kernel, and for darwin, which has no
+# recvmmsg), the API snapshot, the reachability
 # gate on internal/'s declarations and the facade options, the
 # one-implementation check on the scheduling-board rules and the profiled
 # table, the vet-and-test pass over the nested perf/ benchmark module, the

@@ -136,14 +136,18 @@ func TestLiveLoopAllocsPerTick(t *testing.T) {
 // process when the live loop runs from socket to socket, measured, not a
 // target: TestLiveLoopAllocsPerTick's path plus the three places that touch
 // a socket — ServeFeed's datagram read, the session loop's stream read and
-// its ack decode — and a venue that allocates nothing itself. Lower a row
-// when a change earns it; a rise fails CI (make bench-tickpath).
+// its ack decode — and a venue that allocates nothing itself. A tick is a
+// burst of datagrams written back to back: one, or enough that ServeFeed
+// reads them in batches. Lower a row when a change earns it; a rise fails CI
+// (make bench-tickpath).
 var socketLoopAllocsPerTick = []struct {
-	lanes int
-	pin   float64
+	lanes, burst int
+	pin          float64
 }{
-	{lanes: 0, pin: 0},
-	{lanes: 1, pin: 0},
+	{lanes: 0, burst: 1, pin: 0},
+	{lanes: 1, burst: 1, pin: 0},
+	{lanes: 0, burst: 16, pin: 0},
+	{lanes: 1, burst: 16, pin: 0},
 }
 
 // fillVenue is the far end of a socket-to-socket run: it accepts one order
@@ -208,14 +212,19 @@ func await(tb testing.TB, what string, done func() bool) {
 }
 
 // TestSocketLoopAllocsPerTick pins the live loop from socket to socket: each
-// tick is a datagram written to the loopback UDP socket ServeFeed reads,
-// and ends when every order it caused has crossed a real TCP session run by
-// Client.Run to fillVenue and its fill ack has come back through the ledger
-// into the trading engine. Allocations are counted process-wide, so the
-// feed, session, lane and venue goroutines are all in the count.
+// tick is a burst of datagrams written to the loopback UDP socket ServeFeed
+// reads, and ends when every order they caused has crossed a real TCP
+// session run by Client.Run to fillVenue and its fill ack has come back
+// through the ledger into the trading engine. Allocations are counted
+// process-wide, so the feed, session, lane and venue goroutines are all in
+// the count.
 func TestSocketLoopAllocsPerTick(t *testing.T) {
 	for _, row := range socketLoopAllocsPerTick {
-		t.Run(fmt.Sprintf("lanes=%d", row.lanes), func(t *testing.T) {
+		name := fmt.Sprintf("lanes=%d", row.lanes)
+		if row.burst > 1 {
+			name += fmt.Sprintf(",burst=%d", row.burst)
+		}
+		t.Run(name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -254,13 +263,15 @@ func TestSocketLoopAllocsPerTick(t *testing.T) {
 
 			var seq uint32
 			tick := func() {
-				seq++
-				buf := ticks[int(seq-1)%len(ticks)].Packet
-				binary.LittleEndian.PutUint32(buf[0:], seq)
-				if _, err := sender.Write(buf); err != nil {
-					t.Fatal(err)
+				for i := 0; i < row.burst; i++ {
+					seq++
+					buf := ticks[int(seq-1)%len(ticks)].Packet
+					binary.LittleEndian.PutUint32(buf[0:], seq)
+					if _, err := sender.Write(buf); err != nil {
+						t.Fatal(err)
+					}
 				}
-				await(t, "the datagram", func() bool { return mt.ArbiterStats().Delivered >= int(seq) })
+				await(t, "the datagrams", func() bool { return mt.ArbiterStats().Delivered >= int(seq) })
 				mt.Serve().Drain()
 				await(t, "the fills", func() bool {
 					st := mt.Client().Stats()
@@ -268,7 +279,7 @@ func TestSocketLoopAllocsPerTick(t *testing.T) {
 				})
 			}
 			// Warm through one trace cycle, as TestLiveLoopAllocsPerTick does.
-			for i := 0; i < len(ticks); i++ {
+			for i := 0; i < len(ticks); i += row.burst {
 				tick()
 			}
 			const runs = 512

@@ -19,7 +19,7 @@ import (
 
 // FeedStats counts feed-side trader events.
 type FeedStats struct {
-	Datagrams    int // datagrams ingested across all feed sockets
+	Datagrams    int // datagrams ingested across all feed sockets, one count each however many a read returned
 	BadDatagrams int // undecodable (e.g. corrupted) datagrams discarded
 	Suppressed   int // orders gated off while degraded
 	OrdersRouted int // orders handed to the client
@@ -105,9 +105,10 @@ func (t *MultiTrader) deliver(pkt sbe.Packet) {
 }
 
 // refreshGate republishes the feed half of the order gate. It runs under
-// feedMu, at every delivery and after every datagram (a gap declaration
-// delivers nothing). It stores only on change: lanes read the flag per order
-// batch, and an unconditional store would bounce its cache line per datagram.
+// feedMu, at every delivery and after every batch of datagrams (a gap
+// declaration delivers nothing). It stores only on change: lanes read the
+// flag per order batch, and an unconditional store would bounce its cache
+// line per datagram.
 func (t *MultiTrader) refreshGate() {
 	if r := t.arb.Recovering(); r != t.feedDegraded.Load() {
 		t.feedDegraded.Store(r)
@@ -149,13 +150,28 @@ func (t *MultiTrader) Book(securityID int32) (lob.Snapshot, bool) {
 // OnDatagram ingests one datagram from either feed. Generated orders
 // surface through the gated sink, not the return path.
 func (t *MultiTrader) OnDatagram(buf []byte) error {
-	t.datagrams.Add(1)
+	one := [1][]byte{buf}
+	return t.ingest(one[:])
+}
+
+// ingest hands a batch of datagrams to the arbiter in order, under one
+// feedMu section with one gate refresh after it. Every undecodable datagram
+// is counted and skipped; the last one's error is returned.
+func (t *MultiTrader) ingest(batch [][]byte) error {
+	t.datagrams.Add(int64(len(batch)))
+	var err error
+	bad := 0
 	t.feedMu.Lock()
-	err := t.arb.OnDatagram(buf)
+	for _, buf := range batch {
+		if e := t.arb.OnDatagram(buf); e != nil {
+			err = e
+			bad++
+		}
+	}
 	t.refreshGate()
 	t.feedMu.Unlock()
-	if err != nil {
-		t.badDatagrams.Add(1)
+	if bad > 0 {
+		t.badDatagrams.Add(int64(bad))
 	}
 	return err
 }
@@ -167,26 +183,26 @@ const feedReadTick = 100 * time.Millisecond
 // ServeFeed reads datagrams from conn into the trader until ctx ends.
 // Corrupt datagrams are counted and discarded — a lossy feed must degrade
 // the loop, never kill it. Run one ServeFeed goroutine per redundant feed
-// socket. The read deadline is re-armed only once it has expired: a busy
-// socket pays one spurious timeout per feedReadTick, not a timer reset per
-// datagram, and an idle one still sees ctx within feedReadTick. On a
-// *net.UDPConn the datagram is read without its source address, which
-// ReadFrom would allocate per datagram and the trader never looks at.
+// socket. On Linux a *net.UDPConn is drained with recvmmsg: one system call
+// takes every datagram already queued, up to 32, and the batch is ingested
+// under one feed-lock section. Any other conn, and a *net.UDPConn elsewhere,
+// is read one datagram at a time, without the source address, which the
+// trader never looks at and ReadFrom would allocate per datagram on a
+// *net.UDPConn. Either way the read deadline is re-armed only once it has
+// expired: a busy socket pays one spurious timeout per feedReadTick, not a
+// timer reset per read, and an idle one still sees ctx within feedReadTick.
 func (t *MultiTrader) ServeFeed(ctx context.Context, conn net.PacketConn) error {
-	buf := make([]byte, 64<<10)
-	read := func(b []byte) (int, error) {
-		n, _, err := conn.ReadFrom(b)
-		return n, err
+	r, err := newFeedReader(conn)
+	if err != nil {
+		return err
 	}
-	if uc, ok := conn.(*net.UDPConn); ok {
-		read = uc.Read
-	}
+	defer r.close()
 	_ = conn.SetReadDeadline(time.Now().Add(feedReadTick))
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		n, err := read(buf)
+		batch, err := r.read()
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -198,7 +214,7 @@ func (t *MultiTrader) ServeFeed(ctx context.Context, conn net.PacketConn) error 
 			}
 			return err
 		}
-		_ = t.OnDatagram(buf[:n]) // bad datagrams already counted
+		_ = t.ingest(batch) // bad datagrams already counted
 	}
 }
 
