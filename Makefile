@@ -74,7 +74,7 @@ bench: bench-sched
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_tickpath.json
 
 # The scheduling-policy comparison (every registered strategy × three
-# traffic regimes, with the Q-table trained first), archived as JSON so
+# traffic regimes), archived as JSON so
 # policy regressions show up in the diff. See EXPERIMENTS.md.
 bench-sched:
 	$(GO) run ./cmd/ltbench -exp sched-matrix -json BENCH_sched.json -parallel 0
@@ -203,7 +203,7 @@ bench-tickpath:
 # and its raw-publish side door) are named in no Go file: a hit is a second
 # traffic vocabulary growing back. (11) One way to choose
 # Algorithm 1's objective and batch ladder: the scheduler registry ranks the
-# candidates (ppw, sjf, greedy, ...) and workload scheduling means
+# candidates (ppw, fcfs, greedy) and workload scheduling means
 # DefaultBatchOptions, so no non-test Go file names the deleted objective
 # field, its type, a custom batch ladder or their facade options — a hit is
 # a second selector growing back. (12) A policy decides from Algorithm 1's
@@ -218,7 +218,12 @@ bench-tickpath:
 # one venue hand-off: a full lane queue evicts its oldest query, and a venue
 # connection applies its requests to the scenario world under the server's
 # lock. No Go file names Backpressure, serverReq or snapReq — a hit is a
-# blocking submitter or the venue's engine mailbox growing back.
+# blocking submitter or the venue's engine mailbox growing back. (15) One
+# registry row per idea: the scheduler registry is ppw against the fcfs and
+# greedy baselines. No Go file names SJFScheduler, QScheduler, QConfig,
+# TrainQ, byLatency or q_train_episodes — a hit is the second single-issue
+# baseline or the tabular learner (and its training pass before every
+# matrix run) growing back.
 one-impl-check:
 	@bad=$$(grep -rnE '\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -310,6 +315,10 @@ one-impl-check:
 	@bad=$$(grep -rnE 'Backpressure|serverReq|snapReq' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "a blocking submitter or the venue's engine mailbox named again:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE 'SJFScheduler|QScheduler|QConfig|TrainQ|byLatency|q_train_episodes' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "a deleted scheduler registry row named again:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile

@@ -93,11 +93,12 @@ type PolicyRow struct {
 	EnergyJ  map[string]float64
 }
 
-// ablationPolicies are the registry policies that rank Algorithm 1's one
-// candidate enumeration by PPW, by latency and by batch size.
-var ablationPolicies = []string{"ppw", "sjf", "greedy"}
+// ablationPolicies are the registry policies: Algorithm 1's one candidate
+// enumeration ranked by PPW, issued one query at a time in arrival order,
+// and ranked by batch size.
+var ablationPolicies = []string{"ppw", "fcfs", "greedy"}
 
-// AblationPolicy compares the PPW objective against the latency-first and
+// AblationPolicy compares the PPW objective against the single-issue and
 // batch-first registry policies (WS+DS enabled, limited power).
 func AblationPolicy(src *scenario.Source, tAvailNanos int64) []PolicyRow {
 	qs := src.Queries(tAvailNanos)
@@ -127,7 +128,7 @@ func AblationPolicy(src *scenario.Source, tAvailNanos int64) []PolicyRow {
 func RenderAblationPolicy(rows []PolicyRow) string {
 	var b strings.Builder
 	header(&b, "Ablation: Algorithm 1 objective (WS+DS, limited power)")
-	fmt.Fprintf(&b, "%-12s %3s | %22s | %22s | %22s\n", "Model", "N", "ppw", "sjf", "greedy")
+	fmt.Fprintf(&b, "%-12s %3s | %22s | %22s | %22s\n", "Model", "N", "ppw", "fcfs", "greedy")
 	for _, r := range rows {
 		line := fmt.Sprintf("%-12s %3d |", r.Model, r.NumAccels)
 		for _, p := range ablationPolicies {

@@ -1,13 +1,12 @@
 package bench
 
 // The scheduling-policy comparison: every registered strategy (the paper's
-// proactive PPW scheduler, the four naive baselines, and the trained
-// Q-learning yardstick) across three traffic regimes, on the canonical
-// instrumented configuration (DeepLOB, two accelerators, limited power,
-// WS+DS). The matrix quantifies the paper's central claim — that proactive
-// PPW scheduling beats reactive heuristics under bursty traffic — and gives
-// the learned scheduler a fair, reproducible seat at the same table.
-// `make bench-sched` archives the rows as BENCH_sched.json.
+// proactive PPW scheduler and the two naive baselines) across three traffic
+// regimes, on the canonical instrumented configuration (DeepLOB, two
+// accelerators, limited power, WS+DS). The matrix quantifies the paper's
+// central claim — that proactive PPW scheduling beats reactive heuristics
+// under bursty traffic. `make bench-sched` archives the rows as
+// BENCH_sched.json.
 
 import (
 	"encoding/json"
@@ -20,10 +19,6 @@ import (
 	"lighttrader/internal/sched"
 	"lighttrader/internal/sim"
 )
-
-// schedTrainEpisodes is the number of seeded training replays the Q-table
-// gets before being frozen for evaluation.
-const schedTrainEpisodes = 4
 
 // SchedRow is one (policy, workload) cell of the scheduling matrix.
 type SchedRow struct {
@@ -64,35 +59,6 @@ func schedMatrixConfig(factory sched.Factory) (core.SystemConfig, error) {
 	})
 }
 
-// TrainQ trains a tabular Q-scheduler for the matrix configuration against
-// the deterministic simulator: `episodes` seeded replays of src's query
-// stream with exploration and updates on, then frozen. Training is exactly
-// reproducible — the trace, the simulator and the ε-greedy source are all
-// seeded — so the returned (read-only) policy is a deterministic function
-// of (src, tAvailNanos, episodes).
-func TrainQ(src *scenario.Source, tAvailNanos int64, episodes int) *sched.QScheduler {
-	cfg, err := schedMatrixConfig(nil)
-	if err != nil {
-		panic(err) // static config; cannot fail
-	}
-	q := sched.NewQScheduler(&cfg.Sched, sched.DefaultQConfig())
-	// The factory hands every Reset the same instance, so the table carries
-	// across episodes instead of starting fresh each run.
-	cfg.Scheduler = func(*sched.Config) sched.Scheduler { return q }
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		panic(err)
-	}
-	qs := src.Queries(tAvailNanos)
-	q.SetTraining(true)
-	for e := 0; e < episodes; e++ {
-		sim.Run(qs, sys)
-		q.EndEpisode()
-	}
-	q.SetTraining(false)
-	return q
-}
-
 // schedCell is one unit of matrix work: a policy factory on a workload.
 type schedCell struct {
 	policy   string
@@ -102,12 +68,10 @@ type schedCell struct {
 }
 
 // SchedMatrixWorkers builds the full policy × workload comparison, its cells
-// fanned across a worker pool (1 runs them serially). Training runs first,
-// serially; evaluation cells share only the frozen (read-only) Q-table and
-// the regimes' memoised tick streams, so rows are identical for any worker
+// fanned across a worker pool (1 runs them serially). Cells share only the
+// regimes' memoised tick streams, so rows are identical for any worker
 // count.
 func SchedMatrixWorkers(src *scenario.Source, tAvailNanos int64, workers int) []SchedRow {
-	trained := TrainQ(src, tAvailNanos, schedTrainEpisodes)
 	policies := []struct {
 		name    string
 		factory sched.Factory
@@ -115,8 +79,6 @@ func SchedMatrixWorkers(src *scenario.Source, tAvailNanos int64, workers int) []
 		{"ppw", nil}, // nil factory: the engines' default PPW path
 		{"fcfs", mustFactory("fcfs")},
 		{"greedy", mustFactory("greedy")},
-		{"sjf", mustFactory("sjf")},
-		{"qtable", func(*sched.Config) sched.Scheduler { return trained }},
 	}
 	var cells []schedCell
 	for _, w := range schedWorkloads(src) {
@@ -175,9 +137,8 @@ func RenderSchedMatrix(rows []SchedRow) string {
 			r.Workload, r.Policy, pct(r.ResponseRate), pct(r.MissRate),
 			r.MeanBatch, r.EnergyJ, r.PPW)
 	}
-	b.WriteString("\nppw is Algorithm 1; fcfs/greedy/sjf are naive baselines over the\n")
-	b.WriteString("same feasibility checks; qtable is a tabular Q-learner trained on the\n")
-	b.WriteString("bursty regime (seeded, reproducible) and frozen for evaluation.\n")
+	b.WriteString("\nppw is Algorithm 1; fcfs and greedy are naive baselines over the\n")
+	b.WriteString("same feasibility checks.\n")
 	return b.String()
 }
 
@@ -189,7 +150,6 @@ type SchedReport struct {
 	Ticks       int        `json:"ticks"`
 	TAvailNanos int64      `json:"t_avail_nanos"`
 	Seed        int64      `json:"seed"`
-	Episodes    int        `json:"q_train_episodes"`
 	Rows        []SchedRow `json:"rows"`
 }
 
@@ -198,7 +158,7 @@ func SchedMatrixJSON(src *scenario.Source, tAvailNanos int64, rows []SchedRow) (
 	rep := SchedReport{
 		Model: "DeepLOB", Accels: 2, Power: core.Limited.Name,
 		Ticks: len(src.Ticks()), TAvailNanos: tAvailNanos, Seed: src.Seed(),
-		Episodes: schedTrainEpisodes, Rows: rows,
+		Rows: rows,
 	}
 	return json.MarshalIndent(rep, "", "  ")
 }

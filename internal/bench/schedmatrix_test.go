@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"lighttrader/internal/scenario"
-	"lighttrader/internal/sched"
 )
 
 // schedTestTraffic is a small but non-trivial trace: enough ticks that every
@@ -18,9 +17,8 @@ func schedTestTraffic() (*scenario.Source, int64) {
 
 // TestSchedMatrixParallelIdentical is the policy-matrix smoke: the full
 // policy × workload matrix (every registered strategy, via RunMatrix) over a
-// small trace must be
-// byte-identical for any worker count — training is serial and seeded, and
-// evaluation cells share only read-only state.
+// small trace must be byte-identical for any worker count — cells share
+// only read-only state.
 func TestSchedMatrixParallelIdentical(t *testing.T) {
 	src, tAvail := schedTestTraffic()
 	serial := SchedMatrixWorkers(src, tAvail, 1)
@@ -38,7 +36,7 @@ func TestSchedMatrixParallelIdentical(t *testing.T) {
 func TestSchedMatrixShape(t *testing.T) {
 	src, tAvail := schedTestTraffic()
 	rows := SchedMatrixWorkers(src, tAvail, 1)
-	wantPolicies := []string{"ppw", "fcfs", "greedy", "sjf", "qtable"}
+	wantPolicies := []string{"ppw", "fcfs", "greedy"}
 	wantWorkloads := []string{"calm", "bursty", "flash"}
 	if len(rows) != len(wantPolicies)*len(wantWorkloads) {
 		t.Fatalf("got %d rows, want %d", len(rows), len(wantPolicies)*len(wantWorkloads))
@@ -111,21 +109,4 @@ func sameStats(byKey map[string]SchedRow, workloads []string, a, b string) bool 
 		}
 	}
 	return true
-}
-
-// TestTrainQReproducible: the training loop is a deterministic function of
-// its inputs — two independent trainings decide identically.
-func TestTrainQReproducible(t *testing.T) {
-	src, tAvail := schedTestTraffic()
-	row := func(q *sched.QScheduler) SchedRow {
-		return runSchedCell(schedCell{policy: "qtable", workload: schedWorkload{Name: "train", Src: src},
-			tAvail: tAvail, factory: func(*sched.Config) sched.Scheduler { return q }})
-	}
-	a, b := row(TrainQ(src, tAvail, 2)), row(TrainQ(src, tAvail, 2))
-	if a.ResponseRate == 0 {
-		t.Fatal("the trained policy answered nothing")
-	}
-	if a != b {
-		t.Fatalf("training diverged: %+v vs %+v", a, b)
-	}
 }

@@ -43,7 +43,7 @@ func newBoardHarness(t *testing.T, seed int64, n int, budget float64) *boardHarn
 		tc.PowerBudgetWatts = budget
 	}
 	h.b = NewBoard(h.cfg, h.tiers, n, boardPre, true, func(e sim.DVFSEvent) { h.events = append(h.events, e) })
-	h.floor = NewTable(h.cfg).MinTotalNanos()
+	h.floor = oracleMinTotalNanos(h.cfg)
 	names := SchedulerNames()
 	f, err := FactoryByName(names[int(seed)%len(names)])
 	if err != nil {
@@ -117,7 +117,7 @@ func (h *boardHarness) issue(slot, tier int) bool {
 	}
 	queued := 1 + h.rng.Intn(16)
 	// From hopeless to lavish: both infeasibility verdicts must occur.
-	floor := NewTable(cfg).MinTotalNanos()
+	floor := oracleMinTotalNanos(cfg)
 	avail := floor/2 + h.rng.Int63n(6*floor)
 	decide := func() (Issue, Verdict) {
 		ctx := h.b.Context(slot, queued, avail)

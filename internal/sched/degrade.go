@@ -13,7 +13,7 @@ package sched
 // cost-descending tier configs (tier 1 first): policy t-1 decides against
 // cfgs[t-1], which the Board holds as its tier tables. Each tier gets its
 // own instance from the primary policy's factory, so the ladder inherits
-// its issue objective and stateful policies (Q-tables) stay per-tier.
+// its issue objective and each tier ranks from its own Table.
 func NewModelTiers(f Factory, cfgs []*Config) []Scheduler {
 	tiers := make([]Scheduler, len(cfgs))
 	for i, cfg := range cfgs {

@@ -1,10 +1,10 @@
 package sched
 
 // Property tests over the whole policy registry: every shipped strategy —
-// the default PPW scheduler, the four baselines, and the Q-learner (both
-// untrained and with an adversarially randomised table) — must uphold the
-// hard Scheduler invariants on any context. `make ci` runs these under the
-// race detector via the go test -race pass.
+// the default PPW scheduler and the two baselines — and a test-local policy
+// that ranks candidates by seeded random scores must uphold the hard
+// Scheduler invariants on any context. `make ci` runs these under the race
+// detector via the go test -race pass.
 
 import (
 	"math/rand"
@@ -12,9 +12,34 @@ import (
 	"testing/quick"
 )
 
+// randomPolicy hands Table.pick a seeded random score per (row, batch)
+// candidate: an arbitrary objective, so the action mask, not the ranking,
+// must guarantee feasibility.
+type randomPolicy struct {
+	t     *Table
+	score []float64 // row-major over (state, batch)
+}
+
+func newRandomPolicy(cfg *Config, seed int64) *randomPolicy {
+	p := &randomPolicy{t: NewTable(cfg)}
+	rng := rand.New(rand.NewSource(seed))
+	p.score = make([]float64, len(p.t.states)*len(p.t.batches))
+	for i := range p.score {
+		p.score[i] = rng.NormFloat64() * 100
+	}
+	return p
+}
+
+func (p *randomPolicy) Name() string { return "random" }
+
+func (p *randomPolicy) Decide(ctx SchedContext) Decision {
+	return p.t.decide(ctx, ctx.Queued, func(si, bi int, _ int64) float64 {
+		return p.score[si*len(p.t.batches)+bi]
+	})
+}
+
 // registrySchedulers builds one instance of every registered policy, plus a
-// Q-learner whose table is filled with adversarial random values (the
-// action mask, not the table contents, must guarantee feasibility).
+// randomPolicy.
 func registrySchedulers(t *testing.T, cfg *Config) []Scheduler {
 	t.Helper()
 	var out []Scheduler
@@ -25,13 +50,7 @@ func registrySchedulers(t *testing.T, cfg *Config) []Scheduler {
 		}
 		out = append(out, f(cfg))
 	}
-	hostile := NewQScheduler(cfg, DefaultQConfig())
-	rng := rand.New(rand.NewSource(99))
-	for i := range hostile.q {
-		hostile.q[i] = rng.NormFloat64() * 100
-	}
-	out = append(out, hostile)
-	return out
+	return append(out, newRandomPolicy(cfg, 99))
 }
 
 // TestQuickPolicyInvariants fuzzes contexts across the registry and checks

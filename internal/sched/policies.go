@@ -1,7 +1,7 @@
 package sched
 
-// Baseline scheduling policies: the naive strategies the paper's proactive
-// scheduler claims to beat. All of them pick through Algorithm 1's one
+// Baseline scheduling policies: the two naive strategies the paper's
+// proactive scheduler claims to beat. Both pick through Algorithm 1's one
 // candidate enumeration, Table.pick (the same deadline and power
 // feasibility tests, the same WS/DS feature switches, the same switch-stall
 // overlap model), and differ only in the score they hand it — so the
@@ -47,23 +47,4 @@ func (s *GreedyScheduler) Name() string { return "greedy" }
 // Decide implements Scheduler.
 func (s *GreedyScheduler) Decide(ctx SchedContext) Decision {
 	return s.t.decide(ctx, ctx.Queued, s.t.byBatch)
-}
-
-// SJFScheduler is shortest-job-first over the modelled batch cost: among
-// feasible candidates it picks the one whose projected t_total (transfer +
-// inference + post-processing + switch stall, from the compiled cycle
-// model) is smallest. It minimises per-decision service time — which under
-// load collapses to single-query issues at the fastest state, burning the
-// power budget the PPW objective would save.
-type SJFScheduler struct{ t *Table }
-
-// NewSJFScheduler builds the SJF baseline over cfg.
-func NewSJFScheduler(cfg *Config) *SJFScheduler { return &SJFScheduler{t: NewTable(cfg)} }
-
-// Name implements Scheduler.
-func (s *SJFScheduler) Name() string { return "sjf" }
-
-// Decide implements Scheduler.
-func (s *SJFScheduler) Decide(ctx SchedContext) Decision {
-	return s.t.decide(ctx, ctx.Queued, byLatency)
 }

@@ -347,23 +347,3 @@ func TestQuickSavePowerOnlyDown(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMinTotalNanosIsTableFloor(t *testing.T) {
-	cfg := testConfig(t, true, true)
-	min := NewTable(cfg).MinTotalNanos()
-	if min <= 0 {
-		t.Fatalf("MinTotalNanos = %d, want > 0", min)
-	}
-	for _, d := range cfg.Spec.DVFSTable() {
-		if got := cfg.TotalNanos(d, 1); got < min {
-			t.Fatalf("state %.2f GHz: TotalNanos(1) = %d below reported floor %d",
-				d.FreqGHz, got, min)
-		}
-	}
-	// With DS off only the static state is reachable, so the floor is its
-	// batch-1 latency exactly.
-	static := testConfig(t, true, false)
-	if got, want := NewTable(static).MinTotalNanos(), static.TotalNanos(static.StaticDVFS, 1); got != want {
-		t.Fatalf("static floor = %d, want %d", got, want)
-	}
-}

@@ -7,9 +7,8 @@ package sched
 // the strategy one question per idle accelerator: given what you can
 // observe, what should this accelerator do now? Algorithm 1 (the paper's
 // proactive PPW scheduler, the registry's "ppw" entry) is the default both
-// engines resolve a nil Factory to; the baselines in policies.go and the
-// learned scheduler in qlearn.go are the competitive yardstick the paper's
-// headline claim is measured against.
+// engines resolve a nil Factory to; the two baselines in policies.go are
+// the yardstick the paper's headline claim is measured against.
 
 import (
 	"fmt"
@@ -70,16 +69,15 @@ type Scheduler interface {
 }
 
 // Factory builds a Scheduler bound to a Config. Engines call it once per
-// accelerator set at Reset time, so stateful policies start every run
-// fresh; a factory that returns a shared instance deliberately carries
-// state across runs (the Q-learning trainer does).
+// accelerator set at Reset time. Every registry policy is read-only after
+// construction, so a factory may also hand one instance to every run.
 type Factory func(cfg *Config) Scheduler
 
 // PPWScheduler is the paper's proactive scheduler behind the strategy
 // interface: Algorithm 1's joint (batch, DVFS) selection under deadline
 // and power constraints, ranked by PPW. It is the default policy of both
-// engines; the registry's "sjf" and "greedy" entries rank the same
-// candidates by latency and by batch size instead.
+// engines; the registry's "fcfs" and "greedy" entries rank the same
+// candidates by arrival order and by batch size instead.
 type PPWScheduler struct{ t *Table }
 
 // NewPPWScheduler binds Algorithm 1 to cfg's profiled table.
@@ -114,8 +112,6 @@ var factories = map[string]Factory{
 	"ppw":    func(cfg *Config) Scheduler { return NewPPWScheduler(cfg) },
 	"fcfs":   func(cfg *Config) Scheduler { return NewFCFSScheduler(cfg) },
 	"greedy": func(cfg *Config) Scheduler { return NewGreedyScheduler(cfg) },
-	"sjf":    func(cfg *Config) Scheduler { return NewSJFScheduler(cfg) },
-	"qtable": func(cfg *Config) Scheduler { return NewQScheduler(cfg, DefaultQConfig()) },
 }
 
 // SchedulerNames returns the registered policy names, sorted.

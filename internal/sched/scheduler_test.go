@@ -72,7 +72,7 @@ func TestPPWSchedulerMatchesPickIssueExplained(t *testing.T) {
 func TestSchedulerRegistry(t *testing.T) {
 	cfg := testConfig(t, true, true)
 	names := SchedulerNames()
-	want := []string{"fcfs", "greedy", "ppw", "qtable", "sjf"}
+	want := []string{"fcfs", "greedy", "ppw"}
 	if len(names) != len(want) {
 		t.Fatalf("SchedulerNames = %v, want %v", names, want)
 	}
@@ -122,44 +122,5 @@ func TestGreedyMaxBatch(t *testing.T) {
 	})
 	if dec.Verdict != VerdictIssued || dec.Issue.Batch != 16 {
 		t.Fatalf("greedy decision = %+v, want batch 16", dec)
-	}
-}
-
-// TestSJFPicksFastestCandidate: the SJF baseline minimises modelled t_total
-// over the feasible space.
-func TestSJFPicksFastestCandidate(t *testing.T) {
-	cfg := testConfig(t, true, true)
-	s := NewSJFScheduler(cfg)
-	ctx := SchedContext{
-		Queued: 16, AvailNanos: 10_000_000, PowerAvailWatts: 55,
-		Current: cfg.StaticDVFS,
-	}
-	dec := s.Decide(ctx)
-	if dec.Verdict != VerdictIssued {
-		t.Fatalf("sjf deferred: %+v", dec)
-	}
-	// Exhaustively confirm no feasible candidate is faster.
-	overlap := cfg.Link.TransferNanos(cfg.Kernel.InputBytes)
-	for _, d := range cfg.Spec.DVFSTable() {
-		var sw int64
-		if d != ctx.Current {
-			sw = cfg.Spec.DVFSSwitchNanos - overlap
-			if sw < 0 {
-				sw = 0
-			}
-		}
-		for _, bs := range DefaultBatchOptions() {
-			if bs > ctx.Queued {
-				continue
-			}
-			tt := cfg.TotalNanos(d, bs) + sw
-			if tt >= ctx.AvailNanos || cfg.BusyPower(d) >= ctx.PowerAvailWatts {
-				continue
-			}
-			if tt < dec.Issue.TotalNanos {
-				t.Fatalf("sjf picked %d ns but (%.1f GHz, batch %d) takes %d ns",
-					dec.Issue.TotalNanos, d.FreqGHz, bs, tt)
-			}
-		}
 	}
 }

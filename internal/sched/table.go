@@ -30,8 +30,7 @@ type Table struct {
 	// stall is what an at-issue state switch delays the start by. The
 	// PMIC/PLL transition overlaps the C2C input DMA: the supply ramps while
 	// the feature map streams in, so only the excess stalls.
-	stall    int64
-	minTotal int64 // see MinTotalNanos
+	stall int64
 }
 
 // NewTable profiles cfg.
@@ -54,11 +53,6 @@ func NewTable(cfg *Config) *Table {
 		for bi, bs := range t.batches {
 			t.total[si*nb+bi] = cfg.TotalNanos(d, bs)
 			t.ppw[si*nb+bi] = ppw(t.total[si*nb+bi], t.busy[si], bs)
-		}
-	}
-	for si := t.first; si < len(t.states); si++ {
-		if one := t.total[si*nb]; si == t.first || one < t.minTotal {
-			t.minTotal = one
 		}
 	}
 	if t.stall = cfg.Spec.DVFSSwitchNanos - cfg.Link.TransferNanos(cfg.Kernel.InputBytes); t.stall < 0 {
@@ -86,19 +80,9 @@ func (t *Table) busyPower(d cgra.DVFSState) float64 {
 	return t.cfg.BusyPower(d)
 }
 
-// MinTotalNanos is the fastest achievable batch-1 t_total across the states
-// Algorithm 1 may use — the floor of the latency table. An online
-// dispatcher uses it as the hold budget: once a queued query's remaining
-// time falls to this floor (plus a worst-case switch stall), waiting for
-// more arrivals to form a larger batch is no longer safe.
-func (t *Table) MinTotalNanos() int64 { return t.minTotal }
-
 // A scoreFunc ranks one feasible candidate of Algorithm 1 — row si, ladder
 // entry bi, projected t_total including the switch stall; higher is better.
 type scoreFunc func(si, bi int, tTotal int64) float64
-
-// byLatency prefers the fastest completion.
-func byLatency(_, _ int, tTotal int64) float64 { return -float64(tTotal) }
 
 // byBatch prefers the largest batch; faster completion breaks ties.
 func (t *Table) byBatch(_, bi int, tTotal int64) float64 {

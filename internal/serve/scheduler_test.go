@@ -59,18 +59,18 @@ func TestServeSchedulerFCFSNeverBatches(t *testing.T) {
 	}
 }
 
-// TestServeSchedulerSharedFrozenInstance: a factory returning one shared
-// frozen Q-scheduler across concurrent lanes must serve correctly — Decide
-// on a frozen instance is read-only, which the race detector verifies.
-func TestServeSchedulerSharedFrozenInstance(t *testing.T) {
+// TestServeSchedulerSharedInstance: a factory returning one shared PPW
+// scheduler across concurrent lanes must serve correctly — Decide reads
+// only its Table, which the race detector verifies.
+func TestServeSchedulerSharedInstance(t *testing.T) {
 	syms := []string{"ESU6", "NQU6", "YMU6", "RTYU6"}
 	packets := buildMarket(t, syms, 50)
 	cfg := servePolicyConfig(t)
-	frozen := sched.NewQScheduler(cfg, sched.DefaultQConfig())
+	shared := sched.NewPPWScheduler(cfg)
 	srv, err := New(buildMulti(t, syms), Config{
 		Lanes: 4, MaxQueue: len(packets) + 1,
 		Sched:     cfg,
-		Scheduler: func(*sched.Config) sched.Scheduler { return frozen },
+		Scheduler: func(*sched.Config) sched.Scheduler { return shared },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestServeSchedulerSharedFrozenInstance(t *testing.T) {
 	<-done
 	st := srv.Stats()
 	if st.Served != st.Submitted || st.Submitted == 0 {
-		t.Fatalf("shared frozen policy dropped queries: %+v", st)
+		t.Fatalf("shared policy dropped queries: %+v", st)
 	}
 }
 

@@ -90,9 +90,8 @@ type Config struct {
 	Sched *sched.Config
 	// Scheduler selects the admission strategy each lane runs when Sched is
 	// non-nil. nil selects the paper's proactive PPW scheduler (Algorithm 1).
-	// The factory is invoked once per lane, so stateful policies stay
-	// lane-local; a factory returning a shared frozen instance (the trained
-	// Q-table) must be read-only in Decide.
+	// The factory is invoked once per lane; a factory returning one shared
+	// instance must be read-only in Decide, as every registry policy is.
 	Scheduler sched.Factory
 	// Tiers is the model-degrade ladder, cost-descending (tier 1 first):
 	// when Algorithm 1 finds the primary model deadline- or power-

@@ -46,8 +46,8 @@ type SchedContext = sched.SchedContext
 // SchedDecision is a Scheduler's answer: the issue plus the explained verdict.
 type SchedDecision = sched.Decision
 
-// SchedulerByName resolves a registered policy name ("ppw", "fcfs", "greedy",
-// "sjf", "qtable") to its factory — the -scheduler flag vocabulary.
+// SchedulerByName resolves a registered policy name ("ppw", "fcfs",
+// "greedy") to its factory — the -scheduler flag vocabulary.
 func SchedulerByName(name string) (SchedulerFactory, error) { return sched.FactoryByName(name) }
 
 // SchedulerNames returns the registered scheduling policy names, sorted.
