@@ -9,7 +9,7 @@
 //	ltbench -tavail 20ms         # per-query available time
 //	ltbench -trace out.jsonl     # instrumented run: event log + miss attribution
 //	ltbench -scheduler fcfs      # scheduling strategy for the -trace run
-//	ltbench -exp NAME -json out.json  # archive sched-matrix, fanout, power-sweep, scenario-matrix or frontier
+//	ltbench -exp NAME -json out.json  # archive sched-matrix, power-sweep, scenario-matrix or frontier
 //	ltbench -cpuprofile cpu.out  # write a CPU profile (go tool pprof)
 //	ltbench -memprofile mem.out  # write a heap profile at exit
 //
@@ -166,12 +166,6 @@ var archives = []struct {
 		rows := bench.SchedMatrixWorkers(src, tAvail, parallel)
 		data, err := bench.SchedMatrixJSON(src, tAvail, rows)
 		return data, bench.RenderSchedMatrix(rows), err
-	}},
-	{"fanout", func(*scenario.Source, int64, int) ([]byte, string, error) {
-		cfg := bench.FanoutConfig{}
-		rows := bench.RunFanout(cfg)
-		data, err := bench.FanoutJSON(cfg, rows)
-		return data, bench.RenderFanout(rows), err
 	}},
 	{"power-sweep", func(*scenario.Source, int64, int) ([]byte, string, error) {
 		src := bench.PowerTraffic()

@@ -129,7 +129,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return nil, err
 		}
 		if *reset > 0 {
-			conn = faultnet.WrapConn(conn, faultnet.ConnFaults{Seed: *seed, ResetAfter: *reset})
+			conn = faultnet.WrapConn(conn, faultnet.ConnFaults{ResetAfter: *reset})
 		}
 		return conn, nil
 	}

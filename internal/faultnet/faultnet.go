@@ -2,9 +2,10 @@
 // net.PacketConn and net.Conn so chaos runs over the live wire path are
 // reproducible. The datagram wrapper models what lossy redundant UDP feeds
 // deliver — drops, duplicates, bounded reordering, bit corruption — and the
-// stream wrapper models sick order-entry links: frames split mid-byte
-// across TCP segments, and abrupt resets. All decisions come from a
-// caller-seeded PRNG, so a failing chaos test replays exactly.
+// stream wrapper models a sick order-entry link: an abrupt reset once a
+// byte budget has crossed it. Datagram decisions come from a caller-seeded
+// PRNG and the reset from a byte count, so a failing chaos test replays
+// exactly.
 package faultnet
 
 import (
@@ -170,11 +171,6 @@ func (c *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 
 // ConnFaults selects stream fault behaviour.
 type ConnFaults struct {
-	// Seed makes chunk sizes deterministic.
-	Seed int64
-	// MaxChunk > 0 splits every Write into chunks of 1..MaxChunk bytes, so
-	// frames straddle TCP segments and the peer's read boundaries.
-	MaxChunk int
 	// ResetAfter > 0 abruptly closes the connection once that many bytes
 	// have crossed it (reads + writes combined); subsequent operations
 	// return ErrInjectedReset.
@@ -185,7 +181,6 @@ type ConnFaults struct {
 type ConnStats struct {
 	BytesRead    int64
 	BytesWritten int64
-	Chunks       int
 	Resets       int
 }
 
@@ -194,20 +189,15 @@ type Conn struct {
 	net.Conn
 
 	mu     sync.Mutex
-	rng    *rand.Rand
 	faults ConnFaults
 	moved  int64 // bytes read + written
 	reset  bool
 	stats  ConnStats
 }
 
-// WrapConn applies seeded stream faults to inner.
+// WrapConn applies stream faults to inner.
 func WrapConn(inner net.Conn, f ConnFaults) *Conn {
-	return &Conn{
-		Conn:   inner,
-		rng:    rand.New(rand.NewSource(f.Seed)),
-		faults: f,
-	}
+	return &Conn{Conn: inner, faults: f}
 }
 
 // tripped reports (and applies) the reset budget; callers hold no locks.
@@ -245,36 +235,24 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Write splits into chunks and enforces the reset budget. A write
-// interrupted by a reset reports the injected error with a partial count,
-// exactly as a torn TCP session would.
+// Write passes through until the reset budget trips. The write that trips
+// it reports the injected error with its count, as a torn TCP session
+// would.
 func (c *Conn) Write(p []byte) (int, error) {
-	written := 0
-	for written < len(p) {
-		c.mu.Lock()
-		if c.reset {
-			c.mu.Unlock()
-			return written, ErrInjectedReset
-		}
-		chunk := len(p) - written
-		if c.faults.MaxChunk > 0 && chunk > 1 {
-			chunk = 1 + c.rng.Intn(min(c.faults.MaxChunk, chunk))
-		}
-		c.stats.Chunks++
+	c.mu.Lock()
+	if c.reset {
 		c.mu.Unlock()
-		n, err := c.Conn.Write(p[written : written+chunk])
-		written += n
-		c.mu.Lock()
-		c.stats.BytesWritten += int64(n)
-		c.mu.Unlock()
-		if err != nil {
-			return written, err
-		}
-		if c.tripped(int64(n)) {
-			return written, ErrInjectedReset
-		}
+		return 0, ErrInjectedReset
 	}
-	return written, nil
+	c.mu.Unlock()
+	n, err := c.Conn.Write(p)
+	c.mu.Lock()
+	c.stats.BytesWritten += int64(n)
+	c.mu.Unlock()
+	if c.tripped(int64(n)) && err == nil {
+		return n, ErrInjectedReset
+	}
+	return n, err
 }
 
 // String describes the configured faults (for test logs).

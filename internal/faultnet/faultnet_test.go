@@ -103,43 +103,10 @@ func TestPacketReorderFlushedOnTimeout(t *testing.T) {
 	t.Fatal("held datagram never flushed")
 }
 
-func TestConnSplitWritesPreserveBytes(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	fc := WrapConn(client, ConnFaults{Seed: 3, MaxChunk: 3})
-
-	payload := bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7}, 40)
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := fc.Write(payload)
-		errCh <- err
-	}()
-	got := make([]byte, 0, len(payload))
-	tmp := make([]byte, 16)
-	for len(got) < len(payload) {
-		server.SetReadDeadline(time.Now().Add(2 * time.Second))
-		n, err := server.Read(tmp)
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		got = append(got, tmp[:n]...)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("split writes corrupted the stream")
-	}
-	if fc.Stats().Chunks <= len(payload)/3 {
-		t.Fatalf("writes were not split: %+v", fc.Stats())
-	}
-}
-
 func TestConnInjectedReset(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	fc := WrapConn(client, ConnFaults{Seed: 9, ResetAfter: 10})
+	fc := WrapConn(client, ConnFaults{ResetAfter: 10})
 
 	go func() {
 		tmp := make([]byte, 64)

@@ -16,10 +16,7 @@ type shard struct {
 	mu   sync.Mutex // guards COW list replacement on subscribe/unsubscribe
 	wake chan struct{}
 
-	// busyNanos accumulates wall time spent scanning and delivering — the
-	// per-shard makespan input of the modelled fan-out throughput.
-	busyNanos atomic.Int64
-	scanning  atomic.Bool
+	scanning atomic.Bool
 }
 
 func newShard(g *Gateway, id int) *shard {
@@ -49,7 +46,6 @@ func (sh *shard) run() {
 			return
 		}
 		sh.scanning.Store(true)
-		start := sh.gw.now()
 		delivered := uint64(0)
 		for _, s := range *sh.gw.slots.Load() {
 			if s.dirty[sh.id].Swap(0) == 0 {
@@ -74,7 +70,6 @@ func (sh *shard) run() {
 		if delivered > 0 {
 			sh.gw.delivered.Add(delivered)
 		}
-		sh.busyNanos.Add(sh.gw.now() - start)
 		sh.scanning.Store(false)
 	}
 }

@@ -485,19 +485,6 @@ func (g *Gateway) SymbolStats() []SymbolCounters {
 // fan-out shards.
 func (g *Gateway) Propagation() latency.Summary { return g.lat.Summarize() }
 
-// ShardBusyNanos returns each shard's accumulated fan-out work time (wall
-// nanoseconds spent scanning and delivering). The maximum entry is the
-// fan-out makespan of a replay: deliveries divided by it is the modelled
-// fan-out throughput on sufficient cores, the same methodology as the
-// serving runtime's ModelledBusyNanos.
-func (g *Gateway) ShardBusyNanos() []int64 {
-	out := make([]int64, len(g.shards))
-	for i, sh := range g.shards {
-		out[i] = sh.busyNanos.Load()
-	}
-	return out
-}
-
 // Drain blocks until every shard has consumed its dirty flags and gone
 // idle — a quiesce point for benches and tests (publishers must be paused
 // first, or new publishes re-dirty the shards).

@@ -1,6 +1,7 @@
 package signal
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,45 +36,82 @@ func ev(i int) core.SignalEvent {
 	}
 }
 
-// TestConflationLatestValueWins publishes a burst a sleeping consumer
-// never reads, then checks the latest-value-wins contract: exactly the
-// newest signal is buffered and every other update is accounted as a
-// conflation drop.
+// TestConflationLatestValueWins publishes to subscribers that never read,
+// then checks the latest-value-wins contract: each holds exactly the newest
+// signal and every other update is accounted as a conflation drop. A burst
+// lets a shard skip updates (drops counted from the Seq gap); draining
+// every round instead delivers each publish to each subscriber, so
+// delivered is exactly rounds × subscribers and every drop is a replaced
+// value. Both hold at any shard count.
 func TestConflationLatestValueWins(t *testing.T) {
-	g := testGateway(t, Config{Shards: 2})
-	pub, err := g.Register("ESU6", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := g.Subscribe("ESU6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
 	const n = 100
-	for i := 1; i <= n; i++ {
-		pub.Publish(ev(i))
-	}
-	g.Drain()
+	for _, tc := range []struct {
+		shards, symbols, subs int // subs per symbol
+		drain                 bool
+	}{
+		{2, 1, 1, false},
+		{1, 3, 5, false}, {2, 3, 5, false}, {8, 3, 5, false},
+		{1, 3, 5, true}, {2, 3, 5, true}, {8, 3, 5, true},
+	} {
+		t.Run(fmt.Sprintf("shards=%d/symbols=%d/subs=%d/drain=%v", tc.shards, tc.symbols, tc.subs, tc.drain), func(t *testing.T) {
+			g := testGateway(t, Config{Shards: tc.shards})
+			var pubs []*Publisher
+			var subs []*Subscription
+			for s := range tc.symbols {
+				sym := fmt.Sprintf("SYM%d", s)
+				pub, err := g.Register(sym, int32(s+1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pubs = append(pubs, pub)
+				for range tc.subs {
+					sub, err := g.Subscribe(sym)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sub.Close()
+					subs = append(subs, sub)
+				}
+			}
 
-	select {
-	case sig := <-sub.C():
-		if sig.Seq != n {
-			t.Fatalf("buffered Seq = %d, want the newest (%d)", sig.Seq, n)
-		}
-		if sig.BidPrice != 100+n || sig.Symbol != "ESU6" || sig.SecurityID != 1 {
-			t.Fatalf("unexpected signal %+v", sig)
-		}
-	default:
-		t.Fatal("no signal buffered after publish burst")
-	}
-	if drops := sub.Drops(); drops != n-1 {
-		t.Fatalf("Drops = %d, want %d (received 1 of %d)", drops, n-1, n)
-	}
-	st := g.Stats()
-	if st.Published != n || st.ConflationDrops != n-1 {
-		t.Fatalf("stats %+v, want Published=%d ConflationDrops=%d", st, n, n-1)
+			for i := 1; i <= n; i++ {
+				for _, pub := range pubs {
+					pub.Publish(ev(i))
+				}
+				if tc.drain {
+					g.Drain()
+				}
+			}
+			g.Drain()
+
+			for k, sub := range subs {
+				select {
+				case sig := <-sub.C():
+					if sig.Seq != n {
+						t.Fatalf("subscriber %d: buffered Seq = %d, want the newest (%d)", k, sig.Seq, n)
+					}
+					if s := k / tc.subs; sig.BidPrice != 100+n || sig.Symbol != fmt.Sprintf("SYM%d", s) || sig.SecurityID != int32(s+1) {
+						t.Fatalf("subscriber %d: unexpected signal %+v", k, sig)
+					}
+				default:
+					t.Fatalf("subscriber %d: no signal buffered after %d publishes", k, n)
+				}
+				if drops := sub.Drops(); drops != n-1 {
+					t.Fatalf("subscriber %d: Drops = %d, want %d (received 1 of %d)", k, drops, n-1, n)
+				}
+			}
+			st, all := g.Stats(), uint64(len(subs))
+			if st.Published != uint64(n*tc.symbols) || st.ConflationDrops != (n-1)*all {
+				t.Fatalf("stats %+v, want Published=%d ConflationDrops=%d", st, n*tc.symbols, (n-1)*all)
+			}
+			lo := all // a burst delivers at least the newest value to each subscriber
+			if tc.drain {
+				lo = n * all
+			}
+			if st.Delivered < lo || st.Delivered > n*all {
+				t.Fatalf("Delivered = %d, want %d to %d", st.Delivered, lo, n*all)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,9 @@
 package signal
 
 import (
+	"bytes"
 	"context"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -34,11 +36,69 @@ func startWireGateway(t *testing.T, cfg Config) (*Gateway, string) {
 	return g, ln.Addr().String()
 }
 
+// splitConn splits every Write into seeded 1..3-byte writes, so frames
+// straddle TCP segments and the peer's read boundaries.
+type splitConn struct {
+	net.Conn
+	rng *rand.Rand
+}
+
+func newSplitConn(c net.Conn, seed int64) *splitConn {
+	return &splitConn{Conn: c, rng: rand.New(rand.NewSource(seed))}
+}
+
+func (c *splitConn) Write(p []byte) (int, error) {
+	written := 0
+	for written < len(p) {
+		n, err := c.Conn.Write(p[written : written+min(1+c.rng.Intn(3), len(p)-written)])
+		written += n
+		if err != nil {
+			return written, err
+		}
+	}
+	return written, nil
+}
+
+// TestSplitConnPreservesBytes holds the splitter to its contract: the peer
+// reads the written bytes in order, and never more than 3 from one write.
+func TestSplitConnPreservesBytes(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	sc := newSplitConn(client, 3)
+
+	payload := bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7}, 40)
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := sc.Write(payload)
+		errCh <- err
+	}()
+	got := make([]byte, 0, len(payload))
+	tmp := make([]byte, 16)
+	for len(got) < len(payload) {
+		server.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, err := server.Read(tmp)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if n > 3 {
+			t.Fatalf("read %d bytes from one write, want at most 3", n)
+		}
+		got = append(got, tmp[:n]...)
+	}
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("split writes corrupted the stream")
+	}
+}
+
 // TestTCPEndToEnd runs the full wire path — publish hook → shard → conn
-// outbox → length-prefixed TCP → Client — through a faultnet wrapper that
-// splits every write into 1..3 byte chunks, so frames always straddle
-// read boundaries and the ErrShortFrame reassembly path is exercised on
-// both sides.
+// outbox → length-prefixed TCP → Client — with the client's writes split
+// into 1..3-byte chunks (splitConn), so its subscribe and heartbeat frames
+// straddle the gateway's read boundaries and the gateway's ErrShortFrame
+// reassembly path runs.
 func TestTCPEndToEnd(t *testing.T) {
 	leak := testutil.StartLeakCheck()
 	t.Cleanup(func() { leak.Verify(t, 5*time.Second) }) // after gateway teardown (LIFO)
@@ -58,7 +118,7 @@ func TestTCPEndToEnd(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return faultnet.WrapConn(conn, faultnet.ConnFaults{Seed: 7, MaxChunk: 3}), nil
+			return newSplitConn(conn, 7), nil
 		},
 		OnSignal: func(sig TradeSignal) {
 			mu.Lock()
@@ -232,7 +292,7 @@ func TestTCPClientReconnect(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return faultnet.WrapConn(conn, faultnet.ConnFaults{Seed: 3, ResetAfter: 2000}), nil
+			return faultnet.WrapConn(conn, faultnet.ConnFaults{ResetAfter: 2000}), nil
 		},
 		OnSignal: func(sig TradeSignal) {
 			mu.Lock()

@@ -188,7 +188,7 @@ func TestChaosOrderEntryResetReconnects(t *testing.T) {
 			return nil, err
 		}
 		if dials.Add(1) == 1 {
-			return faultnet.WrapConn(conn, faultnet.ConnFaults{Seed: 7, ResetAfter: 600}), nil
+			return faultnet.WrapConn(conn, faultnet.ConnFaults{ResetAfter: 600}), nil
 		}
 		return conn, nil
 	}
