@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build cross-build test race verify-worlds vet fmt-check api-check api-update reach-check bench bench-all bench-smoke bench-tickpath bench-sched bench-power bench-scenario bench-frontier bench-pin fuzz-smoke one-impl-check perf-check ci
+.PHONY: build cross-build test race verify-worlds vet fmt-check api-check api-update reach-check bench-all bench-smoke bench-tickpath bench-sched bench-power bench-scenario bench-frontier bench-pin fuzz-smoke one-impl-check perf-check ci
 
 build:
 	$(GO) build ./...
@@ -62,16 +62,6 @@ api-update:
 # ratchet).
 reach-check:
 	$(GO) test -run '^TestReachCheck$$' .
-
-# Kernel/inference micro-benchmarks (GEMM, conv, LSTM, model inference) and
-# the tick-to-trade hot-path benchmarks (wire decode, book ops, end-to-end
-# pipeline), archived as JSON so runs can be diffed. See EXPERIMENTS.md.
-bench: bench-sched
-	$(GO) test -run=^$$ -bench=. -benchmem ./internal/tensor/ ./internal/nn/ \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_kernels.json
-	$(GO) test -run=^$$ -bench=. -benchmem \
-		./internal/sbe/ ./internal/lob/ ./internal/latency/ ./internal/core/ \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_tickpath.json
 
 # The scheduling-policy comparison (every registered strategy × three
 # traffic regimes), archived as JSON so
@@ -220,6 +210,12 @@ bench-tickpath:
 # tests and benchmarks: no Go file names RunFanout, FanoutConfig, FanoutRow,
 # FanoutReport, FanoutJSON or ShardBusyNanos — a hit is the retired fan-out
 # experiment, or the per-shard makespan clock only it read, growing back.
+# (17) Every checked-in BENCH archive is modelled and pinned by its seed;
+# host figures come from perf or a paired go test -bench run. No Go file,
+# this Makefile or a CI workflow names the retired bench-output converter
+# command or the host-measured kernel and tick-path archives it wrote (the
+# pattern spells the names so that this file does not match itself) — a hit
+# is a host-measured archive growing back.
 one-impl-check:
 	@bad=$$(grep -rnE '\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -320,6 +316,11 @@ one-impl-check:
 	if [ -n "$$bad" ]; then \
 		echo "the retired fan-out experiment or its makespan counter named again:"; echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -rnE 'bench[j]son|BENCH_(kernels|tickpath)' --include='*.go' .; \
+		grep -rnHE 'bench[j]son|BENCH_(kernels|tickpath)' Makefile .github/workflows); \
+	if [ -n "$$bad" ]; then \
+		echo "a host-measured bench archive or its converter named again:"; echo "$$bad"; exit 1; \
+	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile
 # it: without this a change could delete an API the benchmark is built on
@@ -349,7 +350,7 @@ fuzz-smoke:
 # whole test suite under the race detector (without -short, so it includes
 # the policy matrix, power-governor, scenario and frontier smoke tests, the
 # concurrent serving runtime and signal gateway, and the generated worlds —
-# TestWorlds at 8 worlds under -race),
+# TestWorlds at 12 worlds under -race),
 # single-iteration benchmark smoke runs (kernels and the zero-alloc tick
 # path, whose Predict gate skips under -race), the byte-for-byte pin of the
 # modelled BENCH archives, and a short fuzz pass over the wire decoders.

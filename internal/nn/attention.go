@@ -36,9 +36,6 @@ func (l *LayerNorm) OutShape(in []int) ([]int, error) {
 	return in, nil
 }
 
-// Forward implements Layer.
-func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor { return l.ForwardCtx(nil, x) }
-
 // ForwardCtx implements Layer.
 func (l *LayerNorm) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != l.Dim {
@@ -102,9 +99,6 @@ func (PositionalEncoding) OutShape(in []int) ([]int, error) {
 	}
 	return in, nil
 }
-
-// Forward implements Layer.
-func (e PositionalEncoding) Forward(x *tensor.Tensor) *tensor.Tensor { return e.ForwardCtx(nil, x) }
 
 // ForwardCtx implements Layer, hoisting the per-column frequency (the
 // math.Pow) out of the time loop; the per-element arithmetic is unchanged,
@@ -187,9 +181,6 @@ func rows(p *tensor.Pool, d *Dense, x *tensor.Tensor) *tensor.Tensor {
 	d.forward(x.Data(), out)
 	return out
 }
-
-// Forward implements Layer.
-func (b *TransformerBlock) Forward(x *tensor.Tensor) *tensor.Tensor { return b.ForwardCtx(nil, x) }
 
 // ForwardCtx implements Layer. The Q/K/V/O projections and the two
 // feed-forward layers are Dense layers applied to each of the T rows.

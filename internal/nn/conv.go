@@ -98,9 +98,6 @@ func (c *Conv2D) OutShape(in []int) ([]int, error) {
 	return []int{c.OutC, oh, ow}, nil
 }
 
-// Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor { return c.ForwardCtx(nil, x) }
-
 // ForwardCtx implements Layer. The multiply has three lowerings, chosen
 // from the layer's geometry alone; all three accumulate each output as one
 // float32 chain from +0 over (ic,ky,kx) ascending, so they agree bit for
@@ -385,9 +382,6 @@ func (p *MaxPool2D) OutShape(in []int) ([]int, error) {
 	return []int{in[0], oh, ow}, nil
 }
 
-// Forward implements Layer.
-func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor { return p.ForwardCtx(nil, x) }
-
 // ForwardCtx implements Layer, scanning each window by direct row slices, or
 // straight down the column when the activation is one wide (what a full-width
 // convolution leaves): the same comparisons in the same order either way.
@@ -546,9 +540,6 @@ func (in *Inception) OutShape(shape []int) ([]int, error) {
 	}
 	return []int{totalC, hw[0], hw[1]}, nil
 }
-
-// Forward implements Layer.
-func (in *Inception) Forward(x *tensor.Tensor) *tensor.Tensor { return in.ForwardCtx(nil, x) }
 
 // maxInceptionBranches bounds the on-stack branch-output scratch in
 // ForwardCtx; DeepLOB uses 3.

@@ -42,11 +42,11 @@ func wantClose(t *testing.T, tag string, got, want *tensor.Tensor, atol, rtol fl
 	}
 }
 
-// checkBothPaths runs the layer through Forward (heap) and ForwardCtx
-// (pool) and compares each against a reference output.
+// checkBothPaths runs the layer through ForwardCtx on the heap (nil pool)
+// and on a pool, and compares each against a reference output.
 func checkBothPaths(t *testing.T, tag string, l Layer, x, want *tensor.Tensor, atol, rtol float32) {
 	t.Helper()
-	wantClose(t, tag+"/heap", l.Forward(x), want, atol, rtol)
+	wantClose(t, tag+"/heap", l.ForwardCtx(nil, x), want, atol, rtol)
 	var p tensor.Pool
 	wantClose(t, tag+"/pool", l.ForwardCtx(&p, x), want, atol, rtol)
 	// Second run on a recycled pool must reproduce the same output.
@@ -99,7 +99,7 @@ func TestConv2DBF16MatchesReference(t *testing.T) {
 			continue
 		}
 		want := referenceConv(c, x).RoundBF16()
-		got := c.Forward(x).RoundBF16()
+		got := c.ForwardCtx(nil, x).RoundBF16()
 		wantClose(t, c.Name()+"/bf16", got, want, bf16Atol, bf16Rtol)
 	}
 }
@@ -274,7 +274,7 @@ func TestOutShapeRejectsWindowLargerThanInput(t *testing.T) {
 }
 
 // checkOutShape holds l to want on input shape in, through OutShape and
-// through Forward; a zero in want means both must refuse the input.
+// through ForwardCtx; a zero in want means both must refuse the input.
 func checkOutShape(t *testing.T, l Layer, in, want []int) {
 	t.Helper()
 	got, err := l.OutShape(in)
@@ -284,18 +284,18 @@ func checkOutShape(t *testing.T, l Layer, in, want []int) {
 		}
 		refused := func() (r bool) {
 			defer func() { r = recover() != nil }()
-			l.Forward(tensor.New(in...))
+			l.ForwardCtx(nil, tensor.New(in...))
 			return
 		}()
 		if !refused {
-			t.Errorf("%s: Forward on %v did not refuse the input", l.Name(), in)
+			t.Errorf("%s: ForwardCtx on %v did not refuse the input", l.Name(), in)
 		}
 		return
 	}
 	if err != nil || !shapeEq(got, want) {
 		t.Errorf("%s: OutShape(%v) = %v, %v; want %v", l.Name(), in, got, err, want)
-	} else if out := l.Forward(tensor.New(in...)); !shapeEq(out.Shape(), want) {
-		t.Errorf("%s: Forward on %v gave %v, want %v", l.Name(), in, out.Shape(), want)
+	} else if out := l.ForwardCtx(nil, tensor.New(in...)); !shapeEq(out.Shape(), want) {
+		t.Errorf("%s: ForwardCtx on %v gave %v, want %v", l.Name(), in, out.Shape(), want)
 	}
 }
 
@@ -354,7 +354,7 @@ func TestLSTMBF16MatchesReference(t *testing.T) {
 		x.FillRandn(rng, 1)
 		x.RoundBF16()
 		want := referenceLSTM(l, x).RoundBF16()
-		got := l.Forward(x).RoundBF16()
+		got := l.ForwardCtx(nil, x).RoundBF16()
 		wantClose(t, l.Name()+"/bf16", got, want, bf16Atol, bf16Rtol)
 	}
 }

@@ -82,8 +82,10 @@ type Layer interface {
 	// OutShape computes the output shape for an input shape, or an error if
 	// the input is incompatible.
 	OutShape(in []int) ([]int, error)
-	// Forward computes the layer's output. Implementations must not mutate
-	// x or keep a reference to it or to the tensor they return — both are the
+	// ForwardCtx computes the layer's output drawing all scratch and output
+	// storage from p; results are valid only until p.Reset(). A nil pool
+	// falls back to heap allocation. Implementations must not mutate x or
+	// keep a reference to it or to the tensor they return — both are the
 	// caller's to reuse and overwrite, and x may be a window the offload
 	// engine lends. A layer may keep a private copy of its output (Conv2D and
 	// MaxPool2D do, to answer the next call's shared rows when x's stream
@@ -91,10 +93,6 @@ type Layer interface {
 	// provided its output stays the function of x and its weights that a
 	// layer which kept nothing would compute, bit for bit. The output is
 	// unstamped unless the layer keeps the stamp's promise for it.
-	Forward(x *tensor.Tensor) *tensor.Tensor
-	// ForwardCtx computes the layer's output drawing all scratch and output
-	// storage from p; results are valid only until p.Reset(). A nil pool
-	// falls back to heap allocation (Forward(x) ≡ ForwardCtx(nil, x)).
 	ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor
 	// FLOPs returns the floating-point operation count for one forward pass
 	// at the given input shape (multiply and add counted separately).
@@ -237,9 +235,6 @@ func (d *Dense) OutShape(in []int) ([]int, error) {
 	return []int{d.Out}, nil
 }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor { return d.ForwardCtx(nil, x) }
-
 // ForwardCtx implements Layer: zeroed output → x·Wᵀ → bias → activation.
 func (d *Dense) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	if x.Size() != d.In {
@@ -313,9 +308,6 @@ func (Flatten) Name() string { return "flatten" }
 // OutShape implements Layer.
 func (Flatten) OutShape(in []int) ([]int, error) { return []int{prod(in)}, nil }
 
-// Forward implements Layer.
-func (Flatten) Forward(x *tensor.Tensor) *tensor.Tensor { return x.Reshape(x.Size()) }
-
 // ForwardCtx implements Layer.
 func (Flatten) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 	return viewTensor(p, x.Data(), x.Size())
@@ -345,9 +337,6 @@ func (SeqFromCHW) OutShape(in []int) ([]int, error) {
 	}
 	return []int{in[1], in[0] * in[2]}, nil
 }
-
-// Forward implements Layer.
-func (s SeqFromCHW) Forward(x *tensor.Tensor) *tensor.Tensor { return s.ForwardCtx(nil, x) }
 
 // ForwardCtx implements Layer: the [C,H,W]→[H,C·W] transpose as H·C
 // contiguous row copies instead of element-wise stores.
@@ -387,9 +376,6 @@ func (SoftmaxLayer) OutShape(in []int) ([]int, error) {
 	}
 	return in, nil
 }
-
-// Forward implements Layer.
-func (SoftmaxLayer) Forward(x *tensor.Tensor) *tensor.Tensor { return tensor.Softmax(x) }
 
 // ForwardCtx implements Layer.
 func (SoftmaxLayer) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {

@@ -27,9 +27,6 @@ func (wc WindowCrop) OutShape(in []int) ([]int, error) {
 	return []int{in[0], wc.Rows, in[2]}, nil
 }
 
-// Forward implements Layer.
-func (wc WindowCrop) Forward(x *tensor.Tensor) *tensor.Tensor { return wc.ForwardCtx(nil, x) }
-
 // ForwardCtx implements Layer: rows within a channel are contiguous, so the
 // crop is one copy per channel. The crop of a window moved up a row is the
 // last crop moved up a row, so the output carries the input's stream stamp.

@@ -57,9 +57,6 @@ func (l *LSTM) OutShape(in []int) ([]int, error) {
 	return []int{in[0], l.Hidden}, nil
 }
 
-// Forward implements Layer.
-func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor { return l.ForwardCtx(nil, x) }
-
 // repack rebuilds wt from wx and wh. Whatever writes either calls it before
 // the next forward pass (`make one-impl-check` holds non-test code to that).
 func (l *LSTM) repack() {

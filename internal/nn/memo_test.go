@@ -360,7 +360,7 @@ func TestConv2DMemoDroppedWithWeights(t *testing.T) {
 	rewrite := map[string]func(c *Conv2D, x *tensor.Tensor){
 		"Init": func(c *Conv2D, _ *tensor.Tensor) { c.Init(rng) },
 		"Backward+Update": func(c *Conv2D, x *tensor.Tensor) {
-			out := c.Forward(x)
+			out := c.ForwardCtx(nil, x)
 			grad := tensor.New(out.Shape()...)
 			grad.FillRandn(rng, 1)
 			c.Backward(x, out, grad)
@@ -371,19 +371,19 @@ func TestConv2DMemoDroppedWithWeights(t *testing.T) {
 		c := NewConv2D(3, 4, 3, 5, 1, 1, 0, 0, ActTanh)
 		c.Init(rng)
 		xs := slidingInputs(rng, []int{3, 12, 5}, 4)
-		c.Forward(xs[0])
+		c.ForwardCtx(nil, xs[0])
 		before := cloneConv(c)
 		fn(c, xs[0])
 		if sameBits(before.w.Data(), c.w.Data()) {
 			t.Fatalf("%s left the weights alone", name)
 		}
 		tally := NewMemoTally(c)
-		wantSameBits(t, name+"/next tick", c.Forward(xs[1]), cloneConv(c).Forward(xs[1]))
+		wantSameBits(t, name+"/next tick", c.ForwardCtx(nil, xs[1]), cloneConv(c).ForwardCtx(nil, xs[1]))
 		if tally.Observe(); tally.Hits[0] != 0 || tally.Misses[0] != 1 {
 			t.Errorf("%s: the call after it was answered from the memo (%d hits, %d misses)",
 				name, tally.Hits[0], tally.Misses[0])
 		}
-		wantSameBits(t, name+"/tick after", c.Forward(xs[2]), cloneConv(c).Forward(xs[2]))
+		wantSameBits(t, name+"/tick after", c.ForwardCtx(nil, xs[2]), cloneConv(c).ForwardCtx(nil, xs[2]))
 		if tally.Observe(); tally.Hits[0] != 1 {
 			t.Errorf("%s: the memo did not re-arm", name)
 		}

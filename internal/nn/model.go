@@ -82,7 +82,7 @@ func (m *Model) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		if _, err := l.OutShape(cur.Shape()); err != nil {
 			return nil, fmt.Errorf("nn: %s layer %d: %w", m.ModelName, i, err)
 		}
-		cur = l.Forward(cur)
+		cur = l.ForwardCtx(nil, cur)
 	}
 	return cur, nil
 }

@@ -136,7 +136,7 @@ func TestConv2DKnownValues(t *testing.T) {
 	}
 	c.repack()
 	x := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 3, 3)
-	out := c.Forward(x)
+	out := c.ForwardCtx(nil, x)
 	want := []float32{12, 16, 24, 28} // 2x2 sums
 	for i, v := range want {
 		if out.Data()[i] != v {
@@ -152,7 +152,7 @@ func TestConv2DPadding(t *testing.T) {
 	}
 	c.repack()
 	x := tensor.FromSlice([]float32{1, 1, 1, 1}, 1, 2, 2)
-	out := c.Forward(x)
+	out := c.ForwardCtx(nil, x)
 	if !shapeEq(out.Shape(), []int{1, 2, 2}) {
 		t.Fatalf("padded shape = %v", out.Shape())
 	}
@@ -167,7 +167,7 @@ func TestConv2DPadding(t *testing.T) {
 func TestMaxPoolKnownValues(t *testing.T) {
 	p := NewMaxPool2D(2, 2, 0, 0)
 	x := tensor.FromSlice([]float32{1, 5, 2, 3, 4, 0, 7, 1, 9, 2, 3, 8, 0, 1, 2, 6}, 1, 4, 4)
-	out := p.Forward(x)
+	out := p.ForwardCtx(nil, x)
 	want := []float32{5, 7, 9, 8}
 	for i, v := range want {
 		if out.Data()[i] != v {
@@ -181,7 +181,7 @@ func TestLSTMGateBehaviour(t *testing.T) {
 	// candidate is tanh(0)=0, so the hidden state stays exactly zero.
 	l := NewLSTM(2, 3, true)
 	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	out := l.Forward(x)
+	out := l.ForwardCtx(nil, x)
 	for _, v := range out.Data() {
 		if v != 0 {
 			t.Fatalf("zero-weight LSTM output = %v", out.Data())
@@ -194,7 +194,7 @@ func TestLSTMSequenceOutput(t *testing.T) {
 	l.Init(rand.New(rand.NewSource(1)))
 	x := tensor.New(5, 2)
 	x.FillRandn(rand.New(rand.NewSource(2)), 1)
-	out := l.Forward(x)
+	out := l.ForwardCtx(nil, x)
 	if !shapeEq(out.Shape(), []int{5, 3}) {
 		t.Fatalf("sequence output shape = %v", out.Shape())
 	}
@@ -203,7 +203,7 @@ func TestLSTMSequenceOutput(t *testing.T) {
 func TestLayerNormNormalises(t *testing.T) {
 	ln := NewLayerNorm(4)
 	x := tensor.FromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 2, 4)
-	out := ln.Forward(x)
+	out := ln.ForwardCtx(nil, x)
 	for r := 0; r < 2; r++ {
 		var mean, variance float64
 		for c := 0; c < 4; c++ {
@@ -227,7 +227,7 @@ func TestTransformerBlockResidual(t *testing.T) {
 	// must act as identity thanks to the residual connections.
 	x := tensor.New(3, 8)
 	x.FillRandn(rand.New(rand.NewSource(3)), 1)
-	out := b.Forward(x)
+	out := b.ForwardCtx(nil, x)
 	for i := range x.Data() {
 		if math.Abs(float64(out.Data()[i]-x.Data()[i])) > 1e-5 {
 			t.Fatalf("zero-weight transformer not identity at %d: %v vs %v", i, out.Data()[i], x.Data()[i])
@@ -276,7 +276,7 @@ func TestQuickSoftmaxLayerDistribution(t *testing.T) {
 				return true
 			}
 		}
-		out := sm.Forward(tensor.FromSlice([]float32{a, b, c}, 3))
+		out := sm.ForwardCtx(nil, tensor.FromSlice([]float32{a, b, c}, 3))
 		var sum float64
 		for _, v := range out.Data() {
 			if v < 0 || math.IsNaN(float64(v)) {
@@ -300,7 +300,7 @@ func TestSeqFromCHW(t *testing.T) {
 			}
 		}
 	}
-	out := SeqFromCHW{}.Forward(x)
+	out := SeqFromCHW{}.ForwardCtx(nil, x)
 	if !shapeEq(out.Shape(), []int{3, 4}) {
 		t.Fatalf("shape = %v", out.Shape())
 	}
@@ -315,7 +315,7 @@ func TestDenseKnownValues(t *testing.T) {
 	copy(d.w.Data(), []float32{1, 2, 3, 4})
 	d.repack()
 	d.b[0], d.b[1] = 10, 20
-	out := d.Forward(tensor.FromSlice([]float32{1, 1}, 2))
+	out := d.ForwardCtx(nil, tensor.FromSlice([]float32{1, 1}, 2))
 	if out.Data()[0] != 13 || out.Data()[1] != 27 {
 		t.Fatalf("dense out = %v", out.Data())
 	}
@@ -334,7 +334,7 @@ func TestInceptionConcat(t *testing.T) {
 		t.Fatalf("inception out shape = %v", out)
 	}
 	x := tensor.New(1, 4, 4)
-	y := inc.Forward(x)
+	y := inc.ForwardCtx(nil, x)
 	if !shapeEq(y.Shape(), []int{5, 4, 4}) {
 		t.Fatalf("forward shape = %v", y.Shape())
 	}

@@ -118,7 +118,7 @@ func TestPackedForwardMatchesGemmNT(t *testing.T) {
 		}
 		x := sparseInput(rng, d.In)
 		want := denseViaGemmNT(d, x)
-		wantSameBits(t, d.Name()+"/heap", d.Forward(x), want)
+		wantSameBits(t, d.Name()+"/heap", d.ForwardCtx(nil, x), want)
 		p.Reset()
 		wantSameBits(t, d.Name()+"/pool", d.ForwardCtx(&p, x), want)
 	}
@@ -128,7 +128,7 @@ func TestPackedForwardMatchesGemmNT(t *testing.T) {
 		l.Init(rng)
 		x := sparseInput(rng, sh[2], l.In)
 		want := lstmViaGemmNT(l, x)
-		wantSameBits(t, l.Name()+"/heap", l.Forward(x), want)
+		wantSameBits(t, l.Name()+"/heap", l.ForwardCtx(nil, x), want)
 		p.Reset()
 		wantSameBits(t, l.Name()+"/pool", l.ForwardCtx(&p, x), want)
 	}
@@ -168,7 +168,7 @@ func TestPackedWeightsFollowEveryWriter(t *testing.T) {
 		t.Fatalf("%s does not take the in-place lowering", c.Name())
 	}
 	train := func(layer Layer, x *tensor.Tensor) {
-		out := layer.Forward(x)
+		out := layer.ForwardCtx(nil, x)
 		grad := out.Clone()
 		grad.FillRandn(rng, 1)
 		layer.(Backprop).Backward(x, out, grad)
@@ -182,12 +182,12 @@ func TestPackedWeightsFollowEveryWriter(t *testing.T) {
 		{"Update", func() { train(d, dx); train(l, lx); train(c, cx) }},
 		{"Init again", func() { d.Init(rng); l.Init(rng); c.Init(rng) }},
 	} {
-		dBefore, lBefore, cBefore := d.Forward(dx), l.Forward(lx), c.Forward(cx)
+		dBefore, lBefore, cBefore := d.ForwardCtx(nil, dx), l.ForwardCtx(nil, lx), c.ForwardCtx(nil, cx)
 		step.write()
-		dNow, lNow, cNow := d.Forward(dx), l.Forward(lx), c.Forward(cx)
-		wantSameBits(t, step.name+"/dense", dNow, freshDense(d).Forward(dx))
-		wantSameBits(t, step.name+"/lstm", lNow, freshLSTM(l).Forward(lx))
-		wantSameBits(t, step.name+"/conv", cNow, cloneConv(c).Forward(cx))
+		dNow, lNow, cNow := d.ForwardCtx(nil, dx), l.ForwardCtx(nil, lx), c.ForwardCtx(nil, cx)
+		wantSameBits(t, step.name+"/dense", dNow, freshDense(d).ForwardCtx(nil, dx))
+		wantSameBits(t, step.name+"/lstm", lNow, freshLSTM(l).ForwardCtx(nil, lx))
+		wantSameBits(t, step.name+"/conv", cNow, cloneConv(c).ForwardCtx(nil, cx))
 		if sameBits(dBefore.Data(), dNow.Data()) || sameBits(lBefore.Data(), lNow.Data()) || sameBits(cBefore.Data(), cNow.Data()) {
 			t.Fatalf("%s left an output where it was: the step wrote no weight", step.name)
 		}

@@ -13,7 +13,7 @@ import (
 // output on pinInput, captured before models.go was re-expressed over the
 // zoo builders. The zoo refactor must keep every preset byte-identical:
 // these hashes pin the weights (via Init order) and the layer math at once,
-// which is what keeps BENCH_kernels.json and every pinned experiment valid.
+// which is what keeps BENCH_frontier.json and every pinned experiment valid.
 var pinnedForward = map[string]uint64{
 	"VanillaCNN": 0x900cad484bc3c886,
 	"TransLOB":   0xe997c7059ce09eaf,

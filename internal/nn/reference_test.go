@@ -172,7 +172,7 @@ func referenceTransformer(b *TransformerBlock, x *tensor.Tensor) *tensor.Tensor 
 		panic(err)
 	}
 	T := x.Dim(0)
-	n := b.ln1.Forward(x)
+	n := b.ln1.ForwardCtx(nil, x)
 	q := referenceProject(b, n, b.q.w, b.q.b)
 	k := referenceProject(b, n, b.k.w, b.k.b)
 	v := referenceProject(b, n, b.v.w, b.v.b)
@@ -217,7 +217,7 @@ func referenceTransformer(b *TransformerBlock, x *tensor.Tensor) *tensor.Tensor 
 	}
 	proj := referenceProject(b, attnOut, b.o.w, b.o.b)
 	tensor.AddInPlace(proj, x)
-	n2 := b.ln2.Forward(proj)
+	n2 := b.ln2.ForwardCtx(nil, proj)
 	ffOut := tensor.New(T, b.Dim)
 	for t := 0; t < T; t++ {
 		row := tensor.FromSlice(n2.Data()[t*b.Dim:(t+1)*b.Dim], b.Dim)

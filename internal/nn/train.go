@@ -264,7 +264,7 @@ func (t *Trainer) Step(x *tensor.Tensor, label Direction) (float64, error) {
 			return 0, fmt.Errorf("nn: train: layer %d: %w", i, err)
 		}
 		inputs[i] = cur
-		cur = l.Forward(cur)
+		cur = l.ForwardCtx(nil, cur)
 		outputs[i] = cur
 	}
 	logits := cur

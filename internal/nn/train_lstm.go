@@ -8,7 +8,7 @@ import "lighttrader/internal/tensor"
 
 // Backward implements Backprop for LSTM via backpropagation through time.
 // The forward activations are recomputed here (activation recomputation
-// rather than caching keeps Forward allocation-free for the inference hot
+// rather than caching keeps ForwardCtx allocation-free for the inference hot
 // path at the cost of one extra forward pass during training).
 func (l *LSTM) Backward(input, output, gradOut *tensor.Tensor) *tensor.Tensor {
 	T := input.Dim(0)
@@ -177,7 +177,7 @@ func (in *Inception) Backward(input, output, gradOut *tensor.Tensor) *tensor.Ten
 		cur := input
 		for i, l := range branch {
 			inputs[i] = cur
-			cur = l.Forward(cur)
+			cur = l.ForwardCtx(nil, cur)
 			outputs[i] = cur
 		}
 		// Slice this branch's share of the concatenated gradient.

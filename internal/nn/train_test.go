@@ -57,13 +57,13 @@ func TestDenseGradientCheck(t *testing.T) {
 	x := tensor.FromSlice([]float32{0.5, -0.3, 0.8}, 3)
 
 	loss := func() float64 {
-		out := d.Forward(x)
+		out := d.ForwardCtx(nil, x)
 		probs := tensor.Softmax(out)
 		return -math.Log(float64(probs.Data()[1]))
 	}
 
 	// Analytic gradient.
-	out := d.Forward(x)
+	out := d.ForwardCtx(nil, x)
 	probs := tensor.Softmax(out)
 	grad := probs.Clone()
 	grad.Data()[1] -= 1
@@ -98,9 +98,9 @@ func TestConvGradientCheck(t *testing.T) {
 	d.Init(rand.New(rand.NewSource(3)))
 
 	forward := func() (*tensor.Tensor, *tensor.Tensor, *tensor.Tensor) {
-		co := c.Forward(x)
+		co := c.ForwardCtx(nil, x)
 		fo := co.Reshape(co.Size())
-		lo := d.Forward(fo)
+		lo := d.ForwardCtx(nil, fo)
 		return co, fo, lo
 	}
 	loss := func() float64 {
@@ -140,7 +140,7 @@ func TestConvGradientCheck(t *testing.T) {
 func TestMaxPoolBackwardRoutesToArgmax(t *testing.T) {
 	p := NewMaxPool2D(2, 2, 0, 0)
 	x := tensor.FromSlice([]float32{1, 5, 2, 3}, 1, 2, 2)
-	out := p.Forward(x)
+	out := p.ForwardCtx(nil, x)
 	g := tensor.FromSlice([]float32{7}, 1, 1, 1)
 	gi := p.Backward(x, out, g)
 	want := []float32{0, 7, 0, 0}
@@ -229,8 +229,8 @@ func TestLSTMGradientCheck(t *testing.T) {
 	d.Init(rand.New(rand.NewSource(9)))
 
 	forward := func() (*tensor.Tensor, *tensor.Tensor) {
-		h := l.Forward(x)
-		return h, d.Forward(h)
+		h := l.ForwardCtx(nil, x)
+		return h, d.ForwardCtx(nil, h)
 	}
 	loss := func() float64 {
 		_, lo := forward()
@@ -292,14 +292,14 @@ func TestLSTMSequenceGradientCheck(t *testing.T) {
 	x.FillRandn(rand.New(rand.NewSource(4)), 0.5)
 
 	loss := func() float64 {
-		out := l.Forward(x)
+		out := l.ForwardCtx(nil, x)
 		var s float64
 		for _, v := range out.Data() {
 			s += float64(v) * float64(v)
 		}
 		return s
 	}
-	out := l.Forward(x)
+	out := l.ForwardCtx(nil, x)
 	grad := out.Clone()
 	for i, v := range out.Data() {
 		grad.Data()[i] = 2 * v

@@ -94,7 +94,7 @@ func TestWindowCropBackprop(t *testing.T) {
 	for i, d := 0, x.Data(); i < len(d); i++ {
 		d[i] = float32(i)
 	}
-	out := wc.Forward(x)
+	out := wc.ForwardCtx(nil, x)
 	if got, want := out.At3(0, 0, 0), x.At3(0, 2, 0); got != want {
 		t.Fatalf("crop kept wrong rows: got %v want %v", got, want)
 	}

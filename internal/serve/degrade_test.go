@@ -233,7 +233,7 @@ func TestModelSwitchPathNoAllocs(t *testing.T) {
 	p.SetModelLadder([]*nn.Model{nil})
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		dec, _ := srv.gov.admit(l, now, 1, mid, false)
+		dec, _, _ := srv.gov.admit(l, now, 1, mid, false)
 		if dec.Verdict != sched.VerdictDegradedModel || dec.Tier != 1 {
 			t.Fatalf("admit = verdict %v tier %d, want a tier-1 degrade", dec.Verdict, dec.Tier)
 		}

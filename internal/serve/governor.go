@@ -52,19 +52,26 @@ func newGovernor(srv *Server, cfg *sched.Config, lanes int) *governor {
 // degrade ladder, commit — and on an issue spends any residual budget
 // scaling busy lanes up before the lock is released. l's minDeadlineFor is
 // called with the issued batch size while the caller still holds l.mu.
-// Returns the decision and whether the saving step ran.
-func (g *governor) admit(l *lane, now int64, queued int, availNanos int64, allowSave bool) (sched.Decision, bool) {
+// Returns the decision and whether the saving step ran; busy reports that
+// no decision was made because l's own accelerator is still busy at now.
+func (g *governor) admit(l *lane, now int64, queued int, availNanos int64, allowSave bool) (dec sched.Decision, saved, busy bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	// Modelled time: batches whose completion instant has passed release
 	// their power (and park, and redistribute) before this decision reads
-	// the budget — the simulator's advance-before-schedule ordering.
+	// the budget — the simulator's advance-before-schedule ordering. A
+	// redistribution at an earlier completion can retime l's own batch past
+	// now; the lane then decides again from the new completion, which the
+	// simulator meets as a later event.
 	g.retireDue(now)
-	dec, saved := g.board.Admit(l.id, now, queued, availNanos, l.policy, l.tiers, allowSave, l.minDeadlineFor)
+	if g.modelled && g.board.Slot(l.id).Busy {
+		return sched.Decision{}, false, true
+	}
+	dec, saved = g.board.Admit(l.id, now, queued, availNanos, l.policy, l.tiers, allowSave, l.minDeadlineFor)
 	if dec.Verdict == sched.VerdictIssued || dec.Verdict == sched.VerdictDegradedModel {
 		g.board.Redistribute(now, int(g.srv.queued.Load())-dec.Issue.Batch)
 	}
-	return dec, saved
+	return dec, saved, false
 }
 
 // retire marks laneID's batch complete at its (possibly retimed) modelled

@@ -270,7 +270,10 @@ func (l *lane) take(wait bool) (batch []query, issue sched.Issue, tier int, now 
 			}
 			oldest := l.queue[0]
 			avail := oldest.deadline - now - l.srv.cfg.PrePipelineNanos
-			dec, saved := l.srv.gov.admit(l, now, arrived, avail, now != l.savedAt)
+			dec, saved, busy := l.srv.gov.admit(l, now, arrived, avail, now != l.savedAt)
+			if busy {
+				continue // retimed past now: take the decision instant again
+			}
 			if saved {
 				l.savedAt = now
 			}

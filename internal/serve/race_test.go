@@ -3,6 +3,7 @@
 package serve
 
 // Under the race detector a world runs several times slower, so TestWorlds
-// runs 8 by default, which still deals every policy and lane count once.
-// `make verify-worlds` runs 500 without the detector.
-func init() { defaultWorlds = 8 }
+// runs 12 by default: three rounds of the deal, so every policy meets every
+// deadline kind on one, two and three lanes. `make verify-worlds` runs 500
+// without the detector.
+func init() { defaultWorlds = 12 }

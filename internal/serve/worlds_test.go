@@ -43,9 +43,9 @@ var worldCount = flag.Int("worlds", 0, "generated worlds TestWorlds runs (0: the
 // that re-dealing one world cannot fail the tally without a bug. The tally
 // is a function of the seeds, so one run of -worlds N -v re-measures it;
 // do so whenever the deal changes (a policy added or deleted changes P
-// below): "degrade" is the scarcest behaviour, reached first by seeds 17
-// and 49. race_test.go lowers it under the race detector.
-var defaultWorlds = 50
+// below): "DVFS save" is the scarcest behaviour, reached first by seeds 20
+// and 68. race_test.go lowers it under the race detector.
+var defaultWorlds = 69
 
 // worldTicks is the packet count a world is sized to, and its cap.
 const worldTicks = 2048
@@ -76,6 +76,11 @@ var worldRegressions = []worldSpec{
 	// offload.Normalizer{} divided by its zero Std: every feature was NaN
 	// or ±Inf, every confidence NaN, and every prediction Down.
 	{Seed: 0, Drop: 0x3, Ticks: 193, Lanes: 0, Instruments: 1},
+	// On the modelled clock a lane read its decision instant from its
+	// batch's completion, then retired the batches due by then, and one of
+	// them redistributed power onto that batch and retimed it 1 318 ns
+	// later: the lane issued on an accelerator still busy.
+	{Seed: 869, Drop: 0xe, Ticks: 256, Lanes: 0, Instruments: 0},
 }
 
 // worldPolicies deals the registry's policies, plus "none": no admission,
@@ -112,18 +117,20 @@ func (w *world) String() string {
 }
 
 // buildWorld draws the world of spec.Seed and applies spec's cuts. Seed i
-// deals policy i mod P (P = len(worldPolicies)), lanes 1 + i mod 8, budget
-// i mod 4 and deadline kind (i − i/P) mod 3, so 16 worlds cover every value
-// and their corners meet. The i/P shift moves each policy to another
-// deadline kind every P seeds; without it, a P divisible by 3 would deal
-// each policy one deadline kind forever.
+// deals policy i mod P (P = len(worldPolicies)); the rest is dealt from the
+// round r = i/P, which every policy plays once: budget r mod 4, deadline
+// kind r mod 3 and lanes 1 + (r + r/4) mod 8. So within 12 rounds every
+// policy meets every budget at every deadline kind, within 8 it meets both
+// lane parities at every budget, and rounds 0–10 deal all eight lane
+// counts.
 func buildWorld(t testing.TB, spec worldSpec) *world {
 	t.Helper()
 	i, p := spec.Seed, int64(len(worldPolicies))
+	r := i / p
 	rng := rand.New(rand.NewSource(i))
-	w := &world{policy: worldPolicies[i%p], lanes: 1 + int(i%8),
-		budget: worldBudgets[i%int64(len(worldBudgets))], tAvail: noDeadline}
-	switch (i - i/p) % 3 {
+	w := &world{policy: worldPolicies[i%p], lanes: 1 + int((r+r/4)%8),
+		budget: worldBudgets[r%int64(len(worldBudgets))], tAvail: noDeadline}
+	switch r % 3 {
 	case 0:
 		w.tAvail = 1
 	case 1: // log-uniform in 150 µs–20 ms, weighted toward the batch-1 service times
@@ -565,7 +572,9 @@ func (c *worldTally) note(w *world, trs []*sim.Tracer, sts []Stats, logs []*Orde
 	see("multi-instrument", len(w.models) > 1)
 	see("halt gap", w.halted)
 	for _, tr := range trs {
-		see("served", tr.Completed() > tr.Attribution().Late)
+		served := tr.Completed() > tr.Attribution().Late
+		see("served", served)
+		see(w.policy+" served", served)
 		for r, what := range map[sim.DVFSReason]string{sim.DVFSSave: "DVFS save", sim.DVFSRedistribute: "DVFS redistribute", sim.DVFSPark: "DVFS park"} {
 			see(what, tr.DVFSTransitions(r) > 0)
 		}
@@ -685,9 +694,13 @@ func TestWorlds(t *testing.T) {
 	secs := time.Since(start).Seconds()
 	t.Logf("%d worlds in %.2f s: %.1f worlds/s", n, secs, float64(n)/secs)
 	var missing, counts []string
-	for _, what := range append([]string{"served", "late", "evicted", "deferred-deadline", "deferred-power",
+	behaviours := []string{"served", "late", "evicted", "deferred-deadline", "deferred-power",
 		"degrade", "DVFS save", "DVFS redistribute", "DVFS park", "orders bid", "orders ask",
-		"halt gap", "multi-instrument", "N=1", "N>1"}, worldPolicies...) {
+		"halt gap", "multi-instrument", "N=1", "N>1"}
+	for _, p := range worldPolicies {
+		behaviours = append(behaviours, p, p+" served")
+	}
+	for _, what := range behaviours {
 		counts = append(counts, fmt.Sprintf("%s %d", what, tally.reached[what]))
 		if tally.reached[what] == 0 {
 			missing = append(missing, what)

@@ -353,7 +353,7 @@ func TestFromSliceRejectsNonPositiveDims(t *testing.T) {
 	}
 }
 
-// BenchmarkMatMul tracks MatMulInto across sizes (BENCH_kernels.json).
+// BenchmarkMatMul tracks MatMulInto across sizes.
 func BenchmarkMatMul(b *testing.B) {
 	for _, size := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("%dx%dx%d", size, size, size), func(b *testing.B) {
