@@ -8,12 +8,15 @@ build:
 # internal/tensor has an amd64 assembly kernel beside its portable one; this
 # builds the tree, and vets the two packages that reach the kernel, for an
 # architecture that gets only the portable one, so that path cannot rot
-# unbuilt. internal/trader reads its feed with recvmmsg on Linux and one
-# datagram at a time elsewhere; the darwin build keeps the second path
-# compiling. Offline; nothing is run.
+# unbuilt, and runs the nn bit pins and differentials as a 32-bit x86 binary
+# (GOARCH=386 builds no assembly and runs on an amd64 host), so the portable
+# kernel must give the pinned bits too. internal/trader reads its feed with
+# recvmmsg on Linux and one datagram at a time elsewhere; the darwin build
+# keeps the second path compiling. Offline.
 cross-build:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/
+	GOARCH=386 $(GO) test -run 'TestPresetModelsPinned|TestPackedForwardMatchesGemmNT|TestDenseSkipsZeroGroupsExactly|TestStreamedModelMatchesFreshModel' ./internal/nn/
 	GOOS=darwin $(GO) build ./...
 
 test:

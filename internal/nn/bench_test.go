@@ -226,7 +226,9 @@ func BenchmarkModelInfer(b *testing.B) {
 // scratch via sync.Pool), the call the trading pipeline makes per tick, for
 // the paper models and for SizedCNN(8,0), the model perf's wire-cnn
 // workload runs: on one unchanging input, and as <model>/stream on the
-// feature map of one instrument, which moves up one row per tick.
+// feature map of one instrument, which moves up one row per tick; and as
+// <model>/cycle on the same windows unstamped, so that no memo hits — the
+// control that /stream's gain is read against.
 func BenchmarkModelPredict(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, m := range append(BenchmarkModels(), NewSizedCNN("SizedCNN-8-0", 8, 0)) {
@@ -256,6 +258,22 @@ func BenchmarkModelPredict(b *testing.B) {
 			b.ResetTimer()
 			for i := 2; i < b.N+2; i++ {
 				if _, _, err := m.Predict(slide(xs, i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		cycle := make([]*tensor.Tensor, len(xs))
+		for i, x := range xs {
+			cycle[i] = tensor.FromSlice(x.Data(), x.Shape()...) // the same memory, no stamp
+		}
+		b.Run(m.Name()+"/cycle", func(b *testing.B) {
+			if _, _, err := m.Predict(cycle[0]); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := m.Predict(cycle[i%len(cycle)]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,6 +9,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"lighttrader/internal/tensor"
@@ -191,6 +192,10 @@ type Dense struct {
 	// and only read by the forward pass, which therefore writes nothing the
 	// goroutines sharing a model could race on.
 	wt []float32
+	// finite records that every value in wt is finite, which lets the
+	// forward pass leave out the rows of wt that all-zero inputs reach
+	// (mulAddNonzero). repack sets it.
+	finite bool
 
 	// Accumulated gradients (allocated lazily on first Backward).
 	gw *tensor.Tensor
@@ -222,6 +227,13 @@ func packColumns(dst []float32, ld, p0 int, w []float32, n, k int) {
 func (d *Dense) repack() {
 	n := d.Out &^ 3
 	packColumns(d.wt, n, 0, d.w.Data(), n, d.In)
+	d.finite = true
+	for _, v := range d.wt {
+		if v-v != 0 { // ±Inf or NaN
+			d.finite = false
+			break
+		}
+	}
 }
 
 // Name implements Layer.
@@ -250,19 +262,58 @@ func (d *Dense) ForwardCtx(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
 // outputs are one panel multiply, each a single chain in ascending input
 // order; the last Out%4 are tensor.Dot over their own rows of w (four
 // interleaved chains) — bit for bit what Gemm's transposed-b path gave every
-// output when this was x·wᵀ through it.
+// output when this was x·wᵀ through it. A lone row over finite weights
+// leaves out its all-zero input groups, which add nothing to a chain
+// (mulAddNonzero). The rows of a [T,In] input (the transformer's
+// projections) are not checked: the check costs a row with no such group
+// ≈ 6 %, and those short rows rarely hold one.
 func (d *Dense) forward(x []float32, out *tensor.Tensor) {
 	of, wf := out.Data(), d.w.Data()
 	n := d.Out &^ 3
+	skip := d.finite && len(of) == d.Out
 	for t := 0; t*d.Out < len(of); t++ {
 		xr, y := x[t*d.In:(t+1)*d.In], of[t*d.Out:(t+1)*d.Out]
-		tensor.MulAddPanel(xr, d.wt, n, y[:n])
+		if skip {
+			mulAddNonzero(xr, d.wt, n, y[:n])
+		} else {
+			tensor.MulAddPanel(xr, d.wt, n, y[:n])
+		}
 		for j := n; j < d.Out; j++ {
 			y[j] += tensor.Dot(xr, wf[j*d.In:(j+1)*d.In])
 		}
 	}
 	tensor.AddBias(out, d.b)
 	applyAct(d.Act, of)
+}
+
+// mulAddNonzero is tensor.MulAddPanel(a, b, ldb, c) less the rows of b
+// whose inputs lie in a group a[8g:8g+8] that is all ±0; the In%8 tail is
+// always multiplied. The panel runs once per stretch between such groups, so
+// a run of zeros costs a check per eight rows and none of the reads of b it
+// would have cost. For a finite b and a c that holds no −0 the bits are
+// MulAddPanel's: a left-out term ±0·b[p,j] is ±0, and x + ±0 == x for every
+// x but −0, which a chain never holds — it starts at +0, and round-to-nearest
+// addition gives −0 only from −0 + −0. An infinite or NaN b[p,j] would make
+// 0·b[p,j] NaN, so Dense skips only over finite weights.
+func mulAddNonzero(a, b []float32, ldb int, c []float32) {
+	if len(c) == 0 {
+		return
+	}
+	run := 0 // the first row not yet multiplied
+	for g := 0; g+8 <= len(a); g += 8 {
+		z := a[g : g+8 : g+8]
+		// <<1 drops the sign bit. z[0] alone rules out most live groups with
+		// one load; the rest are ORed, not branched on.
+		if math.Float32bits(z[0])<<1 != 0 || (math.Float32bits(z[1])|math.Float32bits(z[2])|math.Float32bits(z[3])|
+			math.Float32bits(z[4])|math.Float32bits(z[5])|math.Float32bits(z[6])|math.Float32bits(z[7]))<<1 != 0 {
+			continue
+		}
+		if g > run {
+			tensor.MulAddPanel(a[run:g], b[run*ldb:], ldb, c)
+		}
+		run = g + 8
+	}
+	tensor.MulAddPanel(a[run:], b[run*ldb:], ldb, c)
 }
 
 // FLOPs implements Layer.

@@ -120,13 +120,21 @@ func (r *rowRing) set(x []float32, c, h, w int) {
 }
 
 // push moves the kept tensor up a row. row holds the c new last rows, one
-// per channel.
+// per channel. A row of one float (a single-column conv or pool, what every
+// SizedCNN memo keeps) is two stores, not two copy calls.
 func (r *rowRing) push(row []float32) {
 	hw := r.h * r.w
-	for i := 0; i < r.c; i++ {
-		next := row[i*r.w : (i+1)*r.w]
-		copy(r.data[2*i*hw+(r.s+r.h)*r.w:], next)
-		copy(r.data[2*i*hw+r.s*r.w:], next)
+	if r.w == 1 {
+		for i, v := range row[:r.c] {
+			r.data[2*i*hw+r.s+r.h] = v
+			r.data[2*i*hw+r.s] = v
+		}
+	} else {
+		for i := 0; i < r.c; i++ {
+			next := row[i*r.w : (i+1)*r.w]
+			copy(r.data[2*i*hw+(r.s+r.h)*r.w:], next)
+			copy(r.data[2*i*hw+r.s*r.w:], next)
+		}
 	}
 	if r.s++; r.s == r.h {
 		r.s = 0

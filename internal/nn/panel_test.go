@@ -134,6 +134,164 @@ func TestPackedForwardMatchesGemmNT(t *testing.T) {
 	}
 }
 
+// denseViaPanel is Dense.ForwardCtx before it skipped zero input groups:
+// every row of x through one whole panel multiply, then the Dot tail, bias
+// and activation. With a non-finite weight its NaNs are the ones to keep.
+func denseViaPanel(d *Dense, x []float32) *tensor.Tensor {
+	out := tensor.New(d.Out)
+	y, n := out.Data(), d.Out&^3
+	tensor.MulAddPanel(x, d.wt, n, y[:n])
+	for j := n; j < d.Out; j++ {
+		y[j] += tensor.Dot(x, d.w.Data()[j*d.In:(j+1)*d.In])
+	}
+	tensor.AddBias(out, d.b)
+	applyAct(d.Act, y)
+	return out
+}
+
+// randomZero returns +0 or −0.
+func randomZero(rng *rand.Rand) float32 {
+	return float32(math.Copysign(0, float64(rng.Intn(2))-0.5))
+}
+
+// deadChannels draws what a ReLU'd conv stack flattens into a dense head:
+// channels of ch rows each, channel-major, a live channel sparse as
+// sparseInput makes it and a dead one all zero. Channels dead whole are
+// drawn with probability dead, and channel partial (if any) dies for its
+// first rows only.
+func deadChannels(rng *rand.Rand, in, ch int, dead float64, partial int) []float32 {
+	x := sparseInput(rng, in).Data()
+	for c0 := 0; c0 < in; c0 += ch {
+		n := min(ch, in-c0)
+		switch {
+		case c0/ch == partial:
+			n = n * 2 / 3
+		case rng.Float64() >= dead:
+			continue
+		}
+		for i := c0; i < c0+n; i++ {
+			x[i] = randomZero(rng)
+		}
+	}
+	return x
+}
+
+// skipInput is one input pattern the dense head's zero-group skip must get
+// right.
+type skipInput struct {
+	name string
+	x    []float32
+}
+
+// skipInputs draws every skipInput for an input of in values.
+func skipInputs(rng *rand.Rand, in int) []skipInput {
+	groups := func(fill func(g []float32)) []float32 {
+		x := sparseInput(rng, in).Data()
+		for g := 0; g+8 <= in; g += 8 {
+			if rng.Intn(2) == 0 {
+				fill(x[g : g+8])
+			}
+		}
+		return x
+	}
+	zeroFree := tensor.New(in)
+	zeroFree.FillRandn(rng, 1)
+	for i, v := range zeroFree.Data() {
+		if v == 0 {
+			zeroFree.Data()[i] = 1
+		}
+	}
+	allZero := make([]float32, in)
+	for i := range allZero {
+		allZero[i] = randomZero(rng)
+	}
+	tail := sparseInput(rng, in).Data()
+	for i := max(0, in-(in%8+11)); i < in; i++ {
+		tail[i] = randomZero(rng) // a full group, the group before in part, and the In%8 tail
+	}
+	return []skipInput{
+		{"dead-channels", deadChannels(rng, in, max(1, in/8), 0.5, rng.Intn(8))},
+		{"ragged-runs", deadChannels(rng, in, 5+rng.Intn(20), 0.5, -1)},
+		{"mixed-sign-groups", groups(func(g []float32) {
+			for i := range g {
+				g[i] = randomZero(rng)
+			}
+		})},
+		{"+0-and--0-groups", groups(func(g []float32) {
+			z := randomZero(rng)
+			for i := range g {
+				g[i] = z
+			}
+		})},
+		{"one-nonzero-per-group", groups(func(g []float32) {
+			for i := range g {
+				g[i] = randomZero(rng)
+			}
+			g[rng.Intn(8)] = float32(rng.NormFloat64())
+		})},
+		{"zero-tail", tail},
+		{"all-zero", allZero},
+		{"zero-free", zeroFree.Data()},
+	}
+}
+
+// TestDenseSkipsZeroGroupsExactly: leaving out the all-zero 8-row input
+// groups changes no output bit (sameBits: NaN payloads too), on every zero pattern skipInputs draws, on
+// [In] and [T,In] inputs and on shapes with every In%8 and Out%4; and a
+// Dense holding an infinite or NaN weight multiplies every row, so 0·Inf
+// and 0·NaN still reach the output as they did.
+func TestDenseSkipsZeroGroupsExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	shapes := [][2]int{{384, 64}, {1408, 128}, {256, 64}, {64, 6}, {50, 7}, {17, 5}, {33, 66}, {12, 130}, {9, 1}, {8, 4}, {7, 8}, {23, 12}}
+	for i := 0; i < 20; i++ {
+		shapes = append(shapes, [2]int{1 + rng.Intn(200), 1 + rng.Intn(140)})
+	}
+	for i, sh := range shapes {
+		d := NewDense(sh[0], sh[1], []Activation{ActNone, ActLeakyReLU}[i%2])
+		d.Init(rng)
+		for j := range d.b {
+			d.b[j] = float32(rng.NormFloat64())
+		}
+		ins := skipInputs(rng, d.In)
+		var seq []float32
+		for _, in := range ins {
+			x := tensor.FromSlice(in.x, d.In)
+			if got, want := d.ForwardCtx(nil, x).Data(), denseViaGemmNT(d, x).Data(); !sameBits(got, want) {
+				t.Fatalf("%s/%s: %v, want %v", d.Name(), in.name, got, want)
+			}
+			seq = append(seq, in.x...)
+		}
+		got := rows(nil, d, tensor.FromSlice(seq, len(ins), d.In)).Data()
+		for r, in := range ins {
+			want := denseViaGemmNT(d, tensor.FromSlice(in.x, d.In)).Data()
+			if !sameBits(got[r*d.Out:(r+1)*d.Out], want) {
+				t.Fatalf("%s/rows/%d=%s: %v, want %v", d.Name(), r, in.name, got[r*d.Out:(r+1)*d.Out], want)
+			}
+		}
+	}
+	for _, sh := range [][2]int{{384, 64}, {50, 7}} {
+		d := NewDense(sh[0], sh[1], ActNone)
+		d.Init(rng)
+		x := sparseInput(rng, d.In).Data()
+		for i := 0; i < 16; i++ {
+			x[i] = randomZero(rng) // two zero groups
+		}
+		for j, w := range []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())} {
+			d.w.Data()[j*d.In+5*j] = w // output j, input 5j: a zero group's row
+		}
+		d.repack()
+		got := d.ForwardCtx(nil, tensor.FromSlice(x, d.In)).Data()
+		if want := denseViaPanel(d, x).Data(); !sameBits(got, want) {
+			t.Fatalf("%s/non-finite: %v, want %v", d.Name(), got, want)
+		}
+		for j := 0; j < 3; j++ {
+			if got[j] == got[j] {
+				t.Fatalf("%s/non-finite: output %d = %v, want the NaN of 0·w", d.Name(), j, got[j])
+			}
+		}
+	}
+}
+
 // freshDense and freshLSTM build a new layer holding l's weights: what a
 // layer must agree with however its weights got there.
 func freshDense(d *Dense) *Dense {
@@ -242,7 +400,10 @@ func TestPredictConcurrentShared(t *testing.T) {
 
 // BenchmarkDenseForward times the dense heads the zoo runs per tick:
 // SizedCNN's 384→64 (what wire-cnn's forward pass spent most of its time
-// in), its 64→3 logits (Out < 4: all tensor.Dot, no panel) and 256→64.
+// in), its 64→3 logits (Out < 4: all tensor.Dot, no panel) and 256→64, on
+// a randn input, which has no zero to skip; and 384→64-dead on the input
+// wire-cnn's head sees, 8 channels of 48 rows with 58 % of the rows in dead
+// channels, whose zero groups the layer leaves out.
 func BenchmarkDenseForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, sh := range [][2]int{{384, 64}, {64, 3}, {256, 64}} {
@@ -250,15 +411,25 @@ func BenchmarkDenseForward(b *testing.B) {
 		d.Init(rng)
 		x := tensor.New(d.In)
 		x.FillRandn(rng, 1)
-		b.Run(fmt.Sprintf("%d→%d", d.In, d.Out), func(b *testing.B) {
-			var p tensor.Pool
-			d.ForwardCtx(&p, x) // warm the arena
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Reset()
-				d.ForwardCtx(&p, x)
+		b.Run(fmt.Sprintf("%d→%d", d.In, d.Out), func(b *testing.B) { benchDense(b, d, x) })
+		if d.In == 384 {
+			dead := deadChannels(rng, d.In, 48, 0, 4)
+			for _, c := range []int{0, 2, 5, 7} { // with channel 4's first 32 rows, 224 of 384
+				clear(dead[c*48 : (c+1)*48])
 			}
-		})
+			b.Run(fmt.Sprintf("%d→%d-dead", d.In, d.Out), func(b *testing.B) { benchDense(b, d, tensor.FromSlice(dead, d.In)) })
+		}
+	}
+}
+
+// benchDense times d on x, drawing from a pool as Model.Predict does.
+func benchDense(b *testing.B, d *Dense, x *tensor.Tensor) {
+	var p tensor.Pool
+	d.ForwardCtx(&p, x) // warm the arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Reset()
+		d.ForwardCtx(&p, x)
 	}
 }

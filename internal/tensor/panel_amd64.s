@@ -11,7 +11,11 @@
 
 // ROWS walks p = 0…k−1 for one strip whose accumulators are already loaded.
 // No term is skipped: a branch on a[p] == 0 costs more in mispredictions on
-// the zeros a ReLU leaves than the eight multiply-adds it saves.
+// the zeros a ReLU leaves than the eight multiply-adds it saves. Zeros are
+// skipped a level up instead, by nn.Dense, which calls this kernel only on
+// the runs of rows between 8-row groups of all-zero inputs: there a group
+// costs one predictable check and, when it is skipped, saves eight rows of
+// weight reads, the loop's real bound.
 #define ROWS(loop, macs) \
 	MOVQ SI, AX; \
 	MOVQ DX, BX; \
