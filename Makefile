@@ -218,7 +218,13 @@ bench-tickpath:
 # this Makefile or a CI workflow names the retired bench-output converter
 # command or the host-measured kernel and tick-path archives it wrote (the
 # pattern spells the names so that this file does not match itself) — a hit
-# is a host-measured archive growing back.
+# is a host-measured archive growing back. (18) The back-test engine keeps
+# the accounting: sim.RunWithOptions integrates each system's reported draw
+# into the energy total and emits the load samples, and a system model only
+# reports its load (sim.Loaded). No non-test Go file calls .OnSample( outside
+# the engine (internal/sim/sim.go) and the serving runtime's locked probe
+# (internal/serve/runtime.go), and none declares an EnergyJoules method — a
+# hit is a model keeping its own energy integral or sampling itself again.
 one-impl-check:
 	@bad=$$(grep -rnE '\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -323,6 +329,12 @@ one-impl-check:
 		grep -rnHE 'bench[j]son|BENCH_(kernels|tickpath)' Makefile .github/workflows); \
 	if [ -n "$$bad" ]; then \
 		echo "a host-measured bench archive or its converter named again:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnF '.OnSample(' --include='*.go' --exclude='*_test.go' . \
+			| grep -vE '^\./internal/(sim/sim|serve/runtime)\.go:'; \
+		grep -rnE '^func \([^)]*\) *EnergyJoules\(' --include='*.go' --exclude='*_test.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "load sampled or energy integrated outside the back-test engine:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile

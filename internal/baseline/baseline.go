@@ -92,16 +92,12 @@ type System struct {
 	pending []sim.Completion
 	lastNow int64
 
-	energyJ      float64
-	lastEnergyAt int64
-	energyStart  bool
-
 	// probe observes queue events; nil outside instrumented runs.
 	probe sim.Probe
 }
 
 var _ sim.SystemModel = (*System)(nil)
-var _ sim.EnergyReporter = (*System)(nil)
+var _ sim.Loaded = (*System)(nil)
 var _ sim.Instrumentable = (*System)(nil)
 
 // NewSystem builds a baseline system for the given profile.
@@ -127,12 +123,7 @@ func (s *System) Reset() {
 	s.busy = false
 	s.pending = nil
 	s.lastNow = 0
-	s.energyJ = 0
-	s.energyStart = false
 }
-
-// EnergyJoules implements sim.EnergyReporter.
-func (s *System) EnergyJoules() float64 { return s.energyJ }
 
 // SetProbe implements sim.Instrumentable.
 func (s *System) SetProbe(p sim.Probe) { s.probe = p }
@@ -143,43 +134,17 @@ func (s *System) emitQuery(e sim.QueryEvent) {
 	}
 }
 
-// sample reports post-dispatch load and draw to the probe.
-func (s *System) sample(now int64) {
-	if s.probe == nil {
-		return
-	}
-	busy := 0
-	w := s.profile.IdleWatts
+// Load implements sim.Loaded: the queue, and the one server busy at its
+// busy draw or idle at its idle draw.
+func (s *System) Load() sim.Sample {
 	if s.busy {
-		busy = 1
-		w = s.profile.BusyWatts
+		return sim.Sample{QueueDepth: len(s.queue), BusyAccels: 1, PowerWatts: s.profile.BusyWatts}
 	}
-	s.probe.OnSample(sim.Sample{
-		TimeNanos: now, QueueDepth: len(s.queue), BusyAccels: busy, PowerWatts: w,
-	})
-}
-
-func (s *System) accrueEnergy(now int64) {
-	if !s.energyStart {
-		s.lastEnergyAt = now
-		s.energyStart = true
-		return
-	}
-	dt := float64(now-s.lastEnergyAt) / 1e9
-	if dt <= 0 {
-		return
-	}
-	w := s.profile.IdleWatts
-	if s.busy {
-		w = s.profile.BusyWatts
-	}
-	s.energyJ += w * dt
-	s.lastEnergyAt = now
+	return sim.Sample{QueueDepth: len(s.queue), PowerWatts: s.profile.IdleWatts}
 }
 
 // OnArrival implements sim.SystemModel.
 func (s *System) OnArrival(now int64, q sim.Query) {
-	s.accrueEnergy(now)
 	s.lastNow = now
 	if len(s.queue) >= s.maxQueue {
 		s.emitQuery(sim.QueryEvent{
@@ -216,7 +181,6 @@ func (s *System) dispatch(now int64) {
 			Accel: 0, Batch: 1, DoneNanos: s.doneAt,
 		})
 	}
-	s.sample(now)
 }
 
 // NextEventTime implements sim.SystemModel.
@@ -232,7 +196,6 @@ func (s *System) NextEventTime() int64 {
 
 // Advance implements sim.SystemModel.
 func (s *System) Advance(now int64) []sim.Completion {
-	s.accrueEnergy(now)
 	s.lastNow = now
 	out := s.pending
 	s.pending = nil

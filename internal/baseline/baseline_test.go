@@ -4,33 +4,10 @@ import (
 	"testing"
 
 	"lighttrader/internal/core"
-	"lighttrader/internal/feed"
 	"lighttrader/internal/nn"
-	"lighttrader/internal/scenario"
 	"lighttrader/internal/sim"
+	"lighttrader/internal/testutil"
 )
-
-// cmeBook is the one book cmeTicks publishes.
-var cmeBook = scenario.Instrument{SecurityID: 1, Symbol: "ESU6", MidPrice: 450000, DepthPerLevel: 50}
-
-// cmeTicks returns the first n ticks of cmeBook at E-mini intensity
-// (feed.DefaultCMEParams: ≈ 2 000 ticks/s, branching ratio 0.8).
-func cmeTicks(tb testing.TB, n int) []feed.Tick {
-	tb.Helper()
-	src, err := scenario.New("cme", scenario.Script{
-		Instruments: []scenario.Instrument{cmeBook},
-		Phases: []scenario.Phase{{Name: "cme", DurationSecs: 0.5 + float64(n)/1000,
-			Arrivals: scenario.ArrivalSpec{Hawkes: []feed.HawkesParams{feed.DefaultCMEParams()}}}},
-	}, 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ticks := src.Ticks()
-	if len(ticks) < n {
-		tb.Fatalf("cme stream has %d ticks, want %d", len(ticks), n)
-	}
-	return ticks[:n]
-}
 
 func TestProfileOrdering(t *testing.T) {
 	for _, m := range nn.BenchmarkModels() {
@@ -73,7 +50,7 @@ func TestSpeedupRatiosMatchPaper(t *testing.T) {
 }
 
 func TestBaselineSystemRuns(t *testing.T) {
-	queries := sim.QueriesFromTicks(cmeTicks(t, 2000), 5_000_000)
+	queries := sim.QueriesFromTicks(testutil.CMETicks(t, 2000), 5_000_000)
 	for _, sys := range []*System{NewGPU(nn.NewVanillaCNN()), NewFPGA(nn.NewVanillaCNN())} {
 		m := sim.Run(queries, sys)
 		if m.Unaccounted != 0 {
@@ -91,7 +68,7 @@ func TestBaselineSystemRuns(t *testing.T) {
 func TestBaselineWorseResponseThanLightTrader(t *testing.T) {
 	// Fig. 11b: LightTrader responds to more queries than both baselines
 	// under the same bursty traffic.
-	queries := sim.QueriesFromTicks(cmeTicks(t, 4000), 5_000_000)
+	queries := sim.QueriesFromTicks(testutil.CMETicks(t, 4000), 5_000_000)
 	model := nn.NewDeepLOB()
 	cfg, err := core.Configure(model, 1, core.Sufficient, core.Options{})
 	if err != nil {

@@ -6,14 +6,15 @@ import (
 	"lighttrader/internal/latency"
 	"lighttrader/internal/nn"
 	"lighttrader/internal/offload"
+	"lighttrader/internal/testutil"
 	"lighttrader/internal/trading"
 )
 
 // TestPipelineLatencyHook checks SetLatency records one sample per decoded
 // packet and that detaching stops recording.
 func TestPipelineLatencyHook(t *testing.T) {
-	cfg := cmeBook
-	all := cmeTicks(t, 21)
+	cfg := testutil.CMEBook
+	all := testutil.CMETicks(t, 21)
 	ticks := all[:20]
 	p, err := NewPipeline(cfg.Symbol, cfg.SecurityID, nn.NewSizedCNN("tiny", 8, 0),
 		offload.Calibrate(snapsOf(ticks)), trading.DefaultConfig(cfg.SecurityID))

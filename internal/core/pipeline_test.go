@@ -10,31 +10,9 @@ import (
 	"lighttrader/internal/nn"
 	"lighttrader/internal/offload"
 	"lighttrader/internal/sbe"
-	"lighttrader/internal/scenario"
+	"lighttrader/internal/testutil"
 	"lighttrader/internal/trading"
 )
-
-// cmeBook is the one book cmeTicks publishes.
-var cmeBook = scenario.Instrument{SecurityID: 1, Symbol: "ESU6", MidPrice: 450000, DepthPerLevel: 50}
-
-// cmeTicks returns the first n ticks of cmeBook at E-mini intensity
-// (feed.DefaultCMEParams: ≈ 2 000 ticks/s, branching ratio 0.8).
-func cmeTicks(tb testing.TB, n int) []feed.Tick {
-	tb.Helper()
-	src, err := scenario.New("cme", scenario.Script{
-		Instruments: []scenario.Instrument{cmeBook},
-		Phases: []scenario.Phase{{Name: "cme", DurationSecs: 0.5 + float64(n)/1000,
-			Arrivals: scenario.ArrivalSpec{Hawkes: []feed.HawkesParams{feed.DefaultCMEParams()}}}},
-	}, 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ticks := src.Ticks()
-	if len(ticks) < n {
-		tb.Fatalf("cme stream has %d ticks, want %d", len(ticks), n)
-	}
-	return ticks[:n]
-}
 
 func snapsOf(ticks []feed.Tick) []lob.Snapshot {
 	out := make([]lob.Snapshot, len(ticks))
@@ -48,8 +26,8 @@ func snapsOf(ticks []feed.Tick) []lob.Snapshot {
 // packets against a live matching engine: packets parse, the local book
 // mirror tracks the exchange book, inference runs, and orders execute.
 func TestPipelineEndToEnd(t *testing.T) {
-	cfg := cmeBook
-	ticks := cmeTicks(t, nn.Window+50)
+	cfg := testutil.CMEBook
+	ticks := testutil.CMETicks(t, nn.Window+50)
 	warm := ticks[:nn.Window]
 	norm := offload.Calibrate(snapsOf(warm))
 
@@ -119,8 +97,8 @@ func TestPipelineBadPacket(t *testing.T) {
 // TestPipelineSnapshotRecovery applies a full refresh and checks the local
 // book is replaced.
 func TestPipelineSnapshotRecovery(t *testing.T) {
-	cfg := cmeBook
-	ticks := cmeTicks(t, 20)
+	cfg := testutil.CMEBook
+	ticks := testutil.CMETicks(t, 20)
 	norm := offload.Calibrate(snapsOf(ticks))
 	p, err := NewPipeline(cfg.Symbol, cfg.SecurityID, nn.NewVanillaCNN(), norm, trading.DefaultConfig(cfg.SecurityID))
 	if err != nil {
@@ -137,8 +115,8 @@ func TestPipelineSnapshotRecovery(t *testing.T) {
 }
 
 func TestFunctionalBacktest(t *testing.T) {
-	cfg := cmeBook
-	ticks := cmeTicks(t, nn.Window+80)
+	cfg := testutil.CMEBook
+	ticks := testutil.CMETicks(t, nn.Window+80)
 	norm := offload.Calibrate(snapsOf(ticks))
 	tcfg := trading.DefaultConfig(cfg.SecurityID)
 	tcfg.MinConfidence = 0
@@ -172,8 +150,8 @@ func TestFunctionalBacktest(t *testing.T) {
 // mdclient.Arbiter delivering into OnDecodedPacket) and checks the book
 // matches a clean replay exactly.
 func TestFeedHandlerArbitration(t *testing.T) {
-	cfg := cmeBook
-	ticks := cmeTicks(t, 200)
+	cfg := testutil.CMEBook
+	ticks := testutil.CMETicks(t, 200)
 	norm := offload.Calibrate(snapsOf(ticks))
 
 	build := func() *Pipeline {

@@ -42,8 +42,8 @@ const DefaultPostPipelineNanos = 310
 
 // System is the simulated LightTrader appliance implementing
 // sim.SystemModel: the scheduling board (accelerator array and power
-// ledger) driven by simulator event time, plus the shared offload FIFO, the
-// in-flight batches' queries and the energy integral.
+// ledger) driven by simulator event time, plus the shared offload FIFO and
+// the in-flight batches' queries.
 type System struct {
 	cfg   SystemConfig
 	name  string
@@ -60,17 +60,13 @@ type System struct {
 	pending []sim.Completion
 	lastNow int64
 
-	energyJ      float64
-	lastEnergyAt int64
-	energyStart  bool
-
 	// probe observes scheduler-internal events; nil outside instrumented
 	// runs. Probes never influence decisions (determinism invariant).
 	probe sim.Probe
 }
 
 var _ sim.SystemModel = (*System)(nil)
-var _ sim.EnergyReporter = (*System)(nil)
+var _ sim.Loaded = (*System)(nil)
 var _ sim.Instrumentable = (*System)(nil)
 
 // NewSystem builds a LightTrader system model.
@@ -130,22 +126,22 @@ func (s *System) Reset() {
 	s.batches = make([][]sim.Query, s.cfg.NumAccels)
 	s.pending = nil
 	s.lastNow = 0
-	s.energyJ = 0
-	s.lastEnergyAt = 0
-	s.energyStart = false
 }
 
 // MaxObservedPowerWatts returns the highest instantaneous accelerator draw
 // seen since Reset — the quantity the card's power budget constrains.
 func (s *System) MaxObservedPowerWatts() float64 { return s.board.MaxDraw() }
 
-// EnergyJoules implements sim.EnergyReporter.
-func (s *System) EnergyJoules() float64 { return s.energyJ }
+// Load implements sim.Loaded: the FIFO occupancy, the busy accelerators and
+// their total draw.
+func (s *System) Load() sim.Sample {
+	return sim.Sample{QueueDepth: len(s.queue), BusyAccels: s.board.BusyCount(), PowerWatts: s.board.Draw()}
+}
 
 // SetProbe implements sim.Instrumentable.
 func (s *System) SetProbe(p sim.Probe) { s.probe = p }
 
-// emitQuery/emitDVFS/sample forward events to the attached probe.
+// emitQuery/emitDVFS forward events to the attached probe.
 func (s *System) emitQuery(e sim.QueryEvent) {
 	if s.probe != nil {
 		s.probe.OnQueryEvent(e)
@@ -158,37 +154,8 @@ func (s *System) emitDVFS(e sim.DVFSEvent) {
 	}
 }
 
-// sample reports post-scheduling load and draw to the probe.
-func (s *System) sample(now int64) {
-	if s.probe == nil {
-		return
-	}
-	s.probe.OnSample(sim.Sample{
-		TimeNanos:  now,
-		QueueDepth: len(s.queue),
-		BusyAccels: s.board.BusyCount(),
-		PowerWatts: s.board.Draw(),
-	})
-}
-
-// accrueEnergy integrates accelerator power up to now.
-func (s *System) accrueEnergy(now int64) {
-	if !s.energyStart {
-		s.lastEnergyAt = now
-		s.energyStart = true
-		return
-	}
-	dt := float64(now-s.lastEnergyAt) / 1e9
-	if dt <= 0 {
-		return
-	}
-	s.energyJ += s.board.Draw() * dt
-	s.lastEnergyAt = now
-}
-
 // OnArrival implements sim.SystemModel.
 func (s *System) OnArrival(now int64, q sim.Query) {
-	s.accrueEnergy(now)
 	s.lastNow = now
 	if len(s.queue) >= s.cfg.MaxQueue {
 		// Stale-tensor management: evict the oldest feature map.
@@ -215,7 +182,6 @@ func (s *System) NextEventTime() int64 {
 
 // Advance implements sim.SystemModel.
 func (s *System) Advance(now int64) []sim.Completion {
-	s.accrueEnergy(now)
 	s.lastNow = now
 	out := s.pending
 	s.pending = nil
@@ -281,7 +247,6 @@ func (s *System) schedule(now int64) {
 		}
 	}
 	s.board.Redistribute(now, len(s.queue))
-	s.sample(now)
 }
 
 // minDeadline returns the earliest deadline over the first n queued queries

@@ -5,12 +5,13 @@ import (
 
 	"lighttrader/internal/nn"
 	"lighttrader/internal/sim"
+	"lighttrader/internal/testutil"
 )
 
 // burstyQueries builds a deterministic bursty tick trace for system tests.
 func burstyQueries(t *testing.T, n int, tAvail int64) []sim.Query {
 	t.Helper()
-	return sim.QueriesFromTicks(cmeTicks(t, n), tAvail)
+	return sim.QueriesFromTicks(testutil.CMETicks(t, n), tAvail)
 }
 
 func mustSystem(t *testing.T, m *nn.Model, n int, pc PowerCondition, opts Options) *System {

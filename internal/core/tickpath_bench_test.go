@@ -12,6 +12,7 @@ import (
 	"lighttrader/internal/offload"
 	"lighttrader/internal/sbe"
 	"lighttrader/internal/tensor"
+	"lighttrader/internal/testutil"
 	"lighttrader/internal/trading"
 )
 
@@ -24,7 +25,7 @@ var benchNorm offload.Normalizer
 func tickTrace(b *testing.B) []feed.Tick {
 	b.Helper()
 	if benchTicks == nil {
-		benchTicks = cmeTicks(b, 4096)
+		benchTicks = testutil.CMETicks(b, 4096)
 		snaps := make([]lob.Snapshot, len(benchTicks))
 		for i := range benchTicks {
 			snaps[i] = benchTicks[i].Snapshot

@@ -12,8 +12,8 @@ import (
 	"lighttrader/internal/nn"
 	"lighttrader/internal/offload"
 	"lighttrader/internal/sbe"
-	"lighttrader/internal/scenario"
 	"lighttrader/internal/tensor"
+	"lighttrader/internal/testutil"
 	"lighttrader/internal/trading"
 )
 
@@ -22,17 +22,7 @@ import (
 // comparable: the only delta here is the attached gateway publisher.
 func benchTickSetup(b *testing.B) (*core.Pipeline, *tickPath, []feed.Tick) {
 	b.Helper()
-	// core's tick trace: one ESU6 book at E-mini intensity
-	// (feed.DefaultCMEParams, ≈ 2 000 ticks/s).
-	src, err := scenario.New("cme", scenario.Script{
-		Instruments: []scenario.Instrument{{SecurityID: 1, Symbol: "ESU6", MidPrice: 450000, DepthPerLevel: 50}},
-		Phases: []scenario.Phase{{Name: "cme", DurationSecs: 4,
-			Arrivals: scenario.ArrivalSpec{Hawkes: []feed.HawkesParams{feed.DefaultCMEParams()}}}},
-	}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ticks := src.Ticks()[:4096]
+	ticks := testutil.CMETicks(b, 4096) // core's tick trace
 	tcfg := trading.DefaultConfig(1)
 	tcfg.MinConfidence = 0.2
 	tcfg.DecisionLogCap = 512

@@ -145,8 +145,9 @@ type DVFSEvent struct {
 	RetimedNanos int64
 }
 
-// Sample is a point-in-time observation of system load and draw, emitted
-// after each scheduling pass.
+// Sample is a point-in-time observation of system load and draw: what a
+// Loaded system reports, and what the engine emits after each OnArrival
+// and Advance call, stamped with that call's time.
 type Sample struct {
 	TimeNanos int64
 	// QueueDepth is the offload-engine FIFO occupancy after scheduling.
@@ -167,7 +168,7 @@ type Probe interface {
 }
 
 // Instrumentable is optionally implemented by system models that can emit
-// internal events (issue, evict, defer, DVFS, samples). The engine attaches
+// internal events (issue, evict, defer, DVFS). The engine attaches
 // the run's probe after Reset and detaches it when the run ends; models
 // must tolerate a nil probe.
 type Instrumentable interface {

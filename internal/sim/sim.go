@@ -61,18 +61,21 @@ type SystemModel interface {
 	Advance(now int64) []Completion
 }
 
-// EnergyReporter is optionally implemented by systems that integrate power.
-type EnergyReporter interface {
-	// EnergyJoules returns energy consumed since Reset.
-	EnergyJoules() float64
+// Loaded is optionally implemented by systems that report their load. The
+// engine reads it before each OnArrival/Advance to integrate the draw into
+// Metrics.EnergyJoules, and, under a probe, after each call to emit the
+// load that call left as a Sample (the engine fills TimeNanos).
+type Loaded interface {
+	Load() Sample
 }
 
 // RunOpts configures an instrumented run; the zero value reproduces the
 // plain Run behaviour exactly.
 type RunOpts struct {
 	// Probe observes the run. The engine emits arrive and complete events
-	// itself; systems implementing Instrumentable additionally emit issue,
-	// evict, defer, DVFS and load-sample events.
+	// itself, and one load sample after each arrival and internal event for
+	// systems implementing Loaded; systems implementing Instrumentable
+	// additionally emit issue, evict, defer and DVFS events.
 	Probe Probe
 	// Ctx, when non-nil, lets the caller cancel the run mid-trace. See
 	// WithContext for the partial-metrics contract.
@@ -129,6 +132,29 @@ func RunWithOptions(queries []Query, sys SystemModel, opts ...RunOption) Metrics
 			})
 		}
 	}
+	// accrue integrates the draw the last system call left up to now,
+	// before the next call; sample reports the load a call left, after it.
+	loaded, _ := sys.(Loaded)
+	var energyJ float64
+	lastAt, started := int64(0), false
+	accrue := func(now int64) {
+		if loaded == nil {
+			return
+		}
+		if !started {
+			lastAt, started = now, true
+		} else if dt := float64(now-lastAt) / 1e9; dt > 0 {
+			energyJ += loaded.Load().PowerWatts * dt
+			lastAt = now
+		}
+	}
+	sample := func(now int64) {
+		if loaded != nil && o.Probe != nil {
+			smp := loaded.Load()
+			smp.TimeNanos = now
+			o.Probe.OnSample(smp)
+		}
+	}
 	// cancelled polls the context at most every cancelCheckStride arrivals;
 	// the stride keeps the uncancelled hot loop free of channel operations.
 	fed := 0
@@ -136,6 +162,13 @@ func RunWithOptions(queries []Query, sys SystemModel, opts ...RunOption) Metrics
 		return o.Ctx != nil && fed%cancelCheckStride == 0 && o.Ctx.Err() != nil
 	}
 	completions := make([]Completion, 0, len(queries))
+	advance := func(t int64) {
+		accrue(t)
+		done := sys.Advance(t)
+		sample(t)
+		observe(done)
+		completions = append(completions, done...)
+	}
 	for _, q := range queries {
 		if cancelled() {
 			break
@@ -145,16 +178,16 @@ func RunWithOptions(queries []Query, sys SystemModel, opts ...RunOption) Metrics
 			if t == NoEvent || t > q.ArrivalNanos {
 				break
 			}
-			done := sys.Advance(t)
-			observe(done)
-			completions = append(completions, done...)
+			advance(t)
 		}
 		if o.Probe != nil {
 			o.Probe.OnQueryEvent(QueryEvent{
 				TimeNanos: q.ArrivalNanos, Kind: QueryArrive, Query: q, Accel: -1,
 			})
 		}
+		accrue(q.ArrivalNanos)
 		sys.OnArrival(q.ArrivalNanos, q)
+		sample(q.ArrivalNanos)
 		fed++
 	}
 	if fed == len(queries) {
@@ -163,20 +196,16 @@ func RunWithOptions(queries []Query, sys SystemModel, opts ...RunOption) Metrics
 			if t == NoEvent {
 				break
 			}
-			done := sys.Advance(t)
-			observe(done)
-			completions = append(completions, done...)
+			advance(t)
 		}
 	}
 	m := computeMetrics(queries[:fed], completions)
 	m.System = sys.Name()
-	if er, ok := sys.(EnergyReporter); ok {
-		m.EnergyJoules = er.EnergyJoules()
-		if fed > 1 {
-			span := float64(queries[fed-1].ArrivalNanos-queries[0].ArrivalNanos) / 1e9
-			if span > 0 {
-				m.AvgPowerWatts = m.EnergyJoules / span
-			}
+	m.EnergyJoules = energyJ
+	if fed > 1 {
+		span := float64(queries[fed-1].ArrivalNanos-queries[0].ArrivalNanos) / 1e9
+		if span > 0 {
+			m.AvgPowerWatts = m.EnergyJoules / span
 		}
 	}
 	return m

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"lighttrader/internal/feed"
@@ -14,28 +16,16 @@ type fifoServer struct {
 	busy    bool
 	doneAt  int64
 	cur     Query
-	watts   float64
-	energyJ float64
-	lastT   int64
-	started bool
+	// watts is the draw while serving, idleWatts while not.
+	watts, idleWatts float64
 }
 
 func (f *fifoServer) Name() string { return "fifo" }
 func (f *fifoServer) Reset() {
 	f.queue = nil
 	f.busy = false
-	f.energyJ = 0
-	f.started = false
-}
-func (f *fifoServer) accrue(now int64) {
-	if f.started && f.busy {
-		f.energyJ += f.watts * float64(now-f.lastT) / 1e9
-	}
-	f.lastT = now
-	f.started = true
 }
 func (f *fifoServer) OnArrival(now int64, q Query) {
-	f.accrue(now)
 	f.queue = append(f.queue, q)
 	f.dispatch(now)
 }
@@ -54,7 +44,6 @@ func (f *fifoServer) NextEventTime() int64 {
 	return NoEvent
 }
 func (f *fifoServer) Advance(now int64) []Completion {
-	f.accrue(now)
 	var out []Completion
 	if f.busy && f.doneAt <= now {
 		out = append(out, Completion{Query: f.cur, DoneNanos: f.doneAt, Batch: 1})
@@ -63,7 +52,13 @@ func (f *fifoServer) Advance(now int64) []Completion {
 	f.dispatch(now)
 	return out
 }
-func (f *fifoServer) EnergyJoules() float64 { return f.energyJ }
+func (f *fifoServer) Load() Sample {
+	s := Sample{QueueDepth: len(f.queue), PowerWatts: f.idleWatts}
+	if f.busy {
+		s.BusyAccels, s.PowerWatts = 1, f.watts
+	}
+	return s
+}
 
 func TestRunBasicAccounting(t *testing.T) {
 	sys := &fifoServer{service: 100, watts: 10}
@@ -258,3 +253,80 @@ func (c *cancelAfter) OnArrival(now int64, q Query) {
 
 // Responded reports whether the query was served within its deadline.
 func (c Completion) Responded() bool { return !c.Dropped && c.DoneNanos <= c.Query.DeadlineNanos }
+
+// loadSchedule is three queries through a 1 s fifoServer drawing 10 W busy
+// and 2 W idle: q0 is served over [0 s, 1 s], q1 (arrived at 0.5 s) over
+// [1 s, 2 s], the server idles until q2 arrives at 3 s and serves it over
+// [3 s, 4 s]. The draw integrates to 10·2 + 10·1 + 2·1 + 10·1 = 32 J exactly.
+func loadSchedule() ([]Query, *fifoServer) {
+	const s = int64(1e9)
+	return []Query{
+		{ID: 0, ArrivalNanos: 0, DeadlineNanos: 10 * s},
+		{ID: 1, ArrivalNanos: s / 2, DeadlineNanos: 10 * s},
+		{ID: 2, ArrivalNanos: 3 * s, DeadlineNanos: 10 * s},
+	}, &fifoServer{service: s, watts: 10, idleWatts: 2}
+}
+
+// logProbe records every event it sees as one line, in delivery order.
+type logProbe struct{ lines []string }
+
+func (p *logProbe) OnQueryEvent(e QueryEvent) {
+	p.lines = append(p.lines, fmt.Sprintf("%v %s q%d", float64(e.TimeNanos)/1e9, e.Kind, e.Query.ID))
+}
+func (p *logProbe) OnDVFSEvent(DVFSEvent) { p.lines = append(p.lines, "dvfs") }
+func (p *logProbe) OnSample(s Sample) {
+	p.lines = append(p.lines, fmt.Sprintf("%v sample queue=%d busy=%d %gW",
+		float64(s.TimeNanos)/1e9, s.QueueDepth, s.BusyAccels, s.PowerWatts))
+}
+
+func TestRunIntegratesLoadedDraw(t *testing.T) {
+	queries, sys := loadSchedule()
+	m := Run(queries, sys)
+	if m.EnergyJoules != 32 {
+		t.Fatalf("EnergyJoules = %v, want exactly 32", m.EnergyJoules)
+	}
+	if want := 32.0 / 3; m.AvgPowerWatts != want {
+		t.Fatalf("AvgPowerWatts = %v, want 32 J over the 3 s arrival span = %v", m.AvgPowerWatts, want)
+	}
+}
+
+func TestRunSamplesAfterEachCall(t *testing.T) {
+	queries, sys := loadSchedule()
+	p := &logProbe{}
+	RunWithOptions(queries, sys, WithProbe(p))
+	want := []string{
+		"0 arrive q0",
+		"0 sample queue=0 busy=1 10W",
+		"0.5 arrive q1",
+		"0.5 sample queue=1 busy=1 10W",
+		"1 sample queue=0 busy=1 10W", // Advance(1 s): q0 done, q1 started
+		"1 complete q0",
+		"2 sample queue=0 busy=0 2W", // Advance(2 s): q1 done, idle
+		"2 complete q1",
+		"3 arrive q2",
+		"3 sample queue=0 busy=1 10W",
+		"4 sample queue=0 busy=0 2W",
+		"4 complete q2",
+	}
+	if got := strings.Join(p.lines, "\n"); got != strings.Join(want, "\n") {
+		t.Fatalf("events:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+	}
+}
+
+func TestRunWithoutLoadHasNoSamplesOrEnergy(t *testing.T) {
+	queries, sys := loadSchedule()
+	p := &logProbe{}
+	// Embedding the interface hides fifoServer's Load method.
+	m := RunWithOptions(queries, struct{ SystemModel }{sys}, WithProbe(p))
+	if m.EnergyJoules != 0 || m.AvgPowerWatts != 0 {
+		t.Fatalf("energy = %v J, %v W; want 0 without a load report", m.EnergyJoules, m.AvgPowerWatts)
+	}
+	for _, l := range p.lines {
+		if strings.Contains(l, "sample") {
+			t.Fatalf("got %q from a system without a load report", l)
+		}
+	}
+	if len(p.lines) != 6 || m.Responded != 3 {
+		t.Fatalf("events %q, responded %d; want 3 arrive and 3 complete", p.lines, m.Responded)
+	}
+}

@@ -1,8 +1,9 @@
 // Package testutil holds the polling and goroutine-leak helpers the
 // networked integration tests share (trader chaos/multi loops, signal
-// gateway churn), and the live venue they trade against. They encode one
-// convention: quiesce is observed by polling, and a test that spawns
-// goroutines proves they wind down.
+// gateway churn), the live venue they trade against, and the one-book
+// E-mini tick trace the pipeline, baseline and tick-path tests replay. The
+// helpers encode one convention: quiesce is observed by polling, and a test
+// that spawns goroutines proves they wind down.
 package testutil
 
 import (
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"lighttrader/internal/feed"
 	"lighttrader/internal/scenario"
 	"lighttrader/internal/venue"
 )
@@ -64,6 +66,30 @@ func StaticBook(t testing.TB, sec int32) *scenario.Source {
 		t.Fatal(err)
 	}
 	return src
+}
+
+// CMEBook is the one book CMETicks publishes.
+var CMEBook = scenario.Instrument{SecurityID: 1, Symbol: "ESU6", MidPrice: 450000, DepthPerLevel: 50}
+
+// CMETicks returns the first n ticks of CMEBook at E-mini intensity
+// (feed.DefaultCMEParams: ≈ 2 000 ticks/s, branching ratio 0.8) at seed 1.
+// The phase runs 0.5 + n/1000 s, long enough for n ticks; a longer phase
+// would give the same first n.
+func CMETicks(tb testing.TB, n int) []feed.Tick {
+	tb.Helper()
+	src, err := scenario.New("cme", scenario.Script{
+		Instruments: []scenario.Instrument{CMEBook},
+		Phases: []scenario.Phase{{Name: "cme", DurationSecs: 0.5 + float64(n)/1000,
+			Arrivals: scenario.ArrivalSpec{Hawkes: []feed.HawkesParams{feed.DefaultCMEParams()}}}},
+	}, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ticks := src.Ticks()
+	if len(ticks) < n {
+		tb.Fatalf("cme stream has %d ticks, want %d", len(ticks), n)
+	}
+	return ticks[:n]
 }
 
 // ShortScenario is the named registry scenario at seed with every phase

@@ -17,10 +17,10 @@ import (
 	"lighttrader/internal/nn"
 	"lighttrader/internal/offload"
 	"lighttrader/internal/orderentry"
-	"lighttrader/internal/scenario"
 	"lighttrader/internal/serve"
 	"lighttrader/internal/session"
 	"lighttrader/internal/tensor"
+	"lighttrader/internal/testutil"
 	"lighttrader/internal/trading"
 )
 
@@ -50,16 +50,7 @@ var liveLoopAllocsPerTick = []struct {
 // stopped with the test.
 func liveLoop(tb testing.TB, cfg Config, scfg serve.Config, conn net.Conn) (*MultiTrader, []feed.Tick) {
 	tb.Helper()
-	// One ESU6 book at E-mini intensity (feed.DefaultCMEParams).
-	src, err := scenario.New("cme", scenario.Script{
-		Instruments: []scenario.Instrument{{SecurityID: 1, Symbol: "ESU6", MidPrice: 450000, DepthPerLevel: 50}},
-		Phases: []scenario.Phase{{Name: "cme", DurationSecs: 1.5,
-			Arrivals: scenario.ArrivalSpec{Hawkes: []feed.HawkesParams{feed.DefaultCMEParams()}}}},
-	}, 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ticks := src.Ticks()[:1024]
+	ticks := testutil.CMETicks(tb, 1024)
 	p, err := core.NewPipeline("ESU6", 1, nil, offload.Normalizer{}, trading.Config{
 		SecurityID: 1, OrderQty: 1, MaxPosition: 1 << 40, DecisionLogCap: 512})
 	if err != nil {
