@@ -225,6 +225,9 @@ bench-tickpath:
 # the engine (internal/sim/sim.go) and the serving runtime's locked probe
 # (internal/serve/runtime.go), and none declares an EnergyJoules method — a
 # hit is a model keeping its own energy integral or sampling itself again.
+# (19) Every wire client reconnects through session.Run: no non-test Go file
+# outside internal/session calls backoff.Next( — a hit is a second copy of
+# the dial/serve/back-off loop.
 one-impl-check:
 	@bad=$$(grep -rnE '\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -335,6 +338,11 @@ one-impl-check:
 		grep -rnE '^func \([^)]*\) *EnergyJoules\(' --include='*.go' --exclude='*_test.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "load sampled or energy integrated outside the back-test engine:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnF 'backoff.Next(' --include='*.go' --exclude='*_test.go' . \
+		| grep -vE '^\./internal/session/'); \
+	if [ -n "$$bad" ]; then \
+		echo "a reconnect loop outside session.Run:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile

@@ -89,9 +89,6 @@ type System struct {
 	doneAt  int64
 	current sim.Query
 
-	pending []sim.Completion
-	lastNow int64
-
 	// probe observes queue events; nil outside instrumented runs.
 	probe sim.Probe
 }
@@ -121,8 +118,6 @@ func (s *System) Name() string { return fmt.Sprintf("%s[%s]", s.profile.Name, s.
 func (s *System) Reset() {
 	s.queue = s.queue[:0]
 	s.busy = false
-	s.pending = nil
-	s.lastNow = 0
 }
 
 // SetProbe implements sim.Instrumentable.
@@ -144,22 +139,23 @@ func (s *System) Load() sim.Sample {
 }
 
 // OnArrival implements sim.SystemModel.
-func (s *System) OnArrival(now int64, q sim.Query) {
-	s.lastNow = now
+func (s *System) OnArrival(now int64, q sim.Query) []sim.Completion {
+	var out []sim.Completion
 	if len(s.queue) >= s.maxQueue {
 		s.emitQuery(sim.QueryEvent{
 			TimeNanos: now, Kind: sim.QueryEvict, Query: s.queue[0], Accel: -1,
 		})
-		s.pending = append(s.pending, sim.Completion{Query: s.queue[0], Dropped: true})
+		out = append(out, sim.Completion{Query: s.queue[0], Dropped: true})
 		s.queue = s.queue[1:]
 	}
 	s.queue = append(s.queue, q)
-	s.dispatch(now)
+	return s.dispatch(now, out)
 }
 
 // dispatch starts service on the head query if the server is free,
-// deferring queries that can no longer meet their deadline.
-func (s *System) dispatch(now int64) {
+// deferring queries that can no longer meet their deadline; it returns out
+// with the deferred queries appended.
+func (s *System) dispatch(now int64, out []sim.Completion) []sim.Completion {
 	for !s.busy && len(s.queue) > 0 {
 		head := s.queue[0]
 		s.queue = s.queue[1:]
@@ -170,7 +166,7 @@ func (s *System) dispatch(now int64) {
 				TimeNanos: now, Kind: sim.QueryDefer, Query: head,
 				Accel: -1, Cause: sim.CauseDeadline,
 			})
-			s.pending = append(s.pending, sim.Completion{Query: head, Dropped: true})
+			out = append(out, sim.Completion{Query: head, Dropped: true})
 			continue
 		}
 		s.busy = true
@@ -181,13 +177,11 @@ func (s *System) dispatch(now int64) {
 			Accel: 0, Batch: 1, DoneNanos: s.doneAt,
 		})
 	}
+	return out
 }
 
 // NextEventTime implements sim.SystemModel.
 func (s *System) NextEventTime() int64 {
-	if len(s.pending) > 0 {
-		return s.lastNow
-	}
 	if s.busy {
 		return s.doneAt
 	}
@@ -196,13 +190,10 @@ func (s *System) NextEventTime() int64 {
 
 // Advance implements sim.SystemModel.
 func (s *System) Advance(now int64) []sim.Completion {
-	s.lastNow = now
-	out := s.pending
-	s.pending = nil
+	var out []sim.Completion
 	if s.busy && s.doneAt <= now {
 		out = append(out, sim.Completion{Query: s.current, DoneNanos: s.doneAt, Batch: 1})
 		s.busy = false
 	}
-	s.dispatch(now)
-	return out
+	return s.dispatch(now, out)
 }

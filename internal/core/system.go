@@ -43,7 +43,9 @@ const DefaultPostPipelineNanos = 310
 // System is the simulated LightTrader appliance implementing
 // sim.SystemModel: the scheduling board (accelerator array and power
 // ledger) driven by simulator event time, plus the shared offload FIFO and
-// the in-flight batches' queries.
+// the in-flight batches' queries. An arrival returns the queries it evicts
+// or defers; Advance returns the batches it retires and what its own
+// scheduling pass defers.
 type System struct {
 	cfg   SystemConfig
 	name  string
@@ -56,9 +58,6 @@ type System struct {
 	// policy is the scheduling strategy, rebuilt from cfg.Scheduler on
 	// every Reset so stateful policies start each run fresh.
 	policy sched.Scheduler
-
-	pending []sim.Completion
-	lastNow int64
 
 	// probe observes scheduler-internal events; nil outside instrumented
 	// runs. Probes never influence decisions (determinism invariant).
@@ -124,8 +123,6 @@ func (s *System) Reset() {
 	s.queue = s.queue[:0]
 	s.board.Reset()
 	s.batches = make([][]sim.Query, s.cfg.NumAccels)
-	s.pending = nil
-	s.lastNow = 0
 }
 
 // MaxObservedPowerWatts returns the highest instantaneous accelerator draw
@@ -155,25 +152,22 @@ func (s *System) emitDVFS(e sim.DVFSEvent) {
 }
 
 // OnArrival implements sim.SystemModel.
-func (s *System) OnArrival(now int64, q sim.Query) {
-	s.lastNow = now
+func (s *System) OnArrival(now int64, q sim.Query) []sim.Completion {
+	var out []sim.Completion
 	if len(s.queue) >= s.cfg.MaxQueue {
 		// Stale-tensor management: evict the oldest feature map.
 		s.emitQuery(sim.QueryEvent{
 			TimeNanos: now, Kind: sim.QueryEvict, Query: s.queue[0], Accel: -1,
 		})
-		s.pending = append(s.pending, sim.Completion{Query: s.queue[0], Dropped: true})
+		out = append(out, sim.Completion{Query: s.queue[0], Dropped: true})
 		s.queue = s.queue[1:]
 	}
 	s.queue = append(s.queue, q)
-	s.schedule(now)
+	return s.schedule(now, out)
 }
 
 // NextEventTime implements sim.SystemModel.
 func (s *System) NextEventTime() int64 {
-	if len(s.pending) > 0 {
-		return s.lastNow
-	}
 	if _, done, ok := s.board.EarliestDone(); ok {
 		return done
 	}
@@ -182,9 +176,7 @@ func (s *System) NextEventTime() int64 {
 
 // Advance implements sim.SystemModel.
 func (s *System) Advance(now int64) []sim.Completion {
-	s.lastNow = now
-	out := s.pending
-	s.pending = nil
+	var out []sim.Completion
 	for i, batch := range s.batches {
 		if batch == nil {
 			continue
@@ -197,16 +189,16 @@ func (s *System) Advance(now int64) []sim.Completion {
 			s.board.Retire(i, now)
 		}
 	}
-	s.schedule(now)
-	return out
+	return s.schedule(now, out)
 }
 
 // schedule runs the board's admission step over the shared FIFO for each
 // idle accelerator in turn (Algorithm 1 under the default PPW policy, with
 // the power-saving retry allowed at most once per accelerator per call),
 // deferring the oldest query on every refusal, then the board redistributes
-// residual budget once, after every accelerator has had its turn.
-func (s *System) schedule(now int64) {
+// residual budget once, after every accelerator has had its turn. It returns
+// out with the deferred queries appended.
+func (s *System) schedule(now int64, out []sim.Completion) []sim.Completion {
 	for i := range s.batches {
 		if s.batches[i] != nil {
 			continue
@@ -226,7 +218,7 @@ func (s *System) schedule(now int64) {
 					TimeNanos: now, Kind: sim.QueryDefer, Query: oldest,
 					Accel: -1, Cause: dec.Verdict.DeferCause(),
 				})
-				s.pending = append(s.pending, sim.Completion{Query: oldest, Dropped: true})
+				out = append(out, sim.Completion{Query: oldest, Dropped: true})
 				s.queue = s.queue[1:]
 				continue
 			}
@@ -247,6 +239,7 @@ func (s *System) schedule(now int64) {
 		}
 	}
 	s.board.Redistribute(now, len(s.queue))
+	return out
 }
 
 // minDeadline returns the earliest deadline over the first n queued queries

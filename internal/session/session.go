@@ -1,9 +1,9 @@
 // Package session holds the connection-survival machinery shared by every
 // wire client in the tree: the order-entry trader and the signal-gateway
-// subscriber both reconnect with the same capped-exponential-backoff
-// ladder and enforce the same three-interval keep-alive liveness rule. Every
-// framed TCP read loop — theirs, the venue's and the signal gateway's —
-// reads through the same Reader.
+// subscriber both reconnect through Run on the same capped exponential
+// backoff ladder, and enforce the same three-interval keep-alive liveness
+// rule. Every framed TCP read loop — theirs, the venue's and the signal
+// gateway's — reads through the same Reader.
 package session
 
 import (

@@ -2,7 +2,11 @@ package session
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"io"
+	"net"
 	"testing"
 	"time"
 )
@@ -121,5 +125,49 @@ func TestReader(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("a read loop allocates %v per frame, want 0", allocs)
+	}
+}
+
+// TestRunReconnects drives Run through a refused dial, a healthy session and
+// a session that cancels the context: each attempt is served on its own
+// connection and logged, and only the healthy session rewinds the ladder.
+func TestRunReconnects(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b := NewBackoff(time.Millisecond, time.Second, 1)
+	var conns []net.Conn
+	dial := func(context.Context) (net.Conn, error) {
+		if len(conns) == 0 {
+			conns = append(conns, nil) // the refused attempt
+			return nil, errors.New("refused")
+		}
+		c, _ := net.Pipe()
+		conns = append(conns, c)
+		return c, nil
+	}
+	var served []net.Conn
+	serve := func(_ context.Context, c net.Conn) (bool, error) {
+		served = append(served, c)
+		if len(conns) == 3 {
+			cancel()
+		}
+		return len(conns) == 2, io.EOF
+	}
+	var logs []string
+	logf := func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
+	if err := Run(ctx, "x:", dial, b, serve, logf); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	want := []string{"x: dial: refused", "x: session ended: EOF", "x: session ended: EOF"}
+	if fmt.Sprint(logs) != fmt.Sprint(want) {
+		t.Fatalf("logs %q, want %q", logs, want)
+	}
+	if fmt.Sprint(served) != fmt.Sprint(conns[1:]) {
+		t.Fatalf("served %v, want the dialled %v", served, conns[1:])
+	}
+	// 1 ms → 2 ms after the refusal, rewound to 1 ms by the healthy session,
+	// then two more steps: 4 ms. Without the rewind it would be 8 ms.
+	if b.cur != 4*time.Millisecond {
+		t.Fatalf("ladder at %v, want 4ms", b.cur)
 	}
 }

@@ -88,57 +88,33 @@ func (c *Client) Stats() ClientStats {
 // reconnecting with capped exponential backoff plus jitter after every
 // failure.
 func (c *Client) Run(ctx context.Context) error {
-	for {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		conn, err := c.dial(ctx)
-		if err == nil {
-			c.mu.Lock()
-			c.stats.Dials++
-			c.mu.Unlock()
-			healthy := false
-			err = c.runSession(ctx, conn, &healthy)
-			conn.Close()
-			if healthy {
-				c.backoff.Reset()
-			}
-			c.logf("signal: client session ended: %v", err)
-		} else {
-			c.logf("signal: client dial: %v", err)
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		select {
-		case <-time.After(c.backoff.Next()):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
+	return session.Run(ctx, "signal: client", c.dial, c.backoff, c.serve, c.logf)
 }
 
-// runSession subscribes and consumes one connection. healthy is set once
-// any frame arrives (the signal to reset the backoff ladder).
-func (c *Client) runSession(ctx context.Context, conn net.Conn, healthy *bool) error {
+// serve counts the dial, subscribes, consumes one connection and closes
+// it. The session is healthy once any frame arrives (the signal to reset the
+// backoff ladder).
+func (c *Client) serve(ctx context.Context, conn net.Conn) (healthy bool, err error) {
+	defer conn.Close()
+	c.mu.Lock()
+	c.stats.Dials++
+	c.mu.Unlock()
 	var sub []byte
 	for _, sym := range c.cfg.Symbols {
-		var err error
 		if sub, err = AppendSubscribeFrame(sub, sym); err != nil {
-			return err
+			return false, err
 		}
 	}
 	if err := writeDeadline(conn, sub, c.cfg.Heartbeat); err != nil {
-		return fmt.Errorf("signal: subscribe write: %w", err)
+		return false, fmt.Errorf("signal: subscribe write: %w", err)
 	}
 
 	var rb session.Reader
 	live := session.NewLiveness(c.cfg.Heartbeat, time.Now())
 	nextHB := time.Now().Add(c.cfg.Heartbeat)
-	counted := false
 	for {
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return healthy, ctx.Err()
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(sessionReadTick))
 		buf, n, rerr := rb.Read(conn)
@@ -151,14 +127,11 @@ func (c *Client) runSession(ctx context.Context, conn net.Conn, healthy *bool) e
 				break
 			}
 			if derr != nil {
-				return fmt.Errorf("signal: corrupt stream: %w", derr)
+				return healthy, fmt.Errorf("signal: corrupt stream: %w", derr)
 			}
 			buf = buf[consumed:]
-			if !*healthy {
-				*healthy = true
-			}
-			if !counted {
-				counted = true
+			if !healthy {
+				healthy = true
 				c.mu.Lock()
 				c.stats.Sessions++
 				c.mu.Unlock()
@@ -171,7 +144,7 @@ func (c *Client) runSession(ctx context.Context, conn net.Conn, healthy *bool) e
 		if rerr != nil {
 			var ne net.Error
 			if !errors.As(rerr, &ne) || !ne.Timeout() {
-				return fmt.Errorf("signal: session read: %w", rerr)
+				return healthy, fmt.Errorf("signal: session read: %w", rerr)
 			}
 		}
 		now := time.Now()
@@ -179,7 +152,7 @@ func (c *Client) runSession(ctx context.Context, conn net.Conn, healthy *bool) e
 			nextHB = now.Add(c.cfg.Heartbeat)
 			wire := AppendHeartbeatFrame(nil)
 			if err := writeDeadline(conn, wire, c.cfg.Heartbeat); err != nil {
-				return fmt.Errorf("signal: heartbeat write: %w", err)
+				return healthy, fmt.Errorf("signal: heartbeat write: %w", err)
 			}
 			c.mu.Lock()
 			c.stats.HeartbeatsSent++
@@ -189,7 +162,7 @@ func (c *Client) runSession(ctx context.Context, conn net.Conn, healthy *bool) e
 			c.mu.Lock()
 			c.stats.KeepAliveExpiries++
 			c.mu.Unlock()
-			return errors.New("signal: gateway keep-alive expired")
+			return healthy, errors.New("signal: gateway keep-alive expired")
 		}
 	}
 }

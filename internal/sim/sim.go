@@ -46,15 +46,19 @@ type Completion struct {
 
 // SystemModel is a system under test: LightTrader, the GPU-based system, or
 // the FPGA-based system. Implementations are single-threaded state machines
-// driven by the engine strictly forward in time.
+// driven by the engine strictly forward in time. OnArrival and Advance each
+// return the queries that call finished or dropped, and the engine records
+// them: a model holds no completion between calls.
 type SystemModel interface {
 	// Name identifies the system configuration.
 	Name() string
 	// Reset restores initial state so the model can be reused across runs.
 	Reset()
-	// OnArrival presents a query at its arrival time.
-	OnArrival(now int64, q Query)
-	// NextEventTime returns the next internal event time, or NoEvent.
+	// OnArrival presents a query at its arrival time, returning the
+	// queries the arrival dropped (an evicted or deferred query).
+	OnArrival(now int64, q Query) []Completion
+	// NextEventTime returns the time of the next internal event (a batch
+	// or a service completing), or NoEvent.
 	NextEventTime() int64
 	// Advance processes internal events scheduled at exactly the returned
 	// event time, returning any completed or dropped queries.
@@ -162,12 +166,14 @@ func RunWithOptions(queries []Query, sys SystemModel, opts ...RunOption) Metrics
 		return o.Ctx != nil && fed%cancelCheckStride == 0 && o.Ctx.Err() != nil
 	}
 	completions := make([]Completion, 0, len(queries))
-	advance := func(t int64) {
-		accrue(t)
-		done := sys.Advance(t)
+	record := func(t int64, done []Completion) {
 		sample(t)
 		observe(done)
 		completions = append(completions, done...)
+	}
+	advance := func(t int64) {
+		accrue(t)
+		record(t, sys.Advance(t))
 	}
 	for _, q := range queries {
 		if cancelled() {
@@ -186,8 +192,7 @@ func RunWithOptions(queries []Query, sys SystemModel, opts ...RunOption) Metrics
 			})
 		}
 		accrue(q.ArrivalNanos)
-		sys.OnArrival(q.ArrivalNanos, q)
-		sample(q.ArrivalNanos)
+		record(q.ArrivalNanos, sys.OnArrival(q.ArrivalNanos, q))
 		fed++
 	}
 	if fed == len(queries) {

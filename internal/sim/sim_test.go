@@ -12,10 +12,13 @@ import (
 // fifoServer is a minimal single-server system for engine tests.
 type fifoServer struct {
 	service int64
-	queue   []Query
-	busy    bool
-	doneAt  int64
-	cur     Query
+	// capacity bounds the waiting queue: an arrival that finds it full
+	// evicts the oldest waiting query. Zero means unbounded.
+	capacity int
+	queue    []Query
+	busy     bool
+	doneAt   int64
+	cur      Query
 	// watts is the draw while serving, idleWatts while not.
 	watts, idleWatts float64
 }
@@ -25,9 +28,15 @@ func (f *fifoServer) Reset() {
 	f.queue = nil
 	f.busy = false
 }
-func (f *fifoServer) OnArrival(now int64, q Query) {
+func (f *fifoServer) OnArrival(now int64, q Query) []Completion {
+	var out []Completion
+	if f.capacity > 0 && len(f.queue) >= f.capacity {
+		out = append(out, Completion{Query: f.queue[0], Dropped: true})
+		f.queue = f.queue[1:]
+	}
 	f.queue = append(f.queue, q)
 	f.dispatch(now)
+	return out
 }
 func (f *fifoServer) dispatch(now int64) {
 	if !f.busy && len(f.queue) > 0 {
@@ -243,12 +252,12 @@ type cancelAfter struct {
 	seen   int
 }
 
-func (c *cancelAfter) OnArrival(now int64, q Query) {
+func (c *cancelAfter) OnArrival(now int64, q Query) []Completion {
 	c.seen++
 	if c.seen == c.after {
 		c.cancel()
 	}
-	c.fifoServer.OnArrival(now, q)
+	return c.fifoServer.OnArrival(now, q)
 }
 
 // Responded reports whether the query was served within its deadline.
@@ -328,5 +337,66 @@ func TestRunWithoutLoadHasNoSamplesOrEnergy(t *testing.T) {
 	}
 	if len(p.lines) != 6 || m.Responded != 3 {
 		t.Fatalf("events %q, responded %d; want 3 arrive and 3 complete", p.lines, m.Responded)
+	}
+}
+
+// announcing counts a fifoServer's Advance calls and those made at an
+// instant other than the one NextEventTime last announced.
+type announcing struct {
+	*fifoServer
+	announced     int64
+	advances, off int
+}
+
+func (a *announcing) NextEventTime() int64 {
+	a.announced = a.fifoServer.NextEventTime()
+	return a.announced
+}
+func (a *announcing) Advance(now int64) []Completion {
+	a.advances++
+	if now != a.announced {
+		a.off++
+	}
+	return a.fifoServer.Advance(now)
+}
+
+// TestRunRecordsArrivalDrops runs three queries through a 1 s fifoServer
+// holding one waiting query: q0 is served over [0 s, 1 s], q1 waits from
+// 0.25 s until q2's arrival at 0.5 s evicts it, and q2 is served over
+// [1 s, 2 s]. The eviction reaches the metrics only through OnArrival's
+// return, and the engine advances only at the two service completions.
+func TestRunRecordsArrivalDrops(t *testing.T) {
+	const s = int64(1e9)
+	queries := []Query{
+		{ID: 0, ArrivalNanos: 0, DeadlineNanos: 10 * s},
+		{ID: 1, ArrivalNanos: s / 4, DeadlineNanos: 10 * s},
+		{ID: 2, ArrivalNanos: s / 2, DeadlineNanos: 10 * s},
+	}
+	sys := &announcing{fifoServer: &fifoServer{service: s, capacity: 1, watts: 10, idleWatts: 2}}
+	p := &logProbe{}
+	m := RunWithOptions(queries, sys, WithProbe(p))
+	if m.Responded != 2 || m.Dropped != 1 || m.Late != 0 || m.Unaccounted != 0 {
+		t.Fatalf("metrics = %+v, want 2 responded, 1 dropped, 0 unaccounted", m)
+	}
+	if m.EnergyJoules != 20 {
+		t.Fatalf("EnergyJoules = %v, want 10 W over [0 s, 2 s] = 20", m.EnergyJoules)
+	}
+	if sys.advances != 2 || sys.off != 0 {
+		t.Fatalf("%d Advance calls, %d at an unannounced instant; want 2 and 0", sys.advances, sys.off)
+	}
+	want := []string{
+		"0 arrive q0",
+		"0 sample queue=0 busy=1 10W",
+		"0.25 arrive q1",
+		"0.25 sample queue=1 busy=1 10W",
+		"0.5 arrive q2", // evicts q1: no event, one sample
+		"0.5 sample queue=1 busy=1 10W",
+		"1 sample queue=0 busy=1 10W",
+		"1 complete q0",
+		"2 sample queue=0 busy=0 2W",
+		"2 complete q2",
+	}
+	if got := strings.Join(p.lines, "\n"); got != strings.Join(want, "\n") {
+		t.Fatalf("events:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
 	}
 }

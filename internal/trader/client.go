@@ -48,10 +48,9 @@ type Config struct {
 	UUID uint64
 	// KeepAliveMillis is the negotiated heartbeat interval; 0 selects 500.
 	KeepAliveMillis uint32
-	// BackoffMin/BackoffMax bound the capped exponential reconnect backoff;
-	// zero values select 50ms and 2s.
+	// BackoffMin is the first delay of the capped exponential reconnect
+	// backoff, which doubles up to 2s; zero selects 50ms.
 	BackoffMin time.Duration
-	BackoffMax time.Duration
 	// BackoffSeed makes the jitter deterministic.
 	BackoffSeed int64
 	// CancelOnDisconnect, when set, sends a cancel for every order believed
@@ -117,15 +116,9 @@ func NewClient(cfg Config) *Client {
 	if cfg.KeepAliveMillis == 0 {
 		cfg.KeepAliveMillis = 500
 	}
-	if cfg.BackoffMin <= 0 {
-		cfg.BackoffMin = 50 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 2 * time.Second
-	}
 	c := &Client{
 		cfg:     cfg,
-		backoff: session.NewBackoff(cfg.BackoffMin, cfg.BackoffMax, cfg.BackoffSeed),
+		backoff: session.NewBackoff(cfg.BackoffMin, 0, cfg.BackoffSeed),
 		readyCh: make(chan struct{}),
 		orders:  make(map[uint64]liveOrder),
 	}
@@ -217,35 +210,20 @@ func (c *Client) sendLocked(reqs []exchange.Request) (int, error) {
 // reconnecting with capped exponential backoff plus jitter after every
 // failure. It returns ctx.Err() once the context is cancelled.
 func (c *Client) Run(ctx context.Context) error {
-	for {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		conn, err := c.dial(ctx)
-		if err == nil {
-			c.mu.Lock()
-			c.stats.Dials++
-			c.mu.Unlock()
-			err = c.runSession(ctx, conn)
-			conn.Close()
-			if c.teardown() {
-				// A session that made it to Established earns a fresh
-				// backoff ladder.
-				c.backoff.Reset()
-			}
-			c.logf("trader: session ended: %v", err)
-		} else {
-			c.logf("trader: dial: %v", err)
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		select {
-		case <-time.After(c.backoff.Next()):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
+	return session.Run(ctx, "trader:", c.dial, c.backoff, c.serve, c.logf)
+}
+
+// serve counts the dial, serves one connection and closes it. A session
+// that made it to Established is healthy: it earns a fresh backoff ladder.
+// The close comes before teardown takes the lock, so it also ends a Send
+// blocked in its write.
+func (c *Client) serve(ctx context.Context, conn net.Conn) (bool, error) {
+	c.mu.Lock()
+	c.stats.Dials++
+	c.mu.Unlock()
+	err := c.runSession(ctx, conn)
+	conn.Close()
+	return c.teardown(), err
 }
 
 func (c *Client) logf(format string, args ...any) {

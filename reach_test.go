@@ -31,7 +31,9 @@ package lighttrader
 //     keyed or unkeyed composite literal, an assignment, op-assignment or
 //     inc/dec whose target is `x.F` or `x.F[i]`, or `&x.F` — a knob only
 //     tests set keeps alive every branch that reads it (an unexported
-//     struct's exported fields are not checked);
+//     struct's exported fields are not checked). The knob's own defaulting,
+//     `x.F = v` as the one statement of an `if` whose condition reads
+//     `x.F`, is not such a write;
 //   - an unexported field is reached by a read: any use but a literal key,
 //     an assignment target or an inc/dec (`&x.f` reads too) — a field that
 //     is written and never read is a counter nobody looks at.
@@ -488,6 +490,21 @@ func reachWalk(info *types.Info, f *ast.File, used, read, written map[types.Obje
 			if id := target(n.X); id != nil {
 				pureWrites[id], writes[id] = true, true
 			}
+		case *ast.IfStmt:
+			// A knob's own defaulting, `if x.F == 0 { x.F = v }`, is no write.
+			if len(n.Body.List) != 1 {
+				break
+			}
+			if as, ok := n.Body.List[0].(*ast.AssignStmt); ok && len(as.Lhs) == 1 {
+				if id := target(as.Lhs[0]); id != nil && info.Uses[id] != nil {
+					ast.Inspect(n.Cond, func(c ast.Node) bool {
+						if r, ok := c.(*ast.Ident); ok && info.Uses[r] == info.Uses[id] {
+							skip[id] = true
+						}
+						return true
+					})
+				}
+			}
 		case *ast.UnaryExpr:
 			if id := target(n.X); n.Op == token.AND && id != nil {
 				writes[id] = true
@@ -597,6 +614,16 @@ func TestUnreachedExportsRules(t *testing.T) {
 			files: map[string]string{
 				"internal/p/p.go": "package p\n\ntype Config struct{ Knob, Used int }\n\nfunc New() Config { return Config{Used: 1} }\n",
 				"main.go":         mainUses + "func main() { _ = p.New().Knob }\n",
+			},
+			want: []string{"internal/p.Config.Knob"},
+		},
+		{
+			name: "a field only its own defaulting writes is reported",
+			files: map[string]string{
+				"internal/p/p.go": "package p\n\ntype Config struct{ Knob, Used int }\n\n" +
+					"func New(c Config) int {\n\tif c.Knob <= 0 {\n\t\tc.Knob = 2\n\t}\n" +
+					"\tif c.Used == 0 {\n\t\tc.Used = 1\n\t}\n\treturn c.Knob + c.Used\n}\n",
+				"main.go": mainUses + "func main() { _ = p.New(p.Config{Used: 3}) }\n",
 			},
 			want: []string{"internal/p.Config.Knob"},
 		},
