@@ -95,19 +95,13 @@ bench-frontier:
 	$(GO) run ./cmd/ltbench -exp frontier -json BENCH_frontier.json
 
 # The modelled archives are deterministic, so regenerating one must give
-# the committed bytes: this reruns sched-matrix, power-sweep and
-# scenario-matrix into a temporary directory and cmps each result with its
-# BENCH_*.json (plain `go test` also checks the scenario leg, in
-# cmd/ltbench). frontier is left out because it trains the model zoo for
-# minutes.
+# the committed bytes: the cmd/ltbench test reruns sched-matrix, power-sweep
+# and scenario-matrix into a temporary directory and compares each result
+# with its BENCH_*.json (its table is the one experiment → file map; plain
+# `go test` runs it too). frontier is left out because it trains the model
+# zoo for minutes.
 bench-pin:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/ltbench" ./cmd/ltbench || exit 1; \
-	for exp in sched-matrix:sched power-sweep:power scenario-matrix:scenario; do \
-		name=$${exp%%:*}; file=BENCH_$${exp##*:}.json; \
-		"$$tmp/ltbench" -exp $$name -json "$$tmp/$$file" -parallel 0 > /dev/null || exit 1; \
-		cmp "$$file" "$$tmp/$$file" || { echo "$$name no longer reproduces $$file"; exit 1; }; \
-	done
+	$(GO) test -count=1 -run '^TestRunScenarioMatrixArchive$$' ./cmd/ltbench/
 
 # Every benchmark in the repo (including the sim-engine harness).
 bench-all:
@@ -227,7 +221,13 @@ bench-tickpath:
 # hit is a model keeping its own energy integral or sampling itself again.
 # (19) Every wire client reconnects through session.Run: no non-test Go file
 # outside internal/session calls backoff.Next( — a hit is a second copy of
-# the dial/serve/back-off loop.
+# the dial/serve/back-off loop. (20) One path per idea where only tests took
+# the second: a back-test's traffic is its ticks argument (a scenario passes
+# its Ticks()), and the venue fills orders only on a session that
+# negotiated and established. No Go file names WithScenario, and no
+# non-test file of internal/venue names a legacy (implicit) session — a hit
+# is the option that substituted a scenario for the ticks, or the
+# handshake-less session, growing back.
 one-impl-check:
 	@bad=$$(grep -rnE '\.(RetimedRemainingNanos|savePower|redistribute)\(' \
 		--include='*.go' --exclude='*_test.go' . \
@@ -343,6 +343,11 @@ one-impl-check:
 		| grep -vE '^\./internal/session/'); \
 	if [ -n "$$bad" ]; then \
 		echo "a reconnect loop outside session.Run:"; echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnF 'WithScenario' --include='*.go' .; \
+		grep -rniE 'legacy|implicit' --include='*.go' --exclude='*_test.go' internal/venue); \
+	if [ -n "$$bad" ]; then \
+		echo "a scenario option beside the ticks argument, or the venue's handshake-less session:"; echo "$$bad"; exit 1; \
 	fi
 
 # perf/ is a nested module, so the root's build, vet and test never compile

@@ -59,7 +59,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "scenario seed")
 	tracePath := fs.String("trace", "", "replay a recorded trace file instead of the scenario")
 	scenarioName := fs.String("scenario", "trading-day", "market scenario to replay: "+strings.Join(lighttrader.ScenarioNames(), ", "))
-	tavail := fs.Duration("tavail", 20*time.Millisecond, "available time per query (t_avail)")
+	tavail := fs.Duration("tavail", 20*time.Millisecond, "available time per query (t_avail); back-test only: -serve and -signal-listen do not read it")
 	serveMode := fs.Bool("serve", false, "drive the concurrent serving runtime instead of a back-test")
 	symbols := fs.Int("symbols", 8, "subscribed instruments (-serve mode)")
 	signalListen := fs.String("signal-listen", "", "serve the live trade-signal stream on this TCP address (paced scenario feed; Ctrl-C to stop)")

@@ -1,8 +1,8 @@
 //go:build !race
 
 // The archive check runs in the plain build only: under the race detector
-// the matrix takes seconds, and its worker fan-out already runs there in
-// internal/bench's TestScenarioMatrixSmoke.
+// the matrices take seconds each, and their worker fan-out already runs
+// there in internal/bench's smoke tests.
 
 package main
 
@@ -13,24 +13,34 @@ import (
 	"testing"
 )
 
-// TestRunScenarioMatrixArchive regenerates the scenario-matrix archive the
-// way `make bench-scenario` does and holds it to the committed file; `make
-// bench-pin` does the same for the sched-matrix and power-sweep archives.
+// TestRunScenarioMatrixArchive regenerates every modelled archive `make
+// bench-pin` checks — sched-matrix, power-sweep and scenario-matrix — the
+// way its `make bench-<name>` target does, and holds each to the committed
+// file byte for byte. frontier is left out: it trains the model zoo for
+// minutes (`make bench-frontier`).
 func TestRunScenarioMatrixArchive(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_scenario.json")
-	var out bytes.Buffer
-	if err := run([]string{"-exp", "scenario-matrix", "-json", path, "-parallel", "0"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile("../../BENCH_scenario.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("scenario-matrix archive differs from BENCH_scenario.json (regenerate with make bench-scenario if the change is deliberate)")
+	for _, a := range []struct{ exp, file string }{
+		{"sched-matrix", "BENCH_sched.json"},
+		{"power-sweep", "BENCH_power.json"},
+		{"scenario-matrix", "BENCH_scenario.json"},
+	} {
+		t.Run(a.exp, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), a.file)
+			var out bytes.Buffer
+			if err := run([]string{"-exp", a.exp, "-json", path, "-parallel", "0"}, &out); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("..", "..", a.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s archive differs from %s (regenerate it with its make bench-* target if the change is deliberate)", a.exp, a.file)
+			}
+		})
 	}
 }

@@ -2,6 +2,8 @@ package lighttrader
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -176,6 +178,46 @@ func TestPublicServing(t *testing.T) {
 	}
 }
 
+// TestModelledClockFacade: WithModelledClock dispatches on the caller's
+// goroutine at any accelerator count, so a multi-lane modelled replay
+// without WithInline gives the same stats and per-symbol orders on every
+// run.
+func TestModelledClockFacade(t *testing.T) {
+	build, packets := servingFixture(t)
+	run := func() (ServeStats, *OrderLog) {
+		log := NewOrderLog()
+		srv, err := NewServer(build(), WithAccelerators(4), WithModelledClock(),
+			WithPowerBudget(Limited), WithWorkloadScheduling(), WithDVFSScheduling(),
+			WithDeadline(5*time.Millisecond), WithOrderSink(log.Sink()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srv.Lanes() != 2 || !srv.Inline() {
+			t.Fatalf("modelled server: lanes=%d inline=%v", srv.Lanes(), srv.Inline())
+		}
+		for i, buf := range packets {
+			if err := srv.Submit(int64(i)*200_000, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Drain()
+		return srv.Stats(), log
+	}
+	first, firstLog := run()
+	second, secondLog := run()
+	if first.Served == 0 || firstLog.Total() == 0 {
+		t.Fatalf("the replay is vacuous: %+v, %d orders", first, firstLog.Total())
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("two modelled replays differ:\n%+v\n%+v", first, second)
+	}
+	for _, id := range []int32{1, 2} {
+		if !slices.Equal(firstLog.Orders(id), secondLog.Orders(id)) {
+			t.Fatalf("security %d: the two replays' orders differ", id)
+		}
+	}
+}
+
 // TestModelZooFacade covers degrade-to-cheaper-model switching through the
 // facade: WithModelZoo wires a compiled ladder under the primary, a
 // deadline inside the degrade window turns drop-only losses into counted
@@ -256,9 +298,9 @@ func TestModelZooFacade(t *testing.T) {
 }
 
 // TestScenarioFacade covers the unified-traffic vocabulary: ScenarioByName
-// resolves the registry, WithScenario substitutes a scenario for the ticks
-// argument of BacktestContext (identically to passing its Ticks()), and
-// ReplayScenario drives a serving runtime losslessly from the same source.
+// resolves the registry, a back-test over the scenario's Ticks() sees one
+// query per packet, and ReplayScenario drives a serving runtime losslessly
+// from the same source.
 func TestScenarioFacade(t *testing.T) {
 	names := ScenarioNames()
 	if len(names) == 0 {
@@ -272,20 +314,12 @@ func TestScenarioFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sys := func() System {
-		s, err := New(NewVanillaCNN(), WithAccelerators(2), WithWorkloadScheduling())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+	sys, err := New(NewVanillaCNN(), WithAccelerators(2), WithWorkloadScheduling())
+	if err != nil {
+		t.Fatal(err)
 	}
-	via := BacktestContext(context.Background(), nil, time.Millisecond, sys(), WithScenario(src))
-	direct := Backtest(src.Ticks(), time.Millisecond, sys())
-	if via != direct {
-		t.Fatalf("WithScenario back-test diverged from explicit ticks:\n%+v\n%+v", via, direct)
-	}
-	if via.Total != len(src.Packets()) {
-		t.Fatalf("back-test saw %d queries for %d scenario packets", via.Total, len(src.Packets()))
+	if m := Backtest(src.Ticks(), time.Millisecond, sys); m.Total != len(src.Packets()) {
+		t.Fatalf("back-test saw %d queries for %d scenario packets", m.Total, len(src.Packets()))
 	}
 
 	ins := src.Script().Instruments[0]

@@ -430,7 +430,6 @@ func frontierRecovery(fc FrontierConfig) ([]RecoveryRow, string, []string, int64
 	run := func(src *scenario.Source, withLadder bool) RecoveryRow {
 		cfg := serve.Config{
 			Lanes:            1,
-			Inline:           true,
 			ModelledClock:    true,
 			MaxQueue:         64,
 			Sched:            &primary.Sched,

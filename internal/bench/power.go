@@ -144,7 +144,6 @@ func runServePower(name string, src *scenario.Source, governor bool) PowerRow {
 	cfg := powerSystemConfig()
 	srv, err := serve.New(sourceMulti(src), serve.Config{
 		Lanes:                powerLanes,
-		Inline:               true,
 		ModelledClock:        true,
 		MaxQueue:             64,
 		Sched:                &cfg.Sched,

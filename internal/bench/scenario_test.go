@@ -55,7 +55,6 @@ func runScenarioServe(t *testing.T, src *scenario.Source, qs []sim.Query,
 	srvCfg := powerDifferentialConfig()
 	srv, err := serve.New(sourceMulti(src), serve.Config{
 		Lanes:            1,
-		Inline:           true,
 		ModelledClock:    true,
 		MaxQueue:         srvCfg.MaxQueue,
 		Sched:            &srvCfg.Sched,

@@ -174,10 +174,11 @@ func TestLatencyRecordsPerQueryShare(t *testing.T) {
 }
 
 // TestGovernorPowerCapProperty is the budget-safety property: under
-// concurrent lanes and an active governor (saves, redistributes, parks), the
-// modelled draw across lanes never exceeds the power budget beyond float
-// tolerance — observed live by a racing checker goroutine and again through
-// the MaxPowerWatts high-water mark. Run under -race this also exercises the
+// concurrent worker lanes on the logical clock and an active governor
+// (saves, redistributes, parks), the modelled draw across lanes never
+// exceeds the power budget beyond float tolerance — observed live by a
+// racing checker goroutine and again through the MaxPowerWatts high-water
+// mark. Run under -race this also exercises the
 // governor's locking.
 func TestGovernorPowerCapProperty(t *testing.T) {
 	syms := []string{"ESU6", "NQU6", "YMU6", "RTYU6"}
@@ -191,12 +192,14 @@ func TestGovernorPowerCapProperty(t *testing.T) {
 	// the cap while scaling lanes up and down around it.
 	syscfg.Sched.PowerBudgetWatts = 6
 	budget := syscfg.Sched.PowerBudgetWatts
+	// The logical clock runs ahead of a backlogged lane by the submitters'
+	// lead: a 50 ms deadline keeps enough queries feasible that lanes issue,
+	// save and redistribute around the cap.
 	srv, err := New(buildMulti(t, syms), Config{
 		Lanes:            len(syms),
 		MaxQueue:         256,
 		Sched:            &syscfg.Sched,
-		TAvailNanos:      5_000_000,
-		ModelledClock:    true,
+		TAvailNanos:      50_000_000,
 		PrePipelineNanos: core.DefaultPrePipelineNanos,
 	})
 	if err != nil {
@@ -233,7 +236,7 @@ func TestGovernorPowerCapProperty(t *testing.T) {
 	// Two submitters split the feed by parity; with four round-robin listed
 	// symbols each goroutine owns two instruments, so per-instrument arrival
 	// order is preserved while submissions race across lanes.
-	const spacing = 200_000 // ns between packets: keeps lanes modelled-busy
+	const spacing = 200_000 // ns between packets on the logical clock
 	var subWG sync.WaitGroup
 	for part := 0; part < 2; part++ {
 		subWG.Add(1)

@@ -256,7 +256,7 @@ func (l *lane) take(wait bool) (batch []query, issue sched.Issue, tier int, now 
 				if l.freeNanos > now {
 					now = l.freeNanos
 				}
-				if now > l.lastArrival && !l.flushing && !l.closed {
+				if now > l.lastArrival && !l.flushing {
 					break // hold: the decision lies beyond the logical clock
 				}
 				arrived = 1
@@ -411,8 +411,8 @@ func (l *lane) process(batch []query, issue sched.Issue, tier int, now int64) {
 	l.cond.Broadcast()
 }
 
-// advance moves the lane's logical clock to now and (inline modelled mode)
-// dispatches every decision due at or before it — the simulator's
+// advance moves the lane's logical clock to now and dispatches every
+// decision due at or before it — the simulator's
 // advance-internal-events-then-arrive ordering, so queue occupancy at the
 // arrival instant matches core.System's.
 func (l *lane) advance(now int64) {
@@ -425,16 +425,9 @@ func (l *lane) advance(now int64) {
 }
 
 // drain blocks until the lane's queue is empty and no batch is in flight.
-// Under the modelled clock it flushes first: held decisions (beyond the
-// newest submitted arrival) are released so the backlog can complete.
 func (l *lane) drain() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.srv.cfg.ModelledClock && !l.closed {
-		l.flushing = true
-		l.cond.Broadcast()
-		defer func() { l.flushing = false }()
-	}
 	for (len(l.queue) > 0 || l.inflight) && !l.closed {
 		l.cond.Wait()
 	}

@@ -74,10 +74,8 @@ type Config struct {
 	Lanes int
 	// Inline dispatches on the submitter's goroutine even with Lanes > 1:
 	// the lanes exist as logical accelerators (sharding, admission, power
-	// accounting) but no workers run, so a multi-lane replay is
-	// deterministic — the mode the limited-power sweeps use to compare
-	// governor policies without wall-clock interleaving noise. Implied by
-	// Lanes == 0.
+	// accounting) but no workers run. Implied by Lanes == 0 and by
+	// ModelledClock.
 	Inline bool
 	// MaxQueue bounds each lane's query queue; an arrival beyond it evicts
 	// the lane's oldest query (stale-tensor management). 0 means 64;
@@ -116,7 +114,8 @@ type Config struct {
 	// instant join a batch, and decisions beyond the newest submitted
 	// arrival are held until the logical clock catches up (Drain flushes
 	// them). It reproduces the back-test simulator's admission timing — the
-	// sim-vs-serve differential mode — and is incompatible with Clock.
+	// sim-vs-serve differential mode — so it implies Inline (one outcome at
+	// every lane count and on every run), and is incompatible with Clock.
 	ModelledClock bool
 	// PrePipelineNanos is the modelled FPGA front-pipeline time (packet
 	// parse, book update, feature packing) charged before a query reaches
@@ -282,7 +281,7 @@ func New(mp *core.MultiPipeline, cfg Config) (*Server, error) {
 func (s *Server) Lanes() int { return len(s.lanes) }
 
 // Inline reports whether the runtime dispatches on the caller's goroutine.
-func (s *Server) Inline() bool { return s.cfg.Lanes == 0 || s.cfg.Inline }
+func (s *Server) Inline() bool { return s.cfg.Lanes == 0 || s.cfg.Inline || s.cfg.ModelledClock }
 
 // Run starts the lane workers and blocks until ctx is cancelled, then
 // stops the lanes and waits for their in-flight batches to finish
@@ -379,7 +378,7 @@ func (s *Server) submit(arrivalNanos int64, pkt sbe.Packet) {
 			TimeNanos: arrivalNanos, Kind: sim.QueryArrive,
 			Query: simQuery(q), Accel: -1,
 		})
-		if s.Inline() && s.cfg.ModelledClock {
+		if s.cfg.ModelledClock {
 			// Advance-then-arrive: dispatch every decision due at or before
 			// the new arrival first, so the queue the arrival lands in (and
 			// may evict from) matches the simulator's event ordering.
@@ -467,10 +466,10 @@ func (s *Server) route(pkt sbe.Packet, out []*lane) []*lane {
 // flight, then returns. Combined with the logical clock it gives tests a
 // quiesce point: after Drain, books, order logs and stats are stable.
 // Under the modelled clock Drain flushes held decisions (those beyond the
-// newest submitted arrival) — the end-of-trace drain of the simulator.
-// Inline mode dispatches the flush on the caller's goroutine.
+// newest submitted arrival) on the caller's goroutine — the end-of-trace
+// drain of the simulator.
 func (s *Server) Drain() {
-	if s.Inline() && s.cfg.ModelledClock {
+	if s.cfg.ModelledClock {
 		s.inlineMu.Lock()
 		defer s.inlineMu.Unlock()
 		for _, l := range s.lanes {
@@ -487,9 +486,6 @@ func (s *Server) Drain() {
 	}
 	for _, l := range s.lanes {
 		l.drain()
-	}
-	if s.cfg.ModelledClock {
-		s.gov.flush()
 	}
 }
 

@@ -607,6 +607,53 @@ func TestServeModelledThroughputScaling(t *testing.T) {
 	}
 }
 
+// TestServeModelledClockImpliesInline: the modelled clock dispatches on the
+// submitter's goroutine at every lane count, so a four-lane replay without
+// Inline is the inline replay — the same Stats and per-symbol order logs —
+// and needs no Run.
+func TestServeModelledClockImpliesInline(t *testing.T) {
+	syms := []string{"ESU6", "NQU6", "YMU6", "RTYU6"}
+	packets := buildMarket(t, syms, nn.Window+120)
+	syscfg, err := core.Configure(nn.NewDeepLOB(), len(syms), core.Limited,
+		core.Options{WorkloadScheduling: true, DVFSScheduling: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syscfg.Sched.PowerBudgetWatts = 6 // lanes contend for the envelope
+	run := func(inline bool) (Stats, *OrderLog) {
+		log := NewOrderLog()
+		srv, err := New(buildMulti(t, syms), Config{
+			Lanes: len(syms), Inline: inline, ModelledClock: true, MaxQueue: 16,
+			Sched: &syscfg.Sched, TAvailNanos: 5_000_000,
+			PrePipelineNanos: core.DefaultPrePipelineNanos, OnOrders: log.Sink(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !srv.Inline() {
+			t.Fatalf("Inline=%v: the modelled clock runs worker lanes", inline)
+		}
+		for i, buf := range packets {
+			if err := srv.Submit(int64(i)*200_000, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Drain()
+		return srv.Stats(), log
+	}
+	want, wantLog := run(true)
+	got, gotLog := run(false)
+	if want.Served == 0 || wantLog.Total() == 0 || want.DVFSRedistributes == 0 {
+		t.Fatalf("the replay is vacuous: %+v, %d orders", want, wantLog.Total())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stats differ:\ninline %+v\nlanes  %+v", want, got)
+	}
+	if !reflect.DeepEqual(gotLog.bySec, wantLog.bySec) {
+		t.Error("per-symbol order logs differ from the inline replay")
+	}
+}
+
 // TestServeDropWakesDrain pins the drop-path wakeup: when online Algorithm 1
 // drains a lane's whole backlog by dropping infeasible queries, the drops
 // must wake a Drain waiter — without the broadcast the worker parks in Wait

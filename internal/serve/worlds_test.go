@@ -421,7 +421,7 @@ func (p *worldProbe) check(t testing.TB, leg string, submitted, served, late, dr
 }
 
 // serveRun replays the world through a runtime built from cfg — with Run
-// and a reader racing the governor unless cfg is inline — and returns its
+// and a reader racing the governor unless it dispatches inline — and returns its
 // stats, its orders and the highest draw the reader saw.
 func serveRun(t testing.TB, w *world, cfg Config, bad *atomic.Int64) (Stats, *OrderLog, float64) {
 	log := NewOrderLog()
@@ -434,7 +434,7 @@ func serveRun(t testing.TB, w *world, cfg Config, bad *atomic.Int64) (Stats, *Or
 	defer cancel() // a failed submit must not leave the lanes running
 	var wg sync.WaitGroup
 	var peak atomic.Uint64
-	if !cfg.Inline {
+	if !srv.Inline() {
 		wg.Add(2)
 		go func() { defer wg.Done(); srv.Run(ctx) }()
 		go func() {
@@ -491,7 +491,7 @@ func runWorld(t testing.TB, spec worldSpec, tally *worldTally) {
 	// The runtime inline on modelled time, probed (1, 2), bare and rebuilt
 	// (4), and against the simulator (5).
 	modelled := func(w *world, p sim.Probe) (Stats, *OrderLog) {
-		cfg := Config{Lanes: w.lanes, Inline: true, ModelledClock: true, MaxQueue: w.maxQueue,
+		cfg := Config{Lanes: w.lanes, ModelledClock: true, MaxQueue: w.maxQueue,
 			TAvailNanos: w.tAvail, PrePipelineNanos: core.DefaultPrePipelineNanos, Probe: p}
 		w.admission(&cfg, true)
 		st, log, _ := serveRun(t, w, cfg, &bad)
@@ -534,11 +534,12 @@ func runWorld(t testing.TB, spec worldSpec, tally *worldTally) {
 		}
 	}
 
-	// Concurrent lanes (1, 2): Run, on modelled time or with a queue the
-	// whole feed fits in, and a reader racing the governor.
+	// Concurrent lanes (1, 2): Run on the logical clock, with the world's
+	// queue bound or one the whole feed fits in, and a reader racing the
+	// governor.
 	conP := newWorldProbe(w, false)
 	cfg := Config{Lanes: w.lanes, MaxQueue: w.maxQueue, TAvailNanos: w.tAvail, PrePipelineNanos: core.DefaultPrePipelineNanos,
-		ModelledClock: !w.unbounded, Probe: conP}
+		Probe: conP}
 	if w.unbounded {
 		cfg.MaxQueue = len(w.packets) + 1
 	}

@@ -23,9 +23,9 @@ type ClientConfig struct {
 	// OnSignal receives every decoded signal (called from the session
 	// goroutine; keep it fast or the conflation drops land on you).
 	OnSignal func(TradeSignal)
-	// Heartbeat is the keep-alive cadence; 0 selects 500ms. Liveness
-	// expires after three silent intervals, matching the server.
-	Heartbeat time.Duration
+	// heartbeat is the keep-alive cadence (0 selects 500ms; in-package tests
+	// shorten it). Liveness expires after three silent intervals.
+	heartbeat time.Duration
 	// Logf, when non-nil, receives connection lifecycle events.
 	Logf func(format string, args ...any)
 	// backoffMin/backoffMax bound the reconnect ladder (session.Backoff,
@@ -59,8 +59,8 @@ type Client struct {
 
 // NewClient builds a client; call Run to connect and consume.
 func NewClient(cfg ClientConfig) *Client {
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 500 * time.Millisecond
+	if cfg.heartbeat <= 0 {
+		cfg.heartbeat = 500 * time.Millisecond
 	}
 	c := &Client{
 		cfg:     cfg,
@@ -105,13 +105,13 @@ func (c *Client) serve(ctx context.Context, conn net.Conn) (healthy bool, err er
 			return false, err
 		}
 	}
-	if err := writeDeadline(conn, sub, c.cfg.Heartbeat); err != nil {
+	if err := writeDeadline(conn, sub, c.cfg.heartbeat); err != nil {
 		return false, fmt.Errorf("signal: subscribe write: %w", err)
 	}
 
 	var rb session.Reader
-	live := session.NewLiveness(c.cfg.Heartbeat, time.Now())
-	nextHB := time.Now().Add(c.cfg.Heartbeat)
+	live := session.NewLiveness(c.cfg.heartbeat, time.Now())
+	nextHB := time.Now().Add(c.cfg.heartbeat)
 	for {
 		if ctx.Err() != nil {
 			return healthy, ctx.Err()
@@ -149,9 +149,9 @@ func (c *Client) serve(ctx context.Context, conn net.Conn) (healthy bool, err er
 		}
 		now := time.Now()
 		if now.After(nextHB) {
-			nextHB = now.Add(c.cfg.Heartbeat)
+			nextHB = now.Add(c.cfg.heartbeat)
 			wire := AppendHeartbeatFrame(nil)
-			if err := writeDeadline(conn, wire, c.cfg.Heartbeat); err != nil {
+			if err := writeDeadline(conn, wire, c.cfg.heartbeat); err != nil {
 				return healthy, fmt.Errorf("signal: heartbeat write: %w", err)
 			}
 			c.mu.Lock()

@@ -20,7 +20,7 @@ const sessionReadTick = 50 * time.Millisecond
 // and then receives a conflated signal stream: a per-connection
 // latest-value outbox absorbs fan-out at memory cost O(subscribed
 // symbols), a dedicated writer goroutine performs the socket writes under
-// Config.WriteTimeout deadlines, and heartbeats flow both ways with the
+// 250ms write deadlines, and heartbeats flow both ways with the
 // three-interval liveness rule. A stalled or silent connection is dropped;
 // it can never wedge a shard or a lane.
 func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
@@ -60,9 +60,9 @@ func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
 func (g *Gateway) handleConn(ctx context.Context, conn net.Conn) {
 	defer g.connsOpen.Add(-1)
 	defer conn.Close()
-	if g.cfg.ConnWriteBuffer > 0 {
+	if g.cfg.connWriteBuffer > 0 {
 		if tc, ok := conn.(*net.TCPConn); ok {
-			_ = tc.SetWriteBuffer(g.cfg.ConnWriteBuffer)
+			_ = tc.SetWriteBuffer(g.cfg.connWriteBuffer)
 		}
 	}
 
@@ -84,7 +84,7 @@ func (g *Gateway) handleConn(ctx context.Context, conn net.Conn) {
 	defer close(stopWriter)
 
 	var rb session.Reader
-	live := session.NewLiveness(g.cfg.Heartbeat, time.Now())
+	live := session.NewLiveness(g.cfg.heartbeat, time.Now())
 	for {
 		select {
 		case <-ctx.Done():
@@ -161,7 +161,7 @@ func (g *Gateway) subscribeConn(symbol string, sink *connSink) (*subscriber, err
 // heartbeats on the configured cadence, and enforces the per-write
 // deadline. Returning an error drops the connection.
 func (g *Gateway) connWriter(conn net.Conn, sink *connSink, stop chan struct{}) error {
-	hb := time.NewTicker(g.cfg.Heartbeat)
+	hb := time.NewTicker(g.cfg.heartbeat)
 	defer hb.Stop()
 	wire := make([]byte, 0, 256)
 	next := 0
@@ -173,7 +173,7 @@ func (g *Gateway) connWriter(conn net.Conn, sink *connSink, stop chan struct{}) 
 			return nil
 		case <-hb.C:
 			wire = AppendHeartbeatFrame(wire[:0])
-			if err := writeDeadline(conn, wire, g.cfg.WriteTimeout); err != nil {
+			if err := writeDeadline(conn, wire, g.cfg.writeTimeout); err != nil {
 				return fmt.Errorf("heartbeat write: %w", err)
 			}
 		case <-sink.notify:
@@ -183,7 +183,7 @@ func (g *Gateway) connWriter(conn net.Conn, sink *connSink, stop chan struct{}) 
 					break
 				}
 				wire = AppendSignalFrame(wire[:0], &sig)
-				if err := writeDeadline(conn, wire, g.cfg.WriteTimeout); err != nil {
+				if err := writeDeadline(conn, wire, g.cfg.writeTimeout); err != nil {
 					return fmt.Errorf("signal write: %w", err)
 				}
 			}

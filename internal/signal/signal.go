@@ -94,16 +94,14 @@ type Config struct {
 	// Shards is the fixed fan-out shard count (one goroutine each).
 	// 0 selects 8; negative is an error.
 	Shards int
-	// Heartbeat is the wire keep-alive interval (0 selects 500ms).
-	Heartbeat time.Duration
-	// WriteTimeout is the per-connection write deadline: a TCP subscriber
-	// that stalls a write past it is disconnected (0 selects 250ms).
-	WriteTimeout time.Duration
-	// ConnWriteBuffer, when > 0, shrinks each accepted connection's kernel
-	// send buffer so a stalled reader hits the write deadline with bounded
-	// memory behind it, instead of silently absorbing megabytes of stale
-	// signals. 0 keeps the OS default.
-	ConnWriteBuffer int
+	// heartbeat is the wire keep-alive interval (500ms), writeTimeout the
+	// per-connection write deadline past which a stalled TCP subscriber is
+	// disconnected (250ms), and connWriteBuffer, when > 0, each accepted
+	// connection's kernel send buffer, shrunk so a stalled reader hits the
+	// deadline with bounded memory behind it (0 keeps the OS default).
+	// In-package tests set them; zero selects the defaults.
+	heartbeat, writeTimeout time.Duration
+	connWriteBuffer         int
 	// clock supplies PublishNanos and the propagation-latency timestamps;
 	// nil selects the wall clock. In-package tests pin it.
 	clock func() int64
@@ -145,11 +143,11 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 8
 	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 500 * time.Millisecond
+	if cfg.heartbeat <= 0 {
+		cfg.heartbeat = 500 * time.Millisecond
 	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 250 * time.Millisecond
+	if cfg.writeTimeout <= 0 {
+		cfg.writeTimeout = 250 * time.Millisecond
 	}
 	g := &Gateway{
 		cfg:   cfg,

@@ -102,7 +102,7 @@ func TestSplitConnPreservesBytes(t *testing.T) {
 func TestTCPEndToEnd(t *testing.T) {
 	leak := testutil.StartLeakCheck()
 	t.Cleanup(func() { leak.Verify(t, 5*time.Second) }) // after gateway teardown (LIFO)
-	g, addr := startWireGateway(t, Config{Shards: 4, Heartbeat: 100 * time.Millisecond})
+	g, addr := startWireGateway(t, Config{Shards: 4, heartbeat: 100 * time.Millisecond})
 	pub, err := g.Register("ESU6", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestTCPEndToEnd(t *testing.T) {
 			got = append(got, sig)
 			mu.Unlock()
 		},
-		Heartbeat: 100 * time.Millisecond,
+		heartbeat: 100 * time.Millisecond,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cliDone := make(chan struct{})
@@ -178,9 +178,9 @@ func TestTCPSlowReaderDropped(t *testing.T) {
 	t.Cleanup(func() { leak.Verify(t, 5*time.Second) }) // after gateway teardown (LIFO)
 	g, addr := startWireGateway(t, Config{
 		Shards:          2,
-		Heartbeat:       100 * time.Millisecond,
-		WriteTimeout:    50 * time.Millisecond,
-		ConnWriteBuffer: 4096,
+		heartbeat:       100 * time.Millisecond,
+		writeTimeout:    50 * time.Millisecond,
+		connWriteBuffer: 4096,
 	})
 	pub, err := g.Register("ESU6", 1)
 	if err != nil {
@@ -276,7 +276,7 @@ func TestTCPSlowReaderDropped(t *testing.T) {
 func TestTCPClientReconnect(t *testing.T) {
 	leak := testutil.StartLeakCheck()
 	t.Cleanup(func() { leak.Verify(t, 5*time.Second) }) // after gateway teardown (LIFO)
-	g, addr := startWireGateway(t, Config{Shards: 2, Heartbeat: 50 * time.Millisecond})
+	g, addr := startWireGateway(t, Config{Shards: 2, heartbeat: 50 * time.Millisecond})
 	pub, err := g.Register("ESU6", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestTCPClientReconnect(t *testing.T) {
 			seqs = append(seqs, sig.Seq)
 			mu.Unlock()
 		},
-		Heartbeat:  50 * time.Millisecond,
+		heartbeat:  50 * time.Millisecond,
 		backoffMin: 10 * time.Millisecond,
 		backoffMax: 50 * time.Millisecond,
 	})

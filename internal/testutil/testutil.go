@@ -1,13 +1,15 @@
 // Package testutil holds the polling and goroutine-leak helpers the
 // networked integration tests share (trader chaos/multi loops, signal
 // gateway churn), the live venue they trade against, and the one-book
-// E-mini tick trace the pipeline, baseline and tick-path tests replay. The
+// E-mini tick trace the pipeline, baseline and tick-path tests replay, and
+// the established order-entry session tests send orders on. The
 // helpers encode one convention: quiesce is observed by polling, and a test
 // that spawns goroutines proves they wind down.
 package testutil
 
 import (
 	"context"
+	"errors"
 	"net"
 	"runtime"
 	"sync"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"lighttrader/internal/feed"
+	"lighttrader/internal/orderentry"
 	"lighttrader/internal/scenario"
 	"lighttrader/internal/venue"
 )
@@ -150,4 +153,50 @@ func StartVenue(t testing.TB, src *scenario.Source, snapEvery time.Duration, fee
 	})
 	t.Cleanup(stop)
 	return srv, stop
+}
+
+// DialSession connects to the venue's order entry at addr and drives the
+// FIXP Negotiate/Establish handshake with an hour-long keep-alive, longer
+// than any test, so the venue neither heartbeats nor expires the session
+// mid-test. Cleanup closes the connection.
+func DialSession(t testing.TB, addr net.Addr) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	client := orderentry.NewClientSession(1)
+	var buf []byte
+	tmp := make([]byte, 64)
+	// step sends out and applies the one session frame the venue answers.
+	step := func(out []byte, err error) {
+		t.Helper()
+		if err == nil {
+			_, err = conn.Write(out)
+		}
+		for err == nil {
+			f, n, derr := orderentry.DecodeSessionFrame(buf)
+			if !errors.Is(derr, orderentry.ErrILinkShort) {
+				if err = derr; err == nil {
+					buf = buf[n:]
+					err = client.OnFrame(f, time.Now().UnixNano())
+				}
+				break
+			}
+			n, err = conn.Read(tmp)
+			buf = append(buf, tmp[:n]...)
+		}
+		if err != nil {
+			t.Fatalf("session handshake: %v", err)
+		}
+	}
+	step(client.Negotiate(time.Now().UnixNano()))
+	step(client.Establish(time.Now().UnixNano(), uint32(time.Hour/time.Millisecond)))
+	if client.State() != orderentry.StateEstablished {
+		t.Fatalf("session %v after the handshake", client.State())
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	return conn
 }

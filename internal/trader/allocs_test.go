@@ -304,7 +304,7 @@ func BenchmarkLaneDispatch(b *testing.B) {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			var sent []exchange.Request
 			conn := &tornConn{okWrites: 1 << 62} // takes and counts every write
-			mt, ticks := liveLoop(b, Config{}, serve.Config{Lanes: 1, Inline: true, ModelledClock: true,
+			mt, ticks := liveLoop(b, Config{}, serve.Config{Lanes: 1, ModelledClock: true,
 				PrePipelineNanos: int64(10 * time.Minute),
 				OnOrders:         func(_ int32, reqs []exchange.Request) { sent = append(sent, reqs...) }}, conn)
 			round := liveTicker(b, mt, ticks, &sent)

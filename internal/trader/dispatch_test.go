@@ -71,11 +71,7 @@ func TestCoalescedSendAgainstVenue(t *testing.T) {
 	// Record the feed while a maker churns a deep bid: ticks that fill the
 	// feature window without moving the touch, with the venue's periodic
 	// snapshots (the full seeded book) among them.
-	maker, err := net.Dial("tcp", srv.OrderAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer maker.Close()
+	maker := testutil.DialSession(t, srv.OrderAddr())
 	go func() {
 		for id := uint64(1000); id < 1000+2*nn.Window; id++ {
 			for _, req := range []exchange.Request{

@@ -305,14 +305,10 @@ func multiMakerFill(t *testing.T, lanes int) {
 		t.Fatalf("session never established: %v", err)
 	}
 
-	// The makers: a protocol-light second connection rests three 1-lot asks
+	// The makers: a second established session rests three 1-lot asks
 	// inside the seeded spread, then churns a deep bid — ticks that fill the
 	// feature window without moving the touch — until the order is out.
-	maker, err := net.Dial("tcp", srv.OrderAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer maker.Close()
+	maker := testutil.DialSession(t, srv.OrderAddr())
 	makerSend := func(req exchange.Request) {
 		req.SecurityID = sec
 		if _, err := maker.Write(orderentry.AppendRequest(nil, req)); err != nil {

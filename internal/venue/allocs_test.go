@@ -1,13 +1,13 @@
 package venue_test
 
 import (
-	"net"
 	"testing"
 	"time"
 
 	"lighttrader/internal/exchange"
 	"lighttrader/internal/lob"
 	"lighttrader/internal/orderentry"
+	"lighttrader/internal/testutil"
 )
 
 // orderPairAllocs is what the venue allocates for one new + cancel pair on
@@ -23,12 +23,9 @@ const orderPairAllocs = 0
 // encodes into one buffer, reads into another and decodes the acks into
 // storage it owns.
 func TestServerOrderPathAllocs(t *testing.T) {
-	addr := startServer(t, listenFeed(t))
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	// The session's hour-long keep-alive keeps the venue's Sequence
+	// heartbeats, which allocate, out of the measured loop.
+	conn := testutil.DialSession(t, startServer(t, listenFeed(t)))
 	if err := conn.SetReadDeadline(time.Now().Add(time.Minute)); err != nil {
 		t.Fatal(err)
 	}

@@ -193,7 +193,6 @@ func (s *Server) acceptLoop() {
 // and the frame processor.
 type connState struct {
 	session *orderentry.VenueSession
-	legacy  bool
 	lastHB  time.Time
 	// acks is the connection's ack frame buffer, reused for every request.
 	acks []byte
@@ -204,11 +203,11 @@ type connState struct {
 const serveTick = 100 * time.Millisecond
 
 // serveConn reads iLink frames, applies them to the world, and writes
-// ExecAck frames back. Sessions may open with the FIXP-style
-// Negotiate/Establish handshake (orderentry.VenueSession); clients that
-// send a business frame first run in legacy implicit-session mode. The
-// read loop is deadline-driven so the venue can terminate established
-// sessions whose keep-alive lapsed and emit its own Sequence heartbeats.
+// ExecAck frames back. Every session opens with the FIXP-style
+// Negotiate/Establish handshake (orderentry.VenueSession); a business frame
+// before Established closes the connection. The read loop is
+// deadline-driven so the venue can terminate established sessions whose
+// keep-alive lapsed and emit its own Sequence heartbeats.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	var rb session.Reader
@@ -261,8 +260,9 @@ func (s *Server) maybeHeartbeat(conn net.Conn, st *connState, now time.Time) {
 
 // processFrames consumes every complete frame in buf, returning the
 // unconsumed remainder and whether the connection should stay open. Session
-// frames advance the FIXP state machine; business frames are applied to
-// the world under s.mu, their acks encoded before the lock is released and
+// frames advance the FIXP state machine; business frames on an Established
+// session are applied to the world under s.mu (on any other session they
+// are a protocol error), their acks encoded before the lock is released and
 // written after, and a stopped server closes the session. Malformed frames
 // terminate the session — never the server: the decoder returns errors (not
 // panics) for corrupt SOFH lengths, and consumed is always positive on
@@ -307,17 +307,9 @@ func (s *Server) processFrames(conn net.Conn, buf []byte, st *connState) ([]byte
 		if frame.Request == nil {
 			continue
 		}
-		switch st.session.State() {
-		case orderentry.StateEstablished:
-			_ = st.session.OnBusiness(time.Now().UnixNano())
-		case orderentry.StateIdle:
-			st.legacy = true // implicit session for protocol-light clients
-		default:
-			if !st.legacy {
-				_, _ = conn.Write(orderentry.AppendTerminate(nil, st.session.UUID(),
-					orderentry.TerminateProtocolError))
-				return buf, false
-			}
+		if err := st.session.OnBusiness(time.Now().UnixNano()); err != nil {
+			s.terminateProtocolError(conn, st) // not Established
+			return buf, false
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -345,7 +337,7 @@ func (s *Server) processFrames(conn net.Conn, buf []byte, st *connState) ([]byte
 }
 
 // terminateProtocolError notifies negotiated/established peers before the
-// connection drops; idle and legacy streams are cut silently.
+// connection drops; idle streams are cut silently.
 func (s *Server) terminateProtocolError(conn net.Conn, st *connState) {
 	if st.session.State() == orderentry.StateNegotiated ||
 		st.session.State() == orderentry.StateEstablished {

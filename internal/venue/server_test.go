@@ -36,12 +36,7 @@ func listenFeed(t *testing.T) net.PacketConn {
 
 func TestServerOrderEntryRoundTrip(t *testing.T) {
 	feed := listenFeed(t)
-	addr := startServer(t, feed)
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := testutil.DialSession(t, startServer(t, feed))
 
 	// Place a passive bid and expect an accept ack.
 	req := exchange.Request{Kind: exchange.ReqNew, SecurityID: 7, ClOrdID: 42, Side: lob.Bid, Price: 449995, Qty: 3}
@@ -87,12 +82,7 @@ func TestServerOrderEntryRoundTrip(t *testing.T) {
 }
 
 func TestServerCrossAcksFill(t *testing.T) {
-	addr := startServer(t, listenFeed(t))
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := testutil.DialSession(t, startServer(t, listenFeed(t)))
 	// Cross the seeded best ask at 450001.
 	req := exchange.Request{Kind: exchange.ReqNew, SecurityID: 7, ClOrdID: 99, Side: lob.Bid, Price: 450001, Qty: 2}
 	if _, err := conn.Write(orderentry.AppendRequest(nil, req)); err != nil {
@@ -172,11 +162,7 @@ func readPackets(feed net.PacketConn, n int) [][]byte {
 // client id space, so a client's ClOrdID 1 is a fresh order, not a
 // collision with the seeded book.
 func TestServerAcceptsLowClientIDs(t *testing.T) {
-	conn, err := net.Dial("tcp", startServer(t, listenFeed(t)).String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := testutil.DialSession(t, startServer(t, listenFeed(t)))
 	req := exchange.Request{Kind: exchange.ReqNew, SecurityID: 7, ClOrdID: 1, Side: lob.Bid, Price: 449995, Qty: 3}
 	if _, err := conn.Write(orderentry.AppendRequest(nil, req)); err != nil {
 		t.Fatal(err)

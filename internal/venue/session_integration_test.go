@@ -2,7 +2,9 @@ package venue_test
 
 import (
 	"errors"
+	"io"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -179,12 +181,9 @@ func TestServerCorruptFrameTerminatesSessionNotServer(t *testing.T) {
 		}
 	}
 
-	// The venue is still alive: a fresh legacy session round-trips an order.
-	good, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer good.Close()
+	// The venue is still alive: a fresh established session round-trips an
+	// order.
+	good := testutil.DialSession(t, addr)
 	req := exchange.Request{Kind: exchange.ReqNew, SecurityID: 7, ClOrdID: 77, Side: lob.Bid, Price: 449990, Qty: 1}
 	if _, err := good.Write(orderentry.AppendRequest(nil, req)); err != nil {
 		t.Fatal(err)
@@ -227,6 +226,34 @@ func TestServerCorruptFrameOnIdleConnDropsQuietly(t *testing.T) {
 		t.Fatal(err)
 	}
 	good.Close()
+}
+
+// TestServerBusinessOnIdleSessionCloses: an order on a connection that never
+// negotiated is a protocol error. The venue closes the connection without an
+// ack, and the order never reaches the book.
+func TestServerBusinessOnIdleSessionCloses(t *testing.T) {
+	srv, _ := testutil.StartVenue(t, testutil.StaticBook(t, 7), 0, listenFeed(t))
+	conn, err := net.Dial("tcp", srv.OrderAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	before := srv.Snapshot(7)
+	req := exchange.Request{Kind: exchange.ReqNew, SecurityID: 7, ClOrdID: 4343, Side: lob.Bid, Price: 449997, Qty: 5}
+	if _, err := conn.Write(orderentry.AppendRequest(nil, req)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("the venue kept an unnegotiated session open: %v", err)
+	}
+	if len(got) != 0 {
+		t.Fatalf("the venue answered an order on an idle session with %d bytes", len(got))
+	}
+	if after := srv.Snapshot(7); !reflect.DeepEqual(after, before) {
+		t.Fatalf("an order on an idle session moved the book:\n%+v\n→ %+v", before, after)
+	}
 }
 
 // TestServerKeepAliveExpiry establishes a session with a short keep-alive
@@ -312,10 +339,7 @@ func TestServerHeartbeatsWhileEstablished(t *testing.T) {
 func TestServerDrainsFramesAtEOF(t *testing.T) {
 	srv, _ := testutil.StartVenue(t, testutil.StaticBook(t, 7), 0, listenFeed(t))
 
-	conn, err := net.Dial("tcp", srv.OrderAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := testutil.DialSession(t, srv.OrderAddr())
 	req := exchange.Request{Kind: exchange.ReqNew, SecurityID: 7, ClOrdID: 4242, Side: lob.Bid, Price: 449997, Qty: 5}
 	if _, err := conn.Write(orderentry.AppendRequest(nil, req)); err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func SchedulerNames() []string { return sched.SchedulerNames() }
 // Scenario is the unified traffic source: a seeded, deterministic generator
 // of composable market regimes emitting real SBE packet streams. One
 // Scenario drives every deployment target byte-identically — the back-test
-// simulator via BacktestContext(WithScenario(...)), the serving runtime via
+// simulator via Backtest(src.Ticks(), ...), the serving runtime via
 // ReplayScenario, and a live venue via its raw Packets().
 type Scenario = scenario.Source
 
@@ -85,8 +85,8 @@ func NewScenario(name string, script ScenarioScript, seed int64) (*Scenario, err
 
 // ReplayScenario replays a scenario's byte stream through a serving
 // runtime at its recorded arrival times and drains the lanes: the serving
-// analogue of BacktestContext(WithScenario(...)). The caller reads the
-// outcome from Server.Stats().
+// analogue of Backtest(src.Ticks(), ...). The caller reads the outcome from
+// Server.Stats().
 func ReplayScenario(srv *Server, src *Scenario) error {
 	for _, tk := range src.Ticks() {
 		if err := srv.Submit(tk.TimeNanos, tk.Packet); err != nil {
@@ -133,8 +133,9 @@ type TradeSignal = signal.TradeSignal
 // Attach one to a serving runtime with WithSignalGateway.
 type SignalGateway = signal.Gateway
 
-// SignalGatewayConfig parameterises NewSignalGateway (shard count, wire
-// heartbeat/write-deadline tuning). The zero value selects the defaults.
+// SignalGatewayConfig parameterises NewSignalGateway: the fan-out shard
+// count (0 selects 8). The wire heartbeat (500ms) and per-connection write
+// deadline (250ms) are fixed.
 type SignalGatewayConfig = signal.Config
 
 // SignalSubscription is one conflated in-process subscription
@@ -158,8 +159,9 @@ func NewSignalGateway(cfg SignalGatewayConfig) (*SignalGateway, error) {
 // reconnects with capped exponential backoff (see examples/signals).
 type SignalClient = signal.Client
 
-// SignalClientConfig parameterises NewSignalClient (address, symbols, the
-// per-signal callback, heartbeat and backoff).
+// SignalClientConfig parameterises NewSignalClient (address or dialer,
+// symbols, the per-signal callback, lifecycle logging). The heartbeat
+// (500ms) and the reconnect backoff are fixed.
 type SignalClientConfig = signal.ClientConfig
 
 // NewSignalClient builds a wire subscriber; call Run to connect and
@@ -182,7 +184,6 @@ type config struct {
 	modelledClock bool
 	sink          OrderSink
 	signals       *SignalGateway
-	scenario      *Scenario
 	zoo           []*Model
 	degrade       bool
 }
@@ -264,18 +265,13 @@ func WithInline() Option { return func(c *config) { c.inline = true } }
 // arrival time instead of the wall clock: decisions read each query's
 // submitted arrival timestamp and batches complete at their scheduled
 // latency-table instants, so a replayed trace reproduces the back-test
-// simulator's timing exactly regardless of host speed. Requires
+// simulator's timing exactly regardless of host speed; it implies
+// WithInline, so a replay reads the same on every run. Requires
 // Algorithm-1 admission. Serving only.
 func WithModelledClock() Option { return func(c *config) { c.modelledClock = true } }
 
 // WithOrderSink routes generated orders to sink. Serving only.
 func WithOrderSink(sink OrderSink) Option { return func(c *config) { c.sink = sink } }
-
-// WithScenario selects a scenario as the run's traffic source. In
-// BacktestContext it replaces the ticks argument (pass nil ticks); resolve
-// named scenarios with ScenarioByName or build custom scripts with
-// NewScenario.
-func WithScenario(src *Scenario) Option { return func(c *config) { c.scenario = src } }
 
 // WithModelZoo supplies the serving runtime's candidate set of cheaper
 // models for degrade-to-cheaper-model switching (build variants with
@@ -419,14 +415,10 @@ func buildTiers(cfg config, primary *sched.Config, lanes int) ([]serve.TierConfi
 // BacktestContext is Backtest under a context: cancellation stops the
 // replay at the next arrival boundary and returns metrics over the
 // truncated prefix — every counted query is fully accounted, none are torn.
-// WithProbe attaches an observer; WithScenario substitutes a scenario's
-// stream for the ticks argument (pass nil ticks); other options are
-// ignored.
+// WithProbe attaches an observer; other options are ignored. A scenario's
+// traffic is its Ticks().
 func BacktestContext(ctx context.Context, ticks []Tick, tAvail time.Duration, sys System, opts ...Option) Metrics {
 	cfg := resolve(opts)
-	if ticks == nil && cfg.scenario != nil {
-		ticks = cfg.scenario.Ticks()
-	}
 	ro := []sim.RunOption{sim.WithContext(ctx)}
 	if cfg.probe != nil {
 		ro = append(ro, sim.WithProbe(cfg.probe))
